@@ -30,16 +30,12 @@ def bump_tag(tag, client_id):
 
 
 def note_key(sim, app, kind, key):
-    """Record one app-level op on ``key`` with the primitive-telemetry
-    collector, when one is installed (``sim.set_primitives``).
-
-    A single attribute check on the off path, and the collector only
-    counts — no clock reads, no events — so instrumented apps keep the
-    bit-identical-timing guarantee.
-    """
-    collector = sim.primitives
-    if collector is not None:
-        collector.note_key(app, kind, key)
+    """Report one app-level op on ``key`` on the probe bus (key-hotness
+    telemetry), when anything is attached. A single attribute check on
+    the off path, and subscribers only count — no clock reads, no
+    events — so instrumented apps keep bit-identical timing."""
+    if sim.bus is not None:
+        sim.bus.emit("app.key", app, kind, key)
 
 
 def field_mask(offset_bytes, width_bytes):

@@ -208,13 +208,6 @@ def run_point(kind, flavor, workload_factory, n_clients,
     ``n_sources`` coroutines (default: one per client host), and
     ``workload_factory`` is unused — the source draws its own keys.
     The model is recorded in ``result.extra["source_model"]``.
-    Pass a :class:`repro.obs.Tracer` to collect per-operation span
-    trees, a :class:`repro.obs.UtilizationCollector` to account
-    per-resource busy time and queue depth, and/or a
-    :class:`repro.obs.PrimitiveCollector` for primitive-level counters
-    (CAS outcomes, pointer-chase depth, allocator watermarks, key
-    hotness). The defaults leave all three off; none changes timing,
-    since they only observe transitions the run already makes.
 
     ``faults`` takes a :class:`repro.faults.FaultPlan` (or a spec
     string for :func:`repro.faults.parse_faults`): the run then
@@ -223,40 +216,43 @@ def run_point(kind, flavor, workload_factory, n_clients,
     policy, and the injector's counters land in
     ``result.extra["faults"]`` — the goodput-under-faults report.
 
-    ``hostprof`` takes a :class:`repro.obs.HostProfiler`: the run is
-    then metered on the *wall* clock (events/sec, per-bucket host-time
-    shares) and the profiler's report — purely host-side, never
-    affecting simulated timing — is the caller's to read afterwards.
+    The remaining keywords each take one observer from
+    :mod:`repro.obs`. All default to off and none changes simulated
+    timing: they only observe transitions the run already makes (the
+    four event collectors under the probe-bus contract of
+    :mod:`repro.obs.bus`). Their reports are the caller's to read
+    afterwards.
 
-    ``flight`` takes a :class:`repro.obs.FlightRecorder`: the run then
-    leaves a bounded causal event log (operation open/close, request
-    sends/replies/timeouts/backoffs, CAS misses, NAKs, chain aborts,
-    fault injections) that :mod:`repro.obs.forensics` turns into
-    per-request timelines and diagnoses. Like the other collectors it
-    never touches simulated timing.
-
-    ``series`` takes a :class:`repro.obs.SeriesCollector`: the run is
-    then bucketed into fixed-width windows on the simulated clock
-    (throughput, goodput, latency digests, retry/NAK counters), with
-    MSER steady-state detection and changepoint annotation on top (see
-    :mod:`repro.obs.series`). Also timing-neutral.
-
-    ``views`` takes a :class:`repro.obs.ViewCollector`: the run then
-    maintains *online* sliding-window signals (per-connection/per-key
-    CAS retry, NAK, chase-depth, timeout/backoff, service-time rates
-    and EWMAs) queryable mid-run by application code and shadow-mode
-    probes, whose decisions land in the collector's bounded decision
-    log (see :mod:`repro.obs.views`). Also timing-neutral.
+    * ``tracer`` (:class:`~repro.obs.Tracer`) — per-operation span
+      trees.
+    * ``utilization`` (:class:`~repro.obs.UtilizationCollector`) —
+      per-resource busy time and queue depth.
+    * ``hostprof`` (:class:`~repro.obs.HostProfiler`) — the run metered
+      on the *wall* clock: events/sec, per-bucket host-time shares.
+    * ``primitives`` (:class:`~repro.obs.PrimitiveCollector`) — CAS
+      outcomes, pointer-chase depth, allocator watermarks, key hotness.
+    * ``flight`` (:class:`~repro.obs.FlightRecorder`) — a bounded
+      causal event log (op open/close, request sends/replies/timeouts/
+      backoffs, CAS misses, NAKs, chain aborts, fault injections) that
+      :mod:`repro.obs.forensics` turns into per-request timelines.
+    * ``series`` (:class:`~repro.obs.SeriesCollector`) — fixed-width
+      windows on the simulated clock (throughput, goodput, latency
+      digests, retry/NAK counters) with MSER steady-state detection
+      and changepoint annotation on top.
+    * ``views`` (:class:`~repro.obs.ViewCollector`) — *online*
+      sliding-window signals (per-connection/per-key CAS retry, NAK,
+      chase-depth, timeout/backoff, service-time rates and EWMAs)
+      queryable mid-run by application code and shadow-mode probes,
+      whose decisions land in its bounded decision log.
     """
     sim = Simulator()
     if hostprof is not None:
         sim.set_hostprof(hostprof)
-    if flight is not None:
-        sim.set_flight(flight)
     if series is not None:
-        sim.set_series(series.configure(warmup_us, measure_us))
-    if views is not None:
-        sim.set_views(views)
+        series.configure(warmup_us, measure_us)
+    for collector in (flight, series, views, primitives):
+        if collector is not None:
+            sim.attach(collector)
     if faults is not None:
         if isinstance(faults, str):
             from repro.faults import parse_faults
@@ -269,8 +265,6 @@ def run_point(kind, flavor, workload_factory, n_clients,
         # Report utilization over the measurement window, not warmup.
         utilization.measure_from = warmup_us
         utilization.measure_until = warmup_us + measure_us
-    if primitives is not None:
-        sim.set_primitives(primitives)
     if source_model is not None:
         spec = dict(source_model)
         n_sources = min(spec.pop("n_sources", n_client_hosts), n_clients)
@@ -338,12 +332,9 @@ def run_point(kind, flavor, workload_factory, n_clients,
     if hostprof is not None:
         from repro.obs.hostprof import deactivate
         deactivate(hostprof)
-    if utilization is not None:
-        utilization.finish(sim.now)
-    if series is not None:
-        series.finish(sim.now)
-    if views is not None:
-        views.finish(sim.now)
+    for collector in (utilization, series, views):
+        if collector is not None:
+            collector.finish(sim.now)
     if sim.faults is not None:
         report = sim.faults.report()
         # Goodput: operations that *completed* per second of measured

@@ -70,3 +70,23 @@ class Chain:
 def chain(*ops):
     """Convenience constructor: ``chain(op1, op2, ...)``."""
     return Chain(ops)
+
+
+def abort_reason(results):
+    """Why a finished chain did not commit; None when it did.
+
+    ``results`` are the per-op outcomes in order (anything with a
+    ``status.value`` and, for NAKs, an ``error``). §3.4: a chain
+    commits iff its final op succeeded; otherwise the first decisive
+    op names the reason: the NAK's error class, or ``cas_miss``.
+    """
+    if results and results[-1].status.value == "ok":
+        return None
+    for result in results:
+        status = result.status.value
+        if status == "nak":
+            error = getattr(result, "error", None)
+            return type(error).__name__ if error is not None else "nak"
+        if status in ("cas_miss", "skipped"):
+            return status
+    return "uncommitted" if results else "empty"

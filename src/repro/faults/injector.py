@@ -98,37 +98,47 @@ class FaultInjector:
         return host_name in self._down
 
     def on_message(self, message):
-        """Draw this message's fate; one verdict per fabric send."""
+        """Draw this message's fate; one verdict per fabric send. Runs
+        in the sender's process, so the fate's bus event attributes to
+        the operation the message serves (requests and replies alike)."""
         plan = self.plan
         drop = plan.drop > 0.0 and self._net.random() < plan.drop
         duplicate = (plan.duplicate > 0.0
                      and self._net.random() < plan.duplicate)
         delay_us = (self._net.uniform(0.0, plan.jitter_us)
                     if plan.jitter_us > 0.0 else 0.0)
-        series = self.sim.series
+        if not drop and not duplicate and delay_us == 0.0:
+            return _NO_FATE
+        bus = self.sim.bus
+        if bus is not None:
+            where = (message.id, getattr(message.payload, "logical_id", None),
+                     message.dst, message.service)
+            if drop:
+                bus.emit("fault.drop", *where)
+            else:
+                if duplicate:
+                    bus.emit("fault.dup", *where)
+                if delay_us > 0.0:
+                    bus.emit("fault.delay", *where, delay_us)
         if drop:
             self.counters["messages_dropped"] += 1
-            if series is not None:
-                series.count("drops")
             return MessageFate(drop=True)
-        if not duplicate and delay_us == 0.0:
-            return _NO_FATE
         if duplicate:
             self.counters["messages_duplicated"] += 1
-            if series is not None:
-                series.count("dups")
         if delay_us > 0.0:
             self.counters["messages_delayed"] += 1
             self.delay_injected_us += delay_us
-            if series is not None:
-                series.count("delays")
         return MessageFate(duplicate=duplicate, delay_us=delay_us)
 
-    def note_crash_drop(self):
-        """A message arrived at (or left) a crash-stopped host."""
+    def note_crash_drop(self, message):
+        """``message`` arrived at (or left) a crash-stopped host."""
         self.counters["crash_drops"] += 1
-        if self.sim.series is not None:
-            self.sim.series.count("crash_drops")
+        bus = self.sim.bus
+        if bus is not None:
+            down = message.dst if self.is_down(message.dst) else message.src
+            bus.emit("fault.crash_drop", message.id,
+                     getattr(message.payload, "logical_id", None),
+                     down, message.dst)
 
     # -- recovery-side accounting ------------------------------------------
 
@@ -165,8 +175,8 @@ class FaultInjector:
             # Crash schedules run outside any process, so the flight
             # event is global (op=None) — forensics turns crash/recover
             # pairs into down windows and overlaps them with requests.
-            if self.sim.flight is not None:
-                self.sim.flight.record("fault.crash", host=crash.host)
+            if self.sim.bus is not None:
+                self.sim.bus.emit("fault.crash", crash.host)
             for server in self._servers.get(crash.host, ()):
                 if hasattr(server, "fail"):
                     server.fail()
@@ -176,8 +186,8 @@ class FaultInjector:
         def execute():
             self._down.discard(crash.host)
             self.counters["recoveries"] += 1
-            if self.sim.flight is not None:
-                self.sim.flight.record("fault.recover", host=crash.host)
+            if self.sim.bus is not None:
+                self.sim.bus.emit("fault.recover", crash.host)
             for server in self._servers.get(crash.host, ()):
                 if hasattr(server, "recover"):
                     server.recover()
@@ -191,17 +201,15 @@ class FaultInjector:
             return
         withheld = [qp.pop() for _ in range(take)]
         self.counters["starved_buffers"] += take
-        if self.sim.flight is not None:
-            self.sim.flight.record("fault.starve", freelist=freelist_id,
-                                   name=qp.name, taken=take)
+        if self.sim.bus is not None:
+            self.sim.bus.emit("fault.starve", freelist_id, qp.name, take)
         if plan.starve_hold_us <= 0.0:
             return  # withheld for the rest of the run
         yield self.sim.timeout(plan.starve_hold_us)
         yield from server.post_buffers(freelist_id, withheld)
         self.counters["restored_buffers"] += take
-        if self.sim.flight is not None:
-            self.sim.flight.record("fault.restore", freelist=freelist_id,
-                                   name=qp.name, restored=take)
+        if self.sim.bus is not None:
+            self.sim.bus.emit("fault.restore", freelist_id, qp.name, take)
 
     # -- reporting ----------------------------------------------------------
 

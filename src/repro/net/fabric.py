@@ -97,9 +97,9 @@ class Fabric:
         faults = sim.faults
         if faults is None:
             # The per-message process name only matters to forensics
-            # (flight recorder, process-lifetime traces, deadlock
+            # (an observed run, process-lifetime traces, deadlock
             # dumps); the hot path skips the f-string.
-            if sim.flight is None and not sim.tracer.trace_processes:
+            if sim.bus is None and not sim.tracer.trace_processes:
                 sim.spawn(self._deliver(message), name="deliver")
             else:
                 sim.spawn(self._deliver(message),
@@ -116,24 +116,6 @@ class Fabric:
         fate = faults.on_message(message)
         if hp is not None:
             hp.exit()
-        fl = self.sim.flight
-        if fl is not None and (fate.drop or fate.duplicate
-                               or fate.delay_us > 0.0):
-            # Flight events for injected fates: recorded from the
-            # sender's process, so they attribute to the operation the
-            # message serves (requests and replies alike).
-            logical = getattr(message.payload, "logical_id", None)
-            if fate.drop:
-                fl.record("fault.drop", msg=message.id, logical=logical,
-                          dst=dst_name, service=service)
-            else:
-                if fate.duplicate:
-                    fl.record("fault.dup", msg=message.id, logical=logical,
-                              dst=dst_name, service=service)
-                if fate.delay_us > 0.0:
-                    fl.record("fault.delay", msg=message.id, logical=logical,
-                              dst=dst_name, service=service,
-                              delay_us=fate.delay_us)
         if fate.drop:
             return message
         self.sim.spawn(self._deliver(message, fate.delay_us),
@@ -169,15 +151,7 @@ class Fabric:
                                    or faults.is_down(message.src)):
             # Crash-stop: a dead host neither receives nor has its
             # in-flight sends honoured (its NIC died with it).
-            faults.note_crash_drop()
-            fl = self.sim.flight
-            if fl is not None:
-                down = (message.dst if faults.is_down(message.dst)
-                        else message.src)
-                fl.record("fault.crash_drop", msg=message.id,
-                          logical=getattr(message.payload, "logical_id",
-                                          None),
-                          host=down, dst=message.dst)
+            faults.note_crash_drop(message)
             if self.monitor is not None:
                 self.monitor.adjust(-1)
             return

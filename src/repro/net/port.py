@@ -84,10 +84,10 @@ class RequestChannel:
         self._retry_rng = None
         self.retransmissions = 0
         self.timeouts = 0
-        #: connection id this channel's timeout/backoff view signals
-        #: attribute to (set by PrismClient); falls back to the host
-        #: name for channels outside the PRISM client path
-        self.view_conn = None
+        #: the ``conn`` tag on this channel's timeout/backoff events:
+        #: the connection id (set by PrismClient), or the host name
+        #: for channels outside the PRISM client path
+        self.conn = host_name
         if sim.utilization is not None:
             # In-flight request depth per channel: evidence for the
             # bottleneck analyzer (deep client queues with an idle
@@ -105,16 +105,14 @@ class RequestChannel:
     def _on_reply(self, message):
         reply = message.payload
         event = self._pending.pop(reply.id, None)
-        fl = self.sim.flight
-        if fl is not None:
-            fl.record("req.reply" if event is not None else "req.stale",
-                      logical=reply.logical_id, req=reply.id, ok=reply.ok)
+        bus = self.sim.bus
+        if bus is not None:
+            bus.emit("req.reply" if event is not None else "req.stale",
+                     reply.logical_id, reply.id, reply.ok)
         if event is None:
             return  # duplicate or cancelled; drop silently like a NIC would
         if self.monitor is not None:
             self.monitor.adjust(-1)
-        if not reply.ok and self.sim.series is not None:
-            self.sim.series.count("naks")
         if reply.ok:
             event.succeed(reply.body)
         else:
@@ -137,10 +135,9 @@ class RequestChannel:
         request = Request(request_id, self.host_name, self.reply_service, body)
         request.span = span
         request.logical_id = logical_id
-        fl = sim.flight
-        if fl is not None:
-            fl.record("req.send", logical=logical_id, req=request_id,
-                      dst=dst, service=service)
+        bus = sim.bus
+        if bus is not None:
+            bus.emit("req.send", logical_id, request_id, dst, service)
         reply_event = Event(sim)
         self._pending[request_id] = reply_event
         if self.monitor is not None:
@@ -168,15 +165,15 @@ class RequestChannel:
                 if (self._pending.pop(request_id, None) is not None
                         and self.monitor is not None):
                     self.monitor.adjust(-1)
-                if fl is not None:
-                    fl.record("req.timeout", logical=logical_id,
-                              req=request_id, dst=dst, timeout_us=timeout_us)
-                if sim.series is not None:
-                    sim.series.count("timeouts")
-                if sim.views is not None:
-                    sim.views.note_timeout(
-                        self.view_conn if self.view_conn is not None
-                        else self.host_name)
+                # The one place an ack timeout is counted — retried
+                # or not — so the channel, the fault report and every
+                # bus subscriber agree on the total.
+                self.timeouts += 1
+                if sim.faults is not None:
+                    sim.faults.note_timeout()
+                if bus is not None:
+                    bus.emit("req.timeout", logical_id, request_id, dst,
+                             timeout_us, self.conn)
                 raise TimeoutExpired(
                     timeout_us, what=f"request {request_id} to {dst}/{service}")
             result = value
@@ -218,7 +215,7 @@ class RequestChannel:
         logical request, retried" from "several requests".
         """
         faults = self.sim.faults
-        fl = self.sim.flight
+        bus = self.sim.bus
         if faults is not None and self._retry_rng is None:
             self._retry_rng = faults.retry_stream()
         logical_id = next(_logical_ids)
@@ -231,32 +228,20 @@ class RequestChannel:
                     logical_id=logical_id)
                 return result
             except TimeoutExpired:
-                self.timeouts += 1
-                if faults is not None:
-                    faults.note_timeout()
                 if attempt >= policy.max_retries:
                     if faults is not None:
                         faults.note_retries_exhausted()
-                    if fl is not None:
-                        fl.record("req.exhausted", logical=logical_id,
-                                  attempts=attempt + 1)
-                    if self.sim.series is not None:
-                        self.sim.series.count("retries_exhausted")
+                    if bus is not None:
+                        bus.emit("req.exhausted", logical_id, attempt + 1)
                     raise
                 backoff = policy.backoff_us(attempt, self._retry_rng)
                 attempt += 1
                 self.retransmissions += 1
                 if faults is not None:
                     faults.note_retransmit()
-                if self.sim.series is not None:
-                    self.sim.series.count("retransmissions")
-                if self.sim.views is not None:
-                    self.sim.views.note_backoff(
-                        self.view_conn if self.view_conn is not None
-                        else self.host_name)
-                if fl is not None:
-                    fl.record("req.backoff", logical=logical_id,
-                              attempt=attempt, backoff_us=backoff)
+                if bus is not None:
+                    bus.emit("req.backoff", logical_id, attempt, backoff,
+                             self.conn)
                 with span.child("client.backoff", phase="queue",
                                 attempt=attempt):
                     yield self.sim.timeout(backoff)

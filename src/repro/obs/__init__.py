@@ -19,10 +19,13 @@ Three pieces, all driven by the simulated clock:
   resource and its headroom.
 * :mod:`repro.obs.quantiles` — the one shared implementation of
   linear-interpolated percentiles and fixed-width histograms.
+* :mod:`repro.obs.bus` — the probe bus: hook sites emit each event
+  once; primitives, flight, series and views below are subscribers,
+  each installed with ``sim.attach(collector)``.
 * :mod:`repro.obs.primitives` — semantic counters for the PRISM
   primitives themselves (CAS outcomes and contention, pointer-chase
-  depth, chain lengths/aborts, allocator watermarks, key hotness);
-  install a :class:`PrimitiveCollector` via ``sim.set_primitives``.
+  depth, chain lengths/aborts, allocator watermarks, key hotness):
+  :class:`PrimitiveCollector`.
 * :mod:`repro.obs.critpath` — per-request critical-path attribution
   over span trees: which phase/span actually bounded end-to-end
   latency, vs slack the request never waited on.
@@ -32,20 +35,19 @@ Three pieces, all driven by the simulated clock:
   install a :class:`HostProfiler` via ``sim.set_hostprof``.
 * :mod:`repro.obs.flight` — a bounded causal event log tying every
   layer's events (ops, retries, CAS misses, fault injections) to the
-  client operation they belong to; install a :class:`FlightRecorder`
-  via ``sim.set_flight``. :mod:`repro.obs.forensics` replays a flight
+  client operation they belong to: :class:`FlightRecorder`.
+  :mod:`repro.obs.forensics` replays a flight
   log into per-request timelines and automatic diagnoses.
 * :mod:`repro.obs.series` — windowed time-series telemetry on the
   simulated clock (per-window throughput/goodput/latency digests and
   retry/NAK counters) with MSER steady-state detection and
-  changepoint annotation cross-referenced against injected faults;
-  install a :class:`SeriesCollector` via ``sim.set_series``.
+  changepoint annotation cross-referenced against injected faults:
+  :class:`SeriesCollector`.
 * :mod:`repro.obs.views` — *online* sliding-window telemetry views:
   per-connection/per-key CAS retry, NAK, pointer-chase, timeout, and
   service-time signals maintained in O(1) rings and queryable
   mid-run (``views.rate(...)``/``views.ewma(...)``), plus a bounded
-  decision log for shadow-mode policy probes; install a
-  :class:`ViewCollector` via ``sim.set_views``.
+  decision log for shadow-mode policy probes: :class:`ViewCollector`.
 """
 
 from repro.obs.bottleneck import (

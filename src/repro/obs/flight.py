@@ -9,18 +9,15 @@ every fault injection — each stamped with the id of the client
 operation it belongs to, so :mod:`repro.obs.forensics` can rebuild the
 causal timeline of any single slow or failed request after the run.
 
-Install contract (same as every collector)::
+A subscriber of the probe bus, under its install contract (off by
+default, bit-identical when on; see :mod:`repro.obs.bus`)::
 
-    recorder = FlightRecorder(capacity=65536)
-    sim.set_flight(recorder)      # BEFORE system construction
+    recorder = sim.attach(FlightRecorder(capacity=65536))  # BEFORE build
     ... build system, run ...
     recorder.dump("flight.json")  # or recorder.to_dict()
 
-Off by default: with no recorder installed every hook on the data path
-is a single ``is None`` check and the run's simulated timing is
-bit-identical to an unrecorded one. The recorder itself never reads or
-schedules simulator events — it only appends to a host-side deque — so
-a recorded run is also bit-identical in simulated time.
+It logs the bus kinds in :data:`LOGGED_KINDS` verbatim, field for
+field, and only ever appends to a host-side deque.
 
 Causal attribution works without threading ids through any call
 signature: the kernel tells the recorder which :class:`Process` is
@@ -43,9 +40,24 @@ id.
 
 import json
 from collections import deque
+from functools import partial
 from itertools import count
 
+from repro.obs.bus import VOCABULARY
+
 DEFAULT_CAPACITY = 65536
+
+#: Bus kinds logged as-is, under their vocabulary field names (with
+#: ``op.open``/``op.close``, the dump's whole vocabulary). The other
+#: kinds — every CAS attempt, deref depths, chain completions,
+#: allocator pops — fire per engine op and would flush the ring.
+LOGGED_KINDS = (
+    "req.send", "req.reply", "req.stale", "req.timeout", "req.backoff",
+    "req.exhausted", "chain.submit", "chain.abort", "rpc.submit",
+    "cas.miss", "op.nak", "fault.drop", "fault.dup", "fault.delay",
+    "fault.crash_drop", "fault.crash", "fault.recover", "fault.starve",
+    "fault.restore",
+)
 
 
 class FlightRecorder:
@@ -74,9 +86,23 @@ class FlightRecorder:
         self._stack = []
 
     def bind(self, sim):
-        """Attach to the simulator (``sim.set_flight`` calls this)."""
+        """Attach to the simulator (``sim.attach`` calls this);
+        ``sim.flight`` is the kernel's process-context handle."""
         self._sim = sim
+        sim.flight = self
         return self
+
+    def subscribe(self, bus):
+        bus.subscribe("op.open", self.op_open)
+        bus.subscribe("op.close", self.op_close)
+        for kind in LOGGED_KINDS:
+            # Flight events are keyed by operation, not connection.
+            names = [name for name in VOCABULARY[kind][0].split()
+                     if name != "conn"]
+            bus.subscribe(kind, partial(self._log, kind, names))
+
+    def _log(self, kind, names, *values):
+        self.record(kind, **dict(zip(names, values)))
 
     # -- kernel hooks (Process._step / Process.__init__) -------------------
 
@@ -99,13 +125,13 @@ class FlightRecorder:
         if self._stack:
             self._stack[-1]._flight_ctx = op_id
         self.record("op.open", op=op_id, name=name, client=client)
-        return op_id
 
-    def op_close(self, op_id, status="ok", **fields):
-        """The operation finished; clears the process binding."""
+    def op_close(self, status, latency_us, aborts, retries, measured):
+        """The current process's operation finished; clears its binding."""
         self.ops_closed += 1
-        self.record("op.close", op=op_id, status=status, **fields)
-        if self._stack and self._stack[-1]._flight_ctx == op_id:
+        self.record("op.close", status=status, latency_us=latency_us,
+                    aborts=aborts, retries=retries, measured=measured)
+        if self._stack:
             self._stack[-1]._flight_ctx = None
 
     # -- recording -----------------------------------------------------------

@@ -7,19 +7,19 @@ How deep did indirect reads chase pointers? How long were the chains,
 and why did they abort? How close did ALLOCATE come to draining a free
 list? Which application keys were hot?
 
-Install a :class:`PrimitiveCollector` *before* system construction via
-``sim.set_primitives(collector)`` — the same self-registration pattern
-as ``sim.set_utilization``. The engine, backends, and app clients all
-check ``sim.primitives is None`` (one attribute read) on the off path,
-and the collector itself only increments counters at transitions the
-run already makes: it never reads or schedules simulator events, so a
-monitored run is bit-identical in simulated time to a bare one.
+A :class:`PrimitiveCollector` is a subscriber of the probe bus, under
+its install contract (``sim.attach(collector)`` *before* system
+construction; off by default, bit-identical when on; see
+:mod:`repro.obs.bus`): it only increments counters as the engine,
+servers, and app clients emit.
 
 Heavy-hitter sketches use the SpaceSaving algorithm (:class:`TopK`):
 bounded memory, deterministic (ties broken by insertion order, and the
 simulator itself is deterministic), with a per-entry overestimation
 bound so reports can show how trustworthy each count is.
 """
+
+from repro.core.chain import abort_reason
 
 
 class TopK:
@@ -99,7 +99,6 @@ class PrimitiveCollector:
 
     def __init__(self, top_k=16):
         self.top_k = top_k
-        self._sim = None
         # -- enhanced CAS -------------------------------------------------
         self.cas_attempts = 0
         self.cas_misses = 0
@@ -133,9 +132,23 @@ class PrimitiveCollector:
         self.key_ops = {}            # app -> {op kind: count}
 
     def bind(self, sim):
-        """Attach to the simulator (``sim.set_primitives`` calls this)."""
-        self._sim = sim
+        """Nothing to bind: the counters never read the clock."""
         return self
+
+    def subscribe(self, bus):
+        bus.subscribe("cas.attempt",
+                      lambda target, mode, swapped, conn:
+                      self.note_cas(conn, target, mode, swapped))
+        bus.subscribe("op.deref",
+                      lambda opname, hops, bounded, conn:
+                      self.note_deref(opname, hops, bounded))
+        bus.subscribe("op.nak",
+                      lambda opname, error, conn: self.note_nak(opname, error))
+        bus.subscribe("chain.done", self.note_chain)
+        bus.subscribe("freelist.register", self.register_freelist)
+        bus.subscribe("alloc.pop", self.note_allocate)
+        bus.subscribe("alloc.exhausted", self.note_exhaustion)
+        bus.subscribe("app.key", self.note_key)
 
     # -- engine hooks ------------------------------------------------------
 
@@ -165,17 +178,21 @@ class PrimitiveCollector:
             self.bounded_reads += 1
 
     def note_nak(self, opname, error):
-        """An op hard-NAK'd; remember why, by error class."""
-        _bump(self.nak_reasons.setdefault(opname, {}), type(error).__name__)
+        """An op hard-NAK'd; remember why, by error class (``error`` is
+        the exception, or its class name as ``op.nak`` carries it)."""
+        _bump(self.nak_reasons.setdefault(opname, {}),
+              error if isinstance(error, str) else type(error).__name__)
 
-    def note_chain(self, ops, results, logical=None):
+    def note_chain(self, ops, results, logical=None, reason=None):
         """One finished request: its ops and their OpResults in order.
 
         ``logical`` is the stable logical-request id from the client's
         envelope (None for callers outside the request path). A repeat
         execution of an already-seen logical id is a retransmission —
         counted separately so chain statistics can report logical
-        requests without double-counting retried ones.
+        requests without double-counting retried ones. ``reason`` is
+        the abort reason the ``chain.done`` event carries; callers
+        without one get the same :func:`~repro.core.chain.abort_reason`.
         """
         self.chains += 1
         if logical is not None:
@@ -192,22 +209,8 @@ class PrimitiveCollector:
             self.chains_committed += 1
             return
         self.chains_aborted += 1
-        reason = "empty"
-        for op, result in zip(ops, results):
-            status = result.status.value
-            if status == "nak":
-                error = getattr(result, "error", None)
-                reason = (type(error).__name__ if error is not None
-                          else "nak")
-                break
-            if status == "cas_miss":
-                reason = "cas_miss"
-                break
-            if status == "skipped":
-                reason = "skipped"
-                break
-            reason = "uncommitted"
-        _bump(self.chain_abort_reasons, reason)
+        _bump(self.chain_abort_reasons,
+              reason if reason is not None else abort_reason(results))
 
     def register_freelist(self, freelist_id, freelist):
         """Track a free list from creation so the watermark report

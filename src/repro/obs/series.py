@@ -14,19 +14,16 @@ raw series into
   injected crash/drop/starvation windows so a chaos run's dips carry
   named causes instead of reading as noise.
 
-Install contract (same as every collector)::
+A subscriber of the probe bus, under its install contract (off by
+default, bit-identical when on; see :mod:`repro.obs.bus`)::
 
-    series = SeriesCollector(window_us=50.0)
-    sim.set_series(series)          # BEFORE system construction
+    series = sim.attach(SeriesCollector(window_us=50.0))  # BEFORE build
     ... build system, run ...
     series.finish(sim.now)
     report = series.report(utilization=collector, faults=faults_report)
 
-Off by default: with no collector installed every hook on the data
-path is a single ``is None`` check, so an uncollected run is
-bit-identical to today's. The collector only appends to host-side
-structures at transitions the run already makes — it never reads or
-schedules simulator events — so a collected run is bit-identical too.
+``op.close`` events fill the windows, and :data:`COUNTED_KINDS` maps
+the net/fault-layer kinds onto the window counters.
 
 Reconciliation contract: the per-window ``measured_ops`` counts sum
 *exactly* to the run's measured operation total, and merging the
@@ -60,9 +57,18 @@ SKETCH_K = 64
 DEVIATION_SIGMA = 3.0
 DEVIATION_REL_FLOOR = 0.10
 
-#: counter families the net/fault layers bucket into windows
-COUNTERS = ("timeouts", "retransmissions", "retries_exhausted", "naks",
-            "drops", "dups", "delays", "crash_drops")
+#: The window counters: bus kind -> the counter one such net/fault-
+#: layer event bumps. (``naks`` is fed by the ``req.reply`` events with
+#: ok=False; see ``SeriesCollector.subscribe``.)
+COUNTED_KINDS = {
+    "req.timeout": "timeouts",
+    "req.backoff": "retransmissions",
+    "req.exhausted": "retries_exhausted",
+    "fault.drop": "drops",
+    "fault.dup": "dups",
+    "fault.delay": "delays",
+    "fault.crash_drop": "crash_drops",
+}
 
 
 class LatencyDigest:
@@ -230,9 +236,21 @@ class SeriesCollector:
         self.end_us = None        # run end, set by finish()
 
     def bind(self, sim):
-        """Attach to the simulator (``sim.set_series`` calls this)."""
+        """Attach to the simulator (``sim.attach`` calls this)."""
         self._sim = sim
+        sim.series = self
         return self
+
+    def subscribe(self, bus):
+        bus.subscribe("op.close",
+                      lambda status, latency_us, aborts, retries, measured:
+                      self.record_op(self._sim.now, latency_us, measured,
+                                     ok=not aborts))
+        bus.subscribe("req.reply", lambda logical, req, ok:
+                      None if ok else self.count("naks"))
+        for kind, counter in COUNTED_KINDS.items():
+            bus.subscribe(kind, lambda *_fields, _name=counter:
+                          self.count(_name))
 
     def configure(self, warmup_us, measure_us):
         """Record the run's measurement geometry (harness contract)."""

@@ -26,26 +26,22 @@ timestamp) into a bounded ring, and registered probe objects (see
 signals cross into a new window — event-driven, never scheduled, so
 the bit-identical-when-off contract of every collector holds here too.
 
-Install contract (same as every collector)::
+A subscriber of the probe bus, under its install contract (off by
+default, bit-identical when on; see :mod:`repro.obs.bus`)::
 
-    views = ViewCollector(window_us=50.0)
-    sim.set_views(views)            # BEFORE system construction
+    views = sim.attach(ViewCollector(window_us=50.0))  # BEFORE build
     ... build system, run ...       # query views.rate(...) mid-run
     views.finish(sim.now)
     report = views.report()
 
-Off by default: with no collector installed every hook on the data
-path is a single ``is None`` check. The collector itself only reads
-``sim.now`` and appends to host-side structures — it never schedules
-simulator events — so a collected run is bit-identical in simulated
-time to a bare one. Host cost is accounted to the ``hooks.views``
-hostprof bucket (see :mod:`repro.obs.hostprof`).
+Host cost is accounted to the ``hooks.views`` hostprof bucket (see
+:mod:`repro.obs.hostprof`).
 
-Reconciliation contract: the views' signal totals equal the post-hoc
-collectors' aggregates on the same run — CAS attempts/misses match
-:class:`~repro.obs.primitives.PrimitiveCollector`, timeout/backoff
-totals match the :class:`~repro.obs.series.SeriesCollector` window
-counters — tested in ``tests/obs/test_views.py``.
+Reconciliation: every collector folds the same bus events, so the
+views' signal totals equal the post-hoc aggregates on the same run by
+construction — CAS attempts/misses match primitives', timeout/backoff
+totals match the series window counters (``tests/obs/test_views.py``
+proves the wiring).
 """
 
 from repro.obs import quantiles
@@ -150,8 +146,8 @@ class ViewCollector:
 
     See the module docstring for the install pattern, the off-by-
     default guarantee, and the reconciliation contract. Hook methods
-    (``note_*``) are called by the engine, client, and net layers;
-    query methods (:meth:`rate`, :meth:`ewma`, :meth:`quantile`) are
+    (``note_*``) are fed by the engine, client, and net layers' bus
+    events; query methods (:meth:`rate`, :meth:`ewma`, :meth:`quantile`) are
     safe to call from inside a running simulation process.
     """
 
@@ -194,20 +190,42 @@ class ViewCollector:
         self.end_us = None
 
     def bind(self, sim):
-        """Attach to the simulator (``sim.set_views`` calls this)."""
+        """Attach to the simulator (``sim.attach`` calls this);
+        ``sim.views`` is what ``PrismClient.views`` hands to app code."""
         self._sim = sim
+        sim.views = self
         return self
 
-    # -- hostprof accounting -------------------------------------------------
+    def subscribe(self, bus):
+        for kind, handler in (
+                ("cas.attempt", lambda target, mode, swapped, conn:
+                 self.note_cas(conn, target, swapped)),
+                ("op.deref", lambda opname, hops, bounded, conn:
+                 self.note_chase(conn, opname, hops)),
+                ("op.nak", lambda opname, error, conn:
+                 self.note_nak(conn, opname)),
+                ("req.timeout", lambda logical, req, dst, timeout_us, conn:
+                 self.note_timeout(conn)),
+                ("req.backoff", lambda logical, attempt, backoff_us, conn:
+                 self.note_backoff(conn)),
+                ("chain.roundtrip", lambda latency_us, conn:
+                 self.note_service_time(conn, latency_us))):
+            bus.subscribe(kind, self._charged(handler))
 
-    def _hp(self):
-        sim = self._sim
-        if sim is None:
-            return None
-        hp = sim.hostprof
-        if hp is not None and not hp._timing:
-            return None
-        return hp
+    def _charged(self, handler):
+        """Wrap a bus handler so its host time lands in the
+        ``hooks.views`` hostprof bucket (skipped, like every bucket,
+        on events the profiler's stride sampling leaves untimed)."""
+        def charged(*fields):
+            hp = self._sim.hostprof
+            if hp is None or not hp._timing:
+                return handler(*fields)
+            hp.enter("hooks.views")
+            try:
+                handler(*fields)
+            finally:
+                hp.exit()
+        return charged
 
     # -- hot-path hooks ------------------------------------------------------
 
@@ -245,83 +263,41 @@ class ViewCollector:
     def note_cas(self, conn, target, swapped):
         """One CAS attempt by ``conn`` on ``target``; miss feeds the
         retry-rate views (per connection and per address)."""
-        hp = self._hp()
-        if hp is not None:
-            hp.enter("hooks.views")
-        try:
-            bucket = self._bucket()
-            self._count("cas_attempt", conn, bucket)
-            if not swapped:
-                self._count("cas_retry", conn, bucket)
-                self._count_key(target, bucket)
-            self._tick_probes(conn)
-        finally:
-            if hp is not None:
-                hp.exit()
+        bucket = self._bucket()
+        self._count("cas_attempt", conn, bucket)
+        if not swapped:
+            self._count("cas_retry", conn, bucket)
+            self._count_key(target, bucket)
+        self._tick_probes(conn)
 
     def note_chase(self, conn, opname, hops):
         """Pointer-chase depth of one executed op (0 = direct)."""
-        hp = self._hp()
-        if hp is not None:
-            hp.enter("hooks.views")
-        try:
-            self._ewma_update("chase_depth", conn, hops)
-            hist = self._chase_hist.get(conn)
-            if hist is None:
-                hist = self._chase_hist[conn] = {}
-            hist[hops] = hist.get(hops, 0) + 1
-            self._tick_probes(conn)
-        finally:
-            if hp is not None:
-                hp.exit()
+        self._ewma_update("chase_depth", conn, hops)
+        hist = self._chase_hist.get(conn)
+        if hist is None:
+            hist = self._chase_hist[conn] = {}
+        hist[hops] = hist.get(hops, 0) + 1
+        self._tick_probes(conn)
 
     def note_nak(self, conn, opname):
         """An op by ``conn`` hard-NAK'd at the engine."""
-        hp = self._hp()
-        if hp is not None:
-            hp.enter("hooks.views")
-        try:
-            self._count("nak", conn, self._bucket())
-            self._tick_probes(conn)
-        finally:
-            if hp is not None:
-                hp.exit()
+        self._count("nak", conn, self._bucket())
+        self._tick_probes(conn)
 
     def note_timeout(self, conn):
         """A request by ``conn`` hit its ack timeout."""
-        hp = self._hp()
-        if hp is not None:
-            hp.enter("hooks.views")
-        try:
-            self._count("timeout", conn, self._bucket())
-            self._tick_probes(conn)
-        finally:
-            if hp is not None:
-                hp.exit()
+        self._count("timeout", conn, self._bucket())
+        self._tick_probes(conn)
 
     def note_backoff(self, conn):
         """A request by ``conn`` entered retransmission backoff."""
-        hp = self._hp()
-        if hp is not None:
-            hp.enter("hooks.views")
-        try:
-            self._count("backoff", conn, self._bucket())
-            self._tick_probes(conn)
-        finally:
-            if hp is not None:
-                hp.exit()
+        self._count("backoff", conn, self._bucket())
+        self._tick_probes(conn)
 
     def note_service_time(self, conn, latency_us):
         """One client round trip by ``conn`` took ``latency_us``."""
-        hp = self._hp()
-        if hp is not None:
-            hp.enter("hooks.views")
-        try:
-            self._ewma_update("service_time_us", conn, latency_us)
-            self._tick_probes(conn)
-        finally:
-            if hp is not None:
-                hp.exit()
+        self._ewma_update("service_time_us", conn, latency_us)
+        self._tick_probes(conn)
 
     # -- queries -------------------------------------------------------------
 

@@ -13,7 +13,12 @@ from dataclasses import dataclass, field
 from repro.core.chain import Chain
 from repro.obs.trace import NULL_SPAN, Span
 from repro.prism.address_space import DOMAIN_HOST
-from repro.prism.engine import ChainResult, OpResult, OpStatus
+from repro.prism.engine import (
+    ChainResult,
+    OpResult,
+    OpStatus,
+    emit_chain_done,
+)
 from repro.sim.resources import Resource
 
 
@@ -169,12 +174,8 @@ class Backend:
         if sim.utilization is not None and engine.monitor is None:
             engine.monitor = sim.utilization.charge_monitor(
                 f"{self.label}.engine", kind="engine")
-        if sim.primitives is not None and engine.primitives is None:
-            engine.primitives = sim.primitives
-        if sim.flight is not None and engine.flight is None:
-            engine.flight = sim.flight
-        if sim.views is not None and engine.views is None:
-            engine.views = sim.views
+        if sim.bus is not None and engine.bus is None:
+            engine.bus = sim.bus
 
     # -- per-backend hooks -------------------------------------------------
 
@@ -231,9 +232,9 @@ class Backend:
         op's execution interval (refined by :meth:`op_time_parts`).
 
         ``logical`` is the logical request id from the client's
-        envelope (None for direct callers): it lets the primitive
-        collector count retransmitted executions separately from
-        logical requests, and lands on chain-abort flight events.
+        envelope (None for direct callers): carried on the chain-done
+        and chain-abort events, it lets subscribers count retransmitted
+        executions separately from logical requests.
         """
         if isinstance(ops, Chain):
             ops = ops.ops
@@ -306,12 +307,8 @@ class Backend:
                 aborted = True
             prev_ok = result.successful
         self.requests_processed += 1
-        if self.sim.primitives is not None:
-            self.sim.primitives.note_chain(ops, results, logical=logical)
-        fl = self.sim.flight
-        if fl is not None and results and not results[-1].successful:
-            fl.record("chain.abort", logical=logical, ops=len(results),
-                      reason=_abort_reason(results))
+        if sim.bus is not None:
+            emit_chain_done(sim.bus, ops, results, logical)
         return ChainResult(results)
 
 
@@ -331,19 +328,6 @@ class _PooledBackend(Backend):
     def utilization(self, elapsed):
         """Mean busy fraction of the execution pool."""
         return self._pool.utilization(elapsed)
-
-
-def _abort_reason(results):
-    """Why an executed chain did not commit (first decisive op wins)."""
-    for result in results:
-        if result.status is OpStatus.NAK:
-            return (type(result.error).__name__
-                    if result.error is not None else "nak")
-        if result.status is OpStatus.CAS_MISS:
-            return "cas_miss"
-        if result.status is OpStatus.SKIPPED:
-            return "skipped"
-    return "uncommitted"
 
 
 def trace_host_bytes(accesses):

@@ -44,11 +44,10 @@ class PrismClient:
         # The live TelemetryView handle: application code (and future
         # policy layers) query sliding-window signals mid-run through
         # it — views.rate("cas_retry", client.connection.id), etc.
-        # Tagging the channel attributes its timeout/backoff signals
-        # to this connection instead of the whole client host.
         self.views = sim.views
-        if sim.views is not None:
-            self.channel.view_conn = self.connection.id
+        # Tagging the channel attributes its timeout/backoff events
+        # to this connection instead of the whole client host.
+        self.channel.conn = self.connection.id
 
     @property
     def sram_slot(self):
@@ -86,13 +85,12 @@ class PrismClient:
         else:
             chain = Chain(ops)
         policy = self.retry_policy
-        views = self.sim.views
-        submitted = self.sim._now if views is not None else 0.0
-        if self.sim.flight is not None:
-            self.sim.flight.record(
-                "chain.submit", ops=len(chain.ops),
-                kinds="+".join(op.opname for op in chain.ops),
-                server=self.server.host_name)
+        bus = self.sim.bus
+        submitted = self.sim._now
+        if bus is not None:
+            bus.emit("chain.submit", len(chain.ops),
+                     "+".join(op.opname for op in chain.ops),
+                     self.server.host_name)
         with span.child("roundtrip", phase="cpu",
                         ops=len(chain.ops)) as trip:
             if policy is None:
@@ -115,9 +113,9 @@ class PrismClient:
                         (self.connection.id, chain), chain.request_bytes(),
                         timeout_us=policy.timeout_us, span=trip)
         self.round_trips += 1
-        if views is not None:
-            views.note_service_time(self.connection.id,
-                                    self.sim._now - submitted)
+        if bus is not None:
+            bus.emit("chain.roundtrip", self.sim._now - submitted,
+                     self.connection.id)
         return result
 
     # -- Table 1 convenience wrappers --------------------------------------

@@ -30,7 +30,7 @@ from repro.core.errors import (
     InvalidOperation,
     PrismError,
 )
-from repro.core.chain import Chain
+from repro.core.chain import Chain, abort_reason
 from repro.core.ops import AllocateOp, CasOp, FetchAddOp, ReadOp, WriteOp
 from repro.hw.layout import BOUNDED_PTR_SIZE, unpack_bounded_ptr
 from repro.rdma.mr import AccessFlags
@@ -140,19 +140,10 @@ class PrismEngine:
         #: ops and touched bytes per window (the engine itself is
         #: functional — time is charged by the owning backend)
         self.monitor = None
-        #: optional repro.obs.primitives.PrimitiveCollector recording
-        #: CAS outcomes, dereference depth, allocator watermarks, and
-        #: NAK reasons (wired by the owning backend from sim.primitives)
-        self.primitives = None
-        #: optional repro.obs.flight.FlightRecorder receiving CAS-miss
-        #: and NAK events on the executing operation's causal timeline
-        #: (wired by the owning backend from sim.flight)
-        self.flight = None
-        #: optional repro.obs.views.ViewCollector receiving per-
-        #: connection CAS/NAK/pointer-chase signals for the online
-        #: sliding-window views (wired by the owning backend from
-        #: sim.views)
-        self.views = None
+        #: optional repro.obs.bus.Bus for CAS outcomes, dereference
+        #: depth, allocator pops/exhaustion and NAKs (wired by the
+        #: owning backend from sim.bus: the engine holds no simulator)
+        self.bus = None
 
     # -- protection helpers ------------------------------------------------
 
@@ -252,13 +243,9 @@ class PrismEngine:
             else:
                 raise InvalidOperation(f"unknown operation {op!r}")
         except (AccessViolation, AllocationFailure, InvalidOperation) as exc:
-            if self.primitives is not None:
-                self.primitives.note_nak(op.opname, exc)
-            if self.views is not None:
-                self.views.note_nak(connection.id, op.opname)
-            if self.flight is not None:
-                self.flight.record("op.nak", opname=op.opname,
-                                   error=type(exc).__name__)
+            if self.bus is not None:
+                self.bus.emit("op.nak", op.opname, type(exc).__name__,
+                              connection.id)
             return OpResult(OpStatus.NAK, error=exc), accesses
         self.ops_executed += 1
         if self.monitor is not None:
@@ -268,11 +255,9 @@ class PrismEngine:
 
     def _do_read(self, connection, op, accesses):
         target, length = self._resolve_read_target(connection, op, accesses)
-        if self.primitives is not None:
-            self.primitives.note_deref("READ", int(op.indirect),
-                                       bounded=op.bounded)
-        if self.views is not None:
-            self.views.note_chase(connection.id, "READ", int(op.indirect))
+        if self.bus is not None:
+            self.bus.emit("op.deref", "READ", int(op.indirect), op.bounded,
+                          connection.id)
         data = self.space.read(target, length)
         accesses.append(Access("r", self.space.domain(target), length))
         if op.redirect_to is not None:
@@ -296,13 +281,10 @@ class PrismEngine:
 
     def _do_write(self, connection, op, accesses):
         target, length = self._resolve_write_target(connection, op, accesses)
-        if self.primitives is not None:
-            self.primitives.note_deref(
-                "WRITE", int(op.addr_indirect) + int(op.data_indirect))
-        if self.views is not None:
-            self.views.note_chase(
-                connection.id, "WRITE",
-                int(op.addr_indirect) + int(op.data_indirect))
+        if self.bus is not None:
+            self.bus.emit("op.deref", "WRITE",
+                          int(op.addr_indirect) + int(op.data_indirect),
+                          False, connection.id)
         data = self._source_data(connection, op, op.length, accesses,
                                  "WRITE data source")
         data = data[:length]
@@ -321,11 +303,11 @@ class PrismEngine:
         try:
             buffer_addr = freelist.pop()  # FreeListExhausted when empty
         except AllocationFailure:
-            if self.primitives is not None:
-                self.primitives.note_exhaustion(op.freelist, freelist)
+            if self.bus is not None:
+                self.bus.emit("alloc.exhausted", op.freelist, freelist)
             raise
-        if self.primitives is not None:
-            self.primitives.note_allocate(op.freelist, freelist)
+        if self.bus is not None:
+            self.bus.emit("alloc.pop", op.freelist, freelist)
         self._check_derived(connection, buffer_addr, freelist.buffer_size,
                             AccessFlags.WRITE, "ALLOCATE buffer")
         self.space.write(buffer_addr, op.data)
@@ -371,20 +353,17 @@ class PrismEngine:
 
         swapped = op.mode.compare(comparand & op.compare_mask,
                                   old & op.compare_mask)
-        if self.primitives is not None:
-            self.primitives.note_deref(
-                "CAS", int(op.target_indirect) + int(op.data_indirect))
-            self.primitives.note_cas(connection.id, target, op.mode, swapped)
-        if self.views is not None:
-            self.views.note_chase(
-                connection.id, "CAS",
-                int(op.target_indirect) + int(op.data_indirect))
-            self.views.note_cas(connection.id, target, swapped)
-        if self.flight is not None and not swapped:
-            # Only misses are flight-worthy: they are what retry storms
-            # on hot addresses are made of (forensics groups by target).
-            self.flight.record("cas.miss", target=target,
-                               mode=op.mode.value)
+        bus = self.bus
+        if bus is not None:
+            bus.emit("op.deref", "CAS",
+                     int(op.target_indirect) + int(op.data_indirect),
+                     False, connection.id)
+            bus.emit("cas.attempt", target, op.mode, swapped, connection.id)
+            if not swapped:
+                # Misses get a kind of their own: they are what retry
+                # storms on hot addresses are made of, so the only CAS
+                # outcome the flight log keeps (forensics groups by target).
+                bus.emit("cas.miss", target, op.mode.value)
         if swapped:
             new = (old & ~op.swap_mask) | (operand & op.swap_mask)
             self.space.write(target, new.to_bytes(width, "little"))
@@ -429,6 +408,17 @@ class PrismEngine:
             if result.status is OpStatus.NAK:
                 aborted = True
             prev_ok = result.successful
-        if self.primitives is not None:
-            self.primitives.note_chain(ops, results)
+        if self.bus is not None:
+            emit_chain_done(self.bus, ops, results)
         return ChainResult(results)
+
+
+def emit_chain_done(bus, ops, results, logical=None):
+    """Report one finished request (``logical``: its envelope's
+    logical-request id, None outside the request path). The abort
+    reason is computed here, once, and carried on both events, so
+    every consumer labels the chain the same way."""
+    reason = abort_reason(results)
+    bus.emit("chain.done", ops, results, logical, reason)
+    if reason is not None:
+        bus.emit("chain.abort", logical, len(results), reason)

@@ -80,8 +80,8 @@ class PrismServer:
         base, rkey = self.add_region(buffer_size * buffer_count)
         qp.post_many(base + i * buffer_size for i in range(buffer_count))
         self.freelists[freelist_id] = qp
-        if self.sim.primitives is not None:
-            self.sim.primitives.register_freelist(freelist_id, qp)
+        if self.sim.bus is not None:
+            self.sim.bus.emit("freelist.register", freelist_id, qp)
         if self.sim.faults is not None:
             self.sim.faults.register_freelist(self, freelist_id, qp)
         return freelist_id, rkey

@@ -128,9 +128,8 @@ class RpcClient:
         :class:`~repro.sim.events.TimeoutExpired` itself.
         """
         policy = self.retry_policy
-        if self.sim.flight is not None:
-            self.sim.flight.record("rpc.submit", method=method,
-                                   server=server_name)
+        if self.sim.bus is not None:
+            self.sim.bus.emit("rpc.submit", method, server_name)
         with span.child("rpc.call", phase="cpu", method=method) as call_span:
             if policy is None:
                 result = yield from self.channel.request(

@@ -19,6 +19,7 @@ import heapq
 from itertools import count
 
 from repro.obs import hostprof as _hostprof
+from repro.obs.bus import Bus
 from repro.obs.trace import NULL_TRACER
 from repro.sim.events import (
     AllOf,
@@ -261,8 +262,14 @@ class Simulator:
         self._failed_processes = []
         self.tracer = NULL_TRACER
         self.utilization = None
-        self.primitives = None
         self.faults = None
+        #: the probe bus every hook site emits on; None until the
+        #: first :meth:`attach`, so unobserved runs pay one load
+        self.bus = None
+        # Named handles the collectors' ``bind`` fills, for post-hoc
+        # readers — the data path only ever sees ``bus``. ``flight``
+        # doubles as the kernel's process-context handle, ``views`` as
+        # what ``PrismClient.views`` exposes for in-sim queries.
         self.flight = None
         self.series = None
         self.views = None
@@ -286,37 +293,38 @@ class Simulator:
         self.utilization = collector.bind(self)
         return collector
 
-    def _install_collector(self, attr, collector):
-        """Shared install-before-construction contract for collectors.
-
-        Every ``set_<attr>`` routes through here: the collector is
-        bound to this simulator and stored on ``self.<attr>`` so hook
-        sites see it with one attribute read. Installation after the
-        simulation has started executing is a programming error — the
-        collector would have missed registrations and transitions and
-        its counts would silently disagree with the run — so it raises
-        instead of half-collecting.
-        """
+    def _check_not_started(self, what):
+        """Install-before-run contract shared by the installers: a
+        collector (or injector) installed after the simulation started
+        executing would have missed registrations and transitions, and
+        its counts would silently disagree with the run — so this
+        raises instead of half-collecting."""
         if self._now > 0.0 or self.events_executed:
             raise SimulationError(
-                f"set_{attr}: collectors must be installed before the "
-                f"simulation runs (now={self._now:g} µs, "
-                f"{self.events_executed} events executed) — install via "
-                f"sim.set_{attr}(...) before system construction so every "
-                "registration and transition is seen from time zero")
+                f"{what}: must be installed before the simulation runs "
+                f"(now={self._now:g} µs, {self.events_executed} events "
+                f"executed) — call sim.{what}(...) before system "
+                "construction so every registration and transition is "
+                "seen from time zero")
+
+    def attach(self, collector):
+        """Install an event collector on the probe bus; returns it.
+
+        The one installer for :class:`~repro.obs.PrimitiveCollector`,
+        :class:`~repro.obs.SeriesCollector`,
+        :class:`~repro.obs.ViewCollector` and
+        :class:`~repro.obs.FlightRecorder`. Install *before* system
+        construction so engines, servers and clients pick the bus up.
+        The collector is bound to this clock and subscribes its
+        handlers to ``self.bus``, created here on first use; see
+        :mod:`repro.obs.bus` for the contract (bit-identical timing
+        included)."""
+        self._check_not_started("attach")
         bound = collector.bind(self)
-        setattr(self, attr, bound)
+        if self.bus is None:
+            self.bus = Bus()
+        bound.subscribe(self.bus)
         return bound
-
-    def set_primitives(self, collector):
-        """Install (and bind) a primitive-telemetry collector; returns it.
-
-        Like :meth:`set_utilization`: install before system
-        construction so engines/backends/apps pick it up. The collector
-        only increments counters at transitions the run already makes,
-        so timing stays bit-identical (see :mod:`repro.obs.primitives`).
-        """
-        return self._install_collector("primitives", collector)
 
     def set_faults(self, plan):
         """Install (and bind) a fault injector for ``plan``; returns it.
@@ -329,55 +337,11 @@ class Simulator:
         contract as the observability collectors.
         """
         from repro.faults.injector import FaultInjector
+        self._check_not_started("set_faults")
         injector = (plan if isinstance(plan, FaultInjector)
                     else FaultInjector(plan))
-        return self._install_collector("faults", injector)
-
-    def set_flight(self, recorder):
-        """Install (and bind) a flight recorder; returns it for chaining.
-
-        Install *before* system construction — same contract as the
-        other collectors. The kernel then tells the recorder which
-        process executes each step, and a process spawned while another
-        runs inherits its operation context, so fabric deliveries,
-        server handlers, and replies attribute their flight events to
-        the originating client operation without any id plumbing. The
-        recorder only appends to a host-side ring buffer — it never
-        reads or schedules simulator events — so a recorded run stays
-        bit-identical in simulated time (see :mod:`repro.obs.flight`).
-        """
-        return self._install_collector("flight", recorder)
-
-    def set_series(self, collector):
-        """Install a windowed time-series collector; returns it.
-
-        Install *before* system construction — same contract as the
-        other collectors. The workload driver then buckets operation
-        completions and the net/fault layers bucket recovery counters
-        into fixed-width windows on the simulated clock (see
-        :mod:`repro.obs.series`). The collector only appends to
-        host-side dictionaries at transitions the run already makes,
-        so a collected run stays bit-identical in simulated time.
-        """
-        return self._install_collector("series", collector)
-
-    def set_views(self, collector):
-        """Install sliding-window telemetry views; returns the collector.
-
-        Install *before* system construction — same contract as the
-        other collectors. The engine, clients, and net layer then feed
-        per-connection/per-key windowed signals (CAS retry rate, NAK
-        rate, pointer-chase depth, timeout/backoff rate, service-time
-        EWMA) that are queryable *mid-run* via
-        :meth:`repro.obs.views.ViewCollector.rate` /
-        :meth:`~repro.obs.views.ViewCollector.ewma`, and registered
-        probes log shadow policy decisions. The collector only reads
-        the simulated clock and updates host-side rings at transitions
-        the run already makes — it never schedules events — so a
-        collected run stays bit-identical in simulated time (see
-        :mod:`repro.obs.views`).
-        """
-        return self._install_collector("views", collector)
+        self.faults = injector.bind(self)
+        return self.faults
 
     def set_hostprof(self, profiler):
         """Install a host-side self-profiler; returns it for chaining.

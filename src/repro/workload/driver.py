@@ -63,6 +63,26 @@ def _accepts_span(executor):
     return False
 
 
+def _close_op(sim, bus, root, start, info, recorder, counters, warmup_until,
+              end_time):
+    """Shared tail of one operation, for both drivers: report it on the
+    probe bus and, inside the measurement window, account for it."""
+    finish = sim._now
+    measured = start >= warmup_until and finish <= end_time
+    aborts = info.get("aborts", 0) if info else 0
+    if bus is not None:
+        bus.emit("op.close", "aborted" if aborts else "ok", finish - start,
+                 aborts, info.get("retries", 0) if info else 0, measured)
+    if measured:
+        recorder.record(finish, finish - start)
+        counters["ops"] += 1
+        if root is not None:
+            root.annotate(measured=True)
+        if info:
+            counters["aborts"] += aborts
+            counters["retries"] += info.get("retries", 0)
+
+
 class ClosedLoopDriver:
     """Runs N closed-loop clients against an application adapter.
 
@@ -101,8 +121,7 @@ class ClosedLoopDriver:
             yield sim.timeout((index * self.GOLDEN % 1.0)
                               * self.stagger_us)
         traced = self.tracer.enabled
-        flight = sim.flight
-        series = sim.series
+        bus = sim.bus
         warmup_until = self.warmup_us
         end_time = warmup_until + self.measure_us
         next_op = workload.next_op
@@ -112,15 +131,14 @@ class ClosedLoopDriver:
         while sim._now < end_time:
             op = next_op()
             root = None
-            op_id = None
             start = sim._now
-            if flight is not None or traced:
+            if bus is not None or traced:
                 name = getattr(op, "kind", None) or type(op).__name__
                 label = labels.get(name)
                 if label is None:
                     label = labels[name] = f"op.{name}"
-            if flight is not None:
-                op_id = flight.op_open(label, client=index)
+            if bus is not None:
+                bus.emit("op.open", label, index)
             if traced:
                 root = self.tracer.root(label, client=index)
                 if takes_span:
@@ -130,26 +148,8 @@ class ClosedLoopDriver:
                 root.finish()
             else:
                 info = yield from executor(op)
-            finish = sim._now
-            measured = start >= warmup_until and finish <= end_time
-            aborts = info.get("aborts", 0) if info else 0
-            if op_id is not None:
-                flight.op_close(
-                    op_id, status="aborted" if aborts else "ok",
-                    latency_us=finish - start, aborts=aborts,
-                    retries=info.get("retries", 0) if info else 0,
-                    measured=measured)
-            if series is not None:
-                series.record_op(finish, finish - start, measured,
-                                 ok=not aborts)
-            if measured:
-                recorder.record(finish, finish - start)
-                counters["ops"] += 1
-                if root is not None:
-                    root.annotate(measured=True)
-                if info:
-                    counters["aborts"] += info.get("aborts", 0)
-                    counters["retries"] += info.get("retries", 0)
+            _close_op(sim, bus, root, start, info, recorder, counters,
+                      warmup_until, end_time)
 
     def run(self):
         """Execute the experiment; returns a :class:`RunResult`."""
@@ -258,18 +258,16 @@ class OpenLoopDriver:
     def _op_runner(self, index, executor, op, recorder, counters, state,
                    takes_span):
         sim = self.sim
-        flight = sim.flight
-        series = sim.series
+        bus = sim.bus
         traced = self.tracer.enabled
         warmup_until = self.warmup_us
         end_time = warmup_until + self.measure_us
         start = sim._now
         root = None
-        op_id = None
-        if flight is not None or traced:
+        if bus is not None or traced:
             label = f"op.{getattr(op, 'kind', None) or type(op).__name__}"
-        if flight is not None:
-            op_id = flight.op_open(label, client=index)
+        if bus is not None:
+            bus.emit("op.open", label, index)
         info = None
         try:
             if traced:
@@ -290,26 +288,8 @@ class OpenLoopDriver:
             if gate is not None:
                 state["gate"] = None
                 gate.succeed()
-        finish = sim._now
-        measured = start >= warmup_until and finish <= end_time
-        aborts = info.get("aborts", 0) if info else 0
-        if op_id is not None:
-            flight.op_close(
-                op_id, status="aborted" if aborts else "ok",
-                latency_us=finish - start, aborts=aborts,
-                retries=info.get("retries", 0) if info else 0,
-                measured=measured)
-        if series is not None:
-            series.record_op(finish, finish - start, measured,
-                             ok=not aborts)
-        if measured:
-            recorder.record(finish, finish - start)
-            counters["ops"] += 1
-            if root is not None:
-                root.annotate(measured=True)
-            if info:
-                counters["aborts"] += aborts
-                counters["retries"] += info.get("retries", 0)
+        _close_op(sim, bus, root, start, info, recorder, counters,
+                  warmup_until, end_time)
 
     def run(self):
         """Execute the experiment; returns a :class:`RunResult`.

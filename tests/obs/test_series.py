@@ -135,9 +135,9 @@ class TestCollectorAccounting:
     def test_off_by_default(self):
         assert Simulator().series is None
 
-    def test_set_series_binds(self):
+    def test_attach_binds(self):
         sim = Simulator()
-        series = sim.set_series(SeriesCollector())
+        series = sim.attach(SeriesCollector())
         assert sim.series is series
 
 

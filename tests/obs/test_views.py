@@ -229,12 +229,12 @@ class TestProbes:
 
 
 class TestInstallContract:
-    @pytest.mark.parametrize("setter,collector", [
-        ("set_views", ViewCollector()),
-        ("set_primitives", PrimitiveCollector()),
-        ("set_series", SeriesCollector()),
+    @pytest.mark.parametrize("collector", [
+        ViewCollector(),
+        PrimitiveCollector(),
+        SeriesCollector(),
     ])
-    def test_late_install_raises(self, setter, collector):
+    def test_late_install_raises(self, collector):
         sim = Simulator()
 
         def proc():
@@ -244,7 +244,7 @@ class TestInstallContract:
         sim.run()
         assert sim.events_executed > 0
         with pytest.raises(SimulationError, match="before the"):
-            getattr(sim, setter)(collector)
+            sim.attach(collector)
 
     def test_late_flight_and_faults_install_raise(self):
         from repro.faults import parse_faults
@@ -256,14 +256,14 @@ class TestInstallContract:
 
         sim.spawn(proc())
         sim.run()
-        with pytest.raises(SimulationError, match="set_flight"):
-            sim.set_flight(FlightRecorder())
+        with pytest.raises(SimulationError, match="attach"):
+            sim.attach(FlightRecorder())
         with pytest.raises(SimulationError, match="set_faults"):
             sim.set_faults(parse_faults("seed=1,drop=0.01"))
 
     def test_install_before_run_still_works(self):
         sim = Simulator()
-        views = sim.set_views(ViewCollector())
+        views = sim.attach(ViewCollector())
         assert sim.views is views
 
 
