@@ -81,33 +81,27 @@ class Fabric:
         """Process helper: send a message; returns when handed to RX queue.
 
         Delivery to the service handler happens asynchronously (a
-        spawned process), so the sender is released as soon as its TX
-        port is free — matching how a NIC really behaves.
+        :class:`_Delivery` on the kernel's heap), so the sender is
+        released as soon as its TX port is free — matching how a NIC
+        really behaves.
 
         ``span`` parents the transfer's wire/queue spans: TX
         serialization here, propagation and RX serialization in the
-        delivery process (the span rides on the message).
+        delivery (the span rides on the message).
         """
         sim = self.sim
         message = Message(src_name, dst_name, service, payload, size_bytes)
-        message.send_time = sim._now
+        message.send_time = sim.now
         message.span = span
         src = self.hosts[src_name]
         yield from src.tx.transmit(size_bytes, span=span)
         faults = sim.faults
         if faults is None:
-            # The per-message process name only matters to forensics
-            # (an observed run, process-lifetime traces, deadlock
-            # dumps); the hot path skips the f-string.
-            if sim.bus is None and not sim.tracer.trace_processes:
-                sim.spawn(self._deliver(message), name="deliver")
-            else:
-                sim.spawn(self._deliver(message),
-                          name=f"deliver#{message.id}")
+            _Delivery(self, message, 0.0)
             return message
         # Fault point: the message has left the TX port (the sender paid
         # serialization either way); it may now vanish, fork, or lag.
-        hp = self.sim.hostprof
+        hp = sim.hostprof
         if hp is not None and not hp._timing:
             # Stride sampling: attribution is off for this event.
             hp = None
@@ -118,47 +112,119 @@ class Fabric:
             hp.exit()
         if fate.drop:
             return message
-        self.sim.spawn(self._deliver(message, fate.delay_us),
-                       name=f"deliver#{message.id}")
+        _Delivery(self, message, fate.delay_us)
         if fate.duplicate:
-            self.sim.spawn(self._deliver(message, fate.delay_us),
-                           name=f"deliver#{message.id}.dup")
+            _Delivery(self, message, fate.delay_us)
         return message
 
-    def _deliver(self, message, extra_delay_us=0.0):
-        sim = self.sim
-        if self.monitor is not None:
-            self.monitor.adjust(+1)
+
+#: what the heap entry a delivery is waiting on stands for
+_LAG, _WIRE, _RX = range(3)
+
+
+class _Delivery:
+    """One message in flight: a scheduled payload, not a process.
+
+    The delivery is its own heap payload (``Simulator.schedule``) and
+    its own RX-grant callback, advancing by stage: injected fault
+    delay, propagation, arrival (crash-drop check, RX port claim), RX
+    grant, RX serialization, handler. Every stage is one kernel entry
+    that does model work — no bootstrap, no resume, no completion
+    event. A duplicated message is two deliveries sharing one
+    :class:`Message`.
+
+    The sender's flight-recorder context is captured at ``send`` and
+    entered wherever a stage calls out of the fabric (the crash-drop
+    note, the service handler), so fault events, the handler's
+    ``spawn`` and a reply's bus events attribute to the originating
+    operation.
+
+    The delivery holds no reference to anything that refers back to
+    it (in particular no bound method of itself): ``gc`` is off while
+    a benchmark point runs, so a per-message cycle would be a leak.
+    """
+
+    __slots__ = ("fabric", "message", "stage", "span", "_flight_ctx")
+
+    #: the kernel's tombstone check; a message in flight is never withdrawn
+    cancelled = False
+
+    def __init__(self, fabric, message, extra_delay_us):
+        self.fabric = fabric
+        self.message = message
+        #: the open span of the current stage (None when not tracing)
+        self.span = None
+        sim = fabric.sim
+        self._flight_ctx = sim.context()
+        if fabric.monitor is not None:
+            fabric.monitor.adjust(+1)
+        # The injected delay and the path latency are two timers, never
+        # one: (t + d) + l and t + (d + l) differ in the last bit.
         if extra_delay_us > 0.0:
-            yield sim.timeout(extra_delay_us)
+            self.stage = _LAG
+            sim.schedule(extra_delay_us, self)
+        else:
+            self._propagate()
+
+    def fire(self):
+        """The timer of the current stage ran out."""
+        stage = self.stage
+        if stage == _WIRE:
+            self._arrive()
+        elif stage == _RX:
+            self._hand_over()
+        else:
+            self._propagate()
+
+    def _propagate(self):
+        sim = self.fabric.sim
+        message = self.message
         span = message.span
         if span.enabled:
-            # Span protocol inlined (see BandwidthPipe.transmit).
-            propagate_span = Span(span.tracer, "net.propagate", "wire",
-                                  span, sim._now,
-                                  {"src": message.src, "dst": message.dst})
-            span.children.append(propagate_span)
-            try:
-                yield sim.timeout(
-                    self.path_latency_us(message.src, message.dst))
-            finally:
-                propagate_span.end = sim._now
-        else:
-            yield sim.timeout(
-                self.path_latency_us(message.src, message.dst))
+            # Span protocol inlined (see BandwidthPipe.claim).
+            self.span = Span(span.tracer, "net.propagate", "wire", span,
+                             sim.now,
+                             {"src": message.src, "dst": message.dst})
+            span.children.append(self.span)
+        self.stage = _WIRE
+        sim.schedule(
+            self.fabric.path_latency_us(message.src, message.dst), self)
+
+    def _arrive(self):
+        fabric = self.fabric
+        sim = fabric.sim
+        message = self.message
+        if self.span is not None:
+            self.span.end = sim.now
         faults = sim.faults
         if faults is not None and (faults.is_down(message.dst)
                                    or faults.is_down(message.src)):
             # Crash-stop: a dead host neither receives nor has its
             # in-flight sends honoured (its NIC died with it).
-            faults.note_crash_drop(message)
-            if self.monitor is not None:
-                self.monitor.adjust(-1)
+            sim.call_as(self, faults.note_crash_drop, message)
+            if fabric.monitor is not None:
+                fabric.monitor.adjust(-1)
             return
-        dst = self.hosts[message.dst]
-        yield from dst.rx.transmit(message.size_bytes, span=message.span)
-        self.messages_delivered += 1
-        if self.monitor is not None:
-            self.monitor.adjust(-1)
-        handler = dst.handler_for(message.service)
-        handler(message)
+        grant, self.span = fabric.hosts[message.dst].rx.claim(message.span)
+        # A fresh grant cannot have been processed yet, so this is
+        # ``add_callback`` without the call.
+        grant.callbacks.append(self)
+
+    def __call__(self, grant):
+        """The RX port is ours: serialize into it."""
+        fabric = self.fabric
+        message = self.message
+        duration, self.span = fabric.hosts[message.dst].rx.start(
+            message.size_bytes, message.span, self.span)
+        self.stage = _RX
+        fabric.sim.schedule(duration, self)
+
+    def _hand_over(self):
+        fabric = self.fabric
+        message = self.message
+        dst = fabric.hosts[message.dst]
+        dst.rx.finish(message.size_bytes, self.span)
+        fabric.messages_delivered += 1
+        if fabric.monitor is not None:
+            fabric.monitor.adjust(-1)
+        fabric.sim.call_as(self, dst.handler_for(message.service), message)

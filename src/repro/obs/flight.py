@@ -24,12 +24,15 @@ signature: the kernel tells the recorder which :class:`Process` is
 executing (an enter/exit stack in ``Process._step``), the driver binds
 the current client operation's id to its process at ``op_open``, and a
 process spawned while another runs *inherits* the spawner's operation
-context. Since the fabric spawns delivery from the sender's process,
-the server spawns its handler from the delivery process, and replies
-are sent from the handler, the whole request/reply tree — including
-fault fates on either direction — lands on the originating operation
-automatically. Events recorded outside any operation (crash schedules,
-background daemons) carry ``op=None`` and are reported as global.
+context. A message in flight is not a process: its context rides on
+the fabric's delivery object, captured from the sender at
+``Fabric.send`` (``Simulator.context``) and entered around the
+delivery's callouts (``Simulator.call_as``). Since the server spawns
+its handler from that callout and replies are sent from the handler,
+the whole request/reply tree — including fault fates on either
+direction — lands on the originating operation automatically. Events
+recorded outside any operation (crash schedules, background daemons)
+carry ``op=None`` and are reported as global.
 
 Retransmissions are linkable because :mod:`repro.net.port` stamps every
 :class:`~repro.net.port.Request` with a stable ``logical_id`` that
@@ -80,9 +83,10 @@ class FlightRecorder:
         self.ops_closed = 0
         self._sim = None
         self._op_ids = count(1)
-        #: kernel-maintained stack of executing processes (nested only
-        #: for the yield-bad-target error path); the top's context is
-        #: the operation every recorded event belongs to
+        #: kernel-maintained stack of executing context holders — a
+        #: process, or a delivery calling out to a handler (nested
+        #: only for the yield-bad-target error path); the top's context
+        #: is the operation every recorded event belongs to
         self._stack = []
 
     def bind(self, sim):
@@ -104,7 +108,7 @@ class FlightRecorder:
     def _log(self, kind, names, *values):
         self.record(kind, **dict(zip(names, values)))
 
-    # -- kernel hooks (Process._step / Process.__init__) -------------------
+    # -- kernel hooks (Process._step / __init__, Simulator.call_as) ---------
 
     def enter_process(self, process):
         self._stack.append(process)

@@ -155,12 +155,10 @@ class PrismEngine:
 
     def _check_derived(self, connection, addr, length, need, what):
         """A derived address must fall inside *some* granted region."""
+        allows = self.regions.allows
         for rkey in connection.granted_rkeys:
-            try:
-                self.regions.check(addr, length, rkey, need)
+            if allows(addr, length, rkey, need):
                 return
-            except AccessViolation:
-                continue
         raise AccessViolation(
             f"{what}: [{addr}, {addr + length}) not covered by any region "
             f"granted to connection {connection.id}")

@@ -33,6 +33,7 @@ class PrismServer:
         self.fabric = fabric
         self.host_name = host_name
         self.service = service
+        self._process_name = f"{service}@{host_name}"
         self.space = ServerAddressSpace(memory_bytes)
         self.regions = MemoryRegionTable()
         self.freelists = {}
@@ -140,8 +141,7 @@ class PrismServer:
         if self.failed:
             self.requests_dropped += 1
             return
-        self.sim.spawn(self._serve(message),
-                       name=f"{self.service}@{self.host_name}")
+        self.sim.spawn(self._serve(message), name=self._process_name)
 
     def _serve(self, message):
         request = message.payload

@@ -70,6 +70,16 @@ class MemoryRegionTable:
         except KeyError:
             raise AccessViolation(f"unknown rkey {rkey:#x}") from None
 
+    def allows(self, addr, length, rkey, need):
+        """Whether :meth:`check` would pass — without building the
+        :class:`AccessViolation` it raises when it does not. For
+        callers probing several rkeys, where a miss is not an error."""
+        region = self._regions.get(rkey)
+        return (region is not None
+                and not need.value & ~region._mask
+                and region.start <= addr
+                and addr + length <= region.start + region.length)
+
     def check(self, addr, length, rkey, need):
         """Validate an access of ``length`` bytes at ``addr`` under ``rkey``.
 

@@ -45,6 +45,7 @@ class ReceiveEndpoint:
         self.server = server
         self.buffer_size = buffer_size
         self.service = service
+        self._process_name = f"{service}@{server.host_name}"
         base, self.rkey = server.add_region(buffer_size * buffer_count)
         self.qp = QueuePair(buffer_size, name=f"recv.{service}")
         self.qp.post_many(base + i * buffer_size
@@ -66,8 +67,7 @@ class ReceiveEndpoint:
     # -- data plane -----------------------------------------------------------
 
     def _on_send(self, message):
-        self.sim.spawn(self._absorb(message),
-                       name=f"{self.service}@{self.server.host_name}")
+        self.sim.spawn(self._absorb(message), name=self._process_name)
 
     def _absorb(self, message):
         request = message.payload

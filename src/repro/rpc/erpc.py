@@ -44,6 +44,7 @@ class RpcServer:
         self.cores = core_pool or CorePool(sim, self.config.cores,
                                            name=f"rpc@{host_name}")
         self._methods = {}
+        self._process_names = {}
         self.calls_served = 0
         fabric.host(host_name).register_service(service, self._on_request)
 
@@ -56,9 +57,14 @@ class RpcServer:
         if method in self._methods:
             raise ValueError(f"method {method!r} already registered")
         self._methods[method] = (handler, service_us)
+        self._process_names[method] = f"rpc.{method}"
 
     def _on_request(self, message):
-        self.sim.spawn(self._serve(message), name=f"rpc.{message.payload.body[0]}")
+        method = message.payload.body[0]
+        # Built once per registered method; only a call to an unknown
+        # method (answered with an error reply) formats a name here.
+        name = self._process_names.get(method) or f"rpc.{method}"
+        self.sim.spawn(self._serve(message), name=name)
 
     def _serve(self, message):
         request = message.payload

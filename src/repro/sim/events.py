@@ -177,16 +177,23 @@ class TimerEvent(Event):
     """The event behind ``Simulator.timeout``: fires at a fixed time.
 
     The simulator stores the timer itself as the queue payload — no
-    per-timeout lambda. Cancelling a pending timer *withdraws* it: a
-    heap-resident timer is tombstoned (skipped, and compacted away in
-    bulk once tombstones dominate) instead of firing into the void.
-    This is what keeps the queue O(in-flight) when ``with_timeout`` /
+    per-timeout lambda. A heap-resident timer runs its waiters in the
+    kernel entry that fires it (:meth:`fire`): every heap entry at an
+    instant already precedes every ready-deque entry at that instant,
+    so a second trip through the deque would run the same waiters in
+    the same relative order, one entry later. A zero-delay timer sits
+    *in* the deque and keeps its FIFO slot there (:meth:`__call__`).
+
+    Cancelling a pending timer *withdraws* it: a heap-resident timer is
+    tombstoned (skipped, and compacted away in bulk once tombstones
+    dominate), a deque-resident one is taken out of the deque, so
+    neither fires into the void nor counts as an executed entry. This
+    is what keeps the queue O(in-flight) when ``with_timeout`` /
     ``any_of`` waits are won by the guarded event and the losing timer
-    is abandoned — previously each one sat in the heap until its
-    deadline.
+    is abandoned.
     """
 
-    __slots__ = ("_fire_value", "cancelled")
+    __slots__ = ("_fire_value", "cancelled", "_in_heap")
 
     def __init__(self, sim, value=None):
         # Inlined Event.__init__ — timers are the single most common
@@ -199,25 +206,40 @@ class TimerEvent(Event):
         self._processed = False
         self._fire_value = value
         self.cancelled = False
+        # ``Simulator.timeout`` clears this for a zero-delay timer,
+        # which it queues on the ready deque instead of the heap.
+        self._in_heap = True
 
     def fire(self):
-        """Heap-pop path: trigger (the kernel already checked ``cancelled``)."""
-        self.succeed(self._fire_value)
+        """Heap-pop path (the kernel already checked ``cancelled``):
+        trigger and run the waiters, all in this one kernel entry."""
+        self._ok = True
+        self._value = self._fire_value
+        self._triggered = True
+        self._processed = True
+        callbacks, self.callbacks = self.callbacks, []
+        for callback in callbacks:
+            callback(self)
 
     def __call__(self):
         """Ready-deque path: a pending entry is a zero-delay timer
-        firing (unless cancelled); a triggered entry is running its
-        callbacks, like any other event."""
+        firing; a triggered entry is running its callbacks, like any
+        other event."""
         if self._triggered:
             self._process()
-        elif not self.cancelled:
+        else:
             self.succeed(self._fire_value)
 
     def cancel(self):
         if self.cancelled or self._triggered:
             return
         self.cancelled = True
-        self.sim._note_timer_cancelled()
+        if self._in_heap:
+            self.sim._note_timer_cancelled()
+        else:
+            # A pending zero-delay timer is still on the ready deque:
+            # take it out, so the tombstone count stays heap-only.
+            self.sim._ready.remove(self)
 
 
 class _Composite(Event):

@@ -8,7 +8,11 @@ and deferred callables reach the heap. Because nothing can schedule
 work at or before the current time *into the heap*, draining order is
 exactly the old single-heap ``(when, seq)`` order: heap entries at a
 timestamp were pushed from an earlier instant, so they precede
-everything appended to the deque at that timestamp.
+everything appended to the deque at that timestamp. For the same
+reason a heap-fired timer runs its waiters in the entry that pops it
+(``TimerEvent.fire``) instead of taking a second trip through the
+deque: the waiters would run in the same relative order either way,
+so every kernel entry does model work.
 
 Processes are generators driven by the kernel: every value a process
 yields must be an :class:`~repro.sim.events.Event` (or another
@@ -74,7 +78,8 @@ class Process(Event):
         self._ever_waited = False
         self.name = name or getattr(generator, "__name__", "process")
         # Flight-recorder causal context: a spawned process inherits the
-        # spawner's operation id, so delivery/server/reply processes all
+        # spawner's operation id, so server and reply processes (spawned
+        # from a delivery's handler callout, which carries the sender's)
         # attribute their events to the originating client operation.
         fl = sim.flight
         self._flight_ctx = None if fl is None else fl.current_ctx()
@@ -393,14 +398,62 @@ class Simulator:
         # run loops rely on).
         when = self._now + delay
         if when == self._now:
+            event._in_heap = False
             self._ready.append(event)
         else:
+            event._in_heap = True
             heapq.heappush(self._queue, (when, next(self._sequence), event))
         return event
+
+    def schedule(self, delay, payload):
+        """Fire ``payload`` in ``delay`` microseconds, as one kernel entry.
+
+        ``payload`` is any object with a ``fire()`` method and a false
+        ``cancelled`` attribute; it goes on the heap as it is — no
+        event, no wrapper, no waiter list. This is how per-message
+        model work (a fabric delivery advancing a stage) is timed
+        without a process. A delay that rounds to the current instant
+        rides a zero-delay timer instead, so it keeps exactly the FIFO
+        slot a ``yield sim.timeout(0)`` would have had.
+        """
+        if delay < 0:
+            raise SimulationError(f"negative delay: {delay}")
+        when = self._now + delay
+        if when == self._now:
+            # Cold path (loopback, zero-latency test fabrics): the one
+            # closure here never runs per message on a real topology.
+            self.timeout(delay).callbacks.append(
+                lambda _timer: payload.fire())
+        else:
+            heapq.heappush(self._queue,
+                           (when, next(self._sequence), payload))
 
     def spawn(self, generator, name=None):
         """Start running a generator as a process."""
         return Process(self, generator, name=name)
+
+    def context(self):
+        """The flight-recorder context of whatever is executing now.
+
+        A scheduled payload keeps it as its ``_flight_ctx`` to inherit
+        the operation of the process that created it, the way a
+        spawned :class:`Process` does. None with no recorder attached.
+        """
+        fl = self.flight
+        return None if fl is None else fl.current_ctx()
+
+    def call_as(self, holder, function, argument):
+        """``function(argument)`` with ``holder._flight_ctx`` as the
+        executing context — what ``Process._step`` does around a
+        resume, for callers that are not processes."""
+        fl = self.flight
+        if fl is None:
+            return function(argument)
+        fl.enter_process(holder)
+        try:
+            return function(argument)
+        finally:
+            fl.exit_process()
 
     def sleep_until(self, when, value=None):
         """An event that succeeds at absolute simulated time ``when``.

@@ -438,6 +438,52 @@ class BandwidthPipe:
         """Time for ``size_bytes`` to cross the port."""
         return self.per_message_us + size_bytes / self.bytes_per_us
 
+    # A transmission is three steps — claim the port, start serializing
+    # once it is granted, finish when the last byte has left. A process
+    # drives them through :meth:`transmit`; a caller that is not a
+    # process (a fabric delivery) calls them itself, waiting on the
+    # grant with a callback and timing the serialization with
+    # ``Simulator.schedule``. Accounting and span lines live here only.
+
+    def claim(self, span=NULL_SPAN):
+        """Ask for the port: returns ``(grant, queue_span)``.
+
+        ``grant`` fires once the port is ours. ``queue_span`` (None
+        when ``span`` is not recording) covers the wait on a busy port;
+        :meth:`start` closes it.
+        """
+        if span.enabled:
+            # Span protocol inlined: children are opened/closed by
+            # direct field writes instead of the child()/context-
+            # manager/finish() call chain on the hottest wire path.
+            queue_span = Span(span.tracer, self._queue_label, "queue", span,
+                              self.sim._now, {})
+            span.children.append(queue_span)
+            return self._port.acquire(), queue_span
+        return self._port.acquire(), None
+
+    def start(self, size_bytes, span, queue_span):
+        """The port was granted: returns ``(duration, xmit_span)`` —
+        how long the message occupies it, and the wire span (None when
+        not recording) to hand to :meth:`finish` after that long."""
+        duration = self.per_message_us + size_bytes / self.bytes_per_us
+        if queue_span is None:
+            return duration, None
+        now = self.sim._now
+        queue_span.end = now
+        xmit_span = Span(span.tracer, self._xmit_label, "wire", span, now,
+                         {"bytes": size_bytes})
+        span.children.append(xmit_span)
+        return duration, xmit_span
+
+    def finish(self, size_bytes, xmit_span):
+        """The last byte has left: count it and free the port."""
+        if xmit_span is not None:
+            xmit_span.end = self.sim._now
+        self.bytes_total += size_bytes
+        self.messages_total += 1
+        self._port.release()
+
     def transmit(self, size_bytes, span=NULL_SPAN):
         """Process helper: occupy the port long enough to send the message.
 
@@ -445,43 +491,24 @@ class BandwidthPipe:
         wait on the (busy) port and a wire span for the serialization
         itself.
         """
-        if not span.enabled:
-            # Untraced fast path: no span children, no context managers.
-            yield self._port.acquire()
-            try:
-                yield self.sim.timeout(
-                    self.per_message_us + size_bytes / self.bytes_per_us)
-                self.bytes_total += size_bytes
-                self.messages_total += 1
-            finally:
-                self._port.release()
-            return
-        # Traced path with the span protocol inlined: children are
-        # opened/closed by direct field writes instead of the
-        # child()/context-manager/finish() call chain — three Python
-        # calls per span on the hottest wire path.
-        sim = self.sim
-        tracer = span.tracer
-        queue_span = Span(tracer, self._queue_label, "queue", span,
-                          sim._now, {})
-        span.children.append(queue_span)
+        grant, queue_span = self.claim(span)
         try:
-            yield self._port.acquire()
-        finally:
-            queue_span.end = sim._now
+            yield grant
+        except BaseException:
+            # Interrupted while queued: detaching withdrew the claim.
+            if queue_span is not None:
+                queue_span.end = self.sim._now
+            raise
+        duration, xmit_span = self.start(size_bytes, span, queue_span)
         try:
-            xmit_span = Span(tracer, self._xmit_label, "wire", span,
-                             sim._now, {"bytes": size_bytes})
-            span.children.append(xmit_span)
-            try:
-                yield sim.timeout(
-                    self.per_message_us + size_bytes / self.bytes_per_us)
-            finally:
-                xmit_span.end = sim._now
-            self.bytes_total += size_bytes
-            self.messages_total += 1
-        finally:
+            yield self.sim.timeout(duration)
+        except BaseException:
+            # Interrupted while holding: nothing was sent.
+            if xmit_span is not None:
+                xmit_span.end = self.sim._now
             self._port.release()
+            raise
+        self.finish(size_bytes, xmit_span)
 
     def utilization(self, elapsed):
         """Mean busy fraction of the port over ``elapsed`` microseconds."""

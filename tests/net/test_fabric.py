@@ -2,8 +2,12 @@
 
 import pytest
 
+from repro.faults import FaultPlan
+from repro.faults.plan import CrashEvent
 from repro.net.fabric import Fabric, Host
+from repro.net.port import RequestChannel, send_reply
 from repro.net.topology import DIRECT, RACK, make_fabric
+from repro.sim import Simulator
 
 
 def test_duplicate_host_rejected(sim):
@@ -109,3 +113,139 @@ def test_payload_not_serialized(sim):
     sim.spawn(fabric.send("a", "b", "svc", payload, 64))
     sim.run()
     assert received[0] is payload
+
+
+# -- a message is a scheduled payload, not a process --------------------------
+
+
+def _entries_for_messages(n):
+    """Kernel entries to send ``n`` back-to-back messages on an idle fabric."""
+    sim = Simulator()
+    fabric = make_fabric(sim, RACK, ["a", "b"])
+    fabric.hosts["b"].register_service("sink", lambda message: None)
+
+    def sender():
+        for _ in range(n):
+            yield from fabric.send("a", "b", "sink", None, 64)
+
+    sim.spawn(sender())
+    sim.run()
+    assert fabric.messages_delivered == n
+    return sim.events_executed
+
+
+def test_a_message_costs_five_kernel_entries():
+    """TX grant, TX serialization, propagation, RX grant, RX
+    serialization — each entry does model work. Measured as the slope
+    over N so the sender's own bootstrap/completion cancel out; exact,
+    so gated at zero tolerance."""
+    assert _entries_for_messages(110) - _entries_for_messages(10) == 5 * 100
+
+
+def test_a_request_channel_round_trip_costs_at_most_sixteen_entries():
+    def entries(n):
+        sim = Simulator()
+        fabric = make_fabric(sim, RACK, ["a", "b"])
+        channel = RequestChannel(sim, fabric, "a")
+
+        def echo(message):
+            request = message.payload
+            sim.spawn(send_reply(fabric, "b", request, request.body, 64))
+
+        fabric.host("b").register_service("echo", echo)
+
+        def client():
+            for index in range(n):
+                assert (yield from channel.request(
+                    "b", "echo", index, 64)) == index
+
+        sim.run_until_complete(sim.spawn(client()))
+        return sim.events_executed
+
+    per_round_trip, remainder = divmod(entries(110) - entries(10), 100)
+    assert remainder == 0
+    assert per_round_trip <= 16
+
+
+def _chaos_run():
+    """24 messages under duplication + jitter, ``b`` down from 6 to 9 µs."""
+    sim = Simulator()
+    injector = sim.set_faults(FaultPlan(
+        seed=7, duplicate=0.3, jitter_us=2.0,
+        crashes=(CrashEvent("b", at_us=6.0, recover_at_us=9.0),)))
+    fabric = make_fabric(sim, RACK, ["a", "b"])
+    arrivals = []
+    fabric.host("b").register_service(
+        "sink", lambda message: arrivals.append((message.payload, sim.now)))
+
+    def sender():
+        for index in range(24):
+            yield from fabric.send("a", "b", "sink", index, 4096)
+
+    sim.spawn(sender())
+    sim.run()
+    return fabric, injector, arrivals
+
+
+def test_delivery_under_faults_matches_the_process_per_message_fabric():
+    """Golden values recorded from the generator-per-message fabric
+    (the commit before deliveries became scheduled payloads): same
+    fates, same crash drops, and arrival times equal to the last bit —
+    the injected delay and the path latency stay two timers, because
+    (t + d) + l and t + (d + l) round differently."""
+    fabric, injector, arrivals = _chaos_run()
+    assert fabric.messages_delivered == 23
+    assert {name: count for name, count in injector.counters.items()
+            if count} == {"messages_duplicated": 5, "messages_delayed": 24,
+                          "crash_drops": 6, "crashes": 1, "recoveries": 1}
+    assert injector.delay_injected_us == 26.974116735853688
+    assert arrivals == [
+        (0, 2.8060466010295597), (2, 4.81398810050698),
+        (1, 5.64638810050698), (3, 6.478788100506979),
+        (8, 10.47103531760242), (9, 11.30343531760242),
+        (9, 12.13583531760242), (10, 12.968235317602419),
+        (10, 13.800635317602419), (11, 14.633035317602419),
+        (12, 15.465435317602418), (13, 16.29783531760242),
+        (14, 17.13023531760242), (15, 17.96263531760242),
+        (16, 18.79503531760242), (18, 19.62743531760242),
+        (17, 20.45983531760242), (19, 21.29223531760242),
+        (20, 22.12463531760242), (21, 22.95703531760242),
+        (22, 23.78943531760242), (23, 24.621835317602418),
+        (23, 25.454235317602418)]
+
+
+def test_deliveries_leave_no_reference_cycles():
+    """Benchmark points run with ``gc`` off, so a delivery that kept a
+    bound method of itself would leak one cycle per message. With no
+    cycle, reference counting alone frees every delivery: none is left
+    for ``gc.collect()`` to find after a drained run."""
+    import gc
+
+    from repro.net.fabric import _Delivery
+
+    def live_deliveries():
+        return sum(1 for obj in gc.get_objects() if type(obj) is _Delivery)
+
+    sim = Simulator()
+    fabric = make_fabric(sim, RACK, ["a", "b"])
+    seen_in_flight = []
+    fabric.host("b").register_service(
+        "sink", lambda message: seen_in_flight.append(live_deliveries()))
+
+    def sender():
+        for _ in range(50):
+            yield from fabric.send("a", "b", "sink", None, 64)
+
+    sim.spawn(sender())
+    gc.collect()
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        sim.run()
+        assert fabric.messages_delivered == 50
+        # The census works: the delivery handing over is still alive.
+        assert min(seen_in_flight) >= 1
+        assert live_deliveries() == 0
+    finally:
+        if was_enabled:
+            gc.enable()

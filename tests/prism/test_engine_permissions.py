@@ -120,3 +120,35 @@ def test_cas_data_indirect_source_needs_read(perms):
                              rkey=rkey, data_indirect=True,
                              operand_width=8))
     assert result.status is OpStatus.NAK
+
+
+def test_indirect_read_nak_is_one_access_violation_with_the_same_text(
+        perms, monkeypatch):
+    """A pointee no granted region covers (here NULL, the PRISM-KV
+    empty-slot probe) NAKs with the one "not covered by any region"
+    AccessViolation — class and text as they always read — and the
+    engine finds that out by asking each rkey, not by catching one
+    formatted ``AccessViolation`` per granted region."""
+    from repro.core.errors import AccessViolation
+    from repro.rdma.mr import MemoryRegion
+
+    def no_repr(region):
+        raise AssertionError("the probe formatted a region it only skipped")
+
+    monkeypatch.setattr(MemoryRegion, "__repr__", no_repr)
+    src_addr, src_rkey = perms.read_only       # zero-filled: a NULL pointer
+    result = perms.run(ReadOp(addr=src_addr, length=8, rkey=src_rkey,
+                              indirect=True))
+    assert result.status is OpStatus.NAK
+    assert type(result.error) is AccessViolation
+    assert str(result.error) == (
+        "READ pointee: [0, 8) not covered by any region granted to "
+        f"connection {perms.connection.id}")
+    # A pointee inside a region that lacks the permission reads the same.
+    dst_addr, _ = perms.write_only
+    perms.space.write_ptr(src_addr, dst_addr)
+    result = perms.run(ReadOp(addr=src_addr, length=8, rkey=src_rkey,
+                              indirect=True))
+    assert str(result.error) == (
+        f"READ pointee: [{dst_addr}, {dst_addr + 8}) not covered by any "
+        f"region granted to connection {perms.connection.id}")

@@ -81,3 +81,33 @@ def test_overlapping_regions_have_independent_rkeys(table):
     table.check(0x1050, 8, b, AccessFlags.READ)
     with pytest.raises(AccessViolation):
         table.check(0x1000, 8, b, AccessFlags.READ)
+
+
+def test_allows_agrees_with_check_and_formats_nothing(table, monkeypatch):
+    """``allows`` is ``check`` as a predicate: same verdict for a
+    missing rkey, a missing permission and either bound — but a miss
+    builds no exception, so it never formats a region."""
+    read_only = table.register(0x1000, 64, AccessFlags.READ)
+    everything = table.register(0x2000, 64)
+    cases = [(addr, length, rkey, need)
+             for rkey in (read_only, everything, 0xDEAD)
+             for need in (AccessFlags.READ, AccessFlags.WRITE,
+                          AccessFlags.READ | AccessFlags.ATOMIC)
+             for addr, length in ((0x1000, 64), (0x1000, 65), (0xFFF, 2),
+                                  (0x2000, 8), (0x203C, 8), (0, 8))]
+
+    def checks(*case):
+        try:
+            table.check(*case)
+        except AccessViolation:
+            return False
+        return True
+
+    expected = [checks(*case) for case in cases]
+    assert True in expected and False in expected
+
+    def no_repr(region):
+        raise AssertionError("allows() formatted a region")
+
+    monkeypatch.setattr(MemoryRegion, "__repr__", no_repr)
+    assert [table.allows(*case) for case in cases] == expected

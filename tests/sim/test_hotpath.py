@@ -14,6 +14,7 @@ kernel optimization pass (they fail on the pre-overhaul kernel):
 import pytest
 
 from repro.sim import Simulator
+from repro.sim.events import SimulationError
 
 
 def _live_queue_entries(sim):
@@ -121,3 +122,105 @@ class TestOrphanFailureNotes:
         crash = sim.spawn(crasher(), name="crasher")
         watch = sim.spawn(watcher(crash), name="watcher")
         assert sim.run_until_complete(watch) == "caught"
+
+
+class TestTimersRunWaitersWhenTheyFire:
+    """A heap-fired timer runs its waiters in the entry that pops it;
+    a zero-delay timer keeps its FIFO slot on the ready deque."""
+
+    def test_n_single_waiter_timers_cost_n_entries(self):
+        sim = Simulator()
+        seen = []
+        for index in range(100):
+            sim.timeout(1.0 + index).add_callback(
+                lambda timer, index=index: seen.append(index))
+        sim.run()
+        assert seen == list(range(100))
+        assert sim.events_executed == 100
+
+    def test_waiter_cancelling_an_equal_deadline_timer_tombstones_it(self):
+        sim = Simulator()
+        first = sim.timeout(5.0)
+        second = sim.timeout(5.0)
+        ran = []
+        first.add_callback(lambda timer: second.cancel())
+        second.add_callback(lambda timer: ran.append("second"))
+        sim.run()
+        # ``first`` pops first (same deadline, earlier push) and its
+        # waiter runs in that very entry — before ``second`` pops.
+        assert first.processed
+        assert second.cancelled and not second.triggered
+        assert ran == []
+        assert sim._cancelled_timers == 0
+        assert sim.events_executed == 1
+
+    def test_any_of_equal_deadline_timers_yields_index_zero(self):
+        sim = Simulator()
+
+        def main():
+            return (yield sim.any_of([sim.timeout(3.0, "a"),
+                                      sim.timeout(3.0, "b")]))
+
+        assert sim.run_until_complete(sim.spawn(main())) == (0, "a")
+        assert sim._cancelled_timers == 0
+        assert len(sim._queue) == 0
+
+    def test_zero_delay_timer_runs_after_work_already_queued(self):
+        sim = Simulator()
+        order = []
+
+        def main():
+            yield sim.timeout(1.0)
+            # Queued at t=1 *before* the zero-delay timer is created ...
+            sim.event().succeed().add_callback(
+                lambda event: order.append("queued first"))
+            yield sim.timeout(0.0)
+            order.append("after timeout(0)")
+
+        sim.run_until_complete(sim.spawn(main()))
+        # ... so it runs first: timeout(0) takes its FIFO slot, it does
+        # not jump the ready deque the way a heap-fired timer's waiters
+        # run in the popping entry.
+        assert order == ["queued first", "after timeout(0)"]
+
+    def test_cancelled_zero_delay_timers_are_not_heap_tombstones(self):
+        sim = Simulator()
+        ran = []
+        sim.call_at(0.0, lambda: ran.append("before"))
+        timers = [sim.timeout(0.0) for _ in range(10)]
+        for timer in timers:
+            timer.add_callback(lambda timer: ran.append("cancelled timer"))
+        sim.call_at(0.0, lambda: ran.append("after"))
+        for timer in timers:
+            timer.cancel()
+        # Nothing was ever on the heap, so there is nothing to compact.
+        assert sim._cancelled_timers == 0
+        sim.run()
+        assert ran == ["before", "after"]
+        assert sim._cancelled_timers == 0
+        # Withdrawn entries are skipped, not run, so not counted.
+        assert sim.events_executed == 2
+
+    def test_scheduled_payload_fires_once_in_one_entry(self):
+        sim = Simulator()
+
+        class Payload:
+            cancelled = False
+
+            def __init__(self):
+                self.fired_at = []
+
+            def fire(self):
+                self.fired_at.append(sim.now)
+
+        later, at_once = Payload(), Payload()
+        sim.schedule(2.5, later)
+        sim.schedule(0.0, at_once)
+        sim.run()
+        assert later.fired_at == [2.5]
+        assert at_once.fired_at == [0.0]
+        # One entry for the heap payload; the zero-delay one rides a
+        # timeout(0) (fire + callbacks), keeping that timer's FIFO slot.
+        assert sim.events_executed == 3
+        with pytest.raises(SimulationError, match="negative delay"):
+            sim.schedule(-1.0, later)
