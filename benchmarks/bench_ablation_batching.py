@@ -72,7 +72,8 @@ def test_ablation_batching(benchmark):
 if __name__ == "__main__":
     import sys
 
-    from repro.bench.tracing import NullBenchmark, standalone_main
+    from repro.bench.cli import standalone_main
 
-    sys.exit(standalone_main(lambda: test_ablation_batching(NullBenchmark()),
-                             "ablation: request batching", prefix="ablation-batching"))
+    sys.exit(standalone_main(test_ablation_batching,
+                             "ablation: request batching",
+                             prefix="ablation-batching"))

@@ -83,7 +83,8 @@ def test_ablation_chaining(benchmark):
 if __name__ == "__main__":
     import sys
 
-    from repro.bench.tracing import NullBenchmark, standalone_main
+    from repro.bench.cli import standalone_main
 
-    sys.exit(standalone_main(lambda: test_ablation_chaining(NullBenchmark()),
-                             "ablation: operation chaining", prefix="ablation-chaining"))
+    sys.exit(standalone_main(test_ablation_chaining,
+                             "ablation: operation chaining",
+                             prefix="ablation-chaining"))

@@ -125,7 +125,8 @@ def test_ablation_out_of_place_vs_locks(benchmark):
 if __name__ == "__main__":
     import sys
 
-    from repro.bench.tracing import NullBenchmark, standalone_main
+    from repro.bench.cli import standalone_main
 
-    sys.exit(standalone_main(lambda: test_ablation_out_of_place_vs_locks(NullBenchmark()),
-                             "ablation: out-of-place vs locks", prefix="ablation-inplace-locks"))
+    sys.exit(standalone_main(test_ablation_out_of_place_vs_locks,
+                             "ablation: out-of-place vs locks",
+                             prefix="ablation-inplace-locks"))

@@ -87,7 +87,8 @@ def test_ablation_redirect_target(benchmark):
 if __name__ == "__main__":
     import sys
 
-    from repro.bench.tracing import NullBenchmark, standalone_main
+    from repro.bench.cli import standalone_main
 
-    sys.exit(standalone_main(lambda: test_ablation_redirect_target(NullBenchmark()),
-                             "ablation: redirect target placement", prefix="ablation-redirect-sram"))
+    sys.exit(standalone_main(test_ablation_redirect_target,
+                             "ablation: redirect target placement",
+                             prefix="ablation-redirect-sram"))

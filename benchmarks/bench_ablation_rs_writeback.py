@@ -86,7 +86,8 @@ def test_ablation_rs_read_writeback(benchmark):
 if __name__ == "__main__":
     import sys
 
-    from repro.bench.tracing import NullBenchmark, standalone_main
+    from repro.bench.cli import standalone_main
 
-    sys.exit(standalone_main(lambda: test_ablation_rs_read_writeback(NullBenchmark()),
-                             "ablation: RS read writeback", prefix="ablation-rs-writeback"))
+    sys.exit(standalone_main(test_ablation_rs_read_writeback,
+                             "ablation: RS read writeback",
+                             prefix="ablation-rs-writeback"))

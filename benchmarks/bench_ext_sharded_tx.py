@@ -79,7 +79,8 @@ def test_ext_sharded_tx_scaling(benchmark):
 if __name__ == "__main__":
     import sys
 
-    from repro.bench.tracing import NullBenchmark, standalone_main
+    from repro.bench.cli import standalone_main
 
-    sys.exit(standalone_main(lambda: test_ext_sharded_tx_scaling(NullBenchmark()),
-                             "extension: sharded TX scaling", prefix="ext-sharded-tx"))
+    sys.exit(standalone_main(test_ext_sharded_tx_scaling,
+                             "extension: sharded TX scaling",
+                             prefix="ext-sharded-tx"))

@@ -67,7 +67,8 @@ def test_fig10_tx_contention(benchmark):
 if __name__ == "__main__":
     import sys
 
-    from repro.bench.tracing import NullBenchmark, standalone_main
+    from repro.bench.cli import standalone_main
 
-    sys.exit(standalone_main(lambda: test_fig10_tx_contention(NullBenchmark()),
-                             "fig10: transaction contention", prefix="fig10"))
+    sys.exit(standalone_main(test_fig10_tx_contention,
+                             "fig10: transaction contention",
+                             prefix="fig10"))

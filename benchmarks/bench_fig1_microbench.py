@@ -66,7 +66,8 @@ def test_fig1_primitive_latencies(benchmark):
 if __name__ == "__main__":
     import sys
 
-    from repro.bench.tracing import NullBenchmark, standalone_main
+    from repro.bench.cli import standalone_main
 
-    sys.exit(standalone_main(lambda: test_fig1_primitive_latencies(NullBenchmark()),
-                             "fig1: primitive latency microbench", prefix="fig1"))
+    sys.exit(standalone_main(test_fig1_primitive_latencies,
+                             "fig1: primitive latency microbench",
+                             prefix="fig1"))

@@ -68,7 +68,7 @@ def test_fig3_kv_read_only(benchmark):
 if __name__ == "__main__":
     import sys
 
-    from repro.bench.tracing import bench_main
+    from repro.bench.cli import bench_main
 
     sys.exit(bench_main(
         "kv", "prism-sw",

@@ -66,7 +66,7 @@ def test_fig4_kv_mixed(benchmark):
 if __name__ == "__main__":
     import sys
 
-    from repro.bench.tracing import bench_main
+    from repro.bench.cli import bench_main
 
     sys.exit(bench_main(
         "kv", "prism-sw",

@@ -64,7 +64,7 @@ def test_fig6_rs_uniform(benchmark):
 if __name__ == "__main__":
     import sys
 
-    from repro.bench.tracing import bench_main
+    from repro.bench.cli import bench_main
 
     sys.exit(bench_main(
         "rs", "prism-sw",

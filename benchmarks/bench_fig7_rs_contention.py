@@ -59,7 +59,8 @@ def test_fig7_rs_contention(benchmark):
 if __name__ == "__main__":
     import sys
 
-    from repro.bench.tracing import NullBenchmark, standalone_main
+    from repro.bench.cli import standalone_main
 
-    sys.exit(standalone_main(lambda: test_fig7_rs_contention(NullBenchmark()),
-                             "fig7: replicated-store contention", prefix="fig7"))
+    sys.exit(standalone_main(test_fig7_rs_contention,
+                             "fig7: replicated-store contention",
+                             prefix="fig7"))

@@ -60,7 +60,7 @@ def test_fig9_tx_uniform(benchmark):
 if __name__ == "__main__":
     import sys
 
-    from repro.bench.tracing import bench_main
+    from repro.bench.cli import bench_main
 
     sys.exit(bench_main(
         "tx", "prism-sw",

@@ -10,82 +10,25 @@ Regenerate any paper figure (or run a custom point) without pytest::
 
 Figure commands print the same tables as the benchmark suite but let
 you rescale client counts / key counts for quicker (or bigger) runs.
+``point`` and the fig3/4/6/7/9/10 commands run measurement points;
+every observer flag (``--help`` lists them, the table is
+:data:`repro.bench.observers.ROWS`, docs/observability.md shows what
+each prints) works on all of them and leaves simulated timing
+bit-identical. ``compare baseline.json run.json`` diffs two ``--json``
+records under per-metric tolerance bands and exits non-zero on
+regression; ``explain flight.json`` replays a ``--flight`` dump into
+per-request narratives.
 
-Regression workflow: ``--json PATH`` on ``point`` and the fig3/4/6/9
-sweeps writes a versioned result record (see
-:mod:`repro.bench.regress`); ``compare baseline.json run.json`` diffs
-two records under per-metric tolerance bands and exits non-zero on
-regression — the CI perf-smoke gate is exactly that pipeline. ``--util``
-prints per-resource utilization and the bottleneck verdict;
-``--primitives`` prints primitive-level telemetry (CAS contention,
-pointer-chase depth, allocator watermarks, key hotness) plus the
-per-operation critical-path profile. All telemetry flags leave
-simulated timing bit-identical.
-
-``--faults SPEC`` (e.g. ``seed=3,drop=0.01,crash=replica1@500+400``)
-runs any point or sweep under a seeded fault plan — message loss /
-duplication / jitter, crash-stop windows, free-list starvation — with
-timeout + retry recovery on, and prints the goodput-under-faults
-report (see :mod:`repro.faults` and docs/faults.md).
-
-``--profile[=cprofile|sample]`` turns the lens on the simulator
-itself: every measured point is metered on the *wall* clock
-(events/sec, per-bucket host-time shares; see
-:mod:`repro.obs.hostprof`), the whole command is captured as either a
-cProfile session (``<command>.pstats`` + collapsed digest) or sampled
-collapsed stacks (``flame.<command>.txt``, flamegraph.pl-ready), and
-``--json`` records gain a ``host`` section (schema v3).
-``compare --host`` then diffs those host sections under wide bands
-that only gate gross (>2x) simulator slowdowns. Host profiling never
-touches the simulated clock — results stay bit-identical.
-
-``--flight[=N]`` arms the causal flight recorder (a bounded ring of N
-events, default 65536; see :mod:`repro.obs.flight`) on every measured
-point: each point prints a digest, and when the run looks anomalous —
-aborted operations, ack timeouts, exhausted retries, crash-window
-drops — the raw event log is dumped to ``flight.<command>.json``
-(``--flight-dump PATH`` picks the path and forces a dump even on
-clean runs; sweeps dump the first anomalous point). ``explain
-<flight.json> [--top K]`` replays a dump into per-request timelines
-and prints the K worst requests' causal narratives
-(:mod:`repro.obs.forensics`). Like every collector, ``--flight``
-leaves simulated timing and ``--json`` records bit-identical.
-
-``--series[=WINDOW_US]`` collects windowed time-series telemetry on
-the simulated clock (default window 50 µs; see
-:mod:`repro.obs.series`): per-window throughput/goodput/latency
-digests and retry/timeout/NAK counters, an MSER steady-state verdict
-that warns when the configured warmup is shorter than the detected
-transient, and changepoint annotations cross-referenced against
-injected fault windows. Each point prints sparklines + the annotated
-report, ``--json`` records gain a ``series`` section (schema v4), and
-``compare --series`` diffs steady-state-only aggregates so regression
-gates stop averaging warm-up noise. ``--warmup-us``/``--measure-us``
-set the measurement geometry the steady-state verdict is judged
-against (defaults 300/1500 µs; fig7/fig10 measure 2000 µs).
-
-``--views[=WINDOW_US]`` installs the *online* telemetry views (default
-window 50 µs; see :mod:`repro.obs.views`): per-connection/per-key
-sliding-window CAS-retry/NAK/timeout/backoff rates, pointer-chase and
-service-time EWMAs — queryable mid-run by policy code — plus the
-bounded decision log that shadow-mode probes write into. On the
-fig7/fig10 contention sweeps a shadow RFP-crossover probe is armed
-automatically: it logs which transport (one-sided vs RPC) the RFP rule
-would pick per connection, switching nothing, and with ``--series``
-also on its verdicts are validated against the post-hoc changepoint
-windows. Each point prints the views report, ``--json`` records gain a
-``views`` section (schema v6), and ``--views-log PATH`` writes the
-decision-log transcript to a file (the CI artifact). ``compare
---host --series`` now combine: both band families are checked and a
-trip in either fails — the host gate also covers the views-off hook
-cost (one ``is None`` check per hook).
+This module is also the ``__main__`` of the ``benchmarks/bench_*.py``
+scripts: :func:`bench_main` for the four that measure one traced
+point, :func:`standalone_main` for the rest.
 """
 
 import argparse
 import sys
 import time
+from dataclasses import dataclass
 
-from repro.bench.harness import run_point, sweep_clients
 from repro.bench.microbench import (
     CLASSIC_PRIMITIVES,
     PRIMITIVES,
@@ -94,39 +37,19 @@ from repro.bench.microbench import (
     measure_rpc_read,
     measure_two_rdma_reads,
 )
-from repro.bench.reporting import (
-    CURVE_HEADERS,
-    UTILIZATION_HEADERS,
-    curve_rows,
-    print_faults,
-    print_flight,
-    print_host,
-    print_primitives,
-    print_series,
-    print_table,
-    print_views,
-    utilization_rows,
-    views_report_lines,
+from repro.bench.observers import (
+    FLIGHT,
+    PROFILE,
+    ROWS,
+    Session,
+    add_flags,
+    invalid_flag,
+    is_set,
+    profiled,
 )
+from repro.bench.reporting import CURVE_HEADERS, curve_rows, print_table
 from repro.net.topology import CLUSTER, DATACENTER, DIRECT, RACK
-from repro.obs import (
-    FLIGHT_DEFAULT_CAPACITY,
-    SERIES_DEFAULT_WINDOW_US,
-    VIEWS_DEFAULT_WINDOW_US,
-    FlightRecorder,
-    HostProfiler,
-    PrimitiveCollector,
-    RfpCrossoverProbe,
-    SeriesCollector,
-    Tracer,
-    UtilizationCollector,
-    ViewCollector,
-    analyze,
-    critpath_profile,
-    crossover_vs_series,
-    format_analysis,
-    write_chrome_trace,
-)
+from repro.obs import RfpCrossoverProbe
 from repro.workload import (
     YCSB_A,
     YCSB_C,
@@ -155,6 +78,12 @@ def _measure_windows(args, default_measure=DEFAULT_MEASURE_US):
 
 def _parse_int_list(text):
     return [int(piece) for piece in text.split(",") if piece]
+
+
+def _reject(message):
+    """A command line that cannot run: say why, exit status 2."""
+    print(message, file=sys.stderr)
+    return 2
 
 
 def cmd_motivation(args):
@@ -199,441 +128,149 @@ def cmd_fig2(args):
                 rows)
 
 
-_FIGURE_SYSTEMS = {
-    "fig3": ("kv", ["prism-sw", "pilaf-hw", "pilaf-sw"], 11,
-             lambda keys, zipf: (lambda i: YCSB_C(keys, zipf=zipf, seed=11,
-                                                  client_id=i))),
-    "fig4": ("kv", ["prism-sw", "pilaf-hw", "pilaf-sw"], 13,
-             lambda keys, zipf: (lambda i: YCSB_A(keys, zipf=zipf, seed=13,
-                                                  client_id=i))),
-    "fig6": ("rs", ["prism-sw", "abdlock-hw", "abdlock-sw"], 17,
-             lambda keys, zipf: (lambda i: YCSB_A(keys, zipf=zipf, seed=17,
-                                                  client_id=i))),
-    "fig9": ("tx", ["prism-sw", "farm-hw", "farm-sw"], 23,
-             lambda keys, zipf: (lambda i: YcsbTransactionalWorkload(
-                 keys, keys_per_txn=1, zipf=zipf, seed=23, client_id=i))),
+def _ycsb_t(keys, **kwargs):
+    return YcsbTransactionalWorkload(keys, keys_per_txn=1, **kwargs)
+
+
+@dataclass(frozen=True)
+class Figure:
+    """A figure command as data: systems, workload, sweep, summary."""
+
+    kind: str
+    flavors: tuple
+    workload: object        #: ``(keys, zipf=, seed=, client_id=) -> workload``
+    seed: int
+    clients: tuple = tuple(DEFAULT_CLIENTS)    #: when --clients is absent
+    measure_us: float = DEFAULT_MEASURE_US
+    #: None: sweep --clients at --zipf and print each flavor's curve.
+    #: ``(heading, column)``: sweep --zipfs too and print, per zipf and
+    #: flavor, the peak of ``column(result)`` over the client counts.
+    versus_zipf: tuple = None
+    probes: tuple = ()      #: shadow probes ``--views`` arms
+
+
+FIGURES = {
+    "fig3": Figure("kv", ("prism-sw", "pilaf-hw", "pilaf-sw"), YCSB_C, 11),
+    "fig4": Figure("kv", ("prism-sw", "pilaf-hw", "pilaf-sw"), YCSB_A, 13),
+    "fig6": Figure("rs", ("prism-sw", "abdlock-hw", "abdlock-sw"), YCSB_A,
+                   17),
+    "fig9": Figure("tx", ("prism-sw", "farm-hw", "farm-sw"), _ycsb_t, 23),
+    # The contention figures arm the demonstration probe: shadow-mode
+    # RFP crossover detection (see repro.obs.views); it logs which
+    # transport the RFP rule would pick and switches nothing.
+    "fig7": Figure("rs", ("prism-sw", "abdlock-hw"), YCSB_A, 19,
+                   clients=(100,), measure_us=CONTENTION_MEASURE_US,
+                   versus_zipf=("mean latency (µs)",
+                                lambda r: r.mean_latency_us),
+                   probes=(RfpCrossoverProbe,)),
+    "fig10": Figure("tx", ("prism-sw", "farm-hw"), _ycsb_t, 29,
+                    clients=(24, 96, 176), measure_us=CONTENTION_MEASURE_US,
+                    versus_zipf=("throughput (M/s)",
+                                 lambda r: r.throughput_ops_per_sec / 1e6),
+                    probes=(RfpCrossoverProbe,)),
 }
 
 
-def _point_faults(title, result):
-    """Print the goodput-under-faults report; returns it for ``--json``."""
-    report = result.extra.get("faults")
-    if report is not None:
-        print_faults(f"{title} faults", report)
-    return report
+def resolve_clients(args):
+    """``--clients`` when given, else the command's own sweep. (When the
+    flag is absent argparse hands back the default object itself.)"""
+    if args.clients is not DEFAULT_CLIENTS or args.command not in FIGURES:
+        return args.clients
+    return list(FIGURES[args.command].clients)
 
 
-def _point_host(title, hostprof):
-    """Print one point's host self-profile; returns it for ``--json``."""
-    if hostprof is None:
-        return None
-    report = hostprof.report()
-    print_host(f"{title} host self-profile", report)
-    return report
-
-
-def _point_series(title, series, utilization=None, faults=None):
-    """Print one point's windowed-series report; returns it for ``--json``."""
-    if series is None:
-        return None
-    report = series.report(utilization=utilization, faults=faults)
-    print_series(f"{title} time series", report)
-    return report
-
-
-def _make_views(args):
-    """Build the point's ViewCollector; fig7/fig10 arm the RFP probe."""
-    if not args.views:
-        return None
-    views = ViewCollector(args.views)
-    if args.command in ("fig7", "fig10"):
-        # The demonstration probe: shadow-mode RFP crossover detection
-        # on the contention sweeps (see repro.obs.views); it logs which
-        # transport the RFP rule would pick and switches nothing.
-        views.add_probe(RfpCrossoverProbe())
-    return views
-
-
-def _point_views(title, views, series_report=None, state=None):
-    """Print one point's online-views report; returns it for ``--json``.
-
-    With a ``series_report`` from the same run and probe decisions on
-    record, the shadow verdicts are validated against the post-hoc
-    changepoint windows and the agreement verdict printed. ``state``
-    accumulates the per-point report lines for ``--views-log``.
-    """
-    if views is None:
-        return None
-    report = views.report()
-    print_views(f"{title} online views", report)
-    if series_report is not None and report["decisions"]["recorded"]:
-        check = crossover_vs_series(views.decision_log(), series_report)
-        verdict = ("agree" if check["agree"]
-                   else f"CONFLICT ({len(check['conflicts'])})")
-        print(f"shadow probe vs series changepoints: {verdict} "
-              f"({check['decisions']} decision(s), "
-              f"{check['changepoints']} changepoint window(s))")
-    if state is not None:
-        state.setdefault("lines", []).append(f"== {title} ==")
-        state["lines"].extend(views_report_lines(report))
-    return report
-
-
-def _views_log_done(args, state):
-    """--views-log: write the accumulated decision-log transcript."""
-    if args.views_log and state.get("lines"):
-        with open(args.views_log, "w", encoding="utf-8") as handle:
-            handle.write("\n".join(state["lines"]) + "\n")
-        print(f"views decision-log report written to {args.views_log}")
-
-
-def _point_primitives(title, primitives, tracer, result=None):
-    """Report one point's primitive telemetry + critical-path profile.
-
-    Returns ``(report, profile)`` for the ``--json`` record. With
-    ``result``, also reconciles the critical-path sums against the
-    measured mean latency (they match exactly by construction).
-    """
-    from repro.bench.tracing import (
-        check_critpath,
-        measured_roots,
-        print_critpath,
-    )
-    report = primitives.report()
-    profile = critpath_profile(measured_roots(tracer))
-    print_primitives(f"{title} primitive telemetry", report)
-    print_critpath(f"{title} critical path (mean µs per op)", profile)
-    if result is not None:
-        weighted = check_critpath(result, profile)
-        print(f"critical-path sum {weighted:.3f} µs == mean latency "
-              f"{result.mean_latency_us:.3f} µs (exact)")
-    return report, profile
-
-
-#: flight events that make a run worth a post-mortem on their own
-_FLIGHT_ANOMALY_KINDS = {"req.timeout", "req.exhausted", "fault.crash_drop"}
-
-
-def _flight_anomalous(flight, result):
-    """Dump-on-anomaly trigger: failed ops, timeouts, retry give-ups."""
-    if result is not None and result.aborts:
-        return True
-    for event in flight.events:
-        if event["kind"] in _FLIGHT_ANOMALY_KINDS:
-            return True
-        if event["kind"] == "op.close" and event.get("status") != "ok":
-            return True
-    return False
-
-
-def _write_flight(flight, path, anomaly):
-    flight.dump(path)
-    why = "anomaly detected; " if anomaly else ""
-    print(f"flight dump written to {path} ({why}inspect with: "
-          f"python -m repro.bench.cli explain {path})")
-    return path
-
-
-def _point_flight(args, label, flight, result):
-    """Digest + dump handling for a single-point command."""
-    print_flight(f"{label} flight recorder", flight.to_dict())
-    anomaly = _flight_anomalous(flight, result)
-    path = args.flight_dump or (f"flight.{args.command}.json"
-                                if anomaly else None)
-    if path:
-        _write_flight(flight, path, anomaly)
-
-
-def _sweep_flight(args, label, flight, result, state):
-    """Digest + dump handling for one point of a sweep.
-
-    Only the first anomalous point writes a dump (``state`` carries
-    that across points); :func:`_sweep_flight_done` covers the
-    ``--flight-dump``-but-no-anomaly case after the sweep.
-    """
-    print_flight(f"{label} flight recorder", flight.to_dict())
-    state["last"] = flight
-    if state.get("written") is None and _flight_anomalous(flight, result):
-        path = args.flight_dump or f"flight.{args.command}.json"
-        state["written"] = _write_flight(flight, path, True)
-
-
-def _sweep_flight_done(args, state):
-    """--flight-dump promises a dump even when every point was clean."""
-    if (args.flight_dump and state.get("written") is None
-            and state.get("last") is not None):
-        _write_flight(state["last"], args.flight_dump, False)
-
-
-def cmd_figure_sweep(args):
-    kind, flavors, seed, workload_maker = _FIGURE_SYSTEMS[args.command]
-    telemetry = bool(args.json or args.util)
-    warmup_us, measure_us = _measure_windows(args)
+def cmd_figure(args):
+    fig = FIGURES[args.command]
+    clients = resolve_clients(args)
+    zipfs = args.zipfs if fig.versus_zipf else [args.zipf]
+    warmup_us, measure_us = _measure_windows(args, fig.measure_us)
     # --trace on a sweep traces one designated point: the first flavor
-    # at the largest client count (the most interesting trace, and one
-    # file — a trace per point would clobber the same path).
-    trace_target = ((flavors[0], max(args.clients)) if args.trace
-                    else None)
-    flight_state = {}
-    views_state = {}
-    points = []
-    for flavor in flavors:
-        started = time.perf_counter()
-        results = []
-        for n_clients in args.clients:
-            # --series needs the timeline monitors for its per-window
-            # busy fractions, so it implies a UtilizationCollector.
-            collector = (UtilizationCollector()
-                         if telemetry or args.series else None)
-            primitives = PrimitiveCollector() if args.primitives else None
-            tracing = trace_target == (flavor, n_clients)
-            tracer = Tracer() if (args.primitives or tracing) else None
-            hostprof = HostProfiler() if args.profile else None
-            flight = (FlightRecorder(args.flight) if args.flight
-                      else None)
-            series = SeriesCollector(args.series) if args.series else None
-            views = _make_views(args)
-            result = run_point(kind, flavor,
-                               workload_maker(args.keys, args.zipf),
-                               n_clients, n_keys=args.keys,
-                               warmup_us=warmup_us, measure_us=measure_us,
-                               tracer=tracer, utilization=collector,
-                               primitives=primitives, faults=args.faults,
-                               hostprof=hostprof, flight=flight,
-                               series=series, views=views)
-            results.append(result)
-            if tracing:
-                write_chrome_trace(tracer.roots, args.trace,
-                                   process_spans=tracer.process_spans)
-                print(f"chrome trace written to {args.trace} "
-                      f"({flavor} c={n_clients})")
-            faults_report = _point_faults(
-                f"{args.command}: {flavor} c={n_clients}", result)
-            host_report = _point_host(
-                f"{args.command}: {flavor} c={n_clients}", hostprof)
-            series_report = _point_series(
-                f"{args.command}: {flavor} c={n_clients}", series,
-                utilization=collector, faults=faults_report)
-            views_report = _point_views(
-                f"{args.command}: {flavor} c={n_clients}", views,
-                series_report=series_report, state=views_state)
-            if flight is not None:
-                _sweep_flight(args, f"{args.command}: {flavor} "
-                              f"c={n_clients}", flight, result,
-                              flight_state)
-            prim_report = profile = None
-            if args.primitives:
-                prim_report, profile = _point_primitives(
-                    f"{args.command}: {flavor} c={n_clients}",
-                    primitives, tracer, result=result)
-            if telemetry:
-                util = collector.report()
-                verdict = analyze(util)
-                if args.util:
-                    print_table(
-                        f"{args.command}: {flavor} c={n_clients} "
-                        "resource utilization",
-                        UTILIZATION_HEADERS, utilization_rows(util, top=10))
-                    print(format_analysis(verdict))
-                if args.json:
-                    from repro.bench.regress import make_point
-                    config = {"kind": kind, "flavor": flavor,
-                              "clients": n_clients, "keys": args.keys,
-                              "zipf": args.zipf, "seed": seed,
-                              "warmup_us": warmup_us,
-                              "measure_us": measure_us}
-                    if args.faults:
-                        config["faults"] = args.faults
-                    points.append(make_point(kind, flavor, result, config,
-                                             utilization=util,
-                                             bottleneck=verdict,
-                                             primitives=prim_report,
-                                             critpath=profile,
-                                             faults=faults_report,
-                                             host=host_report,
-                                             series=series_report,
-                                             views=views_report))
-        wall_s = time.perf_counter() - started
-        events = sum(r.extra.get("events_executed", 0) for r in results)
-        rate = f", {events / wall_s:,.0f} events/s" if wall_s > 0 else ""
-        print_table(f"{args.command}: {flavor} "
-                    f"({wall_s:.1f}s wall{rate})",
-                    CURVE_HEADERS, curve_rows(results))
-    _sweep_flight_done(args, flight_state)
-    _views_log_done(args, views_state)
-    if args.json:
-        from repro.bench.regress import make_record, write_record
-        write_record(make_record(args.command, points), args.json)
-        print(f"result record written to {args.json}")
-
-
-def cmd_contention(args):
-    kind = "rs" if args.command == "fig7" else "tx"
-    flavors = (["prism-sw", "abdlock-hw"] if kind == "rs"
-               else ["prism-sw", "farm-hw"])
-    # --trace designates the first flavor at the most skewed zipf.
-    trace_target = (flavors[0], args.zipfs[-1]) if args.trace else None
-    warmup_us, measure_us = _measure_windows(
-        args, default_measure=CONTENTION_MEASURE_US)
-    flight_state = {}
-    views_state = {}
+    # at the most skewed zipf and the largest client count (the most
+    # interesting trace, and one file — a trace per point would clobber
+    # the same path).
+    designated = (zipfs[-1], fig.flavors[0], max(clients))
+    session = Session(args, args.command, probes=fig.probes)
     rows = []
-    for zipf in args.zipfs:
+    for zipf in zipfs:
         row = [zipf]
-        for flavor in flavors:
-            if kind == "rs":
-                workload = (lambda i, z=zipf: YcsbWorkload(
-                    args.keys, read_fraction=0.5, zipf=z, seed=19,
-                    client_id=i))
-            else:
-                workload = (lambda i, z=zipf: YcsbTransactionalWorkload(
-                    args.keys, keys_per_txn=1, zipf=z, seed=29,
-                    client_id=i))
-            primitives = PrimitiveCollector() if args.primitives else None
-            tracing = trace_target == (flavor, zipf)
-            tracer = Tracer() if (args.primitives or tracing) else None
-            hostprof = HostProfiler() if args.profile else None
-            flight = (FlightRecorder(args.flight) if args.flight
-                      else None)
-            series = SeriesCollector(args.series) if args.series else None
-            collector = UtilizationCollector() if args.series else None
-            views = _make_views(args)
-            result = run_point(kind, flavor, workload, args.clients[0],
-                               n_keys=args.keys, warmup_us=warmup_us,
-                               measure_us=measure_us,
-                               tracer=tracer, utilization=collector,
-                               primitives=primitives,
-                               faults=args.faults, hostprof=hostprof,
-                               flight=flight, series=series, views=views)
-            if tracing:
-                write_chrome_trace(tracer.roots, args.trace,
-                                   process_spans=tracer.process_spans)
-                print(f"chrome trace written to {args.trace} "
-                      f"({flavor} zipf={zipf})")
-            _point_faults(f"{args.command}: {flavor} zipf={zipf}", result)
-            _point_host(f"{args.command}: {flavor} zipf={zipf}", hostprof)
-            series_report = _point_series(
-                f"{args.command}: {flavor} zipf={zipf}", series,
-                utilization=collector, faults=result.extra.get("faults"))
-            _point_views(f"{args.command}: {flavor} zipf={zipf}", views,
-                         series_report=series_report, state=views_state)
-            if flight is not None:
-                _sweep_flight(args, f"{args.command}: {flavor} "
-                              f"zipf={zipf}", flight, result, flight_state)
-            if args.primitives:
-                _point_primitives(
-                    f"{args.command}: {flavor} zipf={zipf}",
-                    primitives, tracer, result=result)
-            row.append(result.mean_latency_us if kind == "rs"
-                       else result.throughput_ops_per_sec / 1e6)
+        for flavor in fig.flavors:
+            started = time.perf_counter()
+            results = []
+            for n_clients in clients:
+                if not fig.versus_zipf:
+                    name = f"{flavor} c={n_clients}"
+                elif len(clients) == 1:
+                    name = f"{flavor} zipf={zipf}"
+                else:
+                    name = f"{flavor} zipf={zipf} c={n_clients}"
+                config = {"kind": fig.kind, "flavor": flavor,
+                          "clients": n_clients, "keys": args.keys,
+                          "zipf": zipf, "seed": fig.seed,
+                          "warmup_us": warmup_us, "measure_us": measure_us}
+                results.append(session.point(
+                    f"{args.command}: {name}", fig.kind, flavor,
+                    lambda i, z=zipf: fig.workload(
+                        args.keys, zipf=z, seed=fig.seed, client_id=i),
+                    n_clients, config,
+                    trace=(zipf, flavor, n_clients) == designated,
+                    trace_note=f" ({name})", n_keys=args.keys,
+                    warmup_us=warmup_us, measure_us=measure_us))
+                if args.json and fig.versus_zipf:
+                    # kind/flavor/clients repeat across the zipf axis
+                    session.points[-1]["id"] += f"/z{zipf:g}"
+            if fig.versus_zipf:
+                row.append(max(fig.versus_zipf[1](r) for r in results))
+                continue
+            wall_s = time.perf_counter() - started
+            events = sum(r.extra.get("events_executed", 0) for r in results)
+            rate = f", {events / wall_s:,.0f} events/s" if wall_s > 0 else ""
+            print_table(f"{args.command}: {flavor} "
+                        f"({wall_s:.1f}s wall{rate})",
+                        CURVE_HEADERS, curve_rows(results))
         rows.append(row)
-    _sweep_flight_done(args, flight_state)
-    _views_log_done(args, views_state)
-    metric = "mean latency (µs)" if kind == "rs" else "throughput (M/s)"
-    print_table(f"{args.command}: {metric} vs zipf",
-                ["zipf"] + flavors, rows)
+    session.close()
+    if fig.versus_zipf:
+        print_table(f"{args.command}: {fig.versus_zipf[0]} vs zipf",
+                    ["zipf"] + list(fig.flavors), rows)
 
 
 def cmd_point(args):
     if args.kind == "tx":
-        workload = (lambda i: YcsbTransactionalWorkload(
-            args.keys, keys_per_txn=1, zipf=args.zipf, seed=1, client_id=i))
+        make = _ycsb_t
     else:
-        workload = (lambda i: YcsbWorkload(
-            args.keys, read_fraction=args.read_fraction, zipf=args.zipf,
-            seed=1, client_id=i))
-    collector = (UtilizationCollector()
-                 if (args.json or args.util or args.series) else None)
-    primitives = PrimitiveCollector() if args.primitives else None
-    hostprof = HostProfiler() if args.profile else None
-    flight = FlightRecorder(args.flight) if args.flight else None
-    series = SeriesCollector(args.series) if args.series else None
-    views = _make_views(args)
+        make = (lambda keys, **kwargs: YcsbWorkload(
+            keys, read_fraction=args.read_fraction, **kwargs))
+    label = f"{args.kind}/{args.flavor}"
     warmup_us, measure_us = _measure_windows(args)
-    phases = None
-    tracer = None
-    if args.trace or args.primitives:
-        from repro.bench.tracing import print_breakdown, run_traced_point
-        result, phases, tracer = run_traced_point(
-            args.kind, args.flavor, workload, args.clients[0],
-            trace_path=args.trace, utilization=collector,
-            primitives=primitives, n_keys=args.keys, faults=args.faults,
-            hostprof=hostprof, flight=flight, series=series, views=views,
-            warmup_us=warmup_us, measure_us=measure_us)
-        print_table(f"{args.kind}/{args.flavor}", CURVE_HEADERS,
-                    curve_rows([result]))
-        print_breakdown(f"{args.kind}/{args.flavor}: phase breakdown "
-                        "(mean µs per op)", phases)
-        if args.trace:
-            print(f"chrome trace written to {args.trace}")
-    else:
-        result = run_point(args.kind, args.flavor, workload, args.clients[0],
-                           n_keys=args.keys, utilization=collector,
-                           faults=args.faults, hostprof=hostprof,
-                           flight=flight, series=series, views=views,
-                           warmup_us=warmup_us, measure_us=measure_us)
-        print_table(f"{args.kind}/{args.flavor}", CURVE_HEADERS,
-                    curve_rows([result]))
-    faults_report = _point_faults(f"{args.kind}/{args.flavor}", result)
-    host_report = _point_host(f"{args.kind}/{args.flavor}", hostprof)
-    series_report = _point_series(f"{args.kind}/{args.flavor}", series,
-                                  utilization=collector,
-                                  faults=faults_report)
-    views_state = {}
-    views_report = _point_views(f"{args.kind}/{args.flavor}", views,
-                                series_report=series_report,
-                                state=views_state)
-    _views_log_done(args, views_state)
-    if flight is not None:
-        _point_flight(args, f"{args.kind}/{args.flavor}", flight, result)
-    prim_report = profile = None
-    if args.primitives:
-        prim_report, profile = _point_primitives(
-            f"{args.kind}/{args.flavor}", primitives, tracer, result=result)
-    util_report = collector.report() if collector is not None else None
-    verdict = analyze(util_report) if util_report is not None else None
-    if args.util:
-        print_table(f"{args.kind}/{args.flavor}: resource utilization "
-                    "(measurement window)",
-                    UTILIZATION_HEADERS, utilization_rows(util_report))
-        print(format_analysis(verdict))
-    if args.json:
-        from repro.bench.regress import make_point, make_record, write_record
-        config = {"kind": args.kind, "flavor": args.flavor,
-                  "clients": args.clients[0], "keys": args.keys,
-                  "zipf": args.zipf, "read_fraction": args.read_fraction,
-                  "seed": 1, "warmup_us": warmup_us,
-                  "measure_us": measure_us}
-        if args.faults:
-            config["faults"] = args.faults
-        point = make_point(args.kind, args.flavor, result, config,
-                           phases=phases, utilization=util_report,
-                           bottleneck=verdict, primitives=prim_report,
-                           critpath=profile, faults=faults_report,
-                           host=host_report, series=series_report,
-                           views=views_report)
-        write_record(make_record(f"point:{args.kind}/{args.flavor}", [point]),
-                     args.json)
-        print(f"result record written to {args.json}")
+    config = {"kind": args.kind, "flavor": args.flavor,
+              "clients": args.clients[0], "keys": args.keys,
+              "zipf": args.zipf, "read_fraction": args.read_fraction,
+              "seed": 1, "warmup_us": warmup_us, "measure_us": measure_us}
+    session = Session(
+        args, f"point:{label}", single=True, breakdown=True,
+        headline=lambda result: print_table(label, CURVE_HEADERS,
+                                            curve_rows([result])))
+    session.point(label, args.kind, args.flavor,
+                  lambda i: make(args.keys, zipf=args.zipf, seed=1,
+                                 client_id=i),
+                  args.clients[0], config, n_keys=args.keys,
+                  warmup_us=warmup_us, measure_us=measure_us)
 
 
 def cmd_compare(args):
     from repro.bench.regress import compare, format_compare, load_record
     if len(args.paths) != 2:
-        print("usage: repro.bench.cli compare <baseline.json> <run.json>",
-              file=sys.stderr)
-        return 2
+        return _reject(
+            "usage: repro.bench.cli compare <baseline.json> <run.json>")
     tolerances = {}
     for spec in args.tolerance or []:
         metric, sep, frac = spec.partition("=")
         if not sep:
-            print(f"--tolerance expects metric=frac, got {spec!r}",
-                  file=sys.stderr)
-            return 2
+            return _reject(f"--tolerance expects metric=frac, got {spec!r}")
         tolerances[metric] = float(frac)
     baseline = load_record(args.paths[0])
     run = load_record(args.paths[1])
-    report = compare(baseline, run, tolerances=tolerances, host=args.host,
+    report = compare(baseline, run, tolerances=tolerances,
                      series=args.series is not None)
     print(f"baseline: {args.paths[0]} "
           f"(commit {report['baseline_commit'] or 'unknown'})")
@@ -646,9 +283,8 @@ def cmd_compare(args):
 def cmd_explain(args):
     from repro.obs import explain_lines, load_flight_dump
     if len(args.paths) != 1:
-        print("usage: repro.bench.cli explain <flight.json> [--top K]",
-              file=sys.stderr)
-        return 2
+        return _reject(
+            "usage: repro.bench.cli explain <flight.json> [--top K]")
     dump = load_flight_dump(args.paths[0])
     for line in explain_lines(dump, top=args.top):
         print(line)
@@ -675,7 +311,10 @@ def build_parser():
                              "(explain) a flight dump")
     parser.add_argument("--clients", type=_parse_int_list,
                         default=DEFAULT_CLIENTS,
-                        help="comma-separated client counts")
+                        help="comma-separated client counts (point uses "
+                             "the first; default: fig7 100, fig10 "
+                             "24,96,176 — both report the peak over the "
+                             "list — else 1,8,32,96,176)")
     parser.add_argument("--keys", type=int, default=8000)
     parser.add_argument("--zipf", type=float, default=0.0)
     parser.add_argument("--zipfs", type=lambda t: [float(x) for x in
@@ -684,88 +323,25 @@ def build_parser():
     parser.add_argument("--kind", choices=["kv", "rs", "tx"], default="kv")
     parser.add_argument("--flavor", default="prism-sw")
     parser.add_argument("--read-fraction", type=float, default=0.5)
-    parser.add_argument("--trace", metavar="PATH", default=None,
-                        help="(point, fig3/4/6/7/9/10) write Chrome "
-                             "trace-event JSON to PATH; sweeps trace one "
-                             "designated point (first flavor at the "
-                             "largest client count / most skewed zipf)")
-    parser.add_argument("--json", metavar="PATH", default=None,
-                        help="(point, fig3/4/6/9) write a machine-readable "
-                             "result record (repro.bench.regress schema)")
-    parser.add_argument("--util", action="store_true",
-                        help="(point, fig3/4/6/9) print per-resource "
-                             "utilization and the bottleneck verdict")
-    parser.add_argument("--primitives", action="store_true",
-                        help="(point, fig3/4/6/7/9/10) print primitive-level "
-                             "telemetry (CAS contention, pointer-chase "
-                             "depth, allocator watermarks, key hotness) and "
-                             "the per-op critical-path profile")
-    parser.add_argument("--faults", metavar="SPEC", default=None,
-                        help="(point, fig3/4/6/7/9/10) run under a seeded "
-                             "fault plan, e.g. seed=3,drop=0.01 or "
-                             "crash=replica1@500+400 (see "
-                             "repro.faults.parse_faults); prints the "
-                             "goodput-under-faults report")
+    add_flags(parser)
     parser.add_argument("--tolerance", action="append", metavar="METRIC=REL",
                         default=None,
                         help="(compare) override a tolerance band, e.g. "
                              "--tolerance p99_us=0.10 (repeatable)")
-    parser.add_argument("--profile", nargs="?", const="sample",
-                        choices=["cprofile", "sample"], default=None,
-                        metavar="MODE",
-                        help="profile the simulator itself on the host "
-                             "clock: meter events/sec and per-bucket wall "
-                             "time for every measured point, and capture "
-                             "the whole command as a cProfile session "
-                             "(cprofile: <command>.pstats + collapsed "
-                             "digest) or sampled collapsed stacks (sample, "
-                             "the default: flame.<command>.txt)")
-    parser.add_argument("--flight", nargs="?", const=FLIGHT_DEFAULT_CAPACITY,
-                        type=int, default=None, metavar="N",
-                        help="(point, fig3/4/6/7/9/10) arm the causal "
-                             "flight recorder with an N-event ring "
-                             f"(default {FLIGHT_DEFAULT_CAPACITY}); prints "
-                             "a per-point digest and dumps the event log "
-                             "on anomalies (aborts, timeouts, exhausted "
-                             "retries) for the explain subcommand")
-    parser.add_argument("--series", nargs="?",
-                        const=SERIES_DEFAULT_WINDOW_US, type=float,
-                        default=None, metavar="WINDOW_US",
-                        help="(point, fig3/4/6/7/9/10) collect windowed "
-                             "time-series telemetry on the simulated clock "
-                             f"(default window {SERIES_DEFAULT_WINDOW_US:g} "
-                             "µs): per-window throughput/latency/retry "
-                             "counters with sparklines, MSER steady-state "
-                             "detection, and fault-correlated changepoint "
-                             "annotations; (compare) diff the records' "
-                             "steady-state-only series aggregates instead "
-                             "of the end-of-run metrics")
-    parser.add_argument("--views", nargs="?",
-                        const=VIEWS_DEFAULT_WINDOW_US, type=float,
-                        default=None, metavar="WINDOW_US",
-                        help="(point, fig3/4/6/7/9/10) install the online "
-                             "telemetry views (default window "
-                             f"{VIEWS_DEFAULT_WINDOW_US:g} µs): "
-                             "per-connection/per-key sliding-window "
-                             "CAS-retry/NAK/timeout rates and chase/"
-                             "service-time EWMAs, queryable mid-run, plus "
-                             "the shadow-probe decision log; fig7/fig10 arm "
-                             "the RFP-crossover probe automatically")
     parser.add_argument("--views-log", metavar="PATH", default=None,
                         help="(with --views) write the per-point views "
                              "reports and decision-log transcript to PATH")
     parser.add_argument("--warmup-us", type=float, default=None,
                         metavar="US",
-                        help="(point, fig3/4/6/7/9/10) warmup before the "
-                             "measurement window (default "
-                             f"{DEFAULT_WARMUP_US:g} µs); the series "
-                             "steady-state verdict checks it covers the "
-                             "detected transient")
+                        help="warmup before the measurement window "
+                             f"(default {DEFAULT_WARMUP_US:g} µs); the "
+                             "series steady-state verdict checks it covers "
+                             "the detected transient")
     parser.add_argument("--measure-us", type=float, default=None,
                         metavar="US",
-                        help="(point, fig3/4/6/7/9/10) measurement window "
-                             f"length (default {DEFAULT_MEASURE_US:g} µs; "
-                             f"fig7/fig10 use {CONTENTION_MEASURE_US:g} µs)")
+                        help="measurement window length (default "
+                             f"{DEFAULT_MEASURE_US:g} µs; fig7/fig10 use "
+                             f"{CONTENTION_MEASURE_US:g} µs)")
     parser.add_argument("--flight-dump", metavar="PATH", default=None,
                         help="(with --flight) write the flight dump to "
                              "PATH even when the run is clean; sweeps "
@@ -773,91 +349,167 @@ def build_parser():
     parser.add_argument("--top", type=int, default=5, metavar="K",
                         help="(explain) how many worst-request narratives "
                              "to print (default 5)")
-    parser.add_argument("--host", action="store_true",
-                        help="(compare) diff the records' host "
-                             "self-profiling sections (events/sec, wall "
-                             "seconds) under wide bands instead of the "
-                             "simulated metrics; combines with --series "
-                             "(both families checked, either failing "
-                             "fails the compare)")
     return parser
 
 
-#: commands that run a measurement point --trace/--flight can attach to
+#: commands that run measurement points, which the observer rows arm
 _POINT_COMMANDS = {"fig3", "fig4", "fig6", "fig7", "fig9", "fig10", "point"}
 
 
 def main(argv=None):
     args = build_parser().parse_args(argv)
     # Fail fast instead of silently ignoring per-point flags on
-    # commands that never run a sweepable measurement point.
-    for flag, value, allowed in (
-            ("--trace", args.trace, _POINT_COMMANDS),
-            ("--flight", args.flight, _POINT_COMMANDS),
-            ("--series", args.series, _POINT_COMMANDS | {"compare"}),
-            ("--views", args.views, _POINT_COMMANDS),
-            ("--views-log", args.views_log, _POINT_COMMANDS),
-            ("--warmup-us", args.warmup_us, _POINT_COMMANDS),
-            ("--measure-us", args.measure_us, _POINT_COMMANDS)):
-        if value is not None and args.command not in allowed:
-            print(f"{flag} is not supported by {args.command!r}: only "
-                  "point and the fig sweeps run a measurement point "
-                  "(supported: " + ", ".join(sorted(allowed)) + ")",
-                  file=sys.stderr)
-            return 2
-    if args.flight is not None and args.flight < 1:
-        print("--flight capacity must be >= 1", file=sys.stderr)
-        return 2
-    if args.series is not None and args.series <= 0:
-        print("--series window must be > 0 µs", file=sys.stderr)
-        return 2
-    if args.views is not None and args.views <= 0:
-        print("--views window must be > 0 µs", file=sys.stderr)
-        return 2
+    # commands that never run a measurement point.
+    point_flags = [(row.flag, is_set(args, row), row.commands)
+                   for row in ROWS if not row.anywhere]
+    point_flags += [("--views-log", args.views_log is not None, ()),
+                    ("--warmup-us", args.warmup_us is not None, ()),
+                    ("--measure-us", args.measure_us is not None, ())]
+    for flag, given, also in point_flags:
+        allowed = _POINT_COMMANDS | set(also)
+        if given and args.command not in allowed:
+            return _reject(
+                f"{flag} is not supported by {args.command!r}: only "
+                "point and the fig sweeps run a measurement point "
+                "(supported: " + ", ".join(sorted(allowed)) + ")")
+    complaint = invalid_flag(args)
+    if complaint is not None:
+        return _reject(complaint)
     if args.views_log and args.views is None:
-        print("--views-log requires --views", file=sys.stderr)
-        return 2
+        return _reject("--views-log requires --views")
     if args.warmup_us is not None and args.warmup_us <= 0:
-        print("--warmup-us must be positive", file=sys.stderr)
-        return 2
+        return _reject("--warmup-us must be positive")
     if args.measure_us is not None and args.measure_us <= 0:
-        print("--measure-us must be positive (the warmup must end "
-              "before the run does)", file=sys.stderr)
-        return 2
+        return _reject("--measure-us must be positive (the warmup must end "
+                       "before the run does)")
     dispatch = {
         "motivation": cmd_motivation,
         "fig1": cmd_fig1,
         "fig2": cmd_fig2,
-        "fig3": cmd_figure_sweep,
-        "fig4": cmd_figure_sweep,
-        "fig6": cmd_figure_sweep,
-        "fig9": cmd_figure_sweep,
-        "fig7": cmd_contention,
-        "fig10": cmd_contention,
         "point": cmd_point,
         "compare": cmd_compare,
         "explain": cmd_explain,
         "list": cmd_list,
     }
-    if args.profile is None:
-        return int(dispatch[args.command](args) or 0)
-    # --profile: besides the per-point meters the commands install, an
-    # ambient profiler catches simulators built internally (fig1/fig2/
-    # motivation microbenches), and the whole command is captured as a
-    # cProfile session or sampled collapsed stacks.
-    from repro.obs.hostprof import activate, deactivate, profile_session
-    ambient = activate(HostProfiler())
-    session = profile_session(args.profile, prefix=args.command)
-    try:
-        with session:
-            result = dispatch[args.command](args)
-    finally:
-        deactivate(ambient)
-    if ambient.events:
-        print_host(f"{args.command}: host self-profile", ambient.report())
-    for path in session.paths:
-        print(f"profile artifact written to {path}")
-    return int(result or 0)
+    command = dispatch.get(args.command, cmd_figure)
+    return int(profiled(args, args.command, args.command,
+                        lambda: command(args)) or 0)
+
+
+# -- the benchmarks/bench_*.py front ends ------------------------------------
+
+
+def bench_main(kind, flavor, workload_maker, title, argv=None,
+               default_clients=4, default_keys=4000, strict_sum=True,
+               seed=None, benchmark=None, **point_kwargs):
+    """``__main__`` of the scripts that measure one traced point.
+
+    ``workload_maker(n_keys)`` must return a ``workload_factory``
+    suitable for :func:`run_point` (a per-client-index callable).
+    ``strict_sum=False`` skips the sums-to-mean check for systems with
+    parallel fan-out (quorum replication), whose phase sums read as
+    total work across replicas rather than wall-clock latency.
+    ``seed`` is recorded in ``--json`` output so regression baselines
+    carry the workload seed; ``benchmark`` names the record (defaults
+    to the title).
+    """
+    parser = argparse.ArgumentParser(description=title)
+    add_flags(parser, [row for row in ROWS if row is not FLIGHT])
+    parser.add_argument("--clients", type=int, default=default_clients)
+    parser.add_argument("--clients-aggregated", type=int, default=None,
+                        metavar="N",
+                        help="model N clients (10⁵–10⁶ is fine) with "
+                             "aggregated open-loop arrival sources instead "
+                             "of closed-loop coroutines (see "
+                             "repro.workload.sources)")
+    parser.add_argument("--arrival-rate", type=float, default=50.0,
+                        metavar="OPS_PER_S",
+                        help="with --clients-aggregated, each modeled "
+                             "client's Poisson op rate (default 50 op/s)")
+    parser.add_argument("--source-window", type=int, default=None,
+                        metavar="W",
+                        help="with --clients-aggregated, max ops in "
+                             "flight per source coroutine (default: "
+                             "population-scaled, see sources module)")
+    parser.add_argument("--keys", type=int, default=default_keys)
+    parser.add_argument("--profile-stride", type=int, default=16,
+                        metavar="N",
+                        help="with --profile, time bucket attribution on "
+                             "every N-th kernel event (default 16; 1 is "
+                             "exhaustive and slower); events/sec and "
+                             "counters stay exact")
+    args = parser.parse_args(argv)
+    complaint = invalid_flag(args)
+    if complaint is not None:
+        parser.error(complaint)
+    source_model = None
+    n_clients = args.clients
+    if args.clients_aggregated is not None:
+        source_model = {"rate_per_client_ops_s": args.arrival_rate,
+                        "seed": seed or 0}
+        if args.source_window is not None:
+            source_model["window"] = args.source_window
+        n_clients = args.clients_aggregated
+    config = {"kind": kind, "flavor": flavor, "clients": n_clients,
+              "keys": args.keys, "seed": seed}
+    config.update({key: value for key, value in point_kwargs.items()
+                   if isinstance(value, (int, float, str, bool))})
+
+    def headline(result):
+        print_table(title, ["clients", "ops", "Mops/s", "mean_us", "p99_us"],
+                    [[result.clients, result.ops,
+                      round(result.throughput_ops_per_sec / 1e6, 3),
+                      round(result.mean_latency_us, 2),
+                      round(result.p99_latency_us, 2)]])
+        if source_model is not None:
+            model = result.extra["source_model"]
+            print(f"source model: aggregated open-loop, "
+                  f"{model['clients']:,} modeled clients over "
+                  f"{model['n_sources']} sources at "
+                  f"{model['rate_per_client_ops_s']:g} op/s each "
+                  f"(window {model['window']}, "
+                  f"{result.extra['stalled_arrivals']} stalled arrivals)")
+
+    session = Session(args, benchmark or title, single=True, sep=":",
+                      traced=True, breakdown=True, strict_sum=strict_sum,
+                      wall=True, headline=headline)
+    profiled(args, benchmark or f"{kind}-{flavor}", title,
+             lambda: session.point(
+                 title, kind, flavor, workload_maker(args.keys), n_clients,
+                 config, n_keys=args.keys, source_model=source_model,
+                 **point_kwargs))
+    return 0
+
+
+class _NullBenchmark:
+    """pytest-benchmark stand-in for ``__main__`` runs.
+
+    The benchmark scripts' test functions take the pytest-benchmark
+    fixture; running one outside pytest only needs ``pedantic`` to
+    call the target once and hand back its result — no timing, no
+    stats.
+    """
+
+    def pedantic(self, target, args=(), kwargs=None, **_options):
+        return target(*args, **(kwargs or {}))
+
+    def __call__(self, target, *args, **kwargs):
+        return target(*args, **kwargs)
+
+
+def standalone_main(test, title, prefix="bench", argv=None):
+    """``__main__`` of the scripts that are one pytest-benchmark test.
+
+    ``test(benchmark)`` runs the benchmark and prints its own tables.
+    The only flag is ``--profile``: an ambient profiler meters every
+    simulator the script builds internally, and the host self-profile
+    is printed after the benchmark's own output.
+    """
+    parser = argparse.ArgumentParser(description=title)
+    add_flags(parser, [PROFILE])
+    args = parser.parse_args(argv)
+    profiled(args, prefix, title, lambda: test(_NullBenchmark()))
+    return 0
 
 
 if __name__ == "__main__":

@@ -188,13 +188,17 @@ def build_system(kind, flavor, sim, n_keys=DEFAULT_N_KEYS,
                         spare_buffers=spare_buffers)
 
 
+#: the observer keywords :func:`run_point` takes, in install order;
+#: ``faults`` marks where the fault plan installs among them
+INSTALL_ORDER = ("hostprof", "flight", "series", "views", "primitives",
+                 "faults", "tracer", "utilization")
+
+
 def run_point(kind, flavor, workload_factory, n_clients,
               n_keys=DEFAULT_N_KEYS, value_size=DEFAULT_VALUE_SIZE,
               warmup_us=300.0, measure_us=1500.0, profile=RACK,
-              n_client_hosts=N_CLIENT_HOSTS, tracer=None,
-              utilization=None, primitives=None, faults=None,
-              hostprof=None, flight=None, series=None, views=None,
-              source_model=None):
+              n_client_hosts=N_CLIENT_HOSTS, faults=None,
+              source_model=None, **observers):
     """One deterministic measurement point.
 
     ``workload_factory(client_index)`` builds each client's workload.
@@ -216,55 +220,31 @@ def run_point(kind, flavor, workload_factory, n_clients,
     policy, and the injector's counters land in
     ``result.extra["faults"]`` — the goodput-under-faults report.
 
-    The remaining keywords each take one observer from
-    :mod:`repro.obs`. All default to off and none changes simulated
-    timing: they only observe transitions the run already makes (the
-    four event collectors under the probe-bus contract of
-    :mod:`repro.obs.bus`). Their reports are the caller's to read
-    afterwards.
-
-    * ``tracer`` (:class:`~repro.obs.Tracer`) — per-operation span
-      trees.
-    * ``utilization`` (:class:`~repro.obs.UtilizationCollector`) —
-      per-resource busy time and queue depth.
-    * ``hostprof`` (:class:`~repro.obs.HostProfiler`) — the run metered
-      on the *wall* clock: events/sec, per-bucket host-time shares.
-    * ``primitives`` (:class:`~repro.obs.PrimitiveCollector`) — CAS
-      outcomes, pointer-chase depth, allocator watermarks, key hotness.
-    * ``flight`` (:class:`~repro.obs.FlightRecorder`) — a bounded
-      causal event log (op open/close, request sends/replies/timeouts/
-      backoffs, CAS misses, NAKs, chain aborts, fault injections) that
-      :mod:`repro.obs.forensics` turns into per-request timelines.
-    * ``series`` (:class:`~repro.obs.SeriesCollector`) — fixed-width
-      windows on the simulated clock (throughput, goodput, latency
-      digests, retry/NAK counters) with MSER steady-state detection
-      and changepoint annotation on top.
-    * ``views`` (:class:`~repro.obs.ViewCollector`) — *online*
-      sliding-window signals (per-connection/per-key CAS retry, NAK,
-      chase-depth, timeout/backoff, service-time rates and EWMAs)
-      queryable mid-run by application code and shadow-mode probes,
-      whose decisions land in its bounded decision log.
+    ``observers`` are :mod:`repro.obs` collectors by keyword
+    (``tracer``, ``utilization``, ``hostprof``, ``primitives``,
+    ``flight``, ``series``, ``views``; None is off, any other keyword a
+    ``TypeError``). Each is told the measurement geometry
+    (``configure``), attached before the system is built, and closed
+    (``finish``) after the run; none changes simulated timing — they
+    only observe transitions the run already makes — and their reports
+    are the caller's to read afterwards.
     """
+    unknown = sorted(set(observers) - set(INSTALL_ORDER))
+    if unknown:
+        raise TypeError("run_point() got an unexpected keyword argument "
+                        f"{unknown[0]!r}")
     sim = Simulator()
-    if hostprof is not None:
-        sim.set_hostprof(hostprof)
-    if series is not None:
-        series.configure(warmup_us, measure_us)
-    for collector in (flight, series, views, primitives):
-        if collector is not None:
-            sim.attach(collector)
-    if faults is not None:
-        if isinstance(faults, str):
-            from repro.faults import parse_faults
-            faults = parse_faults(faults)
-        sim.set_faults(faults)
-    if tracer is not None:
-        sim.set_tracer(tracer)
-    if utilization is not None:
-        sim.set_utilization(utilization)
-        # Report utilization over the measurement window, not warmup.
-        utilization.measure_from = warmup_us
-        utilization.measure_until = warmup_us + measure_us
+    attached = []
+    for name in INSTALL_ORDER:
+        if name == "faults":
+            if isinstance(faults, str):
+                from repro.faults import parse_faults
+                faults = parse_faults(faults)
+            if faults is not None:
+                sim.set_faults(faults)
+        elif observers.get(name) is not None:
+            observers[name].configure(warmup_us, measure_us)
+            attached.append(sim.attach(observers[name]))
     if source_model is not None:
         spec = dict(source_model)
         n_sources = min(spec.pop("n_sources", n_client_hosts), n_clients)
@@ -329,12 +309,8 @@ def run_point(kind, flavor, workload_factory, n_clients,
         model["n_sources"] = len(sources)
         model["windows"] = [source.window for source in sources]
         result.extra["source_model"] = model
-    if hostprof is not None:
-        from repro.obs.hostprof import deactivate
-        deactivate(hostprof)
-    for collector in (utilization, series, views):
-        if collector is not None:
-            collector.finish(sim.now)
+    for observer in attached:
+        observer.finish(sim.now)
     if sim.faults is not None:
         report = sim.faults.report()
         # Goodput: operations that *completed* per second of measured

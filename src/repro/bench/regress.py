@@ -19,7 +19,7 @@ cross-platform float noise, and anything beyond them is a regression.
 
 Record shape (one file, one or more measurement points)::
 
-    {"schema": "repro-bench-result", "schema_version": 3,
+    {"schema": "repro-bench-result", "schema_version": 6,
      "benchmark": "fig3",
      "provenance": {"git_commit": ..., "python": ...},
      "points": [{"id": "kv/prism-sw/c4",
@@ -27,19 +27,18 @@ Record shape (one file, one or more measurement points)::
                  "phases": {...}, "utilization": [...],
                  "bottleneck": {...},
                  "primitives": {...}, "critpath": {...},
-                 "faults": {...}, "host": {...}}]}
+                 "faults": {...}, "host": {...}, "series": {...},
+                 "views": {...}, "wall": {...}}]}
 
-All optional point fields are additive; v1 records (without
-``primitives``/``critpath``) and v2 records (without ``host``) still
-load and compare — only metrics present in both baseline and
-tolerance bands are diffed.
+Every point field after ``metrics`` is optional — a section is there
+when its observer was armed (``repro.bench.observers``) — and only
+metrics present in both baseline and tolerance bands are diffed.
 
-The ``host`` section is *wall-clock* self-profiling of the simulator
-itself (events/sec, host-time bucket shares; see
-:mod:`repro.obs.hostprof`) — it describes the machine the benchmark
-ran on, not the simulated system, so :func:`compare` only looks at it
-in ``host=True`` mode, under deliberately wide bands that gate gross
-(>2x) slowdowns of the simulator and nothing subtler.
+The ``host`` and ``wall`` sections are *wall-clock* numbers about the
+simulator itself (events/sec, host-time bucket shares; see
+:mod:`repro.obs.hostprof`) — they describe the machine the benchmark
+ran on, not the simulated system, so :func:`compare` never looks at
+them: they are a diagnostic, and host cost is gated by ``perfbench``.
 """
 
 import json
@@ -48,24 +47,10 @@ import platform
 import subprocess
 
 SCHEMA = "repro-bench-result"
-#: v2 (additive over v1): points may carry "primitives" (the
-#: PrimitiveCollector snapshot) and "critpath" (the per-op
-#: critical-path profile). v3 (additive over v2): points may carry
-#: "host" (wall-clock self-profiling of the simulator: events/sec,
-#: wall seconds, bucket shares). v4 (additive over v3): points may
-#: carry "series" (the windowed time-series report: per-window
-#: throughput/latency/counters, MSER steady-state block, changepoint
-#: annotations; see :mod:`repro.obs.series`). v5 (additive over v4):
-#: points may carry "wall" (wall-clock cost of the simulated run:
-#: wall_s, events_executed, events_per_sec) — recorded on every run,
-#: unlike the richer "host" section which needs ``--profile``. v6
-#: (additive over v5): points may carry "views" (the online
-#: sliding-window telemetry report: end-of-run window rates, per-conn
-#: EWMAs, hot keys, and the shadow-probe decision log; see
-#: :mod:`repro.obs.views`). Every earlier field is unchanged, so this
-#: tool still reads v1-v5 baselines.
+#: One version is written and one is read. Records are regenerated,
+#: not migrated: every optional section is additive, so a version is
+#: only bumped when an existing field changes meaning.
 SCHEMA_VERSION = 6
-SUPPORTED_SCHEMA_VERSIONS = (1, 2, 3, 4, 5, 6)
 
 #: per-metric tolerance bands: direction is which way is *better*;
 #: ``rel`` is the allowed relative degradation before failing
@@ -75,15 +60,6 @@ DEFAULT_TOLERANCES = {
     "p50_us": {"direction": "lower", "rel": 0.02},
     "p99_us": {"direction": "lower", "rel": 0.05},
     "ops": {"direction": "higher", "rel": 0.02},
-}
-
-#: bands for ``compare(host=True)``: host wall-clock numbers vary with
-#: load, CPU model, and interpreter version, so these are deliberately
-#: wide — half the events/sec or double the wall time (a 2x simulator
-#: slowdown) fails; anything subtler passes.
-HOST_TOLERANCES = {
-    "host.events_per_sec": {"direction": "higher", "rel": 0.5},
-    "host.wall_s": {"direction": "lower", "rel": 1.0},
 }
 
 #: bands for ``compare(series=True)``: steady-state-only aggregates
@@ -144,15 +120,15 @@ def wall_section(result):
     }
 
 
-def make_point(kind, flavor, result, config, phases=None, utilization=None,
-               bottleneck=None, primitives=None, critpath=None, faults=None,
-               host=None, series=None, views=None, wall=None):
+def make_point(kind, flavor, result, config, **sections):
     """One measurement point: config + metrics (+ optional telemetry).
 
     ``config`` must contain everything needed to reproduce the point
     (clients, keys, seed, windows); it is compared verbatim by
     :func:`compare`, so a config drift fails loudly instead of
-    producing an apples-to-oranges diff.
+    producing an apples-to-oranges diff. ``sections`` are the
+    observers' reports by record key (``phases``, ``utilization``,
+    ``series``, ...); one that is None is left out.
     """
     point = {
         "id": point_id(kind, flavor, result.clients),
@@ -161,26 +137,8 @@ def make_point(kind, flavor, result, config, phases=None, utilization=None,
         "config": dict(config),
         "metrics": result_metrics(result),
     }
-    if phases is not None:
-        point["phases"] = phases
-    if utilization is not None:
-        point["utilization"] = utilization
-    if bottleneck is not None:
-        point["bottleneck"] = bottleneck
-    if primitives is not None:
-        point["primitives"] = primitives
-    if critpath is not None:
-        point["critpath"] = critpath
-    if faults is not None:
-        point["faults"] = faults
-    if host is not None:
-        point["host"] = host
-    if series is not None:
-        point["series"] = series
-    if views is not None:
-        point["views"] = views
-    if wall is not None:
-        point["wall"] = wall
+    point.update((key, report) for key, report in sections.items()
+                 if report is not None)
     return point
 
 
@@ -210,10 +168,11 @@ def load_record(path):
         record = json.load(handle)
     if record.get("schema") != SCHEMA:
         raise ValueError(f"{path}: not a {SCHEMA} file")
-    if record.get("schema_version") not in SUPPORTED_SCHEMA_VERSIONS:
+    if record.get("schema_version") != SCHEMA_VERSION:
         raise ValueError(
-            f"{path}: schema_version {record.get('schema_version')} "
-            f"(this tool speaks {SUPPORTED_SCHEMA_VERSIONS})")
+            f"{path}: schema_version {record.get('schema_version')}, but "
+            f"this tool reads only version {SCHEMA_VERSION} — regenerate "
+            "the record by rerunning its benchmark with --json")
     return record
 
 
@@ -251,39 +210,22 @@ def _check_metric(metric, base, run, band):
     return finding
 
 
-def compare(baseline, run, tolerances=None, host=False, series=False):
+def compare(baseline, run, tolerances=None, series=False):
     """Diff two result records; returns a report dict.
 
     ``report["ok"]`` is False when any baseline point is missing from
     the run, any point's config drifted, or any metric degraded beyond
     its tolerance band. Improvements never fail.
 
-    ``host=True`` compares the *host* self-profiling sections instead
-    of the simulated metrics, under :data:`HOST_TOLERANCES` — wide
-    bands that only gate gross (>2x) simulator slowdowns. A baseline
-    point without a ``host`` section (any v1/v2 record, or a run made
-    without ``--profile``) is skipped silently: old baselines are not
-    errors.
-
     ``series=True`` compares *steady-state-only* aggregates from the
-    windowed series sections (``series.steady_state``), under
-    :data:`SERIES_TOLERANCES` — the MSER detector has already excluded
-    transient windows, so these gates never average warm-up noise. A
-    baseline point without a ``series`` section (any v1-v3 record, or
-    a run made without ``--series``) is skipped silently.
-
-    ``host=True`` and ``series=True`` combine: every point is checked
-    against *both* band families (the union of their metrics), and a
-    trip in either fails the compare. ``tolerances`` overrides are
-    looked up across the union of the selected families.
+    windowed series sections (``series.steady_state``) instead of the
+    end-of-run metrics, under :data:`SERIES_TOLERANCES` — the MSER
+    detector has already excluded transient windows, so these gates
+    never average warm-up noise. A baseline point without a ``series``
+    section (a run made without ``--series``) is skipped silently.
+    ``tolerances`` overrides are looked up in the selected family.
     """
-    bands = {}
-    if host:
-        bands.update(HOST_TOLERANCES)
-    if series:
-        bands.update(SERIES_TOLERANCES)
-    if not bands:
-        bands = dict(DEFAULT_TOLERANCES)
+    bands = dict(SERIES_TOLERANCES if series else DEFAULT_TOLERANCES)
     if tolerances:
         for metric, rel in tolerances.items():
             if metric not in bands:
@@ -311,46 +253,20 @@ def compare(baseline, run, tolerances=None, host=False, series=False):
                 "status": "config-drift", "baseline": None, "run": None,
                 "delta_rel": None, "limit_rel": None, "direction": None})
             continue
-        if host:
-            base_host = base_point.get("host")
-            run_host = run_point.get("host") or {}
-            for metric in HOST_TOLERANCES:
-                if base_host is None:
-                    break
-                band = bands[metric]
-                key = metric.split(".", 1)[1]
-                if key not in base_host:
-                    continue
-                finding = _check_metric(metric, base_host[key],
-                                        run_host.get(key, float("nan")),
-                                        band)
-                finding["point"] = pid
-                findings.append(finding)
         if series:
-            base_steady = (base_point.get("series") or {}).get("steady_state")
-            run_steady = ((run_point.get("series") or {})
-                          .get("steady_state") or {})
-            for metric in SERIES_TOLERANCES:
-                if base_steady is None:
-                    break
-                band = bands[metric]
-                key = metric.split(".", 1)[1]
-                if key not in base_steady:
-                    continue
-                finding = _check_metric(metric, base_steady[key],
-                                        run_steady.get(key, float("nan")),
-                                        band)
-                finding["point"] = pid
-                findings.append(finding)
-        if host or series:
-            continue
+            base_values = (base_point.get("series")
+                           or {}).get("steady_state") or {}
+            run_values = (run_point.get("series")
+                          or {}).get("steady_state") or {}
+        else:
+            base_values, run_values = (base_point["metrics"],
+                                       run_point["metrics"])
         for metric, band in bands.items():
-            if metric not in base_point["metrics"]:
+            key = metric.removeprefix("series.")
+            if key not in base_values:
                 continue
-            finding = _check_metric(metric, base_point["metrics"][metric],
-                                    run_point["metrics"].get(metric,
-                                                             float("nan")),
-                                    band)
+            finding = _check_metric(metric, base_values[key],
+                                    run_values.get(key, float("nan")), band)
             finding["point"] = pid
             findings.append(finding)
 

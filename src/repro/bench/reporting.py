@@ -27,6 +27,15 @@ def print_table(title, headers, rows, out=print):
     out("")
 
 
+def print_block(title, lines, out=print):
+    """Print a ``*_report_lines`` rendering as a titled block."""
+    out("")
+    out(f"== {title} ==")
+    for line in lines:
+        out(line)
+    out("")
+
+
 def curve_rows(results):
     """Rows for a throughput/latency sweep table."""
     return [[r.clients, round(r.throughput_ops_per_sec / 1e6, 3),
@@ -168,15 +177,6 @@ def primitives_report_lines(report, top=5):
     return lines
 
 
-def print_primitives(title, report, top=5, out=print):
-    """Print the primitive-telemetry report as a titled block."""
-    out("")
-    out(f"== {title} ==")
-    for line in primitives_report_lines(report, top=top):
-        out(line)
-    out("")
-
-
 def faults_report_lines(report):
     """Human-readable goodput-under-faults summary.
 
@@ -225,15 +225,6 @@ def faults_report_lines(report):
     return lines
 
 
-def print_faults(title, report, out=print):
-    """Print the goodput-under-faults report as a titled block."""
-    out("")
-    out(f"== {title} ==")
-    for line in faults_report_lines(report):
-        out(line)
-    out("")
-
-
 def host_report_lines(report):
     """Human-readable simulator self-profile summary.
 
@@ -256,15 +247,6 @@ def host_report_lines(report):
             "  attribution: " + ", ".join(parts)
             + f" (attributed {report['attributed_share']:.1%} of wall)")
     return lines
-
-
-def print_host(title, report, out=print):
-    """Print the host self-profile as a titled block."""
-    out("")
-    out(f"== {title} ==")
-    for line in host_report_lines(report):
-        out(line)
-    out("")
 
 
 def flight_summary_lines(dump, top=3):
@@ -303,15 +285,6 @@ def flight_summary_lines(dump, top=3):
             f"(client {timeline['client']}) {latency:.2f} µs "
             f"status={timeline['status']}")
     return lines
-
-
-def print_flight(title, dump, top=3, out=print):
-    """Print the flight-recorder digest as a titled block."""
-    out("")
-    out(f"== {title} ==")
-    for line in flight_summary_lines(dump, top=top):
-        out(line)
-    out("")
 
 
 #: sparkline glyphs, lowest to highest (space = empty window)
@@ -457,15 +430,6 @@ def series_report_lines(report, out_width=72):
     return lines
 
 
-def print_series(title, report, out=print):
-    """Print the windowed-series report as a titled block."""
-    out("")
-    out(f"== {title} ==")
-    for line in series_report_lines(report):
-        out(line)
-    out("")
-
-
 def views_report_lines(report, top=5):
     """Human-readable online-views summary with decision transcript.
 
@@ -522,15 +486,6 @@ def views_report_lines(report, top=5):
             f"    [{entry['t_us']:.1f} µs] {entry['name']} "
             f"conn={inputs.get('conn', '-')}: {entry['verdict']} ({detail})")
     return lines
-
-
-def print_views(title, report, top=5, out=print):
-    """Print the online-views report as a titled block."""
-    out("")
-    out(f"== {title} ==")
-    for line in views_report_lines(report, top=top):
-        out(line)
-    out("")
 
 
 def low_load_latency(results):

@@ -1,53 +1,16 @@
-"""Traced benchmark points: phase breakdowns + Chrome trace export.
+"""Reading a traced point: measured roots, breakdown and critical path.
 
-:func:`run_traced_point` is :func:`repro.bench.harness.run_point` with
-a live tracer attached: it returns the usual :class:`RunResult` plus a
-per-phase latency breakdown (wire / nic / pcie / cpu / queue) computed
-from the measured operations' span trees, and optionally writes the
-whole trace as Chrome trace-event JSON (load it at
-https://ui.perfetto.dev).
-
-:func:`bench_main` is the shared ``__main__`` entry point for the
-``benchmarks/bench_fig*.py`` scripts::
-
-    PYTHONPATH=src python benchmarks/bench_fig3_kv_read.py \\
-        --trace /tmp/kv.json --clients 4
-
-Because spans only *read* the simulated clock, a traced run's timing
-is identical to the untraced run — the breakdown's phase sums match
-the measured mean latency exactly, not just within tolerance.
+Helpers over a :class:`repro.obs.Tracer`'s span trees that the bench
+front ends and tests share: which roots were measured, the printed
+phase-breakdown and critical-path tables, and the two reconciliation
+checks. Because spans only *read* the simulated clock, a traced run's
+timing is identical to the untraced run — the breakdown's phase sums
+match the measured mean latency exactly, not just within tolerance.
+(:func:`repro.bench.observers.run_traced_point` runs such a point.)
 """
 
-import argparse
-
-from repro.bench.harness import run_point
-from repro.bench.reporting import (
-    UTILIZATION_HEADERS,
-    print_faults,
-    print_host,
-    print_primitives,
-    print_series,
-    print_table,
-    print_views,
-    utilization_rows,
-)
-from repro.obs import (
-    SERIES_DEFAULT_WINDOW_US,
-    VIEWS_DEFAULT_WINDOW_US,
-    HostProfiler,
-    PrimitiveCollector,
-    SeriesCollector,
-    Tracer,
-    UtilizationCollector,
-    ViewCollector,
-    analyze,
-    breakdown,
-    breakdown_rows,
-    critpath_profile,
-    critpath_rows,
-    format_analysis,
-    write_chrome_trace,
-)
+from repro.bench.reporting import print_table
+from repro.obs import breakdown_rows, critpath_rows
 from repro.obs.critpath import format_contributors
 
 
@@ -55,30 +18,6 @@ def measured_roots(tracer):
     """The root spans of operations counted in the measurement window."""
     return [root for root in tracer.roots
             if root.end is not None and root.attrs.get("measured")]
-
-
-def run_traced_point(kind, flavor, workload_factory, n_clients,
-                     trace_path=None, utilization=None, primitives=None,
-                     **kwargs):
-    """One measurement point with span tracing on.
-
-    Returns ``(result, report, tracer)`` where ``report`` is the
-    :func:`repro.obs.breakdown` over the measured operations. With
-    ``trace_path``, also writes the Chrome trace-event file. Pass a
-    :class:`repro.obs.UtilizationCollector` as ``utilization`` and/or
-    a :class:`repro.obs.PrimitiveCollector` as ``primitives`` to also
-    collect those telemetry families (read them back from the
-    collectors after the call).
-    """
-    tracer = Tracer()
-    result = run_point(kind, flavor, workload_factory, n_clients,
-                       tracer=tracer, utilization=utilization,
-                       primitives=primitives, **kwargs)
-    report = breakdown(measured_roots(tracer))
-    if trace_path:
-        write_chrome_trace(tracer.roots, trace_path,
-                           process_spans=tracer.process_spans)
-    return result, report, tracer
 
 
 def print_breakdown(title, report):
@@ -113,6 +52,16 @@ def check_critpath(result, profile, tolerance=1e-6):
     return weighted
 
 
+def traced_work(report):
+    """Count-weighted mean of the per-op-type phase sums (µs per op);
+    NaN when no measured operation was traced."""
+    total_ops = sum(entry["count"] for entry in report.values())
+    if total_ops == 0:
+        return float("nan")
+    return sum(entry["phase_sum_us"] * entry["count"]
+               for entry in report.values()) / total_ops
+
+
 def check_breakdown(result, report, tolerance=0.01):
     """Assert the phase sums reconcile with the measured mean latency.
 
@@ -121,272 +70,12 @@ def check_breakdown(result, report, tolerance=0.01):
     ``tolerance`` (they match exactly up to float rounding; the
     tolerance is the acceptance bound, not slack we expect to use).
     """
-    total_ops = sum(entry["count"] for entry in report.values())
-    if total_ops == 0:
+    weighted_sum = traced_work(report)
+    if weighted_sum != weighted_sum:
         raise AssertionError("no measured operations were traced")
-    weighted_sum = sum(entry["phase_sum_us"] * entry["count"]
-                       for entry in report.values()) / total_ops
     mean = result.mean_latency_us
     if abs(weighted_sum - mean) > tolerance * mean:
         raise AssertionError(
             f"phase sums ({weighted_sum:.4f} µs) diverge from measured "
             f"mean latency ({mean:.4f} µs) by more than {tolerance:.0%}")
     return weighted_sum
-
-
-def bench_main(kind, flavor, workload_maker, title, argv=None,
-               default_clients=4, default_keys=4000, strict_sum=True,
-               seed=None, benchmark=None, **point_kwargs):
-    """Argparse front end shared by the ``benchmarks/bench_*`` scripts.
-
-    ``workload_maker(n_keys)`` must return a ``workload_factory``
-    suitable for :func:`run_point` (a per-client-index callable).
-    ``strict_sum=False`` skips the sums-to-mean check for systems with
-    parallel fan-out (quorum replication), whose phase sums read as
-    total work across replicas rather than wall-clock latency.
-    ``seed`` is recorded in ``--json`` output so regression baselines
-    carry the workload seed; ``benchmark`` names the record (defaults
-    to the title).
-    """
-    parser = argparse.ArgumentParser(description=title)
-    parser.add_argument("--trace", metavar="PATH", default=None,
-                        help="write a Chrome trace-event JSON file")
-    parser.add_argument("--json", metavar="PATH", default=None,
-                        help="write a machine-readable result record "
-                             "(repro.bench.regress schema) to PATH")
-    parser.add_argument("--util", action="store_true",
-                        help="print per-resource utilization and the "
-                             "bottleneck verdict")
-    parser.add_argument("--primitives", action="store_true",
-                        help="print primitive-level telemetry (CAS "
-                             "contention, pointer-chase depth, allocator "
-                             "watermarks, key hotness) and the "
-                             "critical-path profile")
-    parser.add_argument("--clients", type=int, default=default_clients)
-    parser.add_argument("--clients-aggregated", type=int, default=None,
-                        metavar="N",
-                        help="replace the closed-loop client coroutines "
-                             "with aggregated open-loop arrival sources "
-                             "modeling N clients (10⁵–10⁶ is fine; see "
-                             "repro.workload.sources). The source-model "
-                             "config is recorded in --json output")
-    parser.add_argument("--arrival-rate", type=float, default=50.0,
-                        metavar="OPS_PER_S",
-                        help="with --clients-aggregated, each modeled "
-                             "client's Poisson op rate (default 50 op/s)")
-    parser.add_argument("--source-window", type=int, default=None,
-                        metavar="W",
-                        help="with --clients-aggregated, max ops in "
-                             "flight per source coroutine (default: "
-                             "population-scaled, see sources module)")
-    parser.add_argument("--keys", type=int, default=default_keys)
-    parser.add_argument("--faults", metavar="SPEC", default=None,
-                        help="run under a seeded fault plan, e.g. "
-                             "seed=3,drop=0.01 (repro.faults.parse_faults "
-                             "syntax); prints the goodput-under-faults "
-                             "report")
-    parser.add_argument("--profile", nargs="?", const="sample",
-                        choices=["cprofile", "sample"], default=None,
-                        metavar="MODE",
-                        help="profile the simulator itself on the host "
-                             "clock: meter events/sec and per-bucket wall "
-                             "time, and capture the run as a cProfile "
-                             "session (cprofile) or sampled collapsed "
-                             "stacks (sample, the default)")
-    parser.add_argument("--profile-stride", type=int, default=16,
-                        metavar="N",
-                        help="with --profile, time bucket attribution on "
-                             "every N-th kernel event (default 16); "
-                             "events/sec and counters stay exact, only "
-                             "the bucket split is sampled. 1 restores "
-                             "exhaustive attribution at higher observer "
-                             "overhead")
-    parser.add_argument("--series", nargs="?",
-                        const=SERIES_DEFAULT_WINDOW_US, type=float,
-                        default=None, metavar="WINDOW_US",
-                        help="collect windowed time-series telemetry "
-                             "(default window "
-                             f"{SERIES_DEFAULT_WINDOW_US:g} µs): "
-                             "sparklines, MSER steady-state verdict, "
-                             "changepoint annotations; --json records "
-                             "gain a series section")
-    parser.add_argument("--views", nargs="?",
-                        const=VIEWS_DEFAULT_WINDOW_US, type=float,
-                        default=None, metavar="WINDOW_US",
-                        help="install the online telemetry views (default "
-                             f"window {VIEWS_DEFAULT_WINDOW_US:g} µs): "
-                             "per-connection/per-key sliding-window rates, "
-                             "EWMAs, and the shadow-probe decision log; "
-                             "--json records gain a views section")
-    args = parser.parse_args(argv)
-
-    collector = (UtilizationCollector()
-                 if (args.json or args.util or args.series) else None)
-    primitives = PrimitiveCollector() if args.primitives else None
-    hostprof = (HostProfiler(stride=args.profile_stride)
-                if args.profile else None)
-    series = SeriesCollector(args.series) if args.series else None
-    views = ViewCollector(args.views) if args.views else None
-    session = None
-    if args.profile:
-        from repro.obs.hostprof import profile_session
-        session = profile_session(
-            args.profile, prefix=benchmark or f"{kind}-{flavor}").start()
-    source_model = None
-    n_clients = args.clients
-    if args.clients_aggregated is not None:
-        source_model = {"rate_per_client_ops_s": args.arrival_rate,
-                        "seed": seed or 0}
-        if args.source_window is not None:
-            source_model["window"] = args.source_window
-        n_clients = args.clients_aggregated
-    try:
-        result, report, tracer = run_traced_point(
-            kind, flavor, workload_maker(args.keys), n_clients,
-            trace_path=args.trace, utilization=collector,
-            primitives=primitives, n_keys=args.keys, faults=args.faults,
-            hostprof=hostprof, series=series, views=views,
-            source_model=source_model, **point_kwargs)
-    finally:
-        if session is not None:
-            session.stop()
-    print_table(title, ["clients", "ops", "Mops/s", "mean_us", "p99_us"],
-                [[result.clients, result.ops,
-                  round(result.throughput_ops_per_sec / 1e6, 3),
-                  round(result.mean_latency_us, 2),
-                  round(result.p99_latency_us, 2)]])
-    if source_model is not None:
-        model = result.extra["source_model"]
-        print(f"source model: aggregated open-loop, "
-              f"{model['clients']:,} modeled clients over "
-              f"{model['n_sources']} sources at "
-              f"{model['rate_per_client_ops_s']:g} op/s each "
-              f"(window {model['window']}, "
-              f"{result.extra['stalled_arrivals']} stalled arrivals)")
-    print_breakdown(f"{title}: phase breakdown (mean µs per op)", report)
-    faults_report = result.extra.get("faults")
-    if faults_report is not None:
-        print_faults(f"{title}: faults", faults_report)
-    if strict_sum:
-        weighted = check_breakdown(result, report)
-        print(f"phase sum {weighted:.3f} µs == mean latency "
-              f"{result.mean_latency_us:.3f} µs (within 1%)")
-    else:
-        total_ops = sum(entry["count"] for entry in report.values())
-        weighted = (sum(entry["phase_sum_us"] * entry["count"]
-                        for entry in report.values()) / total_ops
-                    if total_ops else float("nan"))
-        print(f"total traced work {weighted:.3f} µs/op vs wall-clock mean "
-              f"{result.mean_latency_us:.3f} µs (parallel fan-out)")
-    util_report = collector.report() if collector is not None else None
-    if args.util:
-        print_table(f"{title}: resource utilization (measurement window)",
-                    UTILIZATION_HEADERS, utilization_rows(util_report))
-        print(format_analysis(analyze(util_report)))
-    primitives_report = None
-    profile = None
-    if args.primitives:
-        primitives_report = primitives.report()
-        profile = critpath_profile(measured_roots(tracer))
-        print_primitives(f"{title}: primitive telemetry", primitives_report)
-        print_critpath(f"{title}: critical path (mean µs per op)", profile)
-        weighted = check_critpath(result, profile)
-        print(f"critical-path sum {weighted:.3f} µs == mean latency "
-              f"{result.mean_latency_us:.3f} µs (exact)")
-    host_report = None
-    if hostprof is not None:
-        host_report = hostprof.report()
-        print_host(f"{title}: host self-profile", host_report)
-    series_report = None
-    if series is not None:
-        series_report = series.report(utilization=collector,
-                                      faults=faults_report)
-        print_series(f"{title}: time series", series_report)
-    views_report = None
-    if views is not None:
-        views_report = views.report()
-        print_views(f"{title}: online views", views_report)
-    if args.json:
-        from repro.bench.regress import (
-            make_point,
-            make_record,
-            wall_section,
-            write_record,
-        )
-        config = {"kind": kind, "flavor": flavor, "clients": n_clients,
-                  "keys": args.keys, "seed": seed}
-        if args.faults:
-            config["faults"] = args.faults
-        if source_model is not None:
-            # The resolved model (with per-source windows) from the
-            # harness, so the record reproduces the point exactly.
-            config["source_model"] = result.extra["source_model"]
-        config.update({key: value for key, value in point_kwargs.items()
-                       if isinstance(value, (int, float, str, bool))})
-        point = make_point(kind, flavor, result, config, phases=report,
-                           utilization=util_report,
-                           bottleneck=analyze(util_report),
-                           primitives=primitives_report, critpath=profile,
-                           faults=faults_report, host=host_report,
-                           series=series_report, views=views_report,
-                           wall=wall_section(result))
-        write_record(make_record(benchmark or title, [point]), args.json)
-        print(f"result record written to {args.json}")
-    if args.trace:
-        print(f"chrome trace written to {args.trace}")
-    if session is not None:
-        for path in session.paths:
-            print(f"profile artifact written to {path}")
-    return 0
-
-
-class NullBenchmark:
-    """pytest-benchmark stand-in for ``__main__`` runs.
-
-    The benchmark scripts' test functions take the pytest-benchmark
-    fixture; running one outside pytest only needs ``pedantic`` to
-    call the target once and hand back its result — no timing, no
-    stats. Lets ``standalone_main`` drive a test body unchanged.
-    """
-
-    def pedantic(self, target, args=(), kwargs=None, **_options):
-        return target(*args, **(kwargs or {}))
-
-    def __call__(self, target, *args, **kwargs):
-        return target(*args, **kwargs)
-
-
-def standalone_main(run, title, prefix=None, argv=None):
-    """Minimal ``__main__`` for benchmark scripts without sweep plumbing.
-
-    ``run()`` executes the benchmark and prints its own tables. The
-    only flag is ``--profile[=cprofile|sample]``: an ambient
-    :class:`~repro.obs.HostProfiler` meters every simulator the script
-    builds internally, the whole run is captured as a cProfile session
-    or sampled collapsed stacks, and the host self-profile is printed
-    after the benchmark's own output.
-    """
-    parser = argparse.ArgumentParser(description=title)
-    parser.add_argument("--profile", nargs="?", const="sample",
-                        choices=["cprofile", "sample"], default=None,
-                        metavar="MODE",
-                        help="profile the simulator itself on the host "
-                             "clock (events/sec, bucket shares, cProfile "
-                             "or sampled collapsed stacks)")
-    args = parser.parse_args(argv)
-    if args.profile is None:
-        run()
-        return 0
-    from repro.obs.hostprof import activate, deactivate, profile_session
-    meter = activate(HostProfiler())
-    session = profile_session(args.profile, prefix=prefix or "bench")
-    try:
-        with session:
-            run()
-    finally:
-        deactivate(meter)
-    if meter.events:
-        print_host(f"{title}: host self-profile", meter.report())
-    for path in session.paths:
-        print(f"profile artifact written to {path}")
-    return 0

@@ -14,14 +14,14 @@ Three pieces, all driven by the simulated clock:
   JSON loadable in Perfetto.
 * :mod:`repro.obs.timeline` — windowed busy/idle accounting and
   queue-depth telemetry for every contended resource (install a
-  :class:`UtilizationCollector` via ``sim.set_utilization``), and
+  :class:`UtilizationCollector` with ``sim.attach``), and
   :mod:`repro.obs.bottleneck` — the analyzer that names the saturated
   resource and its headroom.
 * :mod:`repro.obs.quantiles` — the one shared implementation of
   linear-interpolated percentiles and fixed-width histograms.
 * :mod:`repro.obs.bus` — the probe bus: hook sites emit each event
-  once; primitives, flight, series and views below are subscribers,
-  each installed with ``sim.attach(collector)``.
+  once; primitives, flight, series and views below are subscribers.
+  Every collector here installs with ``sim.attach(collector)``.
 * :mod:`repro.obs.primitives` — semantic counters for the PRISM
   primitives themselves (CAS outcomes and contention, pointer-chase
   depth, chain lengths/aborts, allocator watermarks, key hotness):
@@ -32,7 +32,7 @@ Three pieces, all driven by the simulated clock:
 * :mod:`repro.obs.hostprof` — the one layer on the *wall* clock:
   host-side self-profiling of the simulator itself (events/sec,
   per-bucket host-time attribution, cProfile/collapsed-stack export);
-  install a :class:`HostProfiler` via ``sim.set_hostprof``.
+  :class:`HostProfiler`.
 * :mod:`repro.obs.flight` — a bounded causal event log tying every
   layer's events (ops, retries, CAS misses, fault injections) to the
   client operation they belong to: :class:`FlightRecorder`.

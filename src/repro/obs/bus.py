@@ -7,15 +7,18 @@ series, views, flight) are folds over that one stream, so their totals
 reconcile by construction: one ``req.timeout`` is one timeout in the
 series windows, the views' rings, and the flight log alike.
 
-The install contract, the same for all of them::
+The install contract, the same for every observer (the tracer, the
+utilization monitors and the host profiler included — they are
+:class:`Observer` s that do not subscribe)::
 
     collector = sim.attach(Collector(...))   # BEFORE system construction
     ... build system, run ...
     collector.report()
 
-``Simulator.attach`` binds the collector to the simulated clock, creates
-``sim.bus`` on first use, and has ``collector.subscribe(bus)`` register
-its handlers per kind; attaching after the run has started raises. Off
+``Simulator.attach`` binds the collector to the simulated clock and, if
+it has ``subscribe``, creates ``sim.bus`` on first use and has
+``collector.subscribe(bus)`` register its handlers per kind; attaching
+after the run has started raises. Off
 by default: ``sim.bus`` is None until something attaches, so an
 unobserved run pays one attribute load per hook site. Handlers only
 update host-side state at transitions the run already makes — they
@@ -63,6 +66,25 @@ VOCABULARY = {
     "fault.starve": ("freelist name taken", "faults.injector"),
     "fault.restore": ("freelist name restored", "faults.injector"),
 }
+
+
+class Observer:
+    """What ``Simulator.attach`` and the bench harness ask of a collector.
+
+    ``bind(sim)`` takes the collector's named handle on the simulator
+    (``sim.tracer``, ``sim.flight``, ...) and returns the collector; one
+    that folds bus events also defines ``subscribe(bus)``. The harness
+    brackets a run with :meth:`configure` and :meth:`finish`; these
+    defaults serve the collectors that need neither.
+    """
+
+    __slots__ = ()
+
+    def configure(self, warmup_us, measure_us):
+        """The run's measurement geometry, before the system is built."""
+
+    def finish(self, now):
+        """The run ended at simulated time ``now``."""
 
 
 class Bus:

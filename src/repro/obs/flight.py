@@ -46,7 +46,7 @@ from collections import deque
 from functools import partial
 from itertools import count
 
-from repro.obs.bus import VOCABULARY
+from repro.obs.bus import VOCABULARY, Observer
 
 DEFAULT_CAPACITY = 65536
 
@@ -63,7 +63,7 @@ LOGGED_KINDS = (
 )
 
 
-class FlightRecorder:
+class FlightRecorder(Observer):
     """Bounded structured event log with per-operation causal context.
 
     Events are plain dicts ``{"seq", "t", "op", "kind", ...fields}``;

@@ -46,7 +46,7 @@ only *reads* the wall clock — it never touches the simulated clock,
 the event queue, or any model state — simulated results are
 bit-identical whether profiling is off or on.
 
-Installation: ``sim.set_hostprof(HostProfiler())`` (the bench harness
+Installation: ``sim.attach(HostProfiler())`` (the bench harness
 does this for ``--profile`` runs), or :func:`activate` to set the
 ambient profiler that every subsequently constructed
 :class:`~repro.sim.kernel.Simulator` picks up — the hook for
@@ -57,6 +57,8 @@ import os
 import sys
 import threading
 from time import perf_counter
+
+from repro.obs.bus import Observer
 
 #: attribution buckets, in report order
 BUCKETS = ("dispatch", "resume", "resource", "codec",
@@ -73,7 +75,7 @@ def activate(profiler):
 
     Every :class:`~repro.sim.kernel.Simulator` constructed while a
     profiler is active adopts it, and the module-level codec hooks
-    charge to it. ``sim.set_hostprof`` calls this implicitly so the
+    charge to it. :meth:`HostProfiler.bind` calls this so the
     codec hooks always agree with the kernel's installed profiler.
     """
     global ACTIVE
@@ -89,7 +91,7 @@ def deactivate(profiler=None):
         ACTIVE = None
 
 
-class HostProfiler:
+class HostProfiler(Observer):
     """Wall-clock meter for the kernel hot path.
 
     Counters (``events``, ``resumes``) are exact; bucket attribution
@@ -118,6 +120,17 @@ class HostProfiler:
         self._current = None
         self._last = 0.0
         self._run_t0 = 0.0
+
+    def bind(self, sim):
+        """Meter ``sim`` (``sim.attach`` calls this) and become the
+        ambient profiler, so the codec hooks — which have no simulator
+        handle — charge here too."""
+        sim.hostprof = activate(self)
+        return self
+
+    def finish(self, now):
+        """Stop being the ambient profiler once the run is over."""
+        deactivate(self)
 
     # -- kernel loop hooks -------------------------------------------------
 

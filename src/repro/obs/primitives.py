@@ -20,6 +20,7 @@ bound so reports can show how trustworthy each count is.
 """
 
 from repro.core.chain import abort_reason
+from repro.obs.bus import Observer
 
 
 class TopK:
@@ -92,7 +93,7 @@ def _op_hops(op):
             + int(getattr(op, "data_indirect", False)))
 
 
-class PrimitiveCollector:
+class PrimitiveCollector(Observer):
     """Semantic counters for CAS, indirect reads, chains, ALLOCATE,
     and app-level key hotness. See the module docstring for the
     install pattern and the bit-identical guarantee."""

@@ -40,6 +40,7 @@ centroid run of that window — documented, observable via the
 import math
 
 from repro.obs import quantiles
+from repro.obs.bus import Observer
 
 #: default series window width, simulated microseconds
 DEFAULT_WINDOW_US = 50.0
@@ -210,7 +211,7 @@ class _Window:
         self.counters[name] = self.counters.get(name, 0) + n
 
 
-class SeriesCollector:
+class SeriesCollector(Observer):
     """Event-driven windowed time series on the simulated clock.
 
     The workload driver reports every operation completion via

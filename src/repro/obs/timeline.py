@@ -21,7 +21,7 @@ Usage::
     from repro.sim import Simulator
 
     sim = Simulator()
-    collector = sim.set_utilization(UtilizationCollector())
+    collector = sim.attach(UtilizationCollector())
     ...build the system; every Resource self-registers...
     sim.run(...)
     collector.finish(sim.now)
@@ -44,6 +44,7 @@ Three monitor flavours:
 from collections import deque
 
 from repro.obs import quantiles
+from repro.obs.bus import Observer
 
 #: default accounting window, simulated microseconds
 DEFAULT_WINDOW_US = 100.0
@@ -386,10 +387,10 @@ class DepthMonitor(_WindowedMonitor):
         return row
 
 
-class UtilizationCollector:
+class UtilizationCollector(Observer):
     """The per-run home of every monitor.
 
-    Install with :meth:`repro.sim.kernel.Simulator.set_utilization`
+    Install with :meth:`repro.sim.kernel.Simulator.attach`
     *before* building the system: every
     :class:`~repro.sim.resources.Resource` created afterwards
     self-registers, and the instrumented layers (PCIe, engine,
@@ -402,21 +403,30 @@ class UtilizationCollector:
         self.window_us = float(window_us)
         self.monitors = []
         self._sim = None
-        #: analysis window bounds; the bench harness sets these to the
-        #: measurement window so warmup does not dilute utilization
+        #: analysis window bounds; :meth:`configure` sets them
         self.measure_from = 0.0
         self.measure_until = None
         self.elapsed = None
 
     def bind(self, sim):
+        """Attach to the simulator (``sim.attach`` calls this); every
+        resource built afterwards registers through
+        ``sim.utilization``."""
         self._sim = sim
+        sim.utilization = self
         return self
+
+    def configure(self, warmup_us, measure_us):
+        """Report over the measurement window, so warmup does not
+        dilute utilization."""
+        self.measure_from = warmup_us
+        self.measure_until = warmup_us + measure_us
 
     @property
     def sim(self):
         if self._sim is None:
             raise RuntimeError(
-                "collector not bound; install it with sim.set_utilization()")
+                "collector not bound; install it with sim.attach()")
         return self._sim
 
     # -- attachment --------------------------------------------------------

@@ -32,6 +32,8 @@ code threads it through the same call sites at the cost of a method
 call per instrumentation point — no allocation, no clock reads.
 """
 
+from repro.obs.bus import Observer
+
 
 class Span:
     """One timed, labeled interval; node of a per-operation tree."""
@@ -165,7 +167,7 @@ class _NullSpan:
 NULL_SPAN = _NullSpan()
 
 
-class Tracer:
+class Tracer(Observer):
     """Collects span trees for one simulation run.
 
     Bind it to a simulator (``Tracer(sim)`` or :meth:`bind`) so spans
@@ -189,8 +191,11 @@ class Tracer:
         self._live_processes = {}
 
     def bind(self, sim):
-        """Attach to the simulator whose clock stamps the spans."""
+        """Attach to the simulator whose clock stamps the spans
+        (``sim.attach`` calls this); instrumented layers read
+        ``sim.tracer``."""
         self._sim = sim
+        sim.tracer = self
         return self
 
     @property

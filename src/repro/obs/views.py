@@ -45,6 +45,7 @@ proves the wiring).
 """
 
 from repro.obs import quantiles
+from repro.obs.bus import Observer
 
 #: default sliding-window width, simulated microseconds
 DEFAULT_WINDOW_US = 50.0
@@ -141,7 +142,7 @@ class _Ewma:
         self.count += 1
 
 
-class ViewCollector:
+class ViewCollector(Observer):
     """Bounded-memory sliding-window telemetry views on the sim clock.
 
     See the module docstring for the install pattern, the off-by-

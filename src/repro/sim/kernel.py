@@ -244,15 +244,11 @@ class Process(Event):
 class Simulator:
     """Deterministic discrete-event simulator with a microsecond clock.
 
-    Observability: ``tracer`` defaults to the no-op
-    :data:`~repro.obs.trace.NULL_TRACER`; :meth:`set_tracer` installs a
-    recording :class:`~repro.obs.trace.Tracer` (binding it to this
-    clock) so instrumented layers emit spans and process lifetimes are
-    reported to the tracer's kernel hooks. ``utilization`` defaults to
-    None; :meth:`set_utilization` installs a
-    :class:`~repro.obs.timeline.UtilizationCollector` *before* system
-    construction so every contended resource created on this simulator
-    self-registers for busy/queue accounting. ``events_executed``
+    Observability is off by default: ``tracer`` is the no-op
+    :data:`~repro.obs.trace.NULL_TRACER` and every other observer
+    handle is None. :meth:`attach` is the one installer — call it
+    *before* system construction, so resources, engines and servers
+    register with the observer as they are built. ``events_executed``
     counts queue entries run — a cheap health counter the metrics
     registry can absorb. (Tombstoned — cancelled — timers are skipped,
     not run, so they are not counted.)
@@ -271,10 +267,12 @@ class Simulator:
         #: the probe bus every hook site emits on; None until the
         #: first :meth:`attach`, so unobserved runs pay one load
         self.bus = None
-        # Named handles the collectors' ``bind`` fills, for post-hoc
-        # readers — the data path only ever sees ``bus``. ``flight``
-        # doubles as the kernel's process-context handle, ``views`` as
-        # what ``PrismClient.views`` exposes for in-sim queries.
+        # Named handles the observers' ``bind`` fills (``tracer``,
+        # ``utilization`` and ``hostprof`` too). Those of the event
+        # collectors are for post-hoc readers — the data path only ever
+        # sees ``bus``. ``flight`` doubles as the kernel's
+        # process-context handle, ``views`` as what
+        # ``PrismClient.views`` exposes for in-sim queries.
         self.flight = None
         self.series = None
         self.views = None
@@ -282,21 +280,6 @@ class Simulator:
         # normal runs; standalone --profile scripts activate one).
         self.hostprof = _hostprof.ACTIVE
         self.events_executed = 0
-
-    def set_tracer(self, tracer):
-        """Install (and bind) a tracer; returns it for chaining."""
-        self.tracer = tracer.bind(self)
-        return tracer
-
-    def set_utilization(self, collector):
-        """Install (and bind) a utilization collector; returns it.
-
-        Monitors integrate state at event transitions and never
-        schedule events of their own, so a collected run's timing is
-        bit-identical to an uncollected one.
-        """
-        self.utilization = collector.bind(self)
-        return collector
 
     def _check_not_started(self, what):
         """Install-before-run contract shared by the installers: a
@@ -313,22 +296,25 @@ class Simulator:
                 "seen from time zero")
 
     def attach(self, collector):
-        """Install an event collector on the probe bus; returns it.
+        """Install an observer; returns it.
 
-        The one installer for :class:`~repro.obs.PrimitiveCollector`,
-        :class:`~repro.obs.SeriesCollector`,
-        :class:`~repro.obs.ViewCollector` and
-        :class:`~repro.obs.FlightRecorder`. Install *before* system
-        construction so engines, servers and clients pick the bus up.
-        The collector is bound to this clock and subscribes its
-        handlers to ``self.bus``, created here on first use; see
-        :mod:`repro.obs.bus` for the contract (bit-identical timing
-        included)."""
+        The one installer for all seven :mod:`repro.obs` collectors.
+        Install *before* system construction so resources, engines,
+        servers and clients pick the observer up. ``collector.bind``
+        takes its named handle on this simulator (``self.tracer``,
+        ``self.utilization``, ``self.hostprof``, ``self.flight``, ...);
+        a collector that folds probe events also has ``subscribe`` and
+        is subscribed to ``self.bus``, created here on first use — so a
+        tracer, utilization collector or host profiler leaves the bus
+        (and every hook site's emit) off. See :mod:`repro.obs.bus` for
+        the contract (bit-identical timing included)."""
         self._check_not_started("attach")
         bound = collector.bind(self)
-        if self.bus is None:
-            self.bus = Bus()
-        bound.subscribe(self.bus)
+        subscribe = getattr(bound, "subscribe", None)
+        if subscribe is not None:
+            if self.bus is None:
+                self.bus = Bus()
+            subscribe(self.bus)
         return bound
 
     def set_faults(self, plan):
@@ -347,22 +333,6 @@ class Simulator:
                     else FaultInjector(plan))
         self.faults = injector.bind(self)
         return self.faults
-
-    def set_hostprof(self, profiler):
-        """Install a host-side self-profiler; returns it for chaining.
-
-        Unlike the simulated-time collectors, a
-        :class:`~repro.obs.hostprof.HostProfiler` measures the *wall
-        clock* cost of running this simulator (events/sec, per-bucket
-        host-time attribution). It only reads ``time.perf_counter()``
-        — never the simulated clock or the queue — so simulated
-        results are bit-identical with or without it. Also makes the
-        profiler ambient (:func:`repro.obs.hostprof.activate`) so the
-        codec hooks, which have no simulator handle, charge to it.
-        """
-        self.hostprof = profiler
-        _hostprof.activate(profiler)
-        return profiler
 
     @property
     def now(self):

@@ -87,7 +87,7 @@ class Resource:
     ``kind`` classifies the resource for utilization reports and the
     bottleneck analyzer ("cpu", "nic", "wire", ...). When the owning
     simulator has a utilization collector installed
-    (``sim.set_utilization``), the resource self-registers a
+    (``sim.attach``), the resource self-registers a
     :class:`~repro.obs.timeline.ResourceMonitor` that observes every
     acquire/grant/release; with no collector the hooks are a single
     ``is None`` check and timing is untouched.

@@ -140,18 +140,6 @@ def test_sweep_wall_line_reports_events_per_sec(capsys):
     assert "events/s" in out
 
 
-def test_compare_host_flag(tmp_path, monkeypatch, capsys):
-    monkeypatch.chdir(tmp_path)
-    record = tmp_path / "host.json"
-    assert main(["point", "--kind", "kv", "--flavor", "prism-sw",
-                 "--clients", "2", "--keys", "200",
-                 "--json", str(record), "--profile"]) == 0
-    assert main(["compare", str(record), str(record), "--host"]) == 0
-    out = capsys.readouterr().out
-    assert "host.events_per_sec" in out
-    assert "compare: PASS" in out
-
-
 def test_fig1_profile_meters_internal_simulators(tmp_path, monkeypatch,
                                                  capsys):
     # fig1 builds its simulators inside the microbench helpers; the
@@ -382,31 +370,3 @@ def test_compare_series_flag(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "series.steady_mean_us" in out
     assert "compare: PASS" in out
-
-
-def test_compare_host_and_series_combined(tmp_path, monkeypatch, capsys):
-    # --host and --series compose: one invocation checks both band
-    # families, and a trip in either fails the compare.
-    monkeypatch.chdir(tmp_path)
-    record = tmp_path / "run.json"
-    assert main(["point", "--kind", "kv", "--flavor", "prism-sw",
-                 "--clients", "2", "--keys", "200",
-                 "--series", "--profile", "--json", str(record)]) == 0
-    capsys.readouterr()
-    assert main(["compare", str(record), str(record),
-                 "--host", "--series"]) == 0
-    out = capsys.readouterr().out
-    assert "host.events_per_sec" in out
-    assert "series.steady_mean_us" in out
-    assert "compare: PASS" in out
-    # A tripped series band still fails while host passes.
-    import json as json_mod
-    data = json_mod.loads(record.read_text())
-    worse = json_mod.loads(record.read_text())
-    worse["points"][0]["series"]["steady_state"]["steady_mean_us"] *= 2
-    run = tmp_path / "worse.json"
-    run.write_text(json_mod.dumps(worse))
-    assert data["points"][0]["host"]["events_per_sec"] > 0
-    assert main(["compare", str(record), str(run),
-                 "--host", "--series"]) == 1
-    assert "compare: FAIL" in capsys.readouterr().out

@@ -134,3 +134,17 @@ class TestAggregatedSourceModel:
                            measure_us=200)
         assert result.wall_s > 0
         assert result.extra["events_executed"] > 0
+
+
+def test_observer_keywords_accept_none_and_reject_unknown_names():
+    point = dict(n_clients=2, n_keys=200, warmup_us=50, measure_us=300)
+
+    def workload(index):
+        return YCSB_C(200, seed=1, client_id=index)
+
+    bare = run_point("kv", "prism-sw", workload, **point)
+    # An observer keyword set to None is an observer left off.
+    assert run_point("kv", "prism-sw", workload, utilization=None,
+                     tracer=None, faults=None, **point) == bare
+    with pytest.raises(TypeError, match="unexpected keyword argument 'n_key'"):
+        run_point("kv", "prism-sw", workload, n_key=5, **point)

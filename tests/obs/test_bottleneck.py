@@ -77,7 +77,7 @@ class TestAnalyzeSynthetic:
 class TestAnalyzeWorkloads:
     def test_cpu_bound_rpc_workload(self, sim):
         """Closed-loop RPCs against a single-core server saturate CPU."""
-        collector = sim.set_utilization(UtilizationCollector())
+        collector = sim.attach(UtilizationCollector())
         fabric = make_fabric(sim, RACK, ["client", "server"])
         server = RpcServer(sim, fabric, "server",
                            config=RpcConfig(cores=1))

@@ -14,7 +14,7 @@ from repro.sim import Simulator
 
 def _traced_run():
     sim = Simulator()
-    tracer = sim.set_tracer(Tracer(trace_processes=True))
+    tracer = sim.attach(Tracer(trace_processes=True))
 
     def op(name):
         with tracer.root(name) as root:
@@ -71,7 +71,7 @@ class TestToChromeEvents:
 
     def test_unfinished_spans_skipped(self):
         sim = Simulator()
-        tracer = sim.set_tracer(Tracer())
+        tracer = sim.attach(Tracer())
         tracer.root("never-finished")
         assert to_chrome_events(tracer.roots) == []
 

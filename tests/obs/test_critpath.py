@@ -8,11 +8,8 @@ for quorum fan-out, where the phase breakdown over-counts.
 
 import pytest
 
-from repro.bench.tracing import (
-    check_critpath,
-    measured_roots,
-    run_traced_point,
-)
+from repro.bench.observers import run_traced_point
+from repro.bench.tracing import check_critpath, measured_roots
 from repro.obs import (
     Tracer,
     critical_attribution,

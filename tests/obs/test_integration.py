@@ -14,11 +14,8 @@ import json
 import pytest
 
 from repro.bench.harness import run_point
-from repro.bench.tracing import (
-    check_breakdown,
-    measured_roots,
-    run_traced_point,
-)
+from repro.bench.observers import run_traced_point
+from repro.bench.tracing import check_breakdown, measured_roots
 from repro.obs import Tracer, breakdown, phase_attribution
 from repro.workload import YCSB_A
 

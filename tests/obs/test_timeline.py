@@ -17,7 +17,7 @@ from repro.workload import YCSB_C
 
 
 def _collector(sim, window_us=10.0):
-    return sim.set_utilization(UtilizationCollector(window_us=window_us))
+    return sim.attach(UtilizationCollector(window_us=window_us))
 
 
 def _hold(sim, resource, duration):
@@ -193,7 +193,7 @@ class TestDeterminism:
 
     def test_default_window(self):
         sim = Simulator()
-        collector = sim.set_utilization(UtilizationCollector())
+        collector = sim.attach(UtilizationCollector())
         assert collector.window_us == DEFAULT_WINDOW_US
         resource = Resource(sim, name="auto")
         assert resource.monitor in collector.monitors

@@ -8,7 +8,7 @@ from repro.sim import Simulator
 
 class TestSpanNesting:
     def test_spans_stamp_simulated_time(self, sim, drive):
-        tracer = sim.set_tracer(Tracer())
+        tracer = sim.attach(Tracer())
 
         def work():
             with tracer.root("op") as root:
@@ -31,7 +31,7 @@ class TestSpanNesting:
     def test_interleaved_processes_keep_separate_trees(self, sim):
         """Two concurrent operations never share children — the reason
         parents are passed explicitly instead of via a global stack."""
-        tracer = sim.set_tracer(Tracer())
+        tracer = sim.attach(Tracer())
 
         def op(name, delay):
             with tracer.root(name) as root:
@@ -47,7 +47,7 @@ class TestSpanNesting:
         assert trees == {"a": ["a.leaf"], "b": ["b.leaf"]}
 
     def test_finish_is_idempotent(self, sim):
-        tracer = sim.set_tracer(Tracer())
+        tracer = sim.attach(Tracer())
         span = tracer.root("op")
         span.finish()
         end = span.end
@@ -55,7 +55,7 @@ class TestSpanNesting:
         assert span.end == end
 
     def test_walk_preorder(self, sim):
-        tracer = sim.set_tracer(Tracer())
+        tracer = sim.attach(Tracer())
         root = tracer.root("r")
         a = root.child("a")
         a.child("a1")
@@ -63,7 +63,7 @@ class TestSpanNesting:
         assert [s.name for s in root.walk()] == ["r", "a", "a1", "b"]
 
     def test_annotate_and_parts(self, sim):
-        tracer = sim.set_tracer(Tracer())
+        tracer = sim.attach(Tracer())
         span = tracer.root("op").annotate(key=7)
         span.set_parts({"nic": 0.3, "pcie": 0.7})
         assert span.attrs["key"] == 7
@@ -103,7 +103,7 @@ class TestNullPath:
 
 class TestProcessSpans:
     def test_process_lifetimes_recorded(self, sim):
-        tracer = sim.set_tracer(Tracer(trace_processes=True))
+        tracer = sim.attach(Tracer(trace_processes=True))
 
         def work():
             yield sim.timeout(4.0)
@@ -115,7 +115,7 @@ class TestProcessSpans:
         assert span.duration == pytest.approx(4.0)
 
     def test_processes_untracked_by_default(self, sim):
-        tracer = sim.set_tracer(Tracer())
+        tracer = sim.attach(Tracer())
 
         def work():
             yield sim.timeout(1.0)
