@@ -7,7 +7,7 @@ hook in the data path is a single ``is None`` check and a run's timing
 is bit-identical to an uninjected one.
 
 Determinism: every stochastic choice draws from a named substream of
-``SeededRng(plan.seed)``; message fate draws happen in fabric send
+``SeededRng(plan.seed)``; message fate draws happen in TX-finish
 order (itself deterministic), retry backoff jitter draws from one
 stream per request channel. Same plan + same workload seed ⇒ the same
 drops, the same retransmissions, the same ``RunResult``.
@@ -98,9 +98,11 @@ class FaultInjector:
         return host_name in self._down
 
     def on_message(self, message):
-        """Draw this message's fate; one verdict per fabric send. Runs
-        in the sender's process, so the fate's bus event attributes to
-        the operation the message serves (requests and replies alike)."""
+        """Draw this message's fate; one verdict per posted message,
+        as its last byte leaves the TX port. Runs under the poster's
+        flight context (carried by the delivery), so the fate's bus
+        event attributes to the operation the message serves (requests
+        and replies alike)."""
         plan = self.plan
         drop = plan.drop > 0.0 and self._net.random() < plan.drop
         duplicate = (plan.duplicate > 0.0

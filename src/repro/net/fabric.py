@@ -7,10 +7,11 @@ port, then is handed to the destination service handler.
 
 Service handlers are plain callables ``handler(message)`` registered
 per host; they typically spawn a process to do timed work and reply
-via :meth:`Fabric.send`.
+via :meth:`Fabric.post`.
 """
 
 from repro.obs.trace import NULL_SPAN, Span
+from repro.sim.events import Event
 from repro.sim.resources import BandwidthPipe
 from repro.net.message import Message
 
@@ -76,95 +77,84 @@ class Fabric:
             return 0.0
         return self.one_way_latency_us
 
+    def post(self, src_name, dst_name, service, payload, size_bytes,
+             span=NULL_SPAN):
+        """Hand a message to the source NIC; returns its delivery at once.
+
+        Like a posted work request, the message is the NIC's from here
+        on: a :class:`_Delivery` carries it through the TX port, the
+        path, the RX port and into the service handler with no process
+        involved, and it cannot be withdrawn. ``delivery.tx_done`` is
+        the instant its last byte will have left the TX port.
+
+        ``span`` parents the transfer's wire/queue spans (it rides on
+        the message).
+        """
+        message = Message(src_name, dst_name, service, payload, size_bytes)
+        message.send_time = self.sim.now
+        message.span = span
+        delivery = _Delivery(self, message, self.sim.context())
+        delivery.tx_done = self.hosts[src_name].tx.claim(
+            delivery, size_bytes, span)
+        return delivery
+
     def send(self, src_name, dst_name, service, payload, size_bytes,
              span=NULL_SPAN):
-        """Process helper: send a message; returns when handed to RX queue.
+        """Process helper: :meth:`post`, then wait until the message has
+        left the TX port; returns it.
 
-        Delivery to the service handler happens asynchronously (a
-        :class:`_Delivery` on the kernel's heap), so the sender is
-        released as soon as its TX port is free — matching how a NIC
-        really behaves.
-
-        ``span`` parents the transfer's wire/queue spans: TX
-        serialization here, propagation and RX serialization in the
-        delivery (the span rides on the message).
+        Only the wait belongs to the caller: interrupting it neither
+        recalls the message nor frees the port early.
         """
-        sim = self.sim
-        message = Message(src_name, dst_name, service, payload, size_bytes)
-        message.send_time = sim.now
-        message.span = span
-        src = self.hosts[src_name]
-        yield from src.tx.transmit(size_bytes, span=span)
-        faults = sim.faults
-        if faults is None:
-            _Delivery(self, message, 0.0)
-            return message
-        # Fault point: the message has left the TX port (the sender paid
-        # serialization either way); it may now vanish, fork, or lag.
-        hp = sim.hostprof
-        if hp is not None and not hp._timing:
-            # Stride sampling: attribution is off for this event.
-            hp = None
-        if hp is not None:
-            hp.enter("hooks.faults")
-        fate = faults.on_message(message)
-        if hp is not None:
-            hp.exit()
-        if fate.drop:
-            return message
-        _Delivery(self, message, fate.delay_us)
-        if fate.duplicate:
-            _Delivery(self, message, fate.delay_us)
-        return message
+        sent = Event(self.sim)
+        self.post(src_name, dst_name, service, payload, size_bytes,
+                  span).sent = sent
+        return (yield sent)
 
 
 #: what the heap entry a delivery is waiting on stands for
-_LAG, _WIRE, _RX = range(3)
+_TX, _LAG, _WIRE, _RX = range(4)
 
 
 class _Delivery:
     """One message in flight: a scheduled payload, not a process.
 
-    The delivery is its own heap payload (``Simulator.schedule``) and
-    its own RX-grant callback, advancing by stage: injected fault
-    delay, propagation, arrival (crash-drop check, RX port claim), RX
-    grant, RX serialization, handler. Every stage is one kernel entry
-    that does model work — no bootstrap, no resume, no completion
-    event. A duplicated message is two deliveries sharing one
-    :class:`Message`.
+    The delivery is its own heap payload (``Simulator.schedule_at``)
+    and its own holder on both ports, advancing by stage: TX
+    serialization, [fault fate: injected delay,] propagation, arrival
+    (crash-drop check, RX port claim), RX serialization, handler.
+    Every kernel entry is an instant at which model time has been
+    spent — the end of TX serialization, of propagation, of RX
+    serialization; no grant hop, no bootstrap, no resume, no
+    completion event. A duplicated message is two deliveries sharing
+    one :class:`Message`, the twin starting after the TX port.
 
-    The sender's flight-recorder context is captured at ``send`` and
-    entered wherever a stage calls out of the fabric (the crash-drop
-    note, the service handler), so fault events, the handler's
-    ``spawn`` and a reply's bus events attribute to the originating
-    operation.
+    The poster's flight-recorder context is captured at ``post`` and
+    entered wherever a stage calls out of the fabric (the fate draw,
+    the crash-drop note, the service handler), so fault events, the
+    handler's ``spawn`` and a reply's bus events attribute to the
+    originating operation.
 
     The delivery holds no reference to anything that refers back to
     it (in particular no bound method of itself): ``gc`` is off while
     a benchmark point runs, so a per-message cycle would be a leak.
     """
 
-    __slots__ = ("fabric", "message", "stage", "span", "_flight_ctx")
+    __slots__ = ("fabric", "message", "stage", "span", "_flight_ctx",
+                 "tx_done", "sent")
 
     #: the kernel's tombstone check; a message in flight is never withdrawn
     cancelled = False
 
-    def __init__(self, fabric, message, extra_delay_us):
+    def __init__(self, fabric, message, flight_ctx):
         self.fabric = fabric
         self.message = message
-        #: the open span of the current stage (None when not tracing)
+        self.stage = _TX
+        #: the open propagation span (None when not tracing)
         self.span = None
-        sim = fabric.sim
-        self._flight_ctx = sim.context()
-        if fabric.monitor is not None:
-            fabric.monitor.adjust(+1)
-        # The injected delay and the path latency are two timers, never
-        # one: (t + d) + l and t + (d + l) differ in the last bit.
-        if extra_delay_us > 0.0:
-            self.stage = _LAG
-            sim.schedule(extra_delay_us, self)
-        else:
-            self._propagate()
+        self._flight_ctx = flight_ctx
+        #: what a ``Fabric.send`` caller is waiting on, if anyone is
+        self.sent = None
 
     def fire(self):
         """The timer of the current stage ran out."""
@@ -173,6 +163,48 @@ class _Delivery:
             self._arrive()
         elif stage == _RX:
             self._hand_over()
+        elif stage == _TX:
+            self._leave()
+        else:
+            self._propagate()
+
+    def _leave(self):
+        """The last byte has left the TX port."""
+        fabric = self.fabric
+        sim = fabric.sim
+        message = self.message
+        fabric.hosts[message.src].tx.finish()
+        faults = sim.faults
+        if faults is None:
+            self._launch(0.0)
+        else:
+            # Fault point: the message has left the TX port (the port
+            # was occupied either way); it may now vanish, fork, or
+            # lag. Fates are drawn in TX-finish order.
+            hp = sim.hostprof
+            if hp is not None:
+                hp.enter("hooks.faults")
+            fate = sim.call_as(self, faults.on_message, message)
+            if hp is not None:
+                hp.exit()
+            if not fate.drop:
+                self._launch(fate.delay_us)
+                if fate.duplicate:
+                    _Delivery(fabric, message,
+                              self._flight_ctx)._launch(fate.delay_us)
+        if self.sent is not None:
+            # Like a timer's waiter, the sender resumes in this entry.
+            self.sent.succeed_now(message)
+
+    def _launch(self, extra_delay_us):
+        fabric = self.fabric
+        if fabric.monitor is not None:
+            fabric.monitor.adjust(+1)
+        # The injected delay and the path latency are two timers, never
+        # one: (t + d) + l and t + (d + l) differ in the last bit.
+        if extra_delay_us > 0.0:
+            self.stage = _LAG
+            fabric.sim.schedule(extra_delay_us, self)
         else:
             self._propagate()
 
@@ -205,25 +237,15 @@ class _Delivery:
             if fabric.monitor is not None:
                 fabric.monitor.adjust(-1)
             return
-        grant, self.span = fabric.hosts[message.dst].rx.claim(message.span)
-        # A fresh grant cannot have been processed yet, so this is
-        # ``add_callback`` without the call.
-        grant.callbacks.append(self)
-
-    def __call__(self, grant):
-        """The RX port is ours: serialize into it."""
-        fabric = self.fabric
-        message = self.message
-        duration, self.span = fabric.hosts[message.dst].rx.start(
-            message.size_bytes, message.span, self.span)
         self.stage = _RX
-        fabric.sim.schedule(duration, self)
+        fabric.hosts[message.dst].rx.claim(self, message.size_bytes,
+                                           message.span)
 
     def _hand_over(self):
         fabric = self.fabric
         message = self.message
         dst = fabric.hosts[message.dst]
-        dst.rx.finish(message.size_bytes, self.span)
+        dst.rx.finish()
         fabric.messages_delivered += 1
         if fabric.monitor is not None:
             fabric.monitor.adjust(-1)

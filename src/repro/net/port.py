@@ -153,14 +153,17 @@ class RequestChannel:
                     post_span.end = sim._now
             else:
                 yield sim.timeout(self.post_overhead_us)
-        yield from self.fabric.send(self.host_name, dst, service, request,
+        # Post and wait for the reply only — never on the local send
+        # completion. The ack timer starts when the request has left
+        # the TX port: an instant the port already knows.
+        delivery = self.fabric.post(self.host_name, dst, service, request,
                                     request_size, span=span)
         if timeout_us is None:
             result = yield reply_event
         else:
-            winner = yield sim.any_of(
-                [reply_event, sim.timeout(timeout_us)])
-            index, value = winner
+            index, value = yield sim.any_of(
+                [reply_event,
+                 sim.sleep_until(delivery.tx_done + timeout_us)])
             if index == 1:
                 if (self._pending.pop(request_id, None) is not None
                         and self.monitor is not None):
@@ -257,6 +260,8 @@ def send_reply(fabric, server_host, request, body, size_bytes, ok=True,
     """
     reply = Reply(request.id, body, ok=ok)
     reply.logical_id = request.logical_id
-    yield from fabric.send(server_host, request.reply_host,
-                           request.reply_service, reply, size_bytes,
-                           span=span)
+    fabric.post(server_host, request.reply_host, request.reply_service,
+                reply, size_bytes, span=span)
+    # Posting takes no simulated time, so the helper never waits; it
+    # stays a generator because servers ``yield from`` (or spawn) it.
+    yield from ()

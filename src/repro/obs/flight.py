@@ -25,8 +25,8 @@ executing (an enter/exit stack in ``Process._step``), the driver binds
 the current client operation's id to its process at ``op_open``, and a
 process spawned while another runs *inherits* the spawner's operation
 context. A message in flight is not a process: its context rides on
-the fabric's delivery object, captured from the sender at
-``Fabric.send`` (``Simulator.context``) and entered around the
+the fabric's delivery object, captured from the poster at
+``Fabric.post`` (``Simulator.context``) and entered around the
 delivery's callouts (``Simulator.call_as``). Since the server spawns
 its handler from that callout and replies are sent from the handler,
 the whole request/reply tree — including fault fates on either

@@ -234,12 +234,27 @@ class _WindowedMonitor:
         return row
 
 
+def _obs_hook(hook):
+    """Charge a monitor hook's host time to the profiler's
+    ``hooks.obs`` bucket — here, so no driving site has to."""
+    def metered(self, *args, **kwargs):
+        hp = self.sim.hostprof
+        if hp is not None:
+            hp.enter("hooks.obs")
+        hook(self, *args, **kwargs)
+        if hp is not None:
+            hp.exit()
+    return metered
+
+
 class ResourceMonitor(_WindowedMonitor):
-    """Busy/queue accounting for a slot-based FIFO resource.
+    """Busy/queue accounting for a slot-based FIFO server.
 
     Driven by :class:`repro.sim.resources.Resource` at every acquire,
-    grant, and release. Also samples the queueing delay of every grant
-    (zero for uncontended acquires) into a distribution.
+    grant, and release, and by :class:`~repro.sim.resources.
+    BandwidthPipe` at every claim and finish. Also samples the queueing
+    delay of every grant (zero for uncontended acquires) into a
+    distribution.
     """
 
     __slots__ = ("requests", "grants", "releases", "enqueues",
@@ -256,6 +271,7 @@ class ResourceMonitor(_WindowedMonitor):
         self.cancels = 0
         self.queue_delays = []
 
+    @_obs_hook
     def on_request(self, queued):
         """An acquire() arrived; ``queued`` when no slot was free."""
         self._advance(self.sim._now)
@@ -277,6 +293,7 @@ class ResourceMonitor(_WindowedMonitor):
         self._in_use += 1
         self.queue_delays.append(waited_us)
 
+    @_obs_hook
     def on_uncontended_grant(self):
         """Fused ``on_request(queued=False)`` + ``on_grant(0.0,
         from_queue=False)``: both hooks fire at the same instant on an
@@ -290,6 +307,7 @@ class ResourceMonitor(_WindowedMonitor):
         self._in_use += 1
         self.queue_delays.append(0.0)
 
+    @_obs_hook
     def on_handoff(self, waited_us):
         """Fused ``on_release`` + ``on_grant(waited_us,
         from_queue=True)``: a freed slot handed straight to a waiter
@@ -304,12 +322,14 @@ class ResourceMonitor(_WindowedMonitor):
         self.dequeues += 1
         self.queue_delays.append(waited_us)
 
+    @_obs_hook
     def on_release(self):
         """A slot was freed (possibly handed straight to a waiter)."""
         self._advance(self.sim._now)
         self.releases += 1
         self._in_use -= 1
 
+    @_obs_hook
     def on_cancel(self):
         """A queued acquire was abandoned (interrupt, timeout) before
         any slot was granted — a dequeue that is not a grant."""
@@ -431,10 +451,12 @@ class UtilizationCollector(Observer):
 
     # -- attachment --------------------------------------------------------
 
-    def watch_resource(self, resource, kind=None):
-        """Attach a :class:`ResourceMonitor` to a FIFO resource."""
+    def watch_resource(self, resource, kind=None, name=None):
+        """Attach a :class:`ResourceMonitor` to a FIFO server: a
+        ``Resource``, or a ``BandwidthPipe`` (which reports as the
+        ``<pipe>.port`` it has always been and drives the same hooks)."""
         monitor = ResourceMonitor(
-            resource.sim, resource.name, kind or resource.kind,
+            resource.sim, name or resource.name, kind or resource.kind,
             capacity=resource.capacity, window_us=self.window_us)
         resource.monitor = monitor
         resource._wait_since = deque()

@@ -107,6 +107,21 @@ class Event:
         self.sim._ready.append(self)
         return self
 
+    def succeed_now(self, value=None):
+        """:meth:`succeed`, running the waiters in the calling kernel
+        entry instead of a ready-deque entry of their own.
+
+        For a caller that is itself the entry at which the awaited
+        thing happened (a scheduled payload reaching its instant): the
+        waiters run where a timer's would (see :meth:`TimerEvent.fire`).
+        """
+        if self._triggered:
+            raise SimulationError("event has already been triggered")
+        self._ok = True
+        self._value = value
+        self._triggered = True
+        self._process()
+
     def fail(self, exception):
         """Trigger the event as failed; waiters see ``exception`` raised."""
         if self._triggered:

@@ -349,6 +349,16 @@ class Simulator:
         """An event that succeeds ``delay`` microseconds from now."""
         if delay < 0:
             raise SimulationError(f"negative delay: {delay}")
+        return self.sleep_until(self._now + delay, value)
+
+    def sleep_until(self, when, value=None):
+        """An event that succeeds at absolute simulated time ``when`` —
+        exactly that float, never ``now + (when - now)``.
+
+        ``when`` in the past (or now) fires on the next kernel step at
+        the current time, so daemons can use it as an idempotent
+        "no earlier than" barrier.
+        """
         # TimerEvent.__init__ inlined — timers are the most common
         # allocation in the kernel, and skipping the constructor frame
         # is worth ~a call per event on the dominant op path.
@@ -361,42 +371,46 @@ class Simulator:
         event._processed = False
         event._fire_value = value
         event.cancelled = False
-        # Compare the *computed* deadline, not the delay: a denormal
-        # delay that rounds to the current instant must keep FIFO
-        # position with other same-instant work (the heap only ever
-        # holds strictly-future entries — the ordering invariant the
-        # run loops rely on).
-        when = self._now + delay
-        if when == self._now:
+        if when > self._now:
+            event._in_heap = True
+            self.schedule_at(when, event)
+        else:
+            # A zero-delay timer is its own ready-deque entry and keeps
+            # FIFO position with other same-instant work.
             event._in_heap = False
             self._ready.append(event)
-        else:
-            event._in_heap = True
-            heapq.heappush(self._queue, (when, next(self._sequence), event))
         return event
 
     def schedule(self, delay, payload):
-        """Fire ``payload`` in ``delay`` microseconds, as one kernel entry.
+        """:meth:`schedule_at` ``delay`` microseconds from now."""
+        if delay < 0:
+            raise SimulationError(f"negative delay: {delay}")
+        self.schedule_at(self._now + delay, payload)
 
+    def schedule_at(self, when, payload):
+        """Fire ``payload`` at absolute time ``when``, as one kernel entry.
+
+        The one absolute-time primitive: :meth:`timeout`,
+        :meth:`sleep_until` and :meth:`schedule` all end here.
         ``payload`` is any object with a ``fire()`` method and a false
         ``cancelled`` attribute; it goes on the heap as it is — no
         event, no wrapper, no waiter list. This is how per-message
         model work (a fabric delivery advancing a stage) is timed
-        without a process. A delay that rounds to the current instant
-        rides a zero-delay timer instead, so it keeps exactly the FIFO
-        slot a ``yield sim.timeout(0)`` would have had.
+        without a process. Compare the *computed* instant, not a delay:
+        one that rounds to the current instant (or lies in the past)
+        must keep FIFO position with other same-instant work — the heap
+        only ever holds strictly-future entries, the ordering invariant
+        the run loops rely on — so it rides a zero-delay timer and gets
+        exactly the slot a ``yield sim.timeout(0)`` would have had.
         """
-        if delay < 0:
-            raise SimulationError(f"negative delay: {delay}")
-        when = self._now + delay
-        if when == self._now:
-            # Cold path (loopback, zero-latency test fabrics): the one
-            # closure here never runs per message on a real topology.
-            self.timeout(delay).callbacks.append(
-                lambda _timer: payload.fire())
-        else:
+        if when > self._now:
             heapq.heappush(self._queue,
                            (when, next(self._sequence), payload))
+        else:
+            # Cold path (loopback, zero-latency test fabrics): the one
+            # closure here never runs per message on a real topology.
+            self.sleep_until(when).callbacks.append(
+                lambda _timer: payload.fire())
 
     def spawn(self, generator, name=None):
         """Start running a generator as a process."""
@@ -424,15 +438,6 @@ class Simulator:
             return function(argument)
         finally:
             fl.exit_process()
-
-    def sleep_until(self, when, value=None):
-        """An event that succeeds at absolute simulated time ``when``.
-
-        ``when`` in the past (or now) fires on the next kernel step at
-        the current time, so daemons can use it as an idempotent
-        "no earlier than" barrier.
-        """
-        return self.timeout(max(0.0, when - self._now), value)
 
     def with_timeout(self, event, timeout_us, what="wait"):
         """Process helper: wait on ``event`` for at most ``timeout_us``.

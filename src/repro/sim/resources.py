@@ -156,21 +156,13 @@ class Resource:
                 self._in_use += 1
                 self._total_acquired += 1
                 if self.monitor is not None:
-                    if hp is not None:
-                        hp.enter("hooks.obs")
                     self.monitor.on_uncontended_grant()
-                    if hp is not None:
-                        hp.exit()
                 event.succeed(self)
             else:
                 self._waiters.append(event)
                 if self.monitor is not None:
-                    if hp is not None:
-                        hp.enter("hooks.obs")
                     self.monitor.on_request(queued=True)
                     self._wait_since.append(self.sim._now)
-                    if hp is not None:
-                        hp.exit()
             return event
         finally:
             if hp is not None:
@@ -212,29 +204,17 @@ class Resource:
                                 if self.monitor is not None else None)
                 if event.cancelled or event.triggered:
                     if self.monitor is not None:
-                        if hp is not None:
-                            hp.enter("hooks.obs")
                         self.monitor.on_cancel()
-                        if hp is not None:
-                            hp.exit()
                     continue
                 self._total_acquired += 1
                 if self.monitor is not None:
-                    if hp is not None:
-                        hp.enter("hooks.obs")
                     self.monitor.on_handoff(self.sim._now - waited_since)
-                    if hp is not None:
-                        hp.exit()
                 event.succeed(self)
                 return
             self._account()
             self._in_use -= 1
             if self.monitor is not None:
-                if hp is not None:
-                    hp.enter("hooks.obs")
                 self.monitor.on_release()
-                if hp is not None:
-                    hp.exit()
         finally:
             if hp is not None:
                 hp.exit()
@@ -391,14 +371,30 @@ class BandwidthPipe:
     """A serializing transmission port of fixed bandwidth.
 
     Models a NIC TX port or link: each message occupies the port for
-    ``size / bytes_per_us`` plus a fixed per-message overhead. The event
-    returned by :meth:`transmit` fires when the last byte has left the
-    port — propagation delay is added by the fabric, not here.
+    ``size / bytes_per_us`` plus a fixed per-message overhead —
+    propagation delay is added by the fabric, not here.
+
+    A capacity-1 FIFO server whose service time is known when a message
+    arrives needs no grant event: the pipe keeps whether a message is in
+    service, the instant it falls free, and a deque of queued holders.
+    A *holder* is a kernel heap payload (``fire()`` plus a false
+    ``cancelled``, see ``Simulator.schedule_at``): :meth:`claim` enters
+    it in the FIFO, the pipe schedules it for the instant its last byte
+    leaves, and its ``fire()`` calls :meth:`finish` before anything
+    else. A claim cannot be withdrawn — a posted message is the NIC's,
+    not the sender's. Accounting and span lines live here only; the
+    utilization row keeps the ``<name>.port`` label the port has always
+    reported under.
     """
 
-    __slots__ = ("sim", "bytes_per_us", "per_message_us", "name", "_port",
-                 "bytes_total", "messages_total", "_queue_label",
-                 "_xmit_label")
+    __slots__ = ("sim", "bytes_per_us", "per_message_us", "name", "monitor",
+                 "_wait_since", "_queue", "_busy", "_free_at", "_busy_since",
+                 "_busy_time", "_size", "_span", "bytes_total",
+                 "messages_total", "_queue_label", "_xmit_label")
+
+    #: what a utilization row says of every wire port
+    kind = "wire"
+    capacity = 1
 
     def __init__(self, sim, bytes_per_us, per_message_us=0.0, name=None):
         if bytes_per_us <= 0:
@@ -407,109 +403,122 @@ class BandwidthPipe:
         self.bytes_per_us = float(bytes_per_us)
         self.per_message_us = float(per_message_us)
         self.name = name or "pipe"
-        # Span labels are fixed per pipe; building them per transmit()
+        # Span labels are fixed per pipe; building them per message
         # was two f-strings on the hottest wire path.
         self._queue_label = f"{self.name}.queue"
         self._xmit_label = f"{self.name}.xmit"
-        self._port = Resource(sim, capacity=1, name=f"{self.name}.port",
-                              kind="wire")
-        if self._port.monitor is not None:
-            # Enrich the port's utilization row with wire throughput.
-            self._port.monitor.extra = lambda: {
-                "bytes": self.bytes_total,
-                "messages": self.messages_total}
+        #: queued ``(holder, size_bytes, duration, span, queue_span)``
+        self._queue = deque()
+        self._busy = False
+        #: when the last message claimed so far will have left
+        self._free_at = 0.0
+        self._busy_since = 0.0
+        self._busy_time = 0.0
+        #: the message in service: its size and open wire span
+        self._size = 0
+        self._span = None
         # Direction-neutral totals: a pipe serves as either a TX or an
         # RX port, so "bytes that crossed it" is the honest name — an
         # RX pipe's total is bytes *received*, not sent.
         self.bytes_total = 0
         self.messages_total = 0
-
-    @property
-    def bytes_sent(self):
-        """Deprecated alias for :attr:`bytes_total` (TX-centric name)."""
-        return self.bytes_total
-
-    @property
-    def messages_sent(self):
-        """Deprecated alias for :attr:`messages_total`."""
-        return self.messages_total
+        self.monitor = None
+        self._wait_since = None
+        if sim.utilization is not None:
+            # Enrich the port's utilization row with wire throughput.
+            sim.utilization.watch_resource(
+                self, name=f"{self.name}.port").extra = lambda: {
+                    "bytes": self.bytes_total,
+                    "messages": self.messages_total}
 
     def serialization_time(self, size_bytes):
         """Time for ``size_bytes`` to cross the port."""
         return self.per_message_us + size_bytes / self.bytes_per_us
 
-    # A transmission is three steps — claim the port, start serializing
-    # once it is granted, finish when the last byte has left. A process
-    # drives them through :meth:`transmit`; a caller that is not a
-    # process (a fabric delivery) calls them itself, waiting on the
-    # grant with a callback and timing the serialization with
-    # ``Simulator.schedule``. Accounting and span lines live here only.
+    def claim(self, holder, size_bytes, span=NULL_SPAN):
+        """Enter ``holder``'s message in the FIFO; returns the instant
+        its last byte will have left, at which ``holder.fire()`` runs.
 
-    def claim(self, span=NULL_SPAN):
-        """Ask for the port: returns ``(grant, queue_span)``.
-
-        ``grant`` fires once the port is ours. ``queue_span`` (None
-        when ``span`` is not recording) covers the wait on a busy port;
-        :meth:`start` closes it.
+        ``span`` parents two tracing children: a queue span for the
+        wait on the (busy) port and a wire span for the serialization
+        itself. An idle port starts serializing in this call; a busy
+        one queues the holder, and the predecessor's :meth:`finish`
+        starts it — so the holder's timer is always pushed in the entry
+        at which its serialization starts (see docs/performance.md,
+        rule 11, for why not at claim).
         """
+        now = self.sim._now
+        duration = self.per_message_us + size_bytes / self.bytes_per_us
+        queue_span = None
         if span.enabled:
             # Span protocol inlined: children are opened/closed by
             # direct field writes instead of the child()/context-
             # manager/finish() call chain on the hottest wire path.
             queue_span = Span(span.tracer, self._queue_label, "queue", span,
-                              self.sim._now, {})
+                              now, {})
             span.children.append(queue_span)
-            return self._port.acquire(), queue_span
-        return self._port.acquire(), None
+        if not self._busy:
+            self._busy = True
+            self._busy_since = now
+            if self.monitor is not None:
+                self.monitor.on_uncontended_grant()
+            self._free_at = now + duration
+            self._start(holder, size_bytes, duration, span, queue_span)
+            return self._free_at
+        self._queue.append((holder, size_bytes, duration, span, queue_span))
+        wire = self._span
+        if (queue_span is not None and wire is not None
+                and wire.parent is span and wire.start == now
+                and span.children[-2] is wire):
+            # A duplicate's twin arrives with the original, under the
+            # same parent: its wait and the original's wire span tie on
+            # (start, end), and trace readers break the tie by child
+            # order — keep waiters listed first, as a grant hop did.
+            span.children[-2:] = queue_span, wire
+        if self.monitor is not None:
+            self.monitor.on_request(queued=True)
+            self._wait_since.append(now)
+        # The same additions, in the same order, that the chain of
+        # hand-offs will make: each starts at its predecessor's end.
+        self._free_at += duration
+        return self._free_at
 
-    def start(self, size_bytes, span, queue_span):
-        """The port was granted: returns ``(duration, xmit_span)`` —
-        how long the message occupies it, and the wire span (None when
-        not recording) to hand to :meth:`finish` after that long."""
-        duration = self.per_message_us + size_bytes / self.bytes_per_us
-        if queue_span is None:
-            return duration, None
+    def _start(self, holder, size_bytes, duration, span, queue_span):
+        """The port is ``holder``'s from now: time its serialization."""
+        sim = self.sim
+        now = sim._now
+        self._size = size_bytes
+        if queue_span is not None:
+            queue_span.end = now
+            self._span = Span(span.tracer, self._xmit_label, "wire", span,
+                              now, {"bytes": size_bytes})
+            span.children.append(self._span)
+        sim.schedule_at(now + duration, holder)
+
+    def finish(self):
+        """The last byte of the message in service has left: count it
+        and hand the port to the next queued holder, if any."""
         now = self.sim._now
-        queue_span.end = now
-        xmit_span = Span(span.tracer, self._xmit_label, "wire", span, now,
-                         {"bytes": size_bytes})
-        span.children.append(xmit_span)
-        return duration, xmit_span
-
-    def finish(self, size_bytes, xmit_span):
-        """The last byte has left: count it and free the port."""
-        if xmit_span is not None:
-            xmit_span.end = self.sim._now
-        self.bytes_total += size_bytes
+        if self._span is not None:
+            self._span.end = now
+            self._span = None
+        self.bytes_total += self._size
         self.messages_total += 1
-        self._port.release()
-
-    def transmit(self, size_bytes, span=NULL_SPAN):
-        """Process helper: occupy the port long enough to send the message.
-
-        ``span`` parents two tracing children: a queue span for the
-        wait on the (busy) port and a wire span for the serialization
-        itself.
-        """
-        grant, queue_span = self.claim(span)
-        try:
-            yield grant
-        except BaseException:
-            # Interrupted while queued: detaching withdrew the claim.
-            if queue_span is not None:
-                queue_span.end = self.sim._now
-            raise
-        duration, xmit_span = self.start(size_bytes, span, queue_span)
-        try:
-            yield self.sim.timeout(duration)
-        except BaseException:
-            # Interrupted while holding: nothing was sent.
-            if xmit_span is not None:
-                xmit_span.end = self.sim._now
-            self._port.release()
-            raise
-        self.finish(size_bytes, xmit_span)
+        if self._queue:
+            if self.monitor is not None:
+                self.monitor.on_handoff(now - self._wait_since.popleft())
+            self._start(*self._queue.popleft())
+        else:
+            self._busy = False
+            self._busy_time += now - self._busy_since
+            if self.monitor is not None:
+                self.monitor.on_release()
 
     def utilization(self, elapsed):
         """Mean busy fraction of the port over ``elapsed`` microseconds."""
-        return self._port.utilization(elapsed)
+        if elapsed <= 0:
+            return 0.0
+        busy = self._busy_time
+        if self._busy:
+            busy += self.sim._now - self._busy_since
+        return busy / elapsed

@@ -11,7 +11,16 @@ import inspect
 from dataclasses import dataclass, field
 
 from repro.obs.trace import NULL_TRACER
+from repro.sim.events import SimulationError
 from repro.sim.stats import LatencyRecorder
+
+#: How long past ``end_time`` a run may spend draining the operations
+#: still in flight before it is declared livelocked. A legitimate tail
+#: is one operation: tens of µs, or a few ms when a request exhausts
+#: its retries (8 x (75 µs timeout + a backoff capped at 256 µs)) — so
+#: 100 simulated ms is two orders of magnitude beyond it, and costs a
+#: spinning client a couple of host seconds instead of forever.
+DRAIN_LIMIT_US = 100_000.0
 
 
 @dataclass
@@ -165,9 +174,7 @@ class ClosedLoopDriver:
             for i, (executor, workload, takes_span) in
             enumerate(self._clients)
         ]
-        done = self.sim.all_of(processes)
-        waiter = self.sim.spawn(self._await(done), name="driver")
-        self.sim.run_until_complete(waiter)
+        _drain(self.sim, processes, self.end_time)
         window = self.measure_us
         throughput = counters["ops"] / window * 1e6 if window > 0 else 0.0
         return RunResult(
@@ -181,9 +188,35 @@ class ClosedLoopDriver:
             retries=counters["retries"],
         )
 
-    @staticmethod
-    def _await(event):
-        yield event
+
+def _await(event):
+    yield event
+
+
+def _drain(sim, processes, end_time):
+    """Run until every one of ``processes`` has finished.
+
+    Bounded: a client whose operation never completes (an unbounded
+    retry loop that aborts forever) would otherwise keep the kernel
+    spinning through simulated seconds. The bound is one timer that
+    normally never fires and is withdrawn once the run has drained —
+    no kernel entry, no per-entry check.
+    """
+    def expire(_timer):
+        alive = [process.name for process in processes if process.alive]
+        raise SimulationError(
+            f"run did not drain: {', '.join(alive)} still running "
+            f"{DRAIN_LIMIT_US:g} µs after the measurement window closed at "
+            f"t={end_time:g} µs — an operation that retries forever "
+            "(livelock), not a slow tail")
+
+    watchdog = sim.sleep_until(end_time + DRAIN_LIMIT_US)
+    watchdog.callbacks.append(expire)
+    try:
+        sim.run_until_complete(
+            sim.spawn(_await(sim.all_of(processes)), name="driver"))
+    finally:
+        watchdog.cancel()
 
 
 class OpenLoopDriver:
@@ -311,9 +344,7 @@ class OpenLoopDriver:
             for i, (executor, source, takes_span) in
             enumerate(self._sources)
         ]
-        done = self.sim.all_of(processes)
-        waiter = self.sim.spawn(ClosedLoopDriver._await(done), name="driver")
-        self.sim.run_until_complete(waiter)
+        _drain(self.sim, processes, self.end_time)
         window = self.measure_us
         throughput = counters["ops"] / window * 1e6 if window > 0 else 0.0
         n_clients = sum(source.n_clients

@@ -3,8 +3,10 @@
 import pytest
 
 from repro.core.errors import PrismError
+from repro.net.fabric import Fabric, Host
 from repro.net.port import RequestChannel, send_reply
 from repro.net.topology import RACK, make_fabric
+from repro.sim import TimeoutExpired
 
 
 def _echo_server(sim, fabric, host="server", fail=False, delay=0.0):
@@ -92,3 +94,26 @@ def test_timeout_raises_and_late_reply_dropped(sim, fabric, drive):
         return "timed out"
     assert drive(sim, main()) == "timed out"
     sim.run()  # late reply arrives; must be silently dropped
+
+
+def test_ack_timer_runs_from_the_instant_the_request_leaves_the_tx_port(
+        sim, drive):
+    """The deadline is ``tx_done + timeout_us``, not ``post + timeout``:
+    a request queued behind a busy TX port is not charged for the wait.
+    Hand-computed: the port is busy until 5.0, the 300 B request posted
+    at 0.25 serializes over [5, 8), so the timer fires at 8 + 75."""
+    fabric = Fabric(sim, one_way_latency_us=1.0)
+    fabric.add_host(Host(sim, "client", bytes_per_us=100))
+    fabric.add_host(Host(sim, "server", bytes_per_us=100))
+    fabric.host("server").register_service("void", lambda message: None)
+    channel = RequestChannel(sim, fabric, "client", post_overhead_us=0.25)
+    fabric.post("client", "server", "void", None, 500)
+
+    def main():
+        with pytest.raises(TimeoutExpired):
+            yield from channel.request("server", "void", None, 300,
+                                       timeout_us=75.0)
+        return sim.now
+
+    assert drive(sim, main()) == (5.0 + 3.0) + 75.0
+    assert channel.timeouts == 1

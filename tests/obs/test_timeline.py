@@ -9,10 +9,11 @@ window sums must equal run totals, and counter pairs must reconcile.
 import pytest
 
 from repro.bench.harness import run_point
+from repro.net.fabric import Fabric, Host
 from repro.obs import UtilizationCollector
 from repro.obs.timeline import DEFAULT_WINDOW_US
 from repro.sim import Simulator
-from repro.sim.resources import BandwidthPipe, Resource
+from repro.sim.resources import Resource
 from repro.workload import YCSB_C
 
 
@@ -161,18 +162,20 @@ class TestChargeAndDepthMonitors:
 
     def test_wire_port_reports_bytes(self, sim):
         collector = _collector(sim)
-        pipe = BandwidthPipe(sim, bytes_per_us=100.0, name="host.tx")
-
-        def send():
-            yield from pipe.transmit(500)
-
-        sim.run_until_complete(sim.spawn(send()))
+        fabric = Fabric(sim, one_way_latency_us=1.0)
+        fabric.add_host(Host(sim, "host", bytes_per_us=100.0))
+        fabric.add_host(Host(sim, "peer", bytes_per_us=100.0))
+        fabric.host("peer").register_service("sink", lambda message: None)
+        fabric.post("host", "peer", "sink", None, 500)
+        sim.run()
         collector.finish(sim.now)
-        row = collector.report()[0]
-        assert row["name"] == "host.tx.port"
-        assert row["kind"] == "wire"
-        assert row["bytes"] == 500
-        assert row["messages"] == 1
+        rows = {row["name"]: row for row in collector.report()}
+        for name in ("host.tx.port", "peer.rx.port"):
+            assert rows[name]["kind"] == "wire"
+            assert rows[name]["capacity"] == 1
+            assert rows[name]["bytes"] == 500
+            assert rows[name]["messages"] == 1
+        assert rows["host.rx.port"]["messages"] == 0
 
 
 class TestDeterminism:

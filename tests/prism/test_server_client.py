@@ -4,7 +4,8 @@ import pytest
 
 from repro.core import AccessViolation, ReadOp
 from repro.core.constants import REDIRECT_SLOT_BYTES
-from repro.net.topology import DIRECT, make_fabric
+from repro.net.topology import DIRECT, RACK, make_fabric
+from repro.obs import HostProfiler
 from repro.prism import (
     HardwarePrismBackend,
     PrismClient,
@@ -12,6 +13,7 @@ from repro.prism import (
     SoftwarePrismBackend,
 )
 from repro.prism.engine import OpStatus
+from repro.sim import Simulator
 
 
 @pytest.fixture
@@ -171,3 +173,37 @@ def test_unknown_connection_rejected_remotely(sim, system, drive):
         return "rejected"
 
     assert drive(sim, main()) == "rejected"
+
+
+def test_an_indirect_read_costs_thirteen_entries_and_six_resumes():
+    """The ``kv_read``-shaped op — closed loop, ``prism-hw``, one
+    indirect READ — at zero tolerance, by the slope over N reads:
+    3 timers (post overhead, the op's execution, completion overhead)
+    + 2 x 3 message stages + 1 processing-unit grant + the server
+    process's bootstrap and completion + the reply event = 13 kernel
+    entries, and 3 client + 3 server resumes (no process is resumed to
+    move a message)."""
+    def counts(n):
+        sim = Simulator()
+        profiler = sim.attach(HostProfiler())
+        fabric = make_fabric(sim, RACK, ["client", "server"])
+        server = PrismServer(sim, fabric, "server", HardwarePrismBackend)
+        data, rkey = server.add_region(1 << 12)
+        server.space.write(data, b"v" * 512)
+        server.space.write_ptr(data + 512, data)
+        client = PrismClient(sim, fabric, "client", server)
+
+        def reader():
+            for _ in range(n):
+                assert (yield from client.read(
+                    data + 512, 512, rkey=rkey, indirect=True)) == b"v" * 512
+
+        try:
+            sim.run_until_complete(sim.spawn(reader()))
+        finally:
+            profiler.finish(sim.now)    # stop being the ambient profiler
+        return sim.events_executed, profiler.resumes
+
+    more, fewer = counts(110), counts(10)
+    assert more[0] - fewer[0] == 13 * 100
+    assert more[1] - fewer[1] == 6 * 100

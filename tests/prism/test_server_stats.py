@@ -50,8 +50,6 @@ def test_rx_bytes_counts_received_traffic(sim, loaded_server):
     # and the reply stream dwarfs the request stream.
     assert report["rx_bytes"] > 0
     assert report["tx_bytes"] > report["rx_bytes"]
-    # deprecated alias still answers during the migration
-    assert host.rx.bytes_sent == host.rx.bytes_total
 
 
 def test_collect_server_metrics_registry(sim, loaded_server):

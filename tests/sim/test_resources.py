@@ -144,6 +144,20 @@ class TestStore:
         assert len(store) == 0
 
 
+class Holder:
+    """A port holder as the kernel and the pipe see one: a heap payload
+    whose ``fire()`` finishes its transmission first."""
+
+    cancelled = False
+
+    def __init__(self, pipe, tag, finishes):
+        self.pipe, self.tag, self.finishes = pipe, tag, finishes
+
+    def fire(self):
+        self.pipe.finish()
+        self.finishes.append((self.tag, self.pipe.sim.now))
+
+
 class TestBandwidthPipe:
     def test_bandwidth_positive(self, sim):
         with pytest.raises(SimulationError):
@@ -156,18 +170,21 @@ class TestBandwidthPipe:
     def test_transmissions_serialize(self, sim):
         pipe = BandwidthPipe(sim, bytes_per_us=100)
         finishes = []
-        def sender(tag):
-            yield from pipe.transmit(500)  # 5 us each
-            finishes.append((tag, sim.now))
-        sim.spawn(sender("a"))
-        sim.spawn(sender("b"))
+        # Claimed back to back at t=0: the second queues behind the
+        # first, and each claim already knows its finish instant.
+        assert pipe.claim(Holder(pipe, "a", finishes), 500) == 5.0
+        assert pipe.claim(Holder(pipe, "b", finishes), 500) == 10.0
         sim.run()
         assert finishes == [("a", 5.0), ("b", 10.0)]
+        assert pipe.utilization(20.0) == 0.5
 
-    def test_counters(self, sim, drive):
+    def test_counters(self, sim):
         pipe = BandwidthPipe(sim, bytes_per_us=100)
-        def main():
-            yield from pipe.transmit(300)
-            yield from pipe.transmit(200)
-            return pipe.bytes_sent, pipe.messages_sent
-        assert drive(sim, main()) == (500, 2)
+        pipe.claim(Holder(pipe, "a", []), 300)
+        pipe.claim(Holder(pipe, "b", []), 200)
+        sim.run(until=4.0)
+        # Counted when the last byte leaves, not at claim.
+        assert (pipe.bytes_total, pipe.messages_total) == (300, 1)
+        assert pipe.utilization(4.0) == 1.0     # mid-period read
+        sim.run()
+        assert (pipe.bytes_total, pipe.messages_total) == (500, 2)

@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.workload.driver import ClosedLoopDriver
+from repro.sim import SimulationError
+from repro.workload.driver import DRAIN_LIMIT_US, ClosedLoopDriver
 from repro.workload.ycsb import KvOp
 
 
@@ -92,3 +93,23 @@ def test_row_shape(sim):
     driver.add_client(FixedLatencyExecutor(sim, 10.0), TrivialWorkload())
     row = driver.run().row()
     assert set(row) == {"clients", "ops", "tput_Mops", "mean_us", "p99_us"}
+
+
+def test_a_client_that_never_finishes_ends_the_run_with_a_named_error(sim):
+    """A livelocked operation (an unbounded retry loop that aborts
+    forever) used to keep ``run`` spinning through simulated seconds.
+    Reproducer found at PR 18's parent: ``python -m repro.bench.cli
+    point --kind tx --flavor prism-sw --clients 8 --keys 2000 --faults
+    seed=3,dup=0.01`` never returned."""
+    driver = ClosedLoopDriver(sim, warmup_us=0, measure_us=100,
+                              stagger_us=0.0)
+    driver.add_client(FixedLatencyExecutor(sim, 10.0), TrivialWorkload())
+
+    def retries_forever(op):
+        while True:
+            yield sim.timeout(50.0)
+
+    driver.add_client(retries_forever, TrivialWorkload())
+    with pytest.raises(SimulationError, match="client1 still running"):
+        driver.run()
+    assert sim.now == 100 + DRAIN_LIMIT_US
