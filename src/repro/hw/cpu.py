@@ -1,7 +1,9 @@
 """CPU core pools.
 
-Two-sided RPC handlers and the software PRISM stack occupy cores for a
-per-operation service time; when offered load exceeds core capacity the
+Two-sided RPC handlers occupy cores for a per-operation service time
+(the software PRISM stack's dedicated cores are the same kind of
+``Resource``, held directly by its device executions — see
+``repro.prism.backend``); when offered load exceeds core capacity the
 queueing delay shows up directly in the measured latency curves, which
 is how the paper's saturation knees arise when the CPU (rather than the
 network) is the bottleneck.

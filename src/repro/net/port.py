@@ -59,6 +59,241 @@ class Reply:
         self.logical_id = None
 
 
+#: where a :class:`_Call` stands; the comments say which kernel entry
+#: it is waiting for
+_POSTING = 0     # heap: the post overhead runs out
+_IN_FLIGHT = 1   # posted; the reply's hand-over, or the ack deadline
+_REPLIED = 2     # ready deque: the matched reply takes its slot(s)
+_COMPLETING = 3  # heap: the completion overhead runs out
+_EXPIRED = 4     # ready deque: the ack deadline takes its slot
+_DONE = 5        # the waiter has been run, or went away
+
+
+class _Call(Event):
+    """One request from post to completion: the event ``request``
+    yields, and the scheduled payload of its own fixed stages.
+
+    A round trip is a pipeline, not control flow (docs/performance.md,
+    rule 11): post overhead, the wire, the reply (or the ack deadline),
+    completion overhead. The call is the heap payload of its two
+    overhead stages and its own ready-deque entry for the reply, so the
+    waiting process is resumed exactly once — with the reply body, the
+    reply's exception, or :class:`TimeoutExpired`. Every heap push and
+    deque append happens at the point of the kernel entry where the
+    generator this replaces made it, with the same float; a zero
+    overhead skips its stage rather than taking a zero-delay timer.
+
+    The poster's flight-recorder context is captured at construction
+    and entered around the stages that call out (the post, the timeout
+    report). Until the reply or the deadline resolves it, a timed call
+    and its :class:`_AckDeadline` refer to each other; every way out
+    clears both references, so nothing is left for the cycle collector
+    (``gc`` is off while a benchmark point runs).
+    """
+
+    __slots__ = ("channel", "request", "dst", "service", "size_bytes",
+                 "timeout_us", "stage", "cancelled", "_ack", "_stage_span",
+                 "_flight_ctx")
+
+    def __init__(self, channel, dst, service, body, size_bytes, timeout_us,
+                 span, logical_id):
+        # Inlined Event.__init__ — one call per request (see AcquireEvent).
+        sim = self.sim = channel.sim
+        self.callbacks = []
+        self._value = None
+        self._ok = None
+        self._triggered = False
+        self._processed = False
+        self.channel = channel
+        self.dst = dst
+        self.service = service
+        self.size_bytes = size_bytes
+        self.timeout_us = timeout_us
+        self.cancelled = False
+        self._ack = None
+        self._stage_span = None
+        self._flight_ctx = sim.context()
+        request_id = next(channel._ids)
+        if logical_id is None:
+            logical_id = next(_logical_ids)
+        request = self.request = Request(
+            request_id, channel.host_name, channel.reply_service, body)
+        request.span = span
+        request.logical_id = logical_id
+        bus = sim.bus
+        if bus is not None:
+            bus.emit("req.send", logical_id, request_id, dst, service)
+        channel._pending[request_id] = self
+        if channel.monitor is not None:
+            channel.monitor.adjust(+1)
+        if channel.post_overhead_us:
+            self.stage = _POSTING
+            if span.enabled:
+                self._open_stage_span("client.post")
+            sim.schedule(channel.post_overhead_us, self)
+        else:
+            self._post()
+
+    def _open_stage_span(self, name):
+        span = self.request.span
+        self._stage_span = Span(span.tracer, name, "cpu", span,
+                                self.sim._now, {})
+        span.children.append(self._stage_span)
+
+    def _close_stage_span(self):
+        self._stage_span.end = self.sim._now
+        self._stage_span = None
+
+    # -- kernel entries -----------------------------------------------------
+
+    def fire(self):
+        """Heap entry: an overhead stage ran out."""
+        if self._stage_span is not None:
+            self._close_stage_span()
+        if self.stage != _POSTING:
+            self._finish()
+        elif self._flight_ctx is None:
+            self._post()  # no operation to attribute to: nothing to enter
+        else:
+            self.sim.call_as(self, _Call._post, self)
+
+    def __call__(self):
+        """Ready-deque entry, appended by :meth:`RequestChannel._on_reply`."""
+        if self.stage != _REPLIED:
+            # An exact-instant tie the ack deadline won, or a waiter
+            # that went away within the instant: nothing left to do.
+            return
+        sim = self.sim
+        ack = self._ack
+        if ack is not None:
+            # The reply beat the deadline: tombstone it in this slot and
+            # take a second one for the completion stage — the two hops
+            # the reply event and the any-of over it took. The second is
+            # kept for order only; once same-instant reorderings can be
+            # checked (ROADMAP 1(a)) it may go.
+            ack.withdraw()
+            sim._ready.append(self)
+            return
+        delay = self.channel.completion_overhead_us
+        if self._ok and delay:
+            self.stage = _COMPLETING
+            if self.request.span.enabled:
+                self._open_stage_span("client.completion")
+            sim.schedule(delay, self)
+        else:
+            # An error reply costs no completion overhead.
+            self._finish()
+
+    # -- stages -------------------------------------------------------------
+
+    def _post(self):
+        """Hand the request to the NIC; never wait on the local send
+        completion. The ack timer starts when the request has left the
+        TX port: an instant the port already knows."""
+        channel = self.channel
+        request = self.request
+        self.stage = _IN_FLIGHT
+        delivery = channel.fabric.post(channel.host_name, self.dst,
+                                       self.service, request,
+                                       self.size_bytes, span=request.span)
+        if self.timeout_us is not None:
+            self._ack = _AckDeadline(self)
+            self.sim.schedule_at(delivery.tx_done + self.timeout_us,
+                                 self._ack)
+
+    def _expire(self):
+        """The ack deadline's slot: report the timeout to the waiter."""
+        if self.stage != _EXPIRED:
+            return  # the waiter went away within the instant
+        channel = self.channel
+        sim = self.sim
+        request = self.request
+        self._withdraw()
+        # The one place an ack timeout is counted — retried or not — so
+        # the channel, the fault report and every bus subscriber agree
+        # on the total.
+        channel.timeouts += 1
+        if sim.faults is not None:
+            sim.faults.note_timeout()
+        bus = sim.bus
+        if bus is not None:
+            bus.emit("req.timeout", request.logical_id, request.id,
+                     self.dst, self.timeout_us, channel.conn)
+        self._ok = False
+        self._value = TimeoutExpired(
+            self.timeout_us,
+            what=f"request {request.id} to {self.dst}/{self.service}")
+        self._finish()
+
+    def _finish(self):
+        """Run the waiter in the calling entry, as a fired timer does."""
+        self.stage = _DONE
+        self._triggered = True
+        self._processed = True
+        callbacks, self.callbacks = self.callbacks, []
+        for callback in callbacks:
+            callback(self)
+
+    def cancel(self):
+        """The waiter went away (it was interrupted). A request not yet
+        posted never is; a posted one stays posted — a posted message
+        cannot be withdrawn — but is no longer pending, so a late reply
+        is stale. Pending timers are tombstoned."""
+        stage = self.stage
+        if stage == _DONE:
+            return
+        self.stage = _DONE
+        if self._stage_span is not None:
+            self._close_stage_span()
+        self._withdraw()
+        if stage == _POSTING or stage == _COMPLETING:
+            self.cancelled = True
+            self.sim._note_timer_cancelled()
+        if self._ack is not None:
+            self._ack.withdraw()
+
+    def _withdraw(self):
+        """Stop being pending, if still so: a later reply is stale."""
+        channel = self.channel
+        if (channel._pending.pop(self.request.id, None) is not None
+                and channel.monitor is not None):
+            channel.monitor.adjust(-1)
+
+
+class _AckDeadline:
+    """Heap payload of a timed call's ack timer (``tx_done +
+    timeout_us``), and the ready-deque entry in which an expiry is
+    reported — the slot the any-of over reply and timer used to take.
+    A deadline whose heap entry is popped wins, even at the very
+    instant of the reply: only the reply's ready-deque slot tombstones
+    it, and that comes after every heap entry of the instant. The
+    reply handed over in such a tie is still matched (``req.reply``,
+    not ``req.stale``) and then dropped."""
+
+    __slots__ = ("call", "cancelled")
+
+    def __init__(self, call):
+        self.call = call
+        self.cancelled = False
+
+    def withdraw(self):
+        """Tombstone the heap entry and part from the call."""
+        call, self.call = self.call, None
+        call._ack = None
+        self.cancelled = True
+        call.sim._note_timer_cancelled()
+
+    def fire(self):
+        call = self.call
+        call._ack = None
+        call.stage = _EXPIRED
+        call.sim._ready.append(self)
+
+    def __call__(self):
+        call, self.call = self.call, None
+        call.sim.call_as(call, _Call._expire, call)
+
+
 class RequestChannel:
     """Client-side outbound port with request/reply matching.
 
@@ -104,94 +339,44 @@ class RequestChannel:
 
     def _on_reply(self, message):
         reply = message.payload
-        event = self._pending.pop(reply.id, None)
+        call = self._pending.pop(reply.id, None)
         bus = self.sim.bus
         if bus is not None:
-            bus.emit("req.reply" if event is not None else "req.stale",
+            bus.emit("req.reply" if call is not None else "req.stale",
                      reply.logical_id, reply.id, reply.ok)
-        if event is None:
+        if call is None:
             return  # duplicate or cancelled; drop silently like a NIC would
         if self.monitor is not None:
             self.monitor.adjust(-1)
-        if reply.ok:
-            event.succeed(reply.body)
-        else:
-            event.fail(reply.body if isinstance(reply.body, BaseException)
-                       else PrismError(str(reply.body)))
+        if call.stage == _IN_FLIGHT:
+            call.stage = _REPLIED
+            call._ok = reply.ok
+            if reply.ok or isinstance(reply.body, BaseException):
+                call._value = reply.body
+            else:
+                call._value = PrismError(str(reply.body))
+        # The call takes the reply's ready-deque slot (a no-op one when
+        # the ack deadline fired earlier in this instant).
+        self.sim._ready.append(call)
 
     def request(self, dst, service, body, request_size, timeout_us=None,
                 span=NULL_SPAN, logical_id=None):
         """Process helper: send ``body`` and wait for the reply payload.
+
+        One wait: the :class:`_Call` runs the post overhead, the ack
+        deadline (``timeout_us`` after the request has left the TX
+        port; :class:`TimeoutExpired`) and the completion overhead
+        itself, and resumes the caller when the round trip is over.
+        Interrupting the wait withdraws the pending request (see
+        :meth:`_Call.cancel`).
 
         ``logical_id`` names the logical request this attempt serves;
         :meth:`request_with_retry` passes the same one to every
         retransmission. Plain calls allocate a fresh one, so a logical
         id is always 1:1 with what the caller considers one request.
         """
-        sim = self.sim
-        request_id = next(self._ids)
-        if logical_id is None:
-            logical_id = next(_logical_ids)
-        request = Request(request_id, self.host_name, self.reply_service, body)
-        request.span = span
-        request.logical_id = logical_id
-        bus = sim.bus
-        if bus is not None:
-            bus.emit("req.send", logical_id, request_id, dst, service)
-        reply_event = Event(sim)
-        self._pending[request_id] = reply_event
-        if self.monitor is not None:
-            self.monitor.adjust(+1)
-        if self.post_overhead_us:
-            if span.enabled:
-                post_span = Span(span.tracer, "client.post", "cpu", span,
-                                 sim._now, {})
-                span.children.append(post_span)
-                try:
-                    yield sim.timeout(self.post_overhead_us)
-                finally:
-                    post_span.end = sim._now
-            else:
-                yield sim.timeout(self.post_overhead_us)
-        # Post and wait for the reply only — never on the local send
-        # completion. The ack timer starts when the request has left
-        # the TX port: an instant the port already knows.
-        delivery = self.fabric.post(self.host_name, dst, service, request,
-                                    request_size, span=span)
-        if timeout_us is None:
-            result = yield reply_event
-        else:
-            index, value = yield sim.any_of(
-                [reply_event,
-                 sim.sleep_until(delivery.tx_done + timeout_us)])
-            if index == 1:
-                if (self._pending.pop(request_id, None) is not None
-                        and self.monitor is not None):
-                    self.monitor.adjust(-1)
-                # The one place an ack timeout is counted — retried
-                # or not — so the channel, the fault report and every
-                # bus subscriber agree on the total.
-                self.timeouts += 1
-                if sim.faults is not None:
-                    sim.faults.note_timeout()
-                if bus is not None:
-                    bus.emit("req.timeout", logical_id, request_id, dst,
-                             timeout_us, self.conn)
-                raise TimeoutExpired(
-                    timeout_us, what=f"request {request_id} to {dst}/{service}")
-            result = value
-        if self.completion_overhead_us:
-            if span.enabled:
-                completion_span = Span(span.tracer, "client.completion",
-                                       "cpu", span, sim._now, {})
-                span.children.append(completion_span)
-                try:
-                    yield sim.timeout(self.completion_overhead_us)
-                finally:
-                    completion_span.end = sim._now
-            else:
-                yield sim.timeout(self.completion_overhead_us)
-        return result
+        return (yield _Call(self, dst, service, body, request_size,
+                            timeout_us, span, logical_id))
 
     def request_with_retry(self, dst, service, body, request_size, policy,
                            span=NULL_SPAN):
@@ -250,9 +435,9 @@ class RequestChannel:
                     yield self.sim.timeout(backoff)
 
 
-def send_reply(fabric, server_host, request, body, size_bytes, ok=True,
+def post_reply(fabric, server_host, request, body, size_bytes, ok=True,
                span=NULL_SPAN):
-    """Process helper used by servers to answer a :class:`Request`.
+    """Answer a :class:`Request`: post the reply and return.
 
     Pass ``span=request.span`` so the reply's wire spans land in the
     issuing operation's trace (as siblings of the server-side spans,
@@ -262,6 +447,12 @@ def send_reply(fabric, server_host, request, body, size_bytes, ok=True,
     reply.logical_id = request.logical_id
     fabric.post(server_host, request.reply_host, request.reply_service,
                 reply, size_bytes, span=span)
+
+
+def send_reply(fabric, server_host, request, body, size_bytes, ok=True,
+               span=NULL_SPAN):
+    """:func:`post_reply` as a process helper, for handler processes."""
+    post_reply(fabric, server_host, request, body, size_bytes, ok, span)
     # Posting takes no simulated time, so the helper never waits; it
-    # stays a generator because servers ``yield from`` (or spawn) it.
+    # is a generator for servers that ``yield from`` (or spawn) it.
     yield from ()

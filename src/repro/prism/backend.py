@@ -1,11 +1,14 @@
 """Backend machinery shared by all PRISM/RDMA execution models.
 
 A backend answers one question: *how long does it take* for the ops of
-a request to execute on this kind of device? The functional work is
-delegated to :class:`~repro.prism.engine.PrismEngine`; the backend
-interleaves simulated delays around each op, so a multi-op chain is
-*not* atomic — exactly as on real hardware, where only the CAS itself
-is (§3.3).
+a request to execute on this kind of device? It is data — an admission
+delay, a pool of execution units, a posting gate and the functions that
+price one op — for an :class:`_Execution`, which runs one request to
+completion on the device with no process in it (§3.4, §4.2). The
+functional work is delegated to :class:`~repro.prism.engine.PrismEngine`;
+the execution interleaves simulated delays around each op, so a
+multi-op chain is *not* atomic — exactly as on real hardware, where
+only the CAS itself is (§3.3).
 """
 
 from dataclasses import dataclass, field
@@ -101,21 +104,19 @@ class PostingGate:
         self._unblocked = None
 
     def try_enter(self):
-        """Non-blocking read side: claim an execution slot if no poster
-        is active (the overwhelmingly common case). Returns False when
-        the caller must fall back to the yielding :meth:`enter`."""
+        """Read side: begin executing one op, unless a poster is active.
+        On False, wait for :meth:`reopened` and try again (another
+        poster may have taken the gate by then)."""
         if self._posting:
             return False
         self._executing += 1
         return True
 
-    def enter(self):
-        """Process helper (read side): begin executing one op."""
-        while self._posting:
-            if self._unblocked is None:
-                self._unblocked = self.sim.event()
-            yield self._unblocked
-        self._executing += 1
+    def reopened(self):
+        """The event of the active poster's :meth:`release`."""
+        if self._unblocked is None:
+            self._unblocked = self.sim.event()
+        return self._unblocked
 
     def exit(self):
         """Read side: op execution finished."""
@@ -130,9 +131,7 @@ class PostingGate:
         Call :meth:`release` when the posting work is done.
         """
         while self._posting:  # one poster at a time
-            if self._unblocked is None:
-                self._unblocked = self.sim.event()
-            yield self._unblocked
+            yield self.reopened()
         self._posting = True
         while self._executing > 0:
             if self._drained is None:
@@ -148,7 +147,12 @@ class PostingGate:
 
 
 class Backend:
-    """Base class: runs a request's ops with per-op timing hooks."""
+    """Base class: what one kind of device charges for a request.
+
+    Subclasses set :attr:`admission_us`, size :attr:`pool` (constructor
+    arguments) and price ops (:meth:`op_time`); :class:`_Execution`
+    does the rest.
+    """
 
     #: human-readable backend label used in benchmark tables
     label = "abstract"
@@ -159,11 +163,15 @@ class Backend:
     #: tracing phase of op execution time ("nic" for ASICs, "cpu" for
     #: core-based stacks); see repro.obs.breakdown.PHASES
     execution_phase = "nic"
-    #: tracing phase of request_admission time (a software stack's
+    #: tracing phase of the admission delay (a software stack's
     #: pipeline latency is CPU work; a queue-only admission is "queue")
     admission_phase = "queue"
+    #: fixed delay before a request's first op queues for a unit
+    #: (dispatch, stack pipeline): pure latency, not occupancy
+    admission_us = 0.0
 
-    def __init__(self, sim, engine, config=None):
+    def __init__(self, sim, engine, config=None, pool_capacity=1,
+                 pool_name="unit", pool_kind="nic"):
         self.sim = sim
         self.engine = engine
         self.config = config or BackendConfig()
@@ -176,16 +184,10 @@ class Backend:
                 f"{self.label}.engine", kind="engine")
         if sim.bus is not None and engine.bus is None:
             engine.bus = sim.bus
-
-    # -- per-backend hooks -------------------------------------------------
-
-    def request_admission(self, ops):
-        """Delay/occupancy before any op runs (dispatch, queueing).
-
-        Subclasses yield events; base implementation does nothing.
-        """
-        return
-        yield  # pragma: no cover
+        #: the execution units (NIC processing units, stack cores):
+        #: every op holds one for its duration
+        self.pool = Resource(sim, capacity=pool_capacity, name=pool_name,
+                             kind=pool_kind)
 
     def op_time(self, op, accesses, op_index=0):
         """Simulated duration of one executed op given its access trace.
@@ -214,120 +216,204 @@ class Backend:
         pool busy time is already observed by the resource monitor.
         """
 
-    def acquire_execution(self, op):
-        """Acquire whatever unit executes ``op``; returns a release callable."""
-        raise NotImplementedError
+    def execute(self, owner, message):
+        """Run the request in ``message`` to completion on this device.
 
-    # -- driver ------------------------------------------------------------
-
-    def process(self, connection, ops, span=NULL_SPAN, logical=None):
-        """Process helper: execute a request, yielding its time costs.
-
-        Returns a :class:`ChainResult`. Semantics follow §3.4: a hard
-        NAK aborts the remainder; a CAS miss only suppresses
-        *conditional* successors.
-
-        ``span`` parents the request's device-side spans: admission,
-        per-op dispatch waits (execution unit + posting gate), and each
-        op's execution interval (refined by :meth:`op_time_parts`).
-
-        ``logical`` is the logical request id from the client's
-        envelope (None for direct callers): carried on the chain-done
-        and chain-abort events, it lets subscribers count retransmitted
-        executions separately from logical requests.
+        Call it from the entry that delivered ``message``; the work
+        starts in the next ready-deque slot. ``owner.accept(execution)``
+        runs there: it sets the execution's ``connection`` and ``ops``
+        (and ``span`` / ``logical`` for a traced, enveloped request), or
+        refuses — answering the sender itself — by returning False.
+        ``owner.answer(execution, result)`` runs in the entry that ends
+        the last op, with the :class:`ChainResult`.
         """
-        if isinstance(ops, Chain):
-            ops = ops.ops
-        # Span children (and their f-string labels) only exist when the
-        # request is actually traced; the clean path skips them whole.
-        # Traced spans are opened/closed by direct field writes, with
-        # the per-index and per-opname labels interned in shared caches
-        # — no f-string or context-manager work per op.
-        sim = self.sim
-        traced = span.enabled
-        if traced:
-            tracer = span.tracer
-            children = span.children
-            admission_span = Span(tracer, "admission",
-                                  self.admission_phase, span, sim._now, {})
-            children.append(admission_span)
-            try:
-                yield from self.request_admission(ops)
-            finally:
-                admission_span.end = sim._now
-        else:
-            yield from self.request_admission(ops)
-        results = []
-        prev_ok = True
-        aborted = False
-        for op_index, op in enumerate(ops):
-            if aborted:
-                results.append(OpResult(OpStatus.SKIPPED))
-                continue
-            if traced:
-                label = _dispatch_label(op_index)
-                dispatch_span = Span(tracer, label, "queue", span,
-                                     sim._now, {})
-                children.append(dispatch_span)
-                try:
-                    release = yield from self.acquire_execution(op)
-                    if not self.gate.try_enter():
-                        yield from self.gate.enter()
-                finally:
-                    dispatch_span.end = sim._now
-            else:
-                release = yield from self.acquire_execution(op)
-                if not self.gate.try_enter():
-                    yield from self.gate.enter()
-            try:
-                result, accesses = self.engine.execute_op(
-                    connection, op, prev_ok)
-                duration = self.op_time(op, accesses, op_index)
-                if sim.utilization is not None:
-                    self.note_execution(op, accesses, op_index, duration)
-                if traced:
-                    op_span = Span(tracer, _op_label(op.opname),
-                                   self.execution_phase, span, sim._now,
-                                   {"status": result.status.value})
-                    children.append(op_span)
-                    try:
-                        op_span.parts = self.op_time_parts(
-                            op, accesses, op_index)
-                        if duration > 0:
-                            yield sim.timeout(duration)
-                    finally:
-                        op_span.end = sim._now
-                elif duration > 0:
-                    yield sim.timeout(duration)
-            finally:
-                self.gate.exit()
-                release()
-            results.append(result)
-            if result.status is OpStatus.NAK:
-                aborted = True
-            prev_ok = result.successful
-        self.requests_processed += 1
-        if sim.bus is not None:
-            emit_chain_done(sim.bus, ops, results, logical)
-        return ChainResult(results)
-
-
-class _PooledBackend(Backend):
-    """Common shape for backends that run ops on a pool of units."""
-
-    def __init__(self, sim, engine, config=None, pool_capacity=1,
-                 pool_name="unit", pool_kind="nic"):
-        super().__init__(sim, engine, config)
-        self._pool = Resource(sim, capacity=pool_capacity, name=pool_name,
-                              kind=pool_kind)
-
-    def acquire_execution(self, op):
-        yield self._pool.acquire()
-        return self._pool.release
+        _Execution(self, owner, message)
 
     def utilization(self, elapsed):
         """Mean busy fraction of the execution pool."""
-        return self._pool.utilization(elapsed)
+        return self.pool.utilization(elapsed)
+
+
+#: what the kernel entry an execution is waiting for stands for
+_BOOT = 0       # ready deque: the slot after the delivering entry
+_ADMISSION = 1  # heap: the admission delay runs out
+_UNIT = 2       # callback: a unit is granted / the posting gate reopens
+_OP = 3         # heap: the op's duration runs out
+
+
+class _Execution:
+    """One request running to completion on the device: a scheduled
+    payload, not a process.
+
+    The pipeline is fixed — admission, then per op: unit, posting gate,
+    execute, hold the unit for the op's duration — so the execution is
+    one slotted object that is its own ready-deque entry (created in
+    the delivering entry, it boots in the next slot), its own heap
+    payload for the admission and per-op timers, and the callback on
+    its unit's ``AcquireEvent`` (docs/performance.md, rule 11). No
+    bootstrap, resume or completion event: nothing can wait on an
+    execution, so there is nothing to complete.
+
+    The two ends belong to the ``owner`` (see :meth:`Backend.execute`):
+    what the request is, and what to do with its :class:`ChainResult`.
+    Semantics in between follow §3.4: a hard NAK aborts the remainder;
+    a CAS miss only suppresses *conditional* successors.
+
+    ``span`` parents the device-side spans: admission, per-op dispatch
+    waits (execution unit + posting gate), and each op's execution
+    interval (refined by :meth:`Backend.op_time_parts`). They are
+    opened and closed by direct field writes, with the per-index and
+    per-opname labels interned — no f-string or context manager per op.
+    ``logical`` is the logical request id from the client's envelope:
+    carried on the chain-done and chain-abort events, it lets
+    subscribers count retransmitted executions separately from logical
+    requests.
+
+    The creator's flight-recorder context is captured at construction
+    and entered around every entry, so engine, fault and reply events
+    attribute to the originating operation. An exception escaping the
+    engine or a pricing function releases the unit and the gate and
+    propagates out of ``Simulator.run`` at once. The execution holds
+    nothing that refers back to it (the unit callback is the execution
+    itself, dropped when the grant is processed): ``gc`` is off while a
+    benchmark point runs.
+    """
+
+    __slots__ = ("backend", "owner", "message", "connection", "ops", "span",
+                 "logical", "results", "prev_ok", "stage", "_open_span",
+                 "_flight_ctx")
+
+    #: the kernel's tombstone check; an execution is never withdrawn
+    cancelled = False
+
+    def __init__(self, backend, owner, message):
+        self.backend = backend
+        self.owner = owner
+        self.message = message
+        self.span = NULL_SPAN
+        self.logical = None
+        #: results of the ops started so far (the last may be mid-timer)
+        self.results = []
+        self.prev_ok = True
+        self.stage = _BOOT
+        self._open_span = None
+        sim = backend.sim
+        self._flight_ctx = sim.context()
+        sim._ready.append(self)
+
+    # -- kernel entries -------------------------------------------------------
+
+    def __call__(self, _event=None):
+        """Ready-deque entry (boot), heap entry (a timer ran out) or the
+        callback of the awaited unit grant / gate reopening."""
+        stage = _STAGES[self.stage]
+        if self._flight_ctx is None:
+            stage(self)  # no operation to attribute to: nothing to enter
+        else:
+            self.backend.sim.call_as(self, stage, self)
+
+    fire = __call__
+
+    # -- stages ---------------------------------------------------------------
+
+    def _boot(self):
+        if not self.owner.accept(self):
+            return
+        if isinstance(self.ops, Chain):
+            self.ops = self.ops.ops
+        backend = self.backend
+        if self.span.enabled:
+            self._open("admission", backend.admission_phase)
+        if backend.admission_us > 0:
+            self.stage = _ADMISSION
+            backend.sim.schedule(backend.admission_us, self)
+        else:
+            self._advance()
+
+    def _advance(self):
+        """Admission or an op is over: queue the next op for an
+        execution unit, or answer when none is left."""
+        if self._open_span is not None:
+            self._close()
+        backend = self.backend
+        if len(self.results) < len(self.ops):
+            if self.span.enabled:
+                self._open(_dispatch_label(len(self.results)), "queue")
+            self.stage = _UNIT
+            backend.pool.acquire().callbacks.append(self)
+            return
+        backend.requests_processed += 1
+        bus = backend.sim.bus
+        if bus is not None:
+            emit_chain_done(bus, self.ops, self.results, self.logical)
+        self.owner.answer(self, ChainResult(self.results))
+
+    def _execute(self):
+        """Holding a unit: pass the posting gate, run the op, hold the
+        unit for its duration."""
+        backend = self.backend
+        gate = backend.gate
+        if not gate.try_enter():
+            gate.reopened().callbacks.append(self)
+            return
+        if self._open_span is not None:
+            self._close()
+        sim = backend.sim
+        index = len(self.results)
+        op = self.ops[index]
+        try:
+            result, accesses = backend.engine.execute_op(
+                self.connection, op, self.prev_ok)
+            duration = backend.op_time(op, accesses, index)
+            if sim.utilization is not None:
+                backend.note_execution(op, accesses, index, duration)
+            if self.span.enabled:
+                span = self._open(_op_label(op.opname),
+                                  backend.execution_phase)
+                span.attrs["status"] = result.status.value
+                span.parts = backend.op_time_parts(op, accesses, index)
+        except BaseException:
+            gate.exit()
+            backend.pool.release()
+            raise
+        self.results.append(result)
+        if duration > 0:
+            self.stage = _OP
+            sim.schedule(duration, self)
+        else:
+            self._executed()
+
+    def _executed(self):
+        """The op's duration is over: free the gate and the unit, then
+        move on."""
+        backend = self.backend
+        backend.gate.exit()
+        backend.pool.release()
+        results = self.results
+        result = results[-1]
+        if result.status is OpStatus.NAK:
+            results.extend(OpResult(OpStatus.SKIPPED)
+                           for _ in range(len(self.ops) - len(results)))
+        self.prev_ok = result.successful
+        self._advance()
+
+    # -- tracing --------------------------------------------------------------
+
+    def _open(self, name, phase):
+        """Open a child of the (enabled) ``span``; one is open at a time."""
+        span = self.span
+        child = self._open_span = Span(span.tracer, name, phase, span,
+                                       self.backend.sim._now, {})
+        span.children.append(child)
+        return child
+
+    def _close(self):
+        self._open_span.end = self.backend.sim._now
+        self._open_span = None
+
+
+_STAGES = (_Execution._boot, _Execution._advance, _Execution._execute,
+           _Execution._executed)
 
 
 def trace_host_bytes(accesses):

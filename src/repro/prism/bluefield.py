@@ -7,7 +7,6 @@ deployment option is the slowest in Fig. 1 despite running on the NIC.
 Accesses to the card's local memory are cheap.
 """
 
-from repro.hw.cpu import CorePool
 from repro.prism.address_space import DOMAIN_HOST
 from repro.prism.backend import Backend, BackendConfig
 
@@ -26,9 +25,10 @@ class BlueFieldPrismBackend(Backend):
 
     def __init__(self, sim, engine, config=None, cores=None):
         config = config or BackendConfig()
-        super().__init__(sim, engine, config)
-        self.pool = CorePool(sim, cores or config.bf_cores,
-                             name=f"{self.label}.cores")
+        super().__init__(sim, engine, config,
+                         pool_capacity=cores or config.bf_cores,
+                         pool_name=f"{self.label}.cores", pool_kind="cpu")
+        self.admission_us = config.bf_pipeline_latency_us
         self._host_path_monitor = None
         if sim.utilization is not None:
             # The card's internal-switch path to host memory is its
@@ -47,13 +47,6 @@ class BlueFieldPrismBackend(Backend):
                     self.config.bf_host_access_us
                     + access.nbytes / self.config.bf_bytes_per_us,
                     units=access.nbytes)
-
-    def request_admission(self, ops):
-        yield self.sim.timeout(self.config.bf_pipeline_latency_us)
-
-    def acquire_execution(self, op):
-        yield self.pool._pool.acquire()
-        return self.pool._pool.release
 
     def op_time(self, op, accesses, op_index=0):
         # Single accumulation kept bit-identical to the seed timing;
@@ -82,6 +75,3 @@ class BlueFieldPrismBackend(Backend):
             else:
                 cpu += self.config.bf_local_access_us
         return {"cpu": cpu, "pcie": pcie}
-
-    def utilization(self, elapsed):
-        return self.pool.utilization(elapsed)

@@ -14,11 +14,10 @@ on-NIC SRAM at SRAM cost.
 
 from repro.hw.pcie import PcieLink
 from repro.prism.address_space import DOMAIN_HOST
-from repro.prism.backend import BackendConfig, _PooledBackend
+from repro.prism.backend import Backend, BackendConfig
 
 
-
-class HardwareRdmaBackend(_PooledBackend):
+class HardwareRdmaBackend(Backend):
     """A stock RDMA NIC (no PRISM extensions)."""
 
     label = "rdma-hw"

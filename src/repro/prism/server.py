@@ -12,7 +12,8 @@ from itertools import count
 
 from repro.core.chain import Chain
 from repro.core.constants import REDIRECT_SLOT_BYTES
-from repro.net.port import send_reply
+from repro.core.errors import RemoteNak
+from repro.net.port import post_reply
 from repro.prism.address_space import ServerAddressSpace
 from repro.prism.engine import Connection, PrismEngine
 from repro.rdma.mr import AccessFlags, MemoryRegionTable
@@ -22,7 +23,13 @@ DEFAULT_MEMORY_BYTES = 64 * 1024 * 1024
 
 
 class PrismServer:
-    """One host's PRISM (or plain RDMA) service."""
+    """One host's PRISM (or plain RDMA) service.
+
+    The data plane runs no process: a delivered request runs to
+    completion on the backend (:meth:`Backend.execute
+    <repro.prism.backend.Backend.execute>`), with this server as the
+    owner that names the connection and posts the reply.
+    """
 
     _freelist_ids = count(1)
 
@@ -33,7 +40,6 @@ class PrismServer:
         self.fabric = fabric
         self.host_name = host_name
         self.service = service
-        self._process_name = f"{service}@{host_name}"
         self.space = ServerAddressSpace(memory_bytes)
         self.regions = MemoryRegionTable()
         self.freelists = {}
@@ -141,28 +147,33 @@ class PrismServer:
         if self.failed:
             self.requests_dropped += 1
             return
-        self.sim.spawn(self._serve(message), name=self._process_name)
+        self.backend.execute(self, message)
 
-    def _serve(self, message):
-        request = message.payload
-        root = request.span
-        connection_id, ops = request.body
-        connection = self.connections.get(connection_id)
-        if connection is None:
-            from repro.core.errors import RemoteNak
-            yield from send_reply(
-                self.fabric, self.host_name, request,
-                RemoteNak(f"unknown connection {connection_id}"), 12,
-                ok=False, span=root)
-            return
-        with root.child("server.process", phase="queue",
-                        host=self.host_name,
-                        backend=self.backend.label) as span:
-            result = yield from self.backend.process(
-                connection, ops, span=span, logical=request.logical_id)
-        size = self._response_bytes(ops, result)
-        yield from send_reply(self.fabric, self.host_name, request,
-                              result, size, span=root)
+    def accept(self, execution):
+        """Boot slot of a request's execution: resolve its connection."""
+        request = execution.message.payload
+        connection_id, execution.ops = request.body
+        execution.connection = self.connections.get(connection_id)
+        if execution.connection is None:
+            post_reply(self.fabric, self.host_name, request,
+                       RemoteNak(f"unknown connection {connection_id}"), 12,
+                       ok=False, span=request.span)
+            return False
+        execution.logical = request.logical_id
+        if request.span.enabled:
+            execution.span = request.span.child(
+                "server.process", phase="queue", host=self.host_name,
+                backend=self.backend.label)
+        return True
+
+    def answer(self, execution, result):
+        """The chain is done: reply with its result."""
+        if execution.span.enabled:
+            execution.span.finish()
+        request = execution.message.payload
+        post_reply(self.fabric, self.host_name, request, result,
+                   self._response_bytes(execution.ops, result),
+                   span=request.span)
 
     @staticmethod
     def _response_bytes(ops, result):

@@ -12,8 +12,6 @@ interface — the paper's "Pilaf (software RDMA)" / "ABDLOCK (software
 RDMA)" / "FaRM (software RDMA)" comparison points.
 """
 
-from repro.hw.cpu import CorePool
-from repro.prism.address_space import DOMAIN_HOST
 from repro.prism.backend import Backend, BackendConfig
 
 
@@ -30,18 +28,12 @@ class SoftwarePrismBackend(Backend):
 
     def __init__(self, sim, engine, config=None, cores=None):
         config = config or BackendConfig()
-        super().__init__(sim, engine, config)
-        self.pool = CorePool(sim, cores or config.sw_cores,
-                             name=f"{self.label}.cores")
-
-    def request_admission(self, ops):
+        super().__init__(sim, engine, config,
+                         pool_capacity=cores or config.sw_cores,
+                         pool_name=f"{self.label}.cores", pool_kind="cpu")
         # Fixed stack pipeline latency: NIC->userspace rx, polling loop
-        # pickup, tx doorbell on the way out. Pure delay, not occupancy.
-        yield self.sim.timeout(self.config.sw_pipeline_latency_us)
-
-    def acquire_execution(self, op):
-        yield self.pool._pool.acquire()
-        return self.pool._pool.release
+        # pickup, tx doorbell on the way out.
+        self.admission_us = config.sw_pipeline_latency_us
 
     def op_time(self, op, accesses, op_index=0):
         total = self.config.sw_op_occupancy_us
@@ -53,9 +45,6 @@ class SoftwarePrismBackend(Backend):
             total += (self.config.sw_access_us
                       + access.nbytes / self.config.sw_bytes_per_us)
         return total
-
-    def utilization(self, elapsed):
-        return self.pool.utilization(elapsed)
 
 
 class SoftwareRdmaBackend(SoftwarePrismBackend):

@@ -26,7 +26,9 @@ class MemoryRegion:
         self.length = length
         self.flags = flags
         # Plain-int permission mask: ``check`` runs once per memory
-        # access, and enum.Flag operators are ~10x an int ``&``.
+        # access, and enum.Flag operators are ~10x an int ``&``. The
+        # needed flags are read as ``need._value_`` there for the same
+        # reason: ``.value`` is a descriptor costing two Python frames.
         self._mask = flags.value
 
     @property
@@ -76,7 +78,7 @@ class MemoryRegionTable:
         callers probing several rkeys, where a miss is not an error."""
         region = self._regions.get(rkey)
         return (region is not None
-                and not need.value & ~region._mask
+                and not need._value_ & ~region._mask
                 and region.start <= addr
                 and addr + length <= region.start + region.length)
 
@@ -90,7 +92,7 @@ class MemoryRegionTable:
             region = self._regions[rkey]
         except KeyError:
             raise AccessViolation(f"unknown rkey {rkey:#x}") from None
-        if need.value & ~region._mask:
+        if need._value_ & ~region._mask:
             raise AccessViolation(
                 f"rkey {rkey:#x} lacks {need} (has {region.flags})")
         start = region.start

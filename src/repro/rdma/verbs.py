@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 from repro.core.errors import RemoteNak
 from repro.core.ops import WriteOp
-from repro.net.port import RequestChannel, send_reply
+from repro.net.port import RequestChannel, post_reply
 from repro.rdma.qp import QueuePair
 from repro.sim.resources import Store
 
@@ -45,7 +45,6 @@ class ReceiveEndpoint:
         self.server = server
         self.buffer_size = buffer_size
         self.service = service
-        self._process_name = f"{service}@{server.host_name}"
         base, self.rkey = server.add_region(buffer_size * buffer_count)
         self.qp = QueuePair(buffer_size, name=f"recv.{service}")
         self.qp.post_many(base + i * buffer_size
@@ -67,27 +66,34 @@ class ReceiveEndpoint:
     # -- data plane -----------------------------------------------------------
 
     def _on_send(self, message):
-        self.sim.spawn(self._absorb(message), name=self._process_name)
+        # The receiving NIC absorbs the SEND as one WRITE on the
+        # server's device; no process, no CPU.
+        self.server.backend.execute(self, message)
 
-    def _absorb(self, message):
-        request = message.payload
-        payload = request.body
+    def accept(self, execution):
+        """Boot slot: pop a posted buffer for the payload to land in."""
+        payload = execution.message.payload.body
         if len(self.qp) == 0 or len(payload) > self.buffer_size:
             # Receiver Not Ready: reject without consuming anything.
             self.rnr_naks += 1
-            yield from send_reply(
-                self.server.fabric, self.server.host_name, request,
-                RemoteNak("receiver not ready"), 12, ok=False)
-            return
-        buffer_addr = self.qp.pop()
-        op = WriteOp(addr=buffer_addr, data=payload, rkey=self.rkey)
-        result = yield from self.server.backend.process(
-            self._connection, [op])
+            self._reply(execution, RemoteNak("receiver not ready"), ok=False)
+            return False
+        execution.connection = self._connection
+        execution.ops = [WriteOp(addr=self.qp.pop(), data=payload,
+                                 rkey=self.rkey)]
+        return True
+
+    def answer(self, execution, result):
+        """The payload is placed: deposit the completion, acknowledge."""
+        message = execution.message
         self.completions.put(ReceiveCompletion(
-            buffer_addr=buffer_addr, length=len(payload),
-            sender=message.src))
-        yield from send_reply(self.server.fabric, self.server.host_name,
-                              request, True, 12)
+            buffer_addr=execution.ops[0].addr,
+            length=len(message.payload.body), sender=message.src))
+        self._reply(execution, True)
+
+    def _reply(self, execution, body, ok=True):
+        post_reply(self.server.fabric, self.server.host_name,
+                   execution.message.payload, body, 12, ok=ok)
 
 
 class SendEndpoint:

@@ -385,18 +385,28 @@ class Simulator:
         """:meth:`schedule_at` ``delay`` microseconds from now."""
         if delay < 0:
             raise SimulationError(f"negative delay: {delay}")
-        self.schedule_at(self._now + delay, payload)
+        when = self._now + delay
+        if when > self._now:
+            # schedule_at's hot branch, inlined: every stage of every
+            # message, execution and call comes through here.
+            heapq.heappush(self._queue,
+                           (when, next(self._sequence), payload))
+        else:
+            self.schedule_at(when, payload)
 
     def schedule_at(self, when, payload):
         """Fire ``payload`` at absolute time ``when``, as one kernel entry.
 
         The one absolute-time primitive: :meth:`timeout`,
         :meth:`sleep_until` and :meth:`schedule` all end here.
-        ``payload`` is any object with a ``fire()`` method and a false
-        ``cancelled`` attribute; it goes on the heap as it is — no
-        event, no wrapper, no waiter list. This is how per-message
-        model work (a fabric delivery advancing a stage) is timed
-        without a process. Compare the *computed* instant, not a delay:
+        ``payload`` is any object with a ``fire()`` method and a
+        ``cancelled`` attribute — false, unless its owner withdrew the
+        heap entry the way ``TimerEvent.cancel`` does (set it, then
+        :meth:`_note_timer_cancelled`); it goes on the heap as it is — no
+        event, no wrapper, no waiter list. This is how the model work
+        of a fixed pipeline (a fabric delivery, a device execution, a
+        client call advancing a stage) is timed without a process.
+        Compare the *computed* instant, not a delay:
         one that rounds to the current instant (or lies in the past)
         must keep FIFO position with other same-instant work — the heap
         only ever holds strictly-future entries, the ordering invariant

@@ -198,8 +198,9 @@ def test_a_message_costs_three_kernel_entries():
 
 def test_a_request_channel_round_trip_costs_eleven_entries():
     """Post overhead, 3 for the request, the echo's bootstrap and
-    completion, 3 for the reply, the reply event, completion overhead.
-    The client resumes three times; the server never waits."""
+    completion, 3 for the reply, the reply's slot, completion overhead.
+    The client is resumed once (``tests/net/test_port.py`` counts the
+    resumes and the timed variant); the server never waits."""
     def entries(n):
         sim = Simulator()
         fabric = make_fabric(sim, RACK, ["a", "b"])

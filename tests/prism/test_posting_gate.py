@@ -2,13 +2,22 @@
 
 import pytest
 
-from repro.prism.backend import PostingGate
+from repro.net.topology import DIRECT, make_fabric
+from repro.prism import HardwarePrismBackend, PrismClient, PrismServer
+from repro.prism.backend import BackendConfig, PostingGate
+
+
+def enter(gate):
+    """The read side, written as a process: try, wait for the poster's
+    release, try again — what a device execution does with callbacks."""
+    while not gate.try_enter():
+        yield gate.reopened()
 
 
 def test_reads_flow_when_not_posting(sim, drive):
     gate = PostingGate(sim)
     def main():
-        yield from gate.enter()
+        yield from enter(gate)
         gate.exit()
         return sim.now
     assert drive(sim, main()) == 0.0
@@ -19,7 +28,7 @@ def test_drain_waits_for_executing_ops(sim):
     order = []
 
     def op():
-        yield from gate.enter()
+        yield from enter(gate)
         yield sim.timeout(10)
         gate.exit()
         order.append(("op", sim.now))
@@ -49,7 +58,7 @@ def test_new_ops_stall_during_posting(sim):
 
     def late_op():
         yield sim.timeout(1)
-        yield from gate.enter()
+        yield from enter(gate)
         order.append(("op_started", sim.now))
         gate.exit()
 
@@ -84,7 +93,7 @@ def test_drain_does_not_count_queued_ops(sim):
     stamps = {}
 
     def running_op():
-        yield from gate.enter()
+        yield from enter(gate)
         yield sim.timeout(3)
         gate.exit()
 
@@ -97,7 +106,7 @@ def test_drain_does_not_count_queued_ops(sim):
 
     def queued_op():
         yield sim.timeout(2)  # arrives while poster is waiting/posting
-        yield from gate.enter()
+        yield from enter(gate)
         stamps["queued_started"] = sim.now
         gate.exit()
 
@@ -115,7 +124,7 @@ def test_interleaved_enters_exits(sim):
 
     def op(start, hold, tag):
         yield sim.timeout(start)
-        yield from gate.enter()
+        yield from enter(gate)
         yield sim.timeout(hold)
         gate.exit()
         done.append(tag)
@@ -133,3 +142,56 @@ def test_interleaved_enters_exits(sim):
     assert set(done) == {"op0", "op1", "op2", "posted"}
     # The poster drained after ops 0-2 (all entered before the drain).
     assert done.index("posted") >= 1
+
+
+# -- through a real server: the device execution is the reader ----------------
+
+
+class _SlowOps(HardwarePrismBackend):
+    """Two units, every op 4 µs: long enough to post buffers mid-op."""
+
+    def __init__(self, sim, engine, config=None):
+        super().__init__(sim, engine, BackendConfig(nic_parallelism=2))
+
+    def op_time(self, op, accesses, op_index=0):
+        return 4.0
+
+
+def test_post_buffers_drains_a_running_op_and_stalls_a_granted_one(sim):
+    """``post_buffers`` arrives while ALLOCATE A is mid-timer: the drain
+    waits for A. ALLOCATE B is granted the second unit meanwhile, finds
+    the gate closed and waits — holding its unit — for the release,
+    then executes: it gets the very buffer the poster posted. (Run at
+    its grant, B would have found the free list empty and NAK'd.)"""
+    fabric = make_fabric(sim, DIRECT, ["a", "b", "server"])
+    server = PrismServer(sim, fabric, "server", _SlowOps)
+    freelist, rkey = server.create_freelist(64, 2)
+    spare = server.freelist(freelist).pop()     # one buffer left posted
+    gate = server.backend.gate
+    pool = server.backend.pool
+    seen = {}
+
+    def allocate(tag, client, start_at):
+        yield sim.timeout(start_at)
+        addr = yield from client.allocate(freelist, b"x", rkey=rkey)
+        seen[tag] = (addr, sim.now)
+
+    def poster():
+        yield sim.timeout(2.0)
+        seen["mid_op"] = (gate._executing, pool.in_use)
+        yield from server.post_buffers(freelist, [spare])
+        seen["posted"] = (sim.now, gate._executing, pool.in_use)
+
+    sim.spawn(allocate("A", PrismClient(sim, fabric, "a", server), 0.0))
+    sim.spawn(allocate("B", PrismClient(sim, fabric, "b", server), 2.0))
+    sim.spawn(poster())
+    sim.run()
+
+    assert seen["mid_op"] == (1, 1)             # A executing when asked
+    posted_at, executing, in_use = seen["posted"]
+    assert (executing, in_use) == (0, 1)        # A drained; B holds a unit
+    (a_addr, a_done), (b_addr, b_done) = seen["A"], seen["B"]
+    assert a_addr != spare and b_addr == spare
+    assert posted_at < a_done < posted_at + 4.0     # A ended at the post,
+    assert b_done > posted_at + 4.0                 # B ran 4 µs from it
+    assert (gate._executing, pool.in_use, pool.queue_length) == (0, 0, 0)

@@ -1,13 +1,18 @@
 """PrismServer/PrismClient integration: connections, regions, recycling."""
 
+from itertools import count
+
 import pytest
 
 from repro.core import AccessViolation, ReadOp
+from repro.core.ops import AllocateOp, CasMode, CasOp, WriteOp
+from repro.hw.layout import pack_uint
 from repro.core.constants import REDIRECT_SLOT_BYTES
 from repro.net.topology import DIRECT, RACK, make_fabric
 from repro.obs import HostProfiler
 from repro.prism import (
     HardwarePrismBackend,
+    HardwareRdmaBackend,
     PrismClient,
     PrismServer,
     SoftwarePrismBackend,
@@ -103,7 +108,8 @@ def test_post_buffers_waits_for_executing_ops(sim, system):
 
     def fake_op(start_at, duration, tag):
         yield sim.timeout(start_at)
-        yield from gate.enter()
+        while not gate.try_enter():
+            yield gate.reopened()
         events.append(("start", tag, sim.now))
         yield sim.timeout(duration)
         gate.exit()
@@ -175,35 +181,202 @@ def test_unknown_connection_rejected_remotely(sim, system, drive):
     assert drive(sim, main()) == "rejected"
 
 
-def test_an_indirect_read_costs_thirteen_entries_and_six_resumes():
-    """The ``kv_read``-shaped op — closed loop, ``prism-hw``, one
-    indirect READ — at zero tolerance, by the slope over N reads:
-    3 timers (post overhead, the op's execution, completion overhead)
-    + 2 x 3 message stages + 1 processing-unit grant + the server
-    process's bootstrap and completion + the reply event = 13 kernel
-    entries, and 3 client + 3 server resumes (no process is resumed to
-    move a message)."""
+def _costs_per_request(backend_cls, body, n_extra=100):
+    """``(kernel entries, process resumes, process spawns)`` per request,
+    exact, as the slope between a run of 10 and one of ``10 + n_extra``
+    — set-up and the reader's own bootstrap and completion cancel out.
+    ``body(server, client)`` builds what is needed and returns the
+    process helper issuing one request."""
     def counts(n):
         sim = Simulator()
         profiler = sim.attach(HostProfiler())
+        spawns = [0]
+        spawn = sim.spawn
+
+        def counting_spawn(generator, name=None):
+            spawns[0] += 1
+            return spawn(generator, name=name)
+
+        sim.spawn = counting_spawn
         fabric = make_fabric(sim, RACK, ["client", "server"])
-        server = PrismServer(sim, fabric, "server", HardwarePrismBackend)
+        server = PrismServer(sim, fabric, "server", backend_cls)
+        client = PrismClient(sim, fabric, "client", server)
+        one_request = body(server, client)
+
+        def issuer():
+            for _ in range(n):
+                yield from one_request()
+
+        try:
+            sim.run_until_complete(sim.spawn(issuer()))
+        finally:
+            profiler.finish(sim.now)    # stop being the ambient profiler
+        return sim.events_executed, profiler.resumes, spawns[0]
+
+    more, fewer = counts(10 + n_extra), counts(10)
+    return tuple((a - b) / n_extra for a, b in zip(more, fewer))
+
+
+def _read_512(indirect):
+    def body(server, client):
         data, rkey = server.add_region(1 << 12)
         server.space.write(data, b"v" * 512)
         server.space.write_ptr(data + 512, data)
-        client = PrismClient(sim, fabric, "client", server)
 
-        def reader():
-            for _ in range(n):
-                assert (yield from client.read(
-                    data + 512, 512, rkey=rkey, indirect=True)) == b"v" * 512
+        def one_request():
+            assert (yield from client.read(
+                data + 512 if indirect else data, 512, rkey=rkey,
+                indirect=indirect)) == b"v" * 512
+        return one_request
+    return body
 
-        try:
-            sim.run_until_complete(sim.spawn(reader()))
-        finally:
-            profiler.finish(sim.now)    # stop being the ambient profiler
-        return sim.events_executed, profiler.resumes
 
-    more, fewer = counts(110), counts(10)
-    assert more[0] - fewer[0] == 13 * 100
-    assert more[1] - fewer[1] == 6 * 100
+def test_an_indirect_read_costs_twelve_entries_and_one_resume():
+    """The ``kv_read``-shaped op — closed loop, ``prism-hw``, one
+    indirect READ — at zero tolerance: 2 client stages (post overhead,
+    completion overhead) + 2 x 3 message stages + the execution's boot
+    slot, its processing-unit grant and its one op timer + the reply's
+    slot = 12 kernel entries. The device runs no process (0 spawns) and
+    the client is resumed once, with the result."""
+    assert _costs_per_request(HardwarePrismBackend, _read_512(True)) \
+        == (12, 1, 0)
+
+
+def test_the_software_stack_adds_its_admission_timer():
+    assert _costs_per_request(SoftwarePrismBackend, _read_512(True)) \
+        == (13, 1, 0)
+
+
+def test_a_classic_read_costs_what_an_indirect_one_does():
+    assert _costs_per_request(HardwareRdmaBackend, _read_512(False)) \
+        == (12, 1, 0)
+
+
+def test_each_further_op_of_a_chain_costs_a_grant_and_a_timer():
+    """The PRISM-KV PUT install chain (WRITE, WRITE, ALLOCATE, CAS_GT):
+    three more ops than a READ, two entries each — still one round
+    trip, one resume, no process."""
+    def body(server, client):
+        freelist, buffers_rkey = server.create_freelist(64, 128)
+        slot, rkey = server.add_region(24)
+        tmp = client.sram_slot
+        versions = count(1)
+
+        def one_request():
+            result = yield from client.execute(
+                WriteOp(addr=tmp, data=pack_uint(next(versions), 8),
+                        rkey=server.sram_rkey),
+                WriteOp(addr=tmp + 16, data=pack_uint(64, 8),
+                        rkey=server.sram_rkey),
+                AllocateOp(freelist=freelist, data=b"v" * 64,
+                           rkey=buffers_rkey, redirect_to=tmp + 8),
+                CasOp(target=slot, data=tmp.to_bytes(8, "little"),
+                      rkey=rkey, mode=CasMode.GT,
+                      compare_mask=(1 << 64) - 1, data_indirect=True,
+                      operand_width=24, conditional=True))
+            assert result.committed
+        return one_request
+
+    assert _costs_per_request(HardwarePrismBackend, body) \
+        == (12 + 3 * 2, 1, 0)
+
+
+def test_an_op_priced_at_zero_takes_no_timer_entry():
+    """A non-positive duration skips the op's stage — it is not a
+    zero-delay timer — so the READ costs one entry less."""
+    class FreeOps(HardwarePrismBackend):
+        def op_time(self, op, accesses, op_index=0):
+            return 0.0
+
+    assert _costs_per_request(FreeOps, _read_512(True)) == (11, 1, 0)
+
+
+def test_a_chain_nakd_midway_skips_the_rest_and_frees_unit_and_gate(
+        sim, system, drive):
+    fabric, server = system
+    client = PrismClient(sim, fabric, "client", server)
+    addr, rkey = server.add_region(128)
+
+    def main():
+        return (yield from client.execute(
+            WriteOp(addr=addr, data=b"kept", rkey=rkey),
+            ReadOp(addr=addr + 4096, length=8, rkey=rkey),   # out of bounds
+            WriteOp(addr=addr, data=b"lost", rkey=rkey),
+            ReadOp(addr=addr, length=4, rkey=rkey)))
+
+    result = drive(sim, main())
+    assert [r.status for r in result] == [
+        OpStatus.OK, OpStatus.NAK, OpStatus.SKIPPED, OpStatus.SKIPPED]
+    assert server.space.read(addr, 4) == b"kept"
+    backend = server.backend
+    assert (backend.pool.in_use, backend.pool.queue_length,
+            backend.gate._executing) == (0, 0, 0)
+    assert backend.requests_processed == 1
+
+
+def test_a_failing_pricing_function_frees_unit_and_gate_and_stops_the_run(
+        sim, fabric):
+    """No process stands between the engine and the kernel any more: a
+    bug in a backend surfaces from ``run`` in the entry it happens in,
+    with nothing left held."""
+    class Broken(HardwarePrismBackend):
+        def op_time(self, op, accesses, op_index=0):
+            raise ZeroDivisionError("bad cost model")
+
+    server = PrismServer(sim, fabric, "server", Broken)
+    client = PrismClient(sim, fabric, "client", server)
+    addr, rkey = server.add_region(64)
+    sim.spawn(client.read(addr, 8, rkey=rkey))
+    with pytest.raises(ZeroDivisionError, match="bad cost model"):
+        sim.run()
+    backend = server.backend
+    assert (backend.pool.in_use, backend.gate._executing) == (0, 0)
+
+
+def test_requests_leave_no_reference_cycles():
+    """Benchmark points run with ``gc`` off, so a call, ack deadline or
+    execution caught in a cycle would leak once per request. Reference
+    counting alone must free them all — timed requests (a call and its
+    deadline refer to each other until one resolves) and chains (the
+    execution registers itself on each unit grant) included."""
+    import gc
+
+    from repro.faults.plan import RetryPolicy
+    from repro.net.port import _AckDeadline, _Call
+    from repro.prism.backend import _Execution
+
+    kinds = (_Call, _AckDeadline, _Execution)
+
+    def live():
+        return sum(1 for obj in gc.get_objects() if type(obj) in kinds)
+
+    sim = Simulator()
+    fabric = make_fabric(sim, RACK, ["client", "server"])
+    server = PrismServer(sim, fabric, "server", SoftwarePrismBackend)
+    addr, rkey = server.add_region(64)
+    timed = PrismClient(sim, fabric, "client", server,
+                        retry_policy=RetryPolicy(timeout_us=75.0))
+    untimed = PrismClient(sim, fabric, "client", server)
+    seen_in_flight = []
+
+    def reader():
+        for _ in range(25):
+            for client in (timed, untimed):
+                yield from client.execute(
+                    WriteOp(addr=addr, data=b"x", rkey=rkey),
+                    ReadOp(addr=addr, length=1, rkey=rkey))
+                seen_in_flight.append(live())
+
+    sim.spawn(reader())
+    gc.collect()
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        sim.run()
+        assert server.backend.requests_processed == 50
+        # The census works: the call resuming the reader is still alive.
+        assert min(seen_in_flight) >= 1
+        assert live() == 0
+    finally:
+        if was_enabled:
+            gc.enable()
