@@ -1,18 +1,11 @@
-"""Ablation: out-of-place CAS_GT installs vs lock-based in-place writes.
+"""Ablation: out-of-place CAS_GT installs vs lock-based in-place writes
+(§2.2/§3.5) — its row, its claims and the measurement only it has."""
 
-DESIGN.md calls out the paper's core update pattern (§2.2/§3.5):
-write-out-of-place + atomically swing a versioned pointer, instead of
-lock / write in place / unlock. This bench isolates that choice on a
-single server under increasing key contention, with everything else
-identical (same backend, same payload, same key distribution):
+import sys
+from functools import partial
 
-* ``cas-install`` — PRISM-KV style chained ALLOCATE/CAS_GT, 1 RT;
-* ``lock-inplace`` — classic CAS lock, WRITE, CAS unlock, 3 RTs, plus
-  backoff on lock failure.
-"""
-
-from repro.bench.reporting import print_table
-from repro.core.ops import AllocateOp, CasMode, CasOp, WriteOp
+from repro.bench.experiments import Claim, Experiment, pytest_case, script_main
+from repro.bench.microbench import execute, install_chain
 from repro.hw.layout import pack_uint
 from repro.net.topology import RACK, make_fabric
 from repro.prism import PrismClient, PrismServer, SoftwarePrismBackend
@@ -23,11 +16,14 @@ from repro.workload.keydist import ZipfKeys
 N_KEYS = 64
 N_CLIENTS = 24
 VALUE = b"u" * 256
+WARMUP_US = 200.0
 DURATION_US = 1500.0
-ZIPFS = [0.0, 1.2]
+VARIANTS = ("cas-install", "lock-inplace")
+ZIPFS = (0.0, 1.2)
 
 
-def _build(sim):
+def _run(variant, zipf):
+    sim = Simulator()
     fabric = make_fabric(sim, RACK,
                          ["server"] + [f"c{i}" for i in range(N_CLIENTS)])
     server = PrismServer(sim, fabric, "server", SoftwarePrismBackend,
@@ -39,41 +35,21 @@ def _build(sim):
     # retired buffers are simply not reused, isolating the update-path
     # comparison from recycling costs).
     freelist, buf_rkey = server.create_freelist(8 + len(VALUE), 24_000)
-    for key in range(N_KEYS):
-        addr = server.space.sbrk(0)  # no-op; values start zeroed
-    return fabric, server, base, stride, rkey, freelist, buf_rkey
-
-
-def _run(variant, zipf):
-    sim = Simulator()
-    fabric, server, base, stride, rkey, freelist, buf_rkey = _build(sim)
-    recorder = LatencyRecorder(warmup_until=200.0)
+    recorder = LatencyRecorder(warmup_until=WARMUP_US)
 
     def client_loop(index):
         client = PrismClient(sim, fabric, f"c{index}", server)
         keys = ZipfKeys(N_KEYS, zipf, seed=index, permutation_seed=1)
         rng = SeededRng(index).stream("backoff")
         version = 0
-        while sim.now < 200.0 + DURATION_US:
-            key = keys.sample()
-            slot = base + key * stride
+        while sim.now < WARMUP_US + DURATION_US:
+            slot = base + keys.sample() * stride
             start = sim.now
             version += 1
             if variant == "cas-install":
-                tmp = client.sram_slot
-                result = yield from client.execute(
-                    WriteOp(addr=tmp, data=pack_uint(version, 8),
-                            rkey=server.sram_rkey),
-                    AllocateOp(freelist=freelist,
-                               data=pack_uint(version, 8) + VALUE,
-                               rkey=buf_rkey, redirect_to=tmp + 8,
-                               conditional=True),
-                    CasOp(target=slot + 8, data=pack_uint(tmp, 8),
-                          rkey=rkey, mode=CasMode.GT,
-                          compare_mask=(1 << 64) - 1, data_indirect=True,
-                          operand_width=16, conditional=True),
-                )
-                result.raise_on_nak()
+                yield from execute(client, *install_chain(
+                    version, VALUE, client.sram_slot, server.sram_rkey,
+                    slot + 8, rkey, freelist, buf_rkey))
             else:
                 attempt = 0
                 while True:
@@ -93,40 +69,40 @@ def _run(variant, zipf):
     processes = [sim.spawn(client_loop(i)) for i in range(N_CLIENTS)]
     waiter = sim.spawn((lambda d: (yield d))(sim.all_of(processes)))
     sim.run_until_complete(waiter, limit=1e7)
-    return recorder.mean(), recorder.count / DURATION_US * 1e6
+    return recorder.mean(), recorder.count / DURATION_US
 
 
-def test_ablation_out_of_place_vs_locks(benchmark):
-    results = benchmark.pedantic(
-        lambda: {(variant, zipf): _run(variant, zipf)
-                 for variant in ("cas-install", "lock-inplace")
-                 for zipf in ZIPFS},
-        rounds=1, iterations=1)
-    rows = [[variant, zipf, results[(variant, zipf)][0],
-             results[(variant, zipf)][1] / 1e6]
-            for variant in ("cas-install", "lock-inplace")
-            for zipf in ZIPFS]
-    print_table("Ablation: out-of-place CAS install vs lock-based in-place",
-                ["variant", "zipf", "mean_us", "Mops/s"], rows)
-    for zipf in ZIPFS:
-        cas_lat, cas_tput = results[("cas-install", zipf)]
-        lock_lat, lock_tput = results[("lock-inplace", zipf)]
-        # One round trip beats three at any contention level...
-        assert cas_lat < lock_lat, zipf
-        assert cas_tput > lock_tput, zipf
-    # ...and the gap explodes under contention (lock convoys).
-    gap_uniform = (results[("lock-inplace", 0.0)][0]
-                   / results[("cas-install", 0.0)][0])
-    gap_contended = (results[("lock-inplace", 1.2)][0]
-                     / results[("cas-install", 1.2)][0])
-    assert gap_contended > gap_uniform
+def _slowdown(r, zipf):
+    return r["lock-inplace", zipf][0] / r["cas-install", zipf][0]
 
+
+ROW = Experiment(
+    "ablation-inplace-locks", "Ablation",
+    "out-of-place CAS install vs lock-based in-place (24 clients, 64 keys)",
+    "the paper's core update pattern — write out of place, atomically "
+    "swing a versioned pointer (chained ALLOCATE / CAS_GT, 1 round trip) "
+    "— against CAS lock / WRITE in place / CAS unlock (3 round trips plus "
+    "backoff) on one server, everything else identical",
+    measure=lambda: {(variant, zipf): _run(variant, zipf)
+                     for variant in VARIANTS for zipf in ZIPFS},
+    table=lambda r: (["variant", "zipf", "mean_us", "Mops/s"],
+                     [[*key, *r[key]] for key in r]))
+
+claim = partial(Claim, ROW.name, "§3.5")
+CLAIMS = (
+    claim("one round trip beats three at any skew: smallest latency gap "
+          "(µs)", lambda r: min(r["lock-inplace", z][0]
+                                - r["cas-install", z][0] for z in ZIPFS),
+          lo=0, exclusive=True),
+    claim("... and smallest throughput gap (Mops/s)",
+          lambda r: min(r["cas-install", z][1] - r["lock-inplace", z][1]
+                        for z in ZIPFS), lo=0, exclusive=True),
+    claim("the gap explodes under contention: lock slowdown at zipf 1.2 / "
+          "uniform", lambda r: _slowdown(r, 1.2) / _slowdown(r, 0.0),
+          lo=1, exclusive=True, note="lock convoys"),
+)
+
+test_ablation_out_of_place_vs_locks = pytest_case(ROW, CLAIMS)
 
 if __name__ == "__main__":
-    import sys
-
-    from repro.bench.cli import standalone_main
-
-    sys.exit(standalone_main(test_ablation_out_of_place_vs_locks,
-                             "ablation: out-of-place vs locks",
-                             prefix="ablation-inplace-locks"))
+    sys.exit(script_main(ROW, CLAIMS))

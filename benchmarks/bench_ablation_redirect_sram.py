@@ -1,94 +1,61 @@
-"""Ablation: redirect scratch in on-NIC SRAM vs host memory (§4.2).
+"""Ablation: redirect scratch in on-NIC SRAM vs host memory (§4.2) — its
+row, its claims and the measurement only it has."""
 
-"Applications using output redirection should redirect to this on-NIC
-memory when possible" — because a host-memory temporary costs the
-hardware NIC extra PCIe round trips on every chained access. We measure
-the PRISM-KV install chain on the projected hardware NIC with its
-temporary in (a) the connection's SRAM slot and (b) a host-memory
-scratch buffer.
+import sys
+from functools import partial
 
-(The software backend is indifferent — both are one load/store away —
-which we also verify; the SRAM advantage is a *hardware* argument.)
-"""
+from repro.bench.experiments import Claim, Experiment, pytest_case, script_main
+from repro.bench.microbench import execute, install_chain, mean_latency, rig
+from repro.net.topology import RACK
+from repro.prism import HardwarePrismBackend, SoftwarePrismBackend
 
-from repro.bench.reporting import print_table
-from repro.core.ops import AllocateOp, CasMode, CasOp, WriteOp
-from repro.hw.layout import pack_uint
-from repro.net.topology import RACK, make_fabric
-from repro.prism import (
-    HardwarePrismBackend,
-    PrismClient,
-    PrismServer,
-    SoftwarePrismBackend,
-)
-from repro.sim import Simulator
-
-REPEATS = 20
 VALUE = b"r" * 512
+BACKENDS = {"prism-hw": HardwarePrismBackend, "prism-sw": SoftwarePrismBackend}
 
 
 def _measure(backend_cls, scratch_in_sram):
-    sim = Simulator()
-    fabric = make_fabric(sim, RACK, ["client", "server"])
-    server = PrismServer(sim, fabric, "server", backend_cls)
+    sim, server, client = rig(backend_cls, RACK)
     slot, rkey = server.add_region(4096)
-    host_scratch, _scratch_rkey = server.add_region(64)
+    tmp, tmp_rkey = server.add_region(64)
     freelist, buf_rkey = server.create_freelist(len(VALUE) + 16, 1024)
-    client = PrismClient(sim, fabric, "client", server)
-    samples = []
-
-    def run():
-        tmp = client.sram_slot if scratch_in_sram else host_scratch
-        tmp_rkey = server.sram_rkey if scratch_in_sram else _scratch_rkey
-        for version in range(1, REPEATS + 1):
-            start = sim.now
-            result = yield from client.execute(
-                WriteOp(addr=tmp, data=pack_uint(version, 8), rkey=tmp_rkey),
-                AllocateOp(freelist=freelist,
-                           data=pack_uint(version, 8) + VALUE,
-                           rkey=buf_rkey, redirect_to=tmp + 8,
-                           conditional=True),
-                CasOp(target=slot, data=pack_uint(tmp, 8), rkey=rkey,
-                      mode=CasMode.GT, compare_mask=(1 << 64) - 1,
-                      data_indirect=True, operand_width=16,
-                      conditional=True),
-            )
-            result.raise_on_nak()
-            samples.append(sim.now - start)
-
-    sim.run_until_complete(sim.spawn(run()), limit=1e6)
-    return sum(samples) / len(samples)
+    if scratch_in_sram:
+        tmp, tmp_rkey = client.sram_slot, server.sram_rkey
+    return mean_latency(
+        sim, lambda i: execute(client, *install_chain(
+            i + 1, VALUE, tmp, tmp_rkey, slot, rkey, freelist, buf_rkey)),
+        repeats=20)
 
 
-def test_ablation_redirect_target(benchmark):
-    results = benchmark.pedantic(
-        lambda: {
-            ("hw", True): _measure(HardwarePrismBackend, True),
-            ("hw", False): _measure(HardwarePrismBackend, False),
-            ("sw", True): _measure(SoftwarePrismBackend, True),
-            ("sw", False): _measure(SoftwarePrismBackend, False),
-        }, rounds=1, iterations=1)
-    print_table(
-        "Ablation: chain scratch placement (install chain latency, µs)",
+def _penalty(r, backend):
+    return r[backend, False] - r[backend, True]
+
+
+ROW = Experiment(
+    "ablation-redirect-sram", "Ablation",
+    "chain scratch placement (install chain latency, µs)",
+    "\"applications using output redirection should redirect to this "
+    "on-NIC memory when possible\": a host-memory temporary costs the "
+    "hardware NIC extra PCIe round trips on every chained access; the "
+    "software stack is one load/store from either",
+    measure=lambda: {(backend, in_sram): _measure(cls, in_sram)
+                     for backend, cls in BACKENDS.items()
+                     for in_sram in (True, False)},
+    table=lambda r: (
         ["backend", "sram_scratch", "host_scratch", "penalty_us"],
-        [["prism-hw", results[("hw", True)], results[("hw", False)],
-          results[("hw", False)] - results[("hw", True)]],
-         ["prism-sw", results[("sw", True)], results[("sw", False)],
-          results[("sw", False)] - results[("sw", True)]]])
-    # On the hardware NIC, host-memory scratch pays several extra PCIe
-    # round trips (write, read-back for the CAS operand, ...).
-    hw_penalty = results[("hw", False)] - results[("hw", True)]
-    assert hw_penalty > 1.0
-    # The software stack barely cares where the scratch lives.
-    sw_penalty = abs(results[("sw", False)] - results[("sw", True)])
-    assert sw_penalty < 0.5
+        [[b, r[b, True], r[b, False], _penalty(r, b)] for b in BACKENDS]))
 
+claim = partial(Claim, ROW.name, "§4.2")
+CLAIMS = (
+    claim("host-memory scratch costs the hardware NIC (µs)",
+          lambda r: _penalty(r, "prism-hw"), "extra PCIe RTTs",
+          lo=1.0, exclusive=True,
+          note="write, read-back for the CAS operand, ..."),
+    claim("the software stack barely cares: absolute penalty (µs)",
+          lambda r: abs(_penalty(r, "prism-sw")), "~0",
+          hi=0.5, exclusive=True),
+)
+
+test_ablation_redirect_target = pytest_case(ROW, CLAIMS)
 
 if __name__ == "__main__":
-    import sys
-
-    from repro.bench.cli import standalone_main
-
-    sys.exit(standalone_main(test_ablation_redirect_target,
-                             "ablation: redirect target placement",
-                             prefix="ablation-redirect-sram"))
+    sys.exit(script_main(ROW, CLAIMS))

@@ -1,23 +1,24 @@
-"""Ablation: PRISM-RS GET write-back phase.
+"""Ablation: PRISM-RS GET write-back phase (§7.1) — its row, its claim
+and the measurement only it has."""
 
-ABD's read protocol performs a second (write-back) phase so a read's
-observed value reaches a majority before the read returns (§7.1). An
-often-cited optimization skips the write-back when all f+1 read-phase
-replies carry the *same* tag — safe, because the value is already at a
-majority. The paper implements the unconditional protocol; this
-ablation quantifies what the optimization would save on a read-mostly
-workload (and is exactly the kind of design-space point the PRISM
-primitives make cheap to explore).
-"""
+import sys
 
-from repro.bench.reporting import print_table
 from repro.apps.blockstore import PrismRsClient, PrismRsReplica
+from repro.apps.blockstore.layout import RsLayout
+from repro.apps.blockstore.quorum import quorum
+from repro.bench.experiments import (
+    Claim,
+    Experiment,
+    listing,
+    pytest_case,
+    script_main,
+)
+from repro.bench.microbench import mean_latency
 from repro.net.topology import RACK, make_fabric
 from repro.prism import SoftwarePrismBackend
 from repro.sim import Simulator
 
 N_BLOCKS = 256
-REPEATS = 30
 
 
 class OptimizedRsClient(PrismRsClient):
@@ -25,8 +26,6 @@ class OptimizedRsClient(PrismRsClient):
 
     def get(self, block_id):
         read_len = 8 + self.layout.block_size
-        from repro.apps.blockstore.quorum import quorum
-        from repro.apps.blockstore.layout import RsLayout
         generators = [
             client.read(self.layout.addr_field(block_id), read_len,
                         rkey=replica.meta_rkey, indirect=True)
@@ -56,38 +55,31 @@ def _measure(client_cls):
         for rep in replicas:
             rep.load(block, value)
     client = client_cls(sim, fabric, "c0", replicas, client_id=1)
-    samples = []
-
-    def run():
-        for i in range(REPEATS):
-            start = sim.now
-            yield from client.get(i % N_BLOCKS)
-            samples.append(sim.now - start)
-
-    sim.run_until_complete(sim.spawn(run()), limit=1e7)
-    return sum(samples) / len(samples)
+    return mean_latency(sim, lambda i: client.get(i % N_BLOCKS), repeats=30)
 
 
-def test_ablation_rs_read_writeback(benchmark):
-    baseline, optimized = benchmark.pedantic(
-        lambda: (_measure(PrismRsClient), _measure(OptimizedRsClient)),
-        rounds=1, iterations=1)
-    print_table(
-        "Ablation: PRISM-RS GET write-back (quiescent reads, µs)",
-        ["variant", "mean_us"],
-        [["unconditional write-back (paper)", baseline],
-         ["skip when tags unanimous", optimized]])
-    # Skipping the write phase saves a full quorum round trip (~half
-    # the read latency) when replicas agree.
-    assert optimized < baseline
-    assert baseline / optimized > 1.6
+ROW = Experiment(
+    "ablation-rs-writeback", "Ablation",
+    "PRISM-RS GET write-back (quiescent reads, µs)",
+    "ABD's read performs a write-back phase so the value it observed is "
+    "at a majority before it returns; the paper implements it "
+    "unconditionally. Skipping it when all f+1 read-phase replies carry "
+    "the same tag is safe (the value already is at a majority) — the "
+    "kind of design-space point the PRISM primitives make cheap to try",
+    measure=lambda: {
+        "unconditional write-back (paper)": _measure(PrismRsClient),
+        "skip when tags unanimous": _measure(OptimizedRsClient)},
+    table=listing("variant", "mean_us"))
 
+CLAIMS = (
+    Claim(ROW.name, "§7.1", "skipping the write phase saves a quorum round "
+          "trip: unconditional / skipping",
+          lambda r: (r["unconditional write-back (paper)"]
+                     / r["skip when tags unanimous"]), "~2",
+          lo=1.6, exclusive=True, note="about half the read latency"),
+)
+
+test_ablation_rs_read_writeback = pytest_case(ROW, CLAIMS)
 
 if __name__ == "__main__":
-    import sys
-
-    from repro.bench.cli import standalone_main
-
-    sys.exit(standalone_main(test_ablation_rs_read_writeback,
-                             "ablation: RS read writeback",
-                             prefix="ablation-rs-writeback"))
+    sys.exit(script_main(ROW, CLAIMS))

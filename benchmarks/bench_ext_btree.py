@@ -1,33 +1,38 @@
-"""Extension: remote B-tree lookups (the Cell scenario, paper §9).
+"""Extension: remote B-tree lookups (the Cell scenario, paper §9) — its
+row, its claims and the measurement only it has."""
 
-"Cell implements a B-tree, which requires even more round trips to
-perform a read (though caching can be effective)... PRISM's indirection
-primitives can help many of these systems."
-
-We measure a lookup against a 4-level remote B-tree in three modes —
-cold RDMA walk (h+2 round trips), cached index over RDMA (2 round
-trips, Pilaf-shaped), cached index over PRISM (1 bounded indirect
-READ) — at rack and datacenter network latency.
-"""
+import sys
+from functools import partial
 
 from repro.apps.btree import BTreeClient, BTreeServer
-from repro.bench.reporting import print_table
+from repro.bench.experiments import (
+    Claim,
+    Experiment,
+    pytest_case,
+    script_main,
+    smallest_gap,
+)
 from repro.net.topology import DATACENTER, RACK, make_fabric
 from repro.prism import HardwarePrismBackend
 from repro.sim import Simulator
 
 N_KEYS = 1000
 PROBES = [7, 331, 1999, 2755]
+#: lookup mode -> (label, round trips at tree height h)
+MODES = {"rdma": ("rdma (cold walk)", lambda h: h + 2),
+         "rdma-cache": ("rdma + index cache", lambda h: 2),
+         "prism-cache": ("prism + index cache", lambda h: 1)}
 
 
 def _measure(profile):
+    """``{mode: mean lookup µs}`` plus the tree's ``"height"``."""
     sim = Simulator()
     fabric = make_fabric(sim, profile, ["client", "server"])
     server = BTreeServer(sim, fabric, "server", HardwarePrismBackend,
                          fanout=8, max_value_bytes=128)
     server.build([(key * 3 + 1, f"v{key}".encode()) for key in range(N_KEYS)])
     client = BTreeClient(sim, fabric, "client", server)
-    results = {}
+    results = {"height": server.height}
 
     def run():
         # Warm the cache once (a real deployment amortizes this).
@@ -44,38 +49,44 @@ def _measure(profile):
             results[mode] = sum(samples) / len(samples)
 
     sim.run_until_complete(sim.spawn(run()), limit=1e7)
-    return results, server.height
+    return results
 
 
-def test_ext_btree_lookup_modes(benchmark):
-    (rack, height), (datacenter, _h) = benchmark.pedantic(
-        lambda: (_measure(RACK), _measure(DATACENTER)),
-        rounds=1, iterations=1)
-    print_table(
-        f"Extension: remote B-tree lookup (height {height}) latency (µs)",
-        ["mode", "round_trips", "rack", "datacenter"],
-        [["rdma (cold walk)", height + 2, rack["rdma"],
-          datacenter["rdma"]],
-         ["rdma + index cache", 2, rack["rdma-cache"],
-          datacenter["rdma-cache"]],
-         ["prism + index cache", 1, rack["prism-cache"],
-          datacenter["prism-cache"]]])
+ROW = Experiment(
+    "ext-btree", "Extension", "remote B-tree lookup latency (µs)",
+    "\"Cell implements a B-tree, which requires even more round trips to "
+    "perform a read (though caching can be effective)... PRISM's "
+    "indirection primitives can help many of these systems\": a lookup "
+    "by cold RDMA walk (h+2 round trips), cached index over RDMA (2) and "
+    "cached index over PRISM (1 bounded indirect READ)",
+    measure=lambda: {"rack": _measure(RACK),
+                     "datacenter": _measure(DATACENTER)},
+    table=lambda r: (["mode", "round_trips", *r],
+                     [[label, trips(r["rack"]["height"]),
+                       *(tier[mode] for tier in r.values())]
+                      for mode, (label, trips) in MODES.items()]))
 
-    for tier in (rack, datacenter):
-        assert tier["prism-cache"] < tier["rdma-cache"] < tier["rdma"]
-    # PRISM halves the cached-index lookup (one RT instead of two).
-    assert rack["rdma-cache"] / rack["prism-cache"] > 1.5
-    # The cold walk pays one RTT per level: brutal at datacenter scale.
-    assert datacenter["rdma"] > (height + 1) * 20.0
-    # The saved round trip is worth a full datacenter RTT.
-    assert (datacenter["rdma-cache"] - datacenter["prism-cache"]) > 15.0
+claim = partial(Claim, ROW.name, "§9")
+CLAIMS = (
+    claim("prism-cache < rdma-cache < rdma at both tiers: smallest gap (µs)",
+          lambda r: min(smallest_gap(t["prism-cache"], t["rdma-cache"],
+                                     t["rdma"]) for t in r.values()),
+          lo=0, exclusive=True),
+    claim("PRISM halves the cached-index lookup: rdma-cache / prism-cache "
+          "at rack",
+          lambda r: r["rack"]["rdma-cache"] / r["rack"]["prism-cache"],
+          "2 RTTs vs 1", lo=1.5, exclusive=True),
+    claim("the cold walk pays a datacenter RTT per level: µs per level + 1",
+          lambda r: (r["datacenter"]["rdma"]
+                     / (r["datacenter"]["height"] + 1)), "~24",
+          lo=20.0, exclusive=True),
+    claim("the saved round trip at datacenter latency (µs)",
+          lambda r: (r["datacenter"]["rdma-cache"]
+                     - r["datacenter"]["prism-cache"]), 24,
+          lo=15.0, exclusive=True),
+)
 
+test_ext_btree_lookup_modes = pytest_case(ROW, CLAIMS)
 
 if __name__ == "__main__":
-    import sys
-
-    from repro.bench.cli import standalone_main
-
-    sys.exit(standalone_main(test_ext_btree_lookup_modes,
-                             "extension: B-tree lookup modes",
-                             prefix="ext-btree"))
+    sys.exit(script_main(ROW, CLAIMS))

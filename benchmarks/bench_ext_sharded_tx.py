@@ -1,32 +1,28 @@
-"""Extension: PRISM-TX across shards (§8's full distributed setting).
+"""Extension: PRISM-TX across shards (§8's full distributed setting) —
+its row, its claims and the measurement only it has."""
 
-The paper's testbed limited PRISM-TX's evaluation to one shard; the
-protocol is defined for partitioned data. With the client as
-coordinator and timestamps fixing one serialization point, commit
-stays two round trips no matter how many shards a transaction touches
-— so throughput should scale with shard count while cross-shard
-transaction latency stays flat.
-"""
+import random
+import sys
+from functools import partial
 
 from repro.apps.tx import PrismTxServer
 from repro.apps.tx.sharded import ShardedPrismTxClient, load_sharded
-from repro.bench.reporting import print_table
+from repro.bench.experiments import Claim, Experiment, pytest_case, script_main
 from repro.net.topology import RACK, make_fabric
 from repro.prism import SoftwarePrismBackend
-from repro.sim import SeededRng, Simulator
+from repro.sim import Simulator
 from repro.workload.driver import ClosedLoopDriver
 from repro.workload.ycsb import TxnOp
 
 KEYS_PER_SHARD = 2000
 N_CLIENTS = 176
-SHARD_COUNTS = [1, 2, 4]
+SHARD_COUNTS = (1, 2, 4)
 
 
 class _CrossShardWorkload:
     """Single-key RMW transactions spread uniformly over all shards."""
 
     def __init__(self, n_keys, seed, client_id):
-        import random
         self._rng = random.Random(seed * 7919 + client_id)
         self.n_keys = n_keys
         self._payload = bytes((client_id + i) % 256 for i in range(512))
@@ -57,30 +53,36 @@ def _run(n_shards):
     return driver.run()
 
 
-def test_ext_sharded_tx_scaling(benchmark):
-    results = benchmark.pedantic(
-        lambda: {n: _run(n) for n in SHARD_COUNTS}, rounds=1, iterations=1)
-    rows = [[n, results[n].throughput_ops_per_sec / 1e6,
-             results[n].mean_latency_us, results[n].aborts]
-            for n in SHARD_COUNTS]
-    print_table("Extension: PRISM-TX shard scaling "
-                f"({N_CLIENTS} clients, uniform single-key RMW)",
-                ["shards", "Mtxn/s", "mean_us", "aborts"], rows)
-    # Adding shards adds servers: throughput scales up...
-    assert (results[4].throughput_ops_per_sec
-            > 1.6 * results[1].throughput_ops_per_sec)
-    assert (results[2].throughput_ops_per_sec
-            > 1.3 * results[1].throughput_ops_per_sec)
-    # ...while per-transaction latency does not degrade (same 3
-    # one-round-trip phases regardless of the shard count).
-    assert results[4].mean_latency_us < 1.3 * results[1].mean_latency_us
+ROW = Experiment(
+    "ext-sharded-tx", "Extension",
+    f"PRISM-TX shard scaling ({N_CLIENTS} clients, uniform single-key RMW)",
+    "the paper's testbed limited PRISM-TX to one shard; the protocol is "
+    "defined for partitioned data. With the client as coordinator and "
+    "timestamps fixing one serialization point, commit stays two round "
+    "trips however many shards a transaction touches — throughput should "
+    "scale with shards while per-transaction latency does not degrade",
+    measure=lambda: {n: _run(n) for n in SHARD_COUNTS},
+    table=lambda r: (["shards", "Mtxn/s", "mean_us", "aborts"],
+                     [[n, r[n].throughput_ops_per_sec / 1e6,
+                       r[n].mean_latency_us, r[n].aborts] for n in r]))
 
+claim = partial(Claim, ROW.name, "§8")
+CLAIMS = (
+    claim("throughput, 4 shards / 1",
+          lambda r: (r[4].throughput_ops_per_sec
+                     / r[1].throughput_ops_per_sec), "scales",
+          lo=1.6, exclusive=True),
+    claim("throughput, 2 shards / 1",
+          lambda r: (r[2].throughput_ops_per_sec
+                     / r[1].throughput_ops_per_sec), "scales",
+          lo=1.3, exclusive=True),
+    claim("per-transaction latency, 4 shards / 1",
+          lambda r: r[4].mean_latency_us / r[1].mean_latency_us,
+          "does not degrade", hi=1.3, exclusive=True,
+          note="the same 3 one-round-trip phases at any shard count"),
+)
+
+test_ext_sharded_tx_scaling = pytest_case(ROW, CLAIMS)
 
 if __name__ == "__main__":
-    import sys
-
-    from repro.bench.cli import standalone_main
-
-    sys.exit(standalone_main(test_ext_sharded_tx_scaling,
-                             "extension: sharded TX scaling",
-                             prefix="ext-sharded-tx"))
+    sys.exit(script_main(ROW, CLAIMS))

@@ -1,74 +1,12 @@
-"""Figure 10: peak transaction throughput under contention (Zipf).
+"""Figure 10 (peak transaction throughput vs contention): the ``fig10`` row of
+repro.bench.experiments; ``__main__`` runs it and checks its claims."""
 
-Paper: both optimistic protocols lose throughput as skew (and thus
-conflict aborts) grows, but PRISM-TX maintains its advantage over FaRM
-at every contention level.
-"""
+import sys
 
-from repro.bench.harness import run_point
-from repro.bench.reporting import print_table
-from repro.workload import YcsbTransactionalWorkload
+from repro.bench.experiments import EXPERIMENTS, pytest_case, script_main
 
-N_KEYS = 4_000
-CLIENTS = [24, 96, 176]  # peak = max over the client sweep, as the paper
-ZIPFS = [0.0, 0.6, 0.9, 1.2]
-
-
-def _workload_factory(zipf):
-    def make(index):
-        return YcsbTransactionalWorkload(N_KEYS, keys_per_txn=1, zipf=zipf,
-                                         seed=29, client_id=index)
-    return make
-
-
-def _run():
-    results = {}
-    for zipf in ZIPFS:
-        for flavor in ("prism-sw", "farm-hw"):
-            points = [run_point("tx", flavor, _workload_factory(zipf), n,
-                                n_keys=N_KEYS, warmup_us=300.0,
-                                measure_us=1200.0)
-                      for n in CLIENTS]
-            best = max(points, key=lambda r: r.throughput_ops_per_sec)
-            results[(zipf, flavor)] = best
-    return results
-
-
-def test_fig10_tx_contention(benchmark):
-    results = benchmark.pedantic(_run, rounds=1, iterations=1)
-    rows = [[zipf,
-             results[(zipf, "prism-sw")].throughput_ops_per_sec / 1e6,
-             results[(zipf, "farm-hw")].throughput_ops_per_sec / 1e6,
-             results[(zipf, "prism-sw")].aborts,
-             results[(zipf, "farm-hw")].aborts]
-            for zipf in ZIPFS]
-    print_table("Fig. 10: peak throughput vs Zipf (Mtxn/s)",
-                ["zipf", "prism-tx", "farm", "prism_aborts", "farm_aborts"],
-                rows)
-
-    prism = [results[(z, "prism-sw")].throughput_ops_per_sec for z in ZIPFS]
-    farm = [results[(z, "farm-hw")].throughput_ops_per_sec for z in ZIPFS]
-    # PRISM-TX maintains its performance benefit under contention: a
-    # clear win at low/moderate skew, at worst parity (within 5%) deep
-    # in the collapse regime where both protocols are abort-bound.
-    for p, f, zipf in zip(prism, farm, ZIPFS):
-        if zipf <= 0.9:
-            assert p > f, f"PRISM-TX lost its advantage at zipf={zipf}"
-        else:
-            assert p > 0.95 * f, f"PRISM-TX fell behind at zipf={zipf}"
-    # Contention does hurt both optimistic protocols.
-    assert prism[-1] < prism[0]
-    assert farm[-1] < farm[0]
-    # Conflicts (aborts) actually occurred at high skew.
-    assert results[(ZIPFS[-1], "prism-sw")].aborts > 0
-    assert results[(ZIPFS[-1], "farm-hw")].aborts > 0
-
+ROW = EXPERIMENTS["fig10"]
+test_fig10_tx_contention = pytest_case(ROW)
 
 if __name__ == "__main__":
-    import sys
-
-    from repro.bench.cli import standalone_main
-
-    sys.exit(standalone_main(test_fig10_tx_contention,
-                             "fig10: transaction contention",
-                             prefix="fig10"))
+    sys.exit(script_main(ROW))

@@ -1,66 +1,12 @@
-"""Figure 7: PRISM-RS vs ABDLOCK latency under contention (Zipf).
+"""Figure 7 (PRISM-RS vs ABDLOCK under contention): the ``fig7`` row of
+repro.bench.experiments; ``__main__`` runs it and checks its claims."""
 
-Paper: with 100 closed-loop clients and increasingly skewed key choice,
-ABDLOCK's latency degrades sharply (lock contention, backoff, retries)
-while PRISM-RS stays flat at any contention level — its CAS_GT install
-never blocks.
-"""
+import sys
 
-from repro.bench.harness import run_point
-from repro.bench.reporting import print_table
-from repro.workload import YcsbWorkload
+from repro.bench.experiments import EXPERIMENTS, pytest_case, script_main
 
-N_KEYS = 4_000
-N_CLIENTS = 100
-ZIPFS = [0.0, 0.5, 0.9, 1.2]
-
-
-def _workload_factory(zipf):
-    def make(index):
-        return YcsbWorkload(N_KEYS, read_fraction=0.5, zipf=zipf,
-                            seed=19, client_id=index)
-    return make
-
-
-def _run():
-    results = {}
-    for zipf in ZIPFS:
-        for flavor in ("prism-sw", "abdlock-hw"):
-            # A longer window so lock-convoy victims complete inside the
-            # measurement period (their latency belongs in the mean).
-            results[(zipf, flavor)] = run_point(
-                "rs", flavor, _workload_factory(zipf), N_CLIENTS,
-                n_keys=N_KEYS, warmup_us=300.0, measure_us=2500.0)
-    return results
-
-
-def test_fig7_rs_contention(benchmark):
-    results = benchmark.pedantic(_run, rounds=1, iterations=1)
-    rows = [[zipf,
-             results[(zipf, "prism-sw")].mean_latency_us,
-             results[(zipf, "abdlock-hw")].mean_latency_us,
-             results[(zipf, "abdlock-hw")].retries]
-            for zipf in ZIPFS]
-    print_table("Fig. 7: mean latency vs Zipf coefficient, 100 clients (µs)",
-                ["zipf", "prism-rs", "abdlock", "abd_lock_retries"], rows)
-
-    prism_flat = [results[(z, "prism-sw")].mean_latency_us for z in ZIPFS]
-    abd = [results[(z, "abdlock-hw")].mean_latency_us for z in ZIPFS]
-    # PRISM-RS remains responsive at any contention level (±35%).
-    assert max(prism_flat) <= 1.35 * min(prism_flat)
-    # ABDLOCK degrades heavily with skew (lock contention).
-    assert abd[-1] > 1.8 * abd[0]
-    # At high skew, PRISM-RS is far faster than the lock-based design.
-    assert abd[-1] > 1.8 * prism_flat[-1]
-    # Lock retries actually happened (the degradation is real).
-    assert results[(ZIPFS[-1], "abdlock-hw")].retries > 0
-
+ROW = EXPERIMENTS["fig7"]
+test_fig7_rs_contention = pytest_case(ROW)
 
 if __name__ == "__main__":
-    import sys
-
-    from repro.bench.cli import standalone_main
-
-    sys.exit(standalone_main(test_fig7_rs_contention,
-                             "fig7: replicated-store contention",
-                             prefix="fig7"))
+    sys.exit(script_main(ROW))

@@ -1,111 +1,35 @@
 """Calibration: where every timing constant comes from.
 
 The simulator's credibility rests on its device models being anchored
-to the paper's own measurements (§2.1, §4.3, Figs. 1-2). This module
-is the single place that states each anchor and measures the model
-against it; ``tests/bench/test_calibration.py`` asserts the whole table
-on every test run, so a drive-by constant tweak that breaks calibration
-fails CI immediately.
-
-Anchors (paper value -> where the model encodes it):
-
-==========================================  ========  =======================================
-measurement                                 paper      model knob(s)
-==========================================  ========  =======================================
-RDMA READ, 512 B, direct link               2.5 µs     nic_base_op_us + PCIe + DIRECT profile
-PRISM-SW overhead over RDMA                 +2.5-2.8   sw_pipeline_latency_us + occupancies
-one-sided READ, 512 B, one switch           3.2 µs     RACK profile (0.6 µs switch RTT)
-two-sided eRPC, 512 B, one switch           5.6 µs     RpcConfig dispatch/service/client costs
-two dependent READs vs one RPC              +0.8 µs    (emergent from the two rows above)
-ToR switch round trip                       0.6 µs     RACK vs DIRECT one-way delta
-three-tier cluster round trip               3 µs       CLUSTER profile
-datacenter RDMA round trip                  24 µs      DATACENTER profile
-BlueField host-memory access                ~3 µs      bf_host_access_us
-40 GbE line rate                            5 GB/s     bytes_per_us = 5000
-==========================================  ========  =======================================
+to the paper's own measurements (§2.1, §4.3, Figs. 1-2). Each anchor —
+paper value, tolerance, the model knobs that encode it, how it is
+measured — is a row of :data:`repro.bench.experiments.ANCHORS` and a
+claim of the ``calibration`` experiment; ``tests/bench/test_calibration.py``
+checks them all on every test run, so a drive-by constant tweak that
+breaks calibration fails CI immediately. :func:`report` is a view of
+those claims.
 """
 
-from repro.bench.microbench import (
-    measure_one_sided_read,
-    measure_primitive,
-    measure_rpc_read,
-    measure_two_rdma_reads,
-)
-from repro.net.topology import (
-    CLUSTER,
-    DATACENTER,
-    DIRECT,
-    RACK,
+import sys
+
+from repro.bench.experiments import (
+    ANCHORS,
+    EXPERIMENTS,
+    check,
+    claims_of,
+    script_main,
 )
 
-
-class Anchor:
-    """One calibration point: paper value, tolerance, and a measurer."""
-
-    def __init__(self, name, paper_value, tolerance, measure):
-        self.name = name
-        self.paper_value = paper_value
-        self.tolerance = tolerance
-        self.measure = measure
-
-    def check(self):
-        measured = self.measure()
-        error = abs(measured - self.paper_value)
-        return {
-            "anchor": self.name,
-            "paper": self.paper_value,
-            "measured": round(measured, 3),
-            "tolerance": self.tolerance,
-            "ok": error <= self.tolerance,
-        }
-
-
-def _sw_overhead():
-    return (measure_primitive("prism-sw", "read", profile=DIRECT)
-            - measure_primitive("rdma", "read", profile=DIRECT))
-
-
-def _switch_rtt():
-    return 2 * (RACK.one_way_latency_us - DIRECT.one_way_latency_us)
-
-
-def anchors():
-    """The full calibration table as checkable anchors."""
-    return [
-        Anchor("rdma read 512B direct (µs)", 2.5, 0.4,
-               lambda: measure_primitive("rdma", "read", profile=DIRECT)),
-        Anchor("prism-sw overhead (µs)", 2.65, 0.7, _sw_overhead),
-        Anchor("one-sided read 512B rack (µs)", 3.2, 0.4,
-               lambda: measure_one_sided_read(profile=RACK)),
-        Anchor("erpc 512B rack (µs)", 5.6, 0.6,
-               lambda: measure_rpc_read(profile=RACK)),
-        Anchor("2 reads minus 1 rpc (µs)", 0.8, 0.8,
-               lambda: (measure_two_rdma_reads(profile=RACK)
-                        - measure_rpc_read(profile=RACK))),
-        Anchor("ToR switch RTT (µs)", 0.6, 0.1, _switch_rtt),
-        Anchor("cluster RTT (µs)", 3.0, 0.3,
-               lambda: 2 * (CLUSTER.one_way_latency_us
-                            - DIRECT.one_way_latency_us)),
-        Anchor("datacenter RTT (µs)", 24.0, 1.0,
-               lambda: 2 * (DATACENTER.one_way_latency_us
-                            - DIRECT.one_way_latency_us)),
-        Anchor("40GbE bytes/µs", 5000.0, 1.0,
-               lambda: RACK.bytes_per_us),
-    ]
+ROW = EXPERIMENTS["calibration"]
 
 
 def report():
     """Check every anchor; returns the list of row dicts."""
-    return [anchor.check() for anchor in anchors()]
-
-
-def main():
-    from repro.bench.reporting import print_table
-    rows = [[r["anchor"], r["paper"], r["measured"],
-             "OK" if r["ok"] else "FAIL"] for r in report()]
-    print_table("Calibration anchors (paper §2.1/§4.3 vs model)",
-                ["anchor", "paper", "measured", "status"], rows)
+    return [{"anchor": claim.name, "paper": claim.paper,
+             "measured": round(measured, 3),
+             "tolerance": ANCHORS[claim.name][1], "ok": ok}
+            for claim, measured, ok in check(ROW.measure(), claims_of(ROW))]
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(script_main(ROW))

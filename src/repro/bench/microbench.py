@@ -7,7 +7,7 @@ deterministic, so repeats only smooth out queue-state effects.
 """
 
 from repro.core.ops import AllocateOp, CasMode, CasOp, ReadOp, WriteOp
-from repro.net.message import ETHERNET_HEADER_BYTES
+from repro.hw.layout import pack_uint
 from repro.net.topology import DIRECT, make_fabric
 from repro.prism import (
     BlueFieldPrismBackend,
@@ -69,12 +69,19 @@ PRIMITIVES = {
 CLASSIC_PRIMITIVES = ("read", "write")
 
 
-def _build(sim, backend_name, profile):
+def rig(backend, profile):
+    """``(sim, server, client)``: one client and one PRISM server on
+    ``backend`` (a class), a ``profile`` link apart."""
+    sim = Simulator()
     fabric = make_fabric(sim, profile, ["client", "server"])
-    server = PrismServer(sim, fabric, "server", BACKENDS[backend_name])
+    server = PrismServer(sim, fabric, "server", backend)
+    return sim, server, PrismClient(sim, fabric, "client", server)
+
+
+def _build(backend_name, profile):
+    sim, server, client = rig(BACKENDS[backend_name], profile)
     data_addr, data_rkey = server.add_region(1 << 20)
     freelist, buffers_rkey = server.create_freelist(VALUE_SIZE + 16, 4096)
-    client = PrismClient(sim, fabric, "client", server)
     # Seed: a value, a pointer to it, and a 16-byte versioned slot.
     server.space.write(data_addr, b"v" * VALUE_SIZE)
     server.space.write_ptr(data_addr + VALUE_SIZE, data_addr)
@@ -86,44 +93,69 @@ def _build(sim, backend_name, profile):
         "freelist": freelist,
     }
     rkeys = {"data": data_rkey, "buffers": buffers_rkey}
-    return client, addrs, rkeys
+    return sim, client, addrs, rkeys
+
+
+def mean_latency(sim, once, repeats):
+    """Mean simulated µs of ``once(i)`` (a process body) over ``repeats``
+    back-to-back runs."""
+    samples = []
+
+    def run():
+        for i in range(repeats):
+            start = sim.now
+            yield from once(i)
+            samples.append(sim.now - start)
+
+    sim.run_until_complete(sim.spawn(run()), limit=1e7)
+    return sum(samples) / len(samples)
+
+
+def execute(client, *ops, chained=True):
+    """One request carrying ``ops`` (unchained: a dependent round trip
+    per op); a NAK raises."""
+    for request in [ops] if chained else [(op,) for op in ops]:
+        result = yield from client.execute(*request)
+        result.raise_on_nak()
+
+
+def install_chain(version, value, tmp, tmp_rkey, slot, rkey, freelist,
+                  buf_rkey, conditional=True):
+    """The out-of-place install (§3.5) as three ops: WRITE the version to
+    the scratch at ``tmp``, ALLOCATE a buffer for ``value`` with its
+    address redirected next to the version, CAS_GT the ⟨version,
+    address⟩ pair from scratch into ``slot``."""
+    return [
+        WriteOp(addr=tmp, data=pack_uint(version, 8), rkey=tmp_rkey),
+        AllocateOp(freelist=freelist, data=pack_uint(version, 8) + value,
+                   rkey=buf_rkey, redirect_to=tmp + 8,
+                   conditional=conditional),
+        CasOp(target=slot, data=pack_uint(tmp, 8), rkey=rkey,
+              mode=CasMode.GT, compare_mask=(1 << 64) - 1,
+              data_indirect=True, operand_width=16, conditional=conditional),
+    ]
 
 
 def measure_primitive(backend_name, primitive, profile=DIRECT, repeats=5):
     """Mean latency (µs) of one primitive on one backend/topology."""
-    sim = Simulator()
-    client, addrs, rkeys = _build(sim, backend_name, profile)
-    samples = []
-
-    def run():
-        for _ in range(repeats):
-            op = PRIMITIVES[primitive](client, addrs, rkeys)
-            start = sim.now
-            result = yield from client.execute(op)
-            result.raise_on_nak()
-            samples.append(sim.now - start)
-
-    sim.run_until_complete(sim.spawn(run()), limit=1e6)
-    return sum(samples) / len(samples)
+    sim, client, addrs, rkeys = _build(backend_name, profile)
+    return mean_latency(
+        sim, lambda _i: execute(client, PRIMITIVES[primitive](client, addrs,
+                                                             rkeys)),
+        repeats)
 
 
 def measure_two_rdma_reads(profile=DIRECT, repeats=5):
     """Latency of the Pilaf-style pointer-chase: two dependent READs."""
-    sim = Simulator()
-    client, addrs, rkeys = _build(sim, "rdma", profile)
-    samples = []
+    sim, client, addrs, rkeys = _build("rdma", profile)
 
-    def run():
-        for _ in range(repeats):
-            start = sim.now
-            pointer = yield from client.read(addrs["pointer"], 8,
-                                             rkey=rkeys["data"])
-            target = int.from_bytes(pointer, "little")
-            yield from client.read(target, VALUE_SIZE, rkey=rkeys["data"])
-            samples.append(sim.now - start)
+    def chase(_i):
+        pointer = yield from client.read(addrs["pointer"], 8,
+                                         rkey=rkeys["data"])
+        target = int.from_bytes(pointer, "little")
+        yield from client.read(target, VALUE_SIZE, rkey=rkeys["data"])
 
-    sim.run_until_complete(sim.spawn(run()), limit=1e6)
-    return sum(samples) / len(samples)
+    return mean_latency(sim, chase, repeats)
 
 
 def measure_rpc_read(profile=DIRECT, repeats=5):
@@ -134,18 +166,13 @@ def measure_rpc_read(profile=DIRECT, repeats=5):
     rpc_server = RpcServer(sim, fabric, "server")
     rpc_server.register("read", lambda args: (store["value"], VALUE_SIZE))
     rpc_client = RpcClient(sim, fabric, "client")
-    samples = []
 
-    def run():
-        for _ in range(repeats):
-            start = sim.now
-            value = yield from rpc_client.call("server", "read", None,
-                                               request_payload_bytes=16)
-            assert len(value) == VALUE_SIZE
-            samples.append(sim.now - start)
+    def call(_i):
+        value = yield from rpc_client.call("server", "read", None,
+                                           request_payload_bytes=16)
+        assert len(value) == VALUE_SIZE
 
-    sim.run_until_complete(sim.spawn(run()), limit=1e6)
-    return sum(samples) / len(samples)
+    return mean_latency(sim, call, repeats)
 
 
 def measure_one_sided_read(profile=DIRECT, repeats=5):

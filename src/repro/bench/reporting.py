@@ -1,20 +1,16 @@
 """Plain-text tables for benchmark output (and EXPERIMENTS.md)."""
 
-import os
+
+def format_cell(cell):
+    """A table cell as text: floats to two decimals."""
+    if isinstance(cell, float):
+        return f"{cell:.2f}"
+    return str(cell)
 
 
 def print_table(title, headers, rows, out=print):
-    """Render an aligned text table.
-
-    ``rows`` is a list of sequences; floats are formatted to two
-    decimals.
-    """
-    def fmt(cell):
-        if isinstance(cell, float):
-            return f"{cell:.2f}"
-        return str(cell)
-
-    formatted = [[fmt(cell) for cell in row] for row in rows]
+    """Render an aligned text table (``rows`` is a list of sequences)."""
+    formatted = [[format_cell(cell) for cell in row] for row in rows]
     widths = [max(len(headers[i]),
                   max((len(row[i]) for row in formatted), default=0))
               for i in range(len(headers))]
@@ -50,20 +46,6 @@ CURVE_HEADERS = ["clients", "Mops/s", "mean_us", "p99_us", "aborts"]
 def peak_throughput(results):
     """Max throughput across a sweep (the 'saturation' number)."""
     return max(r.throughput_ops_per_sec for r in results)
-
-
-def maybe_export(figure_name, curves):
-    """Write a figure's sweep data when REPRO_EXPORT_DIR is set.
-
-    Benchmarks call this after printing their tables; with
-    ``REPRO_EXPORT_DIR=figures pytest benchmarks/ --benchmark-only``
-    every figure's CSV + gnuplot script lands in that directory.
-    """
-    out_dir = os.environ.get("REPRO_EXPORT_DIR")
-    if not out_dir:
-        return None
-    from repro.bench.export import export_sweep_figure
-    return export_sweep_figure(figure_name, curves, out_dir=out_dir)
 
 
 UTILIZATION_HEADERS = ["resource", "kind", "busy", "q_mean", "q_max",

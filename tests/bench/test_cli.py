@@ -6,17 +6,26 @@ import os
 import pytest
 
 from repro.bench.cli import build_parser, main
+from repro.bench.experiments import EXPERIMENTS, geometry
 
 
 def test_list(capsys):
     assert main(["list"]) == 0
-    assert "fig9" in capsys.readouterr().out
+    out = capsys.readouterr().out
+    # every row of the table, the scripts' own ablations included
+    for name in ("calibration", "fig9", "ablation-chaining", "ext-btree"):
+        assert name in out
 
 
 def test_parser_defaults():
+    # a geometry flag left out is the row's own default, not a CLI-wide one
     args = build_parser().parse_args(["fig3"])
-    assert args.keys == 8000
-    assert args.clients == [1, 8, 32, 96, 176]
+    assert args.keys is None and args.clients is None
+    keys, clients, *_ = geometry(EXPERIMENTS["fig3"], args)
+    assert keys == 8000
+    assert clients == (1, 8, 32, 96, 176)
+    assert geometry(EXPERIMENTS["fig7"],
+                    build_parser().parse_args(["fig7"]))[0] == 4000
 
 
 def test_parser_client_list():

@@ -18,6 +18,7 @@ from pathlib import Path
 import pytest
 
 from repro.bench import cli, harness
+from repro.bench.experiments import EXPERIMENTS, geometry, script_main
 from repro.bench.observers import FLIGHT, ROWS
 
 REPO = Path(__file__).resolve().parents[2]
@@ -92,11 +93,23 @@ class TestTableShape:
         assert "--host" not in actions
 
     def test_bench_script_parser_takes_its_flags_from_the_rows(self, capsys):
+        traced = [row for row in EXPERIMENTS.values() if row.traced]
+        assert [row.name for row in traced] == ["fig3", "fig4", "fig6", "fig9"]
+        for experiment in traced:
+            with pytest.raises(SystemExit):
+                script_main(experiment, argv=["--help"])
+            usage = capsys.readouterr().out
+            for row in ROWS:
+                assert (f"{row.flag} " in usage) == (row is not FLIGHT), \
+                    (experiment.name, row.flag)
+            for flag in ("--clients", "--clients-aggregated", "--arrival-rate",
+                         "--source-window", "--keys", "--profile-stride"):
+                assert f"{flag} " in usage, (experiment.name, flag)
+        # a row without a traced point takes --profile and nothing else
         with pytest.raises(SystemExit):
-            cli.bench_main("kv", "prism-sw", None, "t", argv=["--help"])
+            script_main(EXPERIMENTS["fig7"], argv=["--help"])
         usage = capsys.readouterr().out
-        for row in ROWS:
-            assert (f"{row.flag} " in usage) == (row is not FLIGHT), row.flag
+        assert "--profile " in usage and "--trace " not in usage
 
     def test_docs_arming_section_covers_every_row(self):
         text = (REPO / "docs" / "observability.md").read_text()
@@ -157,13 +170,16 @@ def test_arming_a_row_prints_its_block_and_fills_its_sections(
 
 
 def test_contention_figures_default_to_the_papers_client_counts():
-    parse = cli.build_parser().parse_args
-    assert cli.resolve_clients(parse(["fig7"])) == [100]
-    assert cli.resolve_clients(parse(["fig10"])) == [24, 96, 176]
-    assert cli.resolve_clients(parse(["fig3"])) == [1, 8, 32, 96, 176]
-    assert cli.resolve_clients(parse(["fig7", "--clients", "16"])) == [16]
-    assert cli.resolve_clients(
-        parse(["fig10", "--clients", "1,8,32,96,176"])) == [1, 8, 32, 96, 176]
+    def clients(argv):
+        args = cli.build_parser().parse_args(argv)
+        return list(geometry(EXPERIMENTS[args.command], args)[1])
+
+    assert clients(["fig7"]) == [100]
+    assert clients(["fig10"]) == [24, 96, 176]
+    assert clients(["fig3"]) == [1, 8, 32, 96, 176]
+    assert clients(["fig7", "--clients", "16"]) == [16]
+    assert clients(["fig10", "--clients", "1,8,32,96,176"]) == \
+        [1, 8, 32, 96, 176]
 
 
 def test_fig10_reports_the_peak_over_the_client_list(tmp_path, capsys):
@@ -171,8 +187,8 @@ def test_fig10_reports_the_peak_over_the_client_list(tmp_path, capsys):
     assert cli.main(["fig10", "--clients", "2,4", "--keys", "200",
                      "--zipfs", "0.9", "--json", str(record)]) == 0
     out = capsys.readouterr().out
-    summary = out.split("== fig10: throughput (M/s) vs zipf ==")[1]
-    reported = [float(cell) for cell in summary.split()[-2:]]
+    summary = out.split(f"== {EXPERIMENTS['fig10'].title} ==")[1]
+    reported = [float(cell) for cell in summary.split()[-4:-2]]
     points = json.loads(record.read_text())["points"]
     for flavor, cell in zip(("prism-sw", "farm-hw"), reported):
         by_clients = {point["config"]["clients"]:
