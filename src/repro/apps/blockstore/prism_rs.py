@@ -89,6 +89,9 @@ class PrismRsClient:
         self.recyclers = [RecyclerClient(rpc, r.host_name,
                                          batch_size=recycle_batch)
                           for r in replicas]
+        # Span labels of a quorum phase's legs, one per replica index.
+        self._read_labels = [f"abd.read[{i}]" for i in range(len(replicas))]
+        self._write_labels = [f"abd.write[{i}]" for i in range(len(replicas))]
         self.gets = 0
         self.puts = 0
 
@@ -131,10 +134,12 @@ class PrismRsClient:
         across replicas, not wall-clock (see repro.obs.breakdown).
         """
         read_len = 8 + self.layout.block_size
+        traced = span.enabled
         generators = [
             self._read_at(index, block_id, read_len,
-                          span.child(f"abd.read[{index}]", phase="other",
-                                     replica=self.replicas[index].host_name))
+                          span.child(self._read_labels[index], phase="other",
+                                     replica=self.replicas[index].host_name)
+                          if traced else NULL_SPAN)
             for index in range(len(self.replicas))
         ]
         replies = yield from quorum(self.sim, generators, self.f + 1,
@@ -148,10 +153,12 @@ class PrismRsClient:
 
     def _write_phase(self, block_id, tag, value, span=NULL_SPAN):
         """Chained ALLOCATE/CAS_GT install at f+1 replicas."""
+        traced = span.enabled
         generators = [
             self._install_at(index, block_id, tag, value,
-                             span=span.child(f"abd.write[{index}]",
-                                             phase="other"))
+                             span.child(self._write_labels[index],
+                                        phase="other")
+                             if traced else NULL_SPAN)
             for index in range(len(self.replicas))
         ]
         yield from quorum(self.sim, generators, self.f + 1,
@@ -159,19 +166,21 @@ class PrismRsClient:
 
     def _read_at(self, index, block_id, read_len, span):
         """One replica's read-phase round trip under its own span."""
-        with span:
-            data = yield from self.clients[index].read(
+        try:
+            return (yield from self.clients[index].read(
                 self.layout.addr_field(block_id), read_len,
                 rkey=self.replicas[index].meta_rkey, indirect=True,
-                span=span)
-        return data
+                span=span))
+        finally:
+            if span.enabled:
+                span.finish()
 
     def _install_at(self, index, block_id, tag, value, span=NULL_SPAN):
         client = self.clients[index]
         replica = self.replicas[index]
         tmp = client.sram_slot
         sram_rkey = replica.prism.sram_rkey
-        with span:
+        try:
             # retryable: a duplicate execution of this chain is safe by
             # construction — the CAS_GT misses on an equal tag, and the
             # miss path below retires whatever the *last* delivery
@@ -188,6 +197,9 @@ class PrismRsClient:
                       data_indirect=True, operand_width=META_SIZE,
                       conditional=True),
                 span=span, retryable=True)
+        finally:
+            if span.enabled:
+                span.finish()
         result.raise_on_nak()
         cas = result[2]
         if cas.status is OpStatus.OK:

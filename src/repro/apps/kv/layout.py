@@ -30,7 +30,7 @@ exactly when a concurrent client installed a newer version.
 """
 
 from repro.apps.common import field_mask
-from repro.hw.layout import pack_uint, unpack_uint
+from repro.hw.layout import pack_uint, unpack_kv_entry, unpack_uint
 
 SLOT_SIZE = 24
 SLOT_VER_OFF = 0
@@ -80,17 +80,9 @@ class KvLayout:
         return (pack_uint(ver, 8) + pack_uint(len(key), 2)
                 + pack_uint(len(value), 4) + b"\x00\x00" + key + value)
 
-    @staticmethod
-    def unpack_entry(data):
-        """Returns ``(ver, key, value)``; value may be truncated if the
-        read was shorter than the entry (callers size reads to avoid
-        this)."""
-        ver = unpack_uint(data, 0, 8)
-        klen = unpack_uint(data, 8, 2)
-        vlen = unpack_uint(data, 10, 4)
-        key = bytes(data[16:16 + klen])
-        value = bytes(data[16 + klen:16 + klen + vlen])
-        return ver, key, value
+    #: ``(ver, key, value)`` of a buffer, one codec call (the value is
+    #: truncated if the read was shorter than the entry)
+    unpack_entry = staticmethod(unpack_kv_entry)
 
     @staticmethod
     def entry_key(data):

@@ -53,7 +53,10 @@ class Chain:
 
     def request_bytes(self):
         """Total request size: one transport envelope, ops back to back."""
-        return sum(op.request_bytes() for op in self.ops)
+        total = 0
+        for op in self.ops:
+            total += op.request_bytes()
+        return total
 
     def response_bytes(self, results):
         """Total response size given per-op result payload lengths."""

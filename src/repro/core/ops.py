@@ -71,9 +71,6 @@ class _BaseOp:
     def _common_checks(self):
         if self.rkey is None:
             raise InvalidOperation(f"{self.opname}: rkey is required")
-        if getattr(self, "conditional", False) and self.opname == "ALLOCATE":
-            # Conditional ALLOCATE is legal; nothing extra to check.
-            pass
 
     @property
     def opname(self):

@@ -24,8 +24,9 @@ _STRUCTS = {
     4: struct.Struct("<I"),
     8: struct.Struct("<Q"),
 }
-_U64_STRUCT = _STRUCTS[8]
 _BOUNDED_PTR_STRUCT = struct.Struct("<QQ")
+_KV_HEADER_STRUCT = struct.Struct("<QHI2x")  # ver:8 klen:2 vlen:4 pad:2
+_KV_HEADER_SIZE = _KV_HEADER_STRUCT.size
 
 # Host-profiling: the public codec entry points charge their wall time
 # to the "codec" bucket of the ambient profiler (repro.obs.hostprof).
@@ -110,6 +111,24 @@ def unpack_bounded_ptr(data, offset=0):
         return _BOUNDED_PTR_STRUCT.unpack_from(data, offset)
     finally:
         hp.exit()
+
+
+def unpack_kv_entry(data):
+    """``(ver, key, value)`` of a PRISM-KV value buffer (``apps.kv.layout``)
+    in one codec call; a read shorter than the entry truncates the value."""
+    hp = _hostprof.ACTIVE
+    if hp is not None and not hp._timing:
+        hp = None
+    if hp is not None:
+        hp.enter("codec")
+    try:
+        ver, klen, vlen = _KV_HEADER_STRUCT.unpack_from(data, 0)
+        end = _KV_HEADER_SIZE + klen
+        return (ver, bytes(data[_KV_HEADER_SIZE:end]),
+                bytes(data[end:end + vlen]))
+    finally:
+        if hp is not None:
+            hp.exit()
 
 
 class FieldStruct:

@@ -24,7 +24,6 @@ _STRUCTS = {
     8: struct.Struct("<Q"),
 }
 _U64_UNPACK_FROM = _STRUCTS[8].unpack_from
-_U64_PACK_INTO = _STRUCTS[8].pack_into
 
 
 class MemoryError_(Exception):
@@ -89,13 +88,16 @@ class HostMemory:
 
     def read(self, addr, length):
         """Return ``length`` bytes starting at ``addr``."""
-        self._check(addr, length)
+        if length < 0 or addr < POINTER_SIZE or addr + length > self.size:
+            self._check(addr, length)  # raises
         return bytes(self._data[addr:addr + length])
 
     def write(self, addr, data):
         """Store ``data`` (bytes-like) at ``addr``."""
-        self._check(addr, len(data))
-        self._data[addr:addr + len(data)] = data
+        length = len(data)
+        if addr < POINTER_SIZE or addr + length > self.size:
+            self._check(addr, length)  # raises
+        self._data[addr:addr + length] = data
 
     # -- integer convenience ------------------------------------------------
 

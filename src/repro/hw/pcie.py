@@ -36,11 +36,11 @@ class PcieLink:
 
     def read_time(self, nbytes):
         """One DMA read: request/completion round trip + payload streaming."""
-        return self.round_trip_us + nbytes / self.bytes_per_us
+        return self.access_time("r", nbytes)
 
     def write_time(self, nbytes):
         """One posted DMA write: half a round trip + payload streaming."""
-        return self.round_trip_us / 2 + nbytes / self.bytes_per_us
+        return self.access_time("w", nbytes)
 
     def access_time(self, kind, nbytes):
         """Time for one access-trace entry: ``kind`` is "r" or "w".
@@ -51,5 +51,5 @@ class PcieLink:
         the "pcie" slice of a traced op equals what the backend charged.
         """
         if kind == "r":
-            return self.read_time(nbytes)
-        return self.write_time(nbytes)
+            return self.round_trip_us + nbytes / self.bytes_per_us
+        return self.round_trip_us / 2 + nbytes / self.bytes_per_us

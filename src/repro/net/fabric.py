@@ -46,7 +46,7 @@ class Fabric:
     """The network connecting a set of hosts.
 
     ``path_latency_us(src, dst)`` gives one-way propagation plus switch
-    latency; by default it is uniform, which matches the paper's single
+    latency; it is uniform, which matches the paper's single
     ToR/cluster/datacenter settings.
     """
 
@@ -72,7 +72,7 @@ class Fabric:
         return self.hosts[name]
 
     def path_latency_us(self, src_name, dst_name):
-        """One-way latency between two hosts (0 for loopback)."""
+        """One-way latency (0 for loopback); ``_propagate`` inlines it."""
         if src_name == dst_name:
             return 0.0
         return self.one_way_latency_us
@@ -91,9 +91,10 @@ class Fabric:
         the message).
         """
         message = Message(src_name, dst_name, service, payload, size_bytes)
-        message.send_time = self.sim.now
+        sim = self.sim
+        message.send_time = sim._now
         message.span = span
-        delivery = _Delivery(self, message, self.sim.context())
+        delivery = _Delivery(self, message, sim.context())
         delivery.tx_done = self.hosts[src_name].tx.claim(
             delivery, size_bytes, span)
         return delivery
@@ -176,7 +177,9 @@ class _Delivery:
         fabric.hosts[message.src].tx.finish()
         faults = sim.faults
         if faults is None:
-            self._launch(0.0)
+            if fabric.monitor is not None:
+                fabric.monitor.adjust(+1)
+            self._propagate()
         else:
             # Fault point: the message has left the TX port (the port
             # was occupied either way); it may now vanish, fork, or
@@ -209,7 +212,8 @@ class _Delivery:
             self._propagate()
 
     def _propagate(self):
-        sim = self.fabric.sim
+        fabric = self.fabric
+        sim = fabric.sim
         message = self.message
         span = message.span
         if span.enabled:
@@ -219,8 +223,8 @@ class _Delivery:
                              {"src": message.src, "dst": message.dst})
             span.children.append(self.span)
         self.stage = _WIRE
-        sim.schedule(
-            self.fabric.path_latency_us(message.src, message.dst), self)
+        sim.schedule(0.0 if message.src == message.dst
+                     else fabric.one_way_latency_us, self)
 
     def _arrive(self):
         fabric = self.fabric
@@ -249,4 +253,11 @@ class _Delivery:
         fabric.messages_delivered += 1
         if fabric.monitor is not None:
             fabric.monitor.adjust(-1)
-        fabric.sim.call_as(self, dst.handler_for(message.service), message)
+        try:
+            handler = dst._services[message.service]
+        except KeyError:
+            handler = dst.handler_for(message.service)  # raises, naming both
+        if self._flight_ctx is None:
+            handler(message)  # no operation to attribute to: nothing to enter
+        else:
+            fabric.sim.call_as(self, handler, message)

@@ -70,8 +70,9 @@ _DONE = 5        # the waiter has been run, or went away
 
 
 class _Call(Event):
-    """One request from post to completion: the event ``request``
-    yields, and the scheduled payload of its own fixed stages.
+    """One request from post to completion: the event ``post`` returns
+    for its caller to yield, and the scheduled payload of its own fixed
+    stages.
 
     A round trip is a pipeline, not control flow (docs/performance.md,
     rule 11): post overhead, the wire, the reply (or the ack deadline),
@@ -170,7 +171,7 @@ class _Call(Event):
             # take a second one for the completion stage — the two hops
             # the reply event and the any-of over it took. The second is
             # kept for order only; once same-instant reorderings can be
-            # checked (ROADMAP 1(a)) it may go.
+            # checked (ROADMAP 1(b)) it may go.
             ack.withdraw()
             sim._ready.append(self)
             return
@@ -359,14 +360,15 @@ class RequestChannel:
         # the ack deadline fired earlier in this instant).
         self.sim._ready.append(call)
 
-    def request(self, dst, service, body, request_size, timeout_us=None,
-                span=NULL_SPAN, logical_id=None):
-        """Process helper: send ``body`` and wait for the reply payload.
+    def post(self, dst, service, body, request_size, timeout_us=None,
+             span=NULL_SPAN, logical_id=None):
+        """Send ``body``; returns the :class:`_Call` to yield for the
+        reply payload.
 
-        One wait: the :class:`_Call` runs the post overhead, the ack
-        deadline (``timeout_us`` after the request has left the TX
-        port; :class:`TimeoutExpired`) and the completion overhead
-        itself, and resumes the caller when the round trip is over.
+        One wait: the call runs the post overhead, the ack deadline
+        (``timeout_us`` after the request has left the TX port;
+        :class:`TimeoutExpired`) and the completion overhead itself,
+        and resumes whoever yields it when the round trip is over.
         Interrupting the wait withdraws the pending request (see
         :meth:`_Call.cancel`).
 
@@ -375,8 +377,14 @@ class RequestChannel:
         retransmission. Plain calls allocate a fresh one, so a logical
         id is always 1:1 with what the caller considers one request.
         """
-        return (yield _Call(self, dst, service, body, request_size,
-                            timeout_us, span, logical_id))
+        return _Call(self, dst, service, body, request_size, timeout_us,
+                     span, logical_id)
+
+    def request(self, dst, service, body, request_size, timeout_us=None,
+                span=NULL_SPAN, logical_id=None):
+        """Process helper: :meth:`post`, then wait for the reply payload."""
+        return (yield self.post(dst, service, body, request_size,
+                                timeout_us, span, logical_id))
 
     def request_with_retry(self, dst, service, body, request_size, policy,
                            span=NULL_SPAN):
@@ -410,11 +418,8 @@ class RequestChannel:
         attempt = 0
         while True:
             try:
-                result = yield from self.request(
-                    dst, service, body, request_size,
-                    timeout_us=policy.timeout_us, span=span,
-                    logical_id=logical_id)
-                return result
+                return (yield self.post(dst, service, body, request_size,
+                                        policy.timeout_us, span, logical_id))
             except TimeoutExpired:
                 if attempt >= policy.max_retries:
                     if faults is not None:

@@ -9,7 +9,7 @@ touched.
 """
 
 from repro.core.constants import NIC_SRAM_BYTES
-from repro.hw.memory import HostMemory, MemoryError_
+from repro.hw.memory import HostMemory
 
 DOMAIN_HOST = "host"
 DOMAIN_SRAM = "sram"
@@ -28,18 +28,19 @@ class ServerAddressSpace:
         """'host' or 'sram' for a valid address."""
         return DOMAIN_SRAM if addr >= self.sram_base else DOMAIN_HOST
 
-    def _route(self, addr):
-        if addr >= self.sram_base:
-            return self.sram, addr - self.sram_base + 8
-        return self.host, addr
+    # SRAM is mapped just past host memory, its NULL page skipped: the
+    # global address ``sram_base + n`` is SRAM-local ``n + 8``.
 
     def read(self, addr, length):
-        memory, local = self._route(addr)
-        return memory.read(local, length)
+        if addr >= self.sram_base:
+            return self.sram.read(addr - self.sram_base + 8, length)
+        return self.host.read(addr, length)
 
     def write(self, addr, data):
-        memory, local = self._route(addr)
-        memory.write(local, data)
+        if addr >= self.sram_base:
+            self.sram.write(addr - self.sram_base + 8, data)
+        else:
+            self.host.write(addr, data)
 
     def read_uint(self, addr, width=8):
         return int.from_bytes(self.read(addr, width), "little")
@@ -54,11 +55,9 @@ class ServerAddressSpace:
         self.write_uint(addr, target, 8)
 
     def contains(self, addr, length=1):
-        try:
-            memory, local = self._route(addr)
-        except MemoryError_:
-            return False
-        return memory.contains(local, length)
+        if addr >= self.sram_base:
+            return self.sram.contains(addr - self.sram_base + 8, length)
+        return self.host.contains(addr, length)
 
     # -- setup-time allocation -------------------------------------------
 

@@ -15,7 +15,6 @@ from dataclasses import dataclass, field
 
 from repro.core.chain import Chain
 from repro.obs.trace import NULL_SPAN, Span
-from repro.prism.address_space import DOMAIN_HOST
 from repro.prism.engine import (
     ChainResult,
     OpResult,
@@ -394,7 +393,7 @@ class _Execution:
         if result.status is OpStatus.NAK:
             results.extend(OpResult(OpStatus.SKIPPED)
                            for _ in range(len(self.ops) - len(results)))
-        self.prev_ok = result.successful
+        self.prev_ok = result.status is OpStatus.OK
         self._advance()
 
     # -- tracing --------------------------------------------------------------
@@ -414,8 +413,3 @@ class _Execution:
 
 _STAGES = (_Execution._boot, _Execution._advance, _Execution._execute,
            _Execution._executed)
-
-
-def trace_host_bytes(accesses):
-    """Total bytes moved to/from host memory in an access trace."""
-    return sum(a.nbytes for a in accesses if a.domain == DOMAIN_HOST)

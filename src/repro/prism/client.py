@@ -91,27 +91,28 @@ class PrismClient:
             bus.emit("chain.submit", len(chain.ops),
                      "+".join(op.opname for op in chain.ops),
                      self.server.host_name)
-        with span.child("roundtrip", phase="cpu",
-                        ops=len(chain.ops)) as trip:
-            if policy is None:
-                result = yield from self.channel.request(
-                    self.server.host_name, self.server.service,
-                    (self.connection.id, chain), chain.request_bytes(),
-                    span=trip)
+        trip = NULL_SPAN
+        if span.enabled:
+            trip = span.child("roundtrip", phase="cpu", ops=len(chain.ops))
+        channel = self.channel
+        server = self.server
+        body = (self.connection.id, chain)
+        try:
+            if policy is not None and retryable is None:
+                retryable = all(isinstance(op, (ReadOp, WriteOp, CasOp))
+                                for op in chain.ops)
+            if policy is not None and retryable:
+                result = yield from channel.request_with_retry(
+                    server.host_name, server.service, body,
+                    chain.request_bytes(), policy, span=trip)
             else:
-                if retryable is None:
-                    retryable = all(isinstance(op, (ReadOp, WriteOp, CasOp))
-                                    for op in chain.ops)
-                if retryable:
-                    result = yield from self.channel.request_with_retry(
-                        self.server.host_name, self.server.service,
-                        (self.connection.id, chain), chain.request_bytes(),
-                        policy, span=trip)
-                else:
-                    result = yield from self.channel.request(
-                        self.server.host_name, self.server.service,
-                        (self.connection.id, chain), chain.request_bytes(),
-                        timeout_us=policy.timeout_us, span=trip)
+                result = yield channel.post(
+                    server.host_name, server.service, body,
+                    chain.request_bytes(),
+                    None if policy is None else policy.timeout_us, trip)
+        finally:
+            if span.enabled:
+                trip.finish()
         self.round_trips += 1
         if bus is not None:
             bus.emit("chain.roundtrip", self.sim._now - submitted,

@@ -227,7 +227,8 @@ class PrismEngine:
         if op.conditional and not prev_ok:
             return OpResult(OpStatus.SKIPPED), accesses
         try:
-            self._feature_check(op)
+            if not self.allow_extensions:
+                self._feature_check(op)
             if isinstance(op, ReadOp):
                 result = self._do_read(connection, op, accesses)
             elif isinstance(op, WriteOp):

@@ -10,7 +10,6 @@ quiesced, via a reader/writer-style gate.
 
 from itertools import count
 
-from repro.core.chain import Chain
 from repro.core.constants import REDIRECT_SLOT_BYTES
 from repro.core.errors import RemoteNak
 from repro.net.port import post_reply
@@ -177,10 +176,8 @@ class PrismServer:
 
     @staticmethod
     def _response_bytes(ops, result):
-        if isinstance(ops, Chain):
-            ops = ops.ops
         total = 0
-        for op, op_result in zip(ops, result):
+        for op, op_result in zip(ops, result.results):
             value = op_result.value
             length = len(value) if isinstance(value, (bytes, bytearray)) else 0
             total += op.response_bytes(length)

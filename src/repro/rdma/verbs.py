@@ -113,7 +113,7 @@ class SendEndpoint:
         """Process helper: SEND ``payload``; completes when the remote
         NIC has placed it (raises :class:`RemoteNak` on RNR)."""
         payload = bytes(payload)
-        yield from self.channel.request(
+        yield self.channel.post(
             self.server_name, self.service, payload,
             request_size=42 + len(payload))
         self.sends += 1

@@ -136,21 +136,22 @@ class RpcClient:
         policy = self.retry_policy
         if self.sim.bus is not None:
             self.sim.bus.emit("rpc.submit", method, server_name)
-        with span.child("rpc.call", phase="cpu", method=method) as call_span:
-            if policy is None:
-                result = yield from self.channel.request(
-                    server_name, service, (method, args),
-                    ETHERNET_HEADER_BYTES + request_payload_bytes,
-                    span=call_span)
-            elif retryable:
+        call_span = NULL_SPAN
+        if span.enabled:
+            call_span = span.child("rpc.call", phase="cpu", method=method)
+        try:
+            if policy is not None and retryable:
                 result = yield from self.channel.request_with_retry(
                     server_name, service, (method, args),
                     ETHERNET_HEADER_BYTES + request_payload_bytes,
                     policy, span=call_span)
             else:
-                result = yield from self.channel.request(
+                result = yield self.channel.post(
                     server_name, service, (method, args),
                     ETHERNET_HEADER_BYTES + request_payload_bytes,
-                    timeout_us=policy.timeout_us, span=call_span)
+                    None if policy is None else policy.timeout_us, call_span)
+        finally:
+            if span.enabled:
+                call_span.finish()
         self.calls_made += 1
         return result

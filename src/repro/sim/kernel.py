@@ -59,6 +59,19 @@ class _ScheduledCall:
         self.cancelled = False
 
 
+def _fire_due_now(timer):
+    """Waiter of the zero-delay timer whose value is a payload due at
+    the current instant (:meth:`Simulator.schedule_at`'s cold branch).
+    It checks ``cancelled`` as a heap pop would: a payload withdrawn
+    while it rides the ready deque does not fire, and the tombstone its
+    owner noted — for a heap entry that never existed — is paid back."""
+    payload = timer._value
+    if payload.cancelled:
+        timer.sim._cancelled_timers -= 1
+    else:
+        payload.fire()
+
+
 class Process(Event):
     """A running generator coroutine; also the event of its completion.
 
@@ -417,10 +430,8 @@ class Simulator:
             heapq.heappush(self._queue,
                            (when, next(self._sequence), payload))
         else:
-            # Cold path (loopback, zero-latency test fabrics): the one
-            # closure here never runs per message on a real topology.
-            self.sleep_until(when).callbacks.append(
-                lambda _timer: payload.fire())
+            # Cold path: loopback, zero-latency test fabrics.
+            self.sleep_until(when, payload).callbacks.append(_fire_due_now)
 
     def spawn(self, generator, name=None):
         """Start running a generator as a process."""
@@ -492,9 +503,6 @@ class Simulator:
 
     # -- kernel internals -------------------------------------------------
 
-    def _enqueue_triggered(self, event):
-        self._ready.append(event)
-
     def _note_timer_cancelled(self):
         """A heap-resident timer was tombstoned; compact when they dominate."""
         self._cancelled_timers += 1
@@ -502,9 +510,12 @@ class Simulator:
         if (self._cancelled_timers >= _COMPACT_MIN
                 and self._cancelled_timers * 2 > len(queue)):
             # In place: the run loops hold a local alias to the list.
+            # Only the tombstones swept here leave the count: one noted
+            # for a payload riding the ready deque is paid back there.
+            before = len(queue)
             queue[:] = [entry for entry in queue if not entry[2].cancelled]
             heapq.heapify(queue)
-            self._cancelled_timers = 0
+            self._cancelled_timers -= before - len(queue)
 
     def _note_process_failure(self, process, exc):
         self._failed_processes.append((process, exc))

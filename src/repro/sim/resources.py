@@ -6,6 +6,7 @@ link serialization are all instances of these classes.
 """
 
 from collections import deque
+from heapq import heappush
 
 from repro.obs.trace import NULL_SPAN, Span
 from repro.sim.events import Event, SimulationError
@@ -131,7 +132,8 @@ class Resource:
         stops waiting (interrupt, ``with_timeout``) withdraws its claim
         instead of leaking the slot it queued for.
         """
-        hp = self.sim.hostprof
+        sim = self.sim
+        hp = sim.hostprof
         if hp is not None and not hp._timing:
             # Stride sampling: attribution is off for this event.
             hp = None
@@ -140,7 +142,9 @@ class Resource:
             # common configuration for fig sweeps.
             event = AcquireEvent(self)
             if self._in_use < self.capacity:
-                self._account()
+                now = sim._now  # _account, in place
+                self._busy_time += self._in_use * (now - self._last_change)
+                self._last_change = now
                 self._in_use += 1
                 self._total_acquired += 1
                 event.succeed(self)
@@ -175,7 +179,8 @@ class Resource:
         eagerly, so this is belt-and-braces for a waiter cancelled in
         the same kernel step).
         """
-        hp = self.sim.hostprof
+        sim = self.sim
+        hp = sim.hostprof
         if hp is not None and not hp._timing:
             # Stride sampling: attribution is off for this event.
             hp = None
@@ -190,7 +195,9 @@ class Resource:
                 self._total_acquired += 1
                 event.succeed(self)
                 return
-            self._account()
+            now = sim._now  # _account, in place
+            self._busy_time += self._in_use * (now - self._last_change)
+            self._last_change = now
             self._in_use -= 1
             return
         if hp is not None:
@@ -447,7 +454,8 @@ class BandwidthPipe:
         at which its serialization starts (see docs/performance.md,
         rule 11, for why not at claim).
         """
-        now = self.sim._now
+        sim = self.sim
+        now = sim._now
         duration = self.per_message_us + size_bytes / self.bytes_per_us
         queue_span = None
         if span.enabled:
@@ -462,9 +470,16 @@ class BandwidthPipe:
             self._busy_since = now
             if self.monitor is not None:
                 self.monitor.on_uncontended_grant()
-            self._free_at = now + duration
-            self._start(holder, size_bytes, duration, span, queue_span)
-            return self._free_at
+            self._free_at = free_at = now + duration
+            self._size = size_bytes
+            if queue_span is not None:
+                self._open_wire_span(span, queue_span, size_bytes, now)
+            if free_at > now:
+                # schedule_at's hot branch, in place.
+                heappush(sim._queue, (free_at, next(sim._sequence), holder))
+            else:
+                sim.schedule_at(free_at, holder)
+            return free_at
         self._queue.append((holder, size_bytes, duration, span, queue_span))
         wire = self._span
         if (queue_span is not None and wire is not None
@@ -483,22 +498,18 @@ class BandwidthPipe:
         self._free_at += duration
         return self._free_at
 
-    def _start(self, holder, size_bytes, duration, span, queue_span):
-        """The port is ``holder``'s from now: time its serialization."""
-        sim = self.sim
-        now = sim._now
-        self._size = size_bytes
-        if queue_span is not None:
-            queue_span.end = now
-            self._span = Span(span.tracer, self._xmit_label, "wire", span,
-                              now, {"bytes": size_bytes})
-            span.children.append(self._span)
-        sim.schedule_at(now + duration, holder)
+    def _open_wire_span(self, span, queue_span, size_bytes, now):
+        """Traced only: the wait is over, the serialization starts."""
+        queue_span.end = now
+        self._span = Span(span.tracer, self._xmit_label, "wire", span,
+                          now, {"bytes": size_bytes})
+        span.children.append(self._span)
 
     def finish(self):
         """The last byte of the message in service has left: count it
         and hand the port to the next queued holder, if any."""
-        now = self.sim._now
+        sim = self.sim
+        now = sim._now
         if self._span is not None:
             self._span.end = now
             self._span = None
@@ -507,7 +518,11 @@ class BandwidthPipe:
         if self._queue:
             if self.monitor is not None:
                 self.monitor.on_handoff(now - self._wait_since.popleft())
-            self._start(*self._queue.popleft())
+            (holder, self._size, duration,
+             span, queue_span) = self._queue.popleft()
+            if queue_span is not None:
+                self._open_wire_span(span, queue_span, self._size, now)
+            sim.schedule_at(now + duration, holder)
         else:
             self._busy = False
             self._busy_time += now - self._busy_since

@@ -30,6 +30,17 @@ def test_unknown_service_raises(sim):
         host.handler_for("nope")
 
 
+def test_a_message_to_an_unregistered_service_raises_naming_host_and_service(
+        sim):
+    """The hand-over looks the service up in place; a miss must still
+    surface as ``Host.handler_for``'s error, out of ``Simulator.run``."""
+    fabric = make_fabric(sim, DIRECT, ["a", "b"])
+    fabric.post("a", "b", "nope", None, 64)
+    with pytest.raises(KeyError, match="b: no service 'nope'"):
+        sim.run()
+    assert fabric.messages_delivered == 1   # it crossed; nobody took it
+
+
 def test_loopback_latency_zero(sim):
     fabric = make_fabric(sim, DIRECT, ["a", "b"])
     assert fabric.path_latency_us("a", "a") == 0.0

@@ -74,3 +74,59 @@ def test_sram_allocation_addresses_monotonic(space):
     first = space.sram_sbrk(32)
     second = space.sram_sbrk(32)
     assert second == first + 32
+
+
+# ``read`` / ``write`` route in place and ``HostMemory`` compares its
+# bounds in place (docs/performance.md, rule 12(c)); these fail if a
+# comparison was dropped on the way. Messages are ``HostMemory._check``'s,
+# in the routed memory's own coordinates (SRAM-local = global - base + 8).
+_OUT_OF_BOUNDS = [
+    pytest.param(0, 8, r"access \[0, 8\) outside memory of size 65536",
+                 id="null-page"),
+    pytest.param(7, 1, r"access \[7, 8\) outside memory of size 65536",
+                 id="last-null-byte"),
+    pytest.param((1 << 16) - 1, 2,
+                 r"access \[65535, 65537\) outside memory of size 65536",
+                 id="one-byte-past-host-memory"),
+    pytest.param((1 << 16) - 8, 16,
+                 r"access \[65528, 65544\) outside memory of size 65536",
+                 id="across-the-host-sram-seam"),
+    pytest.param((1 << 16) + 1024 - 1, 2,
+                 r"access \[1031, 1033\) outside memory of size 1032",
+                 id="one-byte-past-sram"),
+]
+
+
+@pytest.mark.parametrize("addr, length, message", _OUT_OF_BOUNDS)
+def test_read_out_of_bounds_refused(space, addr, length, message):
+    with pytest.raises(MemoryError_, match=message):
+        space.read(addr, length)
+
+
+@pytest.mark.parametrize("addr, length, message", _OUT_OF_BOUNDS)
+def test_write_out_of_bounds_refused_and_nothing_written(
+        space, addr, length, message):
+    before = (space.host.read(8, 64), space.host.read((1 << 16) - 64, 64),
+              space.sram.read(8, 1024))
+    with pytest.raises(MemoryError_, match=message):
+        space.write(addr, b"\xff" * length)
+    assert before == (space.host.read(8, 64),
+                      space.host.read((1 << 16) - 64, 64),
+                      space.sram.read(8, 1024))
+
+
+@pytest.mark.parametrize("addr", [8, (1 << 16) + 16],
+                         ids=["host", "sram"])
+def test_negative_length_read_refused(space, addr):
+    with pytest.raises(MemoryError_, match="negative length: -1"):
+        space.read(addr, -1)
+
+
+def test_the_last_byte_of_each_memory_is_reachable(space):
+    space.write((1 << 16) - 1, b"h")
+    space.write((1 << 16) + 1024 - 1, b"s")
+    assert space.read((1 << 16) - 1, 1) == b"h"
+    assert space.read((1 << 16) + 1024 - 1, 1) == b"s"
+    assert space.contains((1 << 16) - 1) and space.contains(
+        (1 << 16) + 1024 - 1)
+    assert not space.contains((1 << 16) + 1024)

@@ -224,3 +224,87 @@ class TestTimersRunWaitersWhenTheyFire:
         assert sim.events_executed == 3
         with pytest.raises(SimulationError, match="negative delay"):
             sim.schedule(-1.0, later)
+
+
+class TestPayloadWithdrawnOnTheZeroDelaySlot:
+    """``schedule_at``'s cold branch (the computed instant is *now*:
+    loopback, a zero-latency fabric, a delay that rounds away) carries
+    the payload on the ready deque. A payload withdrawn while it rides
+    there must not fire — a heap pop would have skipped it — and the
+    tombstone its owner noted, for a heap entry that never existed, must
+    not skew compaction's majority rule for the rest of the run."""
+
+    class Payload:
+        cancelled = False
+        fired = 0
+
+        def fire(self):
+            self.fired += 1
+
+    def test_a_raw_payload_does_not_fire_and_its_tombstone_is_paid_back(self):
+        sim = Simulator()
+
+        withdrawn, kept = self.Payload(), self.Payload()
+        sim.schedule(0.0, withdrawn)
+        sim.schedule(0.0, kept)
+        # What an owner's cancel() does (``TimerEvent.cancel``,
+        # ``net.port._Call.cancel``): set the flag, note the tombstone.
+        withdrawn.cancelled = True
+        sim._note_timer_cancelled()
+        sim.run()
+        assert (withdrawn.fired, kept.fired) == (0, 1)
+        assert sim._cancelled_timers == 0 and sim._queue == []
+
+    def test_compaction_keeps_the_tombstone_of_a_payload_still_riding(self):
+        """The count is what compaction's majority rule reads: sweeping
+        the heap takes out the heap's tombstones only."""
+        from repro.sim.kernel import _COMPACT_MIN
+        sim = Simulator()
+        timers = [sim.timeout(5.0) for _ in range(_COMPACT_MIN)]
+
+        payload = self.Payload()
+        sim.schedule(0.0, payload)
+        payload.cancelled = True
+        sim._note_timer_cancelled()
+        for timer in timers:
+            timer.cancel()          # one of these compacts the heap
+        assert len(sim._queue) < _COMPACT_MIN // 2
+        assert sim._cancelled_timers == 1 + len(sim._queue)
+        sim.run()
+        assert payload.fired == 0 and sim._cancelled_timers == 0
+
+    def test_a_call_cancelled_during_a_post_overhead_that_rounds_to_zero(self):
+        from repro.net.port import RequestChannel
+        from repro.net.topology import RACK, make_fabric
+        from repro.sim import Interrupt
+
+        sim = Simulator()
+        fabric = make_fabric(sim, RACK, ["client", "server"])
+        served = []
+        fabric.host("server").register_service("echo", served.append)
+        # 1.0 + 1e-30 == 1.0: the post overhead's timer is due at once.
+        channel = RequestChannel(sim, fabric, "client",
+                                 post_overhead_us=1e-30)
+        seen = {}
+
+        def caller():
+            yield sim.timeout(1.0)
+            try:
+                yield from channel.request("server", "echo", "ping", 64)
+            except Interrupt:
+                seen["outstanding"] = channel.outstanding
+
+        victim = sim.spawn(caller())
+
+        def killer():
+            yield sim.timeout(1.0)
+            seen["call"], = channel._pending.values()
+            victim.interrupt("stop")    # within the instant of the post
+
+        sim.spawn(killer())
+        sim.run()
+        call = seen["call"]
+        assert seen["outstanding"] == 0
+        assert call.cancelled and not call.triggered    # fire() never ran
+        assert fabric.hosts["client"].tx.messages_total == 0 and not served
+        assert sim._cancelled_timers == 0 and sim._queue == []

@@ -178,6 +178,22 @@ class TestBandwidthPipe:
         assert finishes == [("a", 5.0), ("b", 10.0)]
         assert pipe.utilization(20.0) == 0.5
 
+    def test_a_zero_duration_message_takes_a_ready_slot_not_a_heap_entry(
+            self, sim):
+        """``claim`` pushes its holder's timer in place; a serialization
+        that ends at the claiming instant (zero bytes, no per-message
+        cost) must still go through ``schedule_at``'s zero-delay slot —
+        the heap only ever holds strictly-future entries."""
+        pipe = BandwidthPipe(sim, bytes_per_us=100, per_message_us=0.0)
+        finishes = []
+        sim.run(until=3.0)
+        assert pipe.claim(Holder(pipe, "empty", finishes), 0) == 3.0
+        assert sim._queue == [] and len(sim._ready) == 1
+        assert pipe.claim(Holder(pipe, "next", finishes), 200) == 5.0
+        sim.run()
+        assert finishes == [("empty", 3.0), ("next", 5.0)]
+        assert (pipe.bytes_total, pipe.messages_total) == (200, 2)
+
     def test_counters(self, sim):
         pipe = BandwidthPipe(sim, bytes_per_us=100)
         pipe.claim(Holder(pipe, "a", []), 300)
