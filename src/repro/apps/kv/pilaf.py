@@ -84,8 +84,7 @@ class PilafServer:
 
     def __init__(self, sim, fabric, host_name, backend_cls, config=None,
                  n_keys=100_000, max_value_bytes=512, slots_per_key=1,
-                 hash_fn="identity", rpc_config=None, backend_kwargs=None,
-                 rpc_core_pool=None):
+                 hash_fn="identity", rpc_config=None, backend_kwargs=None):
         self.sim = sim
         self.n_keys = n_keys
         self.hash_fn = hash_fn
@@ -105,8 +104,7 @@ class PilafServer:
                                   max_value_bytes=max_value_bytes)
         self._next_extent = 0
         self._key_to_extent = {}
-        self.rpc = RpcServer(sim, fabric, host_name, config=rpc_config,
-                             core_pool=rpc_core_pool)
+        self.rpc = RpcServer(sim, fabric, host_name, config=rpc_config)
         self.rpc.register(self.PUT_METHOD, self._handle_put,
                           service_us=self.PUT_SERVICE_US)
 

@@ -151,10 +151,10 @@ class HostProfiler(Observer):
         self.begin_timed()
 
     def begin_timed(self):
-        """Start timing one event. The kernel's profiled loops inline
-        the counter increment and stride check and call this only for
-        the sampled events (see ``_run_profiled``); ``event_begin`` is
-        the equivalent single-call form."""
+        """Start timing one event. The kernel's profiled loop inlines
+        the counter increment and stride check and calls this only for
+        the sampled events (see ``Simulator._loop_profiled``);
+        ``event_begin`` is the equivalent single-call form."""
         self.timed_events += 1
         self._timing = True
         self.enter("dispatch")

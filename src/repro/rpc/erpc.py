@@ -34,15 +34,13 @@ class RpcConfig:
 class RpcServer:
     """Registers named methods on a host's ``rpc`` service."""
 
-    def __init__(self, sim, fabric, host_name, config=None, service="rpc",
-                 core_pool=None):
+    def __init__(self, sim, fabric, host_name, config=None, service="rpc"):
         self.sim = sim
         self.fabric = fabric
         self.host_name = host_name
         self.service = service
         self.config = config or RpcConfig()
-        self.cores = core_pool or CorePool(sim, self.config.cores,
-                                           name=f"rpc@{host_name}")
+        self.cores = CorePool(sim, self.config.cores, name=f"rpc@{host_name}")
         self._methods = {}
         self._process_names = {}
         self.calls_served = 0

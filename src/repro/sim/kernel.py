@@ -48,7 +48,7 @@ class _ScheduledCall:
     """Heap payload for :meth:`Simulator.call_at`.
 
     Gives bare future callables the same ``cancelled``/``fire`` shape
-    as :class:`~repro.sim.events.TimerEvent`, so the run loops touch
+    as :class:`~repro.sim.events.TimerEvent`, so the run loop touches
     exactly one payload type.
     """
 
@@ -57,6 +57,16 @@ class _ScheduledCall:
     def __init__(self, callback):
         self.fire = callback
         self.cancelled = False
+
+
+class _Halted(Exception):
+    """Ends the run loop for :meth:`Simulator.run_until_complete`, which
+    alone catches it."""
+
+
+def _halt():
+    """The ready-deque entry a completed awaited process leaves."""
+    raise _Halted
 
 
 def _fire_due_now(timer):
@@ -174,43 +184,13 @@ class Process(Event):
         fl = sim.flight
         if hp is not None:
             hp.resumes += 1
-            if not hp._timing:
+            if hp._timing:
+                hp.enter("resume")
+            else:
                 # Unsampled resume (stride sampling): the counter stays
                 # exact, but bucket attribution is off for this event —
                 # skip the paired enter/exit calls entirely.
                 hp = None
-        if hp is None and fl is None:
-            try:
-                target = advance(arg)
-            except StopIteration as stop:
-                self.succeed(getattr(stop, "value", None))
-                tracer = sim.tracer
-                if tracer.trace_processes:
-                    tracer.process_finished(self)
-                return
-            except Exception as exc:
-                self._fail_or_crash(exc)
-                return
-            if isinstance(target, Event):
-                self._waiting_on = target
-                # Inlined Event.add_callback — one call per resume on
-                # the hottest kernel path. Waiting on a child process
-                # must still mark it observed (orphan-failure triage).
-                if isinstance(target, Process):
-                    target._ever_waited = True
-                if target._processed:
-                    sim._ready.append(_LateCall(self._resume, target))
-                else:
-                    target.callbacks.append(self._resume)
-            else:
-                message = (
-                    f"process {self.name!r} yielded {target!r}; processes "
-                    "may only yield Event instances (use 'yield from' to "
-                    "call sub-generators)")
-                self._step(self._generator.throw, SimulationError(message))
-            return
-        if hp is not None:
-            hp.enter("resume")
         if fl is not None:
             fl.enter_process(self)
         try:
@@ -227,6 +207,9 @@ class Process(Event):
                 return
             if isinstance(target, Event):
                 self._waiting_on = target
+                # Inlined Event.add_callback — one call per resume on
+                # the hottest kernel path. Waiting on a child process
+                # must still mark it observed (orphan-failure triage).
                 if isinstance(target, Process):
                     target._ever_waited = True
                 if target._processed:
@@ -360,7 +343,7 @@ class Simulator:
 
     def timeout(self, delay, value=None):
         """An event that succeeds ``delay`` microseconds from now."""
-        if delay < 0:
+        if not delay >= 0:  # refuses NaN too, which `delay < 0` let through
             raise SimulationError(f"negative delay: {delay}")
         return self.sleep_until(self._now + delay, value)
 
@@ -396,7 +379,7 @@ class Simulator:
 
     def schedule(self, delay, payload):
         """:meth:`schedule_at` ``delay`` microseconds from now."""
-        if delay < 0:
+        if not delay >= 0:  # refuses NaN too, which `delay < 0` let through
             raise SimulationError(f"negative delay: {delay}")
         when = self._now + delay
         if when > self._now:
@@ -423,7 +406,7 @@ class Simulator:
         one that rounds to the current instant (or lies in the past)
         must keep FIFO position with other same-instant work — the heap
         only ever holds strictly-future entries, the ordering invariant
-        the run loops rely on — so it rides a zero-delay timer and gets
+        the run loop relies on — so it rides a zero-delay timer and gets
         exactly the slot a ``yield sim.timeout(0)`` would have had.
         """
         if when > self._now:
@@ -509,7 +492,7 @@ class Simulator:
         queue = self._queue
         if (self._cancelled_timers >= _COMPACT_MIN
                 and self._cancelled_timers * 2 > len(queue)):
-            # In place: the run loops hold a local alias to the list.
+            # In place: the run loop holds a local alias to the list.
             # Only the tombstones swept here leave the count: one noted
             # for a payload riding the ready deque is paid back there.
             before = len(queue)
@@ -522,27 +505,30 @@ class Simulator:
 
     # -- execution ---------------------------------------------------------
 
-    # The four run loops below share one shape:
-    #
-    #   1. pop heap entries due at the current instant (they were
-    #      pushed from an *earlier* instant, so they precede anything
-    #      on the ready deque at this instant);
-    #   2. drain the ready deque FIFO — nothing a ready callback does
-    #      can make a heap entry due at the current instant, so no
-    #      re-check is needed between deque entries;
-    #   3. advance the clock to the earliest future heap entry.
-    #
-    # Tombstoned (cancelled) timers are skipped without advancing the
-    # clock and without counting in ``events_executed``.
+    def _loop(self, until):
+        """Execute entries until the queue drains (returns False) or the
+        next one lies beyond ``until`` (returns True, clock untouched).
 
-    def run(self, until=None):
-        """Run until the queue drains or simulated time passes ``until``.
+        The one run loop; :meth:`_loop_profiled` is its twin under the
+        host profiler. Its shape:
 
-        A process that dies with an unhandled exception (and no waiter
-        observing its completion) re-raises here at the end of the run.
+          1. pop heap entries due at the current instant (they were
+             pushed from an *earlier* instant, so they precede anything
+             on the ready deque at this instant);
+          2. drain the ready deque FIFO — nothing a ready callback does
+             can make a heap entry due at the current instant, so no
+             re-check is needed between deque entries;
+          3. advance the clock to the earliest future heap entry.
+
+        Tombstoned (cancelled) timers are skipped without advancing the
+        clock and without counting in ``events_executed``.
         """
+        if until is not None and not until >= self._now:
+            raise SimulationError(
+                f"cannot run until {until}: the clock is at {self._now} "
+                "and only runs forwards")
         if self.hostprof is not None:
-            return self._run_profiled(until)
+            return self._loop_profiled(until)
         ready = self._ready
         queue = self._queue
         pop = heapq.heappop
@@ -561,13 +547,10 @@ class Simulator:
                     executed += 1
                     ready.popleft()()
                 if not queue:
-                    if until is not None:
-                        self._now = until
-                    break
+                    return False
                 when = queue[0][0]
                 if until is not None and when > until:
-                    self._now = until
-                    break
+                    return True
                 obj = pop(queue)[2]
                 if obj.cancelled:
                     self._cancelled_timers -= 1
@@ -578,15 +561,13 @@ class Simulator:
                 obj.fire()
         finally:
             self.events_executed += executed
-        self._raise_orphan_failures()
-        return self._now
 
-    def _run_profiled(self, until):
-        """:meth:`run` with the host-profiler's wall-clock meters on.
+    def _loop_profiled(self, until):
+        """:meth:`_loop` with the host-profiler's wall-clock meters on.
 
-        A separate loop so the unprofiled hot path stays exactly as it
-        was; the simulated schedule is identical — the profiler only
-        reads ``perf_counter`` around the same callbacks.
+        A separate loop so the unprofiled hot path pays no per-entry
+        test for it; the simulated schedule is identical — the profiler
+        only reads ``perf_counter`` around the same callbacks.
         """
         hp = self.hostprof
         ready = self._ready
@@ -631,13 +612,10 @@ class Simulator:
                         finally:
                             hp.event_end()
                 if not queue:
-                    if until is not None:
-                        self._now = until
-                    break
+                    return False
                 when = queue[0][0]
                 if until is not None and when > until:
-                    self._now = until
-                    break
+                    return True
                 obj = pop(queue)[2]
                 if obj.cancelled:
                     self._cancelled_timers -= 1
@@ -658,62 +636,55 @@ class Simulator:
             self.events_executed += executed
             hp.events = ev
             hp.run_end()
+
+    def run(self, until=None):
+        """Run until the queue drains or simulated time passes ``until``.
+
+        A process that dies with an unhandled exception (and no waiter
+        observing its completion) re-raises here at the end of the run.
+        """
+        self._loop(until)
+        if until is not None:
+            self._now = until
         self._raise_orphan_failures()
         return self._now
 
     def run_until_complete(self, process, limit=None):
         """Run until ``process`` finishes; return its value.
 
-        Steps the queue one entry at a time so perpetual background
+        Leaves right after the entry that completes ``process`` (later
+        same-instant entries stay queued) so perpetual background
         daemons cannot keep the run alive forever. ``limit`` bounds
         simulated time as a deadlock guard; when it trips, ``_now``
         advances to ``limit`` — the same contract as :meth:`run` with
         ``until`` — rather than sticking at the last executed event.
         """
-        if self.hostprof is not None:
-            self._drain_profiled(process, limit)
-        else:
+        if not process._processed:
+            # No per-entry test for completion: the process's completion
+            # entry puts a halt at the *head* of the ready deque, so it
+            # runs next — after every other completion callback, before
+            # any later same-instant entry — and ends the loop.
+            # Appended directly, not through ``add_callback``: the
+            # driver is not an observer of the process (orphan triage).
             ready = self._ready
-            queue = self._queue
-            pop = heapq.heappop
-            now = self._now
-            executed = 0
+
+            def arm(completed):
+                ready.appendleft(_halt)
+            process.callbacks.append(arm)
             try:
-                while not process._processed:
-                    while queue and queue[0][0] <= now:
-                        obj = pop(queue)[2]
-                        if obj.cancelled:
-                            self._cancelled_timers -= 1
-                            continue
-                        executed += 1
-                        obj.fire()
-                        if process._processed:
-                            break
-                    if process._processed:
-                        break
-                    while ready:
-                        executed += 1
-                        ready.popleft()()
-                        if process._processed:
-                            break
-                    if process._processed:
-                        break
-                    if not queue:
-                        break
-                    when = queue[0][0]
-                    if limit is not None and when > limit:
-                        self._now = limit
-                        break
-                    obj = pop(queue)[2]
-                    if obj.cancelled:
-                        self._cancelled_timers -= 1
-                        continue
-                    now = when
-                    self._now = when
-                    executed += 1
-                    obj.fire()
+                if self._loop(limit):
+                    self._now = limit
+            except _Halted:
+                # The halt entry is not model work.
+                self.events_executed -= 1
+                if self.hostprof is not None:
+                    self.hostprof.events -= 1
             finally:
-                self.events_executed += executed
+                # Whatever ended the loop, leave nothing behind (only a
+                # halt is ever pushed at the head of the deque).
+                process.discard_callback(arm)
+                if ready and ready[0] is _halt:
+                    ready.popleft()
         self._raise_orphan_failures()
         if not process.triggered:
             raise SimulationError(
@@ -722,83 +693,6 @@ class Simulator:
         if not process.ok:
             raise process.value
         return process.value
-
-    def _drain_profiled(self, process, limit):
-        """The :meth:`run_until_complete` loop under the host profiler."""
-        hp = self.hostprof
-        ready = self._ready
-        queue = self._queue
-        pop = heapq.heappop
-        now = self._now
-        stride = hp.stride
-        executed = 0
-        # The sampling counter lives in a local for the whole loop (an
-        # attribute RMW per event is measurable); flushed on exit so
-        # report() and nested runs see the true count.
-        ev = hp.events
-        hp.run_begin()
-        try:
-            while not process._processed:
-                while queue and queue[0][0] <= now:
-                    obj = pop(queue)[2]
-                    if obj.cancelled:
-                        self._cancelled_timers -= 1
-                        continue
-                    executed += 1
-                    ev += 1
-                    if ev % stride:
-                        obj.fire()
-                    else:
-                        hp.begin_timed()
-                        try:
-                            obj.fire()
-                        finally:
-                            hp.event_end()
-                    if process._processed:
-                        break
-                if process._processed:
-                    break
-                while ready:
-                    executed += 1
-                    ev += 1
-                    if ev % stride:
-                        ready.popleft()()
-                    else:
-                        hp.begin_timed()
-                        try:
-                            ready.popleft()()
-                        finally:
-                            hp.event_end()
-                    if process._processed:
-                        break
-                if process._processed:
-                    break
-                if not queue:
-                    break
-                when = queue[0][0]
-                if limit is not None and when > limit:
-                    self._now = limit
-                    break
-                obj = pop(queue)[2]
-                if obj.cancelled:
-                    self._cancelled_timers -= 1
-                    continue
-                now = when
-                self._now = when
-                executed += 1
-                ev += 1
-                if ev % stride:
-                    obj.fire()
-                else:
-                    hp.begin_timed()
-                    try:
-                        obj.fire()
-                    finally:
-                        hp.event_end()
-        finally:
-            self.events_executed += executed
-            hp.events = ev
-            hp.run_end()
 
     def _raise_orphan_failures(self):
         failures = self._failed_processes

@@ -133,13 +133,15 @@ class Resource:
         instead of leaking the slot it queued for.
         """
         sim = self.sim
+        monitor = self.monitor
         hp = sim.hostprof
-        if hp is not None and not hp._timing:
-            # Stride sampling: attribution is off for this event.
-            hp = None
-        if hp is None and self.monitor is None:
-            # Fast path: no profiler, no utilization monitor — the
-            # common configuration for fig sweeps.
+        if hp is not None:
+            if hp._timing:
+                hp.enter("resource")
+            else:
+                # Stride sampling: attribution is off for this event.
+                hp = None
+        try:
             event = AcquireEvent(self)
             if self._in_use < self.capacity:
                 now = sim._now  # _account, in place
@@ -147,26 +149,14 @@ class Resource:
                 self._last_change = now
                 self._in_use += 1
                 self._total_acquired += 1
+                if monitor is not None:
+                    monitor.on_uncontended_grant()
                 event.succeed(self)
             else:
                 self._waiters.append(event)
-            return event
-        if hp is not None:
-            hp.enter("resource")
-        try:
-            event = AcquireEvent(self)
-            if self._in_use < self.capacity:
-                self._account()
-                self._in_use += 1
-                self._total_acquired += 1
-                if self.monitor is not None:
-                    self.monitor.on_uncontended_grant()
-                event.succeed(self)
-            else:
-                self._waiters.append(event)
-                if self.monitor is not None:
-                    self.monitor.on_request(queued=True)
-                    self._wait_since.append(self.sim._now)
+                if monitor is not None:
+                    monitor.on_request(queued=True)
+                    self._wait_since.append(sim._now)
             return event
         finally:
             if hp is not None:
@@ -180,48 +170,37 @@ class Resource:
         the same kernel step).
         """
         sim = self.sim
+        monitor = self.monitor
         hp = sim.hostprof
-        if hp is not None and not hp._timing:
-            # Stride sampling: attribution is off for this event.
-            hp = None
-        if hp is None and self.monitor is None:
+        if hp is not None:
+            if hp._timing:
+                hp.enter("resource")
+            else:
+                # Stride sampling: attribution is off for this event.
+                hp = None
+        try:
             if self._in_use <= 0:
                 raise SimulationError(f"{self.name}: release without acquire")
             waiters = self._waiters
             while waiters:
                 event = waiters.popleft()
+                if monitor is not None:
+                    waited_since = self._wait_since.popleft()
                 if event.cancelled or event._triggered:
+                    if monitor is not None:
+                        monitor.on_cancel()
                     continue
                 self._total_acquired += 1
+                if monitor is not None:
+                    monitor.on_handoff(sim._now - waited_since)
                 event.succeed(self)
                 return
             now = sim._now  # _account, in place
             self._busy_time += self._in_use * (now - self._last_change)
             self._last_change = now
             self._in_use -= 1
-            return
-        if hp is not None:
-            hp.enter("resource")
-        try:
-            if self._in_use <= 0:
-                raise SimulationError(f"{self.name}: release without acquire")
-            while self._waiters:
-                event = self._waiters.popleft()
-                waited_since = (self._wait_since.popleft()
-                                if self.monitor is not None else None)
-                if event.cancelled or event.triggered:
-                    if self.monitor is not None:
-                        self.monitor.on_cancel()
-                    continue
-                self._total_acquired += 1
-                if self.monitor is not None:
-                    self.monitor.on_handoff(self.sim._now - waited_since)
-                event.succeed(self)
-                return
-            self._account()
-            self._in_use -= 1
-            if self.monitor is not None:
-                self.monitor.on_release()
+            if monitor is not None:
+                monitor.on_release()
         finally:
             if hp is not None:
                 hp.exit()
@@ -294,10 +273,13 @@ class Store:
         kernel step) — waking one would make the item vanish.
         """
         hp = self.sim.hostprof
-        if hp is not None and not hp._timing:
-            # Stride sampling: attribution is off for this event.
-            hp = None
-        if hp is None:
+        if hp is not None:
+            if hp._timing:
+                hp.enter("resource")
+            else:
+                # Stride sampling: attribution is off for this event.
+                hp = None
+        try:
             getters = self._getters
             while getters:
                 getter = getters.popleft()
@@ -306,18 +288,9 @@ class Store:
                 getter.succeed(item)
                 return
             self._items.append(item)
-            return
-        hp.enter("resource")
-        try:
-            while self._getters:
-                getter = self._getters.popleft()
-                if getter.cancelled or getter.triggered:
-                    continue
-                getter.succeed(item)
-                return
-            self._items.append(item)
         finally:
-            hp.exit()
+            if hp is not None:
+                hp.exit()
 
     def get(self):
         """Event that fires with the next item (FIFO).
@@ -327,17 +300,12 @@ class Store:
         returned to the front of the buffer instead of being lost.
         """
         hp = self.sim.hostprof
-        if hp is not None and not hp._timing:
-            # Stride sampling: attribution is off for this event.
-            hp = None
-        if hp is None:
-            event = GetEvent(self)
-            if self._items:
-                event.succeed(self._items.popleft())
+        if hp is not None:
+            if hp._timing:
+                hp.enter("resource")
             else:
-                self._getters.append(event)
-            return event
-        hp.enter("resource")
+                # Stride sampling: attribution is off for this event.
+                hp = None
         try:
             event = GetEvent(self)
             if self._items:
@@ -346,7 +314,8 @@ class Store:
                 self._getters.append(event)
             return event
         finally:
-            hp.exit()
+            if hp is not None:
+                hp.exit()
 
     def _getter_cancelled(self, event):
         """A blocked getter went away (interrupt or timeout race)."""

@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.sim import Event, Interrupt, SimulationError, Simulator
+from repro.obs import HostProfiler
+from repro.sim import Event, Interrupt, Resource, SimulationError, Simulator
 from repro.sim.events import AllOf, AnyOf
 
 
@@ -276,3 +277,167 @@ def test_nested_yield_from_subgenerators(sim, drive):
         b = yield from inner()
         return a + b, sim.now
     assert drive(sim, outer()) == (20, 4.0)
+
+
+# -- the run_until_complete contract ----------------------------------------
+
+
+def _sleeper(sim, delay, value=None):
+    yield sim.timeout(delay)
+    return value
+
+
+class TestRunUntilCompleteContract:
+    def test_a_waiter_that_attached_during_the_call_is_resumed_first(
+            self, sim):
+        target = sim.spawn(_sleeper(sim, 5, "done"))
+        log = []
+        def late_waiter():
+            yield sim.timeout(2)            # the call is already running
+            log.append((yield target))
+        sim.spawn(late_waiter())
+        assert sim.run_until_complete(target) == "done"
+        assert log == ["done"]
+
+    def test_entries_behind_the_completion_entry_wait_for_the_next_run(
+            self, sim):
+        ran = []
+        process = sim.spawn(_sleeper(sim, 3))
+        def same_instant():
+            yield sim.timeout(3)            # fires after the target's timer
+            sim.call_at(sim.now, lambda: ran.append(sim.now))
+        sim.spawn(same_instant())
+        process.add_callback(lambda event: sim.call_at(
+            sim.now, lambda: ran.append("late")))
+        sim.run_until_complete(process)
+        assert ran == [] and process.processed
+        sim.run()
+        assert ran == [3.0, "late"] and sim.now == 3.0
+
+    @staticmethod
+    def _scenario(profiler, complete):
+        sim = Simulator()
+        if profiler is not None:
+            sim.attach(profiler)
+        try:
+            pool = Resource(sim, capacity=1)
+            def worker(hold):
+                yield from pool.occupy(hold)
+                yield sim.timeout(0)
+            for hold in (1.0, 2.0, 0.5):
+                sim.spawn(worker(hold))
+            last = sim.spawn(worker(4.0))
+            if complete:
+                sim.run_until_complete(last)
+            else:
+                sim.run()
+        finally:
+            if profiler is not None:
+                profiler.finish(sim.now)
+        assert last.processed and not sim._ready and not sim._queue
+        return sim.events_executed
+
+    @pytest.mark.parametrize("stride", [None, 1, 7])
+    def test_events_executed_is_the_same_through_both_entry_points(
+            self, stride):
+        counts = []
+        for complete in (False, True):
+            profiler = None if stride is None else HostProfiler(stride)
+            counts.append(self._scenario(profiler, complete))
+            if profiler is not None:
+                assert profiler.events == counts[-1]
+        assert counts[0] == counts[1] == self._scenario(None, False)
+
+    def test_an_exception_from_a_later_completion_callback_leaves_no_halt(
+            self, sim):
+        target = sim.spawn(_sleeper(sim, 2))
+        def boom(event):
+            raise RuntimeError("boom")
+        def attach_during_the_call():
+            yield sim.timeout(1)
+            target.callbacks.append(boom)   # runs after the halt is armed
+        sim.spawn(attach_during_the_call())
+        with pytest.raises(RuntimeError, match="boom"):
+            sim.run_until_complete(target)
+        assert len(sim._ready) == 0 and target.callbacks == []
+        assert target.processed
+        assert sim.run() == 2.0
+
+    def test_an_exception_from_another_entry_leaves_no_callback(self, sim):
+        target = sim.spawn(_sleeper(sim, 5, "late"))
+        def boom():
+            raise RuntimeError("boom")
+        sim.call_at(1.0, boom)
+        with pytest.raises(RuntimeError, match="boom"):
+            sim.run_until_complete(target)
+        assert len(sim._ready) == 0 and target.callbacks == []
+        assert sim.run() == 5.0             # red if the halt fires in run()
+        assert target.value == "late"
+
+    def test_a_finished_process_returns_without_running_an_entry(self, sim):
+        process = sim.spawn(_sleeper(sim, 1, "v"))
+        sim.spawn(_sleeper(sim, 9))
+        sim.run(until=2)
+        executed = sim.events_executed
+        assert sim.run_until_complete(process, limit=100) == "v"
+        assert sim.events_executed == executed and sim.now == 2
+
+    def test_a_tripped_limit_moves_the_clock_a_drained_queue_does_not(
+            self, sim):
+        with pytest.raises(SimulationError, match=r"t=10\.000"):
+            sim.run_until_complete(sim.spawn(_sleeper(sim, 1000)), limit=10)
+        assert sim.now == 10
+        fresh = Simulator()
+        def stuck():
+            yield fresh.timeout(1)
+            yield fresh.event()
+        with pytest.raises(SimulationError, match="did not complete"):
+            fresh.run_until_complete(fresh.spawn(stuck()), limit=50)
+        assert fresh.now == 1.0
+
+    def test_failures_surface_and_the_driver_is_not_an_observer(self, sim):
+        def bad(delay):
+            yield sim.timeout(delay)
+            raise ValueError(f"died at {delay}")
+        target = sim.spawn(bad(2))
+        with pytest.raises(ValueError, match="died at 2"):
+            sim.run_until_complete(target)
+        assert not target._ever_waited
+        # Another process's unobserved failure is not swallowed either.
+        sim.spawn(bad(1))
+        with pytest.raises(ValueError, match="died at 1"):
+            sim.run_until_complete(sim.spawn(_sleeper(sim, 3)))
+
+
+# -- instants the kernel cannot order ---------------------------------------
+
+
+class TestUnorderableInstants:
+    def test_the_clock_does_not_run_backwards(self, sim):
+        sim.spawn(_sleeper(sim, 20))
+        sim.run(until=12)
+        with pytest.raises(SimulationError):
+            sim.run(until=5)
+        assert sim.now == 12
+        assert sim.run(until=12) == 12      # a bound equal to now: no-op
+        stuck = sim.spawn(_sleeper(sim, 100))
+        with pytest.raises(SimulationError, match="12"):
+            sim.run_until_complete(stuck, limit=3)
+        assert sim.now == 12
+
+    def test_nan_is_not_an_instant(self, sim):
+        class Payload:
+            cancelled = False
+            def fire(self):
+                raise AssertionError("fired")
+        nan = float("nan")
+        with pytest.raises(SimulationError):
+            sim.timeout(nan)
+        with pytest.raises(SimulationError):
+            sim.schedule(nan, Payload())
+        with pytest.raises(SimulationError):
+            sim.run(until=nan)
+        with pytest.raises(SimulationError):
+            sim.run_until_complete(sim.spawn(_sleeper(sim, 1)), limit=nan)
+        assert sim.now == 0.0
+        assert sim.run() == 1.0

@@ -2,7 +2,15 @@
 
 import pytest
 
-from repro.sim import BandwidthPipe, Resource, SimulationError, Store
+from repro.obs import HostProfiler, UtilizationCollector
+from repro.sim import (
+    BandwidthPipe,
+    Interrupt,
+    Resource,
+    SimulationError,
+    Simulator,
+    Store,
+)
 
 
 class TestResource:
@@ -142,6 +150,126 @@ class TestStore:
         store.put(9)
         assert store.try_get() == 9
         assert len(store) == 0
+
+
+def _armed(observer):
+    """A fresh simulator with ``observer()`` attached (None: bare)."""
+    sim = Simulator()
+    return sim, None if observer is None else sim.attach(observer())
+
+
+_OBSERVERS = [None, UtilizationCollector, HostProfiler,
+              lambda: HostProfiler(stride=7)]
+
+
+class TestOneBodyBothConfigurations:
+    """``acquire`` / ``release`` / ``put`` / ``get`` have one body each:
+    what it does cannot depend on which observers bracket it."""
+
+    @staticmethod
+    def _contend(observer):
+        sim, armed = _armed(observer)
+        try:
+            pool = Resource(sim, capacity=2)
+            grants = []
+            def worker(tag, hold):
+                try:
+                    yield pool.acquire()
+                except Interrupt:
+                    grants.append((tag, "interrupted", sim.now))
+                    return
+                grants.append((tag, "granted", sim.now))
+                yield sim.timeout(hold)
+                pool.release()
+            def killer(victim, at):
+                yield sim.timeout(at)
+                victim.interrupt("chaos")
+            _, _, queued, raced, _ = [
+                sim.spawn(worker(tag, hold)) for tag, hold in
+                [("a", 10), ("b", 10), ("queued", 1), ("raced", 1), ("e", 3)]]
+            # Spawned before any holder's timer is pushed, so the second
+            # interrupt fires first at t=10: the release that follows
+            # grants ``raced`` a slot in the instant it is being killed.
+            sim.spawn(killer(queued, 5))
+            sim.spawn(killer(raced, 10))
+            sim.run()
+        finally:
+            if armed is not None:
+                armed.finish(sim.now)
+        return (grants, pool._total_acquired, pool.utilization(sim.now),
+                pool.in_use, pool.queue_length, sim.events_executed), pool
+
+    def test_a_contended_resource_behaves_the_same_under_every_observer(self):
+        (bare, _), (watched, pool), *profiled = [
+            self._contend(observer) for observer in _OBSERVERS]
+        grants, acquired, utilization, in_use, queued, _ = bare
+        assert grants == [
+            ("a", "granted", 0.0), ("b", "granted", 0.0),
+            ("queued", "interrupted", 5.0), ("raced", "interrupted", 10.0),
+            ("e", "granted", 10.0)]
+        # ``raced`` was granted a slot it handed straight back.
+        assert (acquired, in_use, queued) == (4, 0, 0)
+        assert utilization == pytest.approx(23.0 / 26.0)
+        assert watched == bare
+        assert [outcome for outcome, _ in profiled] == [bare, bare]
+        monitor = pool.monitor
+        assert monitor.requests == 5 and monitor.grants == acquired
+        assert monitor.enqueues == monitor.dequeues == 3
+        assert monitor.cancels == 1              # ``queued``, withdrawn
+        assert monitor.releases == monitor.grants and monitor._in_use == 0
+        assert sorted(monitor.queue_delays) == [0.0, 0.0, 10.0, 10.0]
+        assert not pool._wait_since
+
+    def test_a_failed_release_closes_its_profiler_bucket(self):
+        sim, profiler = _armed(HostProfiler)
+        try:
+            profiler.begin_timed()          # as inside a sampled entry
+            before = list(profiler._stack), profiler._current
+            with pytest.raises(SimulationError, match="release without"):
+                Resource(sim).release()
+            assert (profiler._stack, profiler._current) == before
+            profiler.event_end()
+            assert profiler._stack == [] and profiler._current is None
+        finally:
+            profiler.finish(sim.now)
+
+    @staticmethod
+    def _exchange(observer):
+        sim, armed = _armed(observer)
+        try:
+            store = Store(sim)
+            got = []
+            def getter(tag):
+                try:
+                    got.append((tag, (yield store.get()), sim.now))
+                except Interrupt:
+                    got.append((tag, "interrupted", sim.now))
+            early, raced, live = [sim.spawn(getter(tag))
+                                  for tag in ("early", "raced", "live")]
+            def chaos():
+                yield sim.timeout(1)
+                early.interrupt()           # leaves the queue
+                yield sim.timeout(1)
+                raced.interrupt()           # killed in the put instant:
+                store.put("x")              # "x" is handed to it, then
+                store.put("y")              # repossessed into the buffer
+                got.append(("buffered", (yield store.get()), sim.now))
+            sim.spawn(chaos())
+            sim.run()
+        finally:
+            if armed is not None:
+                armed.finish(sim.now)
+        return got, len(store), len(store._getters), sim.events_executed
+
+    def test_a_store_behaves_the_same_under_every_observer(self):
+        bare, *observed = [self._exchange(observer)
+                           for observer in _OBSERVERS]
+        got, buffered, blocked, _ = bare
+        assert got == [("early", "interrupted", 1.0),
+                       ("raced", "interrupted", 2.0),
+                       ("live", "y", 2.0), ("buffered", "x", 2.0)]
+        assert (buffered, blocked) == (0, 0)
+        assert observed == [bare] * 3
 
 
 class Holder:
