@@ -1,13 +1,13 @@
-"""Hardware models: host memory, NICs, PCIe, and CPU core pools.
+"""Hardware models: host memory and PCIe.
 
 Memory here is *functional* — a real byte-addressable array on which
-every PRISM/RDMA operation executes — while the NIC/PCIe/CPU classes
-contribute *timing* (service delays, queueing) to the discrete-event
-simulation.
+every PRISM/RDMA operation executes — while the PCIe link contributes
+*timing* to the discrete-event simulation. CPU cores are plain
+``Resource`` pools held by their users (the RPC server, the software
+backends).
 """
 
-from repro.hw.cpu import CorePool
 from repro.hw.memory import HostMemory, MemoryError_, NULL_PTR
 from repro.hw.pcie import PcieLink
 
-__all__ = ["CorePool", "HostMemory", "MemoryError_", "NULL_PTR", "PcieLink"]
+__all__ = ["HostMemory", "MemoryError_", "NULL_PTR", "PcieLink"]

@@ -6,8 +6,8 @@ path (propagation + per-switch latency), occupies the receiver's RX
 port, then is handed to the destination service handler.
 
 Service handlers are plain callables ``handler(message)`` registered
-per host; they typically spawn a process to do timed work and reply
-via :meth:`Fabric.post`.
+per host; timed work behind one is a scheduled payload (a device
+execution, an RPC handling), which replies via :meth:`Fabric.post`.
 """
 
 from repro.obs.trace import NULL_SPAN, Span
@@ -133,8 +133,8 @@ class _Delivery:
     The poster's flight-recorder context is captured at ``post`` and
     entered wherever a stage calls out of the fabric (the fate draw,
     the crash-drop note, the service handler), so fault events, the
-    handler's ``spawn`` and a reply's bus events attribute to the
-    originating operation.
+    payload the handler starts and a reply's bus events attribute to
+    the originating operation.
 
     The delivery holds no reference to anything that refers back to
     it (in particular no bound method of itself): ``gc`` is off while

@@ -3,7 +3,7 @@
 A :class:`RequestChannel` gives a client host an outbound RPC-style
 port: it stamps each request with a reply address and an id, registers
 a reply service on the client host, and returns the reply payload to
-the waiting process. Servers answer with :func:`send_reply`.
+the waiting process. Servers answer with :func:`post_reply`.
 
 Both the two-sided RPC layer and the one-sided verb/PRISM clients ride
 on this; they differ only in what the *server side* does with the
@@ -54,7 +54,7 @@ class Reply:
         self.id = id_
         self.body = body
         self.ok = ok
-        #: copied from the request by :func:`send_reply` so reply-path
+        #: copied from the request by :func:`post_reply` so reply-path
         #: events (fault fates, stale completions) stay linkable
         self.logical_id = None
 
@@ -456,8 +456,8 @@ def post_reply(fabric, server_host, request, body, size_bytes, ok=True,
 
 def send_reply(fabric, server_host, request, body, size_bytes, ok=True,
                span=NULL_SPAN):
-    """:func:`post_reply` as a process helper, for handler processes."""
+    """:func:`post_reply` as a process helper. No server in ``src``
+    calls it; tests and ``perfbench/micro.py`` spawn it as a handler."""
     post_reply(fabric, server_host, request, body, size_bytes, ok, span)
-    # Posting takes no simulated time, so the helper never waits; it
-    # is a generator for servers that ``yield from`` (or spawn) it.
+    # Posting takes no simulated time, so the helper never waits.
     yield from ()

@@ -13,11 +13,12 @@ executed *functionally* at the end of their simulated service time.
 """
 
 from dataclasses import dataclass
+from functools import partial
 
-from repro.hw.cpu import CorePool
 from repro.net.message import ETHERNET_HEADER_BYTES
-from repro.net.port import RequestChannel, send_reply
+from repro.net.port import RequestChannel, post_reply
 from repro.obs.trace import NULL_SPAN
+from repro.sim.resources import Resource
 
 
 @dataclass
@@ -40,11 +41,17 @@ class RpcServer:
         self.host_name = host_name
         self.service = service
         self.config = config or RpcConfig()
-        self.cores = CorePool(sim, self.config.cores, name=f"rpc@{host_name}")
+        # The handler cores, FIFO; kind="cpu" gives them a utilization row
+        # (busy %, run-queue depth, dispatch delay) when one is collected.
+        name = f"rpc@{host_name}"
+        self.cores = Resource(sim, capacity=self.config.cores, name=name,
+                              kind="cpu")
+        self._queue_label = f"{name}.queue"  # span labels, fixed per server
+        self._exec_label = f"{name}.exec"
         self._methods = {}
-        self._process_names = {}
         self.calls_served = 0
-        fabric.host(host_name).register_service(service, self._on_request)
+        fabric.host(host_name).register_service(service,
+                                                partial(_Handling, self))
 
     def register(self, method, handler, service_us=None):
         """Expose ``handler(args) -> (result, response_payload_bytes)``.
@@ -55,48 +62,100 @@ class RpcServer:
         if method in self._methods:
             raise ValueError(f"method {method!r} already registered")
         self._methods[method] = (handler, service_us)
-        self._process_names[method] = f"rpc.{method}"
 
-    def _on_request(self, message):
-        method = message.payload.body[0]
-        # Built once per registered method; only a call to an unknown
-        # method (answered with an error reply) formats a name here.
-        name = self._process_names.get(method) or f"rpc.{method}"
-        self.sim.spawn(self._serve(message), name=name)
 
-    def _serve(self, message):
-        request = message.payload
-        root = request.span
-        method, args = request.body
-        handler = self._methods.get(method)
-        if handler is None:
-            yield from send_reply(self.fabric, self.host_name, request,
-                                  KeyError(f"no RPC method {method!r}"),
-                                  ETHERNET_HEADER_BYTES, ok=False, span=root)
-            return
-        handler, service_us = handler
-        if service_us is None:
-            duration = self.config.default_service_us
-        elif callable(service_us):
-            duration = service_us(args)
+class _Handling:
+    """One RPC on the server: a scheduled payload, not a process
+    (docs/performance.md, rule 11), shaped like ``prism.backend._Execution``.
+
+    Created in the delivering entry, it is its own ready-deque entry (the
+    boot slot), the callback on its core's ``AcquireEvent`` and its own
+    heap payload for dispatch + service time: every entry where the
+    handler process had one, with the same float, except that process's
+    completion entry, which nothing could wait on. An unknown method is
+    answered at boot without a core; a handler exception becomes an
+    error reply after the core is released; an exception from a
+    ``service_us`` callable propagates out of ``Simulator.run`` at once.
+    The creator's flight-recorder context is entered around every entry.
+    Nothing refers back to the handling (``gc`` is off during a run).
+    """
+
+    __slots__ = ("server", "request", "handler", "args", "duration", "stage",
+                 "span", "_open_span", "_flight_ctx")
+
+    #: the kernel's tombstone check; a handling is never withdrawn
+    cancelled = False
+
+    def __init__(self, server, message):
+        self.server = server
+        self.request = message.payload
+        #: the function of the next entry
+        self.stage = _Handling._boot
+        #: the ``rpc.handler`` span and its open child (None untraced)
+        self.span = self._open_span = None
+        sim = server.sim
+        self._flight_ctx = sim.context()
+        sim._ready.append(self)
+
+    def __call__(self, _event=None):
+        """Boot slot, core-grant callback or service-time heap entry."""
+        if self._flight_ctx is None:
+            self.stage(self)  # no operation to attribute to: nothing to enter
         else:
-            duration = service_us
-        duration += self.config.dispatch_us
-        try:
-            with root.child("rpc.handler", phase="cpu", method=method,
-                            host=self.host_name) as span:
-                outcome = yield from self.cores.execute(
-                    duration, work=lambda: handler(args), span=span)
-            result, response_payload = outcome
-        except Exception as exc:  # handler bug: report, don't crash
-            yield from send_reply(self.fabric, self.host_name, request,
-                                  exc, ETHERNET_HEADER_BYTES, ok=False,
-                                  span=root)
+            self.server.sim.call_as(self, self.stage, self)
+
+    fire = __call__
+
+    def _boot(self):
+        server = self.server
+        request = self.request
+        method, self.args = request.body
+        registered = server._methods.get(method)
+        if registered is None:
+            post_reply(server.fabric, server.host_name, request,
+                       KeyError(f"no RPC method {method!r}"),
+                       ETHERNET_HEADER_BYTES, ok=False, span=request.span)
             return
-        self.calls_served += 1
-        yield from send_reply(self.fabric, self.host_name, request, result,
-                              ETHERNET_HEADER_BYTES + response_payload,
-                              span=root)
+        self.handler, service_us = registered
+        if service_us is None:
+            service_us = server.config.default_service_us
+        elif callable(service_us):
+            service_us = service_us(self.args)
+        self.duration = service_us + server.config.dispatch_us
+        if request.span.enabled:
+            self.span = request.span.child("rpc.handler", phase="cpu",
+                                           method=method,
+                                           host=server.host_name)
+            self._open_span = self.span.child(server._queue_label, "queue")
+        self.stage = _Handling._granted
+        server.cores.acquire().callbacks.append(self)
+
+    def _granted(self):
+        server = self.server
+        if self.span is not None:
+            self._open_span.finish()
+            self._open_span = self.span.child(server._exec_label, "cpu")
+        self.stage = _Handling._served
+        server.sim.schedule(self.duration, self)
+
+    def _served(self):
+        server = self.server
+        if self.span is not None:
+            self._open_span.finish()
+        try:
+            result, response_bytes = self.handler(self.args)
+            ok = True
+        except Exception as exc:  # handler bug: report, don't crash
+            result, response_bytes, ok = exc, 0, False
+        server.cores.release()
+        if self.span is not None:
+            self.span.finish()
+        if ok:
+            server.calls_served += 1
+        request = self.request
+        post_reply(server.fabric, server.host_name, request, result,
+                   ETHERNET_HEADER_BYTES + response_bytes, ok=ok,
+                   span=request.span)
 
 
 class RpcClient:

@@ -101,9 +101,9 @@ class Process(Event):
         self._ever_waited = False
         self.name = name or getattr(generator, "__name__", "process")
         # Flight-recorder causal context: a spawned process inherits the
-        # spawner's operation id, so server and reply processes (spawned
-        # from a delivery's handler callout, which carries the sender's)
-        # attribute their events to the originating client operation.
+        # spawner's operation id, so its events attribute to the client
+        # operation it works for (scheduled payloads do the same through
+        # ``Simulator.context``).
         fl = sim.flight
         self._flight_ctx = None if fl is None else fl.current_ctx()
         tracer = sim.tracer

@@ -135,3 +135,37 @@ def test_commit_uses_two_rpcs(sim, app_fabric, server, drive):
         yield from client.run_transaction((8,), (8,), b"C" * 64)
         return server.rpc.calls_served - before
     assert drive(sim, main()) == 2  # LOCK + UPDATE (validate is one-sided)
+
+
+def test_commit_rpcs_are_idempotent_by_transaction(sim, app_fabric, server,
+                                                   drive):
+    """A commit RPC may be delivered twice (a retransmission after a lost
+    reply, a fabric duplicate): a LOCK finding its own lock succeeds, a
+    second UPDATE installs nothing, and a LOCK of a finished transaction
+    is refused without locking."""
+    client = _client(sim, app_fabric, server)
+    tid = (1, 1)
+    lock = (tid, [(9, 1)])
+    update = (tid, [(9, b"U" * 64)])
+
+    def call(method, args):
+        ok, _ = yield from client.rpc.call(server.host_name, method, args,
+                                           request_payload_bytes=32)
+        return ok
+
+    def main():
+        outcomes = []
+        for method, args in ((FarmServer.LOCK_METHOD, lock),
+                             (FarmServer.LOCK_METHOD, lock),
+                             (FarmServer.UPDATE_METHOD, update),
+                             (FarmServer.UPDATE_METHOD, update),
+                             (FarmServer.LOCK_METHOD, lock)):
+            outcomes.append((yield from call(method, args)))
+        versions, values = yield from client.read_keys((9,))
+        return outcomes, versions[9], values[9]
+
+    outcomes, version, value = drive(sim, main())
+    assert outcomes == [True, True, True, True, False]
+    assert (version, value) == (2, b"U" * 64)  # installed once, unlocked
+    assert server.duplicate_updates == 1
+    assert not server._locks

@@ -1,49 +1,8 @@
-"""Core pools and the PCIe cost model."""
+"""The PCIe cost model."""
 
 import pytest
 
-from repro.hw.cpu import CorePool
 from repro.hw.pcie import PcieLink
-
-
-class TestCorePool:
-    def test_execute_runs_work_at_end(self, sim, drive):
-        pool = CorePool(sim, cores=1)
-        stamps = []
-        def main():
-            value = yield from pool.execute(
-                5.0, work=lambda: stamps.append(sim.now) or "result")
-            return value
-        assert drive(sim, main()) == "result"
-        assert stamps == [5.0]
-
-    def test_cores_limit_parallelism(self, sim):
-        pool = CorePool(sim, cores=2)
-        finishes = []
-        def job(tag):
-            yield from pool.execute(10.0)
-            finishes.append((tag, sim.now))
-        for tag in range(4):
-            sim.spawn(job(tag))
-        sim.run()
-        assert [t for _, t in finishes] == [10.0, 10.0, 20.0, 20.0]
-
-    def test_ops_counted(self, sim, drive):
-        pool = CorePool(sim, cores=1)
-        def main():
-            yield from pool.execute(1.0)
-            yield from pool.execute(1.0)
-            return pool.ops_executed
-        assert drive(sim, main()) == 2
-
-    def test_utilization(self, sim, drive):
-        pool = CorePool(sim, cores=2)
-        def main():
-            yield from pool.execute(10.0)
-            yield sim.timeout(10.0)
-            return pool.utilization(20.0)
-        # one core busy 10 of 20 us, over 2 cores -> 0.25
-        assert drive(sim, main()) == pytest.approx(0.25)
 
 
 class TestPcieLink:

@@ -5,6 +5,7 @@ from itertools import count
 import pytest
 
 from repro.apps.tx import FarmClient, FarmServer, PrismTxClient, PrismTxServer
+from repro.faults import parse_faults
 from repro.net.topology import RACK, make_fabric
 from repro.prism import HardwareRdmaBackend, SoftwarePrismBackend
 from repro.sim import SeededRng, Simulator
@@ -19,8 +20,9 @@ N_CLIENTS = 5
 TXNS_PER_CLIENT = 10
 
 
-def _drive_workload(sim, clients, seed, value_size):
-    """Random 1-2 key RMW transactions per client; returns when done."""
+def _drive_workload(sim, clients, seed, value_size, limit=1e7):
+    """Random 1-2 key RMW transactions per client; returns when done
+    (raises once ``limit`` µs of simulated time pass without it)."""
     def worker(index, client):
         rng = SeededRng(seed).fork(index).stream("txn")
         for txn_index in range(TXNS_PER_CLIENT):
@@ -31,7 +33,7 @@ def _drive_workload(sim, clients, seed, value_size):
             yield from client.transact(keys, keys, payload)
     processes = [sim.spawn(worker(i, c)) for i, c in enumerate(clients)]
     waiter = sim.spawn((lambda done: (yield done))(sim.all_of(processes)))
-    sim.run_until_complete(waiter, limit=1e7)
+    sim.run_until_complete(waiter, limit=limit)
 
 
 @pytest.mark.parametrize("seed", [11, 12, 13])
@@ -91,6 +93,49 @@ def test_farm_serializable(seed):
     assert len(committed) == N_CLIENTS * TXNS_PER_CLIENT
     validated = check_serializable(committed, initial, infer_order=True)
     assert validated > 0
+
+
+#: Fault plans under which FaRM's commit RPCs, before they were
+#: idempotent by transaction id, died: an UPDATE retransmitted after its
+#: reply was lost found its keys installed and unlocked ("update without
+#: lock"), and a retransmitted or late LOCK refused its own locks and
+#: stranded them (the run never drained). ROADMAP 1(a), corpus item 5.
+FARM_FAULT_PLANS = ["seed=3,drop=0.05", "seed=4,dup=0.1",
+                    "seed=5,drop=0.05,dup=0.05", "seed=6,drop=0.1",
+                    "seed=7,drop=0.05,dup=0.05,jitter=2"]
+
+
+@pytest.mark.parametrize("plan", FARM_FAULT_PLANS)
+def test_farm_serializable_under_faults(plan):
+    """Loss, duplication and jitter on every message, commit RPCs
+    retransmitted: every transaction commits once, serializably. The
+    workload finishes within 2 ms of simulated time; the bound fails a
+    livelock in about a second of wall time instead of minutes."""
+    sim = Simulator()
+    sim.set_faults(parse_faults(plan))
+    hosts = ["server"] + [f"c{i}" for i in range(N_CLIENTS)]
+    fabric = make_fabric(sim, RACK, hosts)
+    server = FarmServer(sim, fabric, "server", HardwareRdmaBackend,
+                        n_keys=N_KEYS, value_size=16)
+    initial = {}
+    for key in range(N_KEYS):
+        initial[key] = b"init" + bytes([48 + key]) * 12
+        server.load(key, initial[key])
+    committed = []
+    ids = count(1)
+    clients = []
+    for i in range(N_CLIENTS):
+        client = FarmClient(sim, fabric, f"c{i}", server, client_id=i + 1,
+                            seed=140 + i)
+        client.on_commit = (
+            lambda ts, reads, writes, start, finish: committed.append(
+                CommittedTxn(next(ids), ts, reads, writes, start, finish)))
+        clients.append(client)
+
+    _drive_workload(sim, clients, 14, value_size=16, limit=1e5)
+    assert len(committed) == N_CLIENTS * TXNS_PER_CLIENT
+    assert check_serializable(committed, initial, infer_order=True) > 0
+    assert not server._locks  # nothing stranded
 
 
 def test_prism_tx_serializable_under_extreme_contention():

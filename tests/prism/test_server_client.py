@@ -24,6 +24,7 @@ from repro.prism import (
     SoftwarePrismBackend,
 )
 from repro.prism.engine import OpStatus
+from repro.rpc.erpc import RpcClient, RpcServer
 from repro.sim import Simulator
 
 
@@ -523,6 +524,18 @@ def _classic_read(sim):
     return _read_512(False)(server, client)
 
 
+def _rpc_call(sim):
+    fabric = make_fabric(sim, RACK, ["client", "server"])
+    server = RpcServer(sim, fabric, "server")
+    server.register("read", lambda args: (b"v" * 512, 512))
+    client = RpcClient(sim, fabric, "client")
+
+    def one_op():
+        assert (yield from client.call("server", "read", None, 16)) \
+            == b"v" * 512
+    return one_op
+
+
 #: frames of ``_FRAME_OPS`` operations (the servers' recycler daemons
 #: tick meanwhile, hence not multiples of 20), measured at the PR that
 #: wrote docs/performance.md rule 12 — whose parent read 3096, 3056,
@@ -535,6 +548,9 @@ _FRAMES_PINNED = [
                  id="kv-get-prism-sw"),
     pytest.param(_rs_put, 19956, None, id="rs-put-prism-sw"),
     pytest.param(_classic_read, 1940, 12, id="read-rdma-hw"),
+    # an RPC's server side became a scheduled payload after rule 12:
+    # 1760 frames while its handler was a process
+    pytest.param(_rpc_call, 1280, 12, id="rpc-call"),
 ]
 
 

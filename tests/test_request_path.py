@@ -1,0 +1,57 @@
+"""Rule 11 on servers (docs/performance.md): no module on a server's
+request path starts a process.
+
+A request crosses the fabric as a ``_Delivery``, runs on a device as an
+``_Execution`` or on the RPC cores as a ``_Handling``, and is answered
+with ``post_reply``: scheduled payloads, each entry an instant at which
+model time has been spent. A ``spawn`` on that path would put a
+bootstrap, a resume per wait and a completion entry back on every
+request. The scan reads the source, in the pattern of
+``tests/obs/test_bus.py``.
+"""
+
+import ast
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "repro"
+
+#: every module a request passes through on its way to a server's
+#: handler, device or receive queue, and back
+REQUEST_PATH = sorted(
+    ["rpc/erpc.py", "prism/server.py", "prism/backend.py",
+     "prism/hardware.py", "prism/software.py", "prism/bluefield.py",
+     "rdma/verbs.py"]
+    + [path.relative_to(SRC).as_posix()
+       for path in (SRC / "net").glob("*.py")])
+
+#: servers' background work, off the request path, which stays a
+#: process: the recycler daemon and the fault injector's starvation
+OFF_THE_PATH = ["prism/recycler.py", "faults/injector.py"]
+
+
+def _process_starts(relative):
+    """``lineno``s of ``spawn(...)`` / ``Process(...)`` calls in a module."""
+    tree = ast.parse((SRC / relative).read_text())
+    lines = []
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        func = node.func
+        name = func.attr if isinstance(func, ast.Attribute) else getattr(
+            func, "id", None)
+        if name in ("spawn", "Process"):
+            lines.append(node.lineno)
+    return lines
+
+
+def test_no_request_path_module_starts_a_process():
+    offenders = {relative: _process_starts(relative)
+                 for relative in REQUEST_PATH}
+    assert not {k: v for k, v in offenders.items() if v}, offenders
+    assert "net/fabric.py" in REQUEST_PATH and len(REQUEST_PATH) >= 10
+
+
+def test_the_scan_sees_the_processes_left_off_the_path():
+    for relative in OFF_THE_PATH:
+        assert relative not in REQUEST_PATH
+        assert _process_starts(relative), relative
