@@ -5,7 +5,7 @@ import sys
 
 from repro.apps.blockstore import PrismRsClient, PrismRsReplica
 from repro.apps.blockstore.layout import RsLayout
-from repro.apps.blockstore.quorum import quorum
+from repro.apps.blockstore.quorum import Phase
 from repro.bench.experiments import (
     Claim,
     Experiment,
@@ -31,8 +31,7 @@ class OptimizedRsClient(PrismRsClient):
                         rkey=replica.meta_rkey, indirect=True)
             for client, replica in zip(self.clients, self.replicas)
         ]
-        replies = yield from quorum(self.sim, generators, self.f + 1,
-                                    name=f"rs-read[{block_id}]")
+        replies = yield Phase(self.sim, generators, self.f + 1)
         parsed = [RsLayout.unpack_buffer(data) for _i, data in replies]
         tags = {tag for tag, _value in parsed}
         best_tag, best_value = max(parsed, key=lambda pair: pair[0])

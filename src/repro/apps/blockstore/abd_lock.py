@@ -18,7 +18,7 @@ Protocol per operation:
 """
 
 from repro.apps.blockstore.layout import AbdLockLayout
-from repro.apps.blockstore.quorum import quorum, settle
+from repro.apps.blockstore.quorum import Phase
 from repro.apps.common import bump_tag, make_tag, note_key
 from repro.prism.client import PrismClient
 from repro.prism.server import PrismServer
@@ -116,13 +116,13 @@ class AbdLockClient:
             self.lock_retries += 1
             yield self.sim.timeout(self._backoff(attempt))
         try:
-            replies = yield from quorum(
+            replies = yield Phase(
                 self.sim,
                 [self.clients[i].read(self.layout.tag_addr(block_id),
                                       8 + self.layout.block_size,
                                       rkey=self.replicas[i].blocks_rkey)
                  for i in locked],
-                len(locked), name=f"abd-read[{block_id}]")
+                len(locked))
             best_tag, best_value = -1, b""
             for _slot, data in replies:
                 tag, value = AbdLockLayout.unpack_tagged_value(data)
@@ -134,13 +134,13 @@ class AbdLockClient:
                 write_tag = bump_tag(best_tag, self.client_id)
                 write_value = new_value
             payload = AbdLockLayout.pack_tagged_value(write_tag, write_value)
-            yield from quorum(
+            yield Phase(
                 self.sim,
                 [self.clients[i].write(self.layout.tag_addr(block_id),
                                        payload,
                                        rkey=self.replicas[i].blocks_rkey)
                  for i in locked],
-                len(locked), name=f"abd-write[{block_id}]")
+                len(locked))
             return best_value if new_value is None else write_value, attempt
         finally:
             yield from self._release_locks(block_id, locked)
@@ -156,8 +156,7 @@ class AbdLockClient:
         generators = [self._cas_lock(index, block_id,
                                      expect=0, install=self.client_id)
                       for index in range(len(self.replicas))]
-        replies = yield from settle(self.sim, generators,
-                                    name=f"abd-lock[{block_id}]")
+        replies = yield Phase(self.sim, generators)  # settled
         acquired = [index for index, ok in replies if ok]
         if len(acquired) >= self.f + 1:
             return acquired
@@ -189,12 +188,11 @@ class AbdLockClient:
         and a failed one (retries exhausted against a dead replica)
         must not abort the caller's cleanup path.
         """
-        yield from settle(
-            self.sim,
-            [self._cas_lock(index, block_id,
-                            expect=self.client_id, install=0)
-             for index in indices],
-            name=f"abd-unlock[{block_id}]")
+        if indices:
+            yield Phase(self.sim, [self._cas_lock(index, block_id,
+                                                  expect=self.client_id,
+                                                  install=0)
+                                   for index in indices])
 
     def _backoff(self, attempt):
         ceiling = min(self.backoff_max_us,

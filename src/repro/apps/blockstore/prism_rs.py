@@ -22,7 +22,7 @@ miss) are reported to the replica's recycler daemon asynchronously.
 """
 
 from repro.apps.blockstore.layout import META_SIZE, META_TAG_MASK, RsLayout
-from repro.apps.blockstore.quorum import quorum
+from repro.apps.blockstore.quorum import Phase
 from repro.apps.common import bump_tag, make_tag, note_key, split_tag
 from repro.core.ops import AllocateOp, CasMode, CasOp, ReadOp, WriteOp
 from repro.hw.layout import pack_uint
@@ -127,7 +127,8 @@ class PrismRsClient:
     # -- ABD phases ----------------------------------------------------------
 
     def _read_phase(self, block_id, span=NULL_SPAN):
-        """Indirect READ at f+1 replicas; returns ⟨tag_max, v_max⟩.
+        """Indirect READ at all n replicas, wait for f+1; returns
+        ⟨tag_max, v_max⟩.
 
         Each replica's round trip is a sibling child span; they run in
         parallel, so this operation's phase sums read as *total work*
@@ -142,8 +143,7 @@ class PrismRsClient:
                           if traced else NULL_SPAN)
             for index in range(len(self.replicas))
         ]
-        replies = yield from quorum(self.sim, generators, self.f + 1,
-                                    name=f"rs-read[{block_id}]")
+        replies = yield Phase(self.sim, generators, self.f + 1)
         best_tag, best_value = -1, b""
         for _index, data in replies:
             tag, value = RsLayout.unpack_buffer(data)
@@ -152,7 +152,8 @@ class PrismRsClient:
         return best_tag, best_value
 
     def _write_phase(self, block_id, tag, value, span=NULL_SPAN):
-        """Chained ALLOCATE/CAS_GT install at f+1 replicas."""
+        """Chained ALLOCATE/CAS_GT install at all n replicas, wait for
+        f+1."""
         traced = span.enabled
         generators = [
             self._install_at(index, block_id, tag, value,
@@ -161,19 +162,20 @@ class PrismRsClient:
                              if traced else NULL_SPAN)
             for index in range(len(self.replicas))
         ]
-        yield from quorum(self.sim, generators, self.f + 1,
-                          name=f"rs-write[{block_id}]")
+        yield Phase(self.sim, generators, self.f + 1)
 
     def _read_at(self, index, block_id, read_len, span):
         """One replica's read-phase round trip under its own span."""
         try:
-            return (yield from self.clients[index].read(
-                self.layout.addr_field(block_id), read_len,
-                rkey=self.replicas[index].meta_rkey, indirect=True,
-                span=span))
+            result = yield from self.clients[index].execute(
+                ReadOp(addr=self.layout.addr_field(block_id),
+                       length=read_len, rkey=self.replicas[index].meta_rkey,
+                       indirect=True),
+                span=span)
         finally:
             if span.enabled:
                 span.finish()
+        return result.raise_on_nak()[0].value
 
     def _install_at(self, index, block_id, tag, value, span=NULL_SPAN):
         client = self.clients[index]

@@ -66,7 +66,8 @@ _IN_FLIGHT = 1   # posted; the reply's hand-over, or the ack deadline
 _REPLIED = 2     # ready deque: the matched reply takes its slot(s)
 _COMPLETING = 3  # heap: the completion overhead runs out
 _EXPIRED = 4     # ready deque: the ack deadline takes its slot
-_DONE = 5        # the waiter has been run, or went away
+_BACKOFF = 5     # heap: the backoff before a retransmission runs out
+_DONE = 6        # the waiter has been run, or went away
 
 
 class _Call(Event):
@@ -84,6 +85,10 @@ class _Call(Event):
     generator this replaces made it, with the same float; a zero
     overhead skips its stage rather than taking a zero-delay timer.
 
+    With a ``retry`` policy it owns its retransmissions too: it is the
+    heap payload of the backoff an expired ack deadline books, and
+    posts again from the backoff's entry, a fresh attempt of itself.
+
     The poster's flight-recorder context is captured at construction
     and entered around the stages that call out (the post, the timeout
     report). Until the reply or the deadline resolves it, a timed call
@@ -93,11 +98,11 @@ class _Call(Event):
     """
 
     __slots__ = ("channel", "request", "dst", "service", "size_bytes",
-                 "timeout_us", "stage", "cancelled", "_ack", "_stage_span",
-                 "_flight_ctx")
+                 "timeout_us", "retry", "attempt", "stage", "cancelled",
+                 "_ack", "_stage_span", "_flight_ctx")
 
     def __init__(self, channel, dst, service, body, size_bytes, timeout_us,
-                 span, logical_id):
+                 span, logical_id, retry=None):
         # Inlined Event.__init__ — one call per request (see AcquireEvent).
         sim = self.sim = channel.sim
         self.callbacks = []
@@ -109,7 +114,14 @@ class _Call(Event):
         self.dst = dst
         self.service = service
         self.size_bytes = size_bytes
+        if retry is not None:
+            timeout_us = retry.timeout_us
+            if channel._retry_rng is None and sim.faults is not None:
+                # allocated at the first retried post: numbered in order
+                channel._retry_rng = sim.faults.retry_stream()
         self.timeout_us = timeout_us
+        self.retry = retry
+        self.attempt = 0
         self.cancelled = False
         self._ack = None
         self._stage_span = None
@@ -148,15 +160,18 @@ class _Call(Event):
     # -- kernel entries -----------------------------------------------------
 
     def fire(self):
-        """Heap entry: an overhead stage ran out."""
+        """Heap entry: an overhead stage or a backoff ran out."""
         if self._stage_span is not None:
             self._close_stage_span()
-        if self.stage != _POSTING:
+        stage = self.stage
+        if stage == _COMPLETING:
             self._finish()
-        elif self._flight_ctx is None:
-            self._post()  # no operation to attribute to: nothing to enter
+            return
+        post = _Call._post if stage == _POSTING else _Call._retransmit
+        if self._flight_ctx is None:
+            post(self)  # no operation to attribute to: nothing to enter
         else:
-            self.sim.call_as(self, _Call._post, self)
+            self.sim.call_as(self, post, self)
 
     def __call__(self):
         """Ready-deque entry, appended by :meth:`RequestChannel._on_reply`."""
@@ -203,7 +218,7 @@ class _Call(Event):
                                  self._ack)
 
     def _expire(self):
-        """The ack deadline's slot: report the timeout to the waiter."""
+        """The ack deadline's slot: back off to retry, or time out."""
         if self.stage != _EXPIRED:
             return  # the waiter went away within the instant
         channel = self.channel
@@ -214,17 +229,48 @@ class _Call(Event):
         # the channel, the fault report and every bus subscriber agree
         # on the total.
         channel.timeouts += 1
-        if sim.faults is not None:
-            sim.faults.note_timeout()
+        faults = sim.faults
+        if faults is not None:
+            faults.note_timeout()
         bus = sim.bus
         if bus is not None:
             bus.emit("req.timeout", request.logical_id, request.id,
                      self.dst, self.timeout_us, channel.conn)
+        retry, attempt = self.retry, self.attempt
+        if retry is not None and attempt < retry.max_retries:
+            backoff = retry.backoff_us(attempt, channel._retry_rng)
+            self.attempt = attempt = attempt + 1
+            channel.retransmissions += 1
+            if faults is not None:
+                faults.note_retransmit()
+            if bus is not None:
+                bus.emit("req.backoff", request.logical_id, attempt,
+                         backoff, channel.conn)
+            self.stage = _BACKOFF
+            if request.span.enabled:
+                self._stage_span = request.span.child(
+                    "client.backoff", phase="queue", attempt=attempt)
+            sim.schedule(backoff, self)  # 0: the zero-delay slot
+            return
+        if retry is not None:
+            if faults is not None:
+                faults.note_retries_exhausted()
+            if bus is not None:
+                bus.emit("req.exhausted", request.logical_id, attempt + 1)
         self._ok = False
         self._value = TimeoutExpired(
             self.timeout_us,
             what=f"request {request.id} to {self.dst}/{self.service}")
         self._finish()
+
+    def _retransmit(self):
+        """The backoff's entry: this call again, under a fresh id."""
+        callbacks, attempt, request = (self.callbacks, self.attempt,
+                                       self.request)
+        _Call.__init__(self, self.channel, self.dst, self.service,
+                       request.body, self.size_bytes, self.timeout_us,
+                       request.span, request.logical_id, self.retry)
+        self.callbacks, self.attempt = callbacks, attempt
 
     def _finish(self):
         """Run the waiter in the calling entry, as a fired timer does."""
@@ -247,7 +293,7 @@ class _Call(Event):
         if self._stage_span is not None:
             self._close_stage_span()
         self._withdraw()
-        if stage == _POSTING or stage == _COMPLETING:
+        if stage == _POSTING or stage == _COMPLETING or stage == _BACKOFF:
             self.cancelled = True
             self.sim._note_timer_cancelled()
         if self._ack is not None:
@@ -361,7 +407,7 @@ class RequestChannel:
         self.sim._ready.append(call)
 
     def post(self, dst, service, body, request_size, timeout_us=None,
-             span=NULL_SPAN, logical_id=None):
+             span=NULL_SPAN, retry=None):
         """Send ``body``; returns the :class:`_Call` to yield for the
         reply payload.
 
@@ -372,72 +418,27 @@ class RequestChannel:
         Interrupting the wait withdraws the pending request (see
         :meth:`_Call.cancel`).
 
-        ``logical_id`` names the logical request this attempt serves;
-        :meth:`request_with_retry` passes the same one to every
-        retransmission. Plain calls allocate a fresh one, so a logical
-        id is always 1:1 with what the caller considers one request.
+        With a ``retry`` policy (:class:`~repro.faults.plan.RetryPolicy`)
+        each attempt waits ``retry.timeout_us``; an expired one is
+        retransmitted (a fresh id: a late reply to the old one is
+        dropped like a stale completion) after a capped exponential
+        backoff, whose jitter draws from a per-channel substream of the
+        fault plan's seed. After ``retry.max_retries`` the last
+        :class:`TimeoutExpired` reaches the waiter. A NAK is a delivered
+        answer, never retried. Only safe for idempotent bodies: the
+        server may execute a retransmission twice, so callers gate it
+        (see ``PrismClient.execute``). Every attempt carries the call's
+        one logical id, so a logical id is 1:1 with what the caller
+        considers one request.
         """
         return _Call(self, dst, service, body, request_size, timeout_us,
-                     span, logical_id)
+                     span, None, retry)
 
     def request(self, dst, service, body, request_size, timeout_us=None,
-                span=NULL_SPAN, logical_id=None):
+                span=NULL_SPAN):
         """Process helper: :meth:`post`, then wait for the reply payload."""
         return (yield self.post(dst, service, body, request_size,
-                                timeout_us, span, logical_id))
-
-    def request_with_retry(self, dst, service, body, request_size, policy,
-                           span=NULL_SPAN):
-        """Process helper: ``request`` with ack timeout + retransmission.
-
-        Each attempt waits ``policy.timeout_us`` for the reply; on
-        expiry the request is retransmitted (a fresh id — a late reply
-        to the old id is dropped by :meth:`_on_reply` like a NIC drops
-        a stale completion) after a capped exponential backoff. A NAK
-        (``ok=False`` reply) is NOT retried here: it is a delivered
-        negative answer, and propagates immediately. After
-        ``policy.max_retries`` retransmissions the last
-        :class:`TimeoutExpired` propagates to the caller.
-
-        Only safe for idempotent request bodies: at-least-once
-        delivery means the server may execute a retransmitted request
-        twice. Callers gate that (see ``PrismClient.execute``).
-
-        Backoff jitter draws from a per-channel substream of the fault
-        plan's seed, so faulty runs replay exactly.
-
-        All attempts share one ``logical_id``, so telemetry (flight
-        events, retransmission-aware chain counts) can tell "one
-        logical request, retried" from "several requests".
-        """
-        faults = self.sim.faults
-        bus = self.sim.bus
-        if faults is not None and self._retry_rng is None:
-            self._retry_rng = faults.retry_stream()
-        logical_id = next(_logical_ids)
-        attempt = 0
-        while True:
-            try:
-                return (yield self.post(dst, service, body, request_size,
-                                        policy.timeout_us, span, logical_id))
-            except TimeoutExpired:
-                if attempt >= policy.max_retries:
-                    if faults is not None:
-                        faults.note_retries_exhausted()
-                    if bus is not None:
-                        bus.emit("req.exhausted", logical_id, attempt + 1)
-                    raise
-                backoff = policy.backoff_us(attempt, self._retry_rng)
-                attempt += 1
-                self.retransmissions += 1
-                if faults is not None:
-                    faults.note_retransmit()
-                if bus is not None:
-                    bus.emit("req.backoff", logical_id, attempt, backoff,
-                             self.conn)
-                with span.child("client.backoff", phase="queue",
-                                attempt=attempt):
-                    yield self.sim.timeout(backoff)
+                                timeout_us, span))
 
 
 def post_reply(fabric, server_host, request, body, size_bytes, ok=True,

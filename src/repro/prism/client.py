@@ -94,22 +94,16 @@ class PrismClient:
         trip = NULL_SPAN
         if span.enabled:
             trip = span.child("roundtrip", phase="cpu", ops=len(chain.ops))
-        channel = self.channel
         server = self.server
-        body = (self.connection.id, chain)
         try:
             if policy is not None and retryable is None:
                 retryable = all(isinstance(op, (ReadOp, WriteOp, CasOp))
                                 for op in chain.ops)
-            if policy is not None and retryable:
-                result = yield from channel.request_with_retry(
-                    server.host_name, server.service, body,
-                    chain.request_bytes(), policy, span=trip)
-            else:
-                result = yield channel.post(
-                    server.host_name, server.service, body,
-                    chain.request_bytes(),
-                    None if policy is None else policy.timeout_us, trip)
+            result = yield self.channel.post(
+                server.host_name, server.service, (self.connection.id, chain),
+                chain.request_bytes(),
+                None if policy is None else policy.timeout_us, trip,
+                retry=policy if retryable else None)
         finally:
             if span.enabled:
                 trip.finish()

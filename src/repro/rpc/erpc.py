@@ -197,16 +197,11 @@ class RpcClient:
         if span.enabled:
             call_span = span.child("rpc.call", phase="cpu", method=method)
         try:
-            if policy is not None and retryable:
-                result = yield from self.channel.request_with_retry(
-                    server_name, service, (method, args),
-                    ETHERNET_HEADER_BYTES + request_payload_bytes,
-                    policy, span=call_span)
-            else:
-                result = yield self.channel.post(
-                    server_name, service, (method, args),
-                    ETHERNET_HEADER_BYTES + request_payload_bytes,
-                    None if policy is None else policy.timeout_us, call_span)
+            result = yield self.channel.post(
+                server_name, service, (method, args),
+                ETHERNET_HEADER_BYTES + request_payload_bytes,
+                None if policy is None else policy.timeout_us, call_span,
+                retry=policy if retryable else None)
         finally:
             if span.enabled:
                 call_span.finish()

@@ -1,13 +1,24 @@
-"""The quorum combinator used by the replicated stores."""
+"""The quorum phase used by the replicated stores: its results, and its
+kernel entries pinned at zero tolerance."""
+
+import gc
 
 import pytest
 
-from repro.apps.blockstore.quorum import QuorumError, quorum
+from repro.apps.blockstore import PrismRsClient, PrismRsReplica
+from repro.apps.blockstore.quorum import Phase, QuorumError
+from repro.obs import HostProfiler
+from repro.prism import SoftwarePrismBackend
+from repro.sim import Interrupt, Simulator
 
 
-def _op(sim, delay, value=None, fail=False):
+def _op(sim, delay, value=None, fail=False, seen=None):
+    """A leg: one timed wait, then its post-processing (logged in
+    ``seen`` as ``(value, now)``)."""
     def gen():
         yield sim.timeout(delay)
+        if seen is not None:
+            seen.append((value, sim.now))
         if fail:
             raise RuntimeError("replica down")
         return value
@@ -16,7 +27,7 @@ def _op(sim, delay, value=None, fail=False):
 
 def test_returns_after_need_successes(sim, drive):
     def main():
-        replies = yield from quorum(
+        replies = yield Phase(
             sim, [_op(sim, 1, "a"), _op(sim, 2, "b"), _op(sim, 50, "c")],
             need=2)
         return replies, sim.now
@@ -26,22 +37,19 @@ def test_returns_after_need_successes(sim, drive):
 
 
 def test_straggler_still_completes(sim, drive):
-    done = []
-    def slow():
-        yield sim.timeout(10)
-        done.append(True)
-        return "late"
+    seen = []
     def main():
-        yield from quorum(sim, [_op(sim, 1, "x"), slow()], need=1)
-        return sim.now
-    assert drive(sim, main()) == 1.0
-    sim.run()  # background completion
-    assert done == [True]
+        replies = yield Phase(sim, [_op(sim, 1, "x", seen=seen),
+                                    _op(sim, 10, "late", seen=seen)], need=1)
+        return replies, sim.now
+    assert drive(sim, main()) == ([(0, "x")], 1.0)
+    sim.run()  # background completion: post-processed, counted nowhere
+    assert seen == [("x", 1.0), ("late", 10.0)]
 
 
 def test_tolerates_failures_below_threshold(sim, drive):
     def main():
-        replies = yield from quorum(
+        replies = yield Phase(
             sim, [_op(sim, 1, fail=True), _op(sim, 2, "ok1"),
                   _op(sim, 3, "ok2")], need=2)
         return [v for _i, v in replies]
@@ -50,25 +58,173 @@ def test_tolerates_failures_below_threshold(sim, drive):
 
 def test_too_many_failures_raise(sim, drive):
     def main():
-        with pytest.raises(QuorumError):
-            yield from quorum(
-                sim, [_op(sim, 1, fail=True), _op(sim, 2, fail=True),
-                      _op(sim, 9, "ok")], need=2)
-        return "raised"
-    assert drive(sim, main()) == "raised"
+        with pytest.raises(QuorumError, match="2 replica ops failed"):
+            yield Phase(sim, [_op(sim, 1, fail=True), _op(sim, 2, fail=True),
+                              _op(sim, 9, "ok")], need=2)
+        return sim.now
+    assert drive(sim, main()) == 2.0  # the failure that made it unreachable
 
 
-def test_need_exceeding_total_rejected(sim, drive):
-    def main():
-        with pytest.raises(QuorumError, match="need 3 of only 2"):
-            yield from quorum(sim, [_op(sim, 1), _op(sim, 1)], need=3)
-        return True
-    assert drive(sim, main())
+def test_need_exceeding_total_rejected(sim):
+    with pytest.raises(QuorumError, match="need 3 of only 2"):
+        Phase(sim, [_op(sim, 1), _op(sim, 1)], need=3)
+    assert not sim._ready  # rejected at construction: no boot slot
 
 
 def test_indices_identify_replicas(sim, drive):
     def main():
-        replies = yield from quorum(
-            sim, [_op(sim, 3, "slow"), _op(sim, 1, "fast")], need=1)
-        return replies
+        return (yield Phase(sim, [_op(sim, 3, "slow"), _op(sim, 1, "fast")],
+                            need=1))
     assert drive(sim, main()) == [(1, "fast")]
+
+
+def test_successes_come_in_completion_order(sim, drive):
+    def main():
+        return (yield Phase(sim, [_op(sim, 3, "c"), _op(sim, 1, "a"),
+                                  _op(sim, 2, "b")]))
+    assert drive(sim, main()) == [(1, "a"), (2, "b"), (0, "c")]
+
+
+def test_settling_waits_for_every_leg_and_consumes_failures(sim, drive):
+    def main():
+        replies = yield Phase(sim, [_op(sim, 1, "a"), _op(sim, 5, fail=True),
+                                    _op(sim, 2, "b")])
+        return replies, sim.now
+    assert drive(sim, main()) == ([(0, "a"), (2, "b")], 5.0)
+
+
+def test_a_leg_that_raises_before_it_waits_is_a_failed_leg(sim, drive):
+    """As a leg process that raised in its bootstrap did: booked in the
+    boot slot."""
+    def broken():
+        raise RuntimeError("no route")
+        yield
+
+    def main():
+        settled = yield Phase(sim, [_op(sim, 1, 0), broken(), _op(sim, 3, 2)])
+        with pytest.raises(QuorumError, match="no route"):
+            yield Phase(sim, [_op(sim, 1, 0), broken()], need=2)
+        return settled
+    assert drive(sim, main()) == [(0, 0), (2, 2)]
+
+
+def test_an_rs_install_straggler_still_retires(sim, app_fabric, drive):
+    """The third replica's install completes after the put has returned;
+    its post-processing still retires the buffer it displaced."""
+    replicas = [PrismRsReplica(sim, app_fabric, f"r{i}",
+                               SoftwarePrismBackend, n_blocks=8,
+                               block_size=64)
+                for i in range(3)]
+    for replica in replicas:
+        replica.load(0, b"o" * 64)
+    client = PrismRsClient(sim, app_fabric, "c0", replicas, client_id=1)
+    retired = []
+    retire = client._retire
+    client._retire = lambda index, addr: (retired.append((index, sim.now)),
+                                          retire(index, addr))
+
+    def put():
+        yield from client.put(0, b"n" * 64)
+        return sim.now
+
+    returned = drive(sim, put())
+    sim.run(until=sim.now + 50.0)
+    assert sorted(index for index, _when in retired) == [0, 1, 2]
+    assert [when > returned for _index, when in retired] == [
+        False, False, True]
+
+
+def test_a_zero_leg_settle_takes_no_entry(sim):
+    phase = Phase(sim, [])
+    assert phase.processed and phase.ok and phase.value == []
+    assert not sim._ready and not sim._queue
+
+
+def test_an_interrupted_waiter_lets_the_legs_finish(sim):
+    seen = []
+    outcome = []
+
+    def waiter():
+        try:
+            yield Phase(sim, [_op(sim, 1, "a", seen=seen),
+                              _op(sim, 2, "b", seen=seen),
+                              _op(sim, 3, "c", seen=seen)], need=2)
+        except Interrupt:
+            outcome.append(sim.now)
+
+    victim = sim.spawn(waiter())
+
+    def killer():
+        yield sim.timeout(0.5)
+        victim.interrupt("stop")
+
+    sim.spawn(killer())
+    sim.run()
+    assert outcome == [0.5]
+    assert seen == [("a", 1.0), ("b", 2.0), ("c", 3.0)]
+    assert not sim._ready and sim._queue == []
+
+
+def test_no_phase_leg_cycle_survives_the_boot_slot(sim):
+    """``gc`` is off during a run: reference counting alone must free a
+    phase — even one whose straggler never completes (a lost round
+    trip), since only the leg's wait refers to the phase, and the phase
+    to no leg."""
+    def lost():
+        yield sim.event()
+
+    def main():
+        for _ in range(10):
+            yield Phase(sim, [_op(sim, 1, "a"), lost()], need=1)
+
+    gc.collect()
+    gc.disable()
+    try:
+        sim.spawn(main())
+        sim.run()
+        assert sum(type(obj) is Phase for obj in gc.get_objects()) == 0
+    finally:
+        gc.enable()
+
+
+# -- a phase's kernel entries ---------------------------------------------------
+
+
+def _costs_per_phase(n_extra=50):
+    """``(entries, resumes, spawns)`` per 3-leg phase of timer legs,
+    exact, by the slope between 10 and ``10 + n_extra`` phases."""
+    def counts(n):
+        sim = Simulator()
+        profiler = sim.attach(HostProfiler())
+        spawns = [0]
+        spawn = sim.spawn
+
+        def counting_spawn(generator, name=None):
+            spawns[0] += 1
+            return spawn(generator, name=name)
+
+        sim.spawn = counting_spawn
+
+        def main():
+            for _ in range(n):
+                yield Phase(sim, [_op(sim, 1, "a"), _op(sim, 2, "b"),
+                                  _op(sim, 3, "c")], need=2)
+
+        try:
+            sim.run_until_complete(sim.spawn(main()))
+            sim.run()
+        finally:
+            profiler.finish(sim.now)
+        return sim.events_executed, profiler.resumes, spawns[0]
+
+    more, fewer = counts(10 + n_extra), counts(10)
+    return tuple((a - b) / n_extra for a, b in zip(more, fewer))
+
+
+def test_a_three_leg_phase_costs_boot_decision_and_wake():
+    """The three legs' timers, plus one boot slot, one decision slot (the
+    second leg's) and the waiter's wake-up: 6 entries. No process is
+    spawned, and the waiter's resume is the only one — with a process
+    per leg it was 3 bootstraps + 3 completion entries + the quorum
+    event's slot, and 6 more resumes."""
+    assert _costs_per_phase() == (3 + 3, 1, 0)

@@ -1,13 +1,15 @@
-"""Rule 11 on servers (docs/performance.md): no module on a server's
-request path starts a process.
+"""Rule 11 on the request path (docs/performance.md): no module on a
+server's request path, and none of a client's fan-out, starts a
+process.
 
 A request crosses the fabric as a ``_Delivery``, runs on a device as an
 ``_Execution`` or on the RPC cores as a ``_Handling``, and is answered
-with ``post_reply``: scheduled payloads, each entry an instant at which
-model time has been spent. A ``spawn`` on that path would put a
-bootstrap, a resume per wait and a completion entry back on every
-request. The scan reads the source, in the pattern of
-``tests/obs/test_bus.py``.
+with ``post_reply``; on the client it is a ``_Call`` that retransmits
+itself, and a replicated client's quorum phase is a ``Phase``:
+scheduled payloads, each entry an instant at which model time has been
+spent. A ``spawn`` on that path would put a bootstrap, a resume per
+wait and a completion entry back on every request. The scan reads the
+source, in the pattern of ``tests/obs/test_bus.py``.
 """
 
 import ast
@@ -24,6 +26,10 @@ REQUEST_PATH = sorted(
     + [path.relative_to(SRC).as_posix()
        for path in (SRC / "net").glob("*.py")])
 
+#: a client's side of a round trip and of a quorum phase's fan-out
+CLIENT_FANOUT = ["prism/client.py", "apps/blockstore/quorum.py",
+                 "apps/blockstore/abd_lock.py"]
+
 #: servers' background work, off the request path, which stays a
 #: process: the recycler daemon and the fault injector's starvation
 OFF_THE_PATH = ["prism/recycler.py", "faults/injector.py"]
@@ -31,8 +37,12 @@ OFF_THE_PATH = ["prism/recycler.py", "faults/injector.py"]
 
 def _process_starts(relative):
     """``lineno``s of ``spawn(...)`` / ``Process(...)`` calls in a module."""
+    return [node.lineno for node in _process_start_calls(relative)]
+
+
+def _process_start_calls(relative):
     tree = ast.parse((SRC / relative).read_text())
-    lines = []
+    calls = []
     for node in ast.walk(tree):
         if not isinstance(node, ast.Call):
             continue
@@ -40,8 +50,8 @@ def _process_starts(relative):
         name = func.attr if isinstance(func, ast.Attribute) else getattr(
             func, "id", None)
         if name in ("spawn", "Process"):
-            lines.append(node.lineno)
-    return lines
+            calls.append(node)
+    return calls
 
 
 def test_no_request_path_module_starts_a_process():
@@ -49,6 +59,21 @@ def test_no_request_path_module_starts_a_process():
                  for relative in REQUEST_PATH}
     assert not {k: v for k, v in offenders.items() if v}, offenders
     assert "net/fabric.py" in REQUEST_PATH and len(REQUEST_PATH) >= 10
+
+
+def test_no_client_fanout_module_starts_a_process():
+    offenders = {relative: _process_starts(relative)
+                 for relative in CLIENT_FANOUT}
+    assert not {k: v for k, v in offenders.items() if v}, offenders
+
+
+def test_prism_rs_starts_only_its_retire_flush():
+    """The unawaited recycler report stays a process; nothing else
+    PRISM-RS does per operation is one."""
+    names = [{keyword.arg: ast.literal_eval(keyword.value)
+              for keyword in call.keywords}.get("name")
+             for call in _process_start_calls("apps/blockstore/prism_rs.py")]
+    assert names == ["rs-retire"]
 
 
 def test_the_scan_sees_the_processes_left_off_the_path():
