@@ -58,11 +58,6 @@ class FarmServer:
         self.rpc.register(self.UNLOCK_METHOD, self._handle_unlock,
                           service_us=self._lock_cost)
         self._locks = {}  # key -> transaction id
-        #: client id -> highest txn counter that has finished here
-        #: (updated, unlocked, or refused its lock)
-        self._finished = {}
-        #: UPDATE deliveries whose writes an earlier delivery installed
-        self.duplicate_updates = 0
 
     @property
     def host_name(self):
@@ -84,45 +79,19 @@ class FarmServer:
         self.prism.space.write(self.layout.object_addr(key),
                                FarmLayout.pack_lockver(version, locked))
 
-    # -- RPC handlers ------------------------------------------------------
-    #
-    # A commit RPC may be delivered more than once — retransmitted after
-    # a lost reply, or duplicated by the fabric — and a lost reply is not
-    # a non-execution. So every handler is idempotent by transaction id
-    # ``tid = (client_id, counter)``, whose counter only grows per client.
-
-    def _finish(self, tid):
-        client, counter = tid
-        if counter > self._finished.get(client, 0):
-            self._finished[client] = counter
-
-    def _is_finished(self, tid):
-        client, counter = tid
-        return counter <= self._finished.get(client, 0)
+    # -- RPC handlers (rpc.erpc runs each at most once per call) -----------
 
     def _handle_lock(self, args):
-        """args = (tid, [(key, expected_version), ...]).
-
-        A key already locked by ``tid`` (an earlier delivery locked it)
-        counts as acquired; a LOCK of a finished transaction (a late
-        duplicate) is refused without locking anything.
-        """
+        """args = (tid, [(key, expected_version), ...])."""
         tid, entries = args
-        if self._is_finished(tid):
-            return (False, ()), 8
         acquired = []
         for key, expected in entries:
-            if self._locks.get(key) == tid:
-                acquired.append(key)
-                continue
             version, locked = self._read_version(key)
             if locked or version != expected:
                 for prior in acquired:
                     prior_version, _ = self._read_version(prior)
                     self._set_lockver(prior, prior_version, locked=False)
                     self._locks.pop(prior, None)
-                # The client aborts without an UNLOCK.
-                self._finish(tid)
                 return (False, ()), 8
             self._set_lockver(key, version, locked=True)
             self._locks[key] = tid
@@ -132,16 +101,12 @@ class FarmServer:
     def _handle_update(self, args):
         """args = (tid, [(key, value), ...]): install, bump, unlock."""
         tid, entries = args
-        if self._is_finished(tid):
-            self.duplicate_updates += 1  # an earlier delivery installed it
-            return (True, ()), 8
         for key, value in entries:
             assert self._locks.get(key) == tid, "update without lock"
             version, _locked = self._read_version(key)
             self._set_lockver(key, version + 1, locked=False)
             self.prism.space.write(self.layout.object_addr(key) + 8, value)
             self._locks.pop(key, None)
-        self._finish(tid)
         return (True, ()), 8
 
     def _handle_unlock(self, args):
@@ -152,7 +117,6 @@ class FarmServer:
                 version, _ = self._read_version(key)
                 self._set_lockver(key, version, locked=False)
                 self._locks.pop(key, None)
-        self._finish(tid)
         return (True, ()), 8
 
     def load(self, key, value, version=1):

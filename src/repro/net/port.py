@@ -425,11 +425,12 @@ class RequestChannel:
         backoff, whose jitter draws from a per-channel substream of the
         fault plan's seed. After ``retry.max_retries`` the last
         :class:`TimeoutExpired` reaches the waiter. A NAK is a delivered
-        answer, never retried. Only safe for idempotent bodies: the
-        server may execute a retransmission twice, so callers gate it
-        (see ``PrismClient.execute``). Every attempt carries the call's
-        one logical id, so a logical id is 1:1 with what the caller
-        considers one request.
+        answer, never retried. The channel itself delivers at least
+        once: an RPC server answers a repeat from its saved reply
+        (``repro.rpc.erpc``), while a one-sided chain may execute twice,
+        so ``PrismClient.execute`` gates what it retries. Every attempt
+        carries the call's one logical id, so a logical id is 1:1 with
+        what the caller considers one request.
         """
         return _Call(self, dst, service, body, request_size, timeout_us,
                      span, None, retry)

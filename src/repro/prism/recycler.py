@@ -8,20 +8,14 @@ free list in batches, only when concurrent NIC operations are complete
 """
 
 from collections import defaultdict
-from itertools import count
 
 from repro.sim.events import TimeoutExpired
-
-_reporter_ids = count(1)
 
 
 class RecyclerDaemon:
     """Server-side daemon: collects retired buffers, re-posts in batches.
 
-    Reports are deduplicated by ``(reporter, report_id)``: RPC
-    retransmission (and fault-injected message duplication) delivers
-    the same report more than once, and posting a buffer to the free
-    list twice would hand the same address to two ALLOCATEs.
+    RPC is at most once, so no report posts a buffer to its list twice.
     """
 
     METHOD = "recycle"
@@ -33,19 +27,13 @@ class RecyclerDaemon:
         self.batch_size = batch_size
         self.scan_interval_us = scan_interval_us
         self._pending = defaultdict(list)
-        self._seen_reports = set()
         self.buffers_recycled = 0
-        self.duplicate_reports = 0
         rpc_server.register(self.METHOD, self._on_report,
                             service_us=service_us)
         self._runner = sim.spawn(self._run(), name="recycler")
 
     def _on_report(self, args):
-        freelist_id, addrs, reporter, report_id = args
-        if (reporter, report_id) in self._seen_reports:
-            self.duplicate_reports += 1
-            return None, 0
-        self._seen_reports.add((reporter, report_id))
+        freelist_id, addrs = args
         self._pending[freelist_id].extend(addrs)
         return None, 0
 
@@ -73,11 +61,6 @@ class RecyclerClient:
         self.server_name = server_name
         self.batch_size = batch_size
         self._pending = defaultdict(list)
-        # Reporter identity + per-report sequence numbers let the
-        # daemon drop duplicate deliveries of the same report. The id
-        # is assigned in construction order, so it is deterministic.
-        self.reporter = f"recycler{next(_reporter_ids)}"
-        self._report_ids = count(1)
         self.reports_sent = 0
         self.reports_abandoned = 0
 
@@ -103,7 +86,7 @@ class RecyclerClient:
         try:
             yield from self.rpc.call(
                 self.server_name, RecyclerDaemon.METHOD,
-                (freelist_id, batch, self.reporter, next(self._report_ids)),
+                (freelist_id, batch),
                 request_payload_bytes=8 * len(batch) + 8)
         except TimeoutExpired:
             self.reports_abandoned += 1

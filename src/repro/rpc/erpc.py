@@ -10,8 +10,13 @@ the network.
 
 Handlers are plain callables ``handler(args) -> (result, response_bytes)``
 executed *functionally* at the end of their simulated service time.
+
+Delivery is at most once, as in an eRPC session: a server answers a
+retransmission or a duplicate from the reply it saved, so a handler
+need not be idempotent.
 """
 
+from collections import defaultdict
 from dataclasses import dataclass
 from functools import partial
 
@@ -49,7 +54,14 @@ class RpcServer:
         self._queue_label = f"{name}.queue"  # span labels, fixed per server
         self._exec_label = f"{name}.exec"
         self._methods = {}
+        #: per session (a client channel's reply service): the highest
+        #: horizon carried, below which every call has ended at the client,
+        #: and ``(result, response_bytes, ok)`` of each call run at or above
+        self._horizons = defaultdict(int)
+        self._replies = defaultdict(dict)
         self.calls_served = 0
+        #: repeated deliveries answered from a saved reply
+        self.replays = 0
         fabric.host(host_name).register_service(service,
                                                 partial(_Handling, self))
 
@@ -78,10 +90,14 @@ class _Handling:
     ``service_us`` callable propagates out of ``Simulator.run`` at once.
     The creator's flight-recorder context is entered around every entry.
     Nothing refers back to the handling (``gc`` is off during a run).
+
+    At most once is decided where the handler would run, so a repeat
+    costs what its first delivery did. FIFO cores and equal costs for
+    equal args serve a call's first delivery before any repeat of it.
     """
 
-    __slots__ = ("server", "request", "handler", "args", "duration", "stage",
-                 "span", "_open_span", "_flight_ctx")
+    __slots__ = ("server", "request", "handler", "args", "horizon",
+                 "duration", "stage", "span", "_open_span", "_flight_ctx")
 
     #: the kernel's tombstone check; a handling is never withdrawn
     cancelled = False
@@ -109,7 +125,7 @@ class _Handling:
     def _boot(self):
         server = self.server
         request = self.request
-        method, self.args = request.body
+        method, self.args, self.horizon = request.body
         registered = server._methods.get(method)
         if registered is None:
             post_reply(server.fabric, server.host_name, request,
@@ -140,22 +156,36 @@ class _Handling:
 
     def _served(self):
         server = self.server
+        request = self.request
         if self.span is not None:
             self._open_span.finish()
-        try:
-            result, response_bytes = self.handler(self.args)
-            ok = True
-        except Exception as exc:  # handler bug: report, don't crash
-            result, response_bytes, ok = exc, 0, False
+        logical_id = request.logical_id
+        session = request.reply_service
+        replies = server._replies[session]
+        horizon = server._horizons[session]
+        carried = logical_id if self.horizon is None else self.horizon
+        if carried > horizon:
+            server._horizons[session] = horizon = carried
+            for ended in list(replies):  # a loop: a comprehension is a frame
+                if ended < horizon:
+                    del replies[ended]
+        saved = replies.get(logical_id)  # a repeat is sent the saved reply
+        if saved is not None:
+            server.replays += 1
+        elif logical_id >= horizon:
+            try:
+                result, response_bytes = self.handler(self.args)
+                saved = replies[logical_id] = (result, response_bytes, True)
+                server.calls_served += 1
+            except Exception as exc:  # handler bug: report, don't crash
+                saved = replies[logical_id] = (exc, 0, False)
         server.cores.release()
         if self.span is not None:
             self.span.finish()
-        if ok:
-            server.calls_served += 1
-        request = self.request
-        post_reply(server.fabric, server.host_name, request, result,
-                   ETHERNET_HEADER_BYTES + response_bytes, ok=ok,
-                   span=request.span)
+        if saved is not None:  # else a late duplicate nobody waits for
+            post_reply(server.fabric, server.host_name, request, saved[0],
+                       ETHERNET_HEADER_BYTES + saved[1], ok=saved[2],
+                       span=request.span)
 
 
 class RpcClient:
@@ -177,18 +207,17 @@ class RpcClient:
         if retry_policy is None and sim.faults is not None:
             retry_policy = sim.faults.plan.retry
         self.retry_policy = retry_policy
+        #: logical ids of the calls awaiting replies, oldest first (the
+        #: channel's reply address is the session: one client a channel)
+        self._open_calls = {}
         self.calls_made = 0
 
     def call(self, server_name, method, args, request_payload_bytes,
-             service="rpc", span=NULL_SPAN, retryable=True):
+             service="rpc", span=NULL_SPAN):
         """Process helper: invoke ``method`` on ``server_name``.
 
-        With a retry policy attached (fault plan installed), lost
-        calls are retransmitted. At-least-once delivery means the
-        handler may run twice; handlers that are not naturally
-        idempotent must dedupe (the recycler daemon does, by report
-        id) or the caller must pass ``retryable=False`` and handle
-        :class:`~repro.sim.events.TimeoutExpired` itself.
+        With a retry policy attached (fault plan installed), lost calls
+        are retransmitted; the handler runs at most once per call.
         """
         policy = self.retry_policy
         if self.sim.bus is not None:
@@ -196,13 +225,19 @@ class RpcClient:
         call_span = NULL_SPAN
         if span.enabled:
             call_span = span.child("rpc.call", phase="cpu", method=method)
+        # The horizon: the oldest call awaited, or None for this one's own
+        open_calls = self._open_calls
+        call = self.channel.post(
+            server_name, service, (method, args, next(iter(open_calls), None)),
+            ETHERNET_HEADER_BYTES + request_payload_bytes,
+            None if policy is None else policy.timeout_us, call_span,
+            retry=policy)
+        logical_id = call.request.logical_id
+        open_calls[logical_id] = None
         try:
-            result = yield self.channel.post(
-                server_name, service, (method, args),
-                ETHERNET_HEADER_BYTES + request_payload_bytes,
-                None if policy is None else policy.timeout_us, call_span,
-                retry=policy if retryable else None)
+            result = yield call
         finally:
+            del open_calls[logical_id]
             if span.enabled:
                 call_span.finish()
         self.calls_made += 1

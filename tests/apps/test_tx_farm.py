@@ -4,6 +4,7 @@ import pytest
 
 from repro.apps.tx import FarmClient, FarmServer
 from repro.apps.tx.layout import FarmLayout
+from repro.faults import RetryPolicy
 from repro.prism import HardwareRdmaBackend
 
 
@@ -137,35 +138,44 @@ def test_commit_uses_two_rpcs(sim, app_fabric, server, drive):
     assert drive(sim, main()) == 2  # LOCK + UPDATE (validate is one-sided)
 
 
-def test_commit_rpcs_are_idempotent_by_transaction(sim, app_fabric, server,
-                                                   drive):
-    """A commit RPC may be delivered twice (a retransmission after a lost
-    reply, a fabric duplicate): a LOCK finding its own lock succeeds, a
-    second UPDATE installs nothing, and a LOCK of a finished transaction
-    is refused without locking."""
+def test_a_repeated_commit_rpc_runs_once(sim, app_fabric, server, drive):
+    """Every commit request is delivered twice and both replies to the
+    LOCK are lost: the LOCK is retransmitted (and duplicated again), yet
+    each handler runs once — the RPC layer replays the rest — so the
+    write is installed once and nothing stays locked."""
     client = _client(sim, app_fabric, server)
-    tid = (1, 1)
-    lock = (tid, [(9, 1)])
-    update = (tid, [(9, b"U" * 64)])
+    client.rpc.retry_policy = RetryPolicy(timeout_us=50.0, max_retries=3,
+                                          backoff_base_us=1.0)
+    services = app_fabric.host("server")._services
+    deliver = services["rpc"]
 
-    def call(method, args):
-        ok, _ = yield from client.rpc.call(server.host_name, method, args,
-                                           request_payload_bytes=32)
-        return ok
+    def twice(message):
+        deliver(message)
+        deliver(message)
+
+    services["rpc"] = twice
+    replies = app_fabric.host("c0")._services
+    reply_service = client.rpc.channel.reply_service
+    take_reply = replies[reply_service]
+    lost = [2]
+
+    def lossy(message):
+        if lost[0]:
+            lost[0] -= 1
+        else:
+            take_reply(message)
+
+    replies[reply_service] = lossy
 
     def main():
-        outcomes = []
-        for method, args in ((FarmServer.LOCK_METHOD, lock),
-                             (FarmServer.LOCK_METHOD, lock),
-                             (FarmServer.UPDATE_METHOD, update),
-                             (FarmServer.UPDATE_METHOD, update),
-                             (FarmServer.LOCK_METHOD, lock)):
-            outcomes.append((yield from call(method, args)))
+        committed, _ = yield from client.run_transaction((9,), (9,),
+                                                         b"U" * 64)
         versions, values = yield from client.read_keys((9,))
-        return outcomes, versions[9], values[9]
+        return committed, versions[9], values[9]
 
-    outcomes, version, value = drive(sim, main())
-    assert outcomes == [True, True, True, True, False]
+    committed, version, value = drive(sim, main())
+    assert committed
     assert (version, value) == (2, b"U" * 64)  # installed once, unlocked
-    assert server.duplicate_updates == 1
+    assert client.rpc.channel.retransmissions == 1
+    assert (server.rpc.calls_served, server.rpc.replays) == (2, 4)
     assert not server._locks

@@ -95,11 +95,12 @@ def test_farm_serializable(seed):
     assert validated > 0
 
 
-#: Fault plans under which FaRM's commit RPCs, before they were
-#: idempotent by transaction id, died: an UPDATE retransmitted after its
-#: reply was lost found its keys installed and unlocked ("update without
-#: lock"), and a retransmitted or late LOCK refused its own locks and
-#: stranded them (the run never drained). ROADMAP 1(a), corpus item 5.
+#: Fault plans under which FaRM died while the RPC layer ran a repeated
+#: delivery's handler again: an UPDATE retransmitted after its reply was
+#: lost found its keys installed and unlocked ("update without lock"),
+#: and a retransmitted or late LOCK refused its own locks and stranded
+#: them (the run never drained). The handlers hold no dedup rule of
+#: their own; every plan must reach the transport's replay path.
 FARM_FAULT_PLANS = ["seed=3,drop=0.05", "seed=4,dup=0.1",
                     "seed=5,drop=0.05,dup=0.05", "seed=6,drop=0.1",
                     "seed=7,drop=0.05,dup=0.05,jitter=2"]
@@ -108,9 +109,10 @@ FARM_FAULT_PLANS = ["seed=3,drop=0.05", "seed=4,dup=0.1",
 @pytest.mark.parametrize("plan", FARM_FAULT_PLANS)
 def test_farm_serializable_under_faults(plan):
     """Loss, duplication and jitter on every message, commit RPCs
-    retransmitted: every transaction commits once, serializably. The
-    workload finishes within 2 ms of simulated time; the bound fails a
-    livelock in about a second of wall time instead of minutes."""
+    retransmitted and answered from the saved reply: every transaction
+    commits once, serializably. The workload finishes within 2 ms of
+    simulated time; the bound fails a livelock in about a second of wall
+    time instead of minutes."""
     sim = Simulator()
     sim.set_faults(parse_faults(plan))
     hosts = ["server"] + [f"c{i}" for i in range(N_CLIENTS)]
@@ -136,6 +138,7 @@ def test_farm_serializable_under_faults(plan):
     assert len(committed) == N_CLIENTS * TXNS_PER_CLIENT
     assert check_serializable(committed, initial, infer_order=True) > 0
     assert not server._locks  # nothing stranded
+    assert server.rpc.replays > 0  # the transport carried the repeats
 
 
 def test_prism_tx_serializable_under_extreme_contention():

@@ -2,10 +2,18 @@
 
 import pytest
 
-from repro.net.topology import DIRECT, make_fabric
-from repro.prism import HardwarePrismBackend, PrismClient, PrismServer
+from repro.apps.blockstore import PrismRsClient, PrismRsReplica
+from repro.faults import MessageFate, parse_faults
+from repro.net.topology import DIRECT, RACK, make_fabric
+from repro.prism import (
+    HardwarePrismBackend,
+    PrismClient,
+    PrismServer,
+    SoftwarePrismBackend,
+)
 from repro.prism.recycler import RecyclerClient, RecyclerDaemon
 from repro.rpc.erpc import RpcClient, RpcServer
+from repro.sim import Simulator
 
 
 @pytest.fixture
@@ -78,3 +86,68 @@ def test_flush_empty_batch_is_noop(sim, system, drive):
         return recycler.reports_sent
 
     assert drive(sim, main()) == 0
+
+
+
+def _rs_put_storm(sim):
+    """Four PRISM-RS clients × 20 PUTs on 8 blocks, reporting every two
+    retired buffers; then every batch flushed, client and daemon side.
+    Returns the replicas."""
+    hosts = ["r0", "r1", "r2", "c0", "c1", "c2", "c3"]
+    fabric = make_fabric(sim, RACK, hosts)
+    replicas = [PrismRsReplica(sim, fabric, host, SoftwarePrismBackend,
+                               n_blocks=8, block_size=16)
+                for host in hosts[:3]]
+    for block in range(8):
+        for replica in replicas:
+            replica.load(block, b"v" * 16)
+    clients = [PrismRsClient(sim, fabric, host, replicas, client_id=i + 1,
+                             recycle_batch=2)
+               for i, host in enumerate(hosts[3:])]
+
+    def writer(index, client):
+        for op in range(20):
+            yield from client.put((index + op) % 8, bytes([op]) * 16)
+        for recycler, replica in zip(client.recyclers, replicas):
+            yield from recycler.flush(replica.freelist_id)
+
+    writers = [sim.spawn(writer(i, c)) for i, c in enumerate(clients)]
+    sim.run_until_complete(
+        sim.spawn((lambda done: (yield done))(sim.all_of(writers))),
+        limit=1e7)
+    for replica in replicas:
+        sim.run_until_complete(sim.spawn(replica.recycler.flush()))
+    return replicas
+
+
+def _posted_twice(replicas):
+    twice = []
+    for replica in replicas:
+        posted = list(replica.prism.freelist(replica.freelist_id)._buffers)
+        twice += [addr for addr in set(posted) if posted.count(addr) > 1]
+    return twice
+
+
+def test_duplicated_reports_never_post_a_buffer_twice():
+    """Recycle reports and their replies duplicated at 10 %: after every
+    batch is flushed no free list holds an address twice, because the
+    RPC layer answered the repeats from saved replies. Install chains
+    are spared the plan: theirs is the next test's bug."""
+    sim = Simulator()
+    faults = sim.set_faults(parse_faults("seed=4,dup=0.1"))
+    fate_of = faults.on_message
+    faults.on_message = lambda message: (
+        fate_of(message) if message.service == "rpc" else MessageFate())
+    replicas = _rs_put_storm(sim)
+    assert _posted_twice(replicas) == []
+    assert sum(replica.rpc.replays for replica in replicas) > 0
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP 1(a) corpus 3: a duplicated "
+                   "install chain's ALLOCATE overwrites the scratch slot "
+                   "the original's CAS then installs from, and the miss "
+                   "path retires that installed buffer")
+def test_duplicated_install_chains_never_post_a_buffer_twice():
+    sim = Simulator()
+    sim.set_faults(parse_faults("seed=4,dup=0.1"))
+    assert _posted_twice(_rs_put_storm(sim)) == []

@@ -1,11 +1,13 @@
-"""Two-sided RPC layer: dispatch, service costs, core contention, and
-the server-side pipeline (kernel entries, instants, spans)."""
+"""Two-sided RPC layer: dispatch, service costs, core contention, the
+server-side pipeline (kernel entries, instants, spans), and at-most-once
+delivery."""
 
 import heapq
 from collections import deque
 
 import pytest
 
+from repro.faults import RetryPolicy
 from repro.net.topology import RACK, make_fabric
 from repro.obs import HostProfiler, Tracer
 from repro.rpc.erpc import RpcClient, RpcConfig, RpcServer
@@ -364,3 +366,175 @@ def test_a_traced_call_keeps_its_handler_spans(sim):
          ("rpc@server.exec", "cpu", done, 5.9496)]]
     assert [(h.start, h.end) for h in handlers] == [
         (arrival, done), (second, 5.9496)]
+
+
+# -- at-most-once delivery -----------------------------------------------------
+
+
+_RETRY = RetryPolicy(timeout_us=50.0, max_retries=3, backoff_base_us=1.0)
+
+
+def _script(fabric, host, service, copies):
+    """Hand each message for ``service`` on ``host`` to its handler
+    ``copies(message)`` times: 0 loses it, 2 duplicates it. Returns the
+    ``(instant, message)`` log of what arrived, before the script."""
+    services = fabric.host(host)._services
+    handler = services[service]
+    arrived = []
+
+    def deliver(message):
+        arrived.append((fabric.sim.now, message))
+        for _ in range(copies(message)):
+            handler(message)
+
+    services[service] = deliver
+    return arrived
+
+
+def _lose_first(n):
+    """A ``copies`` script losing the first ``n`` messages."""
+    fates = iter([0] * n)
+    return lambda message: next(fates, 1)
+
+
+def _counted(server, method="inc", fail=False):
+    """Register ``method``: returns its run number, or raises; returns
+    the list of the instants it ran at."""
+    runs = []
+
+    def handler(args):
+        runs.append(server.sim.now)
+        if fail:
+            raise ValueError(f"run {len(runs)}")
+        return len(runs), 8
+
+    server.register(method, handler)
+    return runs
+
+
+def test_a_lost_reply_is_replayed_not_run_again(sim, fabric, drive):
+    server = RpcServer(sim, fabric, "server")
+    runs = _counted(server)
+    client = RpcClient(sim, fabric, "client", retry_policy=_RETRY)
+    _script(fabric, "client", client.channel.reply_service, _lose_first(1))
+    assert drive(sim, client.call("server", "inc", None, 8)) == 1
+    assert len(runs) == 1
+    assert (server.replays, server.calls_served) == (1, 1)
+    assert client.channel.retransmissions == 1
+
+
+def test_a_duplicate_waiting_for_a_core_is_replayed_after_the_original(sim):
+    """One core, held by another client's 10 µs call: the original and
+    its fabric twin both queue for it, and the twin is served — from the
+    saved reply — one service time after the original."""
+    fabric = make_fabric(sim, RACK, ["client", "other", "server"])
+    server = RpcServer(sim, fabric, "server",
+                       config=RpcConfig(cores=1, dispatch_us=0.0))
+    runs = _counted(server)
+    server.register("block", lambda args: (None, 0), service_us=10.0)
+    _script(fabric, "server", "rpc",
+            lambda message: 2 if message.payload.body[0] == "inc" else 1)
+    client = RpcClient(sim, fabric, "client")
+    replies = _script(fabric, "client", client.channel.reply_service,
+                      lambda message: 1)
+    sim.spawn(RpcClient(sim, fabric, "other").call("server", "block", None, 8))
+    caller = sim.spawn(client.call("server", "inc", None, 8))
+    sim.run()
+    assert caller.value == 1
+    assert len(runs) == 1 and runs[0] > 10.0  # it waited for the core
+    assert server.replays == 1 and server.cores.in_use == 0
+    (first, original), (second, twin) = replies
+    assert original.payload.body == twin.payload.body == 1
+    assert second - first == pytest.approx(
+        server.config.default_service_us)
+
+
+def test_a_late_duplicate_below_the_horizon_gets_no_reply(sim, fabric):
+    """A copy of a call that ended before the client's next one began
+    is below that session's horizon: it holds a core for its service
+    time, then releases it without running the handler or replying."""
+    server = RpcServer(sim, fabric, "server")
+    runs = _counted(server)
+    client = RpcClient(sim, fabric, "client")
+    requests = _script(fabric, "server", "rpc", lambda message: 1)
+    replies = _script(fabric, "client", client.channel.reply_service,
+                      lambda message: 1)
+
+    def main():
+        yield from client.call("server", "inc", None, 8)
+        yield from client.call("server", "inc", None, 8)
+        (_, late), _ = requests
+        fabric.host("server")._services["rpc"](late)  # the first, again
+        yield sim.timeout(100.0)
+
+    sim.run_until_complete(sim.spawn(main()))
+    assert len(runs) == 2 and len(replies) == 2
+    assert len(requests) == 3 and server.replays == 0
+    assert server.cores.in_use == 0
+    config = server.config
+    core_us = server.cores.utilization(sim.now) * config.cores * sim.now
+    assert core_us == pytest.approx(
+        3 * (config.default_service_us + config.dispatch_us))
+
+
+def test_the_horizon_never_passes_an_open_call(sim, fabric):
+    """Two calls in flight on one client; the older one's reply is lost.
+    The newer call completes and a third is made while the older waits
+    out its ack timeout — and the older call's retransmission is still
+    answered from its saved reply."""
+    server = RpcServer(sim, fabric, "server")
+    runs = _counted(server)
+    client = RpcClient(sim, fabric, "client", retry_policy=_RETRY)
+    _script(fabric, "client", client.channel.reply_service, _lose_first(1))
+    results = {}
+
+    def older():
+        results["older"] = yield from client.call("server", "inc", None, 8)
+
+    def newer():
+        results["newer"] = yield from client.call("server", "inc", None, 8)
+        results["third"] = yield from client.call("server", "inc", None, 8)
+        results["third at"] = sim.now
+
+    sim.spawn(older())
+    sim.spawn(newer())
+    sim.run()
+    assert results["third at"] < _RETRY.timeout_us  # before the resend
+    assert (results["older"], results["newer"], results["third"]) == (1, 2, 3)
+    assert len(runs) == 3 and server.replays == 1
+
+
+def test_saved_replies_are_bounded_by_open_calls(sim, fabric, drive):
+    server = RpcServer(sim, fabric, "server")
+    _counted(server)
+    client = RpcClient(sim, fabric, "client")
+    saved = server._replies[client.channel.reply_service]
+
+    def sequential(n):
+        for _ in range(n):
+            yield from client.call("server", "inc", None, 8)
+            assert len(saved) <= 1
+
+    drive(sim, sequential(1000))
+    assert len(saved) == 1
+    for _ in range(8):
+        sim.spawn(client.call("server", "inc", None, 8))
+    sim.run()
+    assert len(saved) == 8
+    drive(sim, sequential(1))
+    assert len(saved) == 1
+    assert server.calls_served == 1009
+
+
+def test_a_raising_handlers_error_is_replayed(sim, fabric, drive):
+    server = RpcServer(sim, fabric, "server")
+    runs = _counted(server, fail=True)
+    client = RpcClient(sim, fabric, "client", retry_policy=_RETRY)
+    _script(fabric, "client", client.channel.reply_service, _lose_first(1))
+
+    def main():
+        with pytest.raises(ValueError, match="run 1"):
+            yield from client.call("server", "inc", None, 8)
+
+    drive(sim, main())
+    assert len(runs) == 1 and server.replays == 1
