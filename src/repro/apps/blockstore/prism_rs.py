@@ -219,4 +219,4 @@ class PrismRsClient:
         flush = self.recyclers[index].retire(
             self.replicas[index].freelist_id, addr)
         if flush is not None:
-            self.sim.spawn(flush, name="rs-retire")
+            self.sim.launch(flush, name="rs-retire")

@@ -304,4 +304,4 @@ class PrismKvClient:
         flush = self.recycler.retire(freelist_id, buffer_addr)
         if flush is not None:
             # Asynchronous notification (§6.1) — off the latency path.
-            self.sim.spawn(flush, name="kv-retire")
+            self.sim.launch(flush, name="kv-retire")

@@ -386,4 +386,4 @@ class PrismTxClient:
     def _retire(self, addr):
         flush = self.recycler.retire(self.server.freelist_id, addr)
         if flush is not None:
-            self.sim.spawn(flush, name="tx-retire")
+            self.sim.launch(flush, name="tx-retire")

@@ -66,7 +66,7 @@ class RecyclerClient:
 
     def retire(self, freelist_id, addr):
         """Note a retired buffer; returns a flush generator when the
-        batch is full (caller decides whether to await or spawn it)."""
+        batch is full (caller decides whether to await or launch it)."""
         self._pending[freelist_id].append(addr)
         if len(self._pending[freelist_id]) >= self.batch_size:
             return self.flush(freelist_id)
@@ -75,7 +75,7 @@ class RecyclerClient:
     def flush(self, freelist_id):
         """Process helper: report one free list's pending buffers.
 
-        Flush processes are usually spawned un-waited, so a report
+        Flushes are usually launched un-waited, so a report
         whose retransmission budget runs out must not crash the run:
         the batch is abandoned (the buffers leak — the free list's
         spares absorb it) and counted against the fault injector.

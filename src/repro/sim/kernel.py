@@ -16,7 +16,10 @@ so every kernel entry does model work.
 
 Processes are generators driven by the kernel: every value a process
 yields must be an :class:`~repro.sim.events.Event` (or another
-:class:`Process`, which doubles as its completion event).
+:class:`Process`, which doubles as its completion event). A generator
+nothing will wait on is *launched* instead (:meth:`Simulator.launch`):
+driven by the same rules, with no completion event and so no entry for
+one.
 """
 
 import heapq
@@ -237,6 +240,69 @@ class Process(Event):
         return f"<Process {self.name} {'done' if self._triggered else 'alive'}>"
 
 
+class _Task:
+    """A generator run by :meth:`Simulator.launch`: a process nothing
+    can wait on (docs/performance.md, rule 11).
+
+    It is its own boot slot, appended where ``spawn`` appended a
+    bootstrap, and its own callback on what it yields: resumed in the
+    entry where that event is processed, under the flight-recorder
+    context it was launched in, with ``Process._step``'s rules. No
+    handle to it exists, so no waiter can attach and its completion —
+    which for a process is a ready-deque entry running no callback —
+    leaves no entry at all. A raising generator is recorded like an
+    unobserved process's failure and raised at the end of the run.
+    Its own class, not a ``Process``: two types on one hot method cost
+    CPython's per-type specialisation (rule 11).
+    """
+
+    __slots__ = ("sim", "_generator", "name", "_flight_ctx")
+
+    #: orphan-failure triage: nothing can ever have waited on a task
+    _ever_waited = False
+
+    def __init__(self, sim, generator, name):
+        self.sim = sim
+        self._generator = generator
+        self.name = name
+        fl = sim.flight
+        self._flight_ctx = None if fl is None else fl.current_ctx()
+        sim._ready.append(self)  # the boot slot
+
+    def __call__(self, event=None):
+        """Boot slot (no event) or the callback of the awaited event."""
+        sim = self.sim
+        fl = sim.flight
+        if fl is not None:
+            fl.enter_process(self)
+        generator = self._generator
+        try:
+            if event is None:
+                target = generator.send(None)
+            elif event._ok:
+                target = generator.send(event._value)
+            else:
+                target = generator.throw(event._value)
+            while not isinstance(target, Event):
+                target = generator.throw(SimulationError(
+                    f"task {self.name!r} yielded {target!r}; tasks may "
+                    "only yield Event instances (use 'yield from' to call "
+                    "sub-generators)"))
+            if isinstance(target, Process):
+                target._ever_waited = True
+            if target._processed:
+                sim._ready.append(_LateCall(self, target))
+            else:
+                target.callbacks.append(self)
+        except StopIteration:
+            pass
+        except Exception as exc:
+            sim._note_process_failure(self, exc)
+        finally:
+            if fl is not None:
+                fl.exit_process()
+
+
 class Simulator:
     """Deterministic discrete-event simulator with a microsecond clock.
 
@@ -419,6 +485,17 @@ class Simulator:
     def spawn(self, generator, name=None):
         """Start running a generator as a process."""
         return Process(self, generator, name=name)
+
+    def launch(self, generator, name):
+        """Run a generator that nothing will wait on; returns None.
+
+        Scheduled exactly as :meth:`spawn` would, minus the process's
+        completion entry: with no handle, no waiter can attach, so that
+        entry could only ever be a no-op (see :class:`_Task`). For
+        fire-and-forget work — an open-loop arrival's operation, a
+        recycler report.
+        """
+        _Task(self, generator, name)
 
     def context(self):
         """The flight-recorder context of whatever is executing now.

@@ -174,7 +174,8 @@ class ClosedLoopDriver:
             for i, (executor, workload, takes_span) in
             enumerate(self._clients)
         ]
-        _drain(self.sim, processes, self.end_time)
+        _drain(self.sim, [(process.name, process) for process in processes],
+               self.end_time)
         window = self.measure_us
         throughput = counters["ops"] / window * 1e6 if window > 0 else 0.0
         return RunResult(
@@ -193,8 +194,9 @@ def _await(event):
     yield event
 
 
-def _drain(sim, processes, end_time):
-    """Run until every one of ``processes`` has finished.
+def _drain(sim, runners, end_time):
+    """Run until the event of every ``(name, event)`` of ``runners`` —
+    a client process, a source's ``done`` — has triggered.
 
     Bounded: a client whose operation never completes (an unbounded
     retry loop that aborts forever) would otherwise keep the kernel
@@ -203,7 +205,7 @@ def _drain(sim, processes, end_time):
     no kernel entry, no per-entry check.
     """
     def expire(_timer):
-        alive = [process.name for process in processes if process.alive]
+        alive = [name for name, event in runners if not event.triggered]
         raise SimulationError(
             f"run did not drain: {', '.join(alive)} still running "
             f"{DRAIN_LIMIT_US:g} µs after the measurement window closed at "
@@ -214,9 +216,127 @@ def _drain(sim, processes, end_time):
     watchdog.callbacks.append(expire)
     try:
         sim.run_until_complete(
-            sim.spawn(_await(sim.all_of(processes)), name="driver"))
+            sim.spawn(_await(sim.all_of([event for _, event in runners])),
+                      name="driver"))
     finally:
         watchdog.cancel()
+
+
+class _Arrivals:
+    """One source's arrival stream as a scheduled payload
+    (docs/performance.md, rule 11): what the source process was, with
+    the same entries at the same instants and no resume.
+
+    It is its own boot slot, appended where the process's bootstrap
+    was. Each arrival is its own heap entry at ``now + gap``, pushed in
+    the entry where ``yield sim.timeout(gap)`` pushed; it launches the
+    arrival's operation (:meth:`Simulator.launch`) and books the next
+    arrival. A full window puts the stream on the gate's callbacks, and
+    the gate's entry lets the stalled arrival go ahead. ``done``
+    succeeds where the process completed; it is what the driver's
+    drain waits on.
+    """
+
+    __slots__ = ("sim", "tracer", "warmup_until", "end_time", "index",
+                 "executor", "source", "takes_span", "recorder",
+                 "counters", "name", "done", "in_flight", "gate", "labels")
+
+    #: a heap payload's tombstone flag; an arrival is never withdrawn
+    cancelled = False
+
+    def __init__(self, driver, index, executor, source, takes_span,
+                 recorder, counters):
+        sim = self.sim = driver.sim
+        self.tracer = driver.tracer
+        self.warmup_until = driver.warmup_us
+        self.end_time = driver.warmup_us + driver.measure_us
+        self.index = index
+        self.executor = executor
+        self.source = source
+        self.takes_span = takes_span
+        self.recorder = recorder
+        self.counters = counters
+        self.name = f"source{index}"
+        self.done = sim.event()
+        self.in_flight = 0
+        #: the event a stalled arrival waits on, while one does
+        self.gate = None
+        # Root-span labels are one of a few op kinds; cached per source
+        # as ClosedLoopDriver caches them per client.
+        self.labels = {}
+        sim._ready.append(self)  # the boot slot
+
+    def __call__(self, gate=None):
+        """The boot slot, or — as the gate's callback — the stalled
+        arrival, which goes ahead: only completions ran since the gate
+        opened, so the window has a free slot."""
+        if gate is None:
+            self._book_next()
+        elif self.sim._now >= self.end_time:
+            self.done.succeed()
+        else:
+            self.fire()
+
+    def fire(self):
+        """An arrival: launch its operation, book the next arrival."""
+        if self.in_flight >= self.source.window:
+            # Window full: defer this arrival until a completion frees
+            # a slot. Deferred arrivals are counted — a large number
+            # means the configured offered load exceeds what the window
+            # can carry and the source is degrading to window-limited
+            # closed-loop behaviour.
+            self.counters["stalls"] += 1
+            self.source.stalled_arrivals += 1
+            gate = self.gate = self.sim.event()
+            gate.callbacks.append(self)
+            return
+        self.in_flight += 1
+        self.sim.launch(self._operation(self.source.next_op()), "op")
+        self._book_next()
+
+    def _book_next(self):
+        sim = self.sim
+        gap = self.source.next_gap_us()
+        if sim._now + gap >= self.end_time:
+            self.done.succeed()
+        else:
+            sim.schedule(gap, self)
+
+    def _operation(self, op):
+        sim = self.sim
+        bus = sim.bus
+        traced = self.tracer.enabled
+        start = sim._now
+        root = None
+        if bus is not None or traced:
+            name = getattr(op, "kind", None) or type(op).__name__
+            label = self.labels.get(name)
+            if label is None:
+                label = self.labels[name] = f"op.{name}"
+        if bus is not None:
+            bus.emit("op.open", label, self.index)
+        info = None
+        try:
+            if traced:
+                root = self.tracer.root(label, client=self.index)
+                if self.takes_span:
+                    info = yield from self.executor(op, span=root)
+                else:
+                    info = yield from self.executor(op)
+                root.finish()
+            else:
+                info = yield from self.executor(op)
+        finally:
+            # Free the window slot even when the op fails — a crashing
+            # executor must not wedge the arrival stream (the failure
+            # itself still surfaces at the end of the run).
+            self.in_flight -= 1
+            gate = self.gate
+            if gate is not None:
+                self.gate = None
+                gate.succeed()
+        _close_op(sim, bus, root, start, info, self.recorder, self.counters,
+                  self.warmup_until, self.end_time)
 
 
 class OpenLoopDriver:
@@ -224,11 +344,12 @@ class OpenLoopDriver:
 
     Each source (see
     :class:`repro.workload.sources.AggregatedOpenLoopSource`) models
-    thousands of clients in one coroutine: the source loop draws
-    inter-arrival gaps, and every arrival spawns a fire-and-forget op
-    process through the source's executor. The source's bounded
-    in-flight window provides backpressure: a full window defers
-    arrivals (counted, never dropped) until a completion frees a slot.
+    thousands of clients in one arrival stream: a scheduled payload
+    draws inter-arrival gaps, and every arrival launches its operation
+    — a generator nothing waits on — through the source's executor.
+    The source's bounded in-flight window provides backpressure: a full
+    window defers arrivals (counted, never dropped) until a completion
+    frees a slot.
 
     Measurement accounting (warmup window, latency recorder, series /
     flight hooks) matches :class:`ClosedLoopDriver`, so results are
@@ -253,98 +374,29 @@ class OpenLoopDriver:
     def end_time(self):
         return self.warmup_us + self.measure_us
 
-    def _source_loop(self, index, executor, source, recorder, counters,
-                     takes_span):
-        sim = self.sim
-        end_time = self.warmup_us + self.measure_us
-        next_gap = source.next_gap_us
-        next_op = source.next_op
-        spawn = sim.spawn
-        # Shared with the op runners: in-flight count and the gate a
-        # stalled arrival waits on. One mutable cell, not attributes on
-        # self — a driver may run many sources.
-        state = {"in_flight": 0, "gate": None}
-        while True:
-            gap = next_gap()
-            if sim._now + gap >= end_time:
-                return
-            yield sim.timeout(gap)
-            if state["in_flight"] >= source.window:
-                # Window full: defer this arrival until a completion
-                # frees a slot. Deferred arrivals are counted — a large
-                # number means the configured offered load exceeds what
-                # the window can carry and the source is degrading to
-                # window-limited closed-loop behaviour.
-                counters["stalls"] += 1
-                source.stalled_arrivals += 1
-                gate = state["gate"]
-                if gate is None:
-                    gate = state["gate"] = sim.event()
-                yield gate
-                if sim._now >= end_time:
-                    return
-            state["in_flight"] += 1
-            spawn(self._op_runner(index, executor, next_op(), recorder,
-                                  counters, state, takes_span),
-                  name="op")
-
-    def _op_runner(self, index, executor, op, recorder, counters, state,
-                   takes_span):
-        sim = self.sim
-        bus = sim.bus
-        traced = self.tracer.enabled
-        warmup_until = self.warmup_us
-        end_time = warmup_until + self.measure_us
-        start = sim._now
-        root = None
-        if bus is not None or traced:
-            label = f"op.{getattr(op, 'kind', None) or type(op).__name__}"
-        if bus is not None:
-            bus.emit("op.open", label, index)
-        info = None
-        try:
-            if traced:
-                root = self.tracer.root(label, client=index)
-                if takes_span:
-                    info = yield from executor(op, span=root)
-                else:
-                    info = yield from executor(op)
-                root.finish()
-            else:
-                info = yield from executor(op)
-        finally:
-            # Free the window slot even when the op fails — a crashing
-            # executor must not wedge the arrival stream (the failure
-            # itself still surfaces through the orphan-failure check).
-            state["in_flight"] -= 1
-            gate = state["gate"]
-            if gate is not None:
-                state["gate"] = None
-                gate.succeed()
-        _close_op(sim, bus, root, start, info, recorder, counters,
-                  warmup_until, end_time)
-
     def run(self):
         """Execute the experiment; returns a :class:`RunResult`.
 
-        The run ends when every source's arrival stream is exhausted;
-        ops still in flight at ``end_time`` complete outside the
-        measurement window (unmeasured), exactly like the closed-loop
-        driver's tail ops.
+        The run returns as soon as the last source's arrival stream
+        ends — its next gap would cross ``end_time`` — with operations
+        still in flight. Those are abandoned, not drained: none of them
+        is measured, even one whose completion would have landed before
+        ``end_time`` (a known bug, pinned by a strict ``xfail`` in
+        ``tests/workload/test_sources.py``; unlike the closed-loop
+        driver, which runs every client's last op to completion).
         """
         if not self._sources:
             raise ValueError("no sources added")
         recorder = LatencyRecorder(warmup_until=self.warmup_us)
         counters = {"ops": 0, "aborts": 0, "retries": 0, "stalls": 0}
-        processes = [
-            self.sim.spawn(
-                self._source_loop(i, executor, source, recorder, counters,
-                                  takes_span),
-                name=f"source{i}")
+        streams = [
+            _Arrivals(self, i, executor, source, takes_span, recorder,
+                      counters)
             for i, (executor, source, takes_span) in
             enumerate(self._sources)
         ]
-        _drain(self.sim, processes, self.end_time)
+        _drain(self.sim, [(stream.name, stream.done) for stream in streams],
+               self.end_time)
         window = self.measure_us
         throughput = counters["ops"] / window * 1e6 if window > 0 else 0.0
         n_clients = sum(source.n_clients

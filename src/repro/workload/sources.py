@@ -1,4 +1,4 @@
-"""Aggregated open-loop arrival sources: thousands of clients per coroutine.
+"""Aggregated open-loop arrival sources: thousands of clients per stream.
 
 A fig-scale sweep with 10⁵–10⁶ *closed-loop* client coroutines is not
 feasible in a CI budget: every client costs a generator frame, a stagger
@@ -7,7 +7,7 @@ spent on bookkeeping rather than on the system under test. This module
 trades per-client coroutines for **aggregated sources**, exploiting a
 standard identity: the superposition of ``n`` independent Poisson
 processes with rate λ is itself a Poisson process with rate ``nλ``. One
-coroutine drawing exponential inter-arrival gaps at the aggregate rate
+arrival stream drawing exponential inter-arrival gaps at the aggregate rate
 reproduces the *arrival process* of the whole client population exactly
 — so a source modeling 100 000 clients costs the kernel the same per-op
 work as one client, and sweeps into the Storm-style many-thousands-of-

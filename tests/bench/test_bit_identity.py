@@ -12,9 +12,11 @@ happens twice at one instant. ``benchmarks/BENCH_pins.json`` adds the
 points where it does: a lockstep quorum fan-out whose replies queue on
 client RX ports (a same-instant reordering of two port finishes moves
 its p50), a FaRM transactional point, and a quorum point under drop +
-dup + jitter. Each pin records its ``repro.bench.cli`` arguments and
-the metrics of the commit named in ``recorded_at``; to re-record one,
-run its ``argv`` with ``--json`` at the reference commit and copy
+dup + jitter. Each pin records its ``repro.bench.cli`` arguments — or,
+for a point the CLI cannot express (an open-loop population of
+aggregated sources), a figure script's path and arguments — and the
+metrics of the commit named in ``recorded_at``; to re-record one, run
+its ``argv`` with ``--json`` at the reference commit and copy
 ``points[].metrics``.
 """
 
@@ -67,7 +69,14 @@ def test_fig3_point_reproduces_baseline_bit_identical(tmp_path):
         json.loads(BASELINE.read_text())["points"], tmp_path)
 
 
+def _pin_command(argv):
+    """A pin runs ``repro.bench.cli`` unless its argv starts with a
+    script under the repository."""
+    if argv[0].endswith(".py"):
+        return [str(REPO / argv[0]), *argv[1:]]
+    return ["-m", "repro.bench.cli", *argv]
+
+
 @pytest.mark.parametrize("pin", PINS, ids=lambda pin: pin["name"])
 def test_contended_point_reproduces_pin_bit_identical(pin, tmp_path):
-    _assert_reproduces(["-m", "repro.bench.cli", *pin["argv"]],
-                       pin["points"], tmp_path)
+    _assert_reproduces(_pin_command(pin["argv"]), pin["points"], tmp_path)

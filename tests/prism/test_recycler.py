@@ -5,6 +5,7 @@ import pytest
 from repro.apps.blockstore import PrismRsClient, PrismRsReplica
 from repro.faults import MessageFate, parse_faults
 from repro.net.topology import DIRECT, RACK, make_fabric
+from repro.obs import HostProfiler
 from repro.prism import (
     HardwarePrismBackend,
     PrismClient,
@@ -87,6 +88,58 @@ def test_flush_empty_batch_is_noop(sim, system, drive):
 
     assert drive(sim, main()) == 0
 
+
+def _costs_per_flush(how):
+    """``(kernel entries, process resumes, process spawns)`` per retire
+    flush started by ``sim.<how>(flush, name)``, exact, as the slope
+    between 10 and 110 one-buffer reports, 50 µs apart."""
+    def counts(n):
+        sim = Simulator()
+        profiler = sim.attach(HostProfiler())
+        spawns = [0]
+        spawn = sim.spawn
+
+        def counting_spawn(generator, name=None):
+            spawns[0] += 1
+            return spawn(generator, name=name)
+
+        sim.spawn = counting_spawn
+        fabric = make_fabric(sim, RACK, ["client", "server"])
+        reported = []
+
+        def on_report(args):
+            reported.extend(args[1])
+            return None, 0
+
+        RpcServer(sim, fabric, "server").register(
+            RecyclerDaemon.METHOD, on_report, service_us=0.4)
+        recycler = RecyclerClient(RpcClient(sim, fabric, "client"),
+                                  "server", batch_size=1)
+
+        def retirer():
+            for addr in range(n):
+                getattr(sim, how)(recycler.retire(1, 4096 + addr),
+                                  name="retire")
+                yield sim.timeout(50.0)
+
+        try:
+            sim.run_until_complete(spawn(retirer()))
+        finally:
+            profiler.finish(sim.now)    # stop being the ambient profiler
+        assert recycler.reports_sent == len(reported) == n
+        return sim.events_executed, profiler.resumes, spawns[0]
+
+    more, fewer = counts(110), counts(10)
+    return tuple((a - b) / 100 for a, b in zip(more, fewer))
+
+
+def test_a_launched_retire_flush_leaves_no_completion_entry():
+    """At zero tolerance, with the retirer's own timer (1 entry, 1
+    resume) in both: a launched flush is its boot slot + the RPC's 12
+    entries, resumed in the call's completion entry; spawned, it adds
+    the process's completion entry, two resumes and the spawn."""
+    assert _costs_per_flush("launch") == (14, 1, 0)
+    assert _costs_per_flush("spawn") == (15, 3, 1)
 
 
 def _rs_put_storm(sim):

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.obs import HostProfiler
+from repro.obs import FlightRecorder, HostProfiler
 from repro.sim import Event, Interrupt, Resource, SimulationError, Simulator
 from repro.sim.events import AllOf, AnyOf
 
@@ -441,3 +441,149 @@ class TestUnorderableInstants:
             sim.run_until_complete(sim.spawn(_sleeper(sim, 1)), limit=nan)
         assert sim.now == 0.0
         assert sim.run() == 1.0
+
+
+class TestLaunch:
+    """``Simulator.launch``: a generator nothing can wait on is driven by
+    ``Process._step``'s rules and leaves no completion entry."""
+
+    def test_boots_in_the_slot_spawn_would_and_leaves_no_completion(self):
+        def counted(start):
+            sim = Simulator()
+            order = []
+
+            def body(name):
+                order.append(name)
+                return
+                yield
+
+            sim.spawn(body("first"))
+            start(sim, body("middle"), "middle")
+            sim.spawn(body("last"))
+            sim.run()
+            return order, sim.events_executed
+
+        spawned = counted(Simulator.spawn)
+        launched = counted(Simulator.launch)
+        assert spawned[0] == launched[0] == ["first", "middle", "last"]
+        # a process: bootstrap + completion; a task: its boot slot only
+        assert spawned[1] - launched[1] == 1
+        assert launched[1] == 5
+
+    def test_resumed_in_the_entry_that_processes_its_event(self, sim):
+        seen = []
+
+        def body():
+            seen.append((yield sim.timeout(5.0, "v")))
+            seen.append(sim.now)
+
+        assert sim.launch(body(), "t") is None
+        sim.run()
+        assert seen == ["v", 5.0]
+        assert sim.events_executed == 2     # boot slot + the timer
+
+    def test_an_already_processed_event_resumes_it_in_a_late_call(self, sim):
+        event = sim.event()
+        event.succeed("early")
+        sim.run()
+        seen = []
+
+        def body():
+            seen.append((yield event))
+
+        sim.launch(body(), "late")
+        before = sim.events_executed
+        sim.run()
+        assert seen == ["early"]
+        assert sim.events_executed - before == 2    # boot slot + late call
+
+    def test_a_failed_event_is_thrown_in(self, sim):
+        event = sim.event()
+        seen = []
+
+        def body():
+            try:
+                yield event
+            except KeyError as exc:
+                seen.append(exc.args[0])
+
+        sim.launch(body(), "t")
+        event.fail(KeyError("gone"))
+        sim.run()
+        assert seen == ["gone"]
+
+    def test_a_non_event_yield_throws_a_simulation_error_in(self, sim):
+        seen = []
+
+        def tolerant():
+            try:
+                yield 123
+            except SimulationError as exc:
+                seen.append(str(exc))
+            yield sim.timeout(1.0)
+            seen.append(sim.now)
+
+        sim.launch(tolerant(), "tolerant")
+        sim.run()
+        assert "'tolerant' yielded 123" in seen[0]
+        assert "only yield Event" in seen[0]
+        assert seen[1] == 1.0
+
+        def careless():
+            yield "not an event"
+
+        sim.launch(careless(), "careless")
+        with pytest.raises(SimulationError, match="only yield Event"):
+            sim.run()
+
+    def test_a_raising_task_surfaces_at_the_end_of_the_run(self, sim):
+        log = []
+
+        def bad():
+            yield sim.timeout(1.0)
+            raise RuntimeError("task crashed")
+
+        def bystander():
+            yield sim.timeout(3.0)
+            log.append(sim.now)
+
+        sim.launch(bad(), "bad")
+        sim.spawn(bystander())
+        with pytest.raises(RuntimeError, match="task crashed"):
+            sim.run()
+        assert log == [3.0]      # the run went on; the failure waited
+
+    def test_waiting_on_a_child_process_observes_it(self, sim):
+        seen = []
+
+        def child():
+            yield sim.timeout(1.0)
+            raise RuntimeError("child failed")
+
+        def body():
+            try:
+                yield sim.spawn(child())
+            except RuntimeError as exc:
+                seen.append(str(exc))
+
+        sim.launch(body(), "parent")
+        sim.run()           # the child's failure was observed: no raise
+        assert seen == ["child failed"]
+
+    def test_steps_run_under_the_context_it_was_launched_in(self, sim):
+        flight = sim.attach(FlightRecorder())
+        seen = []
+
+        def task():
+            seen.append(sim.context())
+            yield sim.timeout(1.0)
+            seen.append(sim.context())
+
+        def opener():
+            flight.op_open("op.get")
+            sim.launch(task(), "child")
+            yield sim.timeout(5.0)
+
+        sim.run_until_complete(sim.spawn(opener()))
+        assert seen[0] is not None and seen == [seen[0], seen[0]]
+        assert sim.context() is None

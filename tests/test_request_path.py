@@ -1,6 +1,6 @@
 """Rule 11 on the request path (docs/performance.md): no module on a
-server's request path, and none of a client's fan-out, starts a
-process.
+server's request path, none of a client's fan-out and no PRISM
+application starts a process.
 
 A request crosses the fabric as a ``_Delivery``, runs on a device as an
 ``_Execution`` or on the RPC cores as a ``_Handling``, and is answered
@@ -29,6 +29,10 @@ REQUEST_PATH = sorted(
 #: a client's side of a round trip and of a quorum phase's fan-out
 CLIENT_FANOUT = ["prism/client.py", "apps/blockstore/quorum.py",
                  "apps/blockstore/abd_lock.py"]
+
+#: the PRISM applications, whose retire flushes are launched tasks
+PRISM_APPS = ["apps/kv/prism_kv.py", "apps/tx/prism_tx.py",
+              "apps/blockstore/prism_rs.py"]
 
 #: servers' background work, off the request path, which stays a
 #: process: the recycler daemon and the fault injector's starvation
@@ -67,13 +71,13 @@ def test_no_client_fanout_module_starts_a_process():
     assert not {k: v for k, v in offenders.items() if v}, offenders
 
 
-def test_prism_rs_starts_only_its_retire_flush():
-    """The unawaited recycler report stays a process; nothing else
-    PRISM-RS does per operation is one."""
-    names = [{keyword.arg: ast.literal_eval(keyword.value)
-              for keyword in call.keywords}.get("name")
-             for call in _process_start_calls("apps/blockstore/prism_rs.py")]
-    assert names == ["rs-retire"]
+def test_no_prism_application_starts_a_process():
+    """An operation's unawaited work — the recycler report of a retired
+    buffer — is launched (``Simulator.launch``), not spawned: nothing
+    PRISM-KV, PRISM-TX or PRISM-RS does per operation is a process."""
+    offenders = {relative: _process_starts(relative)
+                 for relative in PRISM_APPS}
+    assert not {k: v for k, v in offenders.items() if v}, offenders
 
 
 def test_the_scan_sees_the_processes_left_off_the_path():

@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.sim import Simulator
+from repro.obs import HostProfiler
+from repro.sim import SimulationError, Simulator
 from repro.workload.driver import OpenLoopDriver
 from repro.workload.sources import (
     AggregatedOpenLoopSource,
@@ -148,3 +149,129 @@ class TestOpenLoopDriver:
         with pytest.raises(RuntimeError, match="op crashed"):
             driver.run()
         assert calls["n"] > 1
+
+
+def _costs_per_arrival(measure_us):
+    """``(ops started, ops finished, kernel entries, process resumes,
+    process spawns)`` of one source whose ops each wait on a zero-delay
+    timer — so every op an arrival starts finishes before the run
+    returns, and a slope between two run lengths is exact."""
+    sim = Simulator()
+    profiler = sim.attach(HostProfiler())
+    spawns = [0]
+    spawn = sim.spawn
+
+    def counting_spawn(generator, name=None):
+        spawns[0] += 1
+        return spawn(generator, name=name)
+
+    sim.spawn = counting_spawn
+    started, finished = [0], [0]
+
+    def executor(op):
+        started[0] += 1
+        yield sim.timeout(0)
+        finished[0] += 1
+        return {}
+
+    driver = OpenLoopDriver(sim, warmup_us=10.0, measure_us=measure_us)
+    driver.add_source(executor, AggregatedOpenLoopSource(
+        1000, 100.0, n_keys=50, seed=1, window=8))
+    try:
+        driver.run()
+    finally:
+        profiler.finish(sim.now)    # stop being the ambient profiler
+    return (started[0], finished[0], sim.events_executed, profiler.resumes,
+            spawns[0])
+
+
+class TestArrivalStream:
+    """A source is a scheduled payload and an arrival's operation is a
+    launched task (docs/performance.md, rule 11)."""
+
+    def test_an_arrival_costs_four_entries_no_resume_and_no_process(self):
+        """At zero tolerance: the arrival's heap entry, the operation's
+        boot slot and the zero-delay timer's two slots, the last of
+        which runs the operation to its end. While the source and each
+        operation were processes an arrival cost 5 entries (+ the
+        operation's completion), 3 resumes (the source's, the
+        operation's bootstrap and its wake-up) and a spawn."""
+        short, long = _costs_per_arrival(200.0), _costs_per_arrival(1200.0)
+        assert short[0] == short[1] and long[0] == long[1]
+        arrivals = long[0] - short[0]
+        assert arrivals == 104
+        assert tuple((b - a) / arrivals
+                     for a, b in zip(short[2:], long[2:])) == (4, 0, 0)
+
+    def test_a_stalled_arrivals_instants_are_the_process_forms(self):
+        """Window 1, 3 µs service, 2 µs mean gap: five arrivals stall and
+        start in the entry of the completion that freed the window —
+        at the instants, to the bit, the source and operation
+        processes had."""
+        sim = Simulator()
+        log = []
+
+        def executor(op):
+            start = sim.now
+            yield sim.timeout(3.0)
+            log.append((start, sim.now))
+            return {}
+
+        driver = OpenLoopDriver(sim, warmup_us=5.0, measure_us=30.0)
+        driver.add_source(executor, AggregatedOpenLoopSource(
+            100, 5000.0, n_keys=10, seed=2, window=1))
+        result = driver.run()
+        assert result.extra["stalled_arrivals"] == 5
+        assert log == [
+            (2.138431917654634, 5.138431917654634),
+            (5.138431917654634, 8.138431917654634),
+            (8.138431917654634, 11.138431917654634),
+            (11.138431917654634, 14.138431917654634),
+            (16.14380372734474, 19.14380372734474),
+            (21.713102345833946, 24.713102345833946),
+            (28.829889442797175, 31.829889442797175),
+            (31.829889442797175, 34.829889442797175),
+        ]
+        assert sim.now == 34.829889442797175
+
+    def test_the_drain_watchdog_names_a_stuck_source(self):
+        sim = Simulator()
+
+        def executor(op):
+            yield sim.timeout(1.0)
+            return {}
+
+        never = sim.event()     # held here, as a lost reply's would be
+
+        def stuck(op):
+            yield never             # the window stays full and the next
+            return {}               # arrival stalls for good
+
+        driver = OpenLoopDriver(sim, warmup_us=10.0, measure_us=100.0)
+        driver.add_source(executor, make_source(seed=1, window=4))
+        driver.add_source(stuck, make_source(seed=2, window=1, source_id=1))
+        with pytest.raises(SimulationError,
+                           match=r"run did not drain: source1 still running"):
+            driver.run()
+
+    @pytest.mark.xfail(strict=True, reason="the run returns when the last "
+                       "arrival stream ends, abandoning the ops in flight "
+                       "(ROADMAP: drain an open-loop run's ops)")
+    def test_every_op_an_open_loop_run_starts_finishes_before_run_returns(
+            self):
+        sim = Simulator()
+        counts = {"started": 0, "finished": 0}
+
+        def executor(op):
+            counts["started"] += 1
+            yield sim.timeout(8.0)
+            counts["finished"] += 1
+            return {}
+
+        driver = OpenLoopDriver(sim, warmup_us=100.0, measure_us=1000.0)
+        for index in range(3):
+            driver.add_source(executor, AggregatedOpenLoopSource(
+                30_000, 20.0, n_keys=100, seed=1, source_id=index))
+        driver.run()
+        # Today: 2,069 started, 2,054 finished, returned at t = 1099.55.
+        assert counts["finished"] == counts["started"]
