@@ -12,6 +12,9 @@ Three pieces, all driven by the simulated clock:
   per-phase (wire / nic / pcie / cpu / queue) latency attribution, and
   :mod:`repro.obs.chrome_trace` exports them as Chrome trace-event
   JSON loadable in Perfetto.
+* :mod:`repro.obs.windows` — the one windowed store the three
+  clock-windowed collectors below keep their data in: fixed-width
+  buckets, per-key sliding rings and mergeable latency digests.
 * :mod:`repro.obs.timeline` — windowed busy/idle accounting and
   queue-depth telemetry for every contended resource (install a
   :class:`UtilizationCollector` with ``sim.attach``), and
@@ -91,10 +94,8 @@ from repro.obs.metrics import Counter, Gauge, Histogram, MetricsRegistry
 from repro.obs.primitives import PrimitiveCollector, TopK
 from repro.obs.series import (
     DEFAULT_WINDOW_US as SERIES_DEFAULT_WINDOW_US,
-    LatencyDigest,
     SeriesCollector,
     detect_steady_state,
-    merge_digests,
 )
 from repro.obs.views import (
     DEFAULT_WINDOW_US as VIEWS_DEFAULT_WINDOW_US,
@@ -109,6 +110,7 @@ from repro.obs.timeline import (
     UtilizationCollector,
 )
 from repro.obs.trace import NULL_SPAN, NULL_TRACER, NullTracer, Span, Tracer
+from repro.obs.windows import Buckets, LatencyDigest, Rings, merge_digests
 
 __all__ = [
     "FLIGHT_DEFAULT_CAPACITY",
@@ -141,6 +143,7 @@ __all__ = [
     "to_chrome_events",
     "worst_requests",
     "write_chrome_trace",
+    "Buckets",
     "ChargeMonitor",
     "Counter",
     "DepthMonitor",
@@ -157,6 +160,7 @@ __all__ = [
     "ProfileSession",
     "ResourceMonitor",
     "RfpCrossoverProbe",
+    "Rings",
     "SeriesCollector",
     "Span",
     "StackSampler",

@@ -91,6 +91,24 @@ def deactivate(profiler=None):
         ACTIVE = None
 
 
+def charged(bucket):
+    """Decorate an observer's hook method: its host time lands in
+    ``bucket`` of the simulator's profiler (``self.sim.hostprof``),
+    when one is armed and timing this event."""
+    def decorate(hook):
+        def metered(self, *args, **kwargs):
+            hp = self.sim.hostprof
+            if hp is None or not hp._timing:
+                return hook(self, *args, **kwargs)
+            hp.enter(bucket)
+            try:
+                return hook(self, *args, **kwargs)
+            finally:
+                hp.exit()
+        return metered
+    return decorate
+
+
 class HostProfiler(Observer):
     """Wall-clock meter for the kernel hot path.
 

@@ -3,9 +3,10 @@
 Every other collector answers "what did the run do *in aggregate*?" —
 one mean, one p99, one busy fraction. This module answers "how did the
 run *evolve*?": it buckets operation completions, latency samples, and
-net-layer recovery events (timeouts, retransmissions, NAKs) into
-fixed-width windows on the simulated clock, then post-processes the
-raw series into
+net-layer recovery events (timeouts, retransmissions, NAKs) into the
+fixed-width buckets of :mod:`repro.obs.windows` (one cell per window:
+counters and a mergeable latency digest), then post-processes the raw
+series into
 
 * an **MSER steady-state verdict** — where the warm-up transient ends,
   and whether the configured warmup actually covers it;
@@ -41,15 +42,15 @@ import math
 
 from repro.obs import quantiles
 from repro.obs.bus import Observer
+from repro.obs.windows import (
+    DEFAULT_DIGEST_CAP,
+    Buckets,
+    LatencyDigest,
+    merge_digests,
+)
 
 #: default series window width, simulated microseconds
 DEFAULT_WINDOW_US = 50.0
-
-#: per-window sample cap before a digest compresses itself
-DEFAULT_DIGEST_CAP = 4096
-
-#: order statistics kept by a compressed digest
-SKETCH_K = 64
 
 #: deviation threshold: a steady window is anomalous when it strays
 #: from the steady mean by more than max(MSER_SIGMA * std, REL_FLOOR *
@@ -72,132 +73,13 @@ COUNTED_KINDS = {
 }
 
 
-class LatencyDigest:
-    """Mergeable per-window latency summary: exact until ``cap``.
-
-    Holds raw samples while ``count <= cap``; past the cap it collapses
-    into ``sketch_k`` weighted order statistics (value, integer weight)
-    whose expansion approximates the original multiset. ``items()``
-    yields the ``(value, weight)`` pairs either way, so merging digests
-    is concatenation + sort — exact whenever every contributing digest
-    stayed raw.
-    """
-
-    __slots__ = ("cap", "sketch_k", "count", "_samples", "_centroids")
-
-    def __init__(self, cap=DEFAULT_DIGEST_CAP, sketch_k=SKETCH_K):
-        self.cap = cap
-        self.sketch_k = sketch_k
-        self.count = 0
-        self._samples = []
-        self._centroids = None    # compressed: [(value, weight), ...]
-
-    @property
-    def exact(self):
-        return self._centroids is None
-
-    def add(self, value):
-        self.count += 1
-        self._samples.append(value)
-        if self._centroids is not None or len(self._samples) > self.cap:
-            self._compress()
-
-    def _compress(self):
-        """Collapse everything seen so far into ≤ sketch_k centroids.
-
-        Each centroid is an actual sample (the median of a contiguous
-        run of the sorted data) weighted by the run length; the first
-        and last runs pin the min and max so extremes survive. The
-        quantile error of the expansion is bounded by the value span
-        of one run.
-        """
-        # no need to expand old centroids: merge them with the fresh
-        # samples as weighted points, then re-bucket by cumulative weight
-        points = sorted(list(self._centroids or [])
-                        + [(s, 1) for s in self._samples])
-        total = sum(w for _, w in points)
-        k = min(self.sketch_k, total)
-        centroids = []
-        target = total / k
-        run_weight = 0
-        run_points = []
-        for value, weight in points:
-            run_points.append((value, weight))
-            run_weight += weight
-            if run_weight >= target and len(centroids) < k - 1:
-                centroids.append((_weighted_median(run_points), run_weight))
-                run_weight = 0
-                run_points = []
-        if run_points:
-            centroids.append((_weighted_median(run_points), run_weight))
-        # pin extremes: carve one unit off the first/last centroid
-        lo, lo_w = centroids[0]
-        hi, hi_w = centroids[-1]
-        first = points[0][0]
-        last = points[-1][0]
-        if lo != first and lo_w > 1:
-            centroids[0] = (lo, lo_w - 1)
-            centroids.insert(0, (first, 1))
-        if hi != last and hi_w > 1:
-            centroids[-1] = (hi, hi_w - 1)
-            centroids.append((last, 1))
-        self._centroids = centroids
-        self._samples = []
-
-    def items(self):
-        """Ascending ``(value, integer weight)`` pairs."""
-        if self._centroids is not None:
-            return list(self._centroids)
-        return [(value, 1) for value in sorted(self._samples)]
-
-    def summary(self):
-        """``{count, mean, p50, p99, max}`` (NaNs when empty)."""
-        items = self.items()
-        if not items:
-            nan = float("nan")
-            return {"count": 0, "mean": nan, "p50": nan, "p99": nan,
-                    "max": nan}
-        total = sum(w for _, w in items)
-        mean = sum(v * w for v, w in items) / total
-        return {
-            "count": self.count,
-            "mean": mean,
-            "p50": quantiles.percentile_weighted(items, 50),
-            "p99": quantiles.percentile_weighted(items, 99),
-            "max": items[-1][0],
-        }
-
-
-def _weighted_median(points):
-    """Median value of ascending weighted ``(value, weight)`` points."""
-    return quantiles.percentile_weighted(points, 50)
-
-
-def merge_digests(digests):
-    """Merge per-window digests into ``(items, exact)``.
-
-    ``items`` is the ascending weighted multiset union; ``exact`` is
-    True when every contributing digest still held raw samples, in
-    which case quantiles of ``items`` equal quantiles of the original
-    sample list bit-for-bit.
-    """
-    items = []
-    exact = True
-    for digest in digests:
-        items.extend(digest.items())
-        exact = exact and digest.exact
-    items.sort()
-    return items, exact
-
-
 class _Window:
-    """One accounting window of the series."""
+    """One bucket's cell of the series."""
 
-    __slots__ = ("index", "ops", "measured_ops", "good_ops", "lat_sum_us",
+    __slots__ = ("ops", "measured_ops", "good_ops", "lat_sum_us",
                  "digest", "counters")
 
-    def __init__(self, index, digest_cap):
-        self.index = index
+    def __init__(self, digest_cap):
         self.ops = 0             # every completion, warmup included
         self.measured_ops = 0    # completions inside the measurement window
         self.good_ops = 0        # measured and not aborted (goodput)
@@ -223,13 +105,10 @@ class SeriesCollector(Observer):
 
     def __init__(self, window_us=DEFAULT_WINDOW_US,
                  digest_cap=DEFAULT_DIGEST_CAP):
-        if window_us <= 0:
-            raise ValueError(f"window_us must be > 0, got {window_us}")
-        self.window_us = float(window_us)
         self.digest_cap = digest_cap
-        self._windows = {}        # index -> _Window
+        self.buckets = Buckets(window_us, lambda: _Window(digest_cap))
+        self.window_us = self.buckets.width
         self._sim = None
-        self.total_ops = 0
         self.total_measured = 0
         #: measurement geometry, set by the harness before the run
         self.warmup_us = 0.0
@@ -261,20 +140,11 @@ class SeriesCollector(Observer):
 
     # -- hot-path hooks ------------------------------------------------------
 
-    def _window_at(self, t):
-        index = int(t // self.window_us)
-        window = self._windows.get(index)
-        if window is None:
-            window = _Window(index, self.digest_cap)
-            self._windows[index] = window
-        return window
-
     def record_op(self, t, latency_us, measured, ok=True):
         """One operation completed at simulated time ``t``."""
-        window = self._window_at(t)
+        window = self.buckets.at(t)
         window.ops += 1
         window.lat_sum_us += latency_us
-        self.total_ops += 1
         if measured:
             window.measured_ops += 1
             self.total_measured += 1
@@ -286,7 +156,7 @@ class SeriesCollector(Observer):
         """Bucket a recovery/injection counter into the current window."""
         if t is None:
             t = self._sim.now if self._sim is not None else 0.0
-        self._window_at(t).bump(name, n)
+        self.buckets.at(t).bump(name, n)
 
     # -- lifecycle -----------------------------------------------------------
 
@@ -300,20 +170,6 @@ class SeriesCollector(Observer):
 
     # -- analysis ------------------------------------------------------------
 
-    def _grid(self):
-        """Dense ascending window list covering [0, end]."""
-        if not self._windows:
-            return []
-        last = max(self._windows)
-        if self.end_us is not None:
-            last = max(last, int(self.end_us // self.window_us))
-        return [self._windows.get(i) or _Window(i, self.digest_cap)
-                for i in range(0, last + 1)]
-
-    def merged_digest_items(self):
-        """Weighted multiset union of every window's measured digest."""
-        return merge_digests(w.digest for w in self._windows.values())
-
     def report(self, utilization=None, faults=None):
         """The full series report: windows, steady state, annotations.
 
@@ -325,7 +181,8 @@ class SeriesCollector(Observer):
         contributes the named fault windows that the annotator
         cross-references deviations against.
         """
-        grid = self._grid()
+        grid = self.buckets.spans(self.end_us)
+        cells = [cell for _start, _stop, cell in grid]
         window_us = self.window_us
         end_us = self.end_us if self.end_us is not None else (
             len(grid) * window_us)
@@ -333,9 +190,9 @@ class SeriesCollector(Observer):
                        if self.measure_us is not None else end_us)
 
         windows = []
-        for w in grid:
-            start = w.index * window_us
-            stop = min((w.index + 1) * window_us, max(end_us, start))
+        empty = _Window(self.digest_cap)
+        for start, stop, w in grid:
+            w = w or empty
             width = max(stop - start, 1e-12)
             row = {
                 "start": start,
@@ -364,7 +221,8 @@ class SeriesCollector(Observer):
         }
 
         # reconciliation: window sums vs the collector's own totals
-        items, exact = self.merged_digest_items()
+        items, exact = merge_digests(
+            cell.digest for cell in self.buckets.cells.values())
         merged_count = sum(weight for _, weight in items)
         merged = {
             "count": merged_count,
@@ -381,7 +239,8 @@ class SeriesCollector(Observer):
             "merged": merged,
         }
 
-        report["steady_state"] = self._steady_state(windows, measure_end)
+        report["steady_state"] = self._steady_state(windows, cells,
+                                                    measure_end)
         report["annotations"] = self._annotations(
             windows, report["steady_state"], measure_end, faults)
         if utilization is not None:
@@ -411,7 +270,7 @@ class SeriesCollector(Observer):
         first = next((v for v in values if v is not None), 0.0)
         return [first if v is None else v for v in values]
 
-    def _steady_state(self, windows, measure_end):
+    def _steady_state(self, windows, cells, measure_end):
         values = detection_values = self._detection_series(
             windows, measure_end)
         d = detect_steady_state(detection_values)
@@ -426,14 +285,12 @@ class SeriesCollector(Observer):
         # compare --series: windows fully inside
         # [max(transient, warmup), measure_end]
         steady_from = max(transient_end, self.warmup_us)
-        steady_rows = [w for w in windows
-                       if w["start"] >= steady_from
-                       and w["end"] <= measure_end + 1e-9]
-        digests = [self._windows[int(round(w["start"] / self.window_us))]
-                   .digest for w in steady_rows
-                   if int(round(w["start"] / self.window_us))
-                   in self._windows]
-        items, _exact = merge_digests(digests)
+        steady = [(w, cell) for w, cell in zip(windows, cells)
+                  if w["start"] >= steady_from
+                  and w["end"] <= measure_end + 1e-9]
+        steady_rows = [w for w, _cell in steady]
+        items, _exact = merge_digests(cell.digest for _w, cell in steady
+                                      if cell is not None)
         steady_count = sum(wgt for _, wgt in items)
         duration = sum(w["end"] - w["start"] for w in steady_rows)
         steady_measured = sum(w["measured_ops"] for w in steady_rows)

@@ -4,9 +4,9 @@ Answers the evaluation's other question — *which resource saturates?* —
 for any simulated run: every contended resource (NIC verb-engine
 pools, host TX/RX wire ports, CPU core pools, the PCIe link, the PRISM
 engine, client request channels) reports busy time, queue depth, and
-queueing delay, integrated on the simulated clock and bucketed into
-fixed windows so saturation onset is visible in time as well as in
-aggregate.
+queueing delay, integrated on the simulated clock into the fixed-width
+buckets of :mod:`repro.obs.windows` (the grid the time series uses) so
+saturation onset is visible in time as well as in aggregate.
 
 Accounting is **event-driven**: monitors integrate piecewise-constant
 state (slots in use, waiters queued) at every transition instead of
@@ -45,53 +45,34 @@ from collections import deque
 
 from repro.obs import quantiles
 from repro.obs.bus import Observer
+from repro.obs.hostprof import charged
+from repro.obs.windows import Buckets
 
 #: default accounting window, simulated microseconds
 DEFAULT_WINDOW_US = 100.0
 
+#: a monitor's bucket cell: [busy µs, depth-time µs, events]
+BUSY, DEPTH_TIME, EVENTS = 0, 1, 2
 
-class Window:
-    """One closed accounting window of a monitor's timeline."""
 
-    __slots__ = ("start", "end", "busy_us", "depth_time_us", "max_depth",
-                 "events", "units")
-
-    def __init__(self, start, end, busy_us, depth_time_us, max_depth,
-                 events, units):
-        self.start = start
-        self.end = end
-        self.busy_us = busy_us
-        self.depth_time_us = depth_time_us
-        self.max_depth = max_depth
-        self.events = events
-        self.units = units
-
-    @property
-    def width(self):
-        return self.end - self.start
-
-    def as_dict(self):
-        return {"start": self.start, "end": self.end,
-                "busy_us": self.busy_us,
-                "depth_time_us": self.depth_time_us,
-                "max_depth": self.max_depth,
-                "events": self.events, "units": self.units}
+def _cell():
+    return [0.0, 0.0, 0]
 
 
 class _WindowedMonitor:
-    """Shared piecewise-constant integration over a fixed window grid.
+    """Piecewise-constant integration into fixed-width buckets.
 
     Subclasses mutate ``_in_use`` (busy level) and ``_depth`` (queue
-    depth) and call :meth:`_advance` *before* every state change; the
-    base class splits the integrals exactly at window boundaries.
+    depth) and call :meth:`_advance` *before* every state change, which
+    splits the integrals exactly at bucket edges
+    (:class:`~repro.obs.windows.Buckets`, cells ``[busy, depth_time,
+    events]``).
     """
 
     __slots__ = ("sim", "name", "kind", "capacity", "window_us",
-                 "windows", "extra", "_in_use", "_depth", "_last",
-                 "_win_start", "_win_busy", "_win_depth_time",
-                 "_win_max_depth", "_win_events", "_win_units",
-                 "_finished", "busy_us", "depth_time_us", "max_depth",
-                 "events", "units")
+                 "buckets", "extra", "end", "_in_use", "_depth", "_last",
+                 "_index", "_edge", "_cell", "busy_us", "depth_time_us",
+                 "max_depth", "events", "units")
 
     def __init__(self, sim, name, kind, capacity=1,
                  window_us=DEFAULT_WINDOW_US):
@@ -99,20 +80,18 @@ class _WindowedMonitor:
         self.name = name
         self.kind = kind
         self.capacity = capacity  # None => occupancy has no ceiling
-        self.window_us = float(window_us)
-        self.windows = []
+        self.buckets = Buckets(window_us, _cell)
+        self.window_us = self.buckets.width
         #: optional callable returning a dict merged into summary()
         self.extra = None
+        #: where the books closed (:meth:`finish`); None while open
+        self.end = None
         self._in_use = 0
         self._depth = 0
         self._last = sim.now
-        self._win_start = sim.now
-        self._win_busy = 0.0
-        self._win_depth_time = 0.0
-        self._win_max_depth = 0
-        self._win_events = 0
-        self._win_units = 0
-        self._finished = False
+        self._index = int(self._last // self.window_us)
+        self._edge = (self._index + 1) * self.window_us
+        self._cell = self.buckets.cell(self._index)
         # run totals
         self.busy_us = 0.0
         self.depth_time_us = 0.0
@@ -127,81 +106,55 @@ class _WindowedMonitor:
         if dt > 0:
             busy = self._in_use * dt
             depth = self._depth * dt
-            self._win_busy += busy
-            self._win_depth_time += depth
+            cell = self._cell
+            cell[BUSY] += busy
+            cell[DEPTH_TIME] += depth
             self.busy_us += busy
             self.depth_time_us += depth
         self._last = t
 
-    def _close_window(self, end):
-        self.windows.append(Window(
-            self._win_start, end, self._win_busy, self._win_depth_time,
-            self._win_max_depth, self._win_events, self._win_units))
-        self._win_start = end
-        self._win_busy = 0.0
-        self._win_depth_time = 0.0
-        self._win_max_depth = self._depth
-        self._win_events = 0
-        self._win_units = 0
-
     def _advance(self, now):
-        """Integrate current state up to ``now``, closing crossed windows."""
-        boundary = self._win_start + self.window_us
-        if now < boundary:
-            # Fast path: still inside the current window — inline the
-            # integration (this runs on every monitored transition).
-            dt = now - self._last
-            if dt > 0:
-                busy = self._in_use * dt
-                depth = self._depth * dt
-                self._win_busy += busy
-                self._win_depth_time += depth
-                self.busy_us += busy
-                self.depth_time_us += depth
-            self._last = now
-            return
-        while now >= boundary:
-            self._integrate_to(boundary)
-            self._close_window(boundary)
-            boundary = self._win_start + self.window_us
-        self._integrate_to(now)
+        """Integrate current state up to ``now``, crossing bucket edges."""
+        while now >= self._edge:
+            self._integrate_to(self._edge)
+            self._index += 1
+            self._edge = (self._index + 1) * self.window_us
+            self._cell = self.buckets.cell(self._index)
+        # _integrate_to(now), inlined: this runs on every monitored
+        # transition
+        dt = now - self._last
+        if dt > 0:
+            busy = self._in_use * dt
+            depth = self._depth * dt
+            cell = self._cell
+            cell[BUSY] += busy
+            cell[DEPTH_TIME] += depth
+            self.busy_us += busy
+            self.depth_time_us += depth
+        self._last = now
 
     def _note_depth(self):
-        if self._depth > self._win_max_depth:
-            self._win_max_depth = self._depth
         if self._depth > self.max_depth:
             self.max_depth = self._depth
 
     def finish(self, elapsed=None):
         """Integrate up to ``elapsed`` (default: now) and close the
-        final partial window. Idempotent."""
-        if self._finished:
+        books there. Idempotent."""
+        if self.end is not None:
             return
         end = self.sim.now if elapsed is None else max(elapsed, self._last)
         self._advance(end)
-        if end > self._win_start or not self.windows:
-            self._close_window(end)
-        self._finished = True
+        self.end = end
 
     # -- reporting ---------------------------------------------------------
 
     def busy_between(self, start, end):
-        """Busy µs inside [start, end], attributing partial windows
-        proportionally (state is near-uniform within a window)."""
-        return self._overlap_sum(start, end, "busy_us")
+        """Busy µs inside [start, end], attributing partial buckets
+        proportionally (state is near-uniform within a bucket)."""
+        return self.buckets.overlap(start, end, BUSY, self.end)
 
     def depth_time_between(self, start, end):
-        return self._overlap_sum(start, end, "depth_time_us")
-
-    def _overlap_sum(self, start, end, field):
-        total = 0.0
-        for window in self.windows:
-            lo = max(window.start, start)
-            hi = min(window.end, end)
-            if hi <= lo or window.width <= 0:
-                continue
-            total += getattr(window, field) * (hi - lo) / window.width
-        return total
+        return self.buckets.overlap(start, end, DEPTH_TIME, self.end)
 
     def utilization(self, start, end):
         """Mean busy fraction over [start, end]; None when the monitor
@@ -234,19 +187,6 @@ class _WindowedMonitor:
         return row
 
 
-def _obs_hook(hook):
-    """Charge a monitor hook's host time to the profiler's
-    ``hooks.obs`` bucket — here, so no driving site has to."""
-    def metered(self, *args, **kwargs):
-        hp = self.sim.hostprof
-        if hp is not None:
-            hp.enter("hooks.obs")
-        hook(self, *args, **kwargs)
-        if hp is not None:
-            hp.exit()
-    return metered
-
-
 class ResourceMonitor(_WindowedMonitor):
     """Busy/queue accounting for a slot-based FIFO server.
 
@@ -271,65 +211,49 @@ class ResourceMonitor(_WindowedMonitor):
         self.cancels = 0
         self.queue_delays = []
 
-    @_obs_hook
-    def on_request(self, queued):
-        """An acquire() arrived; ``queued`` when no slot was free."""
+    @charged("hooks.obs")
+    def on_enqueue(self):
+        """An acquire() arrived and found no free slot: it queues."""
         self._advance(self.sim._now)
         self.requests += 1
-        if queued:
-            self._depth += 1
-            self.enqueues += 1
-            self._note_depth()
+        self._depth += 1
+        self.enqueues += 1
+        self._note_depth()
 
-    def on_grant(self, waited_us, from_queue):
-        """A slot was granted after ``waited_us`` in the queue."""
-        self._advance(self.sim._now)
-        self.grants += 1
-        self.events += 1
-        self._win_events += 1
-        if from_queue:
-            self._depth -= 1
-            self.dequeues += 1
-        self._in_use += 1
-        self.queue_delays.append(waited_us)
-
-    @_obs_hook
+    @charged("hooks.obs")
     def on_uncontended_grant(self):
-        """Fused ``on_request(queued=False)`` + ``on_grant(0.0,
-        from_queue=False)``: both hooks fire at the same instant on an
-        uncontended acquire (the hot case), so one ``_advance``
-        suffices and the result is numerically identical."""
+        """An acquire() arrived and was granted a free slot at once
+        (the hot case): no queueing delay."""
         self._advance(self.sim._now)
         self.requests += 1
         self.grants += 1
         self.events += 1
-        self._win_events += 1
+        self._cell[EVENTS] += 1
         self._in_use += 1
         self.queue_delays.append(0.0)
 
-    @_obs_hook
+    @charged("hooks.obs")
     def on_handoff(self, waited_us):
-        """Fused ``on_release`` + ``on_grant(waited_us,
-        from_queue=True)``: a freed slot handed straight to a waiter
-        changes nothing at distinct instants (release -1 and grant +1
-        cancel), so one ``_advance`` suffices."""
+        """A freed slot was handed straight to the waiter at the queue's
+        head after ``waited_us``: slots in use stay as they were
+        (release -1 and grant +1 cancel)."""
         self._advance(self.sim._now)
         self.releases += 1
         self.grants += 1
         self.events += 1
-        self._win_events += 1
+        self._cell[EVENTS] += 1
         self._depth -= 1
         self.dequeues += 1
         self.queue_delays.append(waited_us)
 
-    @_obs_hook
+    @charged("hooks.obs")
     def on_release(self):
-        """A slot was freed (possibly handed straight to a waiter)."""
+        """A slot was freed with no waiter to hand it to."""
         self._advance(self.sim._now)
         self.releases += 1
         self._in_use -= 1
 
-    @_obs_hook
+    @charged("hooks.obs")
     def on_cancel(self):
         """A queued acquire was abandoned (interrupt, timeout) before
         any slot was granted — a dequeue that is not a grant."""
@@ -353,7 +277,7 @@ class ChargeMonitor(_WindowedMonitor):
     The PCIe link is the canonical case: backends charge each DMA's
     duration as it is priced, so busy time is the total DMA time and
     ``capacity`` (concurrent DMA engines, one per NIC PU) normalizes it
-    into a utilization. A charge is attributed to the window containing
+    into a utilization. A charge is attributed to the bucket holding
     the instant it is recorded.
     """
 
@@ -361,21 +285,16 @@ class ChargeMonitor(_WindowedMonitor):
 
     def charge(self, duration_us, events=1, units=0):
         self._advance(self.sim._now)
-        self._win_busy += duration_us
+        cell = self._cell
+        cell[BUSY] += duration_us
         self.busy_us += duration_us
-        self._win_events += events
+        cell[EVENTS] += events
         self.events += events
-        self._win_units += units
         self.units += units
 
     def count(self, events=1, units=0):
         """Count events (engine ops, bytes touched) without busy time."""
         self.charge(0.0, events=events, units=units)
-
-    def busy_between(self, start, end):
-        # Charges land at instants; proportional attribution within a
-        # window still applies, the totals are exact over full windows.
-        return self._overlap_sum(start, end, "busy_us")
 
 
 class DepthMonitor(_WindowedMonitor):
@@ -395,7 +314,7 @@ class DepthMonitor(_WindowedMonitor):
         if delta > 0:
             self.enters += delta
             self.events += delta
-            self._win_events += delta
+            self._cell[EVENTS] += delta
             self._note_depth()
         else:
             self.exits -= delta
@@ -478,7 +397,7 @@ class UtilizationCollector(Observer):
     # -- reporting ---------------------------------------------------------
 
     def finish(self, elapsed=None):
-        """Close every monitor's final window at ``elapsed`` (or now)."""
+        """Close every monitor's books at ``elapsed`` (or now)."""
         self.elapsed = self.sim.now if elapsed is None else elapsed
         for monitor in self.monitors:
             monitor.finish(self.elapsed)

@@ -12,12 +12,12 @@ can query *mid-run*:
     view.ewma("chase_depth", conn)        # exponential average
     view.quantile("chase_depth", 0.99, conn)
 
-Each signal is maintained incrementally in an O(1) ring of
-``n_buckets`` sub-windows (advance on touch, bounded by the ring
-length), so a query is a ring sum and an update is one increment —
-near-zero cost on the data path. Per-key maps are bounded
-(``max_keys``, stalest-entry eviction), so memory never grows with the
-address space.
+Each signal is a :class:`~repro.obs.windows.Rings` counter of
+``n_buckets`` sub-windows per key (advance on touch, bounded by the
+ring length), so a query is a running sum and an update is one
+increment — near-zero cost on the data path. The per-address map is
+bounded (``max_keys``, stalest-entry eviction), so memory never grows
+with the address space.
 
 On top sits a structured **decision log**: :meth:`ViewCollector.probe`
 records would-be policy decisions (inputs snapshot + verdict + sim
@@ -44,8 +44,12 @@ totals match the series window counters (``tests/obs/test_views.py``
 proves the wiring).
 """
 
+from collections import deque
+
 from repro.obs import quantiles
 from repro.obs.bus import Observer
+from repro.obs.hostprof import charged
+from repro.obs.windows import Rings
 
 #: default sliding-window width, simulated microseconds
 DEFAULT_WINDOW_US = 50.0
@@ -71,77 +75,6 @@ RATE_SIGNALS = ("cas_retry", "cas_attempt", "nak", "timeout", "backoff")
 EWMA_SIGNALS = ("chase_depth", "service_time_us")
 
 
-class _Ring:
-    """O(1) sliding-window counter: ``n`` sub-buckets of one window.
-
-    ``add``/``total`` advance the ring to the caller's absolute
-    sub-bucket index first, evicting expired buckets from the running
-    sum; a gap larger than the ring clears it outright, so advancing
-    is bounded by the ring length no matter how long the key idled.
-    """
-
-    __slots__ = ("counts", "head", "running", "bucket", "lifetime")
-
-    def __init__(self, n):
-        self.counts = [0.0] * n
-        self.head = 0
-        self.running = 0.0   # sum of live buckets
-        self.bucket = None   # absolute sub-bucket index of counts[head]
-        self.lifetime = 0.0  # total ever added (reconciliation)
-
-    def _advance(self, bucket):
-        if self.bucket is None:
-            self.bucket = bucket
-            return
-        gap = bucket - self.bucket
-        if gap <= 0:
-            return
-        counts = self.counts
-        n = len(counts)
-        if gap >= n:
-            for i in range(n):
-                counts[i] = 0.0
-            self.running = 0.0
-            self.head = 0
-        else:
-            head = self.head
-            for _ in range(gap):
-                head = (head + 1) % n
-                self.running -= counts[head]
-                counts[head] = 0.0
-            self.head = head
-        self.bucket = bucket
-
-    def add(self, bucket, weight=1.0):
-        self._advance(bucket)
-        self.counts[self.head] += weight
-        self.running += weight
-        self.lifetime += weight
-
-    def total(self, bucket):
-        """Windowed sum as of absolute sub-bucket ``bucket``."""
-        self._advance(bucket)
-        return self.running
-
-
-class _Ewma:
-    """Per-signal exponential average; first sample seeds the value."""
-
-    __slots__ = ("value", "count")
-
-    def __init__(self):
-        self.value = float("nan")
-        self.count = 0
-
-    def update(self, sample):
-        if self.count == 0:
-            self.value = float(sample)
-        else:
-            self.value = (EWMA_ALPHA * sample
-                          + (1.0 - EWMA_ALPHA) * self.value)
-        self.count += 1
-
-
 class ViewCollector(Observer):
     """Bounded-memory sliding-window telemetry views on the sim clock.
 
@@ -155,35 +88,23 @@ class ViewCollector(Observer):
     def __init__(self, window_us=DEFAULT_WINDOW_US,
                  n_buckets=DEFAULT_N_BUCKETS, max_keys=DEFAULT_MAX_KEYS,
                  decision_capacity=DEFAULT_DECISION_CAPACITY):
-        if window_us <= 0:
-            raise ValueError(f"window_us must be > 0, got {window_us}")
-        if n_buckets < 1:
-            raise ValueError(f"n_buckets must be >= 1, got {n_buckets}")
-        if max_keys < 1:
-            raise ValueError(f"max_keys must be >= 1, got {max_keys}")
+        #: signal -> ring over every connection (the global view)
+        self._global = Rings(window_us, int(n_buckets))
+        #: (signal, conn) -> ring; conns are bounded by the population
+        self._conns = Rings(window_us, int(n_buckets))
+        #: cas_retry target address -> ring, at most max_keys of them
+        self._keys = Rings(window_us, int(n_buckets), int(max_keys))
         self.window_us = float(window_us)
         self.n_buckets = int(n_buckets)
-        self.sub_us = self.window_us / self.n_buckets
-        self.max_keys = int(max_keys)
-        self._sim = None
-        #: (signal, conn) -> _Ring; conns are bounded by the population
-        self._conn_rings = {}
-        #: target address -> _Ring (cas_retry only), bounded by max_keys
-        self._key_rings = {}
-        self.evicted_keys = 0
-        #: signal -> _Ring over every connection (the global view)
-        self._global_rings = {signal: _Ring(self.n_buckets)
-                              for signal in RATE_SIGNALS}
-        #: (signal, conn) -> _Ewma, plus conn=None for the global one
+        self.sim = None
+        #: (signal, conn) -> EWMA value, plus conn=None for the global one
         self._ewmas = {}
         #: conn -> {depth: count}, exact (depths are 0-2 per op)
         self._chase_hist = {}
         # decision log: bounded ring of probe verdicts
         self.decision_capacity = int(decision_capacity)
-        self.decisions = []
-        self._decision_head = 0
+        self.decisions = deque(maxlen=self.decision_capacity)
         self.decisions_recorded = 0
-        self._decision_seq = 0
         # registered probe objects, evaluated on window transitions
         self._probes = []
         #: conn -> window index of the last probe evaluation
@@ -193,7 +114,7 @@ class ViewCollector(Observer):
     def bind(self, sim):
         """Attach to the simulator (``sim.attach`` calls this);
         ``sim.views`` is what ``PrismClient.views`` hands to app code."""
-        self._sim = sim
+        self.sim = sim
         sim.views = self
         return self
 
@@ -211,66 +132,34 @@ class ViewCollector(Observer):
                  self.note_backoff(conn)),
                 ("chain.roundtrip", lambda latency_us, conn:
                  self.note_service_time(conn, latency_us))):
-            bus.subscribe(kind, self._charged(handler))
-
-    def _charged(self, handler):
-        """Wrap a bus handler so its host time lands in the
-        ``hooks.views`` hostprof bucket (skipped, like every bucket,
-        on events the profiler's stride sampling leaves untimed)."""
-        def charged(*fields):
-            hp = self._sim.hostprof
-            if hp is None or not hp._timing:
-                return handler(*fields)
-            hp.enter("hooks.views")
-            try:
-                handler(*fields)
-            finally:
-                hp.exit()
-        return charged
+            bus.subscribe(kind, handler)
 
     # -- hot-path hooks ------------------------------------------------------
 
-    def _bucket(self):
-        return int(self._sim._now // self.sub_us)
-
-    def _count(self, signal, conn, bucket):
-        self._global_rings[signal].add(bucket)
-        ring = self._conn_rings.get((signal, conn))
-        if ring is None:
-            ring = self._conn_rings[(signal, conn)] = _Ring(self.n_buckets)
-        ring.add(bucket)
-
-    def _count_key(self, key, bucket):
-        ring = self._key_rings.get(key)
-        if ring is None:
-            if len(self._key_rings) >= self.max_keys:
-                # Evict the stalest tracked key (smallest last-touched
-                # bucket) — an O(max_keys) scan, paid only on eviction,
-                # like the TopK sketch's min scan.
-                victim = min(self._key_rings,
-                             key=lambda k: self._key_rings[k].bucket)
-                del self._key_rings[victim]
-                self.evicted_keys += 1
-            ring = self._key_rings[key] = _Ring(self.n_buckets)
-        ring.add(bucket)
+    def _count(self, signal, conn, now):
+        self._global.add(signal, now)
+        self._conns.add((signal, conn), now)
 
     def _ewma_update(self, signal, conn, sample):
+        """Fold ``sample`` into the EWMA; the first sample seeds it."""
+        ewmas = self._ewmas
         for k in ((signal, conn), (signal, None)):
-            ewma = self._ewmas.get(k)
-            if ewma is None:
-                ewma = self._ewmas[k] = _Ewma()
-            ewma.update(sample)
+            value = ewmas.get(k)
+            ewmas[k] = (float(sample) if value is None else
+                        EWMA_ALPHA * sample + (1.0 - EWMA_ALPHA) * value)
 
+    @charged("hooks.views")
     def note_cas(self, conn, target, swapped):
         """One CAS attempt by ``conn`` on ``target``; miss feeds the
         retry-rate views (per connection and per address)."""
-        bucket = self._bucket()
-        self._count("cas_attempt", conn, bucket)
+        now = self.sim._now
+        self._count("cas_attempt", conn, now)
         if not swapped:
-            self._count("cas_retry", conn, bucket)
-            self._count_key(target, bucket)
+            self._count("cas_retry", conn, now)
+            self._keys.add(target, now)
         self._tick_probes(conn)
 
+    @charged("hooks.views")
     def note_chase(self, conn, opname, hops):
         """Pointer-chase depth of one executed op (0 = direct)."""
         self._ewma_update("chase_depth", conn, hops)
@@ -280,21 +169,25 @@ class ViewCollector(Observer):
         hist[hops] = hist.get(hops, 0) + 1
         self._tick_probes(conn)
 
+    @charged("hooks.views")
     def note_nak(self, conn, opname):
         """An op by ``conn`` hard-NAK'd at the engine."""
-        self._count("nak", conn, self._bucket())
+        self._count("nak", conn, self.sim._now)
         self._tick_probes(conn)
 
+    @charged("hooks.views")
     def note_timeout(self, conn):
         """A request by ``conn`` hit its ack timeout."""
-        self._count("timeout", conn, self._bucket())
+        self._count("timeout", conn, self.sim._now)
         self._tick_probes(conn)
 
+    @charged("hooks.views")
     def note_backoff(self, conn):
         """A request by ``conn`` entered retransmission backoff."""
-        self._count("backoff", conn, self._bucket())
+        self._count("backoff", conn, self.sim._now)
         self._tick_probes(conn)
 
+    @charged("hooks.views")
     def note_service_time(self, conn, latency_us):
         """One client round trip by ``conn`` took ``latency_us``."""
         self._ewma_update("service_time_us", conn, latency_us)
@@ -313,26 +206,23 @@ class ViewCollector(Observer):
         if signal not in RATE_SIGNALS:
             raise ValueError(f"unknown rate signal {signal!r} "
                              f"(rate signals: {RATE_SIGNALS})")
-        bucket = self._bucket()
+        now = self.sim._now
         if key is not None:
             if signal != "cas_retry":
                 raise ValueError("per-key views exist only for 'cas_retry'")
-            ring = self._key_rings.get(key)
+            total = self._keys.total(key, now)
         elif conn is not None:
-            ring = self._conn_rings.get((signal, conn))
+            total = self._conns.total((signal, conn), now)
         else:
-            ring = self._global_rings[signal]
-        if ring is None:
-            return 0.0
-        return ring.total(bucket) / self.window_us * 1e6
+            total = self._global.total(signal, now)
+        return total / self.window_us * 1e6
 
     def ewma(self, signal, conn=None):
         """Exponential average of ``signal`` (NaN before any sample)."""
         if signal not in EWMA_SIGNALS:
             raise ValueError(f"unknown ewma signal {signal!r} "
                              f"(ewma signals: {EWMA_SIGNALS})")
-        ewma = self._ewmas.get((signal, conn))
-        return ewma.value if ewma is not None else float("nan")
+        return self._ewmas.get((signal, conn), float("nan"))
 
     def quantile(self, signal, q, conn=None):
         """Quantile of the depth sketch (only ``chase_depth`` has one)."""
@@ -353,11 +243,16 @@ class ViewCollector(Observer):
 
     def connections(self):
         """Every connection any signal has been recorded for."""
-        conns = {conn for _signal, conn in self._conn_rings}
+        conns = {conn for _signal, conn in self._conns.keys()}
         conns.update(conn for _signal, conn in self._ewmas
                      if conn is not None)
         conns.update(self._chase_hist)
         return sorted(conns, key=str)
+
+    @property
+    def evicted_keys(self):
+        """Tracked keys evicted to keep the per-key map bounded."""
+        return self._keys.evicted
 
     # -- decision log --------------------------------------------------------
 
@@ -371,26 +266,19 @@ class ViewCollector(Observer):
         human-readable report.
         """
         entry = {
-            "seq": self._decision_seq,
-            "t_us": self._sim._now if self._sim is not None else 0.0,
+            "seq": self.decisions_recorded,
+            "t_us": self.sim._now if self.sim is not None else 0.0,
             "name": name,
             "inputs": dict(inputs),
             "verdict": verdict,
         }
-        self._decision_seq += 1
-        if len(self.decisions) < self.decision_capacity:
-            self.decisions.append(entry)
-        else:
-            self.decisions[self._decision_head] = entry
-            self._decision_head = ((self._decision_head + 1)
-                                   % self.decision_capacity)
+        self.decisions.append(entry)
         self.decisions_recorded += 1
         return entry
 
     def decision_log(self):
-        """Decisions in record order (ring unrolled)."""
-        head = self._decision_head
-        return self.decisions[head:] + self.decisions[:head]
+        """Decisions in record order."""
+        return list(self.decisions)
 
     @property
     def decisions_evicted(self):
@@ -412,7 +300,7 @@ class ViewCollector(Observer):
     def _tick_probes(self, conn):
         if not self._probes:
             return
-        window = int(self._sim._now // self.window_us)
+        window = int(self.sim._now // self.window_us)
         last = self._probe_windows.get(conn)
         if last == window:
             return
@@ -426,7 +314,7 @@ class ViewCollector(Observer):
     def finish(self, elapsed=None):
         """Close the views at ``elapsed`` (default: now). Idempotent."""
         if elapsed is None:
-            elapsed = self._sim._now if self._sim is not None else 0.0
+            elapsed = self.sim._now if self.sim is not None else 0.0
         if self.end_us is None or elapsed > self.end_us:
             self.end_us = elapsed
         return self
@@ -436,8 +324,7 @@ class ViewCollector(Observer):
         nan = float("nan")
         signals = {}
         for signal in RATE_SIGNALS:
-            ring = self._global_rings[signal]
-            signals[signal] = {"total": ring.lifetime,
+            signals[signal] = {"total": self._global.lifetime(signal),
                                "rate_per_s": self.rate(signal)}
         conns = {}
         for conn in self.connections():
@@ -450,22 +337,22 @@ class ViewCollector(Observer):
                 "service_time_ewma_us": self.ewma("service_time_us", conn),
             }
             for signal in RATE_SIGNALS:
-                ring = self._conn_rings.get((signal, conn))
-                row[f"{signal}_total"] = ring.lifetime if ring else 0.0
+                row[f"{signal}_total"] = self._conns.lifetime((signal, conn))
                 row[f"{signal}_per_s"] = self.rate(signal, conn)
             conns[str(conn)] = row
-        hot = sorted(self._key_rings.items(),
-                     key=lambda item: (-item[1].lifetime, str(item[0])))
+        keys = self._keys
+        hot = sorted(keys.keys(),
+                     key=lambda key: (-keys.lifetime(key), str(key)))
         return {
             "window_us": self.window_us,
             "n_buckets": self.n_buckets,
             "end_us": self.end_us,
             "signals": signals,
             "connections": conns,
-            "hot_keys": [{"key": key, "cas_retry_total": ring.lifetime,
+            "hot_keys": [{"key": key, "cas_retry_total": keys.lifetime(key),
                           "cas_retry_per_s": self.rate("cas_retry", key=key)}
-                         for key, ring in hot[:top]],
-            "tracked_keys": len(self._key_rings),
+                         for key in hot[:top]],
+            "tracked_keys": len(keys),
             "evicted_keys": self.evicted_keys,
             "probes": [getattr(p, "name", type(p).__name__)
                        for p in self._probes],

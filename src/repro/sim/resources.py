@@ -155,7 +155,7 @@ class Resource:
             else:
                 self._waiters.append(event)
                 if monitor is not None:
-                    monitor.on_request(queued=True)
+                    monitor.on_enqueue()
                     self._wait_since.append(sim._now)
             return event
         finally:
@@ -460,7 +460,7 @@ class BandwidthPipe:
             # order — keep waiters listed first, as a grant hop did.
             span.children[-2:] = queue_span, wire
         if self.monitor is not None:
-            self.monitor.on_request(queued=True)
+            self.monitor.on_enqueue()
             self._wait_since.append(now)
         # The same additions, in the same order, that the chain of
         # hand-offs will make: each starts at its predecessor's end.

@@ -8,12 +8,8 @@ import pytest
 from repro.bench.cli import main
 from repro.bench.harness import run_point
 from repro.obs import quantiles
-from repro.obs.series import (
-    LatencyDigest,
-    SeriesCollector,
-    detect_steady_state,
-    merge_digests,
-)
+from repro.obs.series import SeriesCollector, detect_steady_state
+from repro.obs.windows import LatencyDigest, merge_digests
 from repro.sim import Simulator
 from repro.workload import YCSB_C
 

@@ -11,7 +11,7 @@ import pytest
 from repro.bench.harness import run_point
 from repro.net.fabric import Fabric, Host
 from repro.obs import UtilizationCollector
-from repro.obs.timeline import DEFAULT_WINDOW_US
+from repro.obs.timeline import BUSY, DEFAULT_WINDOW_US, DEPTH_TIME, EVENTS
 from repro.sim import Simulator
 from repro.sim.resources import Resource
 from repro.workload import YCSB_C
@@ -61,23 +61,24 @@ class TestResourceMonitor:
         collector, monitor = _contended_run(sim)
         elapsed = collector.elapsed
         assert monitor.busy_us <= elapsed * monitor.capacity + 1e-9
-        for window in monitor.windows:
-            assert window.busy_us <= window.width * monitor.capacity + 1e-9
+        for start, stop, cell in monitor.buckets.spans(monitor.end):
+            assert cell[BUSY] <= (stop - start) * monitor.capacity + 1e-9
 
     def test_window_sums_equal_run_totals(self, sim):
         _, monitor = _contended_run(sim)
-        assert sum(w.busy_us for w in monitor.windows) == \
-            pytest.approx(monitor.busy_us)
-        assert sum(w.depth_time_us for w in monitor.windows) == \
+        cells = monitor.buckets.cells.values()
+        assert sum(c[BUSY] for c in cells) == pytest.approx(monitor.busy_us)
+        assert sum(c[DEPTH_TIME] for c in cells) == \
             pytest.approx(monitor.depth_time_us)
-        assert sum(w.events for w in monitor.windows) == monitor.events
+        assert sum(c[EVENTS] for c in cells) == monitor.events
 
     def test_windows_tile_the_run(self, sim):
         collector, monitor = _contended_run(sim)
-        assert monitor.windows[0].start == 0.0
-        assert monitor.windows[-1].end == collector.elapsed
-        for left, right in zip(monitor.windows, monitor.windows[1:]):
-            assert left.end == right.start
+        spans = monitor.buckets.spans(monitor.end)
+        assert spans[0][0] == 0.0
+        assert spans[-1][1] == collector.elapsed
+        for left, right in zip(spans, spans[1:]):
+            assert left[1] == right[0]
 
     def test_counters_reconcile(self, sim):
         _, monitor = _contended_run(sim)

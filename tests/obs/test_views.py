@@ -87,7 +87,7 @@ class TestWindows:
         assert views.rate("cas_retry", 1) == 0.0
         assert views.rate("cas_retry", key=0x100) == 0.0
         # Lifetime totals survive eviction (the reconciliation channel).
-        assert views._global_rings["cas_retry"].lifetime == 1.0
+        assert views._global.lifetime("cas_retry") == 1.0
 
     def test_partial_eviction_keeps_recent_buckets(self):
         sim, views = _bound_views(window_us=80.0, n_buckets=8)
@@ -123,7 +123,7 @@ class TestKeyEviction:
         for i in range(64):
             sim._now = float(i)
             views.note_cas(1, 0x1000 + i, swapped=False)
-        assert len(views._key_rings) <= 16
+        assert len(views._keys) <= 16
         assert views.evicted_keys == 64 - 16
         # The freshest keys survive; the stalest were evicted.
         assert views.rate("cas_retry", key=0x1000 + 63) > 0
