@@ -17,10 +17,8 @@ quicker (or bigger) run, which evaluates no claim. ``point`` and the
 sweep rows run measurement points; every observer flag (``--help``
 lists them, the table is :data:`repro.bench.observers.ROWS`,
 docs/observability.md shows what each prints) works on all of them and
-leaves simulated timing bit-identical. ``compare baseline.json
-run.json`` diffs two ``--json`` records under per-metric tolerance bands
-and exits non-zero on regression; ``explain flight.json`` replays a
-``--flight`` dump into per-request narratives.
+leaves simulated timing bit-identical. ``explain flight.json`` replays
+a ``--flight`` dump into per-request narratives.
 """
 
 import argparse
@@ -105,29 +103,6 @@ def cmd_point(args):
                   warmup_us=warmup_us, measure_us=measure_us)
 
 
-def cmd_compare(args):
-    from repro.bench.regress import compare, format_compare, load_record
-    if len(args.paths) != 2:
-        return _reject(
-            "usage: repro.bench.cli compare <baseline.json> <run.json>")
-    tolerances = {}
-    for spec in args.tolerance or []:
-        metric, sep, frac = spec.partition("=")
-        if not sep:
-            return _reject(f"--tolerance expects metric=frac, got {spec!r}")
-        tolerances[metric] = float(frac)
-    baseline = load_record(args.paths[0])
-    run = load_record(args.paths[1])
-    report = compare(baseline, run, tolerances=tolerances,
-                     series=args.series is not None)
-    print(f"baseline: {args.paths[0]} "
-          f"(commit {report['baseline_commit'] or 'unknown'})")
-    print(f"run:      {args.paths[1]} "
-          f"(commit {report['run_commit'] or 'unknown'})")
-    print(format_compare(report))
-    return 0 if report["ok"] else 1
-
-
 def cmd_explain(args):
     from repro.obs import explain_lines, load_flight_dump
     if len(args.paths) != 1:
@@ -155,11 +130,9 @@ def build_parser():
         prog="repro.bench.cli",
         description="Regenerate figures from the PRISM paper.")
     parser.add_argument("command",
-                        choices=[*EXPERIMENTS, "point", "compare", "explain",
-                                 "list"])
+                        choices=[*EXPERIMENTS, "point", "explain", "list"])
     parser.add_argument("paths", nargs="*", metavar="PATH",
-                        help="(compare) baseline.json and run.json; "
-                             "(explain) a flight dump")
+                        help="(explain) a flight dump")
     parser.add_argument("--clients", type=_parse_int_list, default=None,
                         help="comma-separated client counts (point uses "
                              "the first; a zipf sweep reports the peak over "
@@ -180,10 +153,6 @@ def build_parser():
     parser.add_argument("--flavor", default="prism-sw")
     parser.add_argument("--read-fraction", type=float, default=0.5)
     add_flags(parser)
-    parser.add_argument("--tolerance", action="append", metavar="METRIC=REL",
-                        default=None,
-                        help="(compare) override a tolerance band, e.g. "
-                             "--tolerance p99_us=0.10 (repeatable)")
     parser.add_argument("--views-log", metavar="PATH", default=None,
                         help="(with --views) write the per-point views "
                              "reports and decision-log transcript to PATH")
@@ -211,13 +180,14 @@ def main(argv=None):
     args = build_parser().parse_args(argv)
     # Fail fast instead of silently ignoring per-point flags on
     # commands that never run a measurement point.
-    point_flags = [(row.flag, is_set(args, row), row.commands)
+    point_flags = [(row.flag, is_set(args, row))
                    for row in ROWS if not row.anywhere]
-    point_flags += [("--views-log", args.views_log is not None, ()),
-                    ("--warmup-us", args.warmup_us is not None, ()),
-                    ("--measure-us", args.measure_us is not None, ())]
-    for flag, given, also in point_flags:
-        allowed = {"point", *(row.name for row in SWEEPS), *also}
+    point_flags += [("--views-log", args.views_log is not None),
+                    ("--flight-dump", args.flight_dump is not None),
+                    ("--warmup-us", args.warmup_us is not None),
+                    ("--measure-us", args.measure_us is not None)]
+    allowed = {"point", *(row.name for row in SWEEPS)}
+    for flag, given in point_flags:
         if given and args.command not in allowed:
             return _reject(
                 f"{flag} is not supported by {args.command!r}: only "
@@ -228,6 +198,8 @@ def main(argv=None):
         return _reject(complaint)
     if args.views_log and args.views is None:
         return _reject("--views-log requires --views")
+    if args.flight_dump and args.flight is None:
+        return _reject("--flight-dump requires --flight")
     if args.warmup_us is not None and args.warmup_us <= 0:
         return _reject("--warmup-us must be positive")
     if args.measure_us is not None and args.measure_us <= 0:
@@ -235,7 +207,6 @@ def main(argv=None):
                        "before the run does)")
     dispatch = {
         "point": cmd_point,
-        "compare": cmd_compare,
         "explain": cmd_explain,
         "list": cmd_list,
     }

@@ -85,7 +85,6 @@ class Row:
     implies: tuple = ()      #: dests armed along with this one
     invalid: object = None   #: ``value -> bool``, with ``complaint``
     complaint: str = None
-    commands: tuple = ()     #: commands besides the point commands it serves
     anywhere: bool = False   #: meaningful on every command
 
     @property
@@ -330,14 +329,13 @@ SERIES = Row(
                          type=float, metavar="WINDOW_US"),
     help="windowed time series on the simulated clock (default "
          f"{SERIES_DEFAULT_WINDOW_US:g} µs): sparklines, MSER steady-state "
-         "verdict, fault-correlated changepoints; (compare) diff the "
-         "steady-state series aggregates, not the end-of-run metrics",
+         "verdict, fault-correlated changepoints",
     keyword="series",
     factory=lambda args, _probes: SeriesCollector(args.series),
     report=_series_report, lines=series_report_lines, title="time series",
     sections=("series",), implies=("util",),
     invalid=lambda window_us: window_us <= 0,
-    complaint="--series window must be > 0 µs", commands=("compare",))
+    complaint="--series window must be > 0 µs")
 VIEWS = Row(
     "--views", arg=dict(nargs="?", const=VIEWS_DEFAULT_WINDOW_US,
                         type=float, metavar="WINDOW_US"),

@@ -1,21 +1,19 @@
-"""Machine-readable benchmark results and regression comparison.
+"""Machine-readable benchmark result records.
 
 Every benchmark run can be captured as a versioned JSON record —
 config, seed, git commit, throughput, mean/p50/p99 latency, per-phase
 breakdown, per-resource utilization, bottleneck verdict — via
 ``--json PATH`` on the bench CLI and the ``benchmarks/bench_fig*``
-scripts. :func:`compare` then diffs two records under per-metric
-tolerance bands, so "did this change regress fig3?" is a command with
-an exit code instead of a table to eyeball::
+scripts::
 
     PYTHONPATH=src python benchmarks/bench_fig3_kv_read.py \\
         --clients 4 --keys 1000 --json /tmp/run.json
-    PYTHONPATH=src python -m repro.bench.cli compare \\
-        benchmarks/BENCH_baseline.json /tmp/run.json   # exit 1 on regression
 
-The simulator is deterministic, so a same-commit self-compare matches
-exactly; the tolerance bands absorb legitimate model recalibration and
-cross-platform float noise, and anything beyond them is a regression.
+A record is an artifact, not a gate. The simulator is deterministic, so
+a number that must not move is pinned bit for bit
+(``tests/bench/test_bit_identity.py``), a number moved on purpose is
+checked against its paper band by a claim (``repro.bench.experiments``),
+and host cost is measured by ``perfbench``.
 
 Record shape (one file, one or more measurement points)::
 
@@ -31,18 +29,15 @@ Record shape (one file, one or more measurement points)::
                  "views": {...}, "wall": {...}}]}
 
 Every point field after ``metrics`` is optional — a section is there
-when its observer was armed (``repro.bench.observers``) — and only
-metrics present in both baseline and tolerance bands are diffed.
+when its observer was armed (``repro.bench.observers``).
 
 The ``host`` and ``wall`` sections are *wall-clock* numbers about the
 simulator itself (events/sec, host-time bucket shares; see
 :mod:`repro.obs.hostprof`) — they describe the machine the benchmark
-ran on, not the simulated system, so :func:`compare` never looks at
-them: they are a diagnostic, and host cost is gated by ``perfbench``.
+ran on, not the simulated system.
 """
 
 import json
-import math
 import platform
 import subprocess
 
@@ -51,26 +46,6 @@ SCHEMA = "repro-bench-result"
 #: not migrated: every optional section is additive, so a version is
 #: only bumped when an existing field changes meaning.
 SCHEMA_VERSION = 6
-
-#: per-metric tolerance bands: direction is which way is *better*;
-#: ``rel`` is the allowed relative degradation before failing
-DEFAULT_TOLERANCES = {
-    "throughput_ops_per_sec": {"direction": "higher", "rel": 0.02},
-    "mean_us": {"direction": "lower", "rel": 0.02},
-    "p50_us": {"direction": "lower", "rel": 0.02},
-    "p99_us": {"direction": "lower", "rel": 0.05},
-    "ops": {"direction": "higher", "rel": 0.02},
-}
-
-#: bands for ``compare(series=True)``: steady-state-only aggregates
-#: from the windowed series (transient windows excluded by the MSER
-#: detector), so these can be as tight as the end-of-run bands without
-#: averaging warm-up noise into the gate.
-SERIES_TOLERANCES = {
-    "series.steady_tput_ops_per_sec": {"direction": "higher", "rel": 0.02},
-    "series.steady_mean_us": {"direction": "lower", "rel": 0.02},
-    "series.steady_p99_us": {"direction": "lower", "rel": 0.05},
-}
 
 
 def git_commit():
@@ -90,7 +65,7 @@ def point_id(kind, flavor, clients):
 
 
 def result_metrics(result):
-    """The comparable metrics of a :class:`~repro.workload.driver.RunResult`."""
+    """The headline metrics of a :class:`~repro.workload.driver.RunResult`."""
     return {
         "ops": result.ops,
         "throughput_ops_per_sec": result.throughput_ops_per_sec,
@@ -124,9 +99,7 @@ def make_point(kind, flavor, result, config, **sections):
     """One measurement point: config + metrics (+ optional telemetry).
 
     ``config`` must contain everything needed to reproduce the point
-    (clients, keys, seed, windows); it is compared verbatim by
-    :func:`compare`, so a config drift fails loudly instead of
-    producing an apples-to-oranges diff. ``sections`` are the
+    (clients, keys, seed, windows). ``sections`` are the
     observers' reports by record key (``phases``, ``utilization``,
     ``series``, ...); one that is None is left out.
     """
@@ -174,132 +147,3 @@ def load_record(path):
             f"this tool reads only version {SCHEMA_VERSION} — regenerate "
             "the record by rerunning its benchmark with --json")
     return record
-
-
-# -- comparison -------------------------------------------------------------
-
-
-def _is_nan(value):
-    return isinstance(value, float) and math.isnan(value)
-
-
-def _check_metric(metric, base, run, band):
-    """One finding dict for one metric of one point."""
-    finding = {"metric": metric, "baseline": base, "run": run,
-               "limit_rel": band["rel"], "direction": band["direction"]}
-    if _is_nan(base) and _is_nan(run):
-        finding.update(status="ok", delta_rel=0.0)
-        return finding
-    if _is_nan(run):
-        finding.update(status="regression", delta_rel=float("inf"))
-        return finding
-    if _is_nan(base) or base == 0:
-        # No meaningful baseline: a real measurement can only be news.
-        finding.update(status="ok", delta_rel=0.0)
-        return finding
-    delta = (run - base) / base
-    if band["direction"] == "higher":
-        degraded = delta < -band["rel"]
-        improved = delta > 0
-    else:
-        degraded = delta > band["rel"]
-        improved = delta < 0
-    finding["delta_rel"] = delta
-    finding["status"] = ("regression" if degraded
-                         else "improved" if improved else "ok")
-    return finding
-
-
-def compare(baseline, run, tolerances=None, series=False):
-    """Diff two result records; returns a report dict.
-
-    ``report["ok"]`` is False when any baseline point is missing from
-    the run, any point's config drifted, or any metric degraded beyond
-    its tolerance band. Improvements never fail.
-
-    ``series=True`` compares *steady-state-only* aggregates from the
-    windowed series sections (``series.steady_state``) instead of the
-    end-of-run metrics, under :data:`SERIES_TOLERANCES` — the MSER
-    detector has already excluded transient windows, so these gates
-    never average warm-up noise. A baseline point without a ``series``
-    section (a run made without ``--series``) is skipped silently.
-    ``tolerances`` overrides are looked up in the selected family.
-    """
-    bands = dict(SERIES_TOLERANCES if series else DEFAULT_TOLERANCES)
-    if tolerances:
-        for metric, rel in tolerances.items():
-            if metric not in bands:
-                raise ValueError(f"no tolerance band for metric {metric!r}")
-            bands[metric] = dict(bands[metric], rel=rel)
-
-    findings = []
-    run_points = {point["id"]: point for point in run["points"]}
-    for base_point in baseline["points"]:
-        pid = base_point["id"]
-        run_point = run_points.get(pid)
-        if run_point is None:
-            findings.append({"point": pid, "metric": "-", "status": "missing",
-                             "baseline": None, "run": None,
-                             "delta_rel": None, "limit_rel": None,
-                             "direction": None})
-            continue
-        drifted = sorted(
-            key for key in
-            set(base_point["config"]) | set(run_point["config"])
-            if base_point["config"].get(key) != run_point["config"].get(key))
-        if drifted:
-            findings.append({
-                "point": pid, "metric": f"config:{','.join(drifted)}",
-                "status": "config-drift", "baseline": None, "run": None,
-                "delta_rel": None, "limit_rel": None, "direction": None})
-            continue
-        if series:
-            base_values = (base_point.get("series")
-                           or {}).get("steady_state") or {}
-            run_values = (run_point.get("series")
-                          or {}).get("steady_state") or {}
-        else:
-            base_values, run_values = (base_point["metrics"],
-                                       run_point["metrics"])
-        for metric, band in bands.items():
-            key = metric.removeprefix("series.")
-            if key not in base_values:
-                continue
-            finding = _check_metric(metric, base_values[key],
-                                    run_values.get(key, float("nan")), band)
-            finding["point"] = pid
-            findings.append(finding)
-
-    bad = [f for f in findings
-           if f["status"] in ("regression", "missing", "config-drift")]
-    return {
-        "ok": not bad,
-        "baseline_commit": baseline.get("provenance", {}).get("git_commit"),
-        "run_commit": run.get("provenance", {}).get("git_commit"),
-        "findings": findings,
-        "regressions": bad,
-    }
-
-
-def format_compare(report):
-    """Plain-text rendering of a :func:`compare` report."""
-
-    def fmt(value):
-        if value is None:
-            return "-"
-        if isinstance(value, float):
-            return f"{value:.4g}"
-        return str(value)
-
-    lines = []
-    for finding in report["findings"]:
-        delta = finding.get("delta_rel")
-        delta_text = "-" if delta is None else f"{delta:+.2%}"
-        lines.append(
-            f"  {finding['status']:<12} {finding['point']:<24} "
-            f"{finding['metric']:<24} base={fmt(finding['baseline'])} "
-            f"run={fmt(finding['run'])} delta={delta_text}")
-    verdict = "PASS" if report["ok"] else "FAIL"
-    lines.append(f"compare: {verdict} "
-                 f"({len(report['regressions'])} finding(s) over tolerance)")
-    return "\n".join(lines)

@@ -240,11 +240,3 @@ class FaultInjector:
             },
         }
         return report
-
-    def absorb_into(self, registry):
-        """Feed the counters into a :class:`repro.obs.MetricsRegistry`."""
-        for name, value in self.counters.items():
-            registry.counter(f"faults.{name}").absorb(value)
-        registry.gauge("faults.delay_injected_us").set(self.delay_injected_us)
-        registry.gauge("faults.hosts_down").set(len(self._down))
-        return registry

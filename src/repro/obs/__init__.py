@@ -1,13 +1,11 @@
-"""Observability: span tracing, metrics, and latency attribution.
+"""Observability: span tracing, telemetry, and latency attribution.
 
-Three pieces, all driven by the simulated clock:
+Everything but :mod:`repro.obs.hostprof` runs on the simulated clock:
 
 * :mod:`repro.obs.trace` — a span-based tracer. Instrumented code
   holds a parent :class:`Span` and opens children around timed work;
   the default :data:`NULL_SPAN` / :data:`NULL_TRACER` singletons make
   every instrumentation point a no-op, so untraced runs pay nothing.
-* :mod:`repro.obs.metrics` — a labeled metrics registry (counters,
-  gauges, histograms) that server/bench snapshots are built from.
 * :mod:`repro.obs.breakdown` — aggregates finished span trees into a
   per-phase (wire / nic / pcie / cpu / queue) latency attribution, and
   :mod:`repro.obs.chrome_trace` exports them as Chrome trace-event
@@ -90,7 +88,6 @@ from repro.obs.forensics import (
     timelines,
     worst_requests,
 )
-from repro.obs.metrics import Counter, Gauge, Histogram, MetricsRegistry
 from repro.obs.primitives import PrimitiveCollector, TopK
 from repro.obs.series import (
     DEFAULT_WINDOW_US as SERIES_DEFAULT_WINDOW_US,
@@ -145,14 +142,10 @@ __all__ = [
     "write_chrome_trace",
     "Buckets",
     "ChargeMonitor",
-    "Counter",
     "DepthMonitor",
     "FlightRecorder",
-    "Gauge",
-    "Histogram",
     "HostProfiler",
     "LatencyDigest",
-    "MetricsRegistry",
     "NULL_SPAN",
     "NULL_TRACER",
     "NullTracer",

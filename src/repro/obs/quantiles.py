@@ -1,12 +1,11 @@
 """Shared quantile and histogram arithmetic.
 
 One implementation of linear-interpolated percentiles and fixed-width
-histograms, used by both sample collectors in the tree —
-:class:`repro.sim.stats.LatencyRecorder` (benchmark latencies) and
-:class:`repro.obs.metrics.Histogram` (registry instruments) — and by
-the utilization monitors' queueing-delay distributions. Keeping the
-arithmetic in one place guarantees a p99 means the same thing wherever
-it is reported.
+histograms, used by :class:`repro.sim.stats.LatencyRecorder`
+(benchmark latencies), the utilization monitors' queueing-delay
+distributions and the windowed latency digests. Keeping the arithmetic
+in one place guarantees a p99 means the same thing wherever it is
+reported.
 
 All functions are total: empty inputs yield ``nan`` (or an empty
 list), never an exception, so a report over a run that completed no

@@ -1,110 +1,47 @@
 """Server observability: one snapshot of where a run's time went.
 
-:func:`collect_server_metrics` gathers the counters every layer already
+:func:`server_report` gathers the counters every layer already
 maintains — backend utilization, engine op counts, port utilizations,
-free-list depths, recycler progress — into a
-:class:`~repro.obs.metrics.MetricsRegistry`, so benchmarks and the CLI
-can show *why* a configuration saturates (CPU vs TX bytes vs RX bytes
-vs buffer starvation) instead of just that it did.
-
-:func:`server_report` is a thin dict view over the same collection,
-kept for callers (and tests) that predate the registry.
+free-list depths, recycler progress — into one dict, so benchmarks and
+the CLI can show *why* a configuration saturates (CPU vs TX bytes vs RX
+bytes vs buffer starvation) instead of just that it did.
 """
 
-from repro.obs.metrics import MetricsRegistry
 
-
-def collect_server_metrics(server, elapsed_us, registry=None):
-    """Snapshot a :class:`~repro.prism.server.PrismServer` into metrics.
+def server_report(server, elapsed_us):
+    """Snapshot a :class:`~repro.prism.server.PrismServer`'s counters.
 
     ``elapsed_us`` is the simulated window the utilizations cover.
-    Counters absorb the servers' monotonic totals (so repeated
-    collection into one registry never double-counts); gauges carry
-    point-in-time values like utilizations and free-list depth.
-    Returns the registry.
+    Free lists are keyed by id: two may share a name.
     """
-    if registry is None:  # NB: an empty registry is falsy — test identity
-        registry = MetricsRegistry()
     host = server.fabric.host(server.host_name)
     backend = server.backend
-    labels = {"host": server.host_name, "backend": backend.label,
-              "service": server.service}
-
-    registry.counter("prism_requests_total", **labels).absorb(
-        backend.requests_processed)
-    registry.counter("prism_engine_ops_total", **labels).absorb(
-        server.engine.ops_executed)
-    registry.counter("prism_requests_dropped_total", **labels).absorb(
-        server.requests_dropped)
-    # Port byte counters are direction-neutral totals: the RX pipe's
-    # ``bytes_total`` is bytes *received* by this host (the old
-    # ``bytes_sent`` alias made rx_bytes look like a copy-paste bug).
-    registry.counter("prism_tx_bytes_total", **labels).absorb(
-        host.tx.bytes_total)
-    registry.counter("prism_rx_bytes_total", **labels).absorb(
-        host.rx.bytes_total)
-
-    registry.gauge("prism_elapsed_us", **labels).set(elapsed_us)
-    registry.gauge("prism_connections", **labels).set(
-        len(server.connections))
-    registry.gauge("prism_tx_utilization", **labels).set(
-        host.tx.utilization(elapsed_us))
-    registry.gauge("prism_rx_utilization", **labels).set(
-        host.rx.utilization(elapsed_us))
-    if hasattr(backend, "utilization"):
-        registry.gauge("prism_backend_utilization", **labels).set(
-            backend.utilization(elapsed_us))
-
-    for freelist_id, qp in server.freelists.items():
-        fl_labels = dict(labels, freelist=qp.name)
-        registry.gauge("prism_freelist_free", **fl_labels).set(len(qp))
-        registry.counter("prism_freelist_popped_total", **fl_labels).absorb(
-            qp.total_popped)
-        registry.counter("prism_freelist_posted_total", **fl_labels).absorb(
-            qp.total_posted)
-    return registry
-
-
-def server_report(server, elapsed_us, registry=None):
-    """Dict view over :func:`collect_server_metrics` (legacy shape).
-
-    ``elapsed_us`` is the simulated window the utilizations cover.
-    """
-    registry = collect_server_metrics(server, elapsed_us, registry)
-    backend = server.backend
-    labels = {"host": server.host_name, "backend": backend.label,
-              "service": server.service}
-
-    def value(name, **extra):
-        return registry.value(name, **dict(labels, **extra))
-
-    report = {
+    return {
         "host": server.host_name,
         "service": server.service,
         "backend": backend.label,
         "elapsed_us": elapsed_us,
-        "requests": value("prism_requests_total"),
-        "engine_ops": value("prism_engine_ops_total"),
-        "tx_utilization": value("prism_tx_utilization"),
-        "rx_utilization": value("prism_rx_utilization"),
-        "tx_bytes": value("prism_tx_bytes_total"),
-        "rx_bytes": value("prism_rx_bytes_total"),
-        "connections": value("prism_connections"),
-        "requests_dropped": value("prism_requests_dropped_total"),
-        "freelists": {},
+        "requests": backend.requests_processed,
+        "engine_ops": server.engine.ops_executed,
+        "tx_utilization": host.tx.utilization(elapsed_us),
+        "rx_utilization": host.rx.utilization(elapsed_us),
+        # Port byte counters are direction-neutral totals: the RX
+        # pipe's is bytes *received* by this host.
+        "tx_bytes": host.tx.bytes_total,
+        "rx_bytes": host.rx.bytes_total,
+        "connections": len(server.connections),
+        "requests_dropped": server.requests_dropped,
+        "freelists": {
+            freelist_id: {
+                "name": qp.name,
+                "free": len(qp),
+                "popped": qp.total_popped,
+                "posted": qp.total_posted,
+            }
+            for freelist_id, qp in server.freelists.items()
+        },
+        "backend_utilization": backend.utilization(elapsed_us),
     }
-    if hasattr(backend, "utilization"):
-        report["backend_utilization"] = value("prism_backend_utilization")
-    for freelist_id, qp in server.freelists.items():
-        report["freelists"][freelist_id] = {
-            "name": qp.name,
-            "free": value("prism_freelist_free", freelist=qp.name),
-            "popped": value("prism_freelist_popped_total",
-                            freelist=qp.name),
-            "posted": value("prism_freelist_posted_total",
-                            freelist=qp.name),
-        }
-    return report
 
 
 def bottleneck(report, cpu_threshold=0.85, wire_threshold=0.85):

@@ -311,9 +311,8 @@ class Simulator:
     handle is None. :meth:`attach` is the one installer — call it
     *before* system construction, so resources, engines and servers
     register with the observer as they are built. ``events_executed``
-    counts queue entries run — a cheap health counter the metrics
-    registry can absorb. (Tombstoned — cancelled — timers are skipped,
-    not run, so they are not counted.)
+    counts queue entries run — a cheap health counter. (Tombstoned —
+    cancelled — timers are skipped, not run, so they are not counted.)
     """
 
     def __init__(self):

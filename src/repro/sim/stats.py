@@ -1,8 +1,8 @@
 """Measurement helpers: latency recorders and throughput meters.
 
-Quantile arithmetic is shared with the metrics registry through
-:mod:`repro.obs.quantiles` — one linear-interpolation implementation,
-guarded on empty inputs (NaN, never an exception).
+Quantile arithmetic lives in :mod:`repro.obs.quantiles` — one
+linear-interpolation implementation, guarded on empty inputs (NaN,
+never an exception).
 """
 
 from repro.obs import quantiles

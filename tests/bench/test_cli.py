@@ -368,14 +368,3 @@ def test_sweep_series_prints_per_point(capsys):
     assert out.count("time series") == 6
     assert "steady state" in out
 
-
-def test_compare_series_flag(tmp_path, capsys):
-    record = tmp_path / "series.json"
-    assert main(["point", "--kind", "kv", "--flavor", "prism-sw",
-                 "--clients", "2", "--keys", "200",
-                 "--series", "--json", str(record)]) == 0
-    capsys.readouterr()
-    assert main(["compare", str(record), str(record), "--series"]) == 0
-    out = capsys.readouterr().out
-    assert "series.steady_mean_us" in out
-    assert "compare: PASS" in out

@@ -203,9 +203,23 @@ def test_fig10_reports_the_peak_over_the_client_list(tmp_path, capsys):
 
 def test_flags_are_refused_not_ignored_off_point_commands(capsys, tmp_path):
     record = tmp_path / "never.json"
+    dump = tmp_path / "never.flight.json"
     for flag in (["--faults", "seed=1,drop=0.5"], ["--json", str(record)],
-                 ["--util"], ["--primitives"]):
+                 ["--util"], ["--primitives"], ["--flight-dump", str(dump)]):
         assert cli.main(["fig1"] + flag) == 2
         assert f"{flag[0]} is not supported by 'fig1'" in \
             capsys.readouterr().err
     assert not record.exists()
+    assert not dump.exists()
+
+
+@pytest.mark.parametrize("companion, observer",
+                         [("--flight-dump", "--flight"),
+                          ("--views-log", "--views")])
+def test_companion_flag_without_its_observer_is_refused(
+        capsys, tmp_path, companion, observer):
+    path = tmp_path / "never.json"
+    assert cli.main(["point", "--kind", "kv", "--clients", "1", "--keys",
+                     "100", companion, str(path)]) == 2
+    assert f"{companion} requires {observer}" in capsys.readouterr().err
+    assert not path.exists()

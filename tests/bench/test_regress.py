@@ -1,4 +1,4 @@
-"""The machine-readable result schema and regression comparator."""
+"""The machine-readable result schema."""
 
 import copy
 import json
@@ -8,12 +8,8 @@ import pytest
 from repro.bench.cli import main
 from repro.bench.harness import run_point
 from repro.bench.regress import (
-    DEFAULT_TOLERANCES,
     SCHEMA,
     SCHEMA_VERSION,
-    SERIES_TOLERANCES,
-    compare,
-    format_compare,
     load_record,
     make_point,
     make_record,
@@ -84,93 +80,6 @@ class TestRecord:
             load_record(path)
 
 
-def _degrade(record, metric, factor):
-    worse = copy.deepcopy(record)
-    worse["points"][0]["metrics"][metric] *= factor
-    return worse
-
-
-class TestCompare:
-    def test_self_compare_passes(self, record):
-        report = compare(record, record)
-        assert report["ok"]
-        assert report["regressions"] == []
-        assert all(f["status"] == "ok" for f in report["findings"])
-
-    def test_degraded_throughput_fails(self, record):
-        report = compare(record, _degrade(record,
-                                          "throughput_ops_per_sec", 0.90))
-        assert not report["ok"]
-        bad = report["regressions"]
-        assert [f["metric"] for f in bad] == ["throughput_ops_per_sec"]
-        assert bad[0]["delta_rel"] == pytest.approx(-0.10)
-
-    def test_degraded_latency_fails(self, record):
-        report = compare(record, _degrade(record, "p99_us", 1.10))
-        assert not report["ok"]
-        assert report["regressions"][0]["metric"] == "p99_us"
-
-    def test_improvement_never_fails(self, record):
-        better = _degrade(record, "throughput_ops_per_sec", 1.30)
-        better = _degrade(better, "mean_us", 0.70)
-        report = compare(record, better)
-        assert report["ok"]
-        improved = {f["metric"] for f in report["findings"]
-                    if f["status"] == "improved"}
-        assert {"throughput_ops_per_sec", "mean_us"} <= improved
-
-    def test_within_tolerance_passes(self, record):
-        # p99 band is 5%: a 3% slip is noise, not a regression.
-        report = compare(record, _degrade(record, "p99_us", 1.03))
-        assert report["ok"]
-
-    def test_tolerance_override(self, record):
-        slipped = _degrade(record, "p99_us", 1.03)
-        assert not compare(record, slipped,
-                           tolerances={"p99_us": 0.01})["ok"]
-        assert compare(record, _degrade(record, "mean_us", 1.10),
-                       tolerances={"mean_us": 0.20})["ok"]
-
-    def test_unknown_tolerance_metric_rejected(self, record):
-        with pytest.raises(ValueError, match="no tolerance band"):
-            compare(record, record, tolerances={"bogus": 0.1})
-
-    def test_missing_point_fails(self, record):
-        empty = dict(record, points=[])
-        report = compare(record, empty)
-        assert not report["ok"]
-        assert report["regressions"][0]["status"] == "missing"
-
-    def test_config_drift_fails(self, record):
-        drifted = copy.deepcopy(record)
-        drifted["points"][0]["config"]["keys"] = 999
-        report = compare(record, drifted)
-        assert not report["ok"]
-        finding = report["regressions"][0]
-        assert finding["status"] == "config-drift"
-        assert "keys" in finding["metric"]
-
-    def test_nan_handling(self, record):
-        nan = float("nan")
-        both_nan = copy.deepcopy(record)
-        both_nan["points"][0]["metrics"]["p99_us"] = nan
-        assert compare(both_nan, both_nan)["ok"]
-        run_nan = copy.deepcopy(record)
-        run_nan["points"][0]["metrics"]["p99_us"] = nan
-        assert not compare(record, run_nan)["ok"]
-
-    def test_format_ends_with_verdict(self, record):
-        assert format_compare(compare(record, record)).endswith(
-            "compare: PASS (0 finding(s) over tolerance)")
-        text = format_compare(
-            compare(record, _degrade(record, "mean_us", 2.0)))
-        assert "FAIL" in text.splitlines()[-1]
-
-    def test_default_bands_cover_core_metrics(self):
-        assert {"throughput_ops_per_sec", "mean_us", "p50_us",
-                "p99_us"} <= set(DEFAULT_TOLERANCES)
-
-
 class TestCli:
     def _write_run(self, tmp_path, name="run.json"):
         path = tmp_path / name
@@ -193,35 +102,6 @@ class TestCli:
         out = capsys.readouterr().out
         assert "resource utilization" in out
         assert "bottleneck:" in out
-
-    def test_compare_self_exits_zero(self, tmp_path, capsys):
-        path = self._write_run(tmp_path)
-        assert main(["compare", str(path), str(path)]) == 0
-        assert "compare: PASS" in capsys.readouterr().out
-
-    def test_compare_regression_exits_nonzero(self, tmp_path, capsys):
-        path = self._write_run(tmp_path)
-        worse = json.loads(path.read_text())
-        worse["points"][0]["metrics"]["throughput_ops_per_sec"] *= 0.5
-        worse_path = tmp_path / "worse.json"
-        worse_path.write_text(json.dumps(worse))
-        assert main(["compare", str(path), str(worse_path)]) == 1
-        assert "compare: FAIL" in capsys.readouterr().out
-
-    def test_compare_tolerance_flag(self, tmp_path):
-        path = self._write_run(tmp_path)
-        slightly = json.loads(path.read_text())
-        slightly["points"][0]["metrics"]["p99_us"] *= 1.03
-        other = tmp_path / "slip.json"
-        other.write_text(json.dumps(slightly))
-        assert main(["compare", str(path), str(other)]) == 0
-        assert main(["compare", str(path), str(other),
-                     "--tolerance", "p99_us=0.01"]) == 1
-
-    def test_compare_wants_two_paths(self, tmp_path, capsys):
-        path = self._write_run(tmp_path)
-        assert main(["compare", str(path)]) == 2
-        assert "usage" in capsys.readouterr().err
 
     def test_sweep_json(self, tmp_path, capsys):
         path = tmp_path / "sweep.json"
@@ -248,9 +128,6 @@ class TestSchemaV2:
         assert rich["primitives"] == {"cas": {}}
         assert rich["critpath"] == {}
 
-    def test_ops_band_present(self):
-        assert DEFAULT_TOLERANCES["ops"]["direction"] == "higher"
-
 
 def _host_section(events_per_sec=100_000.0, wall_s=0.5):
     return {
@@ -268,7 +145,7 @@ def _host_section(events_per_sec=100_000.0, wall_s=0.5):
 
 class TestSchemaV3:
     """Points may carry a wall-clock ``host`` section: a diagnostic
-    that round-trips and that ``compare`` never gates on."""
+    that round-trips."""
 
     @pytest.fixture
     def config(self):
@@ -294,13 +171,8 @@ class TestSchemaV3:
         loaded = load_record(path)
         assert loaded["points"][0]["host"]["wall_s"] == 0.5
 
-    def test_host_metrics_unknown_outside_host_mode(self, v3_record):
-        with pytest.raises(ValueError, match="no tolerance band"):
-            compare(v3_record, v3_record,
-                    tolerances={"host.events_per_sec": 0.1})
 
-
-def _series_section(mean_us=10.0, p99_us=20.0, tput=100_000.0):
+def _series_section():
     return {
         "window_us": 50.0,
         "steady_state": {
@@ -309,9 +181,9 @@ def _series_section(mean_us=10.0, p99_us=20.0, tput=100_000.0):
             "transient_end_us": 100.0,
             "configured_warmup_us": 300.0,
             "warmup_sufficient": True,
-            "steady_mean_us": mean_us,
-            "steady_p99_us": p99_us,
-            "steady_tput_ops_per_sec": tput,
+            "steady_mean_us": 10.0,
+            "steady_p99_us": 20.0,
+            "steady_tput_ops_per_sec": 100_000.0,
         },
         "annotations": [],
     }
@@ -348,55 +220,6 @@ class TestSchemaV4:
         assert loaded["schema_version"] == 6
         assert loaded["points"][0]["series"]["window_us"] == 50.0
 
-    def test_series_self_compare_passes(self, v4_record):
-        report = compare(v4_record, v4_record, series=True)
-        assert report["ok"]
-        assert {f["metric"] for f in report["findings"]} == \
-            set(SERIES_TOLERANCES)
-
-    def test_series_mode_ignores_simulated_metrics(self, v4_record):
-        worse = _degrade(v4_record, "throughput_ops_per_sec", 0.5)
-        assert compare(v4_record, worse, series=True)["ok"]
-        assert not compare(v4_record, worse)["ok"]
-
-    def test_steady_state_regression_fails(self, small_result, config,
-                                           v4_record):
-        slow = make_record("test", [make_point(
-            "kv", "prism-sw", small_result, config,
-            series=_series_section(mean_us=15.0, tput=60_000.0))])
-        report = compare(v4_record, slow, series=True)
-        assert not report["ok"]
-        assert {f["metric"] for f in report["regressions"]} == \
-            {"series.steady_mean_us", "series.steady_tput_ops_per_sec"}
-
-    def test_baseline_without_series_is_not_an_error(
-            self, small_result, config, v4_record):
-        old = make_record(
-            "test", [make_point("kv", "prism-sw", small_result, config)])
-        report = compare(old, v4_record, series=True)
-        assert report["ok"]
-        assert report["findings"] == []
-
-    def test_run_without_series_is_a_regression(self, small_result,
-                                                config, v4_record):
-        uncollected = make_record(
-            "test", [make_point("kv", "prism-sw", small_result, config)])
-        assert not compare(v4_record, uncollected, series=True)["ok"]
-
-    def test_series_tolerance_override(self, v4_record, small_result,
-                                       config):
-        slipped = make_record("test", [make_point(
-            "kv", "prism-sw", small_result, config,
-            series=_series_section(mean_us=10.1))])
-        assert compare(v4_record, slipped, series=True)["ok"]
-        assert not compare(v4_record, slipped, series=True,
-                           tolerances={"series.steady_mean_us": 0.001})["ok"]
-
-    def test_series_metrics_unknown_outside_series_mode(self, v4_record):
-        with pytest.raises(ValueError, match="no tolerance band"):
-            compare(v4_record, v4_record,
-                    tolerances={"series.steady_mean_us": 0.1})
-
 
 class TestPrimitivesCli:
     def test_point_primitives_prints_telemetry(self, capsys):
@@ -420,8 +243,8 @@ class TestPrimitivesCli:
         assert record["schema_version"] == SCHEMA_VERSION
         assert point["primitives"]["chains"]["requests"] > 0
         assert point["critpath"]
-        # The telemetry must not leak into the config fingerprint: a
-        # baseline of the same point without it would otherwise drift.
+        # The telemetry must not leak into the config fingerprint: the
+        # same point without it must have the same config.
         assert "primitives" not in point["config"]
         capsys.readouterr()
 
@@ -450,7 +273,3 @@ class TestWallSection:
         rich = make_point("kv", "prism-sw", small_result, config,
                           wall=wall_section(small_result))
         assert rich["wall"]["events_executed"] > 0
-        # records with the field still compare (on the simulated metrics)
-        record = make_record("test", [rich])
-        report = compare(record, record)
-        assert report["ok"]

@@ -88,17 +88,6 @@ class TestReporting:
         assert report["messages_dropped"] > 0
         assert report["hosts_down"] == []
 
-    def test_absorb_into_metrics_registry(self):
-        from repro.obs import MetricsRegistry
-        sim = Simulator()
-        injector = sim.set_faults(FaultPlan(seed=3, drop=0.5))
-        for _ in range(50):
-            injector.on_message(None)
-        registry = injector.absorb_into(MetricsRegistry())
-        dropped = injector.counters["messages_dropped"]
-        assert registry.value("faults.messages_dropped") == dropped
-        assert registry.value("faults.hosts_down") == 0
-
     def test_retry_streams_numbered_in_allocation_order(self):
         sim = Simulator()
         injector = sim.set_faults(FaultPlan(seed=8))

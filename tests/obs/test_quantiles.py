@@ -5,7 +5,6 @@ import math
 import pytest
 
 from repro.obs import quantiles
-from repro.obs.metrics import Histogram
 from repro.sim.stats import LatencyRecorder
 
 
@@ -127,26 +126,21 @@ class TestDistributionSummary:
 
 
 class TestCallSiteParity:
-    """Both collectors must delegate to the same arithmetic."""
+    """The latency recorder must delegate to the shared arithmetic."""
 
     def test_empty_percentiles_are_nan(self):
         recorder = LatencyRecorder()
-        histogram = Histogram("h", ())
         assert math.isnan(recorder.percentile(99))
         assert math.isnan(recorder.mean())
-        assert math.isnan(histogram.percentile(99))
-        assert math.isnan(histogram.mean())
 
     def test_identical_quantiles(self):
         samples = [3.0, 1.0, 4.0, 1.0, 5.0, 9.0, 2.0, 6.0]
         recorder = LatencyRecorder()
-        histogram = Histogram("h", ())
         for sample in samples:
             recorder.record(0.0, sample)
-            histogram.observe(sample)
         for p in (0, 25, 50, 90, 99, 100):
-            assert recorder.percentile(p) == histogram.percentile(p)
-        assert recorder.mean() == pytest.approx(histogram.mean())
+            assert recorder.percentile(p) == quantiles.percentile(samples, p)
+        assert recorder.mean() == pytest.approx(quantiles.mean(samples))
 
     def test_recorder_histogram_uses_shared_buckets(self):
         recorder = LatencyRecorder()

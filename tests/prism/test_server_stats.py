@@ -3,14 +3,8 @@
 import pytest
 
 from repro.net.topology import DIRECT, make_fabric
-from repro.obs.metrics import MetricsRegistry
 from repro.prism import HardwarePrismBackend, PrismClient, PrismServer
-from repro.prism.stats import (
-    bottleneck,
-    collect_server_metrics,
-    format_report,
-    server_report,
-)
+from repro.prism.stats import bottleneck, format_report, server_report
 
 
 @pytest.fixture
@@ -52,30 +46,6 @@ def test_rx_bytes_counts_received_traffic(sim, loaded_server):
     assert report["tx_bytes"] > report["rx_bytes"]
 
 
-def test_collect_server_metrics_registry(sim, loaded_server):
-    registry = collect_server_metrics(loaded_server, sim.now)
-    labels = {"host": "server", "backend": loaded_server.backend.label,
-              "service": "prism"}
-    assert registry.value("prism_requests_total", **labels) == 10
-    assert registry.value("prism_engine_ops_total", **labels) == 10
-    assert 0.0 < registry.value("prism_tx_utilization", **labels) < 1.0
-    # repeated collection into the same registry is idempotent
-    collect_server_metrics(loaded_server, sim.now, registry)
-    assert registry.value("prism_requests_total", **labels) == 10
-    assert "prism_rx_bytes_total" in registry.format()
-
-
-def test_server_report_is_a_view_over_the_registry(sim, loaded_server):
-    registry = MetricsRegistry()
-    report = server_report(loaded_server, sim.now, registry)
-    labels = {"host": "server", "backend": loaded_server.backend.label,
-              "service": "prism"}
-    assert report["requests"] == registry.value("prism_requests_total",
-                                                **labels)
-    assert report["rx_bytes"] == registry.value("prism_rx_bytes_total",
-                                                **labels)
-
-
 def test_bottleneck_heuristics():
     base = {"backend_utilization": 0.1, "rx_utilization": 0.1,
             "tx_utilization": 0.1, "freelists": {}}
@@ -93,3 +63,24 @@ def test_format_report_renders(sim, loaded_server):
     assert "server server" in text
     assert "bottleneck guess" in text
     assert "freelist" in text
+
+
+def test_freelists_sharing_a_name_are_reported_by_id(sim):
+    """Regression: two free lists may share a name; each is its own
+    entry, keyed by id, with its own counts."""
+    fabric = make_fabric(sim, DIRECT, ["client", "server"])
+    server = PrismServer(sim, fabric, "server", HardwarePrismBackend)
+    big, rkey = server.create_freelist(64, 8, name="pool")
+    small, _ = server.create_freelist(64, 2, name="pool")
+    client = PrismClient(sim, fabric, "client", server)
+
+    def traffic():
+        for _ in range(3):
+            yield from client.allocate(big, b"x" * 64, rkey=rkey)
+
+    sim.run_until_complete(sim.spawn(traffic()), limit=1e6)
+    freelists = server_report(server, sim.now)["freelists"]
+    assert freelists[big] == {"name": "pool", "free": 5, "popped": 3,
+                              "posted": 8}
+    assert freelists[small] == {"name": "pool", "free": 2, "popped": 0,
+                                "posted": 2}
