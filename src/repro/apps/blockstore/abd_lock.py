@@ -19,7 +19,7 @@ Protocol per operation:
 
 from repro.apps.blockstore.layout import AbdLockLayout
 from repro.apps.blockstore.quorum import Phase
-from repro.apps.common import bump_tag, make_tag, note_key
+from repro.apps.common import INITIAL_TAG, bump_tag, note_key
 from repro.prism.client import PrismClient
 from repro.prism.server import PrismServer
 from repro.sim.rng import SeededRng
@@ -47,11 +47,11 @@ class AbdLockReplica:
 
     def load(self, block_id, value, tag=None):
         """Install an initial value directly (setup time)."""
-        tag = make_tag(1, 0) if tag is None else tag
-        space = self.prism.space
-        addr = self.layout.block_addr(block_id)
-        space.write_uint(addr, 0, 8)  # lock free
-        space.write(addr + 8, AbdLockLayout.pack_tagged_value(tag, value))
+        tag = INITIAL_TAG if tag is None else tag
+        # lock free (0), then tag | value
+        self.prism.space.host.write(
+            self.layout.block_addr(block_id),
+            bytes(8) + AbdLockLayout.pack_tagged_value(tag, value))
 
 
 class AbdLockClient:

@@ -20,7 +20,7 @@ ABDLOCK replica layout (§7.2, DrTM-style)::
 """
 
 from repro.apps.common import field_mask
-from repro.hw.layout import pack_uint, unpack_uint
+from repro.hw.layout import U64, Codec, unpack_uint
 
 META_SIZE = 16
 META_TAG_OFF = 0
@@ -28,6 +28,9 @@ META_ADDR_OFF = 8
 
 #: CAS compare mask selecting the tag field of a packed metadata entry.
 META_TAG_MASK = field_mask(META_TAG_OFF, 8)
+
+_META = Codec(U64, U64)
+_TAG = Codec(U64)
 
 
 class RsLayout:
@@ -53,17 +56,13 @@ class RsLayout:
         """Address of addr_i — the pointer an indirect READ dereferences."""
         return self.meta_addr(block_id) + META_ADDR_OFF
 
-    @staticmethod
-    def pack_meta(tag, addr):
-        return pack_uint(tag, 8) + pack_uint(addr, 8)
-
-    @staticmethod
-    def unpack_meta(data):
-        return unpack_uint(data, 0, 8), unpack_uint(data, 8, 8)
+    #: ``pack_meta(tag, addr)`` / ``unpack_meta(data)``
+    pack_meta = staticmethod(_META.pack)
+    unpack_meta = staticmethod(_META.unpack)
 
     @staticmethod
     def pack_buffer(tag, value):
-        return pack_uint(tag, 8) + value
+        return _TAG.pack(tag) + value
 
     @staticmethod
     def unpack_buffer(data):
@@ -82,10 +81,7 @@ class AbdLockLayout:
         self.blocks_base = blocks_base
         self.n_blocks = n_blocks
         self.block_size = block_size
-
-    @property
-    def block_stride(self):
-        return VALUE_OFF + self.block_size
+        self.block_stride = VALUE_OFF + block_size
 
     @property
     def blocks_bytes(self):
@@ -102,7 +98,7 @@ class AbdLockLayout:
 
     @staticmethod
     def pack_tagged_value(tag, value):
-        return pack_uint(tag, 8) + value
+        return _TAG.pack(tag) + value
 
     @staticmethod
     def unpack_tagged_value(data):

@@ -23,7 +23,7 @@ miss) are reported to the replica's recycler daemon asynchronously.
 
 from repro.apps.blockstore.layout import META_SIZE, META_TAG_MASK, RsLayout
 from repro.apps.blockstore.quorum import Phase
-from repro.apps.common import bump_tag, make_tag, note_key, split_tag
+from repro.apps.common import INITIAL_TAG, bump_tag, note_key, split_tag
 from repro.core.ops import AllocateOp, CasMode, CasOp, ReadOp, WriteOp
 from repro.hw.layout import pack_uint
 from repro.obs.trace import NULL_SPAN
@@ -62,12 +62,12 @@ class PrismRsReplica:
 
     def load(self, block_id, value, tag=None):
         """Install an initial value directly (setup time)."""
-        tag = make_tag(1, 0) if tag is None else tag
-        space = self.prism.space
-        addr = self.prism.freelist(self.freelist_id).pop()
-        space.write(addr, RsLayout.pack_buffer(tag, value))
-        space.write(self.layout.meta_addr(block_id),
-                    RsLayout.pack_meta(tag, addr))
+        tag = INITIAL_TAG if tag is None else tag
+        host = self.prism.space.host
+        addr = self.prism.freelists[self.freelist_id].pop()
+        host.write(addr, RsLayout.pack_buffer(tag, value))
+        host.write(self.layout.meta_addr(block_id),
+                   RsLayout.pack_meta(tag, addr))
 
 
 class PrismRsClient:

@@ -25,8 +25,11 @@ def split_tag(tag):
 
 def bump_tag(tag, client_id):
     """Smallest tag with this client id strictly greater than ``tag``."""
-    counter, _ = split_tag(tag)
-    return make_tag(counter + 1, client_id)
+    return make_tag((tag >> CLIENT_ID_BITS) + 1, client_id)
+
+
+#: the tag a bulk-loaded value carries: the first write, by no client
+INITIAL_TAG = make_tag(1, 0)
 
 
 def note_key(sim, app, kind, key):

@@ -30,7 +30,7 @@ exactly when a concurrent client installed a newer version.
 """
 
 from repro.apps.common import field_mask
-from repro.hw.layout import pack_uint, unpack_kv_entry, unpack_uint
+from repro.hw.layout import U16, U32, U64, Codec, unpack_kv_entry, unpack_uint
 
 SLOT_SIZE = 24
 SLOT_VER_OFF = 0
@@ -41,6 +41,9 @@ HEADER_SIZE = 16  # ver + klen + vlen + pad
 
 #: CAS compare mask selecting the version field of a packed slot.
 SLOT_VER_MASK = field_mask(SLOT_VER_OFF, 8)
+
+_SLOT = Codec(U64, U64, U64)
+_HEADER = Codec(U64, U16, U32, U16)  # ver, klen, vlen, pad
 
 
 class KvLayout:
@@ -77,8 +80,7 @@ class KvLayout:
 
     @staticmethod
     def pack_entry(ver, key, value):
-        return (pack_uint(ver, 8) + pack_uint(len(key), 2)
-                + pack_uint(len(value), 4) + b"\x00\x00" + key + value)
+        return _HEADER.pack(ver, len(key), len(value), 0) + key + value
 
     #: ``(ver, key, value)`` of a buffer, one codec call (the value is
     #: truncated if the read was shorter than the entry)
@@ -94,14 +96,9 @@ class KvLayout:
     def entry_ver(data):
         return unpack_uint(data, 0, 8)
 
-    @staticmethod
-    def pack_slot(ver, ptr, bound):
-        return pack_uint(ver, 8) + pack_uint(ptr, 8) + pack_uint(bound, 8)
-
-    @staticmethod
-    def unpack_slot(data):
-        return (unpack_uint(data, 0, 8), unpack_uint(data, 8, 8),
-                unpack_uint(data, 16, 8))
+    #: ``pack_slot(ver, ptr, bound)`` / ``unpack_slot(data)``
+    pack_slot = staticmethod(_SLOT.pack)
+    unpack_slot = staticmethod(_SLOT.unpack)
 
     @staticmethod
     def encode_key(key):

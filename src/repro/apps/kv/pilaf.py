@@ -16,13 +16,16 @@ fixed span, so a GET's second READ is one fixed-size transfer.
 
 from repro.apps.common import note_key
 from repro.apps.kv.crc import crc_bytes, crc_time_us, verify
-from repro.hw.layout import pack_uint, unpack_uint
+from repro.hw.layout import U16, U32, U64, Codec, unpack_uint
 from repro.obs.trace import NULL_SPAN
 from repro.prism.client import PrismClient
 from repro.prism.server import PrismServer
 from repro.rpc.erpc import RpcClient, RpcServer
 
 SLOT_SIZE = 16
+
+_EXTENT_HEADER = Codec(U16, U32, U16)  # klen, vlen, pad
+_PTR = Codec(U64)
 
 
 class PilafLayout:
@@ -35,10 +38,7 @@ class PilafLayout:
         self.n_slots = n_slots
         self.max_key_bytes = max_key_bytes
         self.max_value_bytes = max_value_bytes
-
-    @property
-    def entry_stride(self):
-        return 8 + self.max_key_bytes + self.max_value_bytes + 8
+        self.entry_stride = 8 + max_key_bytes + max_value_bytes + 8
 
     @property
     def entry_data_bytes(self):
@@ -56,9 +56,8 @@ class PilafLayout:
         return self.extents_base + extent_index * self.entry_stride
 
     def pack_entry(self, key, value):
-        body = (pack_uint(len(key), 2) + pack_uint(len(value), 4)
-                + b"\x00\x00" + key + value)
-        body += b"\x00" * (self.entry_data_bytes - len(body))
+        body = (_EXTENT_HEADER.pack(len(key), len(value), 0) + key
+                + value).ljust(self.entry_data_bytes, b"\x00")
         return body + crc_bytes(body)
 
     @staticmethod
@@ -71,7 +70,7 @@ class PilafLayout:
 
     @staticmethod
     def pack_slot(ptr):
-        ptr_bytes = pack_uint(ptr, 8)
+        ptr_bytes = _PTR.pack(ptr)
         return ptr_bytes + crc_bytes(ptr_bytes)
 
 
@@ -121,7 +120,7 @@ class PilafServer:
     # -- server-CPU state manipulation (functional) -----------------------
 
     def _store(self, key_bytes, value):
-        space = self.prism.space
+        host = self.prism.space.host
         extent_index = self._key_to_extent.get(key_bytes)
         is_new = extent_index is None
         if is_new:
@@ -129,14 +128,14 @@ class PilafServer:
             self._next_extent += 1
             self._key_to_extent[key_bytes] = extent_index
         extent = self.layout.extent_addr(extent_index)
-        space.write(extent, self.layout.pack_entry(key_bytes, value))
+        host.write(extent, self.layout.pack_entry(key_bytes, value))
         if is_new:
             slot_index = self.slot_index(key_bytes)
-            for offset in range(self.layout.n_slots):
-                slot = self.layout.slot_addr(
-                    (slot_index + offset) % self.layout.n_slots)
-                if unpack_uint(space.read(slot, 8), 0, 8) == 0:
-                    space.write(slot, self.layout.pack_slot(extent))
+            n_slots = self.layout.n_slots
+            for offset in range(n_slots):
+                slot = self.layout.slot_addr((slot_index + offset) % n_slots)
+                if host.read_ptr(slot) == 0:
+                    host.write(slot, self.layout.pack_slot(extent))
                     return
             raise RuntimeError("pilaf hash table full")
 

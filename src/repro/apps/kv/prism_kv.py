@@ -155,29 +155,29 @@ class PrismKvServer:
     def load(self, key, value, client_id=0):
         """Install ``key -> value`` directly, as the paper's loader does."""
         key_bytes = KvLayout.encode_key(key)
-        space = self.prism.space
+        # Tables and buffers are host memory: no address-space routing.
+        host = self.prism.space.host
         for slot_index in self.candidates(key_bytes):
             slot_addr = self.layout.slot_addr(slot_index)
             ver, ptr, bound = KvLayout.unpack_slot(
-                space.read(slot_addr, SLOT_SIZE))
+                host.read(slot_addr, SLOT_SIZE))
             if ptr == 0:
                 break
-            stored = space.read(ptr, self.layout.probe_read_len())
+            stored = host.read(ptr, self.layout.probe_read_len())
             if KvLayout.entry_key(stored) == key_bytes:
                 break
         else:
             raise RuntimeError("hash table full")
         new_ver = bump_tag(ver, client_id)
         entry = KvLayout.pack_entry(new_ver, key_bytes, value)
-        needs_new_buffer = ptr == 0 or (
-            self.allocator is not None
-            and self.allocator.class_for(len(entry))
-            != self.allocator.class_for(bound))
-        if needs_new_buffer:
-            freelist_id, _rkey = self.freelist_for_entry(len(entry))
-            ptr = self.prism.freelist(freelist_id).pop()
-        space.write(ptr, entry)
-        space.write(slot_addr, KvLayout.pack_slot(new_ver, ptr, len(entry)))
+        size = len(entry)
+        if ptr == 0 or (self.allocator is not None
+                        and self.allocator.class_for(size)
+                        != self.allocator.class_for(bound)):
+            freelist_id, _rkey = self.freelist_for_entry(size)
+            ptr = self.prism.freelists[freelist_id].pop()
+        host.write(ptr, entry)
+        host.write(slot_addr, KvLayout.pack_slot(new_ver, ptr, size))
 
 
 class PrismKvClient:

@@ -121,11 +121,10 @@ class FarmServer:
 
     def load(self, key, value, version=1):
         """Install an initial version directly (setup time)."""
-        space = self.prism.space
-        space.write_ptr(self.layout.slot_addr(key),
-                        self.layout.object_addr(key))
-        self._set_lockver(key, version, locked=False)
-        space.write(self.layout.object_addr(key) + 8, value)
+        host = self.prism.space.host
+        addr = self.layout.object_addr(key)
+        host.write_ptr(self.layout.slot_addr(key), addr)
+        host.write(addr, FarmLayout.pack_lockver(version) + value)
 
 
 class FarmClient:

@@ -27,7 +27,7 @@ costs two READs (§8.1).
 """
 
 from repro.apps.common import field_mask
-from repro.hw.layout import pack_uint, unpack_uint
+from repro.hw.layout import U64, Codec, unpack_uint
 
 META_SIZE = 32
 PR_OFF = 0
@@ -43,6 +43,9 @@ PRPW_PW_MASK = field_mask(8, 8)
 CADDR_C_MASK = field_mask(0, 8)
 
 BUFFER_HEADER = 16  # C + key
+
+_PAIR = Codec(U64, U64)
+_WORD = Codec(U64)
 
 
 class TxLayout:
@@ -73,25 +76,16 @@ class TxLayout:
     def addr_field(self, key):
         return self.meta_addr(key) + ADDR_OFF
 
-    @staticmethod
-    def pack_prpw(pr, pw):
-        return pack_uint(pr, 8) + pack_uint(pw, 8)
-
-    @staticmethod
-    def unpack_prpw(data):
-        return unpack_uint(data, 0, 8), unpack_uint(data, 8, 8)
-
-    @staticmethod
-    def pack_caddr(c, addr):
-        return pack_uint(c, 8) + pack_uint(addr, 8)
-
-    @staticmethod
-    def unpack_caddr(data):
-        return unpack_uint(data, 0, 8), unpack_uint(data, 8, 8)
+    #: ``pack_prpw(pr, pw)`` / ``unpack_prpw(data)``
+    pack_prpw = staticmethod(_PAIR.pack)
+    unpack_prpw = staticmethod(_PAIR.unpack)
+    #: ``pack_caddr(c, addr)`` / ``unpack_caddr(data)``
+    pack_caddr = staticmethod(_PAIR.pack)
+    unpack_caddr = staticmethod(_PAIR.unpack)
 
     @staticmethod
     def pack_buffer(c, key, value):
-        return pack_uint(c, 8) + pack_uint(key, 8) + value
+        return _PAIR.pack(c, key) + value
 
     @staticmethod
     def unpack_buffer(data):
@@ -110,14 +104,11 @@ class FarmLayout:
         self.objects_base = objects_base
         self.n_keys = n_keys
         self.value_size = value_size
+        self.object_stride = 8 + value_size
 
     @property
     def table_bytes(self):
         return self.n_keys * 8
-
-    @property
-    def object_stride(self):
-        return 8 + self.value_size
 
     @property
     def objects_bytes(self):
@@ -131,7 +122,7 @@ class FarmLayout:
 
     @staticmethod
     def pack_lockver(version, locked=False):
-        return pack_uint(version | (LOCK_BIT if locked else 0), 8)
+        return _WORD.pack(version | LOCK_BIT if locked else version)
 
     @staticmethod
     def unpack_lockver(data):

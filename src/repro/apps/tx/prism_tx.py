@@ -82,12 +82,12 @@ class PrismTxServer:
         PW >= C (a committed write was always prepared first), and read
         validation checks RC == PW.
         """
-        space = self.prism.space
-        addr = self.prism.freelist(self.freelist_id).pop()
-        space.write(addr, TxLayout.pack_buffer(version, key, value))
-        space.write(self.layout.meta_addr(key),
-                    TxLayout.pack_prpw(0, version)
-                    + TxLayout.pack_caddr(version, addr))
+        host = self.prism.space.host
+        addr = self.prism.freelists[self.freelist_id].pop()
+        host.write(addr, TxLayout.pack_buffer(version, key, value))
+        host.write(self.layout.meta_addr(key),
+                   TxLayout.pack_prpw(0, version)
+                   + TxLayout.pack_caddr(version, addr))
 
 
 class TxAborted(Exception):

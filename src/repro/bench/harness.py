@@ -62,8 +62,16 @@ def _client_hosts(n):
     return [f"client{i}" for i in range(n)]
 
 
+#: every 8-byte run ``(key * 31 + i) % 256, i < 8`` is one slice of this
+_VALUE_PATTERN = bytes(range(256)) * 2
+
+
 def _value_for(key, value_size):
-    return bytes([(key * 31 + i) % 256 for i in range(8)]) * (value_size // 8)
+    """The ``value_size`` bytes bulk-loaded for ``key``: its 8-byte
+    pattern, repeated and cut."""
+    start = key * 31 % 256
+    return (_VALUE_PATTERN[start:start + 8]
+            * -(-value_size // 8))[:value_size]
 
 
 class _System:
@@ -233,6 +241,7 @@ def run_point(kind, flavor, workload_factory, n_clients,
     if unknown:
         raise TypeError("run_point() got an unexpected keyword argument "
                         f"{unknown[0]!r}")
+    setup_start = time.perf_counter()
     sim = Simulator()
     attached = []
     for name in INSTALL_ORDER:
@@ -297,12 +306,13 @@ def run_point(kind, flavor, workload_factory, n_clients,
         if gc_was_enabled:
             gc.enable()
     result.extra["events_executed"] = sim.events_executed
-    # Wall-clock cost of the simulated run itself (setup and analysis
-    # excluded): the regress schema's ``wall`` section, available on
+    # Wall-clock cost of the simulated run itself, and of the set-up
+    # before it: the regress schema's ``wall`` section, available on
     # every run — unlike the ``host`` section, which needs --profile.
-    # Stored on the equality-excluded field, not ``extra``: wall time
+    # Stored on the equality-excluded fields, not ``extra``: wall time
     # is host-side and must not break exact RunResult comparisons.
     result.wall_s = wall_s
+    result.setup_s = wall_start - setup_start
     if sources is not None:
         model = sources[0].describe()
         model["clients"] = n_clients

@@ -90,6 +90,7 @@ def wall_section(result):
     events = result.extra.get("events_executed", 0)
     return {
         "wall_s": wall_s,
+        "setup_s": result.setup_s,
         "events_executed": events,
         "events_per_sec": events / wall_s if wall_s > 0 else 0.0,
     }

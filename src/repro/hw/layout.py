@@ -24,7 +24,6 @@ _STRUCTS = {
     4: struct.Struct("<I"),
     8: struct.Struct("<Q"),
 }
-_BOUNDED_PTR_STRUCT = struct.Struct("<QQ")
 _KV_HEADER_STRUCT = struct.Struct("<QHI2x")  # ver:8 klen:2 vlen:4 pad:2
 _KV_HEADER_SIZE = _KV_HEADER_STRUCT.size
 
@@ -81,36 +80,57 @@ def unpack_uint(data, offset=0, width=U64):
         hp.exit()
 
 
-def _pack_bounded_ptr_raw(addr, bound):
-    try:
-        return _BOUNDED_PTR_STRUCT.pack(addr, bound)
-    except struct.error:
-        return (addr.to_bytes(POINTER_SIZE, "little")
-                + bound.to_bytes(U64, "little"))
+class Codec:
+    """A prebuilt ``struct.Struct`` over a fixed run of little-endian
+    unsigned fields of the given byte ``widths``.
+
+    One encode or decode is one ``struct`` call and one "codec" charge,
+    however many fields the layout has; a value that does not fit its
+    field raises ``OverflowError``, as :func:`pack_uint` does.
+    """
+
+    __slots__ = ("widths", "_struct")
+
+    def __init__(self, *widths):
+        self.widths = widths
+        self._struct = struct.Struct(
+            "<" + "".join(_STRUCTS[width].format[1:] for width in widths))
+
+    def pack(self, *values):
+        """Encode ``values``, one per field."""
+        hp = _hostprof.ACTIVE
+        if hp is not None and not hp._timing:
+            hp = None
+        if hp is not None:
+            hp.enter("codec")
+        try:
+            return self._struct.pack(*values)
+        except struct.error:
+            # Out of range: re-encode via to_bytes for the canonical
+            # OverflowError the callers (and tests) rely on.
+            return b"".join(value.to_bytes(width, "little")
+                            for value, width in zip(values, self.widths))
+        finally:
+            if hp is not None:
+                hp.exit()
+
+    def unpack(self, data, offset=0):
+        """The field values at ``data[offset:]``, as a tuple."""
+        hp = _hostprof.ACTIVE
+        if hp is None or not hp._timing:
+            return self._struct.unpack_from(data, offset)
+        hp.enter("codec")
+        try:
+            return self._struct.unpack_from(data, offset)
+        finally:
+            hp.exit()
 
 
-def pack_bounded_ptr(addr, bound):
-    """Encode the ⟨ptr, bound⟩ struct used by bounded indirect ops."""
-    hp = _hostprof.ACTIVE
-    if hp is None or not hp._timing:
-        return _pack_bounded_ptr_raw(addr, bound)
-    hp.enter("codec")
-    try:
-        return _pack_bounded_ptr_raw(addr, bound)
-    finally:
-        hp.exit()
-
-
-def unpack_bounded_ptr(data, offset=0):
-    """Decode a ⟨ptr, bound⟩ struct; returns (addr, bound)."""
-    hp = _hostprof.ACTIVE
-    if hp is None or not hp._timing:
-        return _BOUNDED_PTR_STRUCT.unpack_from(data, offset)
-    hp.enter("codec")
-    try:
-        return _BOUNDED_PTR_STRUCT.unpack_from(data, offset)
-    finally:
-        hp.exit()
+_BOUNDED_PTR = Codec(POINTER_SIZE, U64)
+#: Encode the ⟨ptr, bound⟩ struct used by bounded indirect ops.
+pack_bounded_ptr = _BOUNDED_PTR.pack
+#: Decode a ⟨ptr, bound⟩ struct; returns (addr, bound).
+unpack_bounded_ptr = _BOUNDED_PTR.unpack
 
 
 def unpack_kv_entry(data):

@@ -84,7 +84,8 @@ class PrismServer:
         freelist_id = next(self._freelist_ids)
         qp = QueuePair(buffer_size, name=name or f"freelist{freelist_id}")
         base, rkey = self.add_region(buffer_size * buffer_count)
-        qp.post_many(base + i * buffer_size for i in range(buffer_count))
+        qp.post_many(range(base, base + buffer_count * buffer_size,
+                           buffer_size))
         self.freelists[freelist_id] = qp
         if self.sim.bus is not None:
             self.sim.bus.emit("freelist.register", freelist_id, qp)

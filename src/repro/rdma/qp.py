@@ -80,8 +80,14 @@ class QueuePair:
             self.high_watermark = depth
 
     def post_many(self, addrs):
-        for addr in addrs:
-            self.post(addr)
+        """Add free buffers in order: ``post`` each, in one extend."""
+        buffers = self._buffers
+        before = len(buffers)
+        buffers.extend(addrs)
+        depth = len(buffers)
+        self.total_posted += depth - before
+        if depth > self.high_watermark:
+            self.high_watermark = depth
 
     def pop(self):
         """Pop the first free buffer (NIC data-plane side)."""

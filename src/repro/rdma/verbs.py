@@ -47,8 +47,8 @@ class ReceiveEndpoint:
         self.service = service
         base, self.rkey = server.add_region(buffer_size * buffer_count)
         self.qp = QueuePair(buffer_size, name=f"recv.{service}")
-        self.qp.post_many(base + i * buffer_size
-                          for i in range(buffer_count))
+        self.qp.post_many(range(base, base + buffer_count * buffer_size,
+                                buffer_size))
         self.completions = Store(sim, name=f"cq.{service}")
         self._connection = server.connect(f"__{service}__")
         self.rnr_naks = 0

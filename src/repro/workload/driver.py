@@ -41,6 +41,10 @@ class RunResult:
     #: simulations never take identical host time, and the
     #: observers-don't-perturb tests compare results exactly.
     wall_s: float = field(default=0.0, compare=False)
+    #: wall-clock seconds spent before the run: building and
+    #: bulk-loading the system and attaching the clients (host-side,
+    #: excluded from equality like ``wall_s``)
+    setup_s: float = field(default=0.0, compare=False)
 
     def row(self):
         """Compact dict for printing benchmark tables."""

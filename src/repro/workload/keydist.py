@@ -10,6 +10,8 @@ Ranks are shuffled onto key ids so that "hot" keys are spread over the
 table rather than clustered at low ids.
 """
 
+import functools
+
 import numpy as np
 
 
@@ -41,6 +43,26 @@ class UniformKeys:
                 self._rng.choice(self.n_keys, size=count, replace=False)]
 
 
+@functools.lru_cache(maxsize=4)
+def _zipf_tables(n_keys, coefficient, permutation_seed):
+    """``(cdf, rank_to_key)`` of one Zipf distribution, read-only.
+
+    Every client of an experiment draws from the same tables, so they
+    are built once and shared; only the sampling stream is per-client.
+    """
+    ranks = np.arange(1, n_keys + 1, dtype=np.float64)
+    cdf = np.cumsum(ranks ** (-coefficient))
+    cdf /= cdf[-1]
+    # Permute ranks onto key ids. The permutation seed must be SHARED
+    # by all clients of one experiment (contention requires everyone to
+    # agree on which keys are hot); the sampling stream is per-client.
+    rank_to_key = np.random.default_rng(
+        permutation_seed ^ 0x5EED).permutation(n_keys)
+    cdf.flags.writeable = False
+    rank_to_key.flags.writeable = False
+    return cdf, rank_to_key
+
+
 class ZipfKeys:
     """Zipf(``coefficient``) key choice over ``[0, n_keys)``.
 
@@ -54,16 +76,8 @@ class ZipfKeys:
         self.n_keys = n_keys
         self.coefficient = coefficient
         self._rng = np.random.default_rng(seed)
-        ranks = np.arange(1, n_keys + 1, dtype=np.float64)
-        weights = ranks ** (-coefficient)
-        self._cdf = np.cumsum(weights)
-        self._cdf /= self._cdf[-1]
-        # Permute ranks onto key ids. The permutation seed must be
-        # SHARED by all clients of one experiment (contention requires
-        # everyone to agree on which keys are hot); the sampling stream
-        # (``seed``) is per-client.
-        self._rank_to_key = np.random.default_rng(
-            permutation_seed ^ 0x5EED).permutation(n_keys)
+        self._cdf, self._rank_to_key = _zipf_tables(
+            n_keys, coefficient, permutation_seed)
 
     def sample(self):
         u = self._rng.random()

@@ -59,6 +59,24 @@ def test_unknown_flavor_rejected():
         build_system("kv", "nonsense", sim, n_keys=10)
 
 
+def test_loaded_values_are_value_size_bytes():
+    """The bulk-loaded value is exactly ``value_size`` bytes — the size
+    YCSB PUTs write — also when that is not a multiple of 8: the key's
+    8-byte pattern, repeated and cut."""
+    from repro.apps.kv.layout import KvLayout
+    server = build_system("kv", "prism-sw", Simulator(), n_keys=50,
+                          value_size=100).server
+    for key in (0, 5, 49):
+        slot = server.layout.slot_addr(
+            server.slot_index(KvLayout.encode_key(key)))
+        _ver, ptr, bound = KvLayout.unpack_slot(
+            server.prism.space.read(slot, 24))
+        _ver, _key, value = KvLayout.unpack_entry(
+            server.prism.space.read(ptr, bound))
+        pattern = bytes((key * 31 + i) % 256 for i in range(8))
+        assert value == (pattern * 13)[:100]
+
+
 def test_sweep_produces_monotone_throughput():
     results = sweep_clients(
         "kv", "prism-sw", lambda i: YCSB_C(500, seed=2, client_id=i),
@@ -133,6 +151,7 @@ class TestAggregatedSourceModel:
                            n_clients=2, n_keys=100, warmup_us=50,
                            measure_us=200)
         assert result.wall_s > 0
+        assert result.setup_s > 0
         assert result.extra["events_executed"] > 0
 
 

@@ -1,0 +1,145 @@
+"""The bulk loaders' memory images, pinned byte for byte.
+
+Every measurement point starts from a store the harness bulk-loads
+before the run. The loaders are set-up code, free to change how they
+encode, but not what they leave behind: each server's host memory and
+NIC SRAM must hash the same, and each free list must hold the same
+buffers in the same pop order. The digests were recorded before the
+loaders were rewritten for speed; a loader change that moves one of
+them changes a simulated result somewhere.
+"""
+
+import gc
+import hashlib
+import sys
+from pathlib import Path
+
+import pytest
+
+import repro
+from repro.apps.kv import PrismKvServer
+from repro.bench.harness import build_system
+from repro.net.topology import RACK, make_fabric
+from repro.prism import SoftwarePrismBackend
+from repro.sim import Simulator
+
+N_KEYS = 500
+VALUE_SIZE = 64
+
+#: the SHA-256 of a never-written NIC SRAM (no loader touches it)
+_SRAM = "69b72d709c148b73"
+
+#: free-list state of the one-list PRISM servers: (len, head, tail,
+#: total_popped, total_posted, high_watermark)
+_KV_LIST = (4096, 56008, 416368, 500, 4596, 4596)
+_RS_LIST = (4096, 44008, 338848, 500, 4596, 4596)
+_TX_LIST = (4096, 56008, 383608, 500, 4596, 4596)
+
+#: ``kind/flavor`` -> per server: (host SHA-256, SRAM SHA-256, free
+#: lists), digests cut to their first 16 hex digits
+_IMAGES = {
+    "kv/prism-sw": [("bbcff3c8c061fc12", _SRAM, [_KV_LIST])],
+    "kv/prism-hw": [("bbcff3c8c061fc12", _SRAM, [_KV_LIST])],
+    "kv/prism-bluefield": [("bbcff3c8c061fc12", _SRAM, [_KV_LIST])],
+    "kv/pilaf-hw": [("c82da9076c9a88ad", _SRAM, [])],
+    "kv/pilaf-sw": [("c82da9076c9a88ad", _SRAM, [])],
+    "rs/prism-sw": [("2ea438eeaef9baeb", _SRAM, [_RS_LIST])] * 3,
+    "rs/prism-hw": [("2ea438eeaef9baeb", _SRAM, [_RS_LIST])] * 3,
+    "rs/abdlock-hw": [("093459f024fdb24f", _SRAM, [])] * 3,
+    "rs/abdlock-sw": [("093459f024fdb24f", _SRAM, [])] * 3,
+    "tx/prism-sw": [("0197123c1242b85e", _SRAM, [_TX_LIST])],
+    "tx/prism-hw": [("0197123c1242b85e", _SRAM, [_TX_LIST])],
+    "tx/farm-hw": [("9e77cf932bcc202b", _SRAM, [])],
+    "tx/farm-sw": [("9e77cf932bcc202b", _SRAM, [])],
+}
+
+
+def _digest(memory):
+    return hashlib.sha256(memory._data).hexdigest()[:16]
+
+
+def _image(prism):
+    lists = [(len(qp), qp._buffers[0] if len(qp) else None,
+              qp._buffers[-1] if len(qp) else None, qp.total_popped,
+              qp.total_posted, qp.high_watermark)
+             for qp in prism.freelists.values()]
+    return (_digest(prism.space.host), _digest(prism.space.sram), lists)
+
+
+@pytest.mark.parametrize("point", sorted(_IMAGES))
+def test_build_system_memory_image(point):
+    kind, flavor = point.split("/")
+    system = build_system(kind, flavor, Simulator(), n_keys=N_KEYS,
+                          value_size=VALUE_SIZE)
+    servers = getattr(system, "replicas", None) or [system.server]
+    assert [_image(server.prism) for server in servers] == _IMAGES[point]
+
+
+def test_fnv_size_class_image_with_reclassing_reload():
+    """Linear-probing placement, three buffer classes, and a re-load
+    whose entry outgrows its class (a fresh buffer from the next list)."""
+    sim = Simulator()
+    fabric = make_fabric(sim, RACK, ["server"])
+    server = PrismKvServer(sim, fabric, "server", SoftwarePrismBackend,
+                           n_keys=N_KEYS, max_value_bytes=200,
+                           spare_buffers=64, hash_fn="fnv",
+                           size_classes=True)
+    for key in range(N_KEYS):
+        server.load(key, bytes([key % 256]) * VALUE_SIZE)
+    server.load(7, b"\x07" * 200)
+    assert _image(server.prism) == (
+        "05f2df7d67d5fce2", _SRAM,
+        [(564, 12008, 48040, 0, 564, 564),
+         (64, 112104, 120168, 500, 564, 564),
+         (563, 120552, 264424, 1, 564, 564)])
+
+
+# -- frames per loaded key ----------------------------------------------------
+
+_PACKAGE_DIR = str(Path(repro.__file__).parent)
+
+
+def _build_frames(kind, flavor, n_keys):
+    """Python frames under ``src/repro`` that ``build_system`` spends
+    building and bulk-loading ``n_keys`` keys (a ``sys.setprofile``
+    "call" event whose code lives in this package)."""
+    frames = [0]
+
+    def hook(frame, event, _arg):
+        if event == "call" and frame.f_code.co_filename.startswith(
+                _PACKAGE_DIR):
+            frames[0] += 1
+
+    gc.collect()
+    gc.disable()
+    previous = sys.getprofile()
+    sys.setprofile(hook)
+    try:
+        build_system(kind, flavor, Simulator(), n_keys=n_keys,
+                     value_size=VALUE_SIZE)
+    finally:
+        sys.setprofile(previous)
+        gc.enable()
+    return frames[0]
+
+
+@pytest.mark.skipif(
+    sys.version_info[:2] != (3, 11),
+    reason="frame counts are pinned on CPython 3.11 (CI's): other minors "
+           "report comprehension and generator frames differently")
+@pytest.mark.parametrize("kind, flavor, frames_pinned", [
+    # one value, then per key: the loader, its codec calls, one free-list
+    # pop and one write per region the key touches (the parent of this
+    # pin spent 40, 59 and 22)
+    ("kv", "prism-hw", 18),
+    ("rs", "prism-sw", 25),    # three replicas per key
+    ("tx", "farm-sw", 9),
+])
+def test_python_frames_per_loaded_key_do_not_grow(kind, flavor,
+                                                  frames_pinned):
+    """Set-up code is held to rules 4 and 12 of docs/performance.md: one
+    codec call per layout, no forwarding frames. Counted as the slope
+    between 200 and 400 keys, so construction cancels."""
+    frames = _build_frames(kind, flavor, 400) - _build_frames(kind, flavor,
+                                                              200)
+    assert frames <= frames_pinned * 200

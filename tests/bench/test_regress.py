@@ -256,6 +256,7 @@ class TestWallSection:
         wall = wall_section(small_result)
         assert wall is not None
         assert wall["wall_s"] > 0
+        assert wall["setup_s"] == small_result.setup_s > 0
         assert wall["events_executed"] > 0
         assert wall["events_per_sec"] == pytest.approx(
             wall["events_executed"] / wall["wall_s"])

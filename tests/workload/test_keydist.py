@@ -2,9 +2,12 @@
 
 from collections import Counter
 
+import numpy as np
 import pytest
 
 from repro.workload.keydist import UniformKeys, ZipfKeys, make_distribution
+from repro.workload.sources import AggregatedOpenLoopSource
+from repro.workload.ycsb import YcsbTransactionalWorkload
 
 
 class TestUniform:
@@ -106,3 +109,60 @@ class TestSampleBlock:
             block = dist.sample_block(256)
             assert all(0 <= key < 10 for key in block)
             assert all(isinstance(key, int) for key in block)
+
+
+class TestSharedTables:
+    """Clients of one experiment share one CDF and one rank permutation;
+    each keeps its own sampling stream."""
+
+    @staticmethod
+    def _uncached(n_keys, coefficient, seed, permutation_seed):
+        """Per-instance tables and stream, built the way every ZipfKeys
+        built its own before the tables were shared."""
+        ranks = np.arange(1, n_keys + 1, dtype=np.float64)
+        cdf = np.cumsum(ranks ** (-coefficient))
+        cdf /= cdf[-1]
+        rank_to_key = np.random.default_rng(
+            permutation_seed ^ 0x5EED).permutation(n_keys)
+        rng = np.random.default_rng(seed)
+        return [int(rank_to_key[min(int(np.searchsorted(cdf, rng.random())),
+                                    n_keys - 1)])
+                for _ in range(1000)]
+
+    def test_equal_parameters_share_tables(self):
+        a = ZipfKeys(2000, 0.4, seed=1, permutation_seed=9)
+        b = ZipfKeys(2000, 0.4, seed=2, permutation_seed=9)
+        assert a._cdf is b._cdf
+        assert a._rank_to_key is b._rank_to_key
+        assert a._rng is not b._rng
+        other = ZipfKeys(2000, 0.4, seed=1, permutation_seed=10)
+        assert other._rank_to_key is not a._rank_to_key
+
+    def test_shared_tables_are_read_only(self):
+        dist = ZipfKeys(100, 0.99)
+        with pytest.raises(ValueError):
+            dist._cdf[0] = 1.0
+        with pytest.raises(ValueError):
+            dist._rank_to_key[0] = 1
+
+    def test_ycsb_t_clients_draw_as_if_uncached(self):
+        seed = 3
+        clients = [YcsbTransactionalWorkload(2000, zipf=0.4, seed=seed,
+                                             client_id=index)
+                   for index in range(3)]
+        assert clients[1]._keys._cdf is clients[2]._keys._cdf
+        singles = [clients[1]._keys.sample() for _ in range(1000)]
+        assert singles == self._uncached(2000, 0.4, seed * 7919 + 1, seed)
+        block = clients[2]._keys.sample_block(1000)
+        assert block == self._uncached(2000, 0.4, seed * 7919 + 2, seed)
+
+    def test_open_loop_sources_draw_as_if_uncached(self):
+        seed = 4
+        sources = [AggregatedOpenLoopSource(1000, 20.0, 2000, zipf=0.99,
+                                            seed=seed, source_id=index)
+                   for index in range(2)]
+        assert sources[0]._keys._cdf is sources[1]._keys._cdf
+        singles = [sources[0]._keys.sample() for _ in range(1000)]
+        assert singles == self._uncached(2000, 0.99, seed * 7919, seed)
+        block = sources[1]._keys.sample_block(1000)
+        assert block == self._uncached(2000, 0.99, seed * 7919 + 1, seed)
