@@ -16,8 +16,7 @@ Conventions:
 """
 
 import enum
-from dataclasses import dataclass, field
-from typing import Optional
+from _collections import _tuplegetter  # namedtuple's C field accessor
 
 from repro.core.constants import (
     ACK_BYTES,
@@ -65,46 +64,60 @@ _EXTENDED_CAS_MODES = frozenset(
     {CasMode.NE, CasMode.GT, CasMode.GE, CasMode.LT, CasMode.LE})
 
 
-class _BaseOp:
-    """Shared validation/introspection for all operation descriptors."""
+class _Op(tuple):
+    """Shared shape of the five descriptors: an immutable tuple of the
+    fields named in ``_fields`` (one C accessor each), built by a
+    validating ``__new__``; equality, hash and repr go by type and
+    fields, as a frozen dataclass's did. ``uses_extensions()`` is False
+    only for an op a classic RDMA NIC accepts."""
 
-    def _common_checks(self):
-        if self.rkey is None:
-            raise InvalidOperation(f"{self.opname}: rkey is required")
+    __slots__ = ()
+    _fields = ()
+    #: the op's name in traces, NAK reports and error messages
+    opname = None
 
-    @property
-    def opname(self):
-        return type(self).__name__.replace("Op", "").upper()
+    def __init_subclass__(cls):
+        for index, name in enumerate(cls._fields):
+            setattr(cls, name, _tuplegetter(index, name))
 
-    def uses_extensions(self):
-        """True if any PRISM-only feature is engaged.
+    def __getnewargs__(self):
+        return tuple(self)
 
-        A descriptor with this False is expressible as a classic RDMA
-        verb and accepted by plain RDMA NIC backends.
-        """
-        raise NotImplementedError
+    def __eq__(self, other):
+        return type(other) is type(self) and tuple.__eq__(self, other)
+
+    def __ne__(self, other):
+        return not self == other
+
+    def __hash__(self):
+        return hash((self.opname, *self))
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={value!r}"
+                           for name, value in zip(self._fields, self))
+        return f"{type(self).__name__}({fields})"
 
 
-@dataclass(frozen=True)
-class ReadOp(_BaseOp):
+class ReadOp(_Op):
     """READ(ptr addr, size len, bool indirect, bool bounded) -> byte[]"""
 
-    addr: int
-    length: int
-    rkey: int
-    indirect: bool = False
-    bounded: bool = False
-    conditional: bool = False
-    redirect_to: Optional[int] = None
+    __slots__ = ()
+    _fields = ("addr", "length", "rkey", "indirect", "bounded",
+               "conditional", "redirect_to")
+    opname = "READ"
 
-    def __post_init__(self):
-        self._common_checks()
-        if self.length < 0:
+    def __new__(cls, addr, length, rkey, indirect=False, bounded=False,
+                conditional=False, redirect_to=None):
+        if rkey is None:
+            raise InvalidOperation("READ: rkey is required")
+        if length < 0:
             raise InvalidOperation("READ: negative length")
-        if self.bounded and not self.indirect:
+        if bounded and not indirect:
             raise InvalidOperation(
                 "READ: bounded requires indirect (the bound lives in the "
                 "⟨ptr, bound⟩ struct the target address points at)")
+        return tuple.__new__(cls, (addr, length, rkey, indirect, bounded,
+                                   conditional, redirect_to))
 
     def uses_extensions(self):
         return self.indirect or self.bounded or self.conditional or (
@@ -121,39 +134,38 @@ class ReadOp(_BaseOp):
         return BASE_TRANSPORT_HEADER_BYTES + result_len
 
 
-@dataclass(frozen=True)
-class WriteOp(_BaseOp):
+class WriteOp(_Op):
     """WRITE(ptr addr, byte[] data, size len, addr_indirect,
     addr_bounded, data_indirect)"""
 
-    addr: int
-    data: bytes
-    rkey: int
-    length: Optional[int] = None
-    addr_indirect: bool = False
-    addr_bounded: bool = False
-    data_indirect: bool = False
-    conditional: bool = False
+    __slots__ = ()
+    _fields = ("addr", "data", "rkey", "length", "addr_indirect",
+               "addr_bounded", "data_indirect", "conditional")
+    opname = "WRITE"
 
-    def __post_init__(self):
-        self._common_checks()
-        object.__setattr__(self, "data", bytes(self.data))
-        if self.length is None:
-            if self.data_indirect:
+    def __new__(cls, addr, data, rkey, length=None, addr_indirect=False,
+                addr_bounded=False, data_indirect=False, conditional=False):
+        if rkey is None:
+            raise InvalidOperation("WRITE: rkey is required")
+        data = bytes(data)
+        if length is None:
+            if data_indirect:
                 raise InvalidOperation(
                     "WRITE: explicit length required with data_indirect")
-            object.__setattr__(self, "length", len(self.data))
-        if self.length < 0:
+            length = len(data)
+        if length < 0:
             raise InvalidOperation("WRITE: negative length")
-        if self.addr_bounded and not self.addr_indirect:
+        if addr_bounded and not addr_indirect:
             raise InvalidOperation("WRITE: addr_bounded requires addr_indirect")
-        if self.data_indirect and len(self.data) != POINTER_BYTES:
+        if data_indirect and len(data) != POINTER_BYTES:
             raise InvalidOperation(
                 "WRITE: with data_indirect, data must be an 8-byte server "
                 "pointer")
-        if not self.data_indirect and len(self.data) != self.length:
+        if not data_indirect and len(data) != length:
             raise InvalidOperation(
-                f"WRITE: data is {len(self.data)} bytes but length={self.length}")
+                f"WRITE: data is {len(data)} bytes but length={length}")
+        return tuple.__new__(cls, (addr, data, rkey, length, addr_indirect,
+                                   addr_bounded, data_indirect, conditional))
 
     def uses_extensions(self):
         return (self.addr_indirect or self.addr_bounded or self.data_indirect
@@ -168,21 +180,22 @@ class WriteOp(_BaseOp):
         return ACK_BYTES
 
 
-@dataclass(frozen=True)
-class AllocateOp(_BaseOp):
+class AllocateOp(_Op):
     """ALLOCATE(qp freelist, byte[] data, size len) -> ptr (§3.2)."""
 
-    freelist: int
-    data: bytes
-    rkey: int
-    conditional: bool = False
-    redirect_to: Optional[int] = None
+    __slots__ = ()
+    _fields = ("freelist", "data", "rkey", "conditional", "redirect_to")
+    opname = "ALLOCATE"
 
-    def __post_init__(self):
-        self._common_checks()
-        object.__setattr__(self, "data", bytes(self.data))
-        if self.freelist < 0:
+    def __new__(cls, freelist, data, rkey, conditional=False,
+                redirect_to=None):
+        if rkey is None:
+            raise InvalidOperation("ALLOCATE: rkey is required")
+        data = bytes(data)
+        if freelist < 0:
             raise InvalidOperation("ALLOCATE: bad freelist id")
+        return tuple.__new__(cls, (freelist, data, rkey, conditional,
+                                   redirect_to))
 
     @property
     def length(self):
@@ -206,22 +219,22 @@ def _all_ones(nbytes):
     return (1 << (8 * nbytes)) - 1
 
 
-@dataclass(frozen=True)
-class FetchAddOp(_BaseOp):
+class FetchAddOp(_Op):
     """Classic RDMA FETCH-AND-ADD: atomically ``*target += delta``
     (mod 2^64), returning the previous value. §4.2 notes its adder is
     the hardware PRISM's comparison unit; the op itself is standard
     IB verbs, supported by every backend."""
 
-    target: int
-    delta: int
-    rkey: int
-    conditional: bool = False
+    __slots__ = ()
+    _fields = ("target", "delta", "rkey", "conditional")
+    opname = "FETCHADD"
 
-    def __post_init__(self):
-        self._common_checks()
-        if not -(1 << 63) <= self.delta < (1 << 63):
+    def __new__(cls, target, delta, rkey, conditional=False):
+        if rkey is None:
+            raise InvalidOperation("FETCHADD: rkey is required")
+        if not -(1 << 63) <= delta < (1 << 63):
             raise InvalidOperation("FETCHADD: delta must fit in 64 bits")
+        return tuple.__new__(cls, (target, delta, rkey, conditional))
 
     def uses_extensions(self):
         return self.conditional
@@ -233,8 +246,7 @@ class FetchAddOp(_BaseOp):
         return BASE_TRANSPORT_HEADER_BYTES + 8
 
 
-@dataclass(frozen=True)
-class CasOp(_BaseOp):
+class CasOp(_Op):
     """Enhanced compare-and-swap (§3.3).
 
     Atomically: if ``mode.compare(cmp & compare_mask, *target &
@@ -253,54 +265,54 @@ class CasOp(_BaseOp):
     another.
     """
 
-    target: int
-    data: bytes
-    rkey: int
-    mode: CasMode = CasMode.EQ
-    compare_mask: Optional[int] = None
-    swap_mask: Optional[int] = None
-    compare_data: Optional[bytes] = None
-    target_indirect: bool = False
-    data_indirect: bool = False
-    conditional: bool = False
-    operand_width: Optional[int] = field(default=None)
+    __slots__ = ()
+    _fields = ("target", "data", "rkey", "mode", "compare_mask", "swap_mask",
+               "compare_data", "target_indirect", "data_indirect",
+               "conditional", "operand_width")
+    opname = "CAS"
 
-    def __post_init__(self):
-        self._common_checks()
-        object.__setattr__(self, "data", bytes(self.data))
-        width = self.operand_width
+    def __new__(cls, target, data, rkey, mode=CasMode.EQ, compare_mask=None,
+                swap_mask=None, compare_data=None, target_indirect=False,
+                data_indirect=False, conditional=False, operand_width=None):
+        if rkey is None:
+            raise InvalidOperation("CAS: rkey is required")
+        data = bytes(data)
+        width = operand_width
         if width is None:
-            if self.data_indirect:
+            if data_indirect:
                 raise InvalidOperation(
                     "CAS: operand_width required with data_indirect")
-            width = len(self.data)
-            object.__setattr__(self, "operand_width", width)
+            width = len(data)
         if not 1 <= width <= CAS_MAX_OPERAND_BYTES:
             raise InvalidOperation(
                 f"CAS: operand width {width} outside [1, {CAS_MAX_OPERAND_BYTES}]")
-        if self.data_indirect:
-            if len(self.data) != POINTER_BYTES:
+        if data_indirect:
+            if len(data) != POINTER_BYTES:
                 raise InvalidOperation(
                     "CAS: with data_indirect, data must be an 8-byte pointer")
-        elif len(self.data) != width:
+        elif len(data) != width:
             raise InvalidOperation(
-                f"CAS: data is {len(self.data)} bytes, operand width {width}")
-        if self.compare_data is not None:
-            object.__setattr__(self, "compare_data", bytes(self.compare_data))
-            if len(self.compare_data) != width:
+                f"CAS: data is {len(data)} bytes, operand width {width}")
+        if compare_data is not None:
+            compare_data = bytes(compare_data)
+            if len(compare_data) != width:
                 raise InvalidOperation(
-                    f"CAS: compare_data is {len(self.compare_data)} bytes, "
+                    f"CAS: compare_data is {len(compare_data)} bytes, "
                     f"operand width {width}")
         full = _all_ones(width)
-        if self.compare_mask is None:
-            object.__setattr__(self, "compare_mask", full)
-        if self.swap_mask is None:
-            object.__setattr__(self, "swap_mask", full)
-        for mask_name in ("compare_mask", "swap_mask"):
-            mask = getattr(self, mask_name)
-            if mask < 0 or mask > full:
-                raise InvalidOperation(
-                    f"CAS: {mask_name} {mask:#x} exceeds operand width")
+        if compare_mask is None:
+            compare_mask = full
+        elif compare_mask < 0 or compare_mask > full:
+            raise InvalidOperation(
+                f"CAS: compare_mask {compare_mask:#x} exceeds operand width")
+        if swap_mask is None:
+            swap_mask = full
+        elif swap_mask < 0 or swap_mask > full:
+            raise InvalidOperation(
+                f"CAS: swap_mask {swap_mask:#x} exceeds operand width")
+        return tuple.__new__(cls, (target, data, rkey, mode, compare_mask,
+                                   swap_mask, compare_data, target_indirect,
+                                   data_indirect, conditional, width))
 
     def uses_extensions(self):
         width = self.operand_width

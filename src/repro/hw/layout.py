@@ -150,74 +150,3 @@ def unpack_kv_entry(data):
         if hp is not None:
             hp.exit()
 
-
-class FieldStruct:
-    """A tiny named-field binary struct.
-
-    Fields are ``(name, width_bytes)`` pairs laid out contiguously in
-    declaration order. Values are unsigned little-endian integers;
-    a width of None marks a trailing variable-length bytes field.
-    """
-
-    def __init__(self, *fields):
-        self.fields = list(fields)
-        self._offsets = {}
-        offset = 0
-        for index, (name, width) in enumerate(self.fields):
-            if width is None and index != len(self.fields) - 1:
-                raise ValueError("variable-length field must be last")
-            self._offsets[name] = offset
-            if width is not None:
-                offset += width
-        self.fixed_size = offset
-
-    def offset(self, name):
-        """Byte offset of ``name`` from the start of the struct."""
-        return self._offsets[name]
-
-    def width(self, name):
-        """Declared width of ``name`` (None for the variable tail)."""
-        for field_name, field_width in self.fields:
-            if field_name == name:
-                return field_width
-        raise KeyError(name)
-
-    def pack(self, **values):
-        """Encode the struct; variable tail defaults to b''."""
-        hp = _hostprof.ACTIVE
-        if hp is not None and not hp._timing:
-            hp = None
-        if hp is not None:
-            hp.enter("codec")
-        try:
-            parts = []
-            for name, width in self.fields:
-                value = values.get(name, 0 if width is not None else b"")
-                if width is None:
-                    parts.append(bytes(value))
-                else:
-                    parts.append(_pack_uint_raw(value, width))
-            return b"".join(parts)
-        finally:
-            if hp is not None:
-                hp.exit()
-
-    def unpack(self, data):
-        """Decode into a dict (variable tail under its field name)."""
-        hp = _hostprof.ACTIVE
-        if hp is not None and not hp._timing:
-            hp = None
-        if hp is not None:
-            hp.enter("codec")
-        try:
-            values = {}
-            for name, width in self.fields:
-                offset = self._offsets[name]
-                if width is None:
-                    values[name] = bytes(data[offset:])
-                else:
-                    values[name] = _unpack_uint_raw(data, offset, width)
-            return values
-        finally:
-            if hp is not None:
-                hp.exit()

@@ -4,8 +4,9 @@ Recent NICs expose a small user-accessible on-NIC memory region (256 KB
 on the paper's ConnectX-5, §4.2) that chains should use for redirect
 temporaries, because the NIC reaches it without a PCIe round trip. We
 map it just past host memory so a single integer address space covers
-both, and :meth:`domain` tells timing backends which side an access
-touched.
+both: an address at or past :attr:`ServerAddressSpace.sram_base` is
+SRAM, which is how the engine tells timing backends which side an
+access touched (``DOMAIN_SRAM`` / ``DOMAIN_HOST``).
 """
 
 from repro.core.constants import NIC_SRAM_BYTES
@@ -23,10 +24,6 @@ class ServerAddressSpace:
         self.sram_base = host_memory_bytes
         self.sram = HostMemory(sram_bytes + 8)  # +8: NULL page offset
         self.sram_bytes = sram_bytes
-
-    def domain(self, addr):
-        """'host' or 'sram' for a valid address."""
-        return DOMAIN_SRAM if addr >= self.sram_base else DOMAIN_HOST
 
     # SRAM is mapped just past host memory, its NULL page skipped: the
     # global address ``sram_base + n`` is SRAM-local ``n + 8``.

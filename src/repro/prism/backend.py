@@ -91,6 +91,11 @@ class PostingGate:
     real NIC), performs the post, and releases. Queued requests are not
     counted as in-flight — only ops that have started executing —
     so the drain is fast even under saturation.
+
+    The read side is written in :class:`_Execution`'s stages: an op
+    runs only while ``_posting`` is false (else it waits for
+    :meth:`reopened` and tests again), counts in ``_executing``, and the
+    last one out succeeds ``_drained``.
     """
 
     __slots__ = ("sim", "_executing", "_posting", "_drained", "_unblocked")
@@ -102,27 +107,11 @@ class PostingGate:
         self._drained = None
         self._unblocked = None
 
-    def try_enter(self):
-        """Read side: begin executing one op, unless a poster is active.
-        On False, wait for :meth:`reopened` and try again (another
-        poster may have taken the gate by then)."""
-        if self._posting:
-            return False
-        self._executing += 1
-        return True
-
     def reopened(self):
         """The event of the active poster's :meth:`release`."""
         if self._unblocked is None:
             self._unblocked = self.sim.event()
         return self._unblocked
-
-    def exit(self):
-        """Read side: op execution finished."""
-        self._executing -= 1
-        if self._executing == 0 and self._drained is not None:
-            event, self._drained = self._drained, None
-            event.succeed()
 
     def drain(self):
         """Process helper (write side): stall new ops, wait for quiet.
@@ -236,7 +225,7 @@ class Backend:
 #: what the kernel entry an execution is waiting for stands for
 _BOOT = 0       # ready deque: the slot after the delivering entry
 _ADMISSION = 1  # heap: the admission delay runs out
-_UNIT = 2       # callback: a unit is granted / the posting gate reopens
+_UNIT = 2       # ready deque: a unit is granted; callback: the gate reopens
 _OP = 3         # heap: the op's duration runs out
 
 
@@ -248,8 +237,9 @@ class _Execution:
     execute, hold the unit for the op's duration — so the execution is
     one slotted object that is its own ready-deque entry (created in
     the delivering entry, it boots in the next slot), its own heap
-    payload for the admission and per-op timers, and the callback on
-    its unit's ``AcquireEvent`` (docs/performance.md, rule 11). No
+    payload for the admission and per-op timers, and its unit's holder
+    (``Resource.claim``: granted, it runs in the ready-deque slot an
+    ``AcquireEvent`` would have had; docs/performance.md, rule 11). No
     bootstrap, resume or completion event: nothing can wait on an
     execution, so there is nothing to complete.
 
@@ -271,11 +261,11 @@ class _Execution:
     The creator's flight-recorder context is captured at construction
     and entered around every entry, so engine, fault and reply events
     attribute to the originating operation. An exception escaping the
-    engine or a pricing function releases the unit and the gate and
-    propagates out of ``Simulator.run`` at once. The execution holds
-    nothing that refers back to it (the unit callback is the execution
-    itself, dropped when the grant is processed): ``gc`` is off while a
-    benchmark point runs.
+    engine or a pricing function releases the unit (the gate counts an
+    op once it has run) and propagates out of ``Simulator.run`` at once.
+    The execution holds nothing that refers back to it (the pool's
+    waiter deque and the ready deque hold the execution itself, dropped
+    when the grant is run): ``gc`` is off while a benchmark point runs.
     """
 
     __slots__ = ("backend", "owner", "message", "connection", "ops", "span",
@@ -303,8 +293,8 @@ class _Execution:
     # -- kernel entries -------------------------------------------------------
 
     def __call__(self, _event=None):
-        """Ready-deque entry (boot), heap entry (a timer ran out) or the
-        callback of the awaited unit grant / gate reopening."""
+        """Ready-deque entry (boot, unit granted), heap entry (a timer
+        ran out) or the callback of the posting gate's reopening."""
         stage = _STAGES[self.stage]
         if self._flight_ctx is None:
             stage(self)  # no operation to attribute to: nothing to enter
@@ -339,7 +329,7 @@ class _Execution:
             if self.span.enabled:
                 self._open(_dispatch_label(len(self.results)), "queue")
             self.stage = _UNIT
-            backend.pool.acquire().callbacks.append(self)
+            backend.pool.claim(self)
             return
         backend.requests_processed += 1
         bus = backend.sim.bus
@@ -352,7 +342,7 @@ class _Execution:
         unit for its duration."""
         backend = self.backend
         gate = backend.gate
-        if not gate.try_enter():
+        if gate._posting:
             gate.reopened().callbacks.append(self)
             return
         if self._open_span is not None:
@@ -372,9 +362,10 @@ class _Execution:
                 span.attrs["status"] = result.status.value
                 span.parts = backend.op_time_parts(op, accesses, index)
         except BaseException:
-            gate.exit()
             backend.pool.release()
             raise
+        # Counted in once the op has run: no poster can look in between.
+        gate._executing += 1
         self.results.append(result)
         if duration > 0:
             self.stage = _OP
@@ -386,7 +377,11 @@ class _Execution:
         """The op's duration is over: free the gate and the unit, then
         move on."""
         backend = self.backend
-        backend.gate.exit()
+        gate = backend.gate
+        gate._executing -= 1
+        if gate._executing == 0 and gate._drained is not None:
+            event, gate._drained = gate._drained, None
+            event.succeed()
         backend.pool.release()
         results = self.results
         result = results[-1]

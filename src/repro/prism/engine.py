@@ -19,21 +19,23 @@ scratch region.)
 """
 
 import enum
-from dataclasses import dataclass
 from itertools import count
-from typing import Optional
 
 from repro.core.constants import POINTER_BYTES
 from repro.core.errors import (
     AccessViolation,
     AllocationFailure,
     InvalidOperation,
-    PrismError,
 )
 from repro.core.chain import Chain, abort_reason
 from repro.core.ops import AllocateOp, CasOp, FetchAddOp, ReadOp, WriteOp
 from repro.hw.layout import BOUNDED_PTR_SIZE, unpack_bounded_ptr
+from repro.prism.address_space import DOMAIN_HOST, DOMAIN_SRAM
 from repro.rdma.mr import AccessFlags
+
+#: an access's domain, indexed by ``addr >= space.sram_base``: SRAM is
+#: mapped just past host memory
+_DOMAINS = (DOMAIN_HOST, DOMAIN_SRAM)
 
 
 class OpStatus(enum.Enum):
@@ -50,28 +52,37 @@ class OpStatus(enum.Enum):
         return self is OpStatus.OK
 
 
-@dataclass
 class Access:
-    """One memory touch made while executing a primitive."""
+    """One memory touch made while executing a primitive: ``kind`` "r"
+    or "w", ``domain`` "host" or "sram", ``nbytes`` touched, whether
+    the atomic unit did it."""
 
-    kind: str       # "r" or "w"
-    domain: str     # "host" or "sram"
-    nbytes: int
-    atomic: bool = False
+    __slots__ = ("kind", "domain", "nbytes", "atomic")
+
+    def __init__(self, kind, domain, nbytes, atomic=False):
+        self.kind = kind
+        self.domain = domain
+        self.nbytes = nbytes
+        self.atomic = atomic
 
 
-@dataclass
 class OpResult:
     """Result of one operation: status plus its return payload.
 
     ``value`` is bytes for READ (empty if redirected) and CAS (the old
     value), an integer buffer address for ALLOCATE (0 if redirected),
-    and None for WRITE.
+    and None for WRITE. ``error`` is the :class:`PrismError` of a NAK.
     """
 
-    status: OpStatus
-    value: object = None
-    error: Optional[PrismError] = None
+    __slots__ = ("status", "value", "error")
+
+    def __init__(self, status, value=None, error=None):
+        self.status = status
+        self.value = value
+        self.error = error
+
+    def __repr__(self):
+        return f"OpResult({self.status}, {self.value!r}, {self.error!r})"
 
     @property
     def successful(self):
@@ -155,13 +166,11 @@ class PrismEngine:
 
     def _check_derived(self, connection, addr, length, need, what):
         """A derived address must fall inside *some* granted region."""
-        allows = self.regions.allows
-        for rkey in connection.granted_rkeys:
-            if allows(addr, length, rkey, need):
-                return
-        raise AccessViolation(
-            f"{what}: [{addr}, {addr + length}) not covered by any region "
-            f"granted to connection {connection.id}")
+        if not self.regions.allows_any(addr, length,
+                                       connection.granted_rkeys, need):
+            raise AccessViolation(
+                f"{what}: [{addr}, {addr + length}) not covered by any "
+                f"region granted to connection {connection.id}")
 
     def _feature_check(self, op):
         if not self.allow_extensions and op.uses_extensions():
@@ -174,45 +183,28 @@ class PrismEngine:
 
     # -- address resolution ---------------------------------------------
 
-    def _resolve_read_target(self, connection, op, accesses):
-        """Dereference for READ: returns (effective_addr, effective_len)."""
-        if not op.indirect:
-            self._check_primary(connection, op, op.addr, op.length,
-                                AccessFlags.READ)
+    def _resolve_target(self, connection, op, indirect, bounded, need,
+                        accesses, what):
+        """READ / WRITE target: returns (effective_addr, effective_len),
+        dereferencing the (bounded) pointer at ``op.addr`` if
+        ``indirect``."""
+        if not indirect:
+            self._check_primary(connection, op, op.addr, op.length, need)
             return op.addr, op.length
-        struct_len = BOUNDED_PTR_SIZE if op.bounded else POINTER_BYTES
+        struct_len = BOUNDED_PTR_SIZE if bounded else POINTER_BYTES
         self._check_primary(connection, op, op.addr, struct_len,
                             AccessFlags.READ)
-        raw = self.space.read(op.addr, struct_len)
-        accesses.append(Access("r", self.space.domain(op.addr), struct_len))
-        if op.bounded:
+        space = self.space
+        raw = space.read(op.addr, struct_len)
+        accesses.append(Access("r", _DOMAINS[op.addr >= space.sram_base],
+                               struct_len))
+        if bounded:
             target, bound = unpack_bounded_ptr(raw)
             effective = min(op.length, bound)
         else:
             target = int.from_bytes(raw[:POINTER_BYTES], "little")
             effective = op.length
-        self._check_derived(connection, target, effective, AccessFlags.READ,
-                            "READ pointee")
-        return target, effective
-
-    def _resolve_write_target(self, connection, op, accesses):
-        if not op.addr_indirect:
-            self._check_primary(connection, op, op.addr, op.length,
-                                AccessFlags.WRITE)
-            return op.addr, op.length
-        struct_len = BOUNDED_PTR_SIZE if op.addr_bounded else POINTER_BYTES
-        self._check_primary(connection, op, op.addr, struct_len,
-                            AccessFlags.READ)
-        raw = self.space.read(op.addr, struct_len)
-        accesses.append(Access("r", self.space.domain(op.addr), struct_len))
-        if op.addr_bounded:
-            target, bound = unpack_bounded_ptr(raw)
-            effective = min(op.length, bound)
-        else:
-            target = int.from_bytes(raw[:POINTER_BYTES], "little")
-            effective = op.length
-        self._check_derived(connection, target, effective, AccessFlags.WRITE,
-                            "WRITE pointee")
+        self._check_derived(connection, target, effective, need, what)
         return target, effective
 
     # -- single-op execution ------------------------------------------------
@@ -229,23 +221,15 @@ class PrismEngine:
         try:
             if not self.allow_extensions:
                 self._feature_check(op)
-            if isinstance(op, ReadOp):
-                result = self._do_read(connection, op, accesses)
-            elif isinstance(op, WriteOp):
-                result = self._do_write(connection, op, accesses)
-            elif isinstance(op, AllocateOp):
-                result = self._do_allocate(connection, op, accesses)
-            elif isinstance(op, CasOp):
-                result = self._do_cas(connection, op, accesses)
-            elif isinstance(op, FetchAddOp):
-                result = self._do_fetch_add(connection, op, accesses)
-            else:
+            handler = _HANDLERS.get(type(op))
+            if handler is None:
                 raise InvalidOperation(f"unknown operation {op!r}")
+            result = handler(self, connection, op, accesses)
         except (AccessViolation, AllocationFailure, InvalidOperation) as exc:
             if self.bus is not None:
                 self.bus.emit("op.nak", op.opname, type(exc).__name__,
                               connection.id)
-            return OpResult(OpStatus.NAK, error=exc), accesses
+            return OpResult(OpStatus.NAK, None, exc), accesses
         self.ops_executed += 1
         if self.monitor is not None:
             self.monitor.count(
@@ -253,20 +237,25 @@ class PrismEngine:
         return result, accesses
 
     def _do_read(self, connection, op, accesses):
-        target, length = self._resolve_read_target(connection, op, accesses)
+        target, length = self._resolve_target(
+            connection, op, op.indirect, op.bounded, AccessFlags.READ,
+            accesses, "READ pointee")
         if self.bus is not None:
             self.bus.emit("op.deref", "READ", int(op.indirect), op.bounded,
                           connection.id)
-        data = self.space.read(target, length)
-        accesses.append(Access("r", self.space.domain(target), length))
-        if op.redirect_to is not None:
-            self._check_derived(connection, op.redirect_to, length,
+        space = self.space
+        sram_base = space.sram_base
+        data = space.read(target, length)
+        accesses.append(Access("r", _DOMAINS[target >= sram_base], length))
+        redirect_to = op.redirect_to
+        if redirect_to is not None:
+            self._check_derived(connection, redirect_to, length,
                                 AccessFlags.WRITE, "READ redirect target")
-            self.space.write(op.redirect_to, data)
-            accesses.append(
-                Access("w", self.space.domain(op.redirect_to), length))
-            return OpResult(OpStatus.OK, value=b"")
-        return OpResult(OpStatus.OK, value=data)
+            space.write(redirect_to, data)
+            accesses.append(Access("w", _DOMAINS[redirect_to >= sram_base],
+                                   length))
+            return OpResult(OpStatus.OK, b"")
+        return OpResult(OpStatus.OK, data)
 
     def _source_data(self, connection, op, length, accesses, what):
         """WRITE/CAS data operand, honouring data_indirect."""
@@ -274,12 +263,16 @@ class PrismEngine:
             return op.data
         source = int.from_bytes(op.data, "little")
         self._check_derived(connection, source, length, AccessFlags.READ, what)
-        data = self.space.read(source, length)
-        accesses.append(Access("r", self.space.domain(source), length))
+        space = self.space
+        data = space.read(source, length)
+        accesses.append(Access("r", _DOMAINS[source >= space.sram_base],
+                               length))
         return data
 
     def _do_write(self, connection, op, accesses):
-        target, length = self._resolve_write_target(connection, op, accesses)
+        target, length = self._resolve_target(
+            connection, op, op.addr_indirect, op.addr_bounded,
+            AccessFlags.WRITE, accesses, "WRITE pointee")
         if self.bus is not None:
             self.bus.emit("op.deref", "WRITE",
                           int(op.addr_indirect) + int(op.data_indirect),
@@ -287,51 +280,64 @@ class PrismEngine:
         data = self._source_data(connection, op, op.length, accesses,
                                  "WRITE data source")
         data = data[:length]
-        self.space.write(target, data)
-        accesses.append(Access("w", self.space.domain(target), len(data)))
+        space = self.space
+        space.write(target, data)
+        accesses.append(Access("w", _DOMAINS[target >= space.sram_base],
+                               len(data)))
         return OpResult(OpStatus.OK)
 
     def _do_allocate(self, connection, op, accesses):
         freelist = self.freelists.get(op.freelist)
         if freelist is None:
             raise InvalidOperation(f"ALLOCATE: no free list {op.freelist}")
-        if not freelist.would_satisfy(len(op.data)):
+        data = op.data
+        if not freelist.would_satisfy(len(data)):
             raise InvalidOperation(
-                f"ALLOCATE: {len(op.data)} bytes exceeds buffer size "
+                f"ALLOCATE: {len(data)} bytes exceeds buffer size "
                 f"{freelist.buffer_size} of {freelist.name}")
         try:
-            buffer_addr = freelist.pop()  # FreeListExhausted when empty
+            buffer_addr = freelist.peek()  # FreeListExhausted when empty
         except AllocationFailure:
             if self.bus is not None:
                 self.bus.emit("alloc.exhausted", op.freelist, freelist)
             raise
-        if self.bus is not None:
-            self.bus.emit("alloc.pop", op.freelist, freelist)
+        # Both derived addresses are checked while the buffer is still
+        # posted: a NAK here takes nothing off the free list.
         self._check_derived(connection, buffer_addr, freelist.buffer_size,
                             AccessFlags.WRITE, "ALLOCATE buffer")
-        self.space.write(buffer_addr, op.data)
-        accesses.append(
-            Access("w", self.space.domain(buffer_addr), len(op.data)))
-        pointer = buffer_addr.to_bytes(POINTER_BYTES, "little")
-        if op.redirect_to is not None:
-            self._check_derived(connection, op.redirect_to, POINTER_BYTES,
+        redirect_to = op.redirect_to
+        if redirect_to is not None:
+            self._check_derived(connection, redirect_to, POINTER_BYTES,
                                 AccessFlags.WRITE, "ALLOCATE redirect target")
-            self.space.write(op.redirect_to, pointer)
-            accesses.append(Access(
-                "w", self.space.domain(op.redirect_to), POINTER_BYTES))
-            return OpResult(OpStatus.OK, value=0)
-        return OpResult(OpStatus.OK, value=buffer_addr)
+        freelist.pop()
+        if self.bus is not None:
+            self.bus.emit("alloc.pop", op.freelist, freelist)
+        space = self.space
+        sram_base = space.sram_base
+        space.write(buffer_addr, data)
+        accesses.append(Access("w", _DOMAINS[buffer_addr >= sram_base],
+                               len(data)))
+        if redirect_to is not None:
+            space.write(redirect_to,
+                        buffer_addr.to_bytes(POINTER_BYTES, "little"))
+            accesses.append(Access("w", _DOMAINS[redirect_to >= sram_base],
+                                   POINTER_BYTES))
+            return OpResult(OpStatus.OK, 0)
+        return OpResult(OpStatus.OK, buffer_addr)
 
     def _do_cas(self, connection, op, accesses):
         width = op.operand_width
+        space = self.space
+        sram_base = space.sram_base
         # Resolve target (the dereference is NOT atomic; only the CAS is).
         target = op.target
         if op.target_indirect:
-            self._check_primary(connection, op, op.target, POINTER_BYTES,
+            self._check_primary(connection, op, target, POINTER_BYTES,
                                 AccessFlags.READ)
-            target = self.space.read_ptr(op.target)
-            accesses.append(
-                Access("r", self.space.domain(op.target), POINTER_BYTES))
+            pointer = space.read_ptr(target)
+            accesses.append(Access("r", _DOMAINS[target >= sram_base],
+                                   POINTER_BYTES))
+            target = pointer
             self._check_derived(connection, target, width,
                                 AccessFlags.ATOMIC, "CAS pointee")
         else:
@@ -345,9 +351,9 @@ class PrismEngine:
         else:
             comparand = operand
 
-        old_bytes = self.space.read(target, width)
-        accesses.append(
-            Access("r", self.space.domain(target), width, atomic=True))
+        domain = _DOMAINS[target >= sram_base]
+        old_bytes = space.read(target, width)
+        accesses.append(Access("r", domain, width, True))
         old = int.from_bytes(old_bytes, "little")
 
         swapped = op.mode.compare(comparand & op.compare_mask,
@@ -365,24 +371,23 @@ class PrismEngine:
                 bus.emit("cas.miss", target, op.mode.value)
         if swapped:
             new = (old & ~op.swap_mask) | (operand & op.swap_mask)
-            self.space.write(target, new.to_bytes(width, "little"))
-            accesses.append(
-                Access("w", self.space.domain(target), width, atomic=True))
-            return OpResult(OpStatus.OK, value=old_bytes)
-        return OpResult(OpStatus.CAS_MISS, value=old_bytes)
+            space.write(target, new.to_bytes(width, "little"))
+            accesses.append(Access("w", domain, width, True))
+            return OpResult(OpStatus.OK, old_bytes)
+        return OpResult(OpStatus.CAS_MISS, old_bytes)
 
     def _do_fetch_add(self, connection, op, accesses):
-        self._check_primary(connection, op, op.target, 8,
-                            AccessFlags.ATOMIC)
-        old_bytes = self.space.read(op.target, 8)
-        accesses.append(
-            Access("r", self.space.domain(op.target), 8, atomic=True))
+        target = op.target
+        self._check_primary(connection, op, target, 8, AccessFlags.ATOMIC)
+        space = self.space
+        domain = _DOMAINS[target >= space.sram_base]
+        old_bytes = space.read(target, 8)
+        accesses.append(Access("r", domain, 8, True))
         old = int.from_bytes(old_bytes, "little")
         new = (old + op.delta) % (1 << 64)
-        self.space.write(op.target, new.to_bytes(8, "little"))
-        accesses.append(
-            Access("w", self.space.domain(op.target), 8, atomic=True))
-        return OpResult(OpStatus.OK, value=old_bytes)
+        space.write(target, new.to_bytes(8, "little"))
+        accesses.append(Access("w", domain, 8, True))
+        return OpResult(OpStatus.OK, old_bytes)
 
     # -- whole-chain execution (used by tests and simple callers) ---------
 
@@ -410,6 +415,16 @@ class PrismEngine:
         if self.bus is not None:
             emit_chain_done(self.bus, ops, results)
         return ChainResult(results)
+
+
+#: the engine's dispatch: one dict probe on the op's exact type
+_HANDLERS = {
+    ReadOp: PrismEngine._do_read,
+    WriteOp: PrismEngine._do_write,
+    AllocateOp: PrismEngine._do_allocate,
+    CasOp: PrismEngine._do_cas,
+    FetchAddOp: PrismEngine._do_fetch_add,
+}
 
 
 def emit_chain_done(bus, ops, results, logical=None):

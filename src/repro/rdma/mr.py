@@ -72,15 +72,20 @@ class MemoryRegionTable:
         except KeyError:
             raise AccessViolation(f"unknown rkey {rkey:#x}") from None
 
-    def allows(self, addr, length, rkey, need):
-        """Whether :meth:`check` would pass — without building the
-        :class:`AccessViolation` it raises when it does not. For
-        callers probing several rkeys, where a miss is not an error."""
-        region = self._regions.get(rkey)
-        return (region is not None
-                and not need._value_ & ~region._mask
-                and region.start <= addr
-                and addr + length <= region.start + region.length)
+    def allows_any(self, addr, length, rkeys, need):
+        """Whether :meth:`check` would pass under any of ``rkeys``,
+        building no :class:`AccessViolation` for a miss: a derived
+        address may lie in any region granted to the connection."""
+        need = need._value_
+        end = addr + length
+        regions = self._regions
+        for rkey in rkeys:
+            region = regions.get(rkey)
+            if (region is not None and not need & ~region._mask
+                    and region.start <= addr
+                    and end <= region.start + region.length):
+                return True
+        return False
 
     def check(self, addr, length, rkey, need):
         """Validate an access of ``length`` bytes at ``addr`` under ``rkey``.

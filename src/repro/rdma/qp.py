@@ -103,6 +103,13 @@ class QueuePair:
             self._min_depth = depth
         return addr
 
+    def peek(self):
+        """The buffer :meth:`pop` would return, left on the list; when
+        the list is empty, ``pop``'s :class:`FreeListExhausted`."""
+        if not self._buffers:
+            self.pop()
+        return self._buffers[0]
+
     def would_satisfy(self, nbytes):
         """True if this queue's buffers can hold ``nbytes``."""
         return nbytes <= self.buffer_size

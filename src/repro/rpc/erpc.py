@@ -81,8 +81,9 @@ class _Handling:
     (docs/performance.md, rule 11), shaped like ``prism.backend._Execution``.
 
     Created in the delivering entry, it is its own ready-deque entry (the
-    boot slot), the callback on its core's ``AcquireEvent`` and its own
-    heap payload for dispatch + service time: every entry where the
+    boot slot), its core's holder (``Resource.claim``: granted, it runs
+    in the slot an ``AcquireEvent`` would have had) and its own heap
+    payload for dispatch + service time: every entry where the
     handler process had one, with the same float, except that process's
     completion entry, which nothing could wait on. An unknown method is
     answered at boot without a core; a handler exception becomes an
@@ -114,7 +115,7 @@ class _Handling:
         sim._ready.append(self)
 
     def __call__(self, _event=None):
-        """Boot slot, core-grant callback or service-time heap entry."""
+        """Boot slot, core-grant slot or service-time heap entry."""
         if self._flight_ctx is None:
             self.stage(self)  # no operation to attribute to: nothing to enter
         else:
@@ -144,7 +145,7 @@ class _Handling:
                                            host=server.host_name)
             self._open_span = self.span.child(server._queue_label, "queue")
         self.stage = _Handling._granted
-        server.cores.acquire().callbacks.append(self)
+        server.cores.claim(self)
 
     def _granted(self):
         server = self.server

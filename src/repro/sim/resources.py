@@ -162,8 +162,43 @@ class Resource:
             if hp is not None:
                 hp.exit()
 
+    def claim(self, holder):
+        """:meth:`acquire` for a scheduled payload (docs/performance.md,
+        rule 11): ``holder()`` runs in the ready-deque slot the event's
+        callbacks would have had, holding the slot — no event, no
+        ``succeed`` or ``_process`` frame. A claim cannot be withdrawn."""
+        sim = self.sim
+        monitor = self.monitor
+        hp = sim.hostprof
+        if hp is not None:
+            if hp._timing:
+                hp.enter("resource")
+            else:
+                # Stride sampling: attribution is off for this event.
+                hp = None
+        try:
+            if self._in_use < self.capacity:
+                now = sim._now  # _account, in place
+                self._busy_time += self._in_use * (now - self._last_change)
+                self._last_change = now
+                self._in_use += 1
+                self._total_acquired += 1
+                if monitor is not None:
+                    monitor.on_uncontended_grant()
+                sim._ready.append(holder)
+            else:
+                self._waiters.append(holder)
+                if monitor is not None:
+                    monitor.on_enqueue()
+                    self._wait_since.append(sim._now)
+        finally:
+            if hp is not None:
+                hp.exit()
+
     def release(self):
-        """Free a slot, handing it to the oldest *live* waiter if any.
+        """Free a slot, handing it to the oldest *live* waiter if any
+        (an :class:`AcquireEvent` succeeds, a :meth:`claim` holder
+        goes on the ready deque).
 
         Cancelled waiters are skipped (cancellation removes them
         eagerly, so this is belt-and-braces for a waiter cancelled in
@@ -186,14 +221,18 @@ class Resource:
                 event = waiters.popleft()
                 if monitor is not None:
                     waited_since = self._wait_since.popleft()
-                if event.cancelled or event._triggered:
+                if event.cancelled or (type(event) is AcquireEvent
+                                       and event._triggered):
                     if monitor is not None:
                         monitor.on_cancel()
                     continue
                 self._total_acquired += 1
                 if monitor is not None:
                     monitor.on_handoff(sim._now - waited_since)
-                event.succeed(self)
+                if type(event) is AcquireEvent:
+                    event.succeed(self)
+                else:
+                    sim._ready.append(event)
                 return
             now = sim._now  # _account, in place
             self._busy_time += self._in_use * (now - self._last_change)

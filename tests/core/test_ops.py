@@ -1,11 +1,15 @@
 """Operation descriptor validation and introspection."""
 
+import copy
+import pickle
+
 import pytest
 
 from repro.core import (
     AllocateOp,
     CasMode,
     CasOp,
+    FetchAddOp,
     InvalidOperation,
     ReadOp,
     WriteOp,
@@ -166,3 +170,119 @@ class TestCasModes:
 def test_rkey_required():
     with pytest.raises(InvalidOperation):
         ReadOp(addr=64, length=8, rkey=None)
+
+
+_DESCRIPTORS = [
+    ReadOp(addr=64, length=8, rkey=RKEY, indirect=True, bounded=True),
+    WriteOp(addr=64, data=b"abc", rkey=RKEY, conditional=True),
+    AllocateOp(freelist=1, data=b"x" * 16, rkey=RKEY, redirect_to=128),
+    FetchAddOp(target=64, delta=-3, rkey=RKEY),
+    CasOp(target=64, data=b"\x01" * 8, rkey=RKEY, mode=CasMode.GT,
+          compare_mask=0xFF),
+]
+
+
+class TestValueSemantics:
+    """A descriptor is an immutable value: it refuses assignment, and
+    equality, hash and repr go by its type and fields."""
+
+    @pytest.mark.parametrize("op", _DESCRIPTORS, ids=lambda op: op.opname)
+    def test_assigning_a_field_raises(self, op):
+        for name in op._fields:
+            with pytest.raises(AttributeError):
+                setattr(op, name, 0)
+        with pytest.raises(AttributeError):
+            op.extra = 0
+        assert not hasattr(op, "__dict__")
+
+    @pytest.mark.parametrize("op", _DESCRIPTORS, ids=lambda op: op.opname)
+    def test_equality_and_hash_go_by_type_and_fields(self, op):
+        fields = dict(zip(op._fields, op))
+        twin = type(op)(**fields)
+        assert twin == op and not twin != op and hash(twin) == hash(op)
+        assert len({op, twin}) == 1
+        assert op != tuple(op) and tuple(op) != op
+        changed = type(op)(**{**fields, "rkey": RKEY + 1})
+        assert changed != op
+        assert copy.deepcopy(op) == op
+        assert pickle.loads(pickle.dumps(op)) == op
+
+    def test_same_fields_different_type_are_unequal(self):
+        read = ReadOp(addr=64, length=8, rkey=RKEY)
+
+        class Reread(ReadOp):
+            __slots__ = ()
+
+        assert Reread(addr=64, length=8, rkey=RKEY) != read
+        assert read != Reread(addr=64, length=8, rkey=RKEY)
+
+    def test_repr_names_every_field(self):
+        assert repr(ReadOp(addr=64, length=8, rkey=RKEY)) == (
+            "ReadOp(addr=64, length=8, rkey=4096, indirect=False, "
+            "bounded=False, conditional=False, redirect_to=None)")
+        assert repr(FetchAddOp(target=8, delta=1, rkey=RKEY)) == (
+            "FetchAddOp(target=8, delta=1, rkey=4096, conditional=False)")
+
+    def test_defaults_are_filled_in_at_construction(self):
+        write = WriteOp(addr=64, data=bytearray(b"abc"), rkey=RKEY)
+        assert (write.length, type(write.data)) == (3, bytes)
+        cas = CasOp(target=64, data=b"\x01" * 4, rkey=RKEY,
+                    compare_data=bytearray(4))
+        assert (cas.operand_width, cas.compare_mask, cas.swap_mask) == (
+            4, 0xFFFFFFFF, 0xFFFFFFFF)
+        assert type(cas.compare_data) is bytes
+        assert [op.opname for op in _DESCRIPTORS] == [
+            "READ", "WRITE", "ALLOCATE", "FETCHADD", "CAS"]
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: ReadOp(addr=64, length=8, rkey=None), "READ: rkey is required"),
+    (lambda: ReadOp(addr=64, length=-1, rkey=RKEY), "READ: negative length"),
+    (lambda: ReadOp(addr=64, length=8, rkey=RKEY, bounded=True),
+     "READ: bounded requires indirect (the bound lives in the ⟨ptr, bound⟩ "
+     "struct the target address points at)"),
+    (lambda: WriteOp(addr=64, data=b"x", rkey=None),
+     "WRITE: rkey is required"),
+    (lambda: WriteOp(addr=64, data=b"\0" * 8, rkey=RKEY, data_indirect=True),
+     "WRITE: explicit length required with data_indirect"),
+    (lambda: WriteOp(addr=64, data=b"", rkey=RKEY, length=-1),
+     "WRITE: negative length"),
+    (lambda: WriteOp(addr=64, data=b"x", rkey=RKEY, addr_bounded=True),
+     "WRITE: addr_bounded requires addr_indirect"),
+    (lambda: WriteOp(addr=64, data=b"abc", rkey=RKEY, length=3,
+                     data_indirect=True),
+     "WRITE: with data_indirect, data must be an 8-byte server pointer"),
+    (lambda: WriteOp(addr=64, data=b"abc", rkey=RKEY, length=5),
+     "WRITE: data is 3 bytes but length=5"),
+    (lambda: AllocateOp(freelist=1, data=b"x", rkey=None),
+     "ALLOCATE: rkey is required"),
+    (lambda: AllocateOp(freelist=-1, data=b"x", rkey=RKEY),
+     "ALLOCATE: bad freelist id"),
+    (lambda: FetchAddOp(target=64, delta=1, rkey=None),
+     "FETCHADD: rkey is required"),
+    (lambda: FetchAddOp(target=64, delta=1 << 63, rkey=RKEY),
+     "FETCHADD: delta must fit in 64 bits"),
+    (lambda: CasOp(target=64, data=b"\x01" * 8, rkey=None),
+     "CAS: rkey is required"),
+    (lambda: CasOp(target=64, data=b"\0" * 8, rkey=RKEY, data_indirect=True),
+     "CAS: operand_width required with data_indirect"),
+    (lambda: CasOp(target=64, data=b"\x01" * 33, rkey=RKEY),
+     "CAS: operand width 33 outside [1, 32]"),
+    (lambda: CasOp(target=64, data=b"abc", rkey=RKEY, operand_width=8,
+                   data_indirect=True),
+     "CAS: with data_indirect, data must be an 8-byte pointer"),
+    (lambda: CasOp(target=64, data=b"\x01" * 8, rkey=RKEY, operand_width=16),
+     "CAS: data is 8 bytes, operand width 16"),
+    (lambda: CasOp(target=64, data=b"\x01" * 8, rkey=RKEY,
+                   compare_data=b"\0" * 4),
+     "CAS: compare_data is 4 bytes, operand width 8"),
+    (lambda: CasOp(target=64, data=b"\x01" * 8, rkey=RKEY,
+                   compare_mask=1 << 64),
+     "CAS: compare_mask 0x10000000000000000 exceeds operand width"),
+    (lambda: CasOp(target=64, data=b"\x01" * 8, rkey=RKEY, swap_mask=-1),
+     "CAS: swap_mask -0x1 exceeds operand width"),
+])
+def test_every_invalid_operation_keeps_its_message(build, message):
+    with pytest.raises(InvalidOperation) as caught:
+        build()
+    assert str(caught.value) == message

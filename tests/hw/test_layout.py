@@ -1,4 +1,4 @@
-"""Binary codecs: uints, bounded pointers, FieldStruct."""
+"""Binary codecs: uints, bounded pointers, Codec."""
 
 import pytest
 from hypothesis import given, strategies as st
@@ -9,7 +9,6 @@ from repro.hw.layout import (
     U32,
     U64,
     Codec,
-    FieldStruct,
     pack_bounded_ptr,
     pack_uint,
     unpack_bounded_ptr,
@@ -61,39 +60,3 @@ def test_codec_out_of_range_raises_overflow(values):
     with pytest.raises(OverflowError):
         pack_bounded_ptr(*values)
 
-
-class TestFieldStruct:
-    def test_offsets(self):
-        struct = FieldStruct(("a", 8), ("b", 2), ("c", 4))
-        assert struct.offset("a") == 0
-        assert struct.offset("b") == 8
-        assert struct.offset("c") == 10
-        assert struct.fixed_size == 14
-
-    def test_width_lookup(self):
-        struct = FieldStruct(("a", 8), ("tail", None))
-        assert struct.width("a") == 8
-        assert struct.width("tail") is None
-        with pytest.raises(KeyError):
-            struct.width("missing")
-
-    def test_pack_unpack_roundtrip(self):
-        struct = FieldStruct(("ver", 8), ("len", 4), ("body", None))
-        blob = struct.pack(ver=7, len=3, body=b"xyz")
-        values = struct.unpack(blob)
-        assert values == {"ver": 7, "len": 3, "body": b"xyz"}
-
-    def test_missing_fields_default_zero(self):
-        struct = FieldStruct(("a", 2), ("b", 2))
-        assert struct.unpack(struct.pack(b=9)) == {"a": 0, "b": 9}
-
-    def test_variable_field_must_be_last(self):
-        with pytest.raises(ValueError):
-            FieldStruct(("tail", None), ("a", 8))
-
-    @given(st.integers(min_value=0, max_value=2**32 - 1),
-           st.binary(max_size=64))
-    def test_property_roundtrip(self, header, tail):
-        struct = FieldStruct(("h", 4), ("t", None))
-        assert struct.unpack(struct.pack(h=header, t=tail)) == {
-            "h": header, "t": tail}

@@ -39,6 +39,24 @@ class EngineHarness:
         return self.engine.execute_chain(self.connection, ops)
 
 
+def enter_gate(gate):
+    """The posting gate's read side, written as a process: what a
+    device execution does in its stages — while a poster is active,
+    wait for its release and test again; then count itself in."""
+    while gate._posting:
+        yield gate.reopened()
+    gate._executing += 1
+
+
+def leave_gate(gate):
+    """The read side's end, as an execution's last stage does it: the
+    last op out succeeds the poster's drain."""
+    gate._executing -= 1
+    if gate._executing == 0 and gate._drained is not None:
+        event, gate._drained = gate._drained, None
+        event.succeed()
+
+
 @pytest.fixture
 def harness():
     return EngineHarness()

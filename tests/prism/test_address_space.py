@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.core import ReadOp
 from repro.core.constants import NIC_SRAM_BYTES
 from repro.hw.memory import MemoryError_
 from repro.prism.address_space import (
@@ -9,6 +10,8 @@ from repro.prism.address_space import (
     DOMAIN_SRAM,
     ServerAddressSpace,
 )
+from repro.prism.engine import Connection, OpStatus, PrismEngine
+from repro.rdma.mr import MemoryRegionTable
 
 
 @pytest.fixture
@@ -17,11 +20,24 @@ def space():
 
 
 def test_domains(space):
+    """The engine records an access's domain by which side of
+    ``sram_base`` it touched: the last host byte is host, the first
+    SRAM byte is SRAM."""
     host_addr = space.sbrk(64)
     sram_addr = space.sram_sbrk(32)
-    assert space.domain(host_addr) == DOMAIN_HOST
-    assert space.domain(sram_addr) == DOMAIN_SRAM
-    assert sram_addr >= space.sram_base
+    assert sram_addr == space.sram_base
+    regions = MemoryRegionTable()
+    host_rkey = regions.register(host_addr, 64)
+    sram_rkey = regions.register(sram_addr, 32)
+    engine = PrismEngine(space, regions)
+    connection = Connection("client", {host_rkey, sram_rkey})
+    domains = []
+    for addr, rkey in ((host_addr + 63, host_rkey), (sram_addr, sram_rkey)):
+        result, accesses = engine.execute_op(
+            connection, ReadOp(addr=addr, length=1, rkey=rkey))
+        assert result.status is OpStatus.OK
+        domains += [access.domain for access in accesses]
+    assert domains == [DOMAIN_HOST, DOMAIN_SRAM]
 
 
 def test_sram_mapped_past_host_memory(space):

@@ -2,8 +2,14 @@
 
 import pytest
 
-from repro.core import AllocateOp, AllocationFailure, InvalidOperation
+from repro.core import (
+    AccessViolation,
+    AllocateOp,
+    AllocationFailure,
+    InvalidOperation,
+)
 from repro.prism.engine import OpStatus
+from repro.rdma.mr import AccessFlags
 
 
 def test_allocate_pops_fifo_and_writes(harness):
@@ -73,3 +79,29 @@ def test_reposted_buffer_can_be_reallocated(harness):
         AllocateOp(freelist=1, data=b"b", rkey=harness.rkey))
     assert result2.value == first
     assert harness.space.read(first, 1) == b"b"
+
+
+@pytest.mark.parametrize("redirect", ["read-only", "ungranted"])
+def test_a_nakd_allocate_takes_no_buffer(harness, redirect):
+    """The redirect target is checked while the buffer is still posted:
+    a NAK leaves the free list, its counters and the buffer untouched."""
+    _, _, start = harness.add_freelist(64, 2)
+    scratch = harness.space.sbrk(64)
+    if redirect == "read-only":
+        rkey = harness.regions.register(scratch, 64, AccessFlags.READ)
+        harness.connection.grant(rkey)
+    freelist = harness.freelists[1]
+    result, accesses = harness.run(
+        AllocateOp(freelist=1, data=b"payload", rkey=harness.rkey,
+                   redirect_to=scratch))
+    assert result.status is OpStatus.NAK
+    assert isinstance(result.error, AccessViolation)
+    assert "ALLOCATE redirect target" in str(result.error)
+    assert accesses == []
+    assert (len(freelist), freelist.total_popped) == (2, 0)
+    assert harness.space.read(start, 7) == b"\0" * 7
+    assert harness.space.read_ptr(scratch) == 0
+    # the buffer it would have taken is the next one handed out
+    result, _ = harness.run(
+        AllocateOp(freelist=1, data=b"payload", rkey=harness.rkey))
+    assert result.value == start and freelist.total_popped == 1

@@ -5,20 +5,16 @@ import pytest
 from repro.net.topology import DIRECT, make_fabric
 from repro.prism import HardwarePrismBackend, PrismClient, PrismServer
 from repro.prism.backend import BackendConfig, PostingGate
+from tests.prism.conftest import enter_gate, leave_gate
 
 
-def enter(gate):
-    """The read side, written as a process: try, wait for the poster's
-    release, try again — what a device execution does with callbacks."""
-    while not gate.try_enter():
-        yield gate.reopened()
 
 
 def test_reads_flow_when_not_posting(sim, drive):
     gate = PostingGate(sim)
     def main():
-        yield from enter(gate)
-        gate.exit()
+        yield from enter_gate(gate)
+        leave_gate(gate)
         return sim.now
     assert drive(sim, main()) == 0.0
 
@@ -28,9 +24,9 @@ def test_drain_waits_for_executing_ops(sim):
     order = []
 
     def op():
-        yield from enter(gate)
+        yield from enter_gate(gate)
         yield sim.timeout(10)
-        gate.exit()
+        leave_gate(gate)
         order.append(("op", sim.now))
 
     def poster():
@@ -58,9 +54,9 @@ def test_new_ops_stall_during_posting(sim):
 
     def late_op():
         yield sim.timeout(1)
-        yield from enter(gate)
+        yield from enter_gate(gate)
         order.append(("op_started", sim.now))
-        gate.exit()
+        leave_gate(gate)
 
     sim.spawn(poster())
     sim.spawn(late_op())
@@ -93,9 +89,9 @@ def test_drain_does_not_count_queued_ops(sim):
     stamps = {}
 
     def running_op():
-        yield from enter(gate)
+        yield from enter_gate(gate)
         yield sim.timeout(3)
-        gate.exit()
+        leave_gate(gate)
 
     def poster():
         yield sim.timeout(1)
@@ -106,9 +102,9 @@ def test_drain_does_not_count_queued_ops(sim):
 
     def queued_op():
         yield sim.timeout(2)  # arrives while poster is waiting/posting
-        yield from enter(gate)
+        yield from enter_gate(gate)
         stamps["queued_started"] = sim.now
-        gate.exit()
+        leave_gate(gate)
 
     sim.spawn(running_op())
     sim.spawn(poster())
@@ -124,9 +120,9 @@ def test_interleaved_enters_exits(sim):
 
     def op(start, hold, tag):
         yield sim.timeout(start)
-        yield from enter(gate)
+        yield from enter_gate(gate)
         yield sim.timeout(hold)
-        gate.exit()
+        leave_gate(gate)
         done.append(tag)
 
     def poster():

@@ -84,17 +84,20 @@ def test_overlapping_regions_have_independent_rkeys(table):
 
 
 def test_allows_agrees_with_check_and_formats_nothing(table, monkeypatch):
-    """``allows`` is ``check`` as a predicate: same verdict for a
-    missing rkey, a missing permission and either bound — but a miss
-    builds no exception, so it never formats a region."""
+    """``allows_any`` is ``check`` as a predicate over a set of rkeys:
+    under one rkey, the same verdict for a missing rkey, a missing
+    permission and either bound; under several, whether any of them
+    passes — but a miss builds no exception, so it never formats a
+    region."""
     read_only = table.register(0x1000, 64, AccessFlags.READ)
     everything = table.register(0x2000, 64)
+    rkeys = (read_only, everything, 0xDEAD)
+    needs = (AccessFlags.READ, AccessFlags.WRITE,
+             AccessFlags.READ | AccessFlags.ATOMIC)
+    spans = ((0x1000, 64), (0x1000, 65), (0xFFF, 2), (0x2000, 8),
+             (0x203C, 8), (0, 8))
     cases = [(addr, length, rkey, need)
-             for rkey in (read_only, everything, 0xDEAD)
-             for need in (AccessFlags.READ, AccessFlags.WRITE,
-                          AccessFlags.READ | AccessFlags.ATOMIC)
-             for addr, length in ((0x1000, 64), (0x1000, 65), (0xFFF, 2),
-                                  (0x2000, 8), (0x203C, 8), (0, 8))]
+             for rkey in rkeys for need in needs for addr, length in spans]
 
     def checks(*case):
         try:
@@ -105,9 +108,16 @@ def test_allows_agrees_with_check_and_formats_nothing(table, monkeypatch):
 
     expected = [checks(*case) for case in cases]
     assert True in expected and False in expected
+    expected_any = [any(checks(addr, length, rkey, need) for rkey in rkeys)
+                    for need in needs for addr, length in spans]
+    assert True in expected_any and False in expected_any
 
     def no_repr(region):
-        raise AssertionError("allows() formatted a region")
+        raise AssertionError("allows_any() formatted a region")
 
     monkeypatch.setattr(MemoryRegion, "__repr__", no_repr)
-    assert [table.allows(*case) for case in cases] == expected
+    assert [table.allows_any(addr, length, [rkey], need)
+            for addr, length, rkey, need in cases] == expected
+    assert [table.allows_any(addr, length, rkeys, need)
+            for need in needs for addr, length in spans] == expected_any
+    assert not table.allows_any(0x1000, 8, (), AccessFlags.READ)

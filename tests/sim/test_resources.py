@@ -272,6 +272,124 @@ class TestOneBodyBothConfigurations:
         assert observed == [bare] * 3
 
 
+class UnitHolder:
+    """A scheduled payload holding a unit for ``hold`` µs: called in its
+    grant slot, it pushes its own timer; fired, it releases the unit."""
+
+    cancelled = False
+
+    def __init__(self, pool, tag, hold, log):
+        self.pool, self.tag, self.hold, self.log = pool, tag, hold, log
+
+    def __call__(self, _event=None):
+        sim = self.pool.sim
+        self.log.append((self.tag, "granted", sim.now))
+        sim.schedule(self.hold, self)
+
+    def fire(self):
+        _release_between_markers(self.pool, self.tag, self.log)
+
+
+def _release_between_markers(pool, tag, log):
+    """Release ``pool`` between two same-instant ready entries: the
+    hand-off's slot is told by where the grant lands between them."""
+    sim = pool.sim
+    log.append((tag, "released", sim.now))
+    sim.call_at(sim.now, lambda: log.append((tag, "before", sim.now)))
+    pool.release()
+    sim.call_at(sim.now, lambda: log.append((tag, "after", sim.now)))
+
+
+class TestClaim:
+    """``Resource.claim(holder)`` is ``acquire().callbacks.append(holder)``
+    without the event: same FIFO, same ready-deque slot, same busy time
+    and monitor counts, with ``acquire()`` callers interleaved and a
+    cancelled waiter skipped."""
+
+    @staticmethod
+    def _interleave(claim, observer=None):
+        sim, armed = _armed(observer)
+        pool = Resource(sim, capacity=1)
+        log = []
+
+        def wait(tag, hold):
+            holder = UnitHolder(pool, tag, hold, log)
+            if claim:
+                pool.claim(holder)
+            else:
+                pool.acquire().callbacks.append(holder)
+
+        def worker(tag, hold):
+            try:
+                yield pool.acquire()
+            except Interrupt:
+                log.append((tag, "interrupted", sim.now))
+                return
+            log.append((tag, "granted", sim.now))
+            yield sim.timeout(hold)
+            _release_between_markers(pool, tag, log)
+
+        def main():
+            sim.call_at(0.0, lambda: log.append(("main", "before", 0.0)))
+            wait("h1", 2.0)            # uncontended: granted next slot
+            sim.call_at(0.0, lambda: log.append(("main", "after", 0.0)))
+            sim.spawn(worker("p1", 3.0))
+            wait("h2", 1.0)            # queued ahead of p1's acquire
+            doomed = sim.spawn(worker("doomed", 1.0))
+            sim.spawn(worker("p2", 1.0))
+            wait("h3", 1.0)
+            yield sim.timeout(1.0)
+            doomed.interrupt("gone")   # withdrawn while queued
+        try:
+            sim.spawn(main())
+            sim.run()
+        finally:
+            if armed is not None:
+                armed.finish(sim.now)
+        monitor = pool.monitor
+        counts = None if monitor is None else (
+            monitor.requests, monitor.grants, monitor.enqueues,
+            monitor.dequeues, monitor.cancels, monitor.releases,
+            sorted(monitor.queue_delays))
+        return (log, pool._total_acquired, pool.utilization(sim.now),
+                pool.in_use, pool.queue_length, sim.now,
+                sim.events_executed, counts)
+
+    def test_a_holder_takes_the_slot_its_acquire_event_took(self):
+        claimed = self._interleave(claim=True)
+        assert claimed == self._interleave(claim=False)
+        log, acquired, utilization, in_use, queued, end, _, _ = claimed
+        assert log == [
+            ("main", "before", 0.0), ("h1", "granted", 0.0),
+            ("main", "after", 0.0),
+            ("doomed", "interrupted", 1.0),
+            ("h1", "released", 2.0), ("h1", "before", 2.0),
+            ("h2", "granted", 2.0), ("h1", "after", 2.0),
+            ("h2", "released", 3.0), ("h2", "before", 3.0),
+            ("h3", "granted", 3.0), ("h2", "after", 3.0),
+            ("h3", "released", 4.0), ("h3", "before", 4.0),
+            ("p1", "granted", 4.0), ("h3", "after", 4.0),
+            ("p1", "released", 7.0), ("p1", "before", 7.0),
+            ("p2", "granted", 7.0), ("p1", "after", 7.0),
+            ("p2", "released", 8.0), ("p2", "before", 8.0),
+            ("p2", "after", 8.0)]
+        assert (acquired, in_use, queued, end) == (5, 0, 0, 8.0)
+        assert utilization == 1.0
+
+    @pytest.mark.parametrize("observer", _OBSERVERS[1:],
+                             ids=["util", "hostprof", "hostprof-stride"])
+    def test_every_observer_sees_a_claim_as_an_acquire(self, observer):
+        claimed = self._interleave(claim=True, observer=observer)
+        assert claimed == self._interleave(claim=False, observer=observer)
+        assert claimed[:7] == self._interleave(claim=True)[:7]
+        if observer is UtilizationCollector:
+            requests, grants, enqueues, dequeues, cancels, releases, \
+                delays = claimed[7]
+            assert (requests, grants, releases) == (6, 5, 5)
+            assert (enqueues, dequeues, cancels) == (5, 5, 1)
+            assert delays == [0.0, 2.0, 3.0, 4.0, 7.0]
+
+
 class Holder:
     """A port holder as the kernel and the pipe see one: a heap payload
     whose ``fire()`` finishes its transmission first."""
