@@ -5,7 +5,6 @@ import sys
 
 from repro.apps.blockstore import PrismRsClient, PrismRsReplica
 from repro.apps.blockstore.layout import RsLayout
-from repro.apps.blockstore.quorum import Phase
 from repro.bench.experiments import (
     Claim,
     Experiment,
@@ -16,7 +15,7 @@ from repro.bench.experiments import (
 from repro.bench.microbench import mean_latency
 from repro.net.topology import RACK, make_fabric
 from repro.prism import SoftwarePrismBackend
-from repro.sim import Simulator
+from repro.sim import Phase, Simulator
 
 N_BLOCKS = 256
 

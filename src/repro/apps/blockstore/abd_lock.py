@@ -18,10 +18,10 @@ Protocol per operation:
 """
 
 from repro.apps.blockstore.layout import AbdLockLayout
-from repro.apps.blockstore.quorum import Phase
 from repro.apps.common import INITIAL_TAG, bump_tag, note_key
 from repro.prism.client import PrismClient
 from repro.prism.server import PrismServer
+from repro.sim.phase import Phase
 from repro.sim.rng import SeededRng
 
 

@@ -22,7 +22,6 @@ miss) are reported to the replica's recycler daemon asynchronously.
 """
 
 from repro.apps.blockstore.layout import META_SIZE, META_TAG_MASK, RsLayout
-from repro.apps.blockstore.quorum import Phase
 from repro.apps.common import INITIAL_TAG, bump_tag, note_key, split_tag
 from repro.core.ops import AllocateOp, CasMode, CasOp, ReadOp, WriteOp
 from repro.hw.layout import pack_uint
@@ -32,6 +31,7 @@ from repro.prism.engine import OpStatus
 from repro.prism.recycler import RecyclerClient, RecyclerDaemon
 from repro.prism.server import PrismServer
 from repro.rpc.erpc import RpcClient, RpcServer
+from repro.sim.phase import Phase
 
 
 class PrismRsReplica:

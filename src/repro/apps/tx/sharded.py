@@ -13,6 +13,7 @@ key // n_shards.
 """
 
 from repro.apps.tx.prism_tx import PrismTxClient, TxAborted
+from repro.sim.phase import Phase
 from repro.sim.rng import SeededRng
 
 
@@ -63,11 +64,14 @@ class ShardedPrismTxClient:
     # -- phases --------------------------------------------------------------
 
     def _fanout(self, jobs):
-        """Run per-shard process helpers in parallel; returns results
-        in job order. A failure in any branch propagates."""
-        processes = [self.sim.spawn(job, name=f"shard-phase{i}")
-                     for i, job in enumerate(jobs)]
-        results = yield self.sim.all_of(processes)
+        """Run per-shard process helpers in parallel, as the legs of one
+        :class:`~repro.sim.phase.Phase` that needs them all; returns
+        their results in job order. A failing leg fails the phase with
+        :class:`~repro.sim.phase.QuorumError`, the leg's exception its
+        ``__cause__``."""
+        results = [None] * len(jobs)
+        for index, value in (yield Phase(self.sim, jobs, need=len(jobs))):
+            results[index] = value
         return results
 
     def _execute_reads(self, read_keys):

@@ -20,10 +20,11 @@ It logs the bus kinds in :data:`LOGGED_KINDS` verbatim, field for
 field, and only ever appends to a host-side deque.
 
 Causal attribution works without threading ids through any call
-signature: the kernel tells the recorder which :class:`Process` is
-executing (an enter/exit stack in ``Process._step``), the driver binds
-the current client operation's id to its process at ``op_open``, and a
-process spawned while another runs *inherits* the spawner's operation
+signature: the kernel tells the recorder which generator is executing
+(an enter/exit stack in ``_Task.__call__``, the driver of every process,
+launched task and phase leg), the workload driver binds the current
+client operation's id to it at ``op_open``, and a process, task or
+phase spawned while another runs *inherits* the spawner's operation
 context. A message in flight is not a process: its context rides on
 the fabric's delivery object, captured from the poster at
 ``Fabric.post`` (``Simulator.context``) and entered around the
@@ -108,7 +109,7 @@ class FlightRecorder(Observer):
     def _log(self, kind, names, *values):
         self.record(kind, **dict(zip(names, values)))
 
-    # -- kernel hooks (Process._step / __init__, Simulator.call_as) ---------
+    # -- kernel hooks (_Task.__call__ / __init__, Simulator.call_as) --------
 
     def enter_process(self, process):
         self._stack.append(process)

@@ -14,7 +14,8 @@ item 1 ("10x events/sec") is judged against. Three pieces:
   ========  =====================================================
   dispatch  kernel event dispatch (callback execution, exclusive
             of the nested buckets below)
-  resume    driving process generators (``Process._step``)
+  resume    stepping generators (``_Task.__call__``, the one
+            driver: processes, launched tasks, phase legs)
   resource  ``Resource.acquire``/``release`` and ``Store`` put/get
   codec     ``repro.hw`` codec pack/unpack (layout structs,
             memory integer codecs)
@@ -112,8 +113,11 @@ def charged(bucket):
 class HostProfiler(Observer):
     """Wall-clock meter for the kernel hot path.
 
-    Counters (``events``, ``resumes``) are exact; bucket attribution
-    is paired sampling — ``perf_counter()`` at every bucket boundary.
+    Counters (``events``, ``resumes``) are exact; ``resumes`` counts
+    every generator step of the kernel's one driver (a process's, a
+    launched task's or a phase leg's, boot steps included). Bucket
+    attribution is paired sampling — ``perf_counter()`` at every bucket
+    boundary.
     ``stride=k`` times only every k-th kernel event (counters stay
     exact) and extrapolates bucket seconds by k, trading attribution
     precision for lower observer overhead on very hot loops.
@@ -186,11 +190,6 @@ class HostProfiler(Observer):
             self.exit()
         self._stack.clear()
         self._timing = False
-
-    def resume_begin(self):
-        """``Process._step`` is about to drive a generator."""
-        self.resumes += 1
-        self.enter("resume")
 
     # -- bucket attribution --------------------------------------------------
 

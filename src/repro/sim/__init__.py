@@ -12,6 +12,7 @@ are resumed when those events trigger.
 
 from repro.sim.events import Event, Interrupt, SimulationError, TimeoutExpired
 from repro.sim.kernel import Process, Simulator
+from repro.sim.phase import Phase, QuorumError
 from repro.sim.resources import BandwidthPipe, Resource, Store
 from repro.sim.rng import SeededRng
 from repro.sim.stats import LatencyRecorder, ThroughputMeter, summarize
@@ -21,7 +22,9 @@ __all__ = [
     "Event",
     "Interrupt",
     "LatencyRecorder",
+    "Phase",
     "Process",
+    "QuorumError",
     "Resource",
     "SeededRng",
     "SimulationError",

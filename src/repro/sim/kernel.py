@@ -14,12 +14,14 @@ reason a heap-fired timer runs its waiters in the entry that pops it
 deque: the waiters would run in the same relative order either way,
 so every kernel entry does model work.
 
-Processes are generators driven by the kernel: every value a process
-yields must be an :class:`~repro.sim.events.Event` (or another
-:class:`Process`, which doubles as its completion event). A generator
-nothing will wait on is *launched* instead (:meth:`Simulator.launch`):
-driven by the same rules, with no completion event and so no entry for
-one.
+Every generator the kernel drives is stepped by one driver,
+:class:`_Task`, and every value it yields must be an
+:class:`~repro.sim.events.Event` (or a :class:`Process`, which doubles
+as its completion event). A process owns a task and is the event of its
+completion; a generator nothing will wait on is *launched*
+(:meth:`Simulator.launch`): a task with no owner, so no completion entry;
+a quorum phase's legs are tasks the phase owns
+(:class:`~repro.sim.phase.Phase`).
 """
 
 import heapq
@@ -88,39 +90,34 @@ def _fire_due_now(timer):
 class Process(Event):
     """A running generator coroutine; also the event of its completion.
 
-    The completion value is whatever the generator returns. An uncaught
-    exception inside the generator fails the completion event, and —
-    if nothing is waiting on the process — propagates out of
-    ``Simulator.run`` so bugs never pass silently.
+    The generator is stepped by the :class:`_Task` the process owns; the
+    process is what others wait on. The completion value is whatever
+    the generator returns. An uncaught exception inside the generator
+    fails the completion event, and — if nothing is waiting on the
+    process — propagates out of ``Simulator.run`` so bugs never pass
+    silently.
     """
 
-    __slots__ = ("_generator", "_waiting_on", "name", "_ever_waited",
-                 "_flight_ctx")
+    __slots__ = ("_task", "_ever_waited")
 
     def __init__(self, sim, generator, name=None):
         super().__init__(sim)
-        self._generator = generator
-        self._waiting_on = None
         self._ever_waited = False
-        self.name = name or getattr(generator, "__name__", "process")
-        # Flight-recorder causal context: a spawned process inherits the
-        # spawner's operation id, so its events attribute to the client
-        # operation it works for (scheduled payloads do the same through
+        # The task inherits the spawner's flight-recorder context, so a
+        # spawned process's events attribute to the client operation it
+        # works for (scheduled payloads do the same through
         # ``Simulator.context``).
-        fl = sim.flight
-        self._flight_ctx = None if fl is None else fl.current_ctx()
+        self._task = task = _Task(
+            sim, generator, name or getattr(generator, "__name__", "process"),
+            self._finished)
         tracer = sim.tracer
         if tracer.trace_processes:
             tracer.process_started(self)
-        sim._ready.append(self._bootstrap)
+        sim._ready.append(task)  # the boot slot
 
-    def _bootstrap(self):
-        # Guard against a resume that beat the bootstrap to the deque
-        # (an interrupt in the spawn instant): the generator is then
-        # already past its first yield, or finished.
-        if self._triggered or self._waiting_on is not None:
-            return
-        self._step(self._generator.send, None)
+    @property
+    def name(self):
+        return self._task.name
 
     def add_callback(self, callback):
         self._ever_waited = True
@@ -134,52 +131,91 @@ class Process(Event):
     def interrupt(self, cause=None):
         """Throw :class:`Interrupt` into the process at the current time.
 
-        Interrupting a finished process is a no-op.
+        Interrupting a finished process is a no-op. No model code calls
+        this; it is the kernel's cancellation guarantee, and the tests of
+        every resource-backed event's withdrawal drive it.
         """
         if self._triggered:
             return
         interrupt_event = Event(self.sim)
-        interrupt_event.add_callback(self._resume_with_interrupt(cause))
-        interrupt_event.succeed()
+        interrupt_event.callbacks.append(self._interrupted)
+        interrupt_event.fail(Interrupt(cause))
 
-    def _resume_with_interrupt(self, cause):
-        def resume(event):
-            if self._triggered:
-                return
-            self._detach_from_waited_event()
-            self._step(self._generator.throw, Interrupt(cause))
-        return resume
-
-    def _detach_from_waited_event(self):
-        waited = self._waiting_on
-        self._waiting_on = None
-        if waited is not None:
-            # Let the event (and, for composites, its sub-events)
-            # know the waiter is gone so resource-backed events can
-            # withdraw queued claims or hand back granted slots.
-            waited.waiter_detached(self._resume)
-
-    def _resume(self, event):
+    def _interrupted(self, interrupt_event):
+        """Detach the task from what it waits on — so a resource-backed
+        event withdraws its claim — and throw the interrupt in. A wake-up
+        from the abandoned event that was already queued is stale: the
+        task now waits on ``interrupt_event``, so it ignores that one."""
         if self._triggered:
             return
-        if self._waiting_on is not None and event is not self._waiting_on:
-            # Stale wake-up from an event this process detached from
-            # (it was already processed when the interrupt landed, so
-            # its callback sat in the queue instead of on the event).
-            # Resuming here would drive the generator at the wrong
-            # yield point — once for the stale event and again for the
-            # one it is actually waiting on.
-            return
-        self._waiting_on = None
-        if event._ok:
-            self._step(self._generator.send, event._value)
-        else:
-            self._step(self._generator.throw, event._value)
+        task = self._task
+        waited = task._waiting_on
+        if waited is not None:
+            waited.waiter_detached(task)
+        task._waiting_on = interrupt_event
+        task(interrupt_event)
 
-    def _step(self, advance, arg):
-        # ``advance`` is the generator's bound ``send``/``throw`` and
-        # ``arg`` its payload — passed unpacked so resuming allocates
-        # no closure.
+    def _finished(self, task, ok, value):
+        """The task's one report: the generator returned ``value``
+        (``ok``) or raised it."""
+        sim = self.sim
+        if ok:
+            self.succeed(value)
+            tracer = sim.tracer
+            if tracer.trace_processes:
+                tracer.process_finished(self)
+        else:
+            self.fail(value)
+            sim.tracer.process_finished(self)
+            sim._note_process_failure(self, value)
+
+    def __repr__(self):
+        return f"<Process {self.name} {'done' if self._triggered else 'alive'}>"
+
+
+class _Task:
+    """The kernel's one generator driver (docs/performance.md, rule 11).
+
+    A task is its generator's boot slot — called with no event — and its
+    own callback on every event the generator yields: it is resumed in
+    the entry where that event is processed, under the flight-recorder
+    context it was created in, and counted as one resume by the host
+    profiler. A non-``Event`` yield has :class:`SimulationError` thrown
+    in; an already-processed one resumes it in a :class:`_LateCall`;
+    waiting on a child :class:`Process` marks the child observed.
+
+    When the generator returns or raises, the task tells ``done`` —
+    ``done(task, ok, value)``, once — and ignores any later call. Three
+    owners: a :class:`Process` (its completion event), a
+    :class:`~repro.sim.phase.Phase` (a leg, named by its index) and
+    none, for a generator :meth:`Simulator.launch` ran; with no owner a
+    raising generator is recorded like an unobserved process's failure
+    and raised at the end of the run. The owner never changes the
+    driver's type: CPython specialises a hot method per type (rule 11).
+    """
+
+    __slots__ = ("sim", "_generator", "name", "_flight_ctx", "_waiting_on",
+                 "_done")
+
+    #: orphan-failure triage: nothing can ever have waited on a task
+    _ever_waited = False
+
+    def __init__(self, sim, generator, name, done=None):
+        self.sim = sim
+        self._generator = generator
+        self.name = name
+        self._done = done
+        self._waiting_on = None
+        fl = sim.flight
+        self._flight_ctx = None if fl is None else fl.current_ctx()
+
+    def __call__(self, event=None):
+        """Boot slot (no event) or the callback of the awaited event."""
+        if event is not self._waiting_on:
+            # A stale wake-up from an event the task detached from (see
+            # Process._interrupted), or a call after the generator ended
+            # (``_waiting_on`` is then False, which no event is).
+            return
         sim = self.sim
         # Host-profiling hook: resume accounting (off => one None check).
         hp = sim.hostprof
@@ -190,117 +226,53 @@ class Process(Event):
             if hp._timing:
                 hp.enter("resume")
             else:
-                # Unsampled resume (stride sampling): the counter stays
+                # Unsampled step (stride sampling): the counter stays
                 # exact, but bucket attribution is off for this event —
                 # skip the paired enter/exit calls entirely.
                 hp = None
         if fl is not None:
             fl.enter_process(self)
+        generator = self._generator
         try:
             try:
-                target = advance(arg)
+                if event is None:
+                    target = generator.send(None)
+                elif event._ok:
+                    target = generator.send(event._value)
+                else:
+                    target = generator.throw(event._value)
+                while not isinstance(target, Event):
+                    target = generator.throw(SimulationError(
+                        f"generator {self.name!r} yielded {target!r}; "
+                        "processes, tasks and phase legs may only yield "
+                        "Event instances (use 'yield from' to call "
+                        "sub-generators)"))
             except StopIteration as stop:
-                self.succeed(getattr(stop, "value", None))
-                tracer = sim.tracer
-                if tracer.trace_processes:
-                    tracer.process_finished(self)
-                return
+                ok, value = True, stop.value
             except Exception as exc:
-                self._fail_or_crash(exc)
-                return
-            if isinstance(target, Event):
+                ok, value = False, exc
+            else:
                 self._waiting_on = target
-                # Inlined Event.add_callback — one call per resume on
-                # the hottest kernel path. Waiting on a child process
+                # Inlined Event.add_callback. Waiting on a child process
                 # must still mark it observed (orphan-failure triage).
                 if isinstance(target, Process):
                     target._ever_waited = True
                 if target._processed:
-                    sim._ready.append(_LateCall(self._resume, target))
+                    sim._ready.append(_LateCall(self, target))
                 else:
-                    target.callbacks.append(self._resume)
-            else:
-                message = (
-                    f"process {self.name!r} yielded {target!r}; processes "
-                    "may only yield Event instances (use 'yield from' to "
-                    "call sub-generators)")
-                self._step(self._generator.throw, SimulationError(message))
+                    target.callbacks.append(self)
+                return
+            self._waiting_on = False
+            done, self._done = self._done, None
+            if done is not None:
+                done(self, ok, value)
+            elif not ok:
+                sim._note_process_failure(self, value)
         finally:
             if fl is not None:
                 fl.exit_process()
             if hp is not None:
                 hp.exit()
-
-    def _fail_or_crash(self, exc):
-        self.fail(exc)
-        self.sim.tracer.process_finished(self)
-        self.sim._note_process_failure(self, exc)
-
-    def __repr__(self):
-        return f"<Process {self.name} {'done' if self._triggered else 'alive'}>"
-
-
-class _Task:
-    """A generator run by :meth:`Simulator.launch`: a process nothing
-    can wait on (docs/performance.md, rule 11).
-
-    It is its own boot slot, appended where ``spawn`` appended a
-    bootstrap, and its own callback on what it yields: resumed in the
-    entry where that event is processed, under the flight-recorder
-    context it was launched in, with ``Process._step``'s rules. No
-    handle to it exists, so no waiter can attach and its completion —
-    which for a process is a ready-deque entry running no callback —
-    leaves no entry at all. A raising generator is recorded like an
-    unobserved process's failure and raised at the end of the run.
-    Its own class, not a ``Process``: two types on one hot method cost
-    CPython's per-type specialisation (rule 11).
-    """
-
-    __slots__ = ("sim", "_generator", "name", "_flight_ctx")
-
-    #: orphan-failure triage: nothing can ever have waited on a task
-    _ever_waited = False
-
-    def __init__(self, sim, generator, name):
-        self.sim = sim
-        self._generator = generator
-        self.name = name
-        fl = sim.flight
-        self._flight_ctx = None if fl is None else fl.current_ctx()
-        sim._ready.append(self)  # the boot slot
-
-    def __call__(self, event=None):
-        """Boot slot (no event) or the callback of the awaited event."""
-        sim = self.sim
-        fl = sim.flight
-        if fl is not None:
-            fl.enter_process(self)
-        generator = self._generator
-        try:
-            if event is None:
-                target = generator.send(None)
-            elif event._ok:
-                target = generator.send(event._value)
-            else:
-                target = generator.throw(event._value)
-            while not isinstance(target, Event):
-                target = generator.throw(SimulationError(
-                    f"task {self.name!r} yielded {target!r}; tasks may "
-                    "only yield Event instances (use 'yield from' to call "
-                    "sub-generators)"))
-            if isinstance(target, Process):
-                target._ever_waited = True
-            if target._processed:
-                sim._ready.append(_LateCall(self, target))
-            else:
-                target.callbacks.append(self)
-        except StopIteration:
-            pass
-        except Exception as exc:
-            sim._note_process_failure(self, exc)
-        finally:
-            if fl is not None:
-                fl.exit_process()
 
 
 class Simulator:
@@ -494,7 +466,7 @@ class Simulator:
         fire-and-forget work — an open-loop arrival's operation, a
         recycler report.
         """
-        _Task(self, generator, name)
+        self._ready.append(_Task(self, generator, name))  # the boot slot
 
     def context(self):
         """The flight-recorder context of whatever is executing now.
@@ -508,8 +480,8 @@ class Simulator:
 
     def call_as(self, holder, function, argument):
         """``function(argument)`` with ``holder._flight_ctx`` as the
-        executing context — what ``Process._step`` does around a
-        resume, for callers that are not processes."""
+        executing context — what a :class:`_Task` does around a step,
+        for callers that drive no generator."""
         fl = self.flight
         if fl is None:
             return function(argument)

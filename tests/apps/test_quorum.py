@@ -1,15 +1,15 @@
-"""The quorum phase used by the replicated stores: its results, and its
-kernel entries pinned at zero tolerance."""
+"""The fan-out phase used by the replicated stores and sharded
+PRISM-TX: its results, its legs driven as processes are, and its kernel
+entries pinned at zero tolerance."""
 
 import gc
 
 import pytest
 
 from repro.apps.blockstore import PrismRsClient, PrismRsReplica
-from repro.apps.blockstore.quorum import Phase, QuorumError
 from repro.obs import HostProfiler
 from repro.prism import SoftwarePrismBackend
-from repro.sim import Interrupt, Simulator
+from repro.sim import Interrupt, Phase, QuorumError, SimulationError, Simulator
 
 
 def _op(sim, delay, value=None, fail=False, seen=None):
@@ -58,7 +58,7 @@ def test_tolerates_failures_below_threshold(sim, drive):
 
 def test_too_many_failures_raise(sim, drive):
     def main():
-        with pytest.raises(QuorumError, match="2 replica ops failed"):
+        with pytest.raises(QuorumError, match="2 of 3 legs failed, 2 needed"):
             yield Phase(sim, [_op(sim, 1, fail=True), _op(sim, 2, fail=True),
                               _op(sim, 9, "ok")], need=2)
         return sim.now
@@ -66,7 +66,7 @@ def test_too_many_failures_raise(sim, drive):
 
 
 def test_need_exceeding_total_rejected(sim):
-    with pytest.raises(QuorumError, match="need 3 of only 2"):
+    with pytest.raises(QuorumError, match="need 3 of only 2 legs"):
         Phase(sim, [_op(sim, 1), _op(sim, 1)], need=3)
     assert not sim._ready  # rejected at construction: no boot slot
 
@@ -168,8 +168,8 @@ def test_an_interrupted_waiter_lets_the_legs_finish(sim):
 def test_no_phase_leg_cycle_survives_the_boot_slot(sim):
     """``gc`` is off during a run: reference counting alone must free a
     phase — even one whose straggler never completes (a lost round
-    trip), since only the leg's wait refers to the phase, and the phase
-    to no leg."""
+    trip): the straggler's task and the event it waits on refer to each
+    other, but deciding the phase took the phase out of that task."""
     def lost():
         yield sim.event()
 
@@ -185,6 +185,75 @@ def test_no_phase_leg_cycle_survives_the_boot_slot(sim):
         assert sum(type(obj) is Phase for obj in gc.get_objects()) == 0
     finally:
         gc.enable()
+
+
+# -- a leg is driven as a process is ----------------------------------------------
+
+
+def _waits_on_a_processed_event(sim):
+    event = sim.event()
+    event.succeed("early")
+
+    def leg():
+        yield sim.timeout(1.0)          # the event is processed by now
+        return (yield event)
+    return leg()
+
+
+def _yields_a_non_event(sim):
+    def leg():
+        yield 123
+    return leg()
+
+
+def _handles_a_failed_child(sim):
+    def child():
+        yield sim.timeout(1.0)
+        raise ValueError("child failed")
+
+    def leg():
+        try:
+            yield sim.spawn(child())
+        except ValueError as exc:
+            return str(exc)
+    return leg()
+
+
+def _outcome(body, as_leg):
+    """``("ok", value)`` or ``("failed", exception type)`` of ``body``
+    run as a phase's one leg or as a process, once the run drained (an
+    unobserved failure would surface there)."""
+    sim = Simulator()
+
+    def setup():
+        if as_leg:
+            try:
+                [(_index, value)] = yield Phase(sim, [body(sim)], need=1)
+            except QuorumError as error:
+                return "failed", type(error.__cause__)
+            return "ok", value
+        try:
+            return "ok", (yield sim.spawn(body(sim)))
+        except Exception as exc:
+            return "failed", type(exc)
+
+    outcome = sim.run_until_complete(sim.spawn(setup()), limit=100.0)
+    sim.run()
+    return outcome
+
+
+@pytest.mark.parametrize("body, expected", [
+    (_waits_on_a_processed_event, ("ok", "early")),
+    (_yields_a_non_event, ("failed", SimulationError)),
+    (_handles_a_failed_child, ("ok", "child failed")),
+], ids=["processed-event", "non-event", "failed-child"])
+def test_a_leg_gets_the_outcome_a_process_gets(body, expected):
+    """One driver steps both: an already-processed event resumes the leg
+    in a late call, a non-``Event`` yield has :class:`SimulationError`
+    thrown in (uncaught, the leg failed), and waiting on a child process
+    observes the child's failure."""
+    assert _outcome(body, as_leg=False) == expected
+    assert _outcome(body, as_leg=True) == expected
 
 
 # -- a phase's kernel entries ---------------------------------------------------
@@ -223,8 +292,9 @@ def _costs_per_phase(n_extra=50):
 
 def test_a_three_leg_phase_costs_boot_decision_and_wake():
     """The three legs' timers, plus one boot slot, one decision slot (the
-    second leg's) and the waiter's wake-up: 6 entries. No process is
-    spawned, and the waiter's resume is the only one — with a process
+    second leg's) and the waiter's wake-up: 6 entries — with a process
     per leg it was 3 bootstraps + 3 completion entries + the quorum
-    event's slot, and 6 more resumes."""
-    assert _costs_per_phase() == (3 + 3, 1, 0)
+    event's slot. No process is spawned. Every generator step is a
+    resume, as it was for those processes: each leg's boot and its one
+    wake-up, and the waiter's."""
+    assert _costs_per_phase() == (3 + 3, 3 * 2 + 1, 0)

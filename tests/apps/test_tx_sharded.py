@@ -6,8 +6,9 @@ import pytest
 
 from repro.apps.tx import PrismTxServer
 from repro.apps.tx.sharded import ShardedPrismTxClient, load_sharded
+from repro.faults.plan import RetryPolicy
 from repro.prism import SoftwarePrismBackend
-from repro.sim import Simulator
+from repro.sim import QuorumError, Simulator, TimeoutExpired
 from repro.net.topology import RACK, make_fabric
 from repro.verify.serializability import (
     CommittedTxn,
@@ -135,3 +136,29 @@ def test_conflicting_cross_shard_aborts_and_retries(sim, sharded, drive):
         values, retries = yield from a.transact((1, 2), (1, 2), b"A" * 16)
         return values[1]
     assert drive(sim, main()) == b"B" * 16
+
+
+def test_an_unreachable_shard_fails_the_transaction_with_its_cause(
+        sim, sharded, drive):
+    """Shard 1 is down and every request times out after two
+    retransmissions. The read phase's fan-out fails with
+    :class:`QuorumError`, the shard's ``TimeoutExpired`` its cause, at
+    66.87 µs — the instant its ``all_of`` over a process per shard
+    failed, with the bare exception. It is no abort: nothing retries."""
+    fabric, servers, initial = sharded
+    client = ShardedPrismTxClient(sim, fabric, "c0", servers, client_id=1)
+    for shard in client.shards:
+        shard.client.retry_policy = RetryPolicy(timeout_us=20.0,
+                                                max_retries=2)
+    servers[1].prism.fail()
+
+    def main():
+        with pytest.raises(QuorumError) as failure:
+            yield from client.transact((0, 1, 2), (0, 1, 2), b"X" * 16)
+        return sim.now, failure.value.__cause__
+
+    when, cause = drive(sim, main())
+    assert when == 66.87
+    assert isinstance(cause, TimeoutExpired)
+    assert "shard1/prism" in str(cause)
+    assert (client.commits, client.aborts) == (0, 0)

@@ -445,7 +445,7 @@ class TestUnorderableInstants:
 
 class TestLaunch:
     """``Simulator.launch``: a generator nothing can wait on is driven by
-    ``Process._step``'s rules and leaves no completion entry."""
+    the driver every process has, and leaves no completion entry."""
 
     def test_boots_in_the_slot_spawn_would_and_leaves_no_completion(self):
         def counted(start):

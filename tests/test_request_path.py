@@ -5,7 +5,7 @@ application starts a process.
 A request crosses the fabric as a ``_Delivery``, runs on a device as an
 ``_Execution`` or on the RPC cores as a ``_Handling``, and is answered
 with ``post_reply``; on the client it is a ``_Call`` that retransmits
-itself, and a replicated client's quorum phase is a ``Phase``:
+itself, and a replicated or sharded client's fan-out is a ``Phase``:
 scheduled payloads, each entry an instant at which model time has been
 spent. A ``spawn`` on that path would put a bootstrap, a resume per
 wait and a completion entry back on every request. The scan reads the
@@ -26,9 +26,10 @@ REQUEST_PATH = sorted(
     + [path.relative_to(SRC).as_posix()
        for path in (SRC / "net").glob("*.py")])
 
-#: a client's side of a round trip and of a quorum phase's fan-out
-CLIENT_FANOUT = ["prism/client.py", "apps/blockstore/quorum.py",
-                 "apps/blockstore/abd_lock.py"]
+#: a client's side of a round trip and of a phase's fan-out: a quorum
+#: of replicas, or a sharded transaction's partitions
+CLIENT_FANOUT = ["prism/client.py", "sim/phase.py",
+                 "apps/blockstore/abd_lock.py", "apps/tx/sharded.py"]
 
 #: the PRISM applications, whose retire flushes are launched tasks
 PRISM_APPS = ["apps/kv/prism_kv.py", "apps/tx/prism_tx.py",
