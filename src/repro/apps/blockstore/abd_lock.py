@@ -18,7 +18,7 @@ Protocol per operation:
 """
 
 from repro.apps.blockstore.layout import AbdLockLayout
-from repro.apps.common import INITIAL_TAG, bump_tag, note_key
+from repro.apps.common import INITIAL_TAG, backoff_us, bump_tag, note_key
 from repro.prism.client import PrismClient
 from repro.prism.server import PrismServer
 from repro.sim.phase import Phase
@@ -114,7 +114,9 @@ class AbdLockClient:
                 break
             attempt += 1
             self.lock_retries += 1
-            yield self.sim.timeout(self._backoff(attempt))
+            yield self.sim.timeout(backoff_us(
+                self._rng, attempt, self.backoff_base_us,
+                self.backoff_max_us))
         try:
             replies = yield Phase(
                 self.sim,
@@ -193,8 +195,3 @@ class AbdLockClient:
                                                   expect=self.client_id,
                                                   install=0)
                                    for index in indices])
-
-    def _backoff(self, attempt):
-        ceiling = min(self.backoff_max_us,
-                      self.backoff_base_us * (2 ** min(attempt - 1, 6)))
-        return self._rng.uniform(self.backoff_base_us / 2, ceiling)

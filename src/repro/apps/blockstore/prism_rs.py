@@ -6,28 +6,22 @@ involvement on the data path:
 * **Read phase** — one indirect READ of ``metadata[i].addr`` per
   replica returns a consistent ⟨tag, value⟩ (the tag is duplicated in
   the buffer); wait for f+1, take the maximum tag.
-* **Write phase** — per replica, one chained request::
-
-      WRITE    t'                  -> tmp
-      ALLOCATE t' | v'             -> redirect address to tmp + 8
-      CAS      metadata[i], data = *tmp, 16-byte operand,
-               CAS_GT on the tag field, swap tag+addr, conditional
-
-  wait for f+1 acks. A CAS miss means the replica already stores a
-  newer tag — which satisfies the ABD write-phase obligation just as
-  well, so it counts toward the quorum.
+* **Write phase** — per replica, one install chain
+  (:meth:`~repro.prism.client.PrismClient.install`): ALLOCATE t' | v',
+  CAS_GT ``metadata[i]``'s ⟨tag, addr⟩ on the tag; wait for f+1 acks.
+  A CAS miss means the replica already stores a newer tag — which
+  satisfies the ABD write-phase obligation just as well, so it counts
+  toward the quorum.
 
 Retired buffers (the old addr on a swap, the fresh allocation on a
 miss) are reported to the replica's recycler daemon asynchronously.
 """
 
-from repro.apps.blockstore.layout import META_SIZE, META_TAG_MASK, RsLayout
+from repro.apps.blockstore.layout import RsLayout
 from repro.apps.common import INITIAL_TAG, bump_tag, note_key, split_tag
-from repro.core.ops import AllocateOp, CasMode, CasOp, ReadOp, WriteOp
-from repro.hw.layout import pack_uint
+from repro.core.ops import ReadOp
 from repro.obs.trace import NULL_SPAN
 from repro.prism.client import PrismClient
-from repro.prism.engine import OpStatus
 from repro.prism.recycler import RecyclerClient, RecyclerDaemon
 from repro.prism.server import PrismServer
 from repro.rpc.erpc import RpcClient, RpcServer
@@ -180,39 +174,21 @@ class PrismRsClient:
     def _install_at(self, index, block_id, tag, value, span=NULL_SPAN):
         client = self.clients[index]
         replica = self.replicas[index]
-        tmp = client.sram_slot
-        sram_rkey = replica.prism.sram_rkey
         try:
-            # retryable: a duplicate execution of this chain is safe by
-            # construction — the CAS_GT misses on an equal tag, and the
-            # miss path below retires whatever the *last* delivery
-            # allocated (its address is in the scratch slot).
+            # retryable: see PrismClient.install
             result = yield from client.execute(
-                WriteOp(addr=tmp, data=pack_uint(tag, 8), rkey=sram_rkey),
-                AllocateOp(freelist=replica.freelist_id,
-                           data=RsLayout.pack_buffer(tag, value),
-                           rkey=replica.buffer_rkey, redirect_to=tmp + 8,
-                           conditional=True),
-                CasOp(target=self.layout.meta_addr(block_id),
-                      data=tmp.to_bytes(8, "little"), rkey=replica.meta_rkey,
-                      mode=CasMode.GT, compare_mask=META_TAG_MASK,
-                      data_indirect=True, operand_width=META_SIZE,
-                      conditional=True),
+                *client.install(tag, replica.freelist_id,
+                                RsLayout.pack_buffer(tag, value),
+                                replica.buffer_rkey,
+                                self.layout.meta_addr(block_id),
+                                replica.meta_rkey),
                 span=span, retryable=True)
         finally:
             if span.enabled:
                 span.finish()
-        result.raise_on_nak()
-        cas = result[2]
-        if cas.status is OpStatus.OK:
-            _old_tag, old_addr = RsLayout.unpack_meta(cas.value)
-            if old_addr:
-                self._retire(index, old_addr)
-        else:
-            # Replica already holds a newer tag; retire our allocation.
-            new_addr = int.from_bytes(
-                replica.prism.space.read(tmp + 8, 8), "little")
-            self._retire(index, new_addr)
+        addr = client.displaced(result.raise_on_nak()[2])
+        if addr:
+            self._retire(index, addr)
         return True
 
     def _retire(self, index, addr):

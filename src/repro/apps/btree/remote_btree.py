@@ -35,16 +35,15 @@ Client access modes (``BTreeClient.get(key, ...)``):
 
 import bisect
 
-from repro.apps.common import bump_tag, field_mask
+from repro.apps.common import bump_tag
 from repro.core.errors import AccessViolation
-from repro.core.ops import AllocateOp, CasMode, CasOp, ReadOp, WriteOp
+from repro.core.ops import ReadOp
 from repro.hw.layout import pack_uint, unpack_uint
 from repro.prism.client import PrismClient
 from repro.prism.engine import OpStatus
 from repro.prism.server import PrismServer
 
 SLOT_SIZE = 24
-SLOT_VER_MASK = field_mask(0, 8)
 NODE_HEADER = 16
 
 
@@ -275,19 +274,8 @@ class BTreeClient:
         old_ver = unpack_uint(slot, 0, 8)
         new_ver = bump_tag(old_ver, self.client.connection.id & 0xFFFF)
         payload = pack_uint(new_ver, 8) + value
-        tmp = self.client.sram_slot
-        result = yield from self.client.execute(
-            WriteOp(addr=tmp, data=pack_uint(new_ver, 8),
-                    rkey=self.server.prism.sram_rkey),
-            WriteOp(addr=tmp + 16, data=pack_uint(len(payload), 8),
-                    rkey=self.server.prism.sram_rkey),
-            AllocateOp(freelist=self.server.freelist_id, data=payload,
-                       rkey=self.server.values_rkey, redirect_to=tmp + 8,
-                       conditional=True),
-            CasOp(target=slot_addr, data=pack_uint(tmp, 8),
-                  rkey=self.server.nodes_rkey, mode=CasMode.GT,
-                  compare_mask=SLOT_VER_MASK, data_indirect=True,
-                  operand_width=SLOT_SIZE, conditional=True),
-        )
+        result = yield from self.client.execute(*self.client.install(
+            new_ver, self.server.freelist_id, payload, self.server.values_rkey,
+            slot_addr, self.server.nodes_rkey, bound=len(payload)))
         result.raise_on_nak()
         return result[3].status is OpStatus.OK

@@ -32,6 +32,13 @@ def bump_tag(tag, client_id):
 INITIAL_TAG = make_tag(1, 0)
 
 
+def backoff_us(rng, attempt, base_us, max_us):
+    """Capped, jittered exponential backoff before retry ``attempt``
+    (1-based), in µs: one ``rng.uniform`` draw."""
+    ceiling = min(max_us, base_us * (2 ** min(attempt - 1, 6)))
+    return rng.uniform(base_us / 2, ceiling)
+
+
 def note_key(sim, app, kind, key):
     """Report one app-level op on ``key`` on the probe bus (key-hotness
     telemetry), when anything is attached. A single attribute check on

@@ -5,13 +5,9 @@ struct is dereferenced by the NIC, returning the entry (version, key,
 value) in a single round trip.
 
 PUT: one probe READ to find the slot and learn the current version,
-then a single chained request::
-
-    WRITE    new_ver            -> tmp          (scratch, on-NIC SRAM)
-    WRITE    new_bound          -> tmp + 16
-    ALLOCATE entry bytes        -> redirect ptr to tmp + 8
-    CAS      slot, data=*tmp, 24-byte operand, CAS_GT on the version
-             field, conditional
+then one install chain (:meth:`~repro.prism.client.PrismClient.install`,
+the entry's length as bound): ALLOCATE the entry, CAS_GT the slot's
+⟨ver, ptr, bound⟩ on the version.
 
 If the CAS misses, a concurrent client installed a newer version and
 the PUT is superseded (last-writer-wins by tag, as in the paper). The
@@ -19,14 +15,9 @@ old buffer is retired to the server's recycler daemon asynchronously.
 """
 
 from repro.apps.common import bump_tag, make_tag, note_key
-from repro.apps.kv.layout import (
-    KvLayout,
-    SLOT_SIZE,
-    SLOT_VER_MASK,
-)
+from repro.apps.kv.layout import KvLayout, SLOT_SIZE
 from repro.core.errors import AccessViolation
-from repro.core.ops import AllocateOp, CasMode, CasOp, ReadOp, WriteOp
-from repro.hw.layout import pack_uint
+from repro.core.ops import ReadOp
 from repro.obs.trace import NULL_SPAN
 from repro.prism.client import PrismClient
 from repro.prism.engine import OpStatus
@@ -229,33 +220,23 @@ class PrismKvClient:
         payload = KvLayout.pack_entry(new_ver, key_bytes, value)
         freelist_id, buffer_rkey = self.server.freelist_for_entry(
             len(payload))
-        tmp = self.client.sram_slot
         result = yield from self.client.execute(
-            WriteOp(addr=tmp, data=pack_uint(new_ver, 8),
-                    rkey=self.server.prism.sram_rkey),
-            WriteOp(addr=tmp + 16, data=pack_uint(len(payload), 8),
-                    rkey=self.server.prism.sram_rkey),
-            AllocateOp(freelist=freelist_id, data=payload,
-                       rkey=buffer_rkey, redirect_to=tmp + 8),
-            CasOp(target=slot_addr, data=tmp.to_bytes(8, "little"),
-                  rkey=self.server.table_rkey, mode=CasMode.GT,
-                  compare_mask=SLOT_VER_MASK, data_indirect=True,
-                  operand_width=SLOT_SIZE, conditional=True),
+            *self.client.install(new_ver, freelist_id, payload, buffer_rkey,
+                                 slot_addr, self.server.table_rkey,
+                                 bound=len(payload)),
             span=span)
         result.raise_on_nak()
         self.puts += 1
         cas = result[3]
+        displaced = self.client.displaced(cas)
         if cas.status is OpStatus.OK:
-            _old_ver, old_ptr, old_bound = KvLayout.unpack_slot(cas.value)
-            if old_ptr:
-                self._retire(old_ptr, old_bound)
+            if displaced:
+                self._retire(displaced, KvLayout.unpack_slot(cas.value)[2])
             return {"superseded": False}
         # CAS miss: a concurrent client installed a newer version; our
         # freshly allocated buffer is the one to retire.
         self.put_superseded += 1
-        new_ptr = int.from_bytes(
-            self.server.prism.space.read(tmp + 8, 8), "little")
-        self._retire(new_ptr, len(payload))
+        self._retire(displaced, len(payload))
         return {"superseded": True}
 
     def execute(self, op, span=NULL_SPAN):

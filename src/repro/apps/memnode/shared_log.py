@@ -12,14 +12,10 @@ Layout::
                    +20 pad u32 | +24 payload
 
 **Append** (one round trip) — the §3.5 out-of-place pattern, fought
-over by multiple writers with CAS_GT on the sequence number::
-
-    WRITE    seq'                 -> scratch
-    ALLOCATE seq'|prev|len|data   -> redirect record ptr to scratch+8
-    CAS      head, data=*scratch, 16-byte operand, CAS_GT on seq,
-             conditional
-
-A CAS miss means another writer claimed ``seq'`` first; the client
+over by multiple writers: one install chain
+(:meth:`~repro.prism.client.PrismClient.install`) ALLOCATEs the record
+seq'|prev|len|data and CAS_GTs the head's ⟨seq, tail_ptr⟩ on seq. A CAS
+miss means another writer claimed ``seq'`` first; the client
 retries with a fresher sequence number (read from the returned old
 head, so a retry costs exactly one more round trip).
 
@@ -30,8 +26,7 @@ the chain is immutable once linked, tail-to-head scans are safe
 against concurrent appends.
 """
 
-from repro.apps.common import field_mask
-from repro.core.ops import AllocateOp, CasMode, CasOp, ReadOp, WriteOp
+from repro.core.ops import ReadOp
 from repro.core.errors import AccessViolation
 from repro.hw.layout import pack_uint, unpack_uint
 from repro.prism.client import PrismClient
@@ -40,9 +35,6 @@ from repro.prism.server import PrismServer
 
 HEAD_SIZE = 16
 RECORD_HEADER = 24
-
-#: CAS compare mask selecting the sequence field of the packed head.
-HEAD_SEQ_MASK = field_mask(0, 8)
 
 
 class SharedLogNode:
@@ -114,20 +106,10 @@ class SharedLogClient:
             seq, tail_ptr = outcome
 
     def _try_append(self, new_seq, prev_ptr, payload):
-        tmp = self.client.sram_slot
-        record = SharedLogNode.pack_record(new_seq, prev_ptr, payload)
-        result = yield from self.client.execute(
-            WriteOp(addr=tmp, data=pack_uint(new_seq, 8),
-                    rkey=self.node.prism.sram_rkey),
-            AllocateOp(freelist=self.node.freelist_id, data=record,
-                       rkey=self.node.record_rkey, redirect_to=tmp + 8,
-                       conditional=True),
-            CasOp(target=self.node.head_addr,
-                  data=pack_uint(tmp, 8), rkey=self.node.head_rkey,
-                  mode=CasMode.GT, compare_mask=HEAD_SEQ_MASK,
-                  data_indirect=True, operand_width=HEAD_SIZE,
-                  conditional=True),
-        )
+        result = yield from self.client.execute(*self.client.install(
+            new_seq, self.node.freelist_id,
+            SharedLogNode.pack_record(new_seq, prev_ptr, payload),
+            self.node.record_rkey, self.node.head_addr, self.node.head_rkey))
         result.raise_on_nak()
         cas = result[2]
         if cas.status is OpStatus.OK:

@@ -14,7 +14,7 @@ protocol is three phases, two of which need the server CPU:
    release locks.
 """
 
-from repro.apps.common import note_key
+from repro.apps.common import backoff_us, note_key
 from repro.apps.tx.layout import FarmLayout
 from repro.core.ops import ReadOp
 from repro.hw.layout import unpack_uint
@@ -244,10 +244,9 @@ class FarmClient:
             self.aborts += 1
             if max_attempts is not None and attempts >= max_attempts:
                 raise RuntimeError("farm transaction exceeded max attempts")
-            ceiling = min(self.backoff_max_us,
-                          self.backoff_base_us * (2 ** min(attempts - 1, 6)))
-            yield self.sim.timeout(
-                self._rng.uniform(self.backoff_base_us / 2, ceiling))
+            yield self.sim.timeout(backoff_us(
+                self._rng, attempts, self.backoff_base_us,
+                self.backoff_max_us))
 
     def execute(self, op):
         """Driver adapter for :class:`~repro.workload.ycsb.TxnOp`."""

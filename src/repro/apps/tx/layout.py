@@ -79,9 +79,8 @@ class TxLayout:
     #: ``pack_prpw(pr, pw)`` / ``unpack_prpw(data)``
     pack_prpw = staticmethod(_PAIR.pack)
     unpack_prpw = staticmethod(_PAIR.unpack)
-    #: ``pack_caddr(c, addr)`` / ``unpack_caddr(data)``
+    #: ``pack_caddr(c, addr)``
     pack_caddr = staticmethod(_PAIR.pack)
-    unpack_caddr = staticmethod(_PAIR.unpack)
 
     @staticmethod
     def pack_buffer(c, key, value):

@@ -13,9 +13,9 @@ A transaction touches the server CPU *zero* times:
     chained *conditionally* behind the read validation when the key is
     both read and written; the returned old PR is checked client-side.
 
-* **Commit** (1 round trip) — per written key, the PRISM-RS install
-  chain (WRITE tag to scratch, ALLOCATE buffer with the address
-  redirected to scratch, CAS_GT on ``[C | addr]``).
+* **Commit** (1 round trip) — per written key, one install chain
+  (:meth:`~repro.prism.client.PrismClient.install`): CAS_GT on C of
+  ``[C | addr]``.
 
 On abort the prepared PR/PW stamps are *left in place* (safe, §8.2) and
 C is advanced to TS for keys that passed write validation, limiting how
@@ -26,19 +26,17 @@ temporaries, so up to two written keys commit in one request; larger
 write sets are split across parallel requests (still one round trip).
 """
 
-from repro.apps.common import note_key, split_tag
+from repro.apps.common import backoff_us, note_key, split_tag
 from repro.sim.events import TimeoutExpired
 from repro.apps.tx.layout import (
     CADDR_C_MASK,
-    META_SIZE,
     PRPW_PW_MASK,
     PRPW_PR_MASK,
     TxLayout,
 )
 from repro.apps.tx.timestamps import LooselySynchronizedClock
 from repro.core.constants import REDIRECT_SLOT_BYTES
-from repro.core.ops import AllocateOp, CasMode, CasOp, ReadOp, WriteOp
-from repro.hw.layout import pack_uint
+from repro.core.ops import CasMode, CasOp, ReadOp
 from repro.prism.client import PrismClient
 from repro.prism.engine import OpStatus
 from repro.prism.recycler import RecyclerClient, RecyclerDaemon
@@ -179,11 +177,9 @@ class PrismTxClient:
                     self.timeout_aborts += 1
                 if max_attempts is not None and attempts >= max_attempts:
                     raise
-                ceiling = min(self.backoff_max_us,
-                              self.backoff_base_us
-                              * (2 ** min(attempts - 1, 6)))
-                yield self.sim.timeout(
-                    self._rng.uniform(self.backoff_base_us / 2, ceiling))
+                yield self.sim.timeout(backoff_us(
+                    self._rng, attempts, self.backoff_base_us,
+                    self.backoff_max_us))
 
     def execute(self, op):
         """Driver adapter for :class:`~repro.workload.ycsb.TxnOp`."""
@@ -329,44 +325,23 @@ class PrismTxClient:
             yield from self._install_chunk(chunk, ts)
 
     def _install_chunk(self, chunk, ts):
-        tmp_base = self.client.sram_slot
-        sram_rkey = self.server.prism.sram_rkey
         ops = []
-        cas_indices = []
         for slot, (key, value) in enumerate(chunk):
-            tmp = tmp_base + slot * _INSTALL_TMP_BYTES
-            ops.append(WriteOp(addr=tmp, data=pack_uint(ts, 8),
-                               rkey=sram_rkey))
-            ops.append(AllocateOp(
-                freelist=self.server.freelist_id,
-                data=TxLayout.pack_buffer(ts, key, value),
-                rkey=self.server.buffer_rkey, redirect_to=tmp + 8,
-                conditional=True))
-            cas_indices.append(len(ops))
-            ops.append(CasOp(
-                target=self.layout.caddr_addr(key),
-                data=tmp.to_bytes(8, "little"), rkey=self.server.meta_rkey,
-                mode=CasMode.GT, compare_mask=CADDR_C_MASK,
-                data_indirect=True, operand_width=16, conditional=True))
-        # retryable: same argument as the PRISM-RS install chain — a
-        # duplicate execution misses the CAS_GT (equal C) and the miss
-        # path retires the re-allocated buffer via the scratch slot.
+            ops += self.client.install(
+                ts, self.server.freelist_id,
+                TxLayout.pack_buffer(ts, key, value), self.server.buffer_rkey,
+                self.layout.caddr_addr(key), self.server.meta_rkey,
+                scratch=slot * _INSTALL_TMP_BYTES)
+        # retryable: see PrismClient.install
         result = yield from self.client.execute(*ops, retryable=True)
         result.raise_on_nak()
-        for slot, ((key, _value), cas_index) in enumerate(
-                zip(chunk, cas_indices)):
-            cas = result[cas_index]
-            tmp = tmp_base + slot * _INSTALL_TMP_BYTES
-            if cas.status is OpStatus.OK:
-                _old_c, old_addr = TxLayout.unpack_caddr(cas.value)
-                if old_addr:
-                    self._retire(old_addr)
-            else:
-                # A transaction with a later timestamp already installed
-                # this key (Thomas write rule): drop our buffer.
-                new_addr = int.from_bytes(
-                    self.server.prism.space.read(tmp + 8, 8), "little")
-                self._retire(new_addr)
+        # A miss means a transaction with a later timestamp already
+        # installed this key (Thomas write rule): drop our buffer.
+        for slot in range(len(chunk)):
+            addr = self.client.displaced(result[3 * slot + 2],
+                                         slot * _INSTALL_TMP_BYTES)
+            if addr:
+                self._retire(addr)
 
     def _abort(self, write_checked_keys, ts):
         """Advance C := TS for keys that passed write validation, so the

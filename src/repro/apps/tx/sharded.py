@@ -12,6 +12,7 @@ Keys are global integers; shard = key % n_shards, local key =
 key // n_shards.
 """
 
+from repro.apps.common import backoff_us
 from repro.apps.tx.prism_tx import PrismTxClient, TxAborted
 from repro.sim.phase import Phase
 from repro.sim.rng import SeededRng
@@ -184,11 +185,9 @@ class ShardedPrismTxClient:
                 self.aborts += 1
                 if max_attempts is not None and attempts >= max_attempts:
                     raise
-                ceiling = min(self.backoff_max_us,
-                              self.backoff_base_us
-                              * (2 ** min(attempts - 1, 6)))
-                yield self.sim.timeout(
-                    self._rng.uniform(self.backoff_base_us / 2, ceiling))
+                yield self.sim.timeout(backoff_us(
+                    self._rng, attempts, self.backoff_base_us,
+                    self.backoff_max_us))
 
     def execute(self, op):
         """Driver adapter for :class:`~repro.workload.ycsb.TxnOp`."""

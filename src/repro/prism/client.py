@@ -13,7 +13,7 @@ per-op outcomes (e.g. distinguishing a CAS miss from success).
 """
 
 from repro.core.chain import Chain
-from repro.core.ops import AllocateOp, CasOp, ReadOp, WriteOp
+from repro.core.ops import AllocateOp, CasMode, CasOp, ReadOp, WriteOp
 from repro.net.port import RequestChannel
 from repro.obs.trace import NULL_SPAN
 from repro.prism.engine import OpStatus
@@ -73,9 +73,7 @@ class PrismClient:
         at-least-once execution of those is harmless, while a blind
         ALLOCATE or FETCH-ADD retransmission would leak a buffer or
         double-count. Callers whose chains are retry-safe by protocol
-        design (the CAS_GT install chains of PRISM-RS/TX, where a
-        duplicate execution misses the CAS and the client retires the
-        fresh allocation) pass ``retryable=True`` explicitly.
+        design (an :meth:`install`) pass ``retryable=True`` explicitly.
 
         A NAK is never retried: it is a delivered negative answer and
         raises immediately via ``raise_on_nak`` in the callers.
@@ -112,6 +110,45 @@ class PrismClient:
             bus.emit("chain.roundtrip", self.sim._now - submitted,
                      self.connection.id)
         return result
+
+    # -- the out-of-place install (§3.3) -----------------------------------
+
+    def install(self, tag, freelist, data, buffer_rkey, target, rkey,
+                bound=None, scratch=0):
+        """The install chain's 3 ops (4 with ``bound``) for :meth:`execute`.
+
+        Its operand is ⟨tag @0, ptr @8[, bound @16]⟩ at ``sram_slot +
+        scratch``: WRITE ``tag`` (and ``bound``) there, ALLOCATE ``data``
+        from ``freelist`` with its address redirected to ptr, then CAS_GT
+        the operand onto ``target``, comparing the tag only. A duplicate
+        execution misses the CAS_GT on its equal tag and :meth:`displaced`
+        names the last delivery's buffer, so the chain is retry-safe."""
+        tmp = self.connection.sram_slot + scratch
+        sram_rkey = self.server.sram_rkey
+        words = [WriteOp(addr=tmp, data=tag.to_bytes(8, "little"),
+                         rkey=sram_rkey)]
+        if bound is not None:
+            words.append(WriteOp(addr=tmp + 16,
+                                 data=bound.to_bytes(8, "little"),
+                                 rkey=sram_rkey))
+        return (*words,
+                AllocateOp(freelist=freelist, data=data, rkey=buffer_rkey,
+                           redirect_to=tmp + 8, conditional=True),
+                CasOp(target=target, data=tmp.to_bytes(8, "little"),
+                      rkey=rkey, mode=CasMode.GT, compare_mask=(1 << 64) - 1,
+                      data_indirect=True,
+                      operand_width=16 if bound is None else 24,
+                      conditional=True))
+
+    def displaced(self, cas, scratch=0):
+        """The buffer an install's ``cas`` left unreferenced: on a hit the
+        old word's ptr (0 if it was empty); on a miss the install's own
+        buffer, read back from the operand's ptr — a zero-time read of
+        NIC SRAM no real client can make (corpus 4, ROADMAP 1(a))."""
+        if cas.status is OpStatus.OK:
+            return int.from_bytes(cas.value[8:16], "little")
+        return int.from_bytes(self.server.space.read(
+            self.connection.sram_slot + scratch + 8, 8), "little")
 
     # -- Table 1 convenience wrappers --------------------------------------
 

@@ -556,8 +556,12 @@ _FRAMES_PINNED = [
     # while the layouts packed ⟨tag, addr⟩ and ⟨tag | value⟩ field by
     # field; an ALLOCATE looks at its buffer before it pops it (+3 a PUT);
     # a leg's booking (``Phase._book``) and a straggler's are a frame
-    # each, where the phase's own driver booked inline
-    pytest.param(_rs_put, 16477, None, id="rs-put-prism-sw"),
+    # each, where the phase's own driver booked inline; 16477 while each
+    # replica's install read ``sram_slot``, encoded its tag through
+    # ``pack_uint`` and decoded the CAS's old word with
+    # ``RsLayout.unpack_meta`` (four frames, two since
+    # ``PrismClient.install`` / ``displaced`` do it)
+    pytest.param(_rs_put, 16357, None, id="rs-put-prism-sw"),
     pytest.param(_classic_read, 1820, 12, id="read-rdma-hw"),
     # an RPC's server side became a scheduled payload after rule 12:
     # 1760 frames while its handler was a process
