@@ -1,5 +1,8 @@
 """Shared fixtures for the test suite."""
 
+import signal
+from contextlib import contextmanager
+
 import pytest
 
 from repro.net.topology import RACK, make_fabric
@@ -25,3 +28,25 @@ def run(sim, generator, limit=1e7):
 @pytest.fixture
 def drive():
     return run
+
+
+@contextmanager
+def _wall_cap(seconds):
+    """Raise :class:`TimeoutError` in the body once ``seconds`` of host
+    time have passed: a run that used to hang fails instead."""
+    def expire(_signum, _frame):
+        raise TimeoutError(f"over the {seconds} s wall cap")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+@pytest.fixture
+def wall_cap():
+    """``with wall_cap(seconds): ...`` — a host-time cap on the body."""
+    return _wall_cap
