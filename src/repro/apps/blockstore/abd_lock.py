@@ -169,12 +169,12 @@ class AbdLockClient:
     def _cas_lock(self, index, block_id, expect, install):
         """Classic IB atomic CmpSwap on the lock word.
 
-        Retransmission makes a plain CAS ambiguous: the first delivery
-        may have swapped and the retry then sees its own install value
-        and "fails". The lock word disambiguates — only we ever install
-        ``client_id`` and only we ever clear our own lock — so a missed
-        compare whose *old value equals what we tried to install* means
-        an earlier delivery already did the job, and counts as success.
+        A CAS whose retries ran out may still have swapped, and a later
+        one then sees its own install value and "fails". The lock word
+        disambiguates — only we ever install ``client_id`` and only we
+        ever clear our own lock — so a missed compare whose *old value
+        equals what we tried to install* means an earlier CAS already
+        did the job, and counts as success.
         """
         swapped, old = yield from self.clients[index].cas(
             self.layout.lock_addr(block_id),

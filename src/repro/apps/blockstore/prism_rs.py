@@ -175,14 +175,13 @@ class PrismRsClient:
         client = self.clients[index]
         replica = self.replicas[index]
         try:
-            # retryable: see PrismClient.install
             result = yield from client.execute(
                 *client.install(tag, replica.freelist_id,
                                 RsLayout.pack_buffer(tag, value),
                                 replica.buffer_rkey,
                                 self.layout.meta_addr(block_id),
                                 replica.meta_rkey),
-                span=span, retryable=True)
+                span=span)
         finally:
             if span.enabled:
                 span.finish()

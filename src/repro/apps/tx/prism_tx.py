@@ -245,50 +245,24 @@ class PrismTxClient:
                 kinds.append(("wv", key))
         result = yield from self.client.execute(*ops)
         result.raise_on_nak()
-        # Under fault injection the prepare request may be delivered
-        # more than once (retransmission after a lost reply), and the
-        # reply the client consumes may come from the *second*
-        # delivery, which ran against the first delivery's stamps.
-        # Timestamps are unique per attempt, so PW == ts in a returned
-        # old value is proof the earlier delivery already performed
-        # our validation: the rv "miss" it causes is not a conflict
-        # (rv executed before wv in the first delivery, against the
-        # pre-stamp state), and the wv SKIPPED/missed behind it
-        # already took effect. Missing this poisons the key forever —
-        # PW stays raised, the abort path never advances C past it
-        # (the key never reaches ``write_checked``), and every later
-        # read validation of the key aborts.
-        faulty = self.client.retry_policy is not None
         ok = True
         write_checked = []
-        own_stamped = set()  # keys whose PW == ts came back (ours)
         for (kind, key), op_result in zip(kinds, result):
             if op_result.status is OpStatus.SKIPPED:
-                # A wv chained behind an rv that missed. If the rv
-                # missed on our own stamp, the first delivery already
-                # did this wv; otherwise the skip is a real failure.
-                if key in own_stamped:
-                    write_checked.append(key)
-                else:
-                    ok = False
+                ok = False  # a wv chained behind an rv that missed
                 continue
             old_pr, old_pw = TxLayout.unpack_prpw(op_result.value)
             if kind == "rv":
                 # Read is valid iff it observed the latest prepared
                 # write. PR may legitimately not have moved (TS <= PR).
                 if old_pw != read_versions[key]:
-                    if faulty and old_pw == ts:
-                        own_stamped.add(key)
-                    else:
-                        ok = False
+                    ok = False
             else:
                 # PR == ts is our *own* read validation (timestamps are
                 # unique per transaction), which our write never
                 # invalidates; only a strictly greater PR aborts.
                 effective = op_result.status is OpStatus.OK
-                if faulty and not effective and old_pw == ts:
-                    effective = True  # an earlier delivery swapped PW
-                if effective and (faulty or old_pr <= ts):
+                if effective and old_pr <= ts:
                     # The PW stamp is ours: if this attempt aborts, C
                     # must advance past it so readers are not blocked.
                     write_checked.append(key)
@@ -332,8 +306,7 @@ class PrismTxClient:
                 TxLayout.pack_buffer(ts, key, value), self.server.buffer_rkey,
                 self.layout.caddr_addr(key), self.server.meta_rkey,
                 scratch=slot * _INSTALL_TMP_BYTES)
-        # retryable: see PrismClient.install
-        result = yield from self.client.execute(*ops, retryable=True)
+        result = yield from self.client.execute(*ops)
         result.raise_on_nak()
         # A miss means a transaction with a later timestamp already
         # installed this key (Thomas write rule): drop our buffer.

@@ -8,9 +8,11 @@ the waiting process. Servers answer with :func:`post_reply`.
 Both the two-sided RPC layer and the one-sided verb/PRISM clients ride
 on this; they differ only in what the *server side* does with the
 request (CPU handler vs NIC engine) and in the client-side post and
-completion overheads.
+completion overheads. Both servers answer a repeated request from
+their :class:`SavedReplies`, as an RC responder does.
 """
 
+from collections import defaultdict
 from itertools import count
 
 from repro.core.errors import PrismError
@@ -30,19 +32,22 @@ class Request:
     """Envelope body for a request expecting a reply."""
 
     __slots__ = ("id", "reply_host", "reply_service", "body", "span",
-                 "logical_id")
+                 "logical_id", "horizon")
 
-    def __init__(self, id_, reply_host, reply_service, body):
+    def __init__(self, id_, reply_host, reply_service, body, span=NULL_SPAN,
+                 logical_id=None, horizon=0):
         self.id = id_
         self.reply_host = reply_host
         self.reply_service = reply_service
         self.body = body
         #: the issuing operation's span; servers parent their
         #: processing spans under it so one trace crosses host borders
-        self.span = NULL_SPAN
+        self.span = span
         #: stable id of the logical request this attempt serves; a
         #: retransmission gets a fresh ``id`` but the same ``logical_id``
-        self.logical_id = None
+        self.logical_id = logical_id
+        #: the channel's oldest open logical request: all below have ended
+        self.horizon = horizon
 
 
 class Reply:
@@ -102,7 +107,7 @@ class _Call(Event):
                  "_ack", "_stage_span", "_flight_ctx")
 
     def __init__(self, channel, dst, service, body, size_bytes, timeout_us,
-                 span, logical_id, retry=None):
+                 span, resent=None, retry=None):
         # Inlined Event.__init__ — one call per request (see AcquireEvent).
         sim = self.sim = channel.sim
         self.callbacks = []
@@ -127,12 +132,15 @@ class _Call(Event):
         self._stage_span = None
         self._flight_ctx = sim.context()
         request_id = next(channel._ids)
-        if logical_id is None:
+        if resent is None:
             logical_id = next(_logical_ids)
+            horizon = next(iter(channel._open_calls), logical_id)
+            channel._open_calls[logical_id] = None
+        else:  # a retransmission: the same call, so the same horizon
+            logical_id, horizon = resent.logical_id, resent.horizon
         request = self.request = Request(
-            request_id, channel.host_name, channel.reply_service, body)
-        request.span = span
-        request.logical_id = logical_id
+            request_id, channel.host_name, channel.reply_service, body,
+            span, logical_id, horizon)
         bus = sim.bus
         if bus is not None:
             bus.emit("req.send", logical_id, request_id, dst, service)
@@ -269,12 +277,13 @@ class _Call(Event):
                                        self.request)
         _Call.__init__(self, self.channel, self.dst, self.service,
                        request.body, self.size_bytes, self.timeout_us,
-                       request.span, request.logical_id, self.retry)
+                       request.span, request, self.retry)
         self.callbacks, self.attempt = callbacks, attempt
 
     def _finish(self):
         """Run the waiter in the calling entry, as a fired timer does."""
         self.stage = _DONE
+        del self.channel._open_calls[self.request.logical_id]
         self._triggered = True
         self._processed = True
         callbacks, self.callbacks = self.callbacks, []
@@ -290,6 +299,7 @@ class _Call(Event):
         if stage == _DONE:
             return
         self.stage = _DONE
+        del self.channel._open_calls[self.request.logical_id]
         if self._stage_span is not None:
             self._close_stage_span()
         self._withdraw()
@@ -361,6 +371,8 @@ class RequestChannel:
         self.completion_overhead_us = completion_overhead_us
         self.reply_service = f"reply.{next(self._channel_ids)}"
         self._pending = {}
+        #: logical ids of the calls not yet ended, oldest first
+        self._open_calls = {}
         self._ids = count(1)
         self.monitor = None
         self._retry_rng = None
@@ -426,11 +438,9 @@ class RequestChannel:
         fault plan's seed. After ``retry.max_retries`` the last
         :class:`TimeoutExpired` reaches the waiter. A NAK is a delivered
         answer, never retried. The channel itself delivers at least
-        once: an RPC server answers a repeat from its saved reply
-        (``repro.rpc.erpc``), while a one-sided chain may execute twice,
-        so ``PrismClient.execute`` gates what it retries. Every attempt
-        carries the call's one logical id, so a logical id is 1:1 with
-        what the caller considers one request.
+        once; a server's :class:`SavedReplies` make it at most once.
+        Every attempt carries the call's one logical id and horizon, so
+        a logical id is 1:1 with what the caller considers one request.
         """
         return _Call(self, dst, service, body, request_size, timeout_us,
                      span, None, retry)
@@ -440,6 +450,36 @@ class RequestChannel:
         """Process helper: :meth:`post`, then wait for the reply payload."""
         return (yield self.post(dst, service, body, request_size,
                                 timeout_us, span))
+
+
+class SavedReplies:
+    """A server's at-most-once table. Per session (a client channel's
+    reply address): the highest horizon its requests carried, and what
+    each logical request run at or above it saved for its repeats —
+    RPC's ``(result, bytes, ok)``, a PRISM chain's per-op results."""
+
+    __slots__ = ("_horizons", "_replies", "replays")
+
+    def __init__(self):
+        self._horizons = defaultdict(int)
+        self._replies = defaultdict(dict)
+        #: repeated deliveries answered from a saved reply
+        self.replays = 0
+
+    def session(self, request):
+        """``request``'s session, by logical id, after its horizon moves up
+        to ``request``'s; None if ``request`` is below it (ended)."""
+        session = request.reply_service
+        replies = self._replies[session]
+        horizon = self._horizons[session]
+        if request.horizon > horizon:
+            self._horizons[session] = horizon = request.horizon
+            while replies:  # oldest first; one out of order waits its turn
+                ended = next(iter(replies))
+                if ended >= horizon:
+                    break
+                del replies[ended]
+        return replies if request.logical_id >= horizon else None
 
 
 def post_reply(fabric, server_host, request, body, size_bytes, ok=True,

@@ -210,7 +210,7 @@ class Backend:
         Call it from the entry that delivered ``message``; the work
         starts in the next ready-deque slot. ``owner.accept(execution)``
         runs there: it sets the execution's ``connection`` and ``ops``
-        (and ``span`` / ``logical`` for a traced, enveloped request), or
+        (and ``span`` / ``logical`` / ``saved`` for an enveloped one), or
         refuses — answering the sender itself — by returning False.
         ``owner.answer(execution, result)`` runs in the entry that ends
         the last op, with the :class:`ChainResult`.
@@ -258,6 +258,10 @@ class _Execution:
     subscribers count retransmitted executions separately from logical
     requests.
 
+    A repeat's ``saved`` is its first delivery's ``results``: each op's
+    result, and the trace it is priced from, come from there instead of
+    the engine. FIFO units keep an original ahead of its repeats.
+
     The creator's flight-recorder context is captured at construction
     and entered around every entry, so engine, fault and reply events
     attribute to the originating operation. An exception escaping the
@@ -269,8 +273,8 @@ class _Execution:
     """
 
     __slots__ = ("backend", "owner", "message", "connection", "ops", "span",
-                 "logical", "results", "prev_ok", "stage", "_open_span",
-                 "_flight_ctx")
+                 "logical", "saved", "results", "prev_ok", "stage",
+                 "_open_span", "_flight_ctx")
 
     #: the kernel's tombstone check; an execution is never withdrawn
     cancelled = False
@@ -281,6 +285,7 @@ class _Execution:
         self.message = message
         self.span = NULL_SPAN
         self.logical = None
+        self.saved = None
         #: results of the ops started so far (the last may be mid-timer)
         self.results = []
         self.prev_ok = True
@@ -351,8 +356,13 @@ class _Execution:
         index = len(self.results)
         op = self.ops[index]
         try:
-            result, accesses = backend.engine.execute_op(
-                self.connection, op, self.prev_ok)
+            if self.saved is None:
+                result, accesses = backend.engine.execute_op(
+                    self.connection, op, self.prev_ok)
+                result.accesses = accesses
+            else:
+                result = self.saved[index]
+                accesses = result.accesses
             duration = backend.op_time(op, accesses, index)
             if sim.utilization is not None:
                 backend.note_execution(op, accesses, index, duration)

@@ -62,18 +62,13 @@ class PrismClient:
 
     # -- raw submission ----------------------------------------------------
 
-    def execute(self, *ops, span=NULL_SPAN, retryable=None):
+    def execute(self, *ops, span=NULL_SPAN):
         """Submit ops as one request (one round trip); ChainResult back.
 
         With a :class:`~repro.faults.plan.RetryPolicy` attached (see
-        ``__init__``), a lost request or reply is retransmitted for
-        ``retryable`` chains and surfaces as
-        :class:`~repro.sim.events.TimeoutExpired` otherwise. By default
-        a chain is retryable iff every op is READ/WRITE/CAS —
-        at-least-once execution of those is harmless, while a blind
-        ALLOCATE or FETCH-ADD retransmission would leak a buffer or
-        double-count. Callers whose chains are retry-safe by protocol
-        design (an :meth:`install`) pass ``retryable=True`` explicitly.
+        ``__init__``), a lost request or reply is retransmitted, whatever
+        the ops — the server runs a chain at most once — until the
+        retries run out (:class:`~repro.sim.events.TimeoutExpired`).
 
         A NAK is never retried: it is a delivered negative answer and
         raises immediately via ``raise_on_nak`` in the callers.
@@ -94,14 +89,11 @@ class PrismClient:
             trip = span.child("roundtrip", phase="cpu", ops=len(chain.ops))
         server = self.server
         try:
-            if policy is not None and retryable is None:
-                retryable = all(isinstance(op, (ReadOp, WriteOp, CasOp))
-                                for op in chain.ops)
             result = yield self.channel.post(
                 server.host_name, server.service, (self.connection.id, chain),
                 chain.request_bytes(),
                 None if policy is None else policy.timeout_us, trip,
-                retry=policy if retryable else None)
+                retry=policy)
         finally:
             if span.enabled:
                 trip.finish()
@@ -120,9 +112,9 @@ class PrismClient:
         Its operand is ⟨tag @0, ptr @8[, bound @16]⟩ at ``sram_slot +
         scratch``: WRITE ``tag`` (and ``bound``) there, ALLOCATE ``data``
         from ``freelist`` with its address redirected to ptr, then CAS_GT
-        the operand onto ``target``, comparing the tag only. A duplicate
-        execution misses the CAS_GT on its equal tag and :meth:`displaced`
-        names the last delivery's buffer, so the chain is retry-safe."""
+        the operand onto ``target``, comparing the tag only. Like every
+        chain it runs at most once, however often it is delivered, so
+        it pops one buffer: installed, or named by :meth:`displaced`."""
         tmp = self.connection.sram_slot + scratch
         sram_rkey = self.server.sram_rkey
         words = [WriteOp(addr=tmp, data=tag.to_bytes(8, "little"),

@@ -72,9 +72,10 @@ class OpResult:
     ``value`` is bytes for READ (empty if redirected) and CAS (the old
     value), an integer buffer address for ALLOCATE (0 if redirected),
     and None for WRITE. ``error`` is the :class:`PrismError` of a NAK.
+    ``accesses``: the op's access trace, set by the device execution.
     """
 
-    __slots__ = ("status", "value", "error")
+    __slots__ = ("status", "value", "error", "accesses")
 
     def __init__(self, status, value=None, error=None):
         self.status = status

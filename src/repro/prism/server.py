@@ -12,7 +12,7 @@ from itertools import count
 
 from repro.core.constants import REDIRECT_SLOT_BYTES
 from repro.core.errors import RemoteNak
-from repro.net.port import post_reply
+from repro.net.port import SavedReplies, post_reply
 from repro.prism.address_space import ServerAddressSpace
 from repro.prism.engine import Connection, PrismEngine
 from repro.rdma.mr import AccessFlags, MemoryRegionTable
@@ -51,6 +51,7 @@ class PrismServer:
             self.space.sram_base, self.space.sram_bytes, AccessFlags.ALL)
         self._shared_rkeys = {self.sram_rkey}
         self.connections = {}
+        self.saved = SavedReplies()
         self.failed = False
         self.requests_dropped = 0
         fabric.host(host_name).register_service(service, self._on_request)
@@ -159,7 +160,15 @@ class PrismServer:
                        RemoteNak(f"unknown connection {connection_id}"), 12,
                        ok=False, span=request.span)
             return False
-        execution.logical = request.logical_id
+        replies = self.saved.session(request)
+        if replies is None:
+            return False  # below the horizon: nobody waits for a reply
+        logical_id = execution.logical = request.logical_id
+        saved = execution.saved = replies.get(logical_id)
+        if saved is None:
+            replies[logical_id] = execution.results
+        else:
+            self.saved.replays += 1
         if request.span.enabled:
             execution.span = request.span.child(
                 "server.process", phase="queue", host=self.host_name,
@@ -170,16 +179,11 @@ class PrismServer:
         """The chain is done: reply with its result."""
         if execution.span.enabled:
             execution.span.finish()
-        request = execution.message.payload
-        post_reply(self.fabric, self.host_name, request, result,
-                   self._response_bytes(execution.ops, result),
-                   span=request.span)
-
-    @staticmethod
-    def _response_bytes(ops, result):
-        total = 0
-        for op, op_result in zip(ops, result.results):
+        size = 0
+        for op, op_result in zip(execution.ops, result.results):
             value = op_result.value
             length = len(value) if isinstance(value, (bytes, bytearray)) else 0
-            total += op.response_bytes(length)
-        return total
+            size += op.response_bytes(length)
+        request = execution.message.payload
+        post_reply(self.fabric, self.host_name, request, result, size,
+                   span=request.span)

@@ -16,12 +16,11 @@ retransmission or a duplicate from the reply it saved, so a handler
 need not be idempotent.
 """
 
-from collections import defaultdict
 from dataclasses import dataclass
 from functools import partial
 
 from repro.net.message import ETHERNET_HEADER_BYTES
-from repro.net.port import RequestChannel, post_reply
+from repro.net.port import Reply, RequestChannel, SavedReplies, post_reply
 from repro.obs.trace import NULL_SPAN
 from repro.sim.resources import Resource
 
@@ -54,14 +53,9 @@ class RpcServer:
         self._queue_label = f"{name}.queue"  # span labels, fixed per server
         self._exec_label = f"{name}.exec"
         self._methods = {}
-        #: per session (a client channel's reply service): the highest
-        #: horizon carried, below which every call has ended at the client,
-        #: and ``(result, response_bytes, ok)`` of each call run at or above
-        self._horizons = defaultdict(int)
-        self._replies = defaultdict(dict)
+        #: ``(result, response_bytes, ok)`` of each call run, per session
+        self.saved = SavedReplies()
         self.calls_served = 0
-        #: repeated deliveries answered from a saved reply
-        self.replays = 0
         fabric.host(host_name).register_service(service,
                                                 partial(_Handling, self))
 
@@ -91,14 +85,12 @@ class _Handling:
     ``service_us`` callable propagates out of ``Simulator.run`` at once.
     The creator's flight-recorder context is entered around every entry.
     Nothing refers back to the handling (``gc`` is off during a run).
-
-    At most once is decided where the handler would run, so a repeat
-    costs what its first delivery did. FIFO cores and equal costs for
-    equal args serve a call's first delivery before any repeat of it.
+    A repeat is answered from ``server.saved`` where the handler would
+    run, so it costs what its first delivery did.
     """
 
-    __slots__ = ("server", "request", "handler", "args", "horizon",
-                 "duration", "stage", "span", "_open_span", "_flight_ctx")
+    __slots__ = ("server", "request", "handler", "args", "duration",
+                 "stage", "span", "_open_span", "_flight_ctx")
 
     #: the kernel's tombstone check; a handling is never withdrawn
     cancelled = False
@@ -126,7 +118,7 @@ class _Handling:
     def _boot(self):
         server = self.server
         request = self.request
-        method, self.args, self.horizon = request.body
+        method, self.args = request.body
         registered = server._methods.get(method)
         if registered is None:
             post_reply(server.fabric, server.host_name, request,
@@ -161,19 +153,11 @@ class _Handling:
         if self.span is not None:
             self._open_span.finish()
         logical_id = request.logical_id
-        session = request.reply_service
-        replies = server._replies[session]
-        horizon = server._horizons[session]
-        carried = logical_id if self.horizon is None else self.horizon
-        if carried > horizon:
-            server._horizons[session] = horizon = carried
-            for ended in list(replies):  # a loop: a comprehension is a frame
-                if ended < horizon:
-                    del replies[ended]
-        saved = replies.get(logical_id)  # a repeat is sent the saved reply
-        if saved is not None:
-            server.replays += 1
-        elif logical_id >= horizon:
+        replies = server.saved.session(request)  # None: nobody waits
+        saved = None if replies is None else replies.get(logical_id)
+        if saved is not None:  # a repeat is sent the saved reply
+            server.saved.replays += 1
+        elif replies is not None:
             try:
                 result, response_bytes = self.handler(self.args)
                 saved = replies[logical_id] = (result, response_bytes, True)
@@ -183,10 +167,14 @@ class _Handling:
         server.cores.release()
         if self.span is not None:
             self.span.finish()
-        if saved is not None:  # else a late duplicate nobody waits for
-            post_reply(server.fabric, server.host_name, request, saved[0],
-                       ETHERNET_HEADER_BYTES + saved[1], ok=saved[2],
-                       span=request.span)
+        if saved is not None:
+            # Inlined post_reply: one call per request, for the table's.
+            reply = Reply(request.id, saved[0], saved[2])
+            reply.logical_id = request.logical_id
+            server.fabric.post(server.host_name, request.reply_host,
+                               request.reply_service, reply,
+                               ETHERNET_HEADER_BYTES + saved[1],
+                               span=request.span)
 
 
 class RpcClient:
@@ -208,9 +196,6 @@ class RpcClient:
         if retry_policy is None and sim.faults is not None:
             retry_policy = sim.faults.plan.retry
         self.retry_policy = retry_policy
-        #: logical ids of the calls awaiting replies, oldest first (the
-        #: channel's reply address is the session: one client a channel)
-        self._open_calls = {}
         self.calls_made = 0
 
     def call(self, server_name, method, args, request_payload_bytes,
@@ -226,19 +211,13 @@ class RpcClient:
         call_span = NULL_SPAN
         if span.enabled:
             call_span = span.child("rpc.call", phase="cpu", method=method)
-        # The horizon: the oldest call awaited, or None for this one's own
-        open_calls = self._open_calls
-        call = self.channel.post(
-            server_name, service, (method, args, next(iter(open_calls), None)),
-            ETHERNET_HEADER_BYTES + request_payload_bytes,
-            None if policy is None else policy.timeout_us, call_span,
-            retry=policy)
-        logical_id = call.request.logical_id
-        open_calls[logical_id] = None
         try:
-            result = yield call
+            result = yield self.channel.post(
+                server_name, service, (method, args),
+                ETHERNET_HEADER_BYTES + request_payload_bytes,
+                None if policy is None else policy.timeout_us, call_span,
+                retry=policy)
         finally:
-            del open_calls[logical_id]
             if span.enabled:
                 call_span.finish()
         self.calls_made += 1

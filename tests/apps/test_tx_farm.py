@@ -177,5 +177,5 @@ def test_a_repeated_commit_rpc_runs_once(sim, app_fabric, server, drive):
     assert committed
     assert (version, value) == (2, b"U" * 64)  # installed once, unlocked
     assert client.rpc.channel.retransmissions == 1
-    assert (server.rpc.calls_served, server.rpc.replays) == (2, 4)
+    assert (server.rpc.calls_served, server.rpc.saved.replays) == (2, 4)
     assert not server._locks

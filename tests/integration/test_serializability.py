@@ -138,7 +138,7 @@ def test_farm_serializable_under_faults(plan):
     assert len(committed) == N_CLIENTS * TXNS_PER_CLIENT
     assert check_serializable(committed, initial, infer_order=True) > 0
     assert not server._locks  # nothing stranded
-    assert server.rpc.replays > 0  # the transport carried the repeats
+    assert server.rpc.saved.replays > 0  # the transport carried the repeats
 
 
 def test_prism_tx_serializable_under_extreme_contention():

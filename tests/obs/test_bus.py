@@ -169,13 +169,13 @@ def test_conn_is_always_the_last_field():
 
 
 def test_unretried_put_timeouts_are_counted_everywhere():
-    """A PRISM-KV PUT's install chain holds an ALLOCATE, so it is not
-    retransmitted: its ack timeout surfaces as ``TimeoutExpired``. That
+    """A PRISM-KV PUT under a plan that allows no retransmission
+    (``retries=0``): its ack timeout surfaces as ``TimeoutExpired``. That
     expiry must show in every tally, not only the bus subscribers'."""
     sim = Simulator()
     series = sim.attach(SeriesCollector())
     views = sim.attach(ViewCollector())
-    faults = sim.set_faults(parse_faults("seed=7,drop=0.2"))
+    faults = sim.set_faults(parse_faults("seed=7,drop=0.2,retries=0"))
     fabric = make_fabric(sim, RACK, ["server", "c0"])
     server = PrismKvServer(sim, fabric, "server", SoftwarePrismBackend,
                            n_keys=64, max_value_bytes=128)

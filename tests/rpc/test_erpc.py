@@ -1,15 +1,21 @@
 """Two-sided RPC layer: dispatch, service costs, core contention, the
 server-side pipeline (kernel entries, instants, spans), and at-most-once
-delivery."""
+delivery — the last also for PRISM chains, which share the transport's
+saved-reply sessions (``net.port.SavedReplies``)."""
 
 import heapq
 from collections import deque
 
 import pytest
 
+from repro.core.errors import AccessViolation
+from repro.core.ops import AllocateOp, FetchAddOp, WriteOp
 from repro.faults import RetryPolicy
+from repro.net.port import SavedReplies
 from repro.net.topology import RACK, make_fabric
 from repro.obs import HostProfiler, Tracer
+from repro.prism import PrismClient, PrismServer, SoftwarePrismBackend
+from repro.prism.backend import BackendConfig
 from repro.rpc.erpc import RpcClient, RpcConfig, RpcServer
 from repro.sim import Simulator
 
@@ -412,15 +418,66 @@ def _counted(server, method="inc", fail=False):
     return runs
 
 
-def test_a_lost_reply_is_replayed_not_run_again(sim, fabric, drive):
-    server = RpcServer(sim, fabric, "server")
-    runs = _counted(server)
-    client = RpcClient(sim, fabric, "client", retry_policy=_RETRY)
-    _script(fabric, "client", client.channel.reply_service, _lose_first(1))
-    assert drive(sim, client.call("server", "inc", None, 8)) == 1
-    assert len(runs) == 1
-    assert (server.replays, server.calls_served) == (1, 1)
-    assert client.channel.retransmissions == 1
+class _RpcSession:
+    """An RPC client of an ``inc`` method that returns its run number
+    (``fail``: raises ``ValueError("run N")``)."""
+
+    error = ValueError, "run 1"
+
+    def __init__(self, sim, fabric, retry=None, fail=False):
+        server = RpcServer(sim, fabric, "server")
+        self.runs = _counted(server, fail=fail)
+        self.saved = server.saved
+        self.client = RpcClient(sim, fabric, "client", retry_policy=retry)
+        self.channel = self.client.channel
+
+    def call(self):
+        return (yield from self.client.call("server", "inc", None, 8))
+
+
+class _PrismSession:
+    """A PRISM client of a FETCH_ADD counter that returns its run number
+    (``fail``: its rkey is unknown, so the op NAKs); ``runs`` lists the
+    instants the engine ran an op."""
+
+    error = AccessViolation, None
+
+    def __init__(self, sim, fabric, retry=None, fail=False):
+        self.server = PrismServer(sim, fabric, "server", SoftwarePrismBackend)
+        self.counter, self.rkey = self.server.add_region(8)
+        if fail:
+            self.rkey += 1000
+        self.saved = self.server.saved
+        self.runs = runs = []
+        engine = self.server.engine
+        execute_op = engine.execute_op
+
+        def counted(*args):
+            runs.append(sim.now)
+            return execute_op(*args)
+
+        engine.execute_op = counted
+        self.client = PrismClient(sim, fabric, "client", self.server,
+                                  retry_policy=retry)
+        self.channel = self.client.channel
+
+    def call(self):
+        before = yield from self.client.fetch_add(self.counter, 1, self.rkey)
+        return before + 1
+
+
+@pytest.fixture(params=[_RpcSession, _PrismSession], ids=["rpc", "prism"])
+def session(request, sim, fabric):
+    """``session(retry=None, fail=False)``: one server, one client."""
+    return lambda **kwargs: request.param(sim, fabric, **kwargs)
+
+
+def test_a_lost_reply_is_replayed_not_run_again(sim, fabric, drive, session):
+    rig = session(retry=_RETRY)
+    _script(fabric, "client", rig.channel.reply_service, _lose_first(1))
+    assert drive(sim, rig.call()) == 1
+    assert len(rig.runs) == 1 and rig.saved.replays == 1
+    assert rig.channel.retransmissions == 1
 
 
 def test_a_duplicate_waiting_for_a_core_is_replayed_after_the_original(sim):
@@ -442,7 +499,7 @@ def test_a_duplicate_waiting_for_a_core_is_replayed_after_the_original(sim):
     sim.run()
     assert caller.value == 1
     assert len(runs) == 1 and runs[0] > 10.0  # it waited for the core
-    assert server.replays == 1 and server.cores.in_use == 0
+    assert server.saved.replays == 1 and server.cores.in_use == 0
     (first, original), (second, twin) = replies
     assert original.payload.body == twin.payload.body == 1
     assert second - first == pytest.approx(
@@ -469,7 +526,7 @@ def test_a_late_duplicate_below_the_horizon_gets_no_reply(sim, fabric):
 
     sim.run_until_complete(sim.spawn(main()))
     assert len(runs) == 2 and len(replies) == 2
-    assert len(requests) == 3 and server.replays == 0
+    assert len(requests) == 3 and server.saved.replays == 0
     assert server.cores.in_use == 0
     config = server.config
     core_us = server.cores.utilization(sim.now) * config.cores * sim.now
@@ -501,40 +558,92 @@ def test_the_horizon_never_passes_an_open_call(sim, fabric):
     sim.run()
     assert results["third at"] < _RETRY.timeout_us  # before the resend
     assert (results["older"], results["newer"], results["third"]) == (1, 2, 3)
-    assert len(runs) == 3 and server.replays == 1
+    assert len(runs) == 3 and server.saved.replays == 1
 
 
-def test_saved_replies_are_bounded_by_open_calls(sim, fabric, drive):
-    server = RpcServer(sim, fabric, "server")
-    _counted(server)
-    client = RpcClient(sim, fabric, "client")
-    saved = server._replies[client.channel.reply_service]
+def test_saved_replies_are_bounded_by_open_calls(sim, drive, session):
+    rig = session()
+    saved = rig.saved._replies[rig.channel.reply_service]
 
     def sequential(n):
         for _ in range(n):
-            yield from client.call("server", "inc", None, 8)
+            yield from rig.call()
             assert len(saved) <= 1
 
     drive(sim, sequential(1000))
     assert len(saved) == 1
     for _ in range(8):
-        sim.spawn(client.call("server", "inc", None, 8))
+        sim.spawn(rig.call())
     sim.run()
     assert len(saved) == 8
     drive(sim, sequential(1))
     assert len(saved) == 1
-    assert server.calls_served == 1009
+    assert len(rig.runs) == 1009
 
 
-def test_a_raising_handlers_error_is_replayed(sim, fabric, drive):
-    server = RpcServer(sim, fabric, "server")
-    runs = _counted(server, fail=True)
-    client = RpcClient(sim, fabric, "client", retry_policy=_RETRY)
-    _script(fabric, "client", client.channel.reply_service, _lose_first(1))
+def test_a_raising_handlers_error_is_replayed(sim, fabric, drive, session):
+    rig = session(retry=_RETRY, fail=True)
+    _script(fabric, "client", rig.channel.reply_service, _lose_first(1))
+    error, match = rig.error
 
     def main():
-        with pytest.raises(ValueError, match="run 1"):
-            yield from client.call("server", "inc", None, 8)
+        with pytest.raises(error, match=match):
+            yield from rig.call()
 
     drive(sim, main())
-    assert len(runs) == 1 and server.replays == 1
+    assert len(rig.runs) == 1 and rig.saved.replays == 1
+
+
+def test_a_retransmitted_allocate_takes_one_buffer(sim, fabric, drive):
+    """The first reply to an ALLOCATE chain is lost; the retransmission
+    is answered from the saved results: one buffer off the free list,
+    and it is the one the caller is told about."""
+    server = PrismServer(sim, fabric, "server", SoftwarePrismBackend)
+    freelist, rkey = server.create_freelist(64, 4)
+    client = PrismClient(sim, fabric, "client", server, retry_policy=_RETRY)
+    _script(fabric, "client", client.channel.reply_service, _lose_first(1))
+    first = server.freelist(freelist)._buffers[0]
+    assert drive(sim, client.allocate(freelist, b"x" * 64, rkey)) == first
+    assert len(server.freelist(freelist)) == 3
+    assert server.saved.replays == 1 and client.channel.retransmissions == 1
+
+
+def _duplicated_allocate_write(sim):
+    """An ALLOCATE + WRITE chain delivered twice at one instant to a
+    one-core software PRISM server: ``(replies, server, buffers left)``, replies as
+    ``(sent at, ChainResult)``."""
+    fabric = make_fabric(sim, RACK, ["client", "server"])
+    server = PrismServer(sim, fabric, "server", SoftwarePrismBackend,
+                         config=BackendConfig(sw_cores=1))
+    freelist, rkey = server.create_freelist(64, 4)
+    word, word_rkey = server.add_region(8)
+    client = PrismClient(sim, fabric, "client", server)
+    _script(fabric, "server", server.service, lambda message: 2)
+    replies = _script(fabric, "client", client.channel.reply_service,
+                      lambda message: 1)
+    sim.run_until_complete(sim.spawn(client.execute(
+        AllocateOp(freelist=freelist, data=b"x" * 64, rkey=rkey),
+        WriteOp(addr=word, data=b"y" * 8, rkey=word_rkey))))
+    sim.run()
+    return ([(message.send_time, message.payload.body)
+             for _, message in replies], server,
+            len(server.freelist(freelist)))
+
+
+def test_a_duplicate_of_an_executing_chain_replays_its_results(monkeypatch):
+    """The twin boots while the original is in the software stack's
+    admission and runs each op on the one core right behind it: it
+    takes the original's per-op results, one buffer leaves the free
+    list, and its reply is sent at the instant a second execution's was
+    — measured here by switching the table off."""
+    replies, server, left = _duplicated_allocate_write(Simulator())
+    (_, original), (_, twin) = replies
+    assert all(a is b for a, b in zip(original.results, twin.results))
+    assert server.saved.replays == 1 and server.engine.ops_executed == 2
+    assert left == 3
+
+    monkeypatch.setattr(SavedReplies, "session", lambda self, request: {})
+    executed, rerun, left = _duplicated_allocate_write(Simulator())
+    assert rerun.engine.ops_executed == 4 and left == 2
+    assert executed[0][1][0].value != executed[1][1][0].value
+    assert [sent for sent, _ in replies] == [sent for sent, _ in executed]
