@@ -19,6 +19,7 @@ Protocol per operation:
 
 from repro.apps.blockstore.layout import AbdLockLayout
 from repro.apps.common import INITIAL_TAG, backoff_us, bump_tag, note_key
+from repro.obs.trace import NULL_SPAN
 from repro.prism.client import PrismClient
 from repro.prism.server import PrismServer
 from repro.sim.phase import Phase
@@ -77,39 +78,46 @@ class AbdLockClient:
 
     # -- public API -----------------------------------------------------------
 
-    def get(self, block_id):
+    def get(self, block_id, span=NULL_SPAN):
         """Process helper: linearizable read (4 round trips + locking)."""
         note_key(self.sim, "abd-lock", "get", block_id)
-        value, _retries = yield from self._locked_operation(block_id, None)
+        value, _retries = yield from self._locked_operation(block_id, None,
+                                                            span)
         self.gets += 1
         return value
 
-    def put(self, block_id, value):
+    def put(self, block_id, value, span=NULL_SPAN):
         """Process helper: linearizable write (4 round trips + locking)."""
         note_key(self.sim, "abd-lock", "put", block_id)
-        _value, _retries = yield from self._locked_operation(block_id, value)
+        _value, _retries = yield from self._locked_operation(block_id, value,
+                                                             span)
         self.puts += 1
         return None
 
-    def execute(self, op):
-        """Driver adapter for :class:`~repro.workload.ycsb.KvOp`."""
+    def execute(self, op, span=NULL_SPAN):
+        """Driver adapter for :class:`~repro.workload.ycsb.KvOp`; the
+        operation is ``span``'s, not traced under it."""
         note_key(self.sim, "abd-lock", op.kind, op.key)
+        span = span.untraced()
         if op.kind == "get":
-            _value, retries = yield from self._locked_operation(op.key, None)
+            _value, retries = yield from self._locked_operation(op.key, None,
+                                                                span)
             self.gets += 1
         else:
             _value, retries = yield from self._locked_operation(op.key,
-                                                                op.value)
+                                                                op.value,
+                                                                span)
             self.puts += 1
         return {"retries": retries}
 
     # -- protocol ------------------------------------------------------------
 
-    def _locked_operation(self, block_id, new_value):
-        """Lock a majority, read, write (back), unlock. Retries locking."""
+    def _locked_operation(self, block_id, new_value, span):
+        """Lock a majority, read, write (back), unlock. Retries locking.
+        Every request names ``span``'s operation."""
         attempt = 0
         while True:
-            locked = yield from self._acquire_locks(block_id)
+            locked = yield from self._acquire_locks(block_id, span)
             if locked is not None:
                 break
             attempt += 1
@@ -122,7 +130,8 @@ class AbdLockClient:
                 self.sim,
                 [self.clients[i].read(self.layout.tag_addr(block_id),
                                       8 + self.layout.block_size,
-                                      rkey=self.replicas[i].blocks_rkey)
+                                      rkey=self.replicas[i].blocks_rkey,
+                                      span=span)
                  for i in locked],
                 len(locked))
             best_tag, best_value = -1, b""
@@ -140,14 +149,15 @@ class AbdLockClient:
                 self.sim,
                 [self.clients[i].write(self.layout.tag_addr(block_id),
                                        payload,
-                                       rkey=self.replicas[i].blocks_rkey)
+                                       rkey=self.replicas[i].blocks_rkey,
+                                       span=span)
                  for i in locked],
                 len(locked))
             return best_value if new_value is None else write_value, attempt
         finally:
-            yield from self._release_locks(block_id, locked)
+            yield from self._release_locks(block_id, locked, span)
 
-    def _acquire_locks(self, block_id):
+    def _acquire_locks(self, block_id, span):
         """CAS the lock at every replica; returns indices of a majority
         actually acquired, or None (after releasing strays).
 
@@ -156,17 +166,18 @@ class AbdLockClient:
         a stray late-acquired lock would deadlock other clients.
         """
         generators = [self._cas_lock(index, block_id,
-                                     expect=0, install=self.client_id)
+                                     expect=0, install=self.client_id,
+                                     span=span)
                       for index in range(len(self.replicas))]
         replies = yield Phase(self.sim, generators)  # settled
         acquired = [index for index, ok in replies if ok]
         if len(acquired) >= self.f + 1:
             return acquired
         if acquired:
-            yield from self._release_locks(block_id, acquired)
+            yield from self._release_locks(block_id, acquired, span)
         return None
 
-    def _cas_lock(self, index, block_id, expect, install):
+    def _cas_lock(self, index, block_id, expect, install, span):
         """Classic IB atomic CmpSwap on the lock word.
 
         A CAS whose retries ran out may still have swapped, and a later
@@ -180,10 +191,10 @@ class AbdLockClient:
             self.layout.lock_addr(block_id),
             data=install.to_bytes(8, "little"),
             compare_data=expect.to_bytes(8, "little"),
-            rkey=self.replicas[index].blocks_rkey)
+            rkey=self.replicas[index].blocks_rkey, span=span)
         return swapped or int.from_bytes(old, "little") == install
 
-    def _release_locks(self, block_id, indices):
+    def _release_locks(self, block_id, indices, span):
         """CAS the lock back to 0 at ``indices`` (must hold it).
 
         Settled, not quorum'd: a release must be attempted everywhere
@@ -193,5 +204,5 @@ class AbdLockClient:
         if indices:
             yield Phase(self.sim, [self._cas_lock(index, block_id,
                                                   expect=self.client_id,
-                                                  install=0)
+                                                  install=0, span=span)
                                    for index in indices])

@@ -134,7 +134,7 @@ class PrismRsClient:
             self._read_at(index, block_id, read_len,
                           span.child(self._read_labels[index], phase="other",
                                      replica=self.replicas[index].host_name)
-                          if traced else NULL_SPAN)
+                          if traced else span)
             for index in range(len(self.replicas))
         ]
         replies = yield Phase(self.sim, generators, self.f + 1)
@@ -153,7 +153,7 @@ class PrismRsClient:
             self._install_at(index, block_id, tag, value,
                              span.child(self._write_labels[index],
                                         phase="other")
-                             if traced else NULL_SPAN)
+                             if traced else span)
             for index in range(len(self.replicas))
         ]
         yield Phase(self.sim, generators, self.f + 1)
@@ -187,11 +187,11 @@ class PrismRsClient:
                 span.finish()
         addr = client.displaced(result.raise_on_nak()[2])
         if addr:
-            self._retire(index, addr)
+            self._retire(index, addr, span)
         return True
 
-    def _retire(self, index, addr):
+    def _retire(self, index, addr, span):
         flush = self.recyclers[index].retire(
-            self.replicas[index].freelist_id, addr)
+            self.replicas[index].freelist_id, addr, span)
         if flush is not None:
             self.sim.launch(flush, name="rs-retire")

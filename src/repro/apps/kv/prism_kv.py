@@ -231,12 +231,13 @@ class PrismKvClient:
         displaced = self.client.displaced(cas)
         if cas.status is OpStatus.OK:
             if displaced:
-                self._retire(displaced, KvLayout.unpack_slot(cas.value)[2])
+                self._retire(displaced, KvLayout.unpack_slot(cas.value)[2],
+                             span)
             return {"superseded": False}
         # CAS miss: a concurrent client installed a newer version; our
         # freshly allocated buffer is the one to retire.
         self.put_superseded += 1
-        self._retire(displaced, len(payload))
+        self._retire(displaced, len(payload), span)
         return {"superseded": True}
 
     def execute(self, op, span=NULL_SPAN):
@@ -278,11 +279,12 @@ class PrismKvClient:
                 return slot_addr, entry
         return None
 
-    def _retire(self, buffer_addr, entry_bytes):
+    def _retire(self, buffer_addr, entry_bytes, span):
         """Return a buffer to the free list it was allocated from (with
-        size classes, the entry length names the class)."""
+        size classes, the entry length names the class); a report it
+        launches belongs to ``span``'s operation."""
         freelist_id, _rkey = self.server.freelist_for_entry(entry_bytes)
-        flush = self.recycler.retire(freelist_id, buffer_addr)
+        flush = self.recycler.retire(freelist_id, buffer_addr, span)
         if flush is not None:
             # Asynchronous notification (§6.1) — off the latency path.
             self.sim.launch(flush, name="kv-retire")

@@ -18,6 +18,7 @@ from repro.apps.common import backoff_us, note_key
 from repro.apps.tx.layout import FarmLayout
 from repro.core.ops import ReadOp
 from repro.hw.layout import unpack_uint
+from repro.obs.trace import NULL_SPAN
 from repro.prism.client import PrismClient
 from repro.prism.server import PrismServer
 from repro.rpc.erpc import RpcClient, RpcServer
@@ -150,7 +151,7 @@ class FarmClient:
 
     # -- execution phase -----------------------------------------------------
 
-    def read_keys(self, keys):
+    def read_keys(self, keys, span=NULL_SPAN):
         """Two batched one-sided READ round trips: slots, then objects.
 
         Returns ``({key: version}, {key: value})``; retries keys whose
@@ -158,7 +159,7 @@ class FarmClient:
         """
         slot_ops = [ReadOp(addr=self.layout.slot_addr(key), length=8,
                            rkey=self.server.table_rkey) for key in keys]
-        result = yield from self.client.execute(*slot_ops)
+        result = yield from self.client.execute(*slot_ops, span=span)
         result.raise_on_nak()
         pointers = [unpack_uint(r.value, 0, 8) for r in result]
         while True:
@@ -166,7 +167,7 @@ class FarmClient:
                 ReadOp(addr=ptr, length=8 + self.layout.value_size,
                        rkey=self.server.objects_rkey)
                 for ptr in pointers]
-            result = yield from self.client.execute(*object_ops)
+            result = yield from self.client.execute(*object_ops, span=span)
             result.raise_on_nak()
             versions, values = {}, {}
             any_locked = False
@@ -184,19 +185,21 @@ class FarmClient:
 
     # -- commit protocol ---------------------------------------------------
 
-    def run_transaction(self, read_keys, write_keys, value):
-        """Process helper: one attempt; returns (committed, values)."""
+    def run_transaction(self, read_keys, write_keys, value,
+                        span=NULL_SPAN):
+        """Process helper: one attempt; returns (committed, values).
+        Every request names ``span``'s operation."""
         read_keys = tuple(read_keys)
         write_keys = tuple(write_keys)
         self._txn_counter += 1
         tid = (self.client_id, self._txn_counter)
         start = self.sim.now
-        versions, values = yield from self.read_keys(read_keys)
+        versions, values = yield from self.read_keys(read_keys, span)
         # Phase 1: LOCK the write set (with version check).
         ok, _ = yield from self.rpc.call(
             self.server.host_name, FarmServer.LOCK_METHOD,
             (tid, [(key, versions.get(key, 0)) for key in write_keys]),
-            request_payload_bytes=16 * len(write_keys) + 16)
+            request_payload_bytes=16 * len(write_keys) + 16, span=span)
         if not ok:
             return False, values
         # Phase 2: VALIDATE — "reread all objects in the read set to
@@ -208,7 +211,7 @@ class FarmClient:
             ops = [ReadOp(addr=self.layout.object_addr(key), length=8,
                           rkey=self.server.objects_rkey)
                    for key in read_keys]
-            result = yield from self.client.execute(*ops)
+            result = yield from self.client.execute(*ops, span=span)
             result.raise_on_nak()
             for key, op_result in zip(read_keys, result):
                 version, locked = FarmLayout.unpack_lockver(op_result.value)
@@ -218,26 +221,29 @@ class FarmClient:
                     yield from self.rpc.call(
                         self.server.host_name, FarmServer.UNLOCK_METHOD,
                         (tid, list(write_keys)),
-                        request_payload_bytes=8 * len(write_keys) + 16)
+                        request_payload_bytes=8 * len(write_keys) + 16,
+                        span=span)
                     return False, values
         # Phase 3: UPDATE and UNLOCK.
         yield from self.rpc.call(
             self.server.host_name, FarmServer.UPDATE_METHOD,
             (tid, [(key, value) for key in write_keys]),
-            request_payload_bytes=(8 + len(value)) * len(write_keys) + 16)
+            request_payload_bytes=(8 + len(value)) * len(write_keys) + 16,
+            span=span)
         if self.on_commit is not None:
             self.on_commit(None, dict(values),
                            {key: value for key in write_keys},
                            start, self.sim.now)
         return True, values
 
-    def transact(self, read_keys, write_keys, value, max_attempts=None):
+    def transact(self, read_keys, write_keys, value, max_attempts=None,
+                 span=NULL_SPAN):
         """Retry loop with randomized exponential backoff."""
         attempts = 0
         while True:
             attempts += 1
             committed, values = yield from self.run_transaction(
-                read_keys, write_keys, value)
+                read_keys, write_keys, value, span)
             if committed:
                 self.commits += 1
                 return values, attempts - 1
@@ -248,12 +254,13 @@ class FarmClient:
                 self._rng, attempts, self.backoff_base_us,
                 self.backoff_max_us))
 
-    def execute(self, op):
-        """Driver adapter for :class:`~repro.workload.ycsb.TxnOp`."""
+    def execute(self, op, span=NULL_SPAN):
+        """Driver adapter for :class:`~repro.workload.ycsb.TxnOp`; the
+        transaction is ``span``'s operation, not traced under it."""
         for key in op.read_keys:
             note_key(self.sim, "farm", "read", key)
         for key in op.write_keys:
             note_key(self.sim, "farm", "write", key)
         _values, retries = yield from self.transact(
-            op.read_keys, op.write_keys, op.value)
+            op.read_keys, op.write_keys, op.value, span=span.untraced())
         return {"retries": retries, "aborts": retries}

@@ -37,6 +37,7 @@ from repro.apps.tx.layout import (
 from repro.apps.tx.timestamps import LooselySynchronizedClock
 from repro.core.constants import REDIRECT_SLOT_BYTES
 from repro.core.ops import CasMode, CasOp, ReadOp
+from repro.obs.trace import NULL_SPAN
 from repro.prism.client import PrismClient
 from repro.prism.engine import OpStatus
 from repro.prism.recycler import RecyclerClient, RecyclerDaemon
@@ -122,41 +123,46 @@ class PrismTxClient:
 
     # -- public API -------------------------------------------------------
 
-    def run_transaction(self, read_keys, write_keys, value):
+    def run_transaction(self, read_keys, write_keys, value,
+                        span=NULL_SPAN):
         """Process helper: one attempt writing ``value`` to every write
         key; returns the committed read values dict.
 
         Raises :class:`TxAborted` when validation fails.
         """
         return (yield from self.run_transaction_kv(
-            read_keys, {key: value for key in write_keys}))
+            read_keys, {key: value for key in write_keys}, span))
 
-    def run_transaction_kv(self, read_keys, writes):
+    def run_transaction_kv(self, read_keys, writes, span=NULL_SPAN):
         """Process helper: one attempt with per-key write values.
 
         ``writes`` maps key -> value. Raises :class:`TxAborted` when
-        validation fails.
+        validation fails. Every request names ``span``'s operation.
         """
         read_keys = tuple(read_keys)
         writes = dict(writes)
         start = self.sim.now
-        read_versions, values = yield from self._execute_reads(read_keys)
+        read_versions, values = yield from self._execute_reads(read_keys,
+                                                               span)
         ts = self.clock.timestamp(read_versions.values())
-        yield from self._prepare(read_keys, tuple(writes), read_versions, ts)
-        yield from self._commit(writes, ts)
+        yield from self._prepare(read_keys, tuple(writes), read_versions, ts,
+                                 span)
+        yield from self._commit(writes, ts, span)
         self.commits += 1
         if self.on_commit is not None:
             self.on_commit(ts, dict(values), dict(writes), start,
                            self.sim.now)
         return values
 
-    def transact(self, read_keys, write_keys, value, max_attempts=None):
+    def transact(self, read_keys, write_keys, value, max_attempts=None,
+                 span=NULL_SPAN):
         """Process helper: retry loop with randomized backoff."""
         return (yield from self.transact_kv(
             read_keys, {key: value for key in write_keys},
-            max_attempts=max_attempts))
+            max_attempts=max_attempts, span=span))
 
-    def transact_kv(self, read_keys, writes, max_attempts=None):
+    def transact_kv(self, read_keys, writes, max_attempts=None,
+                    span=NULL_SPAN):
         """Retry loop around :meth:`run_transaction_kv`.
 
         A coordinator timeout (channel retransmissions exhausted under
@@ -169,7 +175,7 @@ class PrismTxClient:
             attempts += 1
             try:
                 values = yield from self.run_transaction_kv(read_keys,
-                                                            writes)
+                                                            writes, span)
                 return values, attempts - 1
             except (TxAborted, TimeoutExpired) as exc:
                 self.aborts += 1
@@ -181,19 +187,20 @@ class PrismTxClient:
                     self._rng, attempts, self.backoff_base_us,
                     self.backoff_max_us))
 
-    def execute(self, op):
-        """Driver adapter for :class:`~repro.workload.ycsb.TxnOp`."""
+    def execute(self, op, span=NULL_SPAN):
+        """Driver adapter for :class:`~repro.workload.ycsb.TxnOp`; the
+        transaction is ``span``'s operation, not traced under it."""
         for key in op.read_keys:
             note_key(self.sim, "prism-tx", "read", key)
         for key in op.write_keys:
             note_key(self.sim, "prism-tx", "write", key)
         _values, retries = yield from self.transact(
-            op.read_keys, op.write_keys, op.value)
+            op.read_keys, op.write_keys, op.value, span=span.untraced())
         return {"retries": retries, "aborts": retries}
 
     # -- phases ------------------------------------------------------------
 
-    def _execute_reads(self, read_keys):
+    def _execute_reads(self, read_keys, span=NULL_SPAN):
         """One batched request per partition: for each key, READ the
         metadata C word and indirect-READ the committed buffer.
 
@@ -214,7 +221,7 @@ class PrismTxClient:
             ops.append(ReadOp(addr=self.layout.addr_field(key),
                               length=read_len,
                               rkey=self.server.meta_rkey, indirect=True))
-        result = yield from self.client.execute(*ops)
+        result = yield from self.client.execute(*ops, span=span)
         result.raise_on_nak()
         versions, values = {}, {}
         for index, key in enumerate(read_keys):
@@ -226,7 +233,8 @@ class PrismTxClient:
             values[key] = value
         return versions, values
 
-    def _prepare(self, read_keys, write_keys, read_versions, ts):
+    def _prepare(self, read_keys, write_keys, read_versions, ts,
+                 span=NULL_SPAN):
         """One batched request of validation CASes; raises TxAborted."""
         write_set = set(write_keys)
         ops = []
@@ -243,7 +251,7 @@ class PrismTxClient:
                 ops.append(self._write_validation_op(key, ts,
                                                      conditional=False))
                 kinds.append(("wv", key))
-        result = yield from self.client.execute(*ops)
+        result = yield from self.client.execute(*ops, span=span)
         result.raise_on_nak()
         ok = True
         write_checked = []
@@ -269,7 +277,7 @@ class PrismTxClient:
                 if not effective or old_pr > ts:
                     ok = False
         if not ok:
-            yield from self._abort(write_checked, ts)
+            yield from self._abort(write_checked, ts, span)
             raise TxAborted()
 
     def _read_validation_op(self, key, rc, ts):
@@ -288,7 +296,7 @@ class PrismTxClient:
                      compare_mask=PRPW_PW_MASK, swap_mask=PRPW_PW_MASK,
                      operand_width=16, conditional=conditional)
 
-    def _commit(self, writes, ts):
+    def _commit(self, writes, ts, span=NULL_SPAN):
         """Install all writes (``writes``: key -> value); chunks of two
         chains per request (the 32 B scratch slot holds two install
         temporaries)."""
@@ -296,9 +304,9 @@ class PrismTxClient:
         chunks = [items[i:i + _INSTALLS_PER_REQUEST]
                   for i in range(0, len(items), _INSTALLS_PER_REQUEST)]
         for chunk in chunks:
-            yield from self._install_chunk(chunk, ts)
+            yield from self._install_chunk(chunk, ts, span)
 
-    def _install_chunk(self, chunk, ts):
+    def _install_chunk(self, chunk, ts, span):
         ops = []
         for slot, (key, value) in enumerate(chunk):
             ops += self.client.install(
@@ -306,7 +314,7 @@ class PrismTxClient:
                 TxLayout.pack_buffer(ts, key, value), self.server.buffer_rkey,
                 self.layout.caddr_addr(key), self.server.meta_rkey,
                 scratch=slot * _INSTALL_TMP_BYTES)
-        result = yield from self.client.execute(*ops)
+        result = yield from self.client.execute(*ops, span=span)
         result.raise_on_nak()
         # A miss means a transaction with a later timestamp already
         # installed this key (Thomas write rule): drop our buffer.
@@ -314,9 +322,9 @@ class PrismTxClient:
             addr = self.client.displaced(result[3 * slot + 2],
                                          slot * _INSTALL_TMP_BYTES)
             if addr:
-                self._retire(addr)
+                self._retire(addr, span)
 
-    def _abort(self, write_checked_keys, ts):
+    def _abort(self, write_checked_keys, ts, span):
         """Advance C := TS for keys that passed write validation, so the
         conservatively raised PW cannot block readers longer than
         needed (§8.2)."""
@@ -328,10 +336,10 @@ class PrismTxClient:
                      compare_mask=CADDR_C_MASK, swap_mask=CADDR_C_MASK,
                      operand_width=16)
                for key in write_checked_keys]
-        result = yield from self.client.execute(*ops)
+        result = yield from self.client.execute(*ops, span=span)
         result.raise_on_nak()
 
-    def _retire(self, addr):
-        flush = self.recycler.retire(self.server.freelist_id, addr)
+    def _retire(self, addr, span):
+        flush = self.recycler.retire(self.server.freelist_id, addr, span)
         if flush is not None:
             self.sim.launch(flush, name="tx-retire")

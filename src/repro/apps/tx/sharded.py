@@ -14,6 +14,7 @@ key // n_shards.
 
 from repro.apps.common import backoff_us
 from repro.apps.tx.prism_tx import PrismTxClient, TxAborted
+from repro.obs.trace import NULL_SPAN
 from repro.sim.phase import Phase
 from repro.sim.rng import SeededRng
 
@@ -75,13 +76,13 @@ class ShardedPrismTxClient:
             results[index] = value
         return results
 
-    def _execute_reads(self, read_keys):
+    def _execute_reads(self, read_keys, span=NULL_SPAN):
         groups = self._partition(read_keys)
         jobs = []
         order = []
         for shard, keys in groups.items():
             local = tuple(self.local_key(k) for k in keys)
-            jobs.append(self.shards[shard]._execute_reads(local))
+            jobs.append(self.shards[shard]._execute_reads(local, span))
             order.append((shard, keys))
         outcomes = yield from self._fanout(jobs)
         versions, values = {}, {}
@@ -93,7 +94,7 @@ class ShardedPrismTxClient:
                 values[key] = shard_values[local]
         return versions, values
 
-    def _prepare(self, read_keys, write_keys, versions, ts):
+    def _prepare(self, read_keys, write_keys, versions, ts, span=NULL_SPAN):
         read_groups = self._partition(read_keys)
         write_groups = self._partition(write_keys)
         shards = sorted(set(read_groups) | set(write_groups))
@@ -106,7 +107,7 @@ class ShardedPrismTxClient:
             local_versions = {self.local_key(k): versions[k]
                               for k in read_groups.get(shard, ())}
             jobs.append(self._prepare_one(shard, local_reads, local_writes,
-                                          local_versions, ts))
+                                          local_versions, ts, span))
         outcomes = yield from self._fanout(jobs)
         if all(ok for ok, _shard, _writes in outcomes):
             return
@@ -119,67 +120,72 @@ class ShardedPrismTxClient:
         for ok, shard, local_writes in outcomes:
             if ok and local_writes:
                 cleanups.append(
-                    self.shards[shard]._abort(local_writes, ts))
+                    self.shards[shard]._abort(local_writes, ts, span))
         if cleanups:
             yield from self._fanout(cleanups)
         raise TxAborted()
 
     def _prepare_one(self, shard, local_reads, local_writes, local_versions,
-                     ts):
+                     ts, span):
         """Per-shard prepare that reports instead of raising, so the
         coordinator can clean up passing shards after a mixed outcome."""
         try:
             yield from self.shards[shard]._prepare(
-                local_reads, local_writes, local_versions, ts)
+                local_reads, local_writes, local_versions, ts, span)
         except TxAborted:
             return (False, shard, local_writes)
         return (True, shard, local_writes)
 
-    def _commit(self, writes, ts):
+    def _commit(self, writes, ts, span=NULL_SPAN):
         groups = self._partition(writes)
         jobs = []
         for shard, keys in groups.items():
             local_writes = {self.local_key(k): writes[k] for k in keys}
-            jobs.append(self.shards[shard]._commit(local_writes, ts))
+            jobs.append(self.shards[shard]._commit(local_writes, ts, span))
         yield from self._fanout(jobs)
 
     # -- public API -----------------------------------------------------------
 
-    def run_transaction(self, read_keys, write_keys, value):
+    def run_transaction(self, read_keys, write_keys, value,
+                        span=NULL_SPAN):
         """Process helper: one attempt writing ``value`` everywhere."""
         return (yield from self.run_transaction_kv(
-            read_keys, {key: value for key in write_keys}))
+            read_keys, {key: value for key in write_keys}, span))
 
-    def run_transaction_kv(self, read_keys, writes):
-        """Process helper: one attempt with per-key write values."""
+    def run_transaction_kv(self, read_keys, writes, span=NULL_SPAN):
+        """Process helper: one attempt with per-key write values; every
+        request names ``span``'s operation."""
         read_keys = tuple(read_keys)
         writes = dict(writes)
         start = self.sim.now
-        versions, values = yield from self._execute_reads(read_keys)
+        versions, values = yield from self._execute_reads(read_keys, span)
         ts = self.clock.timestamp(versions.values())
-        yield from self._prepare(read_keys, tuple(writes), versions, ts)
-        yield from self._commit(writes, ts)
+        yield from self._prepare(read_keys, tuple(writes), versions, ts,
+                                 span)
+        yield from self._commit(writes, ts, span)
         self.commits += 1
         if self.on_commit is not None:
             self.on_commit(ts, dict(values), dict(writes), start,
                            self.sim.now)
         return values
 
-    def transact(self, read_keys, write_keys, value, max_attempts=None):
+    def transact(self, read_keys, write_keys, value, max_attempts=None,
+                 span=NULL_SPAN):
         """Retry loop with randomized backoff (mirrors the unsharded
         client)."""
         return (yield from self.transact_kv(
             read_keys, {key: value for key in write_keys},
-            max_attempts=max_attempts))
+            max_attempts=max_attempts, span=span))
 
-    def transact_kv(self, read_keys, writes, max_attempts=None):
+    def transact_kv(self, read_keys, writes, max_attempts=None,
+                    span=NULL_SPAN):
         """Retry loop around :meth:`run_transaction_kv`."""
         attempts = 0
         while True:
             attempts += 1
             try:
                 values = yield from self.run_transaction_kv(read_keys,
-                                                            writes)
+                                                            writes, span)
                 return values, attempts - 1
             except TxAborted:
                 self.aborts += 1
@@ -189,10 +195,11 @@ class ShardedPrismTxClient:
                     self._rng, attempts, self.backoff_base_us,
                     self.backoff_max_us))
 
-    def execute(self, op):
-        """Driver adapter for :class:`~repro.workload.ycsb.TxnOp`."""
+    def execute(self, op, span=NULL_SPAN):
+        """Driver adapter for :class:`~repro.workload.ycsb.TxnOp`; the
+        transaction is ``span``'s operation, not traced under it."""
         _values, retries = yield from self.transact(
-            op.read_keys, op.write_keys, op.value)
+            op.read_keys, op.write_keys, op.value, span=span.untraced())
         return {"retries": retries, "aborts": retries}
 
 

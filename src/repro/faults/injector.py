@@ -99,10 +99,9 @@ class FaultInjector:
 
     def on_message(self, message):
         """Draw this message's fate; one verdict per posted message,
-        as its last byte leaves the TX port. Runs under the poster's
-        flight context (carried by the delivery), so the fate's bus
-        event attributes to the operation the message serves (requests
-        and replies alike)."""
+        as its last byte leaves the TX port. The fate's bus event names
+        the operation the message serves (requests and replies alike),
+        the ``op`` of the span it carries."""
         plan = self.plan
         drop = plan.drop > 0.0 and self._net.random() < plan.drop
         duplicate = (plan.duplicate > 0.0
@@ -115,13 +114,14 @@ class FaultInjector:
         if bus is not None:
             where = (message.id, getattr(message.payload, "logical_id", None),
                      message.dst, message.service)
+            op = message.span.op
             if drop:
-                bus.emit("fault.drop", *where)
+                bus.emit("fault.drop", *where, op)
             else:
                 if duplicate:
-                    bus.emit("fault.dup", *where)
+                    bus.emit("fault.dup", *where, op)
                 if delay_us > 0.0:
-                    bus.emit("fault.delay", *where, delay_us)
+                    bus.emit("fault.delay", *where, delay_us, op)
         if drop:
             self.counters["messages_dropped"] += 1
             return MessageFate(drop=True)
@@ -140,7 +140,7 @@ class FaultInjector:
             down = message.dst if self.is_down(message.dst) else message.src
             bus.emit("fault.crash_drop", message.id,
                      getattr(message.payload, "logical_id", None),
-                     down, message.dst)
+                     down, message.dst, message.span.op)
 
     # -- recovery-side accounting ------------------------------------------
 

@@ -94,7 +94,7 @@ class Fabric:
         sim = self.sim
         message.send_time = sim._now
         message.span = span
-        delivery = _Delivery(self, message, sim.context())
+        delivery = _Delivery(self, message)
         delivery.tx_done = self.hosts[src_name].tx.claim(
             delivery, size_bytes, span)
         return delivery
@@ -130,30 +130,26 @@ class _Delivery:
     completion event. A duplicated message is two deliveries sharing
     one :class:`Message`, the twin starting after the TX port.
 
-    The poster's flight-recorder context is captured at ``post`` and
-    entered wherever a stage calls out of the fabric (the fate draw,
-    the crash-drop note, the service handler), so fault events, the
-    payload the handler starts and a reply's bus events attribute to
-    the originating operation.
+    The message carries its operation's span, so the fault events of
+    its fate, the payload its handler starts and a reply's bus events
+    name the originating operation.
 
     The delivery holds no reference to anything that refers back to
     it (in particular no bound method of itself): ``gc`` is off while
     a benchmark point runs, so a per-message cycle would be a leak.
     """
 
-    __slots__ = ("fabric", "message", "stage", "span", "_flight_ctx",
-                 "tx_done", "sent")
+    __slots__ = ("fabric", "message", "stage", "span", "tx_done", "sent")
 
     #: the kernel's tombstone check; a message in flight is never withdrawn
     cancelled = False
 
-    def __init__(self, fabric, message, flight_ctx):
+    def __init__(self, fabric, message):
         self.fabric = fabric
         self.message = message
         self.stage = _TX
         #: the open propagation span (None when not tracing)
         self.span = None
-        self._flight_ctx = flight_ctx
         #: what a ``Fabric.send`` caller is waiting on, if anyone is
         self.sent = None
 
@@ -187,14 +183,13 @@ class _Delivery:
             hp = sim.hostprof
             if hp is not None:
                 hp.enter("hooks.faults")
-            fate = sim.call_as(self, faults.on_message, message)
+            fate = faults.on_message(message)
             if hp is not None:
                 hp.exit()
             if not fate.drop:
                 self._launch(fate.delay_us)
                 if fate.duplicate:
-                    _Delivery(fabric, message,
-                              self._flight_ctx)._launch(fate.delay_us)
+                    _Delivery(fabric, message)._launch(fate.delay_us)
         if self.sent is not None:
             # Like a timer's waiter, the sender resumes in this entry.
             self.sent.succeed_now(message)
@@ -220,7 +215,8 @@ class _Delivery:
             # Span protocol inlined (see BandwidthPipe.claim).
             self.span = Span(span.tracer, "net.propagate", "wire", span,
                              sim.now,
-                             {"src": message.src, "dst": message.dst})
+                             {"src": message.src, "dst": message.dst},
+                             span.op)
             span.children.append(self.span)
         self.stage = _WIRE
         sim.schedule(0.0 if message.src == message.dst
@@ -237,7 +233,7 @@ class _Delivery:
                                    or faults.is_down(message.src)):
             # Crash-stop: a dead host neither receives nor has its
             # in-flight sends honoured (its NIC died with it).
-            sim.call_as(self, faults.note_crash_drop, message)
+            faults.note_crash_drop(message)
             if fabric.monitor is not None:
                 fabric.monitor.adjust(-1)
             return
@@ -257,7 +253,4 @@ class _Delivery:
             handler = dst._services[message.service]
         except KeyError:
             handler = dst.handler_for(message.service)  # raises, naming both
-        if self._flight_ctx is None:
-            handler(message)  # no operation to attribute to: nothing to enter
-        else:
-            fabric.sim.call_as(self, handler, message)
+        handler(message)

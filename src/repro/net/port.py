@@ -94,9 +94,8 @@ class _Call(Event):
     heap payload of the backoff an expired ack deadline books, and
     posts again from the backoff's entry, a fresh attempt of itself.
 
-    The poster's flight-recorder context is captured at construction
-    and entered around the stages that call out (the post, the timeout
-    report). Until the reply or the deadline resolves it, a timed call
+    Its bus events name the request's operation, ``request.span.op``.
+    Until the reply or the deadline resolves it, a timed call
     and its :class:`_AckDeadline` refer to each other; every way out
     clears both references, so nothing is left for the cycle collector
     (``gc`` is off while a benchmark point runs).
@@ -104,7 +103,7 @@ class _Call(Event):
 
     __slots__ = ("channel", "request", "dst", "service", "size_bytes",
                  "timeout_us", "retry", "attempt", "stage", "cancelled",
-                 "_ack", "_stage_span", "_flight_ctx")
+                 "_ack", "_stage_span")
 
     def __init__(self, channel, dst, service, body, size_bytes, timeout_us,
                  span, resent=None, retry=None):
@@ -130,7 +129,6 @@ class _Call(Event):
         self.cancelled = False
         self._ack = None
         self._stage_span = None
-        self._flight_ctx = sim.context()
         request_id = next(channel._ids)
         if resent is None:
             logical_id = next(_logical_ids)
@@ -143,7 +141,8 @@ class _Call(Event):
             span, logical_id, horizon)
         bus = sim.bus
         if bus is not None:
-            bus.emit("req.send", logical_id, request_id, dst, service)
+            bus.emit("req.send", logical_id, request_id, dst, service,
+                     span.op)
         channel._pending[request_id] = self
         if channel.monitor is not None:
             channel.monitor.adjust(+1)
@@ -158,7 +157,7 @@ class _Call(Event):
     def _open_stage_span(self, name):
         span = self.request.span
         self._stage_span = Span(span.tracer, name, "cpu", span,
-                                self.sim._now, {})
+                                self.sim._now, {}, span.op)
         span.children.append(self._stage_span)
 
     def _close_stage_span(self):
@@ -175,11 +174,10 @@ class _Call(Event):
         if stage == _COMPLETING:
             self._finish()
             return
-        post = _Call._post if stage == _POSTING else _Call._retransmit
-        if self._flight_ctx is None:
-            post(self)  # no operation to attribute to: nothing to enter
+        if stage == _POSTING:
+            self._post()
         else:
-            self.sim.call_as(self, post, self)
+            self._retransmit()
 
     def __call__(self):
         """Ready-deque entry, appended by :meth:`RequestChannel._on_reply`."""
@@ -243,7 +241,7 @@ class _Call(Event):
         bus = sim.bus
         if bus is not None:
             bus.emit("req.timeout", request.logical_id, request.id,
-                     self.dst, self.timeout_us, channel.conn)
+                     self.dst, self.timeout_us, request.span.op, channel.conn)
         retry, attempt = self.retry, self.attempt
         if retry is not None and attempt < retry.max_retries:
             backoff = retry.backoff_us(attempt, channel._retry_rng)
@@ -253,7 +251,7 @@ class _Call(Event):
                 faults.note_retransmit()
             if bus is not None:
                 bus.emit("req.backoff", request.logical_id, attempt,
-                         backoff, channel.conn)
+                         backoff, request.span.op, channel.conn)
             self.stage = _BACKOFF
             if request.span.enabled:
                 self._stage_span = request.span.child(
@@ -264,7 +262,8 @@ class _Call(Event):
             if faults is not None:
                 faults.note_retries_exhausted()
             if bus is not None:
-                bus.emit("req.exhausted", request.logical_id, attempt + 1)
+                bus.emit("req.exhausted", request.logical_id, attempt + 1,
+                         request.span.op)
         self._ok = False
         self._value = TimeoutExpired(
             self.timeout_us,
@@ -348,7 +347,7 @@ class _AckDeadline:
 
     def __call__(self):
         call, self.call = self.call, None
-        call.sim.call_as(call, _Call._expire, call)
+        call._expire()
 
 
 class RequestChannel:
@@ -402,7 +401,7 @@ class RequestChannel:
         bus = self.sim.bus
         if bus is not None:
             bus.emit("req.reply" if call is not None else "req.stale",
-                     reply.logical_id, reply.id, reply.ok)
+                     reply.logical_id, reply.id, reply.ok, message.span.op)
         if call is None:
             return  # duplicate or cancelled; drop silently like a NIC would
         if self.monitor is not None:

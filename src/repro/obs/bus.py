@@ -32,35 +32,39 @@ bit-identical in simulated time to a bare one.
 #: ``conn``, where carried, is last: the routing tag (connection id, or
 #: host name for channels outside the PRISM client path) that
 #: per-connection subscribers key on and the flight log leaves out.
+#: ``op``, on every kind the flight recorder logs, is the client
+#: operation the event belongs to (the ``op`` of the span the emitting
+#: site holds; None outside an operation), last or just before ``conn``;
+#: the crash and starvation schedules' kinds belong to no operation.
 #: A NAK reply is ``req.reply`` with ok=False; ``chain.done``'s
 #: ``reason`` is None for a committed chain.
 VOCABULARY = {
-    "op.open": ("name client", "workload.driver"),
-    "op.close": ("status latency_us aborts retries measured",
+    "op.open": ("name client op", "workload.driver"),
+    "op.close": ("status latency_us aborts retries measured op",
                  "workload.driver"),
-    "req.send": ("logical req dst service", "net.port"),
-    "req.reply": ("logical req ok", "net.port"),
-    "req.stale": ("logical req ok", "net.port"),
-    "req.timeout": ("logical req dst timeout_us conn", "net.port"),
-    "req.backoff": ("logical attempt backoff_us conn", "net.port"),
-    "req.exhausted": ("logical attempts", "net.port"),
-    "chain.submit": ("ops kinds server", "prism.client"),
+    "req.send": ("logical req dst service op", "net.port"),
+    "req.reply": ("logical req ok op", "net.port"),
+    "req.stale": ("logical req ok op", "net.port"),
+    "req.timeout": ("logical req dst timeout_us op conn", "net.port"),
+    "req.backoff": ("logical attempt backoff_us op conn", "net.port"),
+    "req.exhausted": ("logical attempts op", "net.port"),
+    "chain.submit": ("ops kinds server op", "prism.client"),
     "chain.roundtrip": ("latency_us conn", "prism.client"),
-    "rpc.submit": ("method server", "rpc.erpc"),
+    "rpc.submit": ("method server op", "rpc.erpc"),
     "chain.done": ("chain results logical reason", "prism.engine"),
-    "chain.abort": ("logical ops reason", "prism.engine"),
+    "chain.abort": ("logical ops reason op", "prism.engine"),
     "op.deref": ("opname hops bounded conn", "prism.engine"),
-    "op.nak": ("opname error conn", "prism.engine"),
+    "op.nak": ("opname error op conn", "prism.engine"),
     "cas.attempt": ("target mode swapped conn", "prism.engine"),
-    "cas.miss": ("target mode", "prism.engine"),
+    "cas.miss": ("target mode op", "prism.engine"),
     "alloc.pop": ("freelist queue", "prism.engine"),
     "alloc.exhausted": ("freelist queue", "prism.engine"),
     "freelist.register": ("freelist queue", "prism.server"),
     "app.key": ("app kind key", "apps.common"),
-    "fault.drop": ("msg logical dst service", "faults.injector"),
-    "fault.dup": ("msg logical dst service", "faults.injector"),
-    "fault.delay": ("msg logical dst service delay_us", "faults.injector"),
-    "fault.crash_drop": ("msg logical host dst", "faults.injector"),
+    "fault.drop": ("msg logical dst service op", "faults.injector"),
+    "fault.dup": ("msg logical dst service op", "faults.injector"),
+    "fault.delay": ("msg logical dst service delay_us op", "faults.injector"),
+    "fault.crash_drop": ("msg logical host dst op", "faults.injector"),
     "fault.crash": ("host", "faults.injector"),
     "fault.recover": ("host", "faults.injector"),
     "fault.starve": ("freelist name taken", "faults.injector"),

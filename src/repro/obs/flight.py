@@ -19,21 +19,21 @@ default, bit-identical when on; see :mod:`repro.obs.bus`)::
 It logs the bus kinds in :data:`LOGGED_KINDS` verbatim, field for
 field, and only ever appends to a host-side deque.
 
-Causal attribution works without threading ids through any call
-signature: the kernel tells the recorder which generator is executing
-(an enter/exit stack in ``_Task.__call__``, the driver of every process,
-launched task and phase leg), the workload driver binds the current
-client operation's id to it at ``op_open``, and a process, task or
-phase spawned while another runs *inherits* the spawner's operation
-context. A message in flight is not a process: its context rides on
-the fabric's delivery object, captured from the poster at
-``Fabric.post`` (``Simulator.context``) and entered around the
-delivery's callouts (``Simulator.call_as``). Since the server spawns
-its handler from that callout and replies are sent from the handler,
-the whole request/reply tree — including fault fates on either
-direction — lands on the originating operation automatically. Events
-recorded outside any operation (crash schedules, background daemons)
-carry ``op=None`` and are reported as global.
+Causal attribution rides on the span every call site already holds
+(see :mod:`repro.obs.trace`): the workload driver numbers client
+operations from 1 in ``op.open`` order and opens each one's root span
+with that ``op`` — an untraced span carrying only the id when tracing
+is off — and every child inherits it. Each flight-logged bus kind
+carries the ``op`` of the span at its emitting site: the client call's
+``request.span`` for sends, timeouts and backoffs, the message's span
+in the fabric and the fault injector (so replies and the fault fates of
+either direction land on the originating operation), the execution's
+span for CAS misses, NAKs and chain aborts on the server. A launched
+task — a retire flush — is handed the op-only ``span.untraced()`` of
+the operation that launches it, so its report is that operation's
+without adding to its trace. Nothing is ambient: no kernel hook, no
+context stack. The crash and starvation schedules belong to no
+operation and carry ``op=None``; they are reported as global.
 
 Retransmissions are linkable because :mod:`repro.net.port` stamps every
 :class:`~repro.net.port.Request` with a stable ``logical_id`` that
@@ -45,7 +45,6 @@ id.
 import json
 from collections import deque
 from functools import partial
-from itertools import count
 
 from repro.obs.bus import VOCABULARY, Observer
 
@@ -83,16 +82,10 @@ class FlightRecorder(Observer):
         self.ops_opened = 0
         self.ops_closed = 0
         self._sim = None
-        self._op_ids = count(1)
-        #: kernel-maintained stack of executing context holders — a
-        #: process, or a delivery calling out to a handler (nested
-        #: only for the yield-bad-target error path); the top's context
-        #: is the operation every recorded event belongs to
-        self._stack = []
 
     def bind(self, sim):
         """Attach to the simulator (``sim.attach`` calls this);
-        ``sim.flight`` is the kernel's process-context handle."""
+        ``sim.flight`` is the handle post-hoc readers use."""
         self._sim = sim
         sim.flight = self
         return self
@@ -109,42 +102,23 @@ class FlightRecorder(Observer):
     def _log(self, kind, names, *values):
         self.record(kind, **dict(zip(names, values)))
 
-    # -- kernel hooks (_Task.__call__ / __init__, Simulator.call_as) --------
-
-    def enter_process(self, process):
-        self._stack.append(process)
-
-    def exit_process(self):
-        self._stack.pop()
-
-    def current_ctx(self):
-        """The operation id of the currently executing process (or None)."""
-        return self._stack[-1]._flight_ctx if self._stack else None
-
     # -- operation lifecycle (workload driver) ------------------------------
 
-    def op_open(self, name, client=None):
-        """A client operation begins; binds its id to the current process."""
-        op_id = next(self._op_ids)
+    def op_open(self, name, client, op):
+        """Client operation ``op`` begins."""
         self.ops_opened += 1
-        if self._stack:
-            self._stack[-1]._flight_ctx = op_id
-        self.record("op.open", op=op_id, name=name, client=client)
+        self.record("op.open", op=op, name=name, client=client)
 
-    def op_close(self, status, latency_us, aborts, retries, measured):
-        """The current process's operation finished; clears its binding."""
+    def op_close(self, status, latency_us, aborts, retries, measured, op):
+        """Client operation ``op`` finished."""
         self.ops_closed += 1
-        self.record("op.close", status=status, latency_us=latency_us,
+        self.record("op.close", op=op, status=status, latency_us=latency_us,
                     aborts=aborts, retries=retries, measured=measured)
-        if self._stack:
-            self._stack[-1]._flight_ctx = None
 
     # -- recording -----------------------------------------------------------
 
     def record(self, kind, op=None, **fields):
-        """Append one event; ``op`` defaults to the current context."""
-        if op is None:
-            op = self.current_ctx()
+        """Append one event of operation ``op`` (None: a global one)."""
         event = {"seq": self.recorded,
                  "t": self._sim.now if self._sim is not None else 0.0,
                  "op": op, "kind": kind}

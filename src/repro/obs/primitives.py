@@ -144,7 +144,8 @@ class PrimitiveCollector(Observer):
                       lambda opname, hops, bounded, conn:
                       self.note_deref(opname, hops, bounded))
         bus.subscribe("op.nak",
-                      lambda opname, error, conn: self.note_nak(opname, error))
+                      lambda opname, error, op, conn:
+                      self.note_nak(opname, error))
         bus.subscribe("chain.done", self.note_chain)
         bus.subscribe("freelist.register", self.register_freelist)
         bus.subscribe("alloc.pop", self.note_allocate)

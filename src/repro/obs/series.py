@@ -123,10 +123,10 @@ class SeriesCollector(Observer):
 
     def subscribe(self, bus):
         bus.subscribe("op.close",
-                      lambda status, latency_us, aborts, retries, measured:
-                      self.record_op(self._sim.now, latency_us, measured,
-                                     ok=not aborts))
-        bus.subscribe("req.reply", lambda logical, req, ok:
+                      lambda status, latency_us, aborts, retries, measured,
+                      op: self.record_op(self._sim.now, latency_us,
+                                         measured, ok=not aborts))
+        bus.subscribe("req.reply", lambda logical, req, ok, op:
                       None if ok else self.count("naks"))
         for kind, counter in COUNTED_KINDS.items():
             bus.subscribe(kind, lambda *_fields, _name=counter:

@@ -262,9 +262,8 @@ class _Execution:
     result, and the trace it is priced from, come from there instead of
     the engine. FIFO units keep an original ahead of its repeats.
 
-    The creator's flight-recorder context is captured at construction
-    and entered around every entry, so engine, fault and reply events
-    attribute to the originating operation. An exception escaping the
+    The engine's events name the operation of ``span``, which the owner
+    sets whether or not the request is traced. An exception escaping the
     engine or a pricing function releases the unit (the gate counts an
     op once it has run) and propagates out of ``Simulator.run`` at once.
     The execution holds nothing that refers back to it (the pool's
@@ -274,7 +273,7 @@ class _Execution:
 
     __slots__ = ("backend", "owner", "message", "connection", "ops", "span",
                  "logical", "saved", "results", "prev_ok", "stage",
-                 "_open_span", "_flight_ctx")
+                 "_open_span")
 
     #: the kernel's tombstone check; an execution is never withdrawn
     cancelled = False
@@ -291,20 +290,14 @@ class _Execution:
         self.prev_ok = True
         self.stage = _BOOT
         self._open_span = None
-        sim = backend.sim
-        self._flight_ctx = sim.context()
-        sim._ready.append(self)
+        backend.sim._ready.append(self)
 
     # -- kernel entries -------------------------------------------------------
 
     def __call__(self, _event=None):
         """Ready-deque entry (boot, unit granted), heap entry (a timer
         ran out) or the callback of the posting gate's reopening."""
-        stage = _STAGES[self.stage]
-        if self._flight_ctx is None:
-            stage(self)  # no operation to attribute to: nothing to enter
-        else:
-            self.backend.sim.call_as(self, stage, self)
+        _STAGES[self.stage](self)
 
     fire = __call__
 
@@ -339,7 +332,8 @@ class _Execution:
         backend.requests_processed += 1
         bus = backend.sim.bus
         if bus is not None:
-            emit_chain_done(bus, self.ops, self.results, self.logical)
+            emit_chain_done(bus, self.ops, self.results, self.logical,
+                            self.span.op)
         self.owner.answer(self, ChainResult(self.results))
 
     def _execute(self):
@@ -358,7 +352,7 @@ class _Execution:
         try:
             if self.saved is None:
                 result, accesses = backend.engine.execute_op(
-                    self.connection, op, self.prev_ok)
+                    self.connection, op, self.prev_ok, self.span.op)
                 result.accesses = accesses
             else:
                 result = self.saved[index]
@@ -407,7 +401,7 @@ class _Execution:
         """Open a child of the (enabled) ``span``; one is open at a time."""
         span = self.span
         child = self._open_span = Span(span.tracer, name, phase, span,
-                                       self.backend.sim._now, {})
+                                       self.backend.sim._now, {}, span.op)
         span.children.append(child)
         return child
 

@@ -72,6 +72,9 @@ class PrismClient:
 
         A NAK is never retried: it is a delivered negative answer and
         raises immediately via ``raise_on_nak`` in the callers.
+
+        ``span`` names the operation the request serves; traced, the
+        round trip is its ``roundtrip`` child.
         """
         if len(ops) == 1 and isinstance(ops[0], Chain):
             chain = ops[0]
@@ -83,8 +86,8 @@ class PrismClient:
         if bus is not None:
             bus.emit("chain.submit", len(chain.ops),
                      "+".join(op.opname for op in chain.ops),
-                     self.server.host_name)
-        trip = NULL_SPAN
+                     self.server.host_name, span.op)
+        trip = span
         if span.enabled:
             trip = span.child("roundtrip", phase="cpu", ops=len(chain.ops))
         server = self.server

@@ -210,11 +210,13 @@ class PrismEngine:
 
     # -- single-op execution ------------------------------------------------
 
-    def execute_op(self, connection, op, prev_ok=True):
+    def execute_op(self, connection, op, prev_ok=True, op_id=None):
         """Execute one op; returns ``(OpResult, [Access])``.
 
         ``prev_ok`` is the chain predicate: a conditional op with a
         failed predecessor is skipped without touching memory.
+        ``op_id`` is the client operation the request serves, named on
+        the op's ``op.nak`` and ``cas.miss`` events.
         """
         accesses = []
         if op.conditional and not prev_ok:
@@ -225,11 +227,11 @@ class PrismEngine:
             handler = _HANDLERS.get(type(op))
             if handler is None:
                 raise InvalidOperation(f"unknown operation {op!r}")
-            result = handler(self, connection, op, accesses)
+            result = handler(self, connection, op, accesses, op_id)
         except (AccessViolation, AllocationFailure, InvalidOperation) as exc:
             if self.bus is not None:
                 self.bus.emit("op.nak", op.opname, type(exc).__name__,
-                              connection.id)
+                              op_id, connection.id)
             return OpResult(OpStatus.NAK, None, exc), accesses
         self.ops_executed += 1
         if self.monitor is not None:
@@ -237,7 +239,7 @@ class PrismEngine:
                 events=1, units=sum(access.nbytes for access in accesses))
         return result, accesses
 
-    def _do_read(self, connection, op, accesses):
+    def _do_read(self, connection, op, accesses, op_id):
         target, length = self._resolve_target(
             connection, op, op.indirect, op.bounded, AccessFlags.READ,
             accesses, "READ pointee")
@@ -270,7 +272,7 @@ class PrismEngine:
                                length))
         return data
 
-    def _do_write(self, connection, op, accesses):
+    def _do_write(self, connection, op, accesses, op_id):
         target, length = self._resolve_target(
             connection, op, op.addr_indirect, op.addr_bounded,
             AccessFlags.WRITE, accesses, "WRITE pointee")
@@ -287,7 +289,7 @@ class PrismEngine:
                                len(data)))
         return OpResult(OpStatus.OK)
 
-    def _do_allocate(self, connection, op, accesses):
+    def _do_allocate(self, connection, op, accesses, op_id):
         freelist = self.freelists.get(op.freelist)
         if freelist is None:
             raise InvalidOperation(f"ALLOCATE: no free list {op.freelist}")
@@ -326,7 +328,7 @@ class PrismEngine:
             return OpResult(OpStatus.OK, 0)
         return OpResult(OpStatus.OK, buffer_addr)
 
-    def _do_cas(self, connection, op, accesses):
+    def _do_cas(self, connection, op, accesses, op_id):
         width = op.operand_width
         space = self.space
         sram_base = space.sram_base
@@ -369,7 +371,7 @@ class PrismEngine:
                 # Misses get a kind of their own: they are what retry
                 # storms on hot addresses are made of, so the only CAS
                 # outcome the flight log keeps (forensics groups by target).
-                bus.emit("cas.miss", target, op.mode.value)
+                bus.emit("cas.miss", target, op.mode.value, op_id)
         if swapped:
             new = (old & ~op.swap_mask) | (operand & op.swap_mask)
             space.write(target, new.to_bytes(width, "little"))
@@ -377,7 +379,7 @@ class PrismEngine:
             return OpResult(OpStatus.OK, old_bytes)
         return OpResult(OpStatus.CAS_MISS, old_bytes)
 
-    def _do_fetch_add(self, connection, op, accesses):
+    def _do_fetch_add(self, connection, op, accesses, op_id):
         target = op.target
         self._check_primary(connection, op, target, 8, AccessFlags.ATOMIC)
         space = self.space
@@ -428,12 +430,13 @@ _HANDLERS = {
 }
 
 
-def emit_chain_done(bus, ops, results, logical=None):
+def emit_chain_done(bus, ops, results, logical=None, op_id=None):
     """Report one finished request (``logical``: its envelope's
-    logical-request id, None outside the request path). The abort
-    reason is computed here, once, and carried on both events, so
-    every consumer labels the chain the same way."""
+    logical-request id, ``op_id`` the client operation it serves; None
+    outside the request path). The abort reason is computed here, once,
+    and carried on both events, so every consumer labels the chain the
+    same way."""
     reason = abort_reason(results)
     bus.emit("chain.done", ops, results, logical, reason)
     if reason is not None:
-        bus.emit("chain.abort", logical, len(results), reason)
+        bus.emit("chain.abort", logical, len(results), reason, op_id)

@@ -9,6 +9,7 @@ free list in batches, only when concurrent NIC operations are complete
 
 from collections import defaultdict
 
+from repro.obs.trace import NULL_SPAN
 from repro.sim.events import TimeoutExpired
 
 
@@ -64,16 +65,21 @@ class RecyclerClient:
         self.reports_sent = 0
         self.reports_abandoned = 0
 
-    def retire(self, freelist_id, addr):
+    def retire(self, freelist_id, addr, span=NULL_SPAN):
         """Note a retired buffer; returns a flush generator when the
-        batch is full (caller decides whether to await or launch it)."""
+        batch is full (caller decides whether to await or launch it),
+        reporting for ``span``'s operation."""
         self._pending[freelist_id].append(addr)
         if len(self._pending[freelist_id]) >= self.batch_size:
-            return self.flush(freelist_id)
+            return self.flush(freelist_id, span)
         return None
 
-    def flush(self, freelist_id):
+    def flush(self, freelist_id, span=NULL_SPAN):
         """Process helper: report one free list's pending buffers.
+
+        The report belongs to ``span``'s operation but stays out of its
+        trace (``span.untraced()``): it is off the operation's latency
+        path.
 
         Flushes are usually launched un-waited, so a report
         whose retransmission budget runs out must not crash the run:
@@ -87,7 +93,8 @@ class RecyclerClient:
             yield from self.rpc.call(
                 self.server_name, RecyclerDaemon.METHOD,
                 (freelist_id, batch),
-                request_payload_bytes=8 * len(batch) + 8)
+                request_payload_bytes=8 * len(batch) + 8,
+                span=span.untraced())
         except TimeoutExpired:
             self.reports_abandoned += 1
             faults = self.rpc.sim.faults

@@ -169,10 +169,11 @@ class PrismServer:
             replies[logical_id] = execution.results
         else:
             self.saved.replays += 1
-        if request.span.enabled:
-            execution.span = request.span.child(
-                "server.process", phase="queue", host=self.host_name,
-                backend=self.backend.label)
+        span = request.span  # untraced, it still names the operation
+        if span.enabled:
+            span = span.child("server.process", phase="queue",
+                              host=self.host_name, backend=self.backend.label)
+        execution.span = span
         return True
 
     def answer(self, execution, result):

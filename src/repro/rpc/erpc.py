@@ -83,14 +83,13 @@ class _Handling:
     answered at boot without a core; a handler exception becomes an
     error reply after the core is released; an exception from a
     ``service_us`` callable propagates out of ``Simulator.run`` at once.
-    The creator's flight-recorder context is entered around every entry.
     Nothing refers back to the handling (``gc`` is off during a run).
     A repeat is answered from ``server.saved`` where the handler would
     run, so it costs what its first delivery did.
     """
 
     __slots__ = ("server", "request", "handler", "args", "duration",
-                 "stage", "span", "_open_span", "_flight_ctx")
+                 "stage", "span", "_open_span")
 
     #: the kernel's tombstone check; a handling is never withdrawn
     cancelled = False
@@ -102,16 +101,11 @@ class _Handling:
         self.stage = _Handling._boot
         #: the ``rpc.handler`` span and its open child (None untraced)
         self.span = self._open_span = None
-        sim = server.sim
-        self._flight_ctx = sim.context()
-        sim._ready.append(self)
+        server.sim._ready.append(self)
 
     def __call__(self, _event=None):
         """Boot slot, core-grant slot or service-time heap entry."""
-        if self._flight_ctx is None:
-            self.stage(self)  # no operation to attribute to: nothing to enter
-        else:
-            self.server.sim.call_as(self, self.stage, self)
+        self.stage(self)
 
     fire = __call__
 
@@ -204,11 +198,13 @@ class RpcClient:
 
         With a retry policy attached (fault plan installed), lost calls
         are retransmitted; the handler runs at most once per call.
+        ``span`` names the operation the call serves; traced, the call
+        is its ``rpc.call`` child.
         """
         policy = self.retry_policy
         if self.sim.bus is not None:
-            self.sim.bus.emit("rpc.submit", method, server_name)
-        call_span = NULL_SPAN
+            self.sim.bus.emit("rpc.submit", method, server_name, span.op)
+        call_span = span
         if span.enabled:
             call_span = span.child("rpc.call", phase="cpu", method=method)
         try:

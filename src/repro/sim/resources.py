@@ -471,7 +471,7 @@ class BandwidthPipe:
             # direct field writes instead of the child()/context-
             # manager/finish() call chain on the hottest wire path.
             queue_span = Span(span.tracer, self._queue_label, "queue", span,
-                              now, {})
+                              now, {}, span.op)
             span.children.append(queue_span)
         if not self._busy:
             self._busy = True
@@ -510,7 +510,7 @@ class BandwidthPipe:
         """Traced only: the wait is over, the serialization starts."""
         queue_span.end = now
         self._span = Span(span.tracer, self._xmit_label, "wire", span,
-                          now, {"bytes": size_bytes})
+                          now, {"bytes": size_bytes}, span.op)
         span.children.append(self._span)
 
     def finish(self):

@@ -7,10 +7,10 @@ window. Sweeping the client population out traces the
 throughput-versus-latency curves of Figs. 3, 4, 6, and 9.
 """
 
-import inspect
 from dataclasses import dataclass, field
+from itertools import count
 
-from repro.obs.trace import NULL_TRACER
+from repro.obs.trace import NULL_SPAN, NULL_TRACER
 from repro.sim.events import SimulationError
 from repro.sim.stats import LatencyRecorder
 
@@ -57,23 +57,20 @@ class RunResult:
         }
 
 
-def _accepts_span(executor):
-    """True if ``executor(op, span=...)`` is callable with a span.
-
-    Checked once per client at registration (not per op) so the hot
-    loop pays no introspection cost. Executors that predate tracing
-    (plain ``executor(op)``) keep working untraced.
-    """
-    try:
-        signature = inspect.signature(executor)
-    except (TypeError, ValueError):
-        return False
-    for parameter in signature.parameters.values():
-        if parameter.kind is inspect.Parameter.VAR_KEYWORD:
-            return True
-        if parameter.name == "span":
-            return True
-    return False
+def _open_op(tracer, bus, op_ids, labels, op, index):
+    """Shared head of one operation, for both drivers: number it, report
+    it on the probe bus and open its root span — traced, or untraced
+    carrying only the operation's id."""
+    name = getattr(op, "kind", None) or type(op).__name__
+    label = labels.get(name)
+    if label is None:
+        # Root-span labels are one of a few op kinds: cached per client
+        # (or source) instead of rebuilt per operation.
+        label = labels[name] = f"op.{name}"
+    op_id = next(op_ids)
+    if bus is not None:
+        bus.emit("op.open", label, index, op_id)
+    return tracer.root(label, op=op_id, client=index)
 
 
 def _close_op(sim, bus, root, start, info, recorder, counters, warmup_until,
@@ -85,11 +82,12 @@ def _close_op(sim, bus, root, start, info, recorder, counters, warmup_until,
     aborts = info.get("aborts", 0) if info else 0
     if bus is not None:
         bus.emit("op.close", "aborted" if aborts else "ok", finish - start,
-                 aborts, info.get("retries", 0) if info else 0, measured)
+                 aborts, info.get("retries", 0) if info else 0, measured,
+                 root.op)
     if measured:
         recorder.record(finish, finish - start)
         counters["ops"] += 1
-        if root is not None:
+        if root.enabled:
             root.annotate(measured=True)
         if info:
             counters["aborts"] += aborts
@@ -99,9 +97,14 @@ def _close_op(sim, bus, root, start, info, recorder, counters, warmup_until,
 class ClosedLoopDriver:
     """Runs N closed-loop clients against an application adapter.
 
-    Each client needs an *executor*: a callable ``executor(op)``
-    returning a process generator that performs the operation and
-    optionally returns a dict (e.g. ``{"retries": 2}``).
+    Each client needs an *executor*: a callable ``executor(op,
+    span=NULL_SPAN)`` returning a process generator that performs the
+    operation under ``span`` and optionally returns a dict (e.g.
+    ``{"retries": 2}``). With the probe bus or a tracer attached, every
+    operation is numbered (from 1, in the order they open) and ``span``
+    is its root, which names it (see :mod:`repro.obs.trace`); with
+    neither there is nothing to name, and the executor is called as
+    ``executor(op)``.
     """
 
     GOLDEN = 0.6180339887498949  # low-discrepancy stagger sequence
@@ -117,48 +120,39 @@ class ClosedLoopDriver:
         #: real (decorrelated) clients do not.
         self.stagger_us = stagger_us
         self.tracer = tracer or NULL_TRACER
+        self._op_ids = count(1)
         self._clients = []
 
     def add_client(self, executor, workload):
-        self._clients.append((executor, workload, _accepts_span(executor)))
+        self._clients.append((executor, workload))
         return self
 
     @property
     def end_time(self):
         return self.warmup_us + self.measure_us
 
-    def _client_loop(self, index, executor, workload, recorder, counters,
-                     takes_span):
+    def _client_loop(self, index, executor, workload, recorder, counters):
         sim = self.sim
         if self.stagger_us:
             yield sim.timeout((index * self.GOLDEN % 1.0)
                               * self.stagger_us)
-        traced = self.tracer.enabled
+        tracer = self.tracer
         bus = sim.bus
+        observed = bus is not None or tracer.enabled
+        op_ids = self._op_ids
         warmup_until = self.warmup_us
         end_time = warmup_until + self.measure_us
         next_op = workload.next_op
-        # Root-span labels are one of a few op kinds; cache the
-        # f-strings instead of rebuilding one per operation.
         labels = {}
         while sim._now < end_time:
             op = next_op()
-            root = None
             start = sim._now
-            if bus is not None or traced:
-                name = getattr(op, "kind", None) or type(op).__name__
-                label = labels.get(name)
-                if label is None:
-                    label = labels[name] = f"op.{name}"
-            if bus is not None:
-                bus.emit("op.open", label, index)
-            if traced:
-                root = self.tracer.root(label, client=index)
-                if takes_span:
-                    info = yield from executor(op, span=root)
-                else:
-                    info = yield from executor(op)
-                root.finish()
+            root = NULL_SPAN
+            if observed:
+                root = _open_op(tracer, bus, op_ids, labels, op, index)
+                info = yield from executor(op, span=root)
+                if root.enabled:
+                    root.finish()
             else:
                 info = yield from executor(op)
             _close_op(sim, bus, root, start, info, recorder, counters,
@@ -172,11 +166,9 @@ class ClosedLoopDriver:
         counters = {"ops": 0, "aborts": 0, "retries": 0}
         processes = [
             self.sim.spawn(
-                self._client_loop(i, executor, workload, recorder, counters,
-                                  takes_span),
+                self._client_loop(i, executor, workload, recorder, counters),
                 name=f"client{i}")
-            for i, (executor, workload, takes_span) in
-            enumerate(self._clients)
+            for i, (executor, workload) in enumerate(self._clients)
         ]
         _drain(self.sim, [(process.name, process) for process in processes],
                self.end_time)
@@ -241,23 +233,22 @@ class _Arrivals:
     drain waits on.
     """
 
-    __slots__ = ("sim", "tracer", "warmup_until", "end_time", "index",
-                 "executor", "source", "takes_span", "recorder",
-                 "counters", "name", "done", "in_flight", "gate", "labels")
+    __slots__ = ("sim", "tracer", "op_ids", "warmup_until", "end_time",
+                 "index", "executor", "source", "recorder", "counters",
+                 "name", "done", "in_flight", "gate", "labels")
 
     #: a heap payload's tombstone flag; an arrival is never withdrawn
     cancelled = False
 
-    def __init__(self, driver, index, executor, source, takes_span,
-                 recorder, counters):
+    def __init__(self, driver, index, executor, source, recorder, counters):
         sim = self.sim = driver.sim
         self.tracer = driver.tracer
+        self.op_ids = driver._op_ids
         self.warmup_until = driver.warmup_us
         self.end_time = driver.warmup_us + driver.measure_us
         self.index = index
         self.executor = executor
         self.source = source
-        self.takes_span = takes_span
         self.recorder = recorder
         self.counters = counters
         self.name = f"source{index}"
@@ -265,8 +256,6 @@ class _Arrivals:
         self.in_flight = 0
         #: the event a stalled arrival waits on, while one does
         self.gate = None
-        # Root-span labels are one of a few op kinds; cached per source
-        # as ClosedLoopDriver caches them per client.
         self.labels = {}
         sim._ready.append(self)  # the boot slot
 
@@ -309,25 +298,17 @@ class _Arrivals:
     def _operation(self, op):
         sim = self.sim
         bus = sim.bus
-        traced = self.tracer.enabled
+        tracer = self.tracer
         start = sim._now
-        root = None
-        if bus is not None or traced:
-            name = getattr(op, "kind", None) or type(op).__name__
-            label = self.labels.get(name)
-            if label is None:
-                label = self.labels[name] = f"op.{name}"
-        if bus is not None:
-            bus.emit("op.open", label, self.index)
+        root = NULL_SPAN
         info = None
         try:
-            if traced:
-                root = self.tracer.root(label, client=self.index)
-                if self.takes_span:
-                    info = yield from self.executor(op, span=root)
-                else:
-                    info = yield from self.executor(op)
-                root.finish()
+            if bus is not None or tracer.enabled:
+                root = _open_op(tracer, bus, self.op_ids, self.labels, op,
+                                self.index)
+                info = yield from self.executor(op, span=root)
+                if root.enabled:
+                    root.finish()
             else:
                 info = yield from self.executor(op)
         finally:
@@ -368,10 +349,11 @@ class OpenLoopDriver:
         self.warmup_us = warmup_us
         self.measure_us = measure_us
         self.tracer = tracer or NULL_TRACER
+        self._op_ids = count(1)
         self._sources = []
 
     def add_source(self, executor, source):
-        self._sources.append((executor, source, _accepts_span(executor)))
+        self._sources.append((executor, source))
         return self
 
     @property
@@ -394,17 +376,14 @@ class OpenLoopDriver:
         recorder = LatencyRecorder(warmup_until=self.warmup_us)
         counters = {"ops": 0, "aborts": 0, "retries": 0, "stalls": 0}
         streams = [
-            _Arrivals(self, i, executor, source, takes_span, recorder,
-                      counters)
-            for i, (executor, source, takes_span) in
-            enumerate(self._sources)
+            _Arrivals(self, i, executor, source, recorder, counters)
+            for i, (executor, source) in enumerate(self._sources)
         ]
         _drain(self.sim, [(stream.name, stream.done) for stream in streams],
                self.end_time)
         window = self.measure_us
         throughput = counters["ops"] / window * 1e6 if window > 0 else 0.0
-        n_clients = sum(source.n_clients
-                        for _, source, _ in self._sources)
+        n_clients = sum(source.n_clients for _, source in self._sources)
         result = RunResult(
             clients=n_clients,
             ops=counters["ops"],

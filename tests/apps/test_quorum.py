@@ -120,8 +120,8 @@ def test_an_rs_install_straggler_still_retires(sim, app_fabric, drive):
     client = PrismRsClient(sim, app_fabric, "c0", replicas, client_id=1)
     retired = []
     retire = client._retire
-    client._retire = lambda index, addr: (retired.append((index, sim.now)),
-                                          retire(index, addr))
+    client._retire = lambda index, addr, span: (
+        retired.append((index, sim.now)), retire(index, addr, span))
 
     def put():
         yield from client.put(0, b"n" * 64)

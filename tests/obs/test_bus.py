@@ -122,6 +122,29 @@ def test_no_data_path_module_names_a_collector():
     assert not offenders, offenders
 
 
+def test_no_module_outside_obs_reads_the_flight_recorder():
+    """A span names its operation, so nothing outside the collectors
+    (and the bench front end that reports them) asks the recorder who
+    is executing: no module reads ``.flight`` — the kernel only
+    initialises the handle — or keeps a ``_flight_ctx``."""
+    offenders = []
+    for path in sorted(SRC.rglob("*.py")):
+        relative = path.relative_to(SRC).as_posix()
+        if relative.startswith(("obs/", "bench/")):
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if (isinstance(node, ast.Attribute) and node.attr == "flight"
+                    and not isinstance(node.ctx, ast.Store)):
+                offenders.append(f"{relative}:{node.lineno} reads .flight")
+            named = (node.attr if isinstance(node, ast.Attribute) else
+                     node.id if isinstance(node, ast.Name) else
+                     node.arg if isinstance(node, ast.arg) else
+                     node.value if isinstance(node, ast.Constant) else None)
+            if named == "_flight_ctx":
+                offenders.append(f"{relative}:{node.lineno} _flight_ctx")
+    assert not offenders, offenders
+
+
 def _emit_calls():
     """``(module, lineno, kinds, n_fields)`` for every ``*.emit(...)``
     under ``src/repro``; ``n_fields`` is None when the call splats."""

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.obs import FlightRecorder, HostProfiler
+from repro.obs import HostProfiler
 from repro.sim import Event, Interrupt, Resource, SimulationError, Simulator
 from repro.sim.events import AllOf, AnyOf
 
@@ -569,21 +569,3 @@ class TestLaunch:
         sim.launch(body(), "parent")
         sim.run()           # the child's failure was observed: no raise
         assert seen == ["child failed"]
-
-    def test_steps_run_under_the_context_it_was_launched_in(self, sim):
-        flight = sim.attach(FlightRecorder())
-        seen = []
-
-        def task():
-            seen.append(sim.context())
-            yield sim.timeout(1.0)
-            seen.append(sim.context())
-
-        def opener():
-            flight.op_open("op.get")
-            sim.launch(task(), "child")
-            yield sim.timeout(5.0)
-
-        sim.run_until_complete(sim.spawn(opener()))
-        assert seen[0] is not None and seen == [seen[0], seen[0]]
-        assert sim.context() is None
