@@ -1,9 +1,9 @@
-"""Every output of five armed points, pinned byte for byte.
+"""Every output of seven armed points, pinned byte for byte.
 
 The pins in ``benchmarks/BENCH_pins.json`` hold seven metrics per
 point. A refactor of the observation code can keep all of them and
 still move a Chrome trace, a flight dump or a printed table. This test
-runs five points with their observers armed, each in a fresh
+runs seven points with their observers armed, each in a fresh
 subprocess, and compares the SHA-256 of each output with
 ``benchmarks/BENCH_digests.json``:
 
@@ -74,6 +74,15 @@ POINTS = {
         "100000", "--keys", "2000",
         "--faults", "seed=1,drop=0.01,dup=0.005,jitter=2",
         *_ARMED, "--series", "--primitives", "--util"],
+    # the two device backends whose ops split into phases: ``--json``
+    # arms the utilization monitors (the ``.pcie`` / ``.hostpath``
+    # charge), the trace carries each op's ``parts_us``
+    "kv-prism-hw": [
+        *_CLI, "point", "--kind", "kv", "--flavor", "prism-hw",
+        "--clients", "4", "--keys", "1000", *_ARMED, "--primitives"],
+    "kv-prism-bluefield": [
+        *_CLI, "point", "--kind", "kv", "--flavor", "prism-bluefield",
+        "--clients", "4", "--keys", "1000", *_ARMED, "--primitives"],
 }
 
 _WALL = re.compile(r"\([\d.]+s wall, [\d,]+ events/s\)")
