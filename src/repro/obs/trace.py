@@ -65,8 +65,8 @@ class Span:
         self.attrs = attrs
         self.children = []
         #: optional {phase: µs} refinement of this span's own duration,
-        #: for work the simulator charges as one lump (e.g. a NIC op
-        #: whose op_time mixes verb processing and PCIe round trips).
+        #: for work the simulator charges as one lump (an executed op:
+        #: the split its backend's op_time returns with the duration).
         self.parts = None
         #: the client operation's id (None outside one); a child's is
         #: its parent's
@@ -115,11 +115,6 @@ class Span:
 
     def annotate(self, **attrs):
         self.attrs.update(attrs)
-        return self
-
-    def set_parts(self, parts):
-        """Attach a {phase: µs} split of this span's own duration."""
-        self.parts = parts
         return self
 
     # -- inspection --------------------------------------------------------
@@ -174,9 +169,6 @@ class _NullSpan:
         pass
 
     def annotate(self, **attrs):
-        return self
-
-    def set_parts(self, parts):
         return self
 
     def walk(self):

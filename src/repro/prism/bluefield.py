@@ -38,40 +38,26 @@ class BlueFieldPrismBackend(Backend):
                 f"{self.label}.hostpath", kind="pcie",
                 capacity=cores or config.bf_cores)
 
-    def note_execution(self, op, accesses, op_index, duration):
-        if self._host_path_monitor is None:
-            return
-        for access in accesses:
-            if access.domain == DOMAIN_HOST:
-                self._host_path_monitor.charge(
-                    self.config.bf_host_access_us
-                    + access.nbytes / self.config.bf_bytes_per_us,
-                    units=access.nbytes)
-
-    def op_time(self, op, accesses, op_index=0):
-        # Single accumulation kept bit-identical to the seed timing;
-        # op_time_parts mirrors it for traced attribution.
-        total = self.config.bf_op_occupancy_us
+    def op_time(self, accesses, op_index=0):
+        """ARM-core work ("cpu") plus internal-switch host access ("pcie")."""
+        # ``total`` adds each cost in the seed's order, so untraced
+        # timing stays bit-identical; ``cpu`` and ``pcie`` are the split.
+        config = self.config
+        monitor = self._host_path_monitor
+        cpu = config.bf_op_occupancy_us
         if op_index == 0:
-            total += self.config.bf_request_occupancy_us
-        for access in accesses:
-            if access.domain == DOMAIN_HOST:
-                total += (self.config.bf_host_access_us
-                          + access.nbytes / self.config.bf_bytes_per_us)
-            else:
-                total += self.config.bf_local_access_us
-        return total
-
-    def op_time_parts(self, op, accesses, op_index=0):
-        """ARM-core work ("cpu") vs internal-switch host access ("pcie")."""
-        cpu = self.config.bf_op_occupancy_us
-        if op_index == 0:
-            cpu += self.config.bf_request_occupancy_us
+            cpu += config.bf_request_occupancy_us
+        total = cpu
         pcie = 0.0
         for access in accesses:
             if access.domain == DOMAIN_HOST:
-                pcie += (self.config.bf_host_access_us
-                         + access.nbytes / self.config.bf_bytes_per_us)
+                cost = (config.bf_host_access_us
+                        + access.nbytes / config.bf_bytes_per_us)
+                pcie += cost
+                if monitor is not None:
+                    monitor.charge(cost, units=access.nbytes)
             else:
-                cpu += self.config.bf_local_access_us
-        return {"cpu": cpu, "pcie": pcie}
+                cost = config.bf_local_access_us
+                cpu += cost
+            total += cost
+        return total, {"cpu": cpu, "pcie": pcie}

@@ -31,12 +31,15 @@ class HardwareRdmaBackend(Backend):
                          pool_name=f"{self.label}.pu")
         self._pcie = PcieLink(config.pcie_round_trip_us,
                               config.pcie_bytes_per_us)
+        #: the link's DMA busy time, charged per host access as it is
+        #: priced; None unless utilization is collected
+        self._pcie_monitor = None
         if sim.utilization is not None:
             # One DMA engine per processing unit, so the link's busy
             # time normalizes against the NIC's parallelism.
-            self._pcie.set_monitor(sim.utilization.charge_monitor(
+            self._pcie_monitor = sim.utilization.charge_monitor(
                 f"{self.label}.pcie", kind="pcie",
-                capacity=config.nic_parallelism))
+                capacity=config.nic_parallelism)
 
     # Atomicity note: ConnectX-class NICs pipeline atomics to different
     # addresses and only serialize conflicting ones; the simulator's
@@ -44,38 +47,28 @@ class HardwareRdmaBackend(Backend):
     # per-address atomicity holds without a global lock. The atomic
     # surcharge below models the read-modify-write unit's extra work.
 
-    def op_time(self, op, accesses, op_index=0):
-        # Kept as a single accumulation (not sum-of-parts) so untraced
-        # timing is bit-identical whether or not tracing code exists;
-        # op_time_parts mirrors this arithmetic and a test pins the two
-        # to each other.
-        total = self.config.nic_base_op_us
-        for access in accesses:
-            if access.domain == DOMAIN_HOST:
-                total += self._pcie.access_time(access.kind, access.nbytes)
-            else:
-                total += self.config.sram_access_us
-            if access.atomic:
-                total += self.config.nic_atomic_unit_us
-        return total
-
-    def note_execution(self, op, accesses, op_index, duration):
-        for access in accesses:
-            if access.domain == DOMAIN_HOST:
-                self._pcie.record(access.kind, access.nbytes)
-
-    def op_time_parts(self, op, accesses, op_index=0):
-        """Verb-processing ("nic") vs host-memory DMA ("pcie") split."""
-        nic = self.config.nic_base_op_us
+    def op_time(self, accesses, op_index=0):
+        """Verb processing ("nic") plus host-memory DMA ("pcie")."""
+        # ``total`` adds each cost in the seed's order, so untraced
+        # timing stays bit-identical; ``nic`` and ``pcie`` are the split.
+        config = self.config
+        monitor = self._pcie_monitor
+        total = nic = config.nic_base_op_us
         pcie = 0.0
         for access in accesses:
             if access.domain == DOMAIN_HOST:
-                pcie += self._pcie.access_time(access.kind, access.nbytes)
+                cost = self._pcie.access_time(access.kind, access.nbytes)
+                pcie += cost
+                if monitor is not None:
+                    monitor.charge(cost, units=access.nbytes)
             else:
-                nic += self.config.sram_access_us
+                cost = config.sram_access_us
+                nic += cost
+            total += cost
             if access.atomic:
-                nic += self.config.nic_atomic_unit_us
-        return {"nic": nic, "pcie": pcie}
+                total += config.nic_atomic_unit_us
+                nic += config.nic_atomic_unit_us
+        return total, {"nic": nic, "pcie": pcie}
 
 
 class HardwarePrismBackend(HardwareRdmaBackend):

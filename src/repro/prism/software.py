@@ -35,16 +35,17 @@ class SoftwarePrismBackend(Backend):
         # pickup, tx doorbell on the way out.
         self.admission_us = config.sw_pipeline_latency_us
 
-    def op_time(self, op, accesses, op_index=0):
-        total = self.config.sw_op_occupancy_us
+    def op_time(self, accesses, op_index=0):
+        config = self.config
+        total = config.sw_op_occupancy_us
         if op_index == 0:
             # Request-level cost (parse, connection lookup, tx setup) is
             # paid once, so chains amortize it — §3.4's economics.
-            total += self.config.sw_request_occupancy_us
+            total += config.sw_request_occupancy_us
         for access in accesses:
-            total += (self.config.sw_access_us
-                      + access.nbytes / self.config.sw_bytes_per_us)
-        return total
+            total += (config.sw_access_us
+                      + access.nbytes / config.sw_bytes_per_us)
+        return total, None
 
 
 class SoftwareRdmaBackend(SoftwarePrismBackend):

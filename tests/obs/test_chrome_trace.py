@@ -20,7 +20,7 @@ def _traced_run():
         with tracer.root(name) as root:
             yield sim.timeout(1.0)
             with root.child(f"{name}.leaf", phase="wire", bytes=512) as leaf:
-                leaf.set_parts({"wire": 0.5, "queue": 0.5})
+                leaf.parts = {"wire": 0.5, "queue": 0.5}
                 yield sim.timeout(1.0)
 
     sim.spawn(op("get"), name="client0")

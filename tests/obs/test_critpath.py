@@ -125,7 +125,7 @@ class TestSynthetic:
         clock.now = 2.0
         s.finish()
         clock.now = 8.0
-        u.set_parts({"nic": 4.0, "pcie": 4.0})
+        u.parts = {"nic": 4.0, "pcie": 4.0}
         u.finish()
         clock.now = 10.0
         t.finish()

@@ -65,7 +65,7 @@ class TestSpanNesting:
     def test_annotate_and_parts(self, sim):
         tracer = sim.attach(Tracer())
         span = tracer.root("op").annotate(key=7)
-        span.set_parts({"nic": 0.3, "pcie": 0.7})
+        span.parts = {"nic": 0.3, "pcie": 0.7}
         assert span.attrs["key"] == 7
         assert span.parts == {"nic": 0.3, "pcie": 0.7}
 
@@ -74,7 +74,6 @@ class TestNullPath:
     def test_null_span_is_a_fixed_point(self):
         assert NULL_SPAN.child("x", phase="wire") is NULL_SPAN
         assert NULL_SPAN.annotate(a=1) is NULL_SPAN
-        assert NULL_SPAN.set_parts({"cpu": 1.0}) is NULL_SPAN
         assert not NULL_SPAN.enabled
         with NULL_SPAN as span:
             assert span is NULL_SPAN

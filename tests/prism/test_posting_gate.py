@@ -149,8 +149,8 @@ class _SlowOps(HardwarePrismBackend):
     def __init__(self, sim, engine, config=None):
         super().__init__(sim, engine, BackendConfig(nic_parallelism=2))
 
-    def op_time(self, op, accesses, op_index=0):
-        return 4.0
+    def op_time(self, accesses, op_index=0):
+        return 4.0, None
 
 
 def test_post_buffers_drains_a_running_op_and_stalls_a_granted_one(sim):

@@ -336,8 +336,8 @@ def test_an_op_priced_at_zero_takes_no_timer_entry():
     """A non-positive duration skips the op's stage — it is not a
     zero-delay timer — so the READ costs one entry less."""
     class FreeOps(HardwarePrismBackend):
-        def op_time(self, op, accesses, op_index=0):
-            return 0.0
+        def op_time(self, accesses, op_index=0):
+            return 0.0, None
 
     assert _costs_per_request(FreeOps, _read_512(True)) == (11, 1, 0)
 
@@ -371,7 +371,7 @@ def test_a_failing_pricing_function_frees_unit_and_gate_and_stops_the_run(
     bug in a backend surfaces from ``run`` in the entry it happens in,
     with nothing left held."""
     class Broken(HardwarePrismBackend):
-        def op_time(self, op, accesses, op_index=0):
+        def op_time(self, accesses, op_index=0):
             raise ZeroDivisionError("bad cost model")
 
     server = PrismServer(sim, fabric, "server", Broken)
