@@ -68,7 +68,7 @@ class Reply:
 #: it is waiting for
 _POSTING = 0     # heap: the post overhead runs out
 _IN_FLIGHT = 1   # posted; the reply's hand-over, or the ack deadline
-_REPLIED = 2     # ready deque: the matched reply takes its slot(s)
+_REPLIED = 2     # matched; a timed call's reply takes two ready slots
 _COMPLETING = 3  # heap: the completion overhead runs out
 _EXPIRED = 4     # ready deque: the ack deadline takes its slot
 _BACKOFF = 5     # heap: the backoff before a retransmission runs out
@@ -83,12 +83,13 @@ class _Call(Event):
     A round trip is a pipeline, not control flow (docs/performance.md,
     rule 11): post overhead, the wire, the reply (or the ack deadline),
     completion overhead. The call is the heap payload of its two
-    overhead stages and its own ready-deque entry for the reply, so the
-    waiting process is resumed exactly once — with the reply body, the
-    reply's exception, or :class:`TimeoutExpired`. Every heap push and
-    deque append happens at the point of the kernel entry where the
-    generator this replaces made it, with the same float; a zero
-    overhead skips its stage rather than taking a zero-delay timer.
+    overhead stages; an untimed call starts its completion stage in the
+    entry that hands the reply over, and a timed one is its own
+    ready-deque entry for the reply. The waiting process is resumed
+    exactly once — with the reply body, the reply's exception, or
+    :class:`TimeoutExpired`. Every heap push happens with the float the
+    generator this replaces used; a zero overhead skips its stage
+    rather than taking a zero-delay timer.
 
     With a ``retry`` policy it owns its retransmissions too: it is the
     heap payload of the backoff an expired ack deadline books, and
@@ -180,7 +181,9 @@ class _Call(Event):
             self._retransmit()
 
     def __call__(self):
-        """Ready-deque entry, appended by :meth:`RequestChannel._on_reply`."""
+        """The reply's stage: run by :meth:`RequestChannel._on_reply`
+        for an untimed call, a ready-deque entry it appends for a timed
+        one."""
         if self.stage != _REPLIED:
             # An exact-instant tie the ack deadline won, or a waiter
             # that went away within the instant: nothing left to do.
@@ -413,8 +416,11 @@ class RequestChannel:
                 call._value = reply.body
             else:
                 call._value = PrismError(str(reply.body))
-        # The call takes the reply's ready-deque slot (a no-op one when
-        # the ack deadline fired earlier in this instant).
+            if call._ack is None:
+                call()  # untimed: the completion stage starts here
+                return
+        # A timed call takes the reply's ready-deque slot (a no-op one
+        # when the ack deadline fired earlier in this instant).
         self.sim._ready.append(call)
 
     def post(self, dst, service, body, request_size, timeout_us=None,

@@ -201,10 +201,10 @@ class Backend:
         """Run the request in ``message`` to completion on this device.
 
         Call it from the entry that delivered ``message``; the work
-        starts in the next ready-deque slot. ``owner.accept(execution)``
-        runs there: it sets the execution's ``connection`` and ``ops``
-        (and ``span`` / ``logical`` / ``saved`` for an enveloped one), or
-        refuses — answering the sender itself — by returning False.
+        starts in that entry. ``owner.accept(execution)`` runs first: it
+        sets the execution's ``connection`` and ``ops`` (and ``span`` /
+        ``logical`` / ``saved`` for an enveloped one), or refuses —
+        answering the sender itself — by returning False.
         ``owner.answer(execution, result)`` runs in the entry that ends
         the last op, with the :class:`ChainResult`.
         """
@@ -216,10 +216,9 @@ class Backend:
 
 
 #: what the kernel entry an execution is waiting for stands for
-_BOOT = 0       # ready deque: the slot after the delivering entry
-_ADMISSION = 1  # heap: the admission delay runs out
-_UNIT = 2       # ready deque: a unit is granted; callback: the gate reopens
-_OP = 3         # heap: the op's duration runs out
+_ADMISSION = 0  # heap: the admission delay runs out
+_UNIT = 1       # ready deque: a unit is granted; callback: the gate reopens
+_OP = 2         # heap: the op's duration runs out
 
 
 class _Execution:
@@ -228,12 +227,12 @@ class _Execution:
 
     The pipeline is fixed — admission, then per op: unit, posting gate,
     execute, hold the unit for the op's duration — so the execution is
-    one slotted object that is its own ready-deque entry (created in
-    the delivering entry, it boots in the next slot), its own heap
-    payload for the admission and per-op timers, and its unit's holder
+    one slotted object that starts in the delivering entry (its owner
+    accepts it, it opens admission), is its own heap payload for the
+    admission and per-op timers, and its unit's holder
     (``Resource.claim``: granted, it runs in the ready-deque slot an
     ``AcquireEvent`` would have had; docs/performance.md, rule 11). No
-    bootstrap, resume or completion event: nothing can wait on an
+    boot slot, resume or completion event: nothing can wait on an
     execution, so there is nothing to complete.
 
     The two ends belong to the ``owner`` (see :meth:`Backend.execute`):
@@ -281,27 +280,11 @@ class _Execution:
         #: results of the ops started so far (the last may be mid-timer)
         self.results = []
         self.prev_ok = True
-        self.stage = _BOOT
         self._open_span = None
-        backend.sim._ready.append(self)
-
-    # -- kernel entries -------------------------------------------------------
-
-    def __call__(self, _event=None):
-        """Ready-deque entry (boot, unit granted), heap entry (a timer
-        ran out) or the callback of the posting gate's reopening."""
-        _STAGES[self.stage](self)
-
-    fire = __call__
-
-    # -- stages ---------------------------------------------------------------
-
-    def _boot(self):
-        if not self.owner.accept(self):
+        if not owner.accept(self):
             return
         if isinstance(self.ops, Chain):
             self.ops = self.ops.ops
-        backend = self.backend
         if self.span.enabled:
             self._open("admission", backend.admission_phase)
         if backend.admission_us > 0:
@@ -309,6 +292,17 @@ class _Execution:
             backend.sim.schedule(backend.admission_us, self)
         else:
             self._advance()
+
+    # -- kernel entries -------------------------------------------------------
+
+    def __call__(self, _event=None):
+        """Ready-deque entry (unit granted), heap entry (a timer ran
+        out) or the callback of the posting gate's reopening."""
+        _STAGES[self.stage](self)
+
+    fire = __call__
+
+    # -- stages ---------------------------------------------------------------
 
     def _advance(self):
         """Admission or an op is over: queue the next op for an
@@ -401,5 +395,4 @@ class _Execution:
         self._open_span = None
 
 
-_STAGES = (_Execution._boot, _Execution._advance, _Execution._execute,
-           _Execution._executed)
+_STAGES = (_Execution._advance, _Execution._execute, _Execution._executed)

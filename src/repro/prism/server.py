@@ -151,7 +151,7 @@ class PrismServer:
         self.backend.execute(self, message)
 
     def accept(self, execution):
-        """Boot slot of a request's execution: resolve its connection."""
+        """A request's execution starts: resolve its connection."""
         request = execution.message.payload
         connection_id, execution.ops = request.body
         execution.connection = self.connections.get(connection_id)

@@ -71,7 +71,7 @@ class ReceiveEndpoint:
         self.server.backend.execute(self, message)
 
     def accept(self, execution):
-        """Boot slot: pop a posted buffer for the payload to land in."""
+        """Start of the execution: pop a buffer for the payload to land in."""
         payload = execution.message.payload.body
         if len(self.qp) == 0 or len(payload) > self.buffer_size:
             # Receiver Not Ready: reject without consuming anything.

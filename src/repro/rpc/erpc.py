@@ -74,15 +74,16 @@ class _Handling:
     """One RPC on the server: a scheduled payload, not a process
     (docs/performance.md, rule 11), shaped like ``prism.backend._Execution``.
 
-    Created in the delivering entry, it is its own ready-deque entry (the
-    boot slot), its core's holder (``Resource.claim``: granted, it runs
-    in the slot an ``AcquireEvent`` would have had) and its own heap
-    payload for dispatch + service time: every entry where the
+    It starts in the delivering entry (looks the method up, claims a
+    core) and is then its core's holder (``Resource.claim``: granted, it
+    runs in the slot an ``AcquireEvent`` would have had) and its own
+    heap payload for dispatch + service time: every entry where the
     handler process had one, with the same float, except that process's
-    completion entry, which nothing could wait on. An unknown method is
-    answered at boot without a core; a handler exception becomes an
-    error reply after the core is released; an exception from a
-    ``service_us`` callable propagates out of ``Simulator.run`` at once.
+    boot and completion entries, which did no model work. An unknown
+    method is answered at once without a core; a handler exception
+    becomes an error reply after the core is released; an exception
+    from a ``service_us`` callable propagates out of ``Simulator.run``
+    at once.
     Nothing refers back to the handling (``gc`` is off during a run).
     A repeat is answered from ``server.saved`` where the handler would
     run, so it costs what its first delivery did.
@@ -96,22 +97,9 @@ class _Handling:
 
     def __init__(self, server, message):
         self.server = server
-        self.request = message.payload
-        #: the function of the next entry
-        self.stage = _Handling._boot
+        self.request = request = message.payload
         #: the ``rpc.handler`` span and its open child (None untraced)
         self.span = self._open_span = None
-        server.sim._ready.append(self)
-
-    def __call__(self, _event=None):
-        """Boot slot, core-grant slot or service-time heap entry."""
-        self.stage(self)
-
-    fire = __call__
-
-    def _boot(self):
-        server = self.server
-        request = self.request
         method, self.args = request.body
         registered = server._methods.get(method)
         if registered is None:
@@ -130,8 +118,15 @@ class _Handling:
                                            method=method,
                                            host=server.host_name)
             self._open_span = self.span.child(server._queue_label, "queue")
+        #: the function of the next entry
         self.stage = _Handling._granted
         server.cores.claim(self)
+
+    def __call__(self, _event=None):
+        """Core-grant slot or service-time heap entry."""
+        self.stage(self)
+
+    fire = __call__
 
     def _granted(self):
         server = self.server

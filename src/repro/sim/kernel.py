@@ -172,10 +172,11 @@ class Process(Event):
 class _Task:
     """The kernel's one generator driver (docs/performance.md, rule 11).
 
-    A task is its generator's boot slot — called with no event — and its
-    own callback on every event the generator yields: it is resumed in
-    the entry where that event is processed, and counted as one resume
-    by the host profiler. A non-``Event`` yield has
+    A task is its generator's boot step — called with no event, in a
+    boot slot or by the phase that owns it — and its own callback on
+    every event the generator yields: it is resumed in the entry where
+    that event is processed, and counted as one resume by the host
+    profiler. A non-``Event`` yield has
     :class:`SimulationError` thrown in; an already-processed one resumes
     it in a :class:`_LateCall`; waiting on a child :class:`Process`
     marks the child observed.

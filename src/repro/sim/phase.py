@@ -39,11 +39,11 @@ class Phase(Event):
     before it decides what to roll back.
 
     Its entries are those of the leg processes it replaced, at their
-    instants, minus those that did only bookkeeping: one boot slot
-    starts every leg, where their consecutive bootstraps were; the leg
-    that decides the phase takes the slot its process's completion entry
-    had, which queues the phase's own to wake the waiter. Stragglers
-    still run to completion and count nowhere. A zero-leg phase is born
+    instants, minus those that did only bookkeeping: every leg starts in
+    the entry that builds the phase, where their bootstraps were queued;
+    the leg that decides the phase, in its own entry, marks it triggered
+    and queues the one slot that wakes the waiter. Stragglers still run
+    to completion and count nowhere. A zero-leg phase is born
     processed with ``[]``. Deciding hands every leg to
     :func:`_straggler`, so a leg that never finishes (a lost round trip)
     keeps no phase alive (``gc`` is off during a run).
@@ -79,26 +79,19 @@ class Phase(Event):
                 task._done = book
                 task._waiting_on = None
                 tasks.append(task)
-            sim._ready.append(self)  # the boot slot
+            for task in tasks:  # once all exist: a first step may decide
+                task()
         else:
             self.legs = None
             self._ok = self._triggered = self._processed = True
             self._value = self.successes
 
     def __call__(self):
-        """Boot slot, decision slot, or the wake-up of the waiter."""
-        if self._triggered:
-            # Inlined Event._process: the waiter's wake-up (rule 12).
-            self._processed = True
-            callbacks, self.callbacks = self.callbacks, []
-            for callback in callbacks:
-                callback(self)
-        elif self._ok is not None:
-            self._triggered = True
-            self.sim._ready.append(self)
-        else:
-            for leg in self.legs:
-                leg()
+        """The waiter's wake-up: an inlined Event._process (rule 12)."""
+        self._processed = True
+        callbacks, self.callbacks = self.callbacks, []
+        for callback in callbacks:
+            callback(self)
 
     def _book(self, leg, ok, value):
         """Leg ``leg`` returned ``value`` (``ok``) or raised it."""
@@ -120,4 +113,5 @@ class Phase(Event):
             return
         for leg in self.legs:
             leg._done = _straggler
-        self.sim._ready.append(self)  # the decision slot
+        self._triggered = True
+        self.sim._ready.append(self)  # the wake-up slot

@@ -68,7 +68,7 @@ def test_too_many_failures_raise(sim, drive):
 def test_need_exceeding_total_rejected(sim):
     with pytest.raises(QuorumError, match="need 3 of only 2 legs"):
         Phase(sim, [_op(sim, 1), _op(sim, 1)], need=3)
-    assert not sim._ready  # rejected at construction: no boot slot
+    assert not sim._ready  # rejected at construction: no leg started
 
 
 def test_indices_identify_replicas(sim, drive):
@@ -94,8 +94,8 @@ def test_settling_waits_for_every_leg_and_consumes_failures(sim, drive):
 
 
 def test_a_leg_that_raises_before_it_waits_is_a_failed_leg(sim, drive):
-    """As a leg process that raised in its bootstrap did: booked in the
-    boot slot."""
+    """As a leg process that raised in its bootstrap did: booked while
+    the phase is built."""
     def broken():
         raise RuntimeError("no route")
         yield
@@ -290,11 +290,13 @@ def _costs_per_phase(n_extra=50):
     return tuple((a - b) / n_extra for a, b in zip(more, fewer))
 
 
-def test_a_three_leg_phase_costs_boot_decision_and_wake():
-    """The three legs' timers, plus one boot slot, one decision slot (the
-    second leg's) and the waiter's wake-up: 6 entries — with a process
-    per leg it was 3 bootstraps + 3 completion entries + the quorum
-    event's slot. No process is spawned. Every generator step is a
-    resume, as it was for those processes: each leg's boot and its one
-    wake-up, and the waiter's."""
-    assert _costs_per_phase() == (3 + 3, 3 * 2 + 1, 0)
+def test_a_three_leg_phase_costs_legs_timers_and_wake():
+    """The three legs' timers, plus the waiter's wake-up: 4 entries. The
+    legs start in the entry that builds the phase, and the second leg's
+    timer entry decides it and queues the wake-up — 6 while a boot slot
+    started the legs and a decision slot queued the wake-up; with a
+    process per leg it was 3 bootstraps + 3 completion entries + the
+    quorum event's slot. No process is spawned. Every generator step is
+    a resume, as it was for those processes: each leg's boot and its
+    one wake-up, and the waiter's."""
+    assert _costs_per_phase() == (3 + 1, 3 * 2 + 1, 0)

@@ -193,15 +193,17 @@ def _round_trip_costs(timeout_us=None, **overheads):
     return (more[0] - fewer[0]) / 100, (more[1] - fewer[1]) / 100
 
 
-def test_an_untimed_round_trip_costs_eleven_entries_and_one_client_resume():
+def test_an_untimed_round_trip_costs_ten_entries_and_one_client_resume():
     """Post overhead, 3 + 3 message stages, the echo process's bootstrap
-    and completion, the reply's slot, completion overhead. Two resumes:
-    the echo handler's one, and the caller's — once, with the reply."""
-    assert _round_trip_costs() == (11, 2)
+    and completion, completion overhead. The reply's ready-deque slot
+    went: the completion stage starts in the reply's hand-over. Two
+    resumes: the echo handler's one, and the caller's — once, with the
+    reply."""
+    assert _round_trip_costs() == (10, 2)
 
 
 def test_a_timed_round_trip_the_reply_wins_keeps_its_second_hop():
-    """One more entry than untimed — what the reply event plus the
+    """Two more entries than untimed — what the reply event plus the
     any-of over it and the ack timer cost before: the call tombstones
     the ack deadline in the reply's slot and takes a second slot for
     the completion stage. No deadline ever fires, none is left behind
@@ -210,9 +212,11 @@ def test_a_timed_round_trip_the_reply_wins_keeps_its_second_hop():
 
 
 def test_zero_overheads_skip_their_stage():
-    """No zero-delay timer stands in for a skipped overhead."""
+    """No zero-delay timer stands in for a skipped overhead. Untimed,
+    the reply's slot went too (9 → 8): the call finishes in the reply's
+    hand-over."""
     assert _round_trip_costs(post_overhead_us=0.0,
-                             completion_overhead_us=0.0) == (9, 2)
+                             completion_overhead_us=0.0) == (8, 2)
     assert _round_trip_costs(timeout_us=75.0, post_overhead_us=0.0,
                              completion_overhead_us=0.0) == (10, 2)
 

@@ -176,13 +176,15 @@ def _costs_per_call(config=None, n_extra=100):
     return tuple((a - b) / n_extra for a, b in zip(more, fewer))
 
 
-def test_a_call_costs_twelve_entries_one_resume_and_no_process():
+def test_a_call_costs_ten_entries_one_resume_and_no_process():
     """At zero tolerance: 2 client stages + 2 x 3 message stages + the
-    handling's boot slot, its core grant and its service timer + the
-    reply's slot = 12 entries (13 when the handler was a process: its
-    completion entry). The caller is resumed once; the server spawns
-    nothing and asks the kernel for no timeout event."""
-    assert _costs_per_call() == (12, 1, 0, 0)
+    handling's core grant and its service timer = 10 entries (13 when
+    the handler was a process: its completion entry; 12 while the
+    handling took a boot slot after the delivering entry and the call
+    a slot after the reply's hand-over). The caller is resumed once;
+    the server spawns nothing and asks the kernel for no timeout
+    event."""
+    assert _costs_per_call() == (10, 1, 0, 0)
 
 
 class _EntryLog(deque):
@@ -202,8 +204,10 @@ def test_a_zero_cost_call_keeps_every_entry_at_its_instant(monkeypatch):
     """With ``dispatch_us = default_service_us = 0`` the service stage
     rides the zero-delay slot (two deque hops) a ``timeout(0)`` took.
     The instants of every kernel entry of one call, heap and deque: the
-    handler process's were these plus its completion entry, a fourth
-    one at t = 1.5496."""
+    handler process's were these plus its boot and completion entries,
+    a fifth and sixth at t = 1.5496, and the reply's slot, a second
+    entry at t = 2.4476; the handling's boot slot and the reply's slot
+    went (15 entries, 13 a call, before)."""
     sim = Simulator()
     instants = []
     sim._ready = _EntryLog(sim, instants)
@@ -223,10 +227,10 @@ def test_a_zero_cost_call_keeps_every_entry_at_its_instant(monkeypatch):
     monkeypatch.setattr(heapq, "heappop", logging_pop)
     sim.run()
     arrival = 1.5495999999999999
-    assert instants == [0.0, 0.85, 0.8748, 1.5248] + [arrival] * 5 + [
-        1.6736, 2.3236, 2.4476, 2.4476, 3.2976, 3.2976]
+    assert instants == [0.0, 0.85, 0.8748, 1.5248] + [arrival] * 4 + [
+        1.6736, 2.3236, 2.4476, 3.2976, 3.2976]
     assert sim.events_executed == len(instants)
-    assert _costs_per_call(config) == (13, 1, 0, 0)
+    assert _costs_per_call(config) == (11, 1, 0, 0)
 
 
 def _booted_and_served(sim, server, service_us):
@@ -324,8 +328,9 @@ def test_an_unknown_method_never_takes_a_core(sim, fabric, drive):
 
 
 def test_a_raising_service_time_stops_the_run_at_once(sim, fabric):
-    """A bug in a pricing function surfaces from ``run`` in the boot slot
-    of the call, holding nothing — not at the end of the run."""
+    """A bug in a pricing function surfaces from ``run`` in the entry
+    that delivers the call, holding nothing — not at the end of the
+    run."""
     server = RpcServer(sim, fabric, "server")
 
     def price(args):
