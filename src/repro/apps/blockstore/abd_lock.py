@@ -17,8 +17,9 @@ Protocol per operation:
 4. CAS ``lock: client_id -> 0`` to release.
 """
 
-from repro.apps.blockstore.layout import AbdLockLayout
+from repro.apps.blockstore.layout import VALUE_OFF, AbdLockLayout
 from repro.apps.common import INITIAL_TAG, backoff_us, bump_tag, note_key
+from repro.hw.memory import POINTER_SIZE
 from repro.obs.trace import NULL_SPAN
 from repro.prism.client import PrismClient
 from repro.prism.server import PrismServer
@@ -47,12 +48,25 @@ class AbdLockReplica:
         return self.prism.host_name
 
     def load(self, block_id, value, tag=None):
-        """Install an initial value directly (setup time)."""
+        """Install an initial value directly (setup time): the one-item
+        :meth:`load_many`."""
+        self.load_many(((block_id, value),), tag)
+
+    def load_many(self, items, tag=None):
+        """Install ``(block_id, value)`` pairs in order (setup time): per
+        block, the lock free (0), then tag | value, written in place."""
         tag = INITIAL_TAG if tag is None else tag
-        # lock free (0), then tag | value
-        self.prism.space.host.write(
-            self.layout.block_addr(block_id),
-            bytes(8) + AbdLockLayout.pack_tagged_value(tag, value))
+        host = self.prism.space.host
+        view, size = host.view, host.size
+        base, stride = self.layout.blocks_base, self.layout.block_stride
+        pack_head = AbdLockLayout.pack_lock_tag_into
+        for block_id, value in items:
+            addr = base + block_id * stride
+            end = addr + VALUE_OFF + len(value)
+            if addr < POINTER_SIZE or end > size:
+                host.check(addr, end - addr)
+            pack_head(view, addr, 0, tag)
+            view[addr + VALUE_OFF:end] = value
 
 
 class AbdLockClient:

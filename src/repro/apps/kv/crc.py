@@ -15,9 +15,14 @@ CRC_BASE_US = 0.15
 CRC_PER_BYTE_US = 0.0033
 
 
+#: the CRC of any bytes-like object, as an int (a C call, no frame);
+#: layouts store it zero-extended to 8 bytes
+checksum = zlib.crc32
+
+
 def crc64(data):
     """CRC of ``data`` zero-extended to 8 bytes (stored in layouts)."""
-    return zlib.crc32(bytes(data)) & 0xFFFFFFFF
+    return checksum(bytes(data)) & 0xFFFFFFFF
 
 
 def crc_bytes(data):

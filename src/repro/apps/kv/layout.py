@@ -99,6 +99,14 @@ class KvLayout:
     #: ``pack_slot(ver, ptr, bound)`` / ``unpack_slot(data)``
     pack_slot = staticmethod(_SLOT.pack)
     unpack_slot = staticmethod(_SLOT.unpack)
+    #: in place: ``pack_slot_into(memory, offset, ver, ptr, bound)`` /
+    #: ``unpack_slot_from(memory, offset)``, and a buffer's header,
+    #: ``pack_header_into(memory, offset, ver, klen, vlen, 0)`` /
+    #: ``unpack_header_from(memory, offset)``
+    pack_slot_into = staticmethod(_SLOT.pack_into)
+    unpack_slot_from = staticmethod(_SLOT.unpack_from)
+    pack_header_into = staticmethod(_HEADER.pack_into)
+    unpack_header_from = staticmethod(_HEADER.unpack_from)
 
     @staticmethod
     def encode_key(key):

@@ -15,8 +15,9 @@ fixed span, so a GET's second READ is one fixed-size transfer.
 """
 
 from repro.apps.common import note_key
-from repro.apps.kv.crc import crc_bytes, crc_time_us, verify
+from repro.apps.kv.crc import checksum, crc_bytes, crc_time_us, verify
 from repro.hw.layout import U16, U32, U64, Codec, unpack_uint
+from repro.hw.memory import POINTER_SIZE
 from repro.obs.trace import NULL_SPAN
 from repro.prism.client import PrismClient
 from repro.prism.server import PrismServer
@@ -25,6 +26,8 @@ from repro.rpc.erpc import RpcClient, RpcServer
 SLOT_SIZE = 16
 
 _EXTENT_HEADER = Codec(U16, U32, U16)  # klen, vlen, pad
+_HEADER_SIZE = 8
+_CRC_SIZE = 8
 _PTR = Codec(U64)
 
 
@@ -119,36 +122,70 @@ class PilafServer:
 
     # -- server-CPU state manipulation (functional) -----------------------
 
-    def _store(self, key_bytes, value):
+    def load_many(self, items):
+        """Store ``(key, value)`` pairs in order, written in place: the
+        PUT handler's body and the setup-time bulk load.
+
+        Each pair rewrites its key's extent (a fresh one for a new key):
+        header, key, value, zeros to the CRC-covered span's end, and the
+        CRC. A new key's pointer then goes, with the pointer's CRC, into
+        the first empty slot of its linear probe from ``slot_index``.
+        """
         host = self.prism.space.host
-        extent_index = self._key_to_extent.get(key_bytes)
-        is_new = extent_index is None
-        if is_new:
-            extent_index = self._next_extent
-            self._next_extent += 1
-            self._key_to_extent[key_bytes] = extent_index
-        extent = self.layout.extent_addr(extent_index)
-        host.write(extent, self.layout.pack_entry(key_bytes, value))
-        if is_new:
-            slot_index = self.slot_index(key_bytes)
-            n_slots = self.layout.n_slots
+        view, size = host.view, host.size
+        layout = self.layout
+        table, n_slots = layout.table_base, layout.n_slots
+        extents_base, stride = layout.extents_base, layout.entry_stride
+        data_bytes = layout.entry_data_bytes
+        key_to_extent = self._key_to_extent
+        for key, value in items:
+            if isinstance(key, int):
+                key = key.to_bytes(8, "little")
+            else:
+                key = bytes(key)
+            extent_index = key_to_extent.get(key)
+            is_new = extent_index is None
+            if is_new:
+                extent_index = self._next_extent
+                self._next_extent += 1
+                key_to_extent[key] = extent_index
+            extent = extents_base + extent_index * stride
+            key_at = extent + _HEADER_SIZE
+            value_at = key_at + len(key)
+            value_end = value_at + len(value)
+            crc_at = max(value_end, extent + data_bytes)
+            if extent < POINTER_SIZE or crc_at + _CRC_SIZE > size:
+                host.check(extent, crc_at + _CRC_SIZE - extent)
+            _EXTENT_HEADER.pack_into(view, extent, len(key), len(value), 0)
+            view[key_at:value_at] = key
+            view[value_at:value_end] = value
+            view[value_end:crc_at] = bytes(crc_at - value_end)
+            _PTR.pack_into(view, crc_at, checksum(view[extent:crc_at]))
+            if not is_new:
+                continue
+            start = self.slot_index(key)
             for offset in range(n_slots):
-                slot = self.layout.slot_addr((slot_index + offset) % n_slots)
-                if host.read_ptr(slot) == 0:
-                    host.write(slot, self.layout.pack_slot(extent))
-                    return
-            raise RuntimeError("pilaf hash table full")
+                slot = table + (start + offset) % n_slots * SLOT_SIZE
+                if slot < POINTER_SIZE or slot + SLOT_SIZE > size:
+                    host.check(slot, SLOT_SIZE)
+                if not int.from_bytes(view[slot:slot + POINTER_SIZE],
+                                      "little"):
+                    _PTR.pack_into(view, slot, extent)
+                    _PTR.pack_into(view, slot + POINTER_SIZE,
+                                   checksum(view[slot:slot + POINTER_SIZE]))
+                    break
+            else:
+                raise RuntimeError("pilaf hash table full")
 
     def _handle_put(self, args):
         key_bytes, value = args
-        self._store(key_bytes, value)
+        self.load_many(((key_bytes, value),))
         return True, 8
 
     def load(self, key, value):
-        """Bulk load at setup time (no simulated traffic)."""
-        if isinstance(key, int):
-            key = key.to_bytes(8, "little")
-        self._store(bytes(key), value)
+        """Bulk load at setup time (no simulated traffic): the one-item
+        :meth:`load_many`."""
+        self.load_many(((key, value),))
 
 
 class PilafClient:

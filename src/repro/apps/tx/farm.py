@@ -18,6 +18,7 @@ from repro.apps.common import backoff_us, note_key
 from repro.apps.tx.layout import FarmLayout
 from repro.core.ops import ReadOp
 from repro.hw.layout import unpack_uint
+from repro.hw.memory import POINTER_SIZE
 from repro.obs.trace import NULL_SPAN
 from repro.prism.client import PrismClient
 from repro.prism.server import PrismServer
@@ -121,11 +122,31 @@ class FarmServer:
         return (True, ()), 8
 
     def load(self, key, value, version=1):
-        """Install an initial version directly (setup time)."""
+        """Install an initial version directly (setup time): the one-item
+        :meth:`load_many`."""
+        self.load_many(((key, value),), version)
+
+    def load_many(self, items, version=1):
+        """Install ``(key, value)`` pairs in order (setup time): per key,
+        its table slot's pointer, then the object's unlocked version
+        word and value, written in place."""
         host = self.prism.space.host
-        addr = self.layout.object_addr(key)
-        host.write_ptr(self.layout.slot_addr(key), addr)
-        host.write(addr, FarmLayout.pack_lockver(version) + value)
+        view, size = host.view, host.size
+        layout = self.layout
+        table, objects = layout.table_base, layout.objects_base
+        stride = layout.object_stride
+        pack_word = FarmLayout.pack_word_into
+        for key, value in items:
+            slot = table + key * POINTER_SIZE
+            if slot < POINTER_SIZE or slot + POINTER_SIZE > size:
+                host.check(slot, POINTER_SIZE)
+            addr = objects + key * stride
+            pack_word(view, slot, addr)
+            end = addr + 8 + len(value)
+            if addr < POINTER_SIZE or end > size:
+                host.check(addr, end - addr)
+            pack_word(view, addr, version)
+            view[addr + 8:end] = value
 
 
 class FarmClient:

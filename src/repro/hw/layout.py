@@ -89,12 +89,18 @@ class Codec:
     field raises ``OverflowError``, as :func:`pack_uint` does.
     """
 
-    __slots__ = ("widths", "_struct")
+    __slots__ = ("widths", "_struct", "pack_into", "unpack_from")
 
     def __init__(self, *widths):
         self.widths = widths
         self._struct = struct.Struct(
             "<" + "".join(_STRUCTS[width].format[1:] for width in widths))
+        #: ``pack_into(buffer, offset, *values)`` and ``unpack_from(
+        #: buffer, offset)``: the struct's own, for set-up loops that
+        #: work on memory in place (no frame, no codec charge; a value
+        #: that does not fit raises ``struct.error``)
+        self.pack_into = self._struct.pack_into
+        self.unpack_from = self._struct.unpack_from
 
     def pack(self, *values):
         """Encode ``values``, one per field."""

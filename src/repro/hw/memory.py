@@ -79,7 +79,16 @@ class HostMemory:
 
     # -- raw access --------------------------------------------------------
 
-    def _check(self, addr, length):
+    @property
+    def view(self):
+        """The backing ``memoryview``, for set-up code that fills many
+        regions itself: each such write keeps :meth:`write`'s bounds
+        check, calling :meth:`check` when it fails."""
+        return self._data
+
+    def check(self, addr, length):
+        """Raise :class:`MemoryError_` unless ``[addr, addr + length)``
+        is inside memory and past the NULL page."""
         if length < 0:
             raise MemoryError_(f"negative length: {length}")
         if addr < POINTER_SIZE or addr + length > self.size:
@@ -89,14 +98,14 @@ class HostMemory:
     def read(self, addr, length):
         """Return ``length`` bytes starting at ``addr``."""
         if length < 0 or addr < POINTER_SIZE or addr + length > self.size:
-            self._check(addr, length)  # raises
+            self.check(addr, length)  # raises
         return bytes(self._data[addr:addr + length])
 
     def write(self, addr, data):
         """Store ``data`` (bytes-like) at ``addr``."""
         length = len(data)
         if addr < POINTER_SIZE or addr + length > self.size:
-            self._check(addr, length)  # raises
+            self.check(addr, length)  # raises
         self._data[addr:addr + length] = data
 
     # -- integer convenience ------------------------------------------------
@@ -116,7 +125,7 @@ class HostMemory:
             if codec is None:
                 return int.from_bytes(self.read(addr, width), "little")
             if addr < POINTER_SIZE or addr + width > self.size:
-                self._check(addr, width)
+                self.check(addr, width)
             return codec.unpack_from(self._data, addr)[0]
         hp.enter("codec")
         try:
@@ -124,7 +133,7 @@ class HostMemory:
             if codec is None:
                 return int.from_bytes(self.read(addr, width), "little")
             if addr < POINTER_SIZE or addr + width > self.size:
-                self._check(addr, width)
+                self.check(addr, width)
             return codec.unpack_from(self._data, addr)[0]
         finally:
             hp.exit()
@@ -145,7 +154,7 @@ class HostMemory:
                 self.write(addr, value.to_bytes(width, "little"))
             else:
                 if addr < POINTER_SIZE or addr + width > self.size:
-                    self._check(addr, width)
+                    self.check(addr, width)
                 codec.pack_into(self._data, addr, value)
         finally:
             if hp is not None:
@@ -156,7 +165,7 @@ class HostMemory:
         hp = _hostprof.ACTIVE
         if hp is None or not hp._timing:
             if addr < POINTER_SIZE or addr + 8 > self.size:
-                self._check(addr, 8)
+                self.check(addr, 8)
             return _U64_UNPACK_FROM(self._data, addr)[0]
         return self.read_uint(addr, POINTER_SIZE)
 
@@ -172,7 +181,7 @@ class HostMemory:
         slot retirement — do not allocate a fresh ``length``-byte
         string every call.
         """
-        self._check(addr, length)
+        self.check(addr, length)
         if length == 0:
             return
         pattern = self._fill_cache.get(byte)

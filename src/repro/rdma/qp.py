@@ -10,7 +10,7 @@ Queue pairs serve two roles in this reproduction, mirroring the paper:
 """
 
 from collections import deque
-from itertools import count
+from itertools import count, islice, repeat
 
 from repro.core.errors import FreeListExhausted, RemoteNak
 
@@ -102,6 +102,30 @@ class QueuePair:
         if self._min_depth is None or depth < self._min_depth:
             self._min_depth = depth
         return addr
+
+    def pop_many(self, n):
+        """Pop the first ``n`` free buffers, in order: ``pop`` each, with
+        the same counters and low watermark. Short of ``n``, it pops what
+        is left and raises ``pop``'s :class:`FreeListExhausted`."""
+        buffers = self._buffers
+        if n > len(buffers):
+            self.total_popped += len(buffers)
+            buffers.clear()
+            self.pop()  # raises
+        if n <= 0:
+            return []
+        popleft = buffers.popleft
+        addrs = [popleft() for _ in repeat(None, n)]
+        self.total_popped += n
+        depth = len(buffers)
+        if self._min_depth is None or depth < self._min_depth:
+            self._min_depth = depth
+        return addrs
+
+    def peek_many(self, n):
+        """The buffers ``pop_many(n)`` would return, left on the list
+        (fewer when the list is shorter)."""
+        return list(islice(self._buffers, n))
 
     def peek(self):
         """The buffer :meth:`pop` would return, left on the list; when

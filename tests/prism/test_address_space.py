@@ -94,7 +94,7 @@ def test_sram_allocation_addresses_monotonic(space):
 
 # ``read`` / ``write`` route in place and ``HostMemory`` compares its
 # bounds in place (docs/performance.md, rule 12(c)); these fail if a
-# comparison was dropped on the way. Messages are ``HostMemory._check``'s,
+# comparison was dropped on the way. Messages are ``HostMemory.check``'s,
 # in the routed memory's own coordinates (SRAM-local = global - base + 8).
 _OUT_OF_BOUNDS = [
     pytest.param(0, 8, r"access \[0, 8\) outside memory of size 65536",

@@ -27,6 +27,44 @@ class TestQueuePair:
         assert qp.total_posted == 2
         assert qp.total_popped == 1
 
+    @staticmethod
+    def _counters(qp):
+        return (list(qp._buffers), qp.total_popped, qp.total_posted,
+                qp.high_watermark, qp.low_watermark)
+
+    @pytest.mark.parametrize("n", [0, 1, 3, 5])
+    def test_pop_many_is_n_pops(self, n):
+        many, single = QueuePair(buffer_size=64), QueuePair(buffer_size=64)
+        for qp in (many, single):
+            qp.post_many([100, 200, 300, 400, 500])
+            qp.pop()
+            qp.post(600)
+        assert many.pop_many(n) == [single.pop() for _ in range(n)]
+        assert self._counters(many) == self._counters(single)
+
+    def test_pop_many_short_pops_the_rest_then_raises_as_pop_does(self):
+        many, single = (QueuePair(buffer_size=64, name="list"),
+                        QueuePair(buffer_size=64, name="list"))
+        for qp in (many, single):
+            qp.post_many([100, 200])
+        with pytest.raises(AllocationFailure) as raised_many:
+            many.pop_many(3)
+        with pytest.raises(AllocationFailure) as raised_single:
+            for _ in range(3):
+                single.pop()
+        assert str(raised_many.value) == str(raised_single.value)
+        assert self._counters(many) == self._counters(single)
+        assert many.low_watermark == 0
+
+    def test_peek_many_leaves_the_list_as_it_was(self):
+        qp = QueuePair(buffer_size=64)
+        qp.post_many([100, 200, 300])
+        before = self._counters(qp)
+        assert qp.peek_many(2) == [100, 200]
+        assert qp.peek_many(5) == [100, 200, 300]
+        assert self._counters(qp) == before
+        assert qp.pop_many(2) == [100, 200]
+
     def test_would_satisfy(self):
         qp = QueuePair(buffer_size=64)
         assert qp.would_satisfy(64)
