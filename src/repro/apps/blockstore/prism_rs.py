@@ -68,14 +68,15 @@ class PrismRsReplica:
         The loop writes the memory view itself. It takes the buffers off
         the list by ``pop_many``, before each return and when the call
         ends or an error escapes, so the list reads exactly as after one
-        ``pop`` per item.
+        ``pop`` per item. A value longer than a block raises
+        ``ValueError`` before its item takes a buffer.
         """
         tag = INITIAL_TAG if tag is None else tag
         items = list(items)
         host = self.prism.space.host
         view, size = host.view, host.size
         freelist = self.prism.freelists[self.freelist_id]
-        meta_base = self.layout.meta_base
+        meta_base, block_size = self.layout.meta_base, self.layout.block_size
         pack_tag, pack_meta = RsLayout.pack_tag_into, RsLayout.pack_meta_into
         unpack_meta = RsLayout.unpack_meta_from
         head = freelist.peek_many(len(items))
@@ -83,6 +84,10 @@ class PrismRsReplica:
         taken = popped = 0  # buffers handed out; of those, popped
         try:
             for block_id, value in items:
+                if len(value) > block_size:  # would spill into the next buffer
+                    raise ValueError(
+                        f"block {block_id}: {len(value)} B exceeds the "
+                        f"{block_size}-byte block")
                 if taken < n_head:
                     addr = head[taken]
                 else:  # past the buffers listed when the call began

@@ -96,8 +96,7 @@ class KvLayout:
     def entry_ver(data):
         return unpack_uint(data, 0, 8)
 
-    #: ``pack_slot(ver, ptr, bound)`` / ``unpack_slot(data)``
-    pack_slot = staticmethod(_SLOT.pack)
+    #: ``(ver, ptr, bound)`` of a slot's bytes (a CAS's old value)
     unpack_slot = staticmethod(_SLOT.unpack)
     #: in place: ``pack_slot_into(memory, offset, ver, ptr, bound)`` /
     #: ``unpack_slot_from(memory, offset)``, and a buffer's header,

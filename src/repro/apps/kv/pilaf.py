@@ -15,7 +15,7 @@ fixed span, so a GET's second READ is one fixed-size transfer.
 """
 
 from repro.apps.common import note_key
-from repro.apps.kv.crc import checksum, crc_bytes, crc_time_us, verify
+from repro.apps.kv.crc import checksum, crc_time_us, verify
 from repro.hw.layout import U16, U32, U64, Codec, unpack_uint
 from repro.hw.memory import POINTER_SIZE
 from repro.obs.trace import NULL_SPAN
@@ -55,14 +55,6 @@ class PilafLayout:
     def slot_addr(self, slot_index):
         return self.table_base + slot_index * SLOT_SIZE
 
-    def extent_addr(self, extent_index):
-        return self.extents_base + extent_index * self.entry_stride
-
-    def pack_entry(self, key, value):
-        body = (_EXTENT_HEADER.pack(len(key), len(value), 0) + key
-                + value).ljust(self.entry_data_bytes, b"\x00")
-        return body + crc_bytes(body)
-
     @staticmethod
     def unpack_entry(data):
         klen = unpack_uint(data, 0, 2)
@@ -70,11 +62,6 @@ class PilafLayout:
         key = bytes(data[8:8 + klen])
         value = bytes(data[8 + klen:8 + klen + vlen])
         return key, value
-
-    @staticmethod
-    def pack_slot(ptr):
-        ptr_bytes = _PTR.pack(ptr)
-        return ptr_bytes + crc_bytes(ptr_bytes)
 
 
 class PilafServer:

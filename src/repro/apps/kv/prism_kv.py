@@ -157,7 +157,9 @@ class PrismKvServer:
         slot is empty or the entry changes size class (the old buffer
         going back to its class's list), else over the old one, and the
         slot then takes ``(version, ptr, length)``.
-        Tables and buffers are host memory, written in place.
+        Tables and buffers are host memory, written in place. With
+        fixed-size buffers an entry longer than one raises
+        ``ValueError`` before its item takes or writes a buffer.
         """
         host = self.prism.space.host
         view, size = host.view, host.size
@@ -171,6 +173,7 @@ class PrismKvServer:
         unpack_header, pack_header = (KvLayout.unpack_header_from,
                                       KvLayout.pack_header_into)
         first_ver = bump_tag(0, client_id)
+        buffer_bytes = layout.buffer_bytes
         for key, value in items:
             key_bytes = (key.to_bytes(8, "little") if isinstance(key, int)
                          else bytes(key))
@@ -194,6 +197,10 @@ class PrismKvServer:
             klen, vlen = len(key_bytes), len(value)
             length = HEADER_SIZE + klen + vlen
             if allocator is None:
+                if length > buffer_bytes:  # would spill into the next buffer
+                    raise ValueError(
+                        f"key {key!r}: a {length}-byte entry exceeds the "
+                        f"{buffer_bytes}-byte buffer")
                 if ptr == 0:
                     ptr = freelist.pop()
             elif ptr == 0 or (allocator.class_for(length)

@@ -94,13 +94,14 @@ class PrismTxServer:
         The loop writes the memory view itself. It takes the buffers off
         the list by ``pop_many``, before each return and when the call
         ends or an error escapes, so the list reads exactly as after one
-        ``pop`` per item.
+        ``pop`` per item. A value longer than ``value_size`` raises
+        ``ValueError`` before its item takes a buffer.
         """
         items = list(items)
         host = self.prism.space.host
         view, size = host.view, host.size
         freelist = self.prism.freelists[self.freelist_id]
-        meta_base = self.layout.meta_base
+        meta_base, value_size = self.layout.meta_base, self.layout.value_size
         pack_header = TxLayout.pack_buffer_header_into
         pack_meta = TxLayout.pack_meta_into
         unpack_meta = TxLayout.unpack_meta_from
@@ -109,6 +110,10 @@ class PrismTxServer:
         taken = popped = 0  # buffers handed out; of those, popped
         try:
             for key, value in items:
+                if len(value) > value_size:  # would spill into the next buffer
+                    raise ValueError(
+                        f"key {key}: {len(value)} B exceeds the "
+                        f"{value_size}-byte value")
                 if taken < n_head:
                     addr = head[taken]
                 else:  # past the buffers listed when the call began

@@ -2,8 +2,9 @@
 
 Each host owns full-duplex TX/RX ports (``BandwidthPipe``). A message
 occupies the sender's TX port for its serialization time, crosses the
-path (propagation + per-switch latency), occupies the receiver's RX
-port, then is handed to the destination service handler.
+path (propagation + per-switch latency, after a fault plan's injected
+delay: one timer for both), occupies the receiver's RX port, then is
+handed to the destination service handler.
 
 Service handlers are plain callables ``handler(message)`` registered
 per host; timed work behind one is a scheduled payload (a device
@@ -114,7 +115,7 @@ class Fabric:
 
 
 #: what the heap entry a delivery is waiting on stands for
-_TX, _LAG, _WIRE, _RX = range(4)
+_TX, _WIRE, _RX = range(3)
 
 
 class _Delivery:
@@ -122,13 +123,17 @@ class _Delivery:
 
     The delivery is its own heap payload (``Simulator.schedule_at``)
     and its own holder on both ports, advancing by stage: TX
-    serialization, [fault fate: injected delay,] propagation, arrival
-    (crash-drop check, RX port claim), RX serialization, handler.
-    Every kernel entry is an instant at which model time has been
-    spent — the end of TX serialization, of propagation, of RX
-    serialization; no grant hop, no bootstrap, no resume, no
-    completion event. A duplicated message is two deliveries sharing
-    one :class:`Message`, the twin starting after the TX port.
+    serialization, [fault fate,] propagation, arrival (crash-drop
+    check, RX port claim), RX serialization, handler. Every kernel
+    entry is an instant at which model time has been spent — the end
+    of TX serialization, of propagation, of RX serialization; no grant
+    hop, no bootstrap, no resume, no completion event. An injected
+    delay ``d`` is no stage of its own: the propagation timer is
+    pushed at the end of TX serialization for ``(t + d) + l``, the
+    two additions in the order two timers made them, and the
+    propagation span starts at ``t + d``. A duplicated message is two
+    deliveries sharing one :class:`Message`, the twin launched right
+    after the original with the same delay, so its timer follows.
 
     The message carries its operation's span, so the fault events of
     its fate, the payload its handler starts and a reply's bus events
@@ -160,10 +165,8 @@ class _Delivery:
             self._arrive()
         elif stage == _RX:
             self._hand_over()
-        elif stage == _TX:
-            self._leave()
         else:
-            self._propagate()
+            self._leave()
 
     def _leave(self):
         """The last byte has left the TX port."""
@@ -173,9 +176,7 @@ class _Delivery:
         fabric.hosts[message.src].tx.finish()
         faults = sim.faults
         if faults is None:
-            if fabric.monitor is not None:
-                fabric.monitor.adjust(+1)
-            self._propagate()
+            self._launch(sim._now)
         else:
             # Fault point: the message has left the TX port (the port
             # was occupied either way); it may now vanish, fork, or
@@ -187,40 +188,35 @@ class _Delivery:
             if hp is not None:
                 hp.exit()
             if not fate.drop:
-                self._launch(fate.delay_us)
+                # The lag rides the path's timer: no other entry can
+                # share a drawn instant (docs/performance.md, rule 11(d)).
+                lagged = sim._now + fate.delay_us  # t + 0.0 is t
+                self._launch(lagged)
                 if fate.duplicate:
-                    _Delivery(fabric, message)._launch(fate.delay_us)
+                    _Delivery(fabric, message)._launch(lagged)
         if self.sent is not None:
             # Like a timer's waiter, the sender resumes in this entry.
             self.sent.succeed_now(message)
 
-    def _launch(self, extra_delay_us):
+    def _launch(self, start):
+        """Cross the path from ``start``: one timer, at ``start + l`` —
+        with a lag ``d``, ``(t + d) + l``, the two additions the lag's
+        own timer and the path's would make, so the same bits."""
         fabric = self.fabric
         if fabric.monitor is not None:
             fabric.monitor.adjust(+1)
-        # The injected delay and the path latency are two timers, never
-        # one: (t + d) + l and t + (d + l) differ in the last bit.
-        if extra_delay_us > 0.0:
-            self.stage = _LAG
-            fabric.sim.schedule(extra_delay_us, self)
-        else:
-            self._propagate()
-
-    def _propagate(self):
-        fabric = self.fabric
-        sim = fabric.sim
         message = self.message
         span = message.span
         if span.enabled:
             # Span protocol inlined (see BandwidthPipe.claim).
             self.span = Span(span.tracer, "net.propagate", "wire", span,
-                             sim.now,
+                             start,
                              {"src": message.src, "dst": message.dst},
                              span.op)
             span.children.append(self.span)
         self.stage = _WIRE
-        sim.schedule(0.0 if message.src == message.dst
-                     else fabric.one_way_latency_us, self)
+        fabric.sim.schedule_at(start if message.src == message.dst
+                               else start + fabric.one_way_latency_us, self)
 
     def _arrive(self):
         fabric = self.fabric

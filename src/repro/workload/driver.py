@@ -12,6 +12,7 @@ from itertools import count
 
 from repro.obs.trace import NULL_SPAN, NULL_TRACER
 from repro.sim.events import SimulationError
+from repro.sim.kernel import _Task
 from repro.sim.stats import LatencyRecorder
 
 #: How long past ``end_time`` a run may spend draining the operations
@@ -225,12 +226,13 @@ class _Arrivals:
 
     It is its own boot slot, appended where the process's bootstrap
     was. Each arrival is its own heap entry at ``now + gap``, pushed in
-    the entry where ``yield sim.timeout(gap)`` pushed; it launches the
-    arrival's operation (:meth:`Simulator.launch`) and books the next
-    arrival. A full window puts the stream on the gate's callbacks, and
-    the gate's entry lets the stalled arrival go ahead. ``done``
-    succeeds where the process completed; it is what the driver's
-    drain waits on.
+    the entry where ``yield sim.timeout(gap)`` pushed; it books the
+    next arrival and takes its operation's first step in that entry,
+    on a :class:`~repro.sim.kernel._Task` with no owner. A full window
+    puts the stream on the gate's callbacks, and the gate's entry lets
+    the stalled arrival go ahead, launching its operation
+    (:meth:`Simulator.launch`). ``done`` succeeds where the process
+    completed; it is what the driver's drain waits on.
     """
 
     __slots__ = ("sim", "tracer", "op_ids", "warmup_until", "end_time",
@@ -268,10 +270,17 @@ class _Arrivals:
         elif self.sim._now >= self.end_time:
             self.done.succeed()
         else:
-            self.fire()
+            # Other work is queued at the completion's instant, so the
+            # operation keeps its boot slot behind it.
+            self.in_flight += 1
+            self.sim.launch(self._operation(self.source.next_op()), "op")
+            self._book_next()
 
     def fire(self):
-        """An arrival: launch its operation, book the next arrival."""
+        """An arrival, its own heap entry: book the next arrival, then
+        take the operation's first step here. The instant is a sum of
+        drawn gaps, so no other work shares it and a boot slot would
+        only be a hop (docs/performance.md, rule 11(d))."""
         if self.in_flight >= self.source.window:
             # Window full: defer this arrival until a completion frees
             # a slot. Deferred arrivals are counted — a large number
@@ -284,8 +293,15 @@ class _Arrivals:
             gate.callbacks.append(self)
             return
         self.in_flight += 1
-        self.sim.launch(self._operation(self.source.next_op()), "op")
+        op = self.source.next_op()
         self._book_next()
+        # Inlined _Task.__init__, as Phase does for its legs (rule 12).
+        task = _Task.__new__(_Task)
+        task.sim = self.sim
+        task._generator = self._operation(op)
+        task.name = "op"
+        task._done = task._waiting_on = None
+        task()
 
     def _book_next(self):
         sim = self.sim
@@ -330,7 +346,7 @@ class OpenLoopDriver:
     Each source (see
     :class:`repro.workload.sources.AggregatedOpenLoopSource`) models
     thousands of clients in one arrival stream: a scheduled payload
-    draws inter-arrival gaps, and every arrival launches its operation
+    draws inter-arrival gaps, and every arrival starts its operation
     — a generator nothing waits on — through the source's executor.
     The source's bounded in-flight window provides backpressure: a full
     window defers arrivals (counted, never dropped) until a completion

@@ -85,8 +85,9 @@ def test_corrupted_slot_crc_detected(sim, app_fabric, pilaf, drive):
 
 def test_corrupted_extent_crc_detected(sim, app_fabric, pilaf, drive):
     pilaf.load(4, b"value")
-    extent = pilaf.layout.extent_addr(
-        pilaf._key_to_extent[(4).to_bytes(8, "little")])
+    slot = pilaf.layout.slot_addr(
+        pilaf.slot_index((4).to_bytes(8, "little")))
+    extent = int.from_bytes(pilaf.prism.space.read(slot, 8), "little")
     byte = bytearray(pilaf.prism.space.read(extent + 8, 1))
     byte[0] ^= 0xFF
     pilaf.prism.space.write(extent + 8, bytes(byte))

@@ -9,8 +9,10 @@ from repro.apps.blockstore.layout import (
     META_TAG_MASK,
     RsLayout,
 )
+from repro.apps.kv.crc import verify
 from repro.apps.kv.layout import KvLayout, SLOT_SIZE, SLOT_VER_MASK
-from repro.apps.kv.pilaf import PilafLayout
+from repro.apps.kv.pilaf import SLOT_SIZE as SLOT_SIZE_PILAF
+from repro.apps.kv.pilaf import PilafLayout, PilafServer
 from repro.apps.tx.layout import (
     CADDR_C_MASK,
     FarmLayout,
@@ -19,6 +21,10 @@ from repro.apps.tx.layout import (
     PRPW_PW_MASK,
     TxLayout,
 )
+from repro.hw.layout import unpack_uint
+from repro.net.topology import RACK, make_fabric
+from repro.prism import SoftwareRdmaBackend
+from repro.sim import Simulator
 
 
 class TestKvLayout:
@@ -40,13 +46,21 @@ class TestKvLayout:
            ptr=st.integers(min_value=0, max_value=2**64 - 1),
            bound=st.integers(min_value=0, max_value=2**64 - 1))
     def test_slot_roundtrip(self, ver, ptr, bound):
-        blob = KvLayout.pack_slot(ver, ptr, bound)
-        assert len(blob) == SLOT_SIZE
-        assert KvLayout.unpack_slot(blob) == (ver, ptr, bound)
+        """In place, as the loader writes a slot: the bytes between its
+        neighbours are the slot's, and both readers decode them."""
+        memory = bytearray(3 * SLOT_SIZE)
+        KvLayout.pack_slot_into(memory, SLOT_SIZE, ver, ptr, bound)
+        assert memory[:SLOT_SIZE] == memory[2 * SLOT_SIZE:] == bytes(
+            SLOT_SIZE)
+        assert KvLayout.unpack_slot_from(memory, SLOT_SIZE) == (ver, ptr,
+                                                                 bound)
+        assert KvLayout.unpack_slot(
+            bytes(memory[SLOT_SIZE:2 * SLOT_SIZE])) == (ver, ptr, bound)
 
     def test_ver_mask_selects_version_only(self):
-        blob = KvLayout.pack_slot(7, 0xAAAA, 99)
-        as_int = int.from_bytes(blob, "little")
+        memory = bytearray(SLOT_SIZE)
+        KvLayout.pack_slot_into(memory, 0, 7, 0xAAAA, 99)
+        as_int = int.from_bytes(memory, "little")
         assert (as_int & SLOT_VER_MASK) == 7
 
     def test_buffer_size_covers_maximum(self):
@@ -157,15 +171,30 @@ class TestPilafLayout:
         layout = PilafLayout(0, 0, 4, max_key_bytes=8, max_value_bytes=512)
         assert layout.entry_stride == 8 + 8 + 512 + 8
 
+    def _loaded(self):
+        """A Pilaf server holding one key, written by its loader; returns
+        the layout, the key's slot bytes and its extent's bytes."""
+        sim = Simulator()
+        server = PilafServer(sim, make_fabric(sim, RACK, ["server"]),
+                             "server", SoftwareRdmaBackend, n_keys=4,
+                             max_value_bytes=32)
+        key = b"key12345"
+        server.load(key, b"value")
+        layout, space = server.layout, server.prism.space
+        slot = space.read(layout.slot_addr(server.slot_index(key)),
+                          SLOT_SIZE_PILAF)
+        extent = space.read(unpack_uint(slot, 0, 8), layout.entry_stride)
+        return layout, slot, extent
+
     def test_entry_crc_embedded(self):
-        layout = PilafLayout(0, 0, 4, max_value_bytes=32)
-        blob = layout.pack_entry(b"key12345", b"value")
-        assert len(blob) == layout.entry_stride
-        from repro.apps.kv.crc import verify
-        assert verify(blob[:layout.entry_data_bytes],
-                      blob[layout.entry_data_bytes:])
+        layout, _slot, extent = self._loaded()
+        data = extent[:layout.entry_data_bytes]
+        assert verify(data, extent[layout.entry_data_bytes:])
+        assert PilafLayout.unpack_entry(data) == (b"key12345", b"value")
+        # zeros from the value's end to the CRC-covered span's end
+        assert data[8 + 8 + 5:] == bytes(layout.entry_data_bytes - 21)
 
     def test_slot_crc(self):
-        blob = PilafLayout.pack_slot(0xABCD)
-        from repro.apps.kv.crc import verify
-        assert verify(blob[:8], blob[8:])
+        layout, slot, _extent = self._loaded()
+        assert unpack_uint(slot, 0, 8) == layout.extents_base  # extent 0
+        assert verify(slot[:8], slot[8:])

@@ -154,6 +154,26 @@ def test_a_batch_that_fails_midway_leaves_what_one_item_at_a_time_does(
     assert _state(batch) == _state(single)
 
 
+@pytest.mark.parametrize("name", ["prism-kv", "prism-rs", "prism-tx"])
+def test_an_oversize_value_raises_before_its_item_takes_a_buffer(name):
+    """A value one byte longer than its fixed-size buffer holds would
+    overwrite the first byte of the next buffer. The batch stops at it
+    with ``ValueError``, leaving memory and lists as the items before it
+    alone do, and a lone ``load`` of it changes nothing."""
+    items = _items(7, n_repeats=0)
+    at = 20
+    oversize = (items[at][0], b"\xff" * (VALUE_SIZE + 1))
+    items.insert(at, oversize)
+    batch, prefix = _SERVERS[name](), _SERVERS[name]()
+    with pytest.raises(ValueError, match="exceeds"):
+        batch.load_many(items)
+    prefix.load_many(items[:at])
+    assert _state(batch) == _state(prefix)
+    with pytest.raises(ValueError, match="exceeds"):
+        prefix.load(*oversize)
+    assert _state(batch) == _state(prefix)
+
+
 @pytest.mark.parametrize("seed", [1, 2])
 def test_size_classed_kv_batch_with_reloads_that_keep_and_change_class(
         seed):

@@ -7,6 +7,7 @@ from repro.faults.plan import CrashEvent
 from repro.net.fabric import Fabric, Host
 from repro.net.port import RequestChannel, send_reply
 from repro.net.topology import DIRECT, RACK, make_fabric
+from repro.obs.trace import Tracer
 from repro.sim import Interrupt, Simulator
 
 
@@ -260,8 +261,8 @@ def test_delivery_under_faults_matches_the_process_per_message_fabric():
     """Golden values recorded from the generator-per-message fabric
     (the commit before deliveries became scheduled payloads): same
     fates, same crash drops, and arrival times equal to the last bit —
-    the injected delay and the path latency stay two timers, because
-    (t + d) + l and t + (d + l) round differently."""
+    the injected delay and the path latency stay two additions, one
+    timer, because (t + d) + l and t + (d + l) round differently."""
     fabric, injector, arrivals = _chaos_run()
     assert fabric.messages_delivered == 23
     assert {name: count for name, count in injector.counters.items()
@@ -281,6 +282,101 @@ def test_delivery_under_faults_matches_the_process_per_message_fabric():
         (20, 22.12463531760242), (21, 22.95703531760242),
         (22, 23.78943531760242), (23, 24.621835317602418),
         (23, 25.454235317602418)]
+
+
+def _jittered(tracer=None, duplicate=0.0):
+    """A RACK fabric a → b under a jitter-only plan, so every message
+    draws a lag; returns the simulator, the fabric and the list each
+    drawn fate appends ``(payload, t_tx, delay)`` to."""
+    sim = Simulator()
+    if tracer is not None:
+        sim.attach(tracer)
+    injector = sim.set_faults(FaultPlan(seed=11, duplicate=duplicate,
+                                        jitter_us=2.0))
+    fates = []
+    draw = injector.on_message
+
+    def on_message(message):
+        fate = draw(message)
+        fates.append((message.payload, sim.now, fate.delay_us))
+        return fate
+
+    injector.on_message = on_message
+    return sim, make_fabric(sim, RACK, ["a", "b"]), fates
+
+
+def test_a_drawn_lag_rides_the_paths_timer(monkeypatch):
+    """A lagged message costs the 3 entries of an unlagged one, and a
+    lagged duplicate's twin 2 more (4 and 7 while the lag was its own
+    timer): the lag's end was an instant no other entry could share.
+    Its arrival keeps the two additions (t_tx + d) + l to the bit, the
+    traced propagation still starts at t_tx + d, and the twin, pushed
+    after the original, is still handed over after it."""
+    def entries(n, duplicate):
+        sim, fabric, fates = _jittered(duplicate=duplicate)
+        fabric.hosts["b"].register_service("sink", lambda message: None)
+
+        def sender():
+            for _ in range(n):
+                yield from fabric.send("a", "b", "sink", None, 64)
+
+        sim.spawn(sender())
+        sim.run()
+        assert len(fates) == n and all(delay > 0.0 for *_, delay in fates)
+        assert fabric.messages_delivered == (2 if duplicate else 1) * n
+        return sim.events_executed
+
+    assert entries(110, 0.0) - entries(10, 0.0) == 3 * 100
+    assert entries(110, 1.0) - entries(10, 1.0) == 5 * 100
+
+    from repro.net.fabric import _Delivery
+
+    launched, handed = [], []
+    launch, hand_over = _Delivery._launch, _Delivery._hand_over
+
+    def recording_launch(delivery, start):
+        launched.append(delivery)
+        launch(delivery, start)
+
+    def recording_hand_over(delivery):
+        handed.append(delivery)
+        hand_over(delivery)
+
+    monkeypatch.setattr(_Delivery, "_launch", recording_launch)
+    monkeypatch.setattr(_Delivery, "_hand_over", recording_hand_over)
+    tracer = Tracer()
+    sim, fabric, fates = _jittered(tracer, duplicate=1.0)
+    arrivals = []
+    fabric.hosts["b"].register_service(
+        "sink", lambda message: arrivals.append((message.payload, sim.now)))
+    roots = []
+
+    def sender():
+        for index in range(12):
+            root = tracer.root("op", op=index + 1)
+            roots.append(root)
+            yield from fabric.send("a", "b", "sink", index, 64, span=root)
+            yield sim.timeout(10.0)    # the RX port is idle at each arrival
+
+    sim.spawn(sender())
+    sim.run()
+    latency = fabric.one_way_latency_us
+    rx_us = fabric.hosts["b"].rx.serialization_time(64)
+    assert [payload for payload, _t, _d in fates] == list(range(12))
+    # The fates pin the order of the additions, not just their sum.
+    assert any((t_tx + delay) + latency != t_tx + (delay + latency)
+               for _payload, t_tx, delay in fates)
+    for (payload, t_tx, delay), root in zip(fates, roots):
+        arrive = (t_tx + delay) + latency
+        assert [when for index, when in arrivals if index == payload] == [
+            arrive + rx_us, (arrive + rx_us) + rx_us]
+        assert [(span.start, span.end) for span in root.children
+                if span.name == "net.propagate"] == [(t_tx + delay,
+                                                      arrive)] * 2
+    assert len(launched) == len(handed) == 24
+    for original, twin in zip(launched[::2], launched[1::2]):
+        assert original.message is twin.message
+        assert handed.index(original) < handed.index(twin)
 
 
 def test_deliveries_leave_no_reference_cycles():

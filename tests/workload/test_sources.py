@@ -187,23 +187,25 @@ def _costs_per_arrival(measure_us):
 
 class TestArrivalStream:
     """A source is a scheduled payload and an arrival's operation is a
-    launched task (docs/performance.md, rule 11)."""
+    task with no owner (docs/performance.md, rule 11)."""
 
-    def test_an_arrival_is_four_entries_two_resumes_no_spawn(self):
-        """At zero tolerance: the arrival's heap entry, the operation's
-        boot slot and the zero-delay timer's two slots, the last of
-        which runs the operation to its end. The operation's two
-        generator steps (its boot and its wake-up) are its resumes; the
-        source, a scheduled payload, has none. While the source and each
-        operation were processes an arrival cost 5 entries (+ the
-        operation's completion), 3 resumes (the source's, the
-        operation's bootstrap and its wake-up) and a spawn."""
+    def test_an_arrival_is_three_entries_two_resumes_no_spawn(self):
+        """At zero tolerance: the arrival's heap entry, which takes the
+        operation's first step, and the zero-delay timer's two slots,
+        the last of which runs the operation to its end. The
+        operation's two generator steps (its boot and its wake-up) are
+        its resumes; the source, a scheduled payload, has none. While
+        the operation had a boot slot (``Simulator.launch``) an arrival
+        cost 4 entries; while the source and each operation were
+        processes, 5 (+ the operation's completion), 3 resumes (the
+        source's, the operation's bootstrap and its wake-up) and a
+        spawn."""
         short, long = _costs_per_arrival(200.0), _costs_per_arrival(1200.0)
         assert short[0] == short[1] and long[0] == long[1]
         arrivals = long[0] - short[0]
         assert arrivals == 104
         assert tuple((b - a) / arrivals
-                     for a, b in zip(short[2:], long[2:])) == (4, 2, 0)
+                     for a, b in zip(short[2:], long[2:])) == (3, 2, 0)
 
     def test_a_stalled_arrivals_instants_are_the_process_forms(self):
         """Window 1, 3 µs service, 2 µs mean gap: five arrivals stall and
