@@ -3,8 +3,13 @@
 Two guarantees: (1) with no fault plan — or an installed-but-quiet
 plan that carries only a seed — a benchmark point is bit-identical to
 the uninjected baseline; (2) with a plan installed, the same plan and
-workload replay to the same RunResult, drop for drop.
+workload replay to the same RunResult, drop for drop — under a tie
+seed too. (1) is checked in the default tie order only: a quiet plan
+arms ack deadlines, so its run has entries the bare run lacks, and a
+tie draw orders the two entry sets differently.
 """
+
+import pytest
 
 from repro.bench.harness import run_point
 from repro.faults import FaultPlan, parse_faults
@@ -40,6 +45,7 @@ class TestQuietPlanBitIdentity:
     def test_tx_quiet_plan_matches_no_plan(self):
         assert _tx_point(faults=FaultPlan(seed=9)) == _tx_point(faults=None)
 
+    @pytest.mark.usefixtures("ties")
     def test_quiet_plan_report_shows_nothing_injected(self):
         result = run_point(
             "rs", "prism-sw",
@@ -52,6 +58,7 @@ class TestQuietPlanBitIdentity:
         assert report["retransmissions"] == 0
 
 
+@pytest.mark.usefixtures("ties")
 class TestFaultyRunDeterminism:
     def test_rs_same_plan_same_result(self):
         spec = "seed=3,drop=0.02,dup=0.005,jitter=1.5"

@@ -14,6 +14,7 @@ from repro.obs import HostProfiler, Tracer
 from repro.sim import Interrupt, Simulator, TimeoutExpired
 
 
+@pytest.mark.usefixtures("ties")
 class TestRequestWithRetry:
     def test_retransmits_until_a_reply_arrives(self, sim, fabric, drive):
         channel = RequestChannel(sim, fabric, "client")
@@ -253,6 +254,7 @@ def test_a_zero_backoff_takes_the_zero_delay_slot(monkeypatch):
     assert timeouts == 0
 
 
+@pytest.mark.usefixtures("ties")
 def test_a_jittered_backoff_fires_at_exactly_now_plus_backoff():
     sim = Simulator()
     sim.set_faults(FaultPlan(seed=9))
@@ -274,6 +276,7 @@ def test_a_jittered_backoff_fires_at_exactly_now_plus_backoff():
     assert all(now % 1 for now in sent)  # jittered, not whole µs
 
 
+@pytest.mark.usefixtures("ties")
 def test_retry_substreams_are_numbered_in_first_retried_post_order():
     """The backoff draws of a channel come from the substream allocated
     at its first post with a retry policy — not at construction, and
@@ -309,6 +312,7 @@ def test_retry_substreams_are_numbered_in_first_retried_post_order():
     assert ab == ba    # first retried post gets stream 0, whoever it is
 
 
+@pytest.mark.usefixtures("ties")
 def test_interrupting_the_backoff_tombstones_it_and_closes_its_span():
     sim = Simulator()
     tracer = sim.attach(Tracer())
@@ -342,6 +346,7 @@ def test_interrupting_the_backoff_tombstones_it_and_closes_its_span():
     assert sim._queue == [] and sim._cancelled_timers == 0
 
 
+@pytest.mark.usefixtures("ties")
 def test_exhaustion_is_counted_once_everywhere():
     """The last expiry is one timeout — in the channel, the fault report
     and on the bus — and one ``req.exhausted``, naming every attempt."""

@@ -6,8 +6,12 @@ process failure, so completion alone proves no process died unnoticed
 — (b) keep nonzero goodput, and (c) replay deterministically.
 """
 
+import pytest
+
 from repro.bench.harness import run_point
 from repro.workload import YCSB_A, YcsbTransactionalWorkload
+
+pytestmark = pytest.mark.usefixtures("ties")
 
 _POINT = dict(n_clients=8, n_keys=500, warmup_us=100, measure_us=800)
 

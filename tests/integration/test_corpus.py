@@ -7,9 +7,13 @@ duplicated or retransmitted one-sided chain executed a second time: the
 transport now answers a repeat from the reply it saved.
 """
 
+import pytest
+
 from repro.bench.experiments import ycsb_t
 from repro.bench.harness import run_point
 from repro.workload import YcsbWorkload
+
+pytestmark = pytest.mark.usefixtures("ties")
 
 _KEYS = 2000
 _CLIENTS = 8

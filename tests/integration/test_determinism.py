@@ -3,11 +3,16 @@
 Every figure in EXPERIMENTS.md is reproducible only because the
 simulator is deterministic — same seeds, same event order, same
 microsecond timestamps. These tests run whole experiments twice and
-require bit-identical results.
+require bit-identical results — in the default tie order and under a
+tie seed.
 """
+
+import pytest
 
 from repro.bench.harness import run_point
 from repro.workload import YCSB_A, YcsbTransactionalWorkload
+
+pytestmark = pytest.mark.usefixtures("ties")
 
 
 def _kv_point():

@@ -12,6 +12,8 @@ from repro.prism import SoftwarePrismBackend
 from repro.sim import SimulationError, Simulator
 from repro.verify import HistoryRecorder, check_linearizable
 
+pytestmark = pytest.mark.usefixtures("ties")
+
 N_KEYS = 3
 
 

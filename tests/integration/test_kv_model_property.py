@@ -6,12 +6,15 @@ observable behaviour must match a plain dictionary. Sequential, so the
 dict *is* the specification (concurrency is covered by the
 linearizability suite)."""
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.apps.kv import PrismKvClient, PrismKvServer
 from repro.net.topology import DIRECT, make_fabric
 from repro.prism import HardwarePrismBackend
 from repro.sim import Simulator
+
+pytestmark = pytest.mark.usefixtures("ties")
 
 N_KEYS = 6
 

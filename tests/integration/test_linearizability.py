@@ -21,6 +21,8 @@ from repro.prism import HardwareRdmaBackend, SoftwarePrismBackend
 from repro.sim import SeededRng, Simulator
 from repro.verify import HistoryRecorder, check_linearizable
 
+pytestmark = pytest.mark.usefixtures("ties")
+
 N_KEYS = 4
 N_CLIENTS = 4
 OPS_PER_CLIENT = 12

@@ -4,6 +4,7 @@ Random GET/PUT streams through the full 3-replica stacks must behave
 exactly like a dictionary when issued sequentially; concurrency is
 covered by the linearizability suite."""
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.apps.blockstore import (
@@ -15,6 +16,8 @@ from repro.apps.blockstore import (
 from repro.net.topology import RACK, make_fabric
 from repro.prism import HardwareRdmaBackend, SoftwarePrismBackend
 from repro.sim import Simulator
+
+pytestmark = pytest.mark.usefixtures("ties")
 
 N_BLOCKS = 4
 VALUE = 32

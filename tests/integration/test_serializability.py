@@ -15,6 +15,8 @@ from repro.verify.serializability import (
     check_timestamp_serializable,
 )
 
+pytestmark = pytest.mark.usefixtures("ties")
+
 N_KEYS = 6
 N_CLIENTS = 5
 TXNS_PER_CLIENT = 10
