@@ -217,7 +217,8 @@ class Backend:
 
 #: what the kernel entry an execution is waiting for stands for
 _ADMISSION = 0  # heap: the admission delay runs out
-_UNIT = 1       # ready deque: a unit is granted; callback: the gate reopens
+_UNIT = 1       # a unit is granted (in the claim, or a ready-deque slot);
+                # callback: the gate reopens
 _OP = 2         # heap: the op's duration runs out
 
 
@@ -230,9 +231,11 @@ class _Execution:
     one slotted object that starts in the delivering entry (its owner
     accepts it, it opens admission), is its own heap payload for the
     admission and per-op timers, and its unit's holder
-    (``Resource.claim``: granted, it runs in the ready-deque slot an
-    ``AcquireEvent`` would have had; docs/performance.md, rule 11). No
-    boot slot, resume or completion event: nothing can wait on an
+    (``Resource.claim``: a free unit runs the holder inside the claim,
+    a busy pool in the slot after the releasing entry;
+    docs/performance.md, rule 11). ``claim`` is the last statement of
+    the stage that calls it, and of every call above it in the entry.
+    No boot slot, resume or completion event: nothing can wait on an
     execution, so there is nothing to complete.
 
     The two ends belong to the ``owner`` (see :meth:`Backend.execute`):
@@ -296,8 +299,9 @@ class _Execution:
     # -- kernel entries -------------------------------------------------------
 
     def __call__(self, _event=None):
-        """Ready-deque entry (unit granted), heap entry (a timer ran
-        out) or the callback of the posting gate's reopening."""
+        """Unit granted (inside the claim or a ready-deque entry), heap
+        entry (a timer ran out) or the callback of the posting gate's
+        reopening."""
         _STAGES[self.stage](self)
 
     fire = __call__
@@ -305,8 +309,10 @@ class _Execution:
     # -- stages ---------------------------------------------------------------
 
     def _advance(self):
-        """Admission or an op is over: queue the next op for an
-        execution unit, or answer when none is left."""
+        """Admission or an op is over: claim an execution unit for the
+        next op — the last thing this entry does, since a free unit
+        runs ``_execute`` inside the claim — or answer when none is
+        left."""
         if self._open_span is not None:
             self._close()
         backend = self.backend

@@ -164,9 +164,13 @@ class Resource:
 
     def claim(self, holder):
         """:meth:`acquire` for a scheduled payload (docs/performance.md,
-        rule 11): ``holder()`` runs in the ready-deque slot the event's
-        callbacks would have had, holding the slot — no event, no
-        ``succeed`` or ``_process`` frame. A claim cannot be withdrawn."""
+        rule 11): ``holder()`` runs holding the slot — no event, no
+        ``succeed`` or ``_process`` frame. A free slot is granted here:
+        ``holder()`` runs inside this call, once the ``resource`` bucket
+        is closed, so the caller must make ``claim`` its entry's last
+        statement. A contended claim waits FIFO with ``acquire()``
+        callers, and ``holder()`` runs in the ready-deque slot after
+        the releasing entry. A claim cannot be withdrawn."""
         sim = self.sim
         monitor = self.monitor
         hp = sim.hostprof
@@ -177,23 +181,23 @@ class Resource:
                 # Stride sampling: attribution is off for this event.
                 hp = None
         try:
-            if self._in_use < self.capacity:
-                now = sim._now  # _account, in place
-                self._busy_time += self._in_use * (now - self._last_change)
-                self._last_change = now
-                self._in_use += 1
-                self._total_acquired += 1
-                if monitor is not None:
-                    monitor.on_uncontended_grant()
-                sim._ready.append(holder)
-            else:
+            if self._in_use >= self.capacity:
                 self._waiters.append(holder)
                 if monitor is not None:
                     monitor.on_enqueue()
                     self._wait_since.append(sim._now)
+                return
+            now = sim._now  # _account, in place
+            self._busy_time += self._in_use * (now - self._last_change)
+            self._last_change = now
+            self._in_use += 1
+            self._total_acquired += 1
+            if monitor is not None:
+                monitor.on_uncontended_grant()
         finally:
             if hp is not None:
                 hp.exit()
+        holder()
 
     def release(self):
         """Free a slot, handing it to the oldest *live* waiter if any

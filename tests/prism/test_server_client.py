@@ -282,38 +282,40 @@ def _read_512(indirect):
     return body
 
 
-def test_an_indirect_read_costs_ten_entries_and_one_resume():
+def test_an_indirect_read_costs_nine_entries_and_one_resume():
     """The ``kv_read``-shaped op — closed loop, ``prism-hw``, one
     indirect READ — at zero tolerance: 2 client stages (post overhead,
-    completion overhead) + 2 x 3 message stages + the execution's
-    processing-unit grant and its one op timer = 10 kernel entries.
-    The execution's boot slot went (it starts in the entry that
-    delivers the request), and so did the reply's slot (an untimed
-    call starts its completion stage in the reply's hand-over). The
-    device runs no process (0 spawns) and the client is resumed once,
-    with the result."""
+    completion overhead) + 2 x 3 message stages + the execution's one
+    op timer = 9 kernel entries. The execution starts in the entry that
+    delivers the request, and its free processing unit is granted
+    inside the claim (10 while the grant took a ready-deque slot); an
+    untimed call starts its completion stage in the reply's hand-over.
+    The device runs no process (0 spawns) and the client is resumed
+    once, with the result."""
     assert _costs_per_request(HardwarePrismBackend, _read_512(True)) \
-        == (10, 1, 0)
+        == (9, 1, 0)
 
 
 def test_the_software_stack_adds_its_admission_timer():
-    """One more than ``prism-hw``: the admission timer. 13 before the
-    execution's boot slot and the reply's slot went."""
+    """One more than ``prism-hw``: the admission timer (11 while the
+    unit grant took a slot of its own)."""
     assert _costs_per_request(SoftwarePrismBackend, _read_512(True)) \
-        == (11, 1, 0)
-
-
-def test_a_classic_read_costs_what_an_indirect_one_does():
-    """12 before the execution's boot slot and the reply's slot went."""
-    assert _costs_per_request(HardwareRdmaBackend, _read_512(False)) \
         == (10, 1, 0)
 
 
-def test_each_further_op_of_a_chain_costs_a_grant_and_a_timer():
+def test_a_classic_read_costs_what_an_indirect_one_does():
+    """9: the same execution path (10 while the unit grant took a slot
+    of its own)."""
+    assert _costs_per_request(HardwareRdmaBackend, _read_512(False)) \
+        == (9, 1, 0)
+
+
+def test_each_further_op_of_a_chain_costs_a_timer():
     """The PRISM-KV PUT install chain (WRITE, WRITE, ALLOCATE, CAS_GT):
-    three more ops than a READ, two entries each — still one round
-    trip, one resume, no process. 12 + 3 x 2 before the execution's
-    boot slot and the reply's slot went."""
+    three more ops than a READ, one entry each, its timer — the unit it
+    claims when the last op's timer releases one is granted inside the
+    claim — still one round trip, one resume, no process. 10 + 3 x 2
+    while each grant took a ready-deque slot."""
     def body(server, client):
         freelist, buffers_rkey = server.create_freelist(64, 128)
         slot, rkey = server.add_region(24)
@@ -336,18 +338,18 @@ def test_each_further_op_of_a_chain_costs_a_grant_and_a_timer():
         return one_request
 
     assert _costs_per_request(HardwarePrismBackend, body) \
-        == (10 + 3 * 2, 1, 0)
+        == (9 + 3, 1, 0)
 
 
 def test_an_op_priced_at_zero_takes_no_timer_entry():
     """A non-positive duration skips the op's stage — it is not a
-    zero-delay timer — so the READ costs one entry less: 9 (11 before
-    the execution's boot slot and the reply's slot went)."""
+    zero-delay timer — so the READ costs one entry less: 8 (9 while the
+    unit grant took a slot of its own)."""
     class FreeOps(HardwarePrismBackend):
         def op_time(self, accesses, op_index=0):
             return 0.0, None
 
-    assert _costs_per_request(FreeOps, _read_512(True)) == (9, 1, 0)
+    assert _costs_per_request(FreeOps, _read_512(True)) == (8, 1, 0)
 
 
 def test_a_chain_nakd_midway_skips_the_rest_and_frees_unit_and_gate(
@@ -561,12 +563,16 @@ def _rpc_call(sim):
 #: legs in its parent's entry and is decided in its deciding leg's,
 #: each removed ready-deque hop is one dispatch frame fewer: the pins
 #: read 2074, 2074, 15828, 1740 and 1120 before, and 12, 13, 12 and 12
-#: entries an operation. A request-path change that adds a frame must
-#: say which one, and why its work cannot live in its caller.
+#: entries an operation. Since a free unit or core is granted inside
+#: the claim, a GET, READ or call is one entry fewer (10, 11, 10 and 10
+#: before) and no frame more or fewer: the grant's frame is the same
+#: call, made by the claim instead of the run loop. A request-path change
+#: that adds a frame must say which one, and why its work cannot live
+#: in its caller.
 _FRAMES_PINNED = [
-    pytest.param(_kv_get(HardwarePrismBackend), 2034, 10,
+    pytest.param(_kv_get(HardwarePrismBackend), 2034, 9,
                  id="kv-get-prism-hw"),
-    pytest.param(_kv_get(SoftwarePrismBackend), 2034, 11,
+    pytest.param(_kv_get(SoftwarePrismBackend), 2034, 10,
                  id="kv-get-prism-sw"),
     # a quorum phase became a scheduled payload after rule 12: 19884
     # frames (by code file) while each replica leg was a process; 18144
@@ -582,10 +588,10 @@ _FRAMES_PINNED = [
     # (three flushes here): the report belongs to the operation that
     # launches it but stays out of its trace
     pytest.param(_rs_put, 15502, None, id="rs-put-prism-sw"),
-    pytest.param(_classic_read, 1700, 10, id="read-rdma-hw"),
+    pytest.param(_classic_read, 1700, 9, id="read-rdma-hw"),
     # an RPC's server side became a scheduled payload after rule 12:
     # 1760 frames while its handler was a process
-    pytest.param(_rpc_call, 1080, 10, id="rpc-call"),
+    pytest.param(_rpc_call, 1080, 9, id="rpc-call"),
 ]
 
 

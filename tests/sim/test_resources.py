@@ -302,9 +302,12 @@ def _release_between_markers(pool, tag, log):
 
 class TestClaim:
     """``Resource.claim(holder)`` is ``acquire().callbacks.append(holder)``
-    without the event: same FIFO, same ready-deque slot, same busy time
-    and monitor counts, with ``acquire()`` callers interleaved and a
-    cancelled waiter skipped."""
+    without the event, except where a unit is free: there ``holder()``
+    runs inside the claim instead of in the slot after the claiming
+    entry. A contended holder keeps the same FIFO and the same slot after
+    the releasing entry, with ``acquire()`` callers interleaved and a
+    cancelled waiter skipped; busy time and monitor counts are the same
+    either way."""
 
     @staticmethod
     def _interleave(claim, observer=None):
@@ -331,7 +334,7 @@ class TestClaim:
 
         def main():
             sim.call_at(0.0, lambda: log.append(("main", "before", 0.0)))
-            wait("h1", 2.0)            # uncontended: granted next slot
+            wait("h1", 2.0)            # uncontended
             sim.call_at(0.0, lambda: log.append(("main", "after", 0.0)))
             sim.spawn(worker("p1", 3.0))
             wait("h2", 1.0)            # queued ahead of p1's acquire
@@ -355,13 +358,38 @@ class TestClaim:
                 pool.in_use, pool.queue_length, sim.now,
                 sim.events_executed, counts)
 
+    def test_a_free_unit_runs_its_holder_inside_the_claim(self):
+        """The grant is no entry of its own: ``holder()`` runs before
+        ``claim`` returns, holding the unit, at the claiming instant."""
+        sim = Simulator()
+        pool = Resource(sim, capacity=2)
+        log = []
+
+        def claiming_entry():
+            log.append("claiming")
+            pool.claim(lambda: log.append(("holder", pool.in_use, sim.now)))
+            log.append("returned")
+        sim.call_at(1.0, claiming_entry)
+        sim.run()
+        assert log == ["claiming", ("holder", 1, 1.0), "returned"]
+        assert sim.events_executed == 1
+
     def test_a_holder_takes_the_slot_its_acquire_event_took(self):
+        """A queued holder runs where its ``AcquireEvent``'s callback did:
+        in the slot after the releasing entry, FIFO with ``acquire()``
+        callers. The uncontended ``h1`` runs inside its claim, ahead of
+        the marker its ``main`` entry queued first — one entry fewer."""
         claimed = self._interleave(claim=True)
-        assert claimed == self._interleave(claim=False)
-        log, acquired, utilization, in_use, queued, end, _, _ = claimed
-        assert log == [
+        acquired = self._interleave(claim=False)
+        log, acquired_count, utilization, in_use, queued, end, executed, \
+            _ = claimed
+        assert log[3:] == acquired[0][3:]
+        assert log[:3] == [("h1", "granted", 0.0), ("main", "before", 0.0),
+                           ("main", "after", 0.0)]
+        assert acquired[0][:3] == [
             ("main", "before", 0.0), ("h1", "granted", 0.0),
-            ("main", "after", 0.0),
+            ("main", "after", 0.0)]
+        assert log[3:] == [
             ("doomed", "interrupted", 1.0),
             ("h1", "released", 2.0), ("h1", "before", 2.0),
             ("h2", "granted", 2.0), ("h1", "after", 2.0),
@@ -373,15 +401,23 @@ class TestClaim:
             ("p2", "granted", 7.0), ("p1", "after", 7.0),
             ("p2", "released", 8.0), ("p2", "before", 8.0),
             ("p2", "after", 8.0)]
-        assert (acquired, in_use, queued, end) == (5, 0, 0, 8.0)
+        assert claimed[1:6] == acquired[1:6]
+        assert executed == acquired[6] - 1
+        assert (acquired_count, in_use, queued, end) == (5, 0, 0, 8.0)
         assert utilization == 1.0
 
     @pytest.mark.parametrize("observer", _OBSERVERS[1:],
                              ids=["util", "hostprof", "hostprof-stride"])
     def test_every_observer_sees_a_claim_as_an_acquire(self, observer):
+        """Armed or not, a claim runs the same way, and it is counted and
+        timed as the same acquire: grants, enqueues, hand-offs, queue
+        delays and busy time equal the ``acquire()`` form's."""
         claimed = self._interleave(claim=True, observer=observer)
-        assert claimed == self._interleave(claim=False, observer=observer)
+        acquired = self._interleave(claim=False, observer=observer)
         assert claimed[:7] == self._interleave(claim=True)[:7]
+        assert acquired[:7] == self._interleave(claim=False)[:7]
+        assert claimed[1:6] == acquired[1:6]
+        assert claimed[7] == acquired[7]
         if observer is UtilizationCollector:
             requests, grants, enqueues, dequeues, cancels, releases, \
                 delays = claimed[7]
