@@ -105,3 +105,25 @@ def test_read_after_write_linearizable(sim, app_fabric, replicas, drive):
         yield from writer.put(7, b"L" * 64)
         return (yield from reader.get(7))
     assert drive(sim, main()) == b"L" * 64
+
+
+def test_an_oversize_put_is_refused_before_any_request(sim, app_fabric,
+                                                       replicas, drive):
+    """A value longer than the 64-byte block would spill ``tag | value``
+    into the next blocks' lock and tag words (a later GET of those blocks
+    never takes its lock). ``put`` raises ``ValueError`` first: no lock
+    is taken, no byte of any replica changes, every block reads back."""
+    client = _client(sim, app_fabric, replicas)
+    memory = [bytes(rep.prism.space.host.view) for rep in replicas]
+
+    def main():
+        with pytest.raises(ValueError, match="exceeds"):
+            yield from client.put(2, b"z" * 100)
+        assert [bytes(rep.prism.space.host.view)
+                for rep in replicas] == memory
+        got = []
+        for block in range(8):
+            got.append((yield from client.get(block)))
+        return got
+
+    assert drive(sim, main()) == [bytes([block]) * 64 for block in range(8)]

@@ -54,6 +54,31 @@ def test_overwrite_in_place(sim, app_fabric, pilaf, drive):
     assert drive(sim, main()) == b"new"
 
 
+def test_an_oversize_put_is_refused_and_changes_no_key(
+        sim, app_fabric, pilaf, drive):
+    """A PUT whose value is longer than the extent's 64-byte field gets a
+    refusal reply, and ``put`` raises ``ValueError``; no byte of server
+    memory changes, so every key still reads what was stored."""
+    stored = {key: bytes([65 + key]) * (8 + key) for key in range(6)}
+    for key, value in stored.items():
+        pilaf.load(key, value)
+    memory = bytes(pilaf.prism.space.host.view)
+    client = PilafClient(sim, app_fabric, "c0", pilaf)
+
+    def main():
+        with pytest.raises(ValueError, match="exceed"):
+            yield from client.put(1, b"x" * 100)
+        assert bytes(pilaf.prism.space.host.view) == memory
+        yield from client.put(2, b"y" * 64)     # a value that fits
+        got = {}
+        for key in stored:
+            got[key] = yield from client.get(key)
+        return got
+
+    assert drive(sim, main()) == {**stored, 2: b"y" * 64}
+    assert client.puts == 1
+
+
 def test_get_is_two_round_trips(sim, app_fabric, pilaf):
     pilaf.load(1, b"v")
     client = PilafClient(sim, app_fabric, "c0", pilaf)

@@ -154,12 +154,14 @@ def test_a_batch_that_fails_midway_leaves_what_one_item_at_a_time_does(
     assert _state(batch) == _state(single)
 
 
-@pytest.mark.parametrize("name", ["prism-kv", "prism-rs", "prism-tx"])
+@pytest.mark.parametrize("name", ["prism-kv", "prism-rs", "prism-tx",
+                                  "pilaf", "abd-lock", "farm"])
 def test_an_oversize_value_raises_before_its_item_takes_a_buffer(name):
-    """A value one byte longer than its fixed-size buffer holds would
-    overwrite the first byte of the next buffer. The batch stops at it
-    with ``ValueError``, leaving memory and lists as the items before it
-    alone do, and a lone ``load`` of it changes nothing."""
+    """A value one byte longer than its fixed-size buffer (extent, block,
+    object) holds would overwrite the first byte of the next one. The
+    batch stops at it with ``ValueError``, leaving memory and lists as
+    the items before it alone do, and a lone ``load`` of it changes
+    nothing."""
     items = _items(7, n_repeats=0)
     at = 20
     oversize = (items[at][0], b"\xff" * (VALUE_SIZE + 1))
@@ -172,6 +174,39 @@ def test_an_oversize_value_raises_before_its_item_takes_a_buffer(name):
     with pytest.raises(ValueError, match="exceeds"):
         prefix.load(*oversize)
     assert _state(batch) == _state(prefix)
+
+
+@pytest.mark.parametrize("name", sorted(_SERVERS))
+def test_an_oversize_reload_leaves_every_key_as_it_was(name):
+    """Every key loaded, then one re-loaded with a value a byte too long
+    for its field: ``ValueError``, and every byte of memory — that key's
+    old value and its neighbours' — and every list as before."""
+    server = _SERVERS[name]()
+    server.load_many(_items(8))
+    before = _state(server)
+    for key in (0, N_KEYS // 2, N_KEYS - 1):
+        with pytest.raises(ValueError, match="exceed"):
+            server.load(key, b"\xff" * (VALUE_SIZE + 1))
+        with pytest.raises(ValueError, match="exceed"):
+            server.load(key, b"\xff" * (3 * VALUE_SIZE))
+    assert _state(server) == before
+
+
+def test_a_pilaf_key_longer_than_its_field_is_refused():
+    """Pilaf's extent holds an 8-byte key: a longer one would push the
+    value and the CRC into the next extent. Refused before it takes an
+    extent, so the next new key still gets the next extent."""
+    server, reference = _SERVERS["pilaf"](), _SERVERS["pilaf"]()
+    *items, (last, value) = _items(9, n_repeats=0)
+    server.load_many(items)
+    reference.load_many(items)
+    before = _state(server)
+    with pytest.raises(ValueError, match="exceed"):
+        server.load(b"nine-byte", b"v")
+    assert _state(server) == before
+    server.load(last, value)
+    reference.load(last, value)
+    assert _state(server) == _state(reference)
 
 
 @pytest.mark.parametrize("seed", [1, 2])

@@ -179,3 +179,24 @@ def test_a_repeated_commit_rpc_runs_once(sim, app_fabric, server, drive):
     assert client.rpc.channel.retransmissions == 1
     assert (server.rpc.calls_served, server.rpc.saved.replays) == (2, 4)
     assert not server._locks
+
+
+def test_an_oversize_write_is_refused_before_any_request(sim, app_fabric,
+                                                         server, drive):
+    """A written value longer than the 64-byte object would overwrite the
+    next objects' version words in the UPDATE. The transaction raises
+    ``ValueError`` before it reads or locks: no byte of server memory
+    changes and every key reads back."""
+    client = _client(sim, app_fabric, server)
+    memory = bytes(server.prism.space.host.view)
+
+    def main():
+        with pytest.raises(ValueError, match="exceeds"):
+            yield from client.transact((5,), (5,), b"z" * 100)
+        assert bytes(server.prism.space.host.view) == memory
+        return (yield from client.read_keys(tuple(range(16))))
+
+    versions, values = drive(sim, main())
+    assert values == {key: bytes([key]) * 64 for key in range(16)}
+    assert set(versions.values()) == {1}
+    assert client.rpc.calls_made == 0
