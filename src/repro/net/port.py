@@ -194,8 +194,8 @@ class _Call(Event):
             # The reply beat the deadline: tombstone it in this slot and
             # take a second one for the completion stage — the two hops
             # the reply event and the any-of over it took. The second is
-            # kept for order only; once same-instant reorderings can be
-            # checked (ROADMAP 1(b)) it may go.
+            # kept for order only; the tie-order shuffle
+            # (Simulator.shuffle_ties) is how its removal gets checked.
             ack.withdraw()
             sim._ready.append(self)
             return
