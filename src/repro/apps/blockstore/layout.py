@@ -103,6 +103,14 @@ class AbdLockLayout:
     def tag_addr(self, block_id):
         return self.block_addr(block_id) + TAG_OFF
 
+    def oversize(self, block_id, value):
+        """The ``ValueError`` for a value longer than ``block_size``:
+        written at the block's value offset it would overwrite the next
+        block's lock and tag. Callers compare inline, so a value that
+        fits costs no frame."""
+        return ValueError(f"block {block_id}: {len(value)} B exceeds the "
+                          f"{self.block_size}-byte block")
+
     #: ``pack_lock_tag_into(memory, offset, lock, tag)``: a block's
     #: lock and tag words, in place
     pack_lock_tag_into = staticmethod(_META.pack_into)

@@ -126,6 +126,14 @@ class FarmLayout:
     def object_addr(self, key):
         return self.objects_base + key * self.object_stride
 
+    def oversize(self, key, value):
+        """The ``ValueError`` for a value longer than ``value_size``:
+        written after an object's version word it would overwrite the
+        next object's. Callers compare inline, so a value that fits
+        costs no frame."""
+        return ValueError(f"key {key}: {len(value)} B exceeds the "
+                          f"{self.value_size}-byte value")
+
     #: ``pack_word_into(memory, offset, word)``: a table pointer or an
     #: unlocked object's version word, in place
     pack_word_into = staticmethod(_WORD.pack_into)
