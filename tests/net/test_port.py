@@ -202,23 +202,21 @@ def test_an_untimed_round_trip_costs_ten_entries_and_one_client_resume():
     assert _round_trip_costs() == (10, 2)
 
 
-def test_a_timed_round_trip_the_reply_wins_keeps_its_second_hop():
-    """Two more entries than untimed — what the reply event plus the
-    any-of over it and the ack timer cost before: the call tombstones
-    the ack deadline in the reply's slot and takes a second slot for
-    the completion stage. No deadline ever fires, none is left behind
+def test_a_timed_round_trip_costs_what_an_untimed_one_does():
+    """The ack deadline costs a heap push and no entry: the reply's
+    hand-over tombstones it and starts the completion stage, as an
+    untimed call's does. No deadline ever fires, none is left behind
     (checked in the helper)."""
-    assert _round_trip_costs(timeout_us=75.0) == (12, 2)
+    assert _round_trip_costs(timeout_us=75.0) == (10, 2)
 
 
 def test_zero_overheads_skip_their_stage():
-    """No zero-delay timer stands in for a skipped overhead. Untimed,
-    the reply's slot went too (9 → 8): the call finishes in the reply's
-    hand-over."""
+    """No zero-delay timer stands in for a skipped overhead: the call
+    finishes in the reply's hand-over, timed or not."""
     assert _round_trip_costs(post_overhead_us=0.0,
                              completion_overhead_us=0.0) == (8, 2)
     assert _round_trip_costs(timeout_us=75.0, post_overhead_us=0.0,
-                             completion_overhead_us=0.0) == (10, 2)
+                             completion_overhead_us=0.0) == (8, 2)
 
 
 def test_an_error_reply_costs_no_completion_overhead(sim, drive):
@@ -253,8 +251,8 @@ def test_an_ack_expiry_costs_no_completion_overhead(sim, drive):
 def test_ack_deadline_and_reply_at_one_instant_deadline_popped_first(sim):
     """The tie as it arises by itself: the deadline's heap entry is
     older than the reply's last stage, so it is popped first and the
-    caller times out — yet the reply, handed over in the same instant,
-    still finds the request pending: ``req.reply``, not ``req.stale``."""
+    caller times out in it. The reply, handed over later in the same
+    instant, finds nothing pending: ``req.stale``."""
     log = sim.attach(_RequestLog())
     fabric = _unit_fabric(sim)
     _unit_echo(sim, fabric)
@@ -272,8 +270,8 @@ def test_ack_deadline_and_reply_at_one_instant_deadline_popped_first(sim):
     sim.run()
     # reply handed over at 0.25 + 6; deadline (0.25 + 1) + 5
     assert outcome == [("timeout", 6.25)]
-    assert log.events == [("req.send", 0.0), ("req.reply", 6.25),
-                          ("req.timeout", 6.25)]
+    assert log.events == [("req.send", 0.0), ("req.timeout", 6.25),
+                          ("req.stale", 6.25)]
     assert (channel.timeouts, channel.outstanding) == (1, 0)
     assert sim._queue == [] and sim._cancelled_timers == 0
 
@@ -282,9 +280,9 @@ def test_ack_deadline_and_reply_at_one_instant_reply_popped_first(sim):
     """The other order needs a reply on the wire before its request:
     a 1000 B message forged with the request's id, whose RX stage
     (pushed at 16.25) ends at the deadline of a request posted at
-    20.25. The reply is matched first, but the deadline's entry is
-    still popped before the reply's ready-deque slot — where alone it
-    could have been tombstoned — so the caller times out all the same."""
+    20.25. The reply's entry is popped first, so it resolves the call:
+    the deadline is tombstoned and the caller gets the forged body
+    after the completion overhead."""
     log = sim.attach(_RequestLog())
     fabric = _unit_fabric(sim)
     fabric.host("server").register_service("void", lambda message: None)
@@ -298,20 +296,61 @@ def test_ack_deadline_and_reply_at_one_instant_reply_popped_first(sim):
 
     def main():
         yield sim.timeout(20.0)
-        try:
-            yield from channel.request("server", "void", None, 100,
-                                       timeout_us=5.0)
-        except TimeoutExpired:
-            outcome.append(("timeout", sim.now))
+        outcome.append((yield from channel.request(
+            "server", "void", None, 100, timeout_us=5.0)))
+        outcome.append(sim.now)
 
     sim.spawn(forger())
     sim.spawn(main())
     sim.run()
-    assert outcome == [("timeout", 26.25)]    # (20.25 + 1) + 5
-    assert log.events == [("req.send", 20.0), ("req.reply", 26.25),
-                          ("req.timeout", 26.25)]
-    assert (channel.timeouts, channel.outstanding) == (1, 0)
+    assert outcome == ["forged", 26.25 + 0.25]    # (20.25 + 1) + 5
+    assert log.events == [("req.send", 20.0), ("req.reply", 26.25)]
+    assert (channel.timeouts, channel.outstanding) == (0, 0)
     assert sim._queue == [] and sim._cancelled_timers == 0
+
+
+def test_ack_deadline_and_reply_at_one_instant_resolve_once(ties):
+    """Twenty requests in a row, each with its reply and its deadline at
+    one instant. Under every tie order the first of the two entries
+    resolves the call: the waiter resumes once, with the reply or the
+    timeout; the loser finds nothing pending (a reply after the deadline
+    is ``req.stale``); and no tombstone is left uncounted."""
+    sim = Simulator()
+    log = sim.attach(_RequestLog())
+    fabric = _unit_fabric(sim)
+    _unit_echo(sim, fabric)
+    channel = RequestChannel(sim, fabric, "client")
+    resumed = []
+
+    def main():
+        for index in range(20):
+            try:
+                value = yield from channel.request(
+                    "server", "echo", index, 100, timeout_us=5.0)
+            except TimeoutExpired:
+                value = "timeout"
+            resumed.append((index, value, sim.now))
+            yield sim.sleep_until(100.0 * (index + 1))
+
+    sim.spawn(main())
+    sim.run()
+    # reply handed over and deadline both at 100 k + 6.25
+    assert [(index, now) for index, _value, now in resumed] == [
+        (index, 100.0 * index + 6.25 + (value == index) * 0.25)
+        for index, value, _now in resumed]
+    assert [index for index, _value, _now in resumed] == list(range(20))
+    assert all(value in (index, "timeout") for index, value, _now in resumed)
+    assert channel._pending == {} and channel._open_calls == {}
+    assert sim._queue == [] and sim._cancelled_timers == 0
+    kinds = [kind for kind, _now in log.events]
+    timeouts = kinds.count("req.timeout")
+    assert kinds.count("req.send") == 20
+    assert kinds.count("req.reply") == 20 - timeouts
+    assert kinds.count("req.stale") == timeouts == channel.timeouts
+    if ties is None:
+        assert timeouts == 20  # the deadline's heap entry is the older
+    else:
+        assert 0 < timeouts < 20  # both orders drawn
 
 
 # -- the waiter goes away ------------------------------------------------------
