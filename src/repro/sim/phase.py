@@ -41,12 +41,14 @@ class Phase(Event):
     Its entries are those of the leg processes it replaced, at their
     instants, minus those that did only bookkeeping: every leg starts in
     the entry that builds the phase, where their bootstraps were queued;
-    the leg that decides the phase, in its own entry, marks it triggered
-    and queues the one slot that wakes the waiter. Stragglers still run
-    to completion and count nowhere. A zero-leg phase is born
-    processed with ``[]``. Deciding hands every leg to
-    :func:`_straggler`, so a leg that never finishes (a lost round trip)
-    keeps no phase alive (``gc`` is off during a run).
+    the leg that decides the phase wakes the waiter in its own entry
+    (docs/performance.md, rule 11, the phase-wake argument: a leg is
+    the one callback of the fresh event it yields, so nothing of that
+    entry runs after it). Stragglers still run to completion and count
+    nowhere. A zero-leg phase is born processed with ``[]``. Deciding
+    hands every leg to :func:`_straggler`, so a leg that never finishes
+    (a lost round trip) keeps no phase alive (``gc`` is off during a
+    run).
     """
 
     __slots__ = ("legs", "need", "total", "successes", "failures")
@@ -87,7 +89,7 @@ class Phase(Event):
             self._value = self.successes
 
     def __call__(self):
-        """The waiter's wake-up: an inlined Event._process (rule 12)."""
+        """Wake the waiter: an inlined Event._process (rule 12)."""
         self._processed = True
         callbacks, self.callbacks = self.callbacks, []
         for callback in callbacks:
@@ -114,4 +116,4 @@ class Phase(Event):
         for leg in self.legs:
             leg._done = _straggler
         self._triggered = True
-        self.sim._ready.append(self)  # the wake-up slot
+        self()  # the waiter wakes in the deciding leg's entry

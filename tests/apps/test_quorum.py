@@ -6,10 +6,21 @@ import gc
 
 import pytest
 
-from repro.apps.blockstore import PrismRsClient, PrismRsReplica
+from repro.apps.blockstore import (
+    AbdLockClient,
+    AbdLockReplica,
+    PrismRsClient,
+    PrismRsReplica,
+)
+from repro.apps.tx import PrismTxServer
+from repro.apps.tx.sharded import ShardedPrismTxClient, load_sharded
+from repro.faults import parse_faults
+from repro.net.topology import RACK, make_fabric
 from repro.obs import HostProfiler
-from repro.prism import SoftwarePrismBackend
+from repro.prism import HardwareRdmaBackend, SoftwarePrismBackend
 from repro.sim import Interrupt, Phase, QuorumError, SimulationError, Simulator
+from repro.sim.events import Event
+from repro.sim.kernel import _Task
 
 
 def _op(sim, delay, value=None, fail=False, seen=None):
@@ -291,12 +302,117 @@ def _costs_per_phase(n_extra=50):
 
 
 def test_a_three_leg_phase_costs_legs_timers_and_wake():
-    """The three legs' timers, plus the waiter's wake-up: 4 entries. The
-    legs start in the entry that builds the phase, and the second leg's
-    timer entry decides it and queues the wake-up — 6 while a boot slot
-    started the legs and a decision slot queued the wake-up; with a
-    process per leg it was 3 bootstraps + 3 completion entries + the
-    quorum event's slot. No process is spawned. Every generator step is
-    a resume, as it was for those processes: each leg's boot and its
-    one wake-up, and the waiter's."""
-    assert _costs_per_phase() == (3 + 1, 3 * 2 + 1, 0)
+    """The three legs' timers: 3 entries. The legs start in the entry
+    that builds the phase, and the second leg's timer entry decides it
+    and wakes the waiter there — 4 while the wake-up took a slot of its
+    own, 6 while a boot slot started the legs and a decision slot queued
+    the wake-up; with a process per leg it was 3 bootstraps + 3
+    completion entries + the quorum event's slot. No process is
+    spawned. Every generator step is a resume, as it was for those
+    processes: each leg's boot and its one wake-up, and the waiter's."""
+    assert _costs_per_phase() == (3, 3 * 2 + 1, 0)
+
+
+# -- the phase-wake argument, checked under every tie order ---------------------
+
+
+class _SoleCallback(list):
+    """The callback list of an event a phase leg waits on, once the leg
+    is in it: nothing may join the leg there."""
+
+    def append(self, callback):
+        raise AssertionError(f"{callback!r} joins a phase leg's event")
+
+
+def _watch_leg_waits(monkeypatch):
+    """Check every wait of an undecided phase leg: the event is one no
+    other callback is on, and none joins it later; returns the types of
+    the events waited on. So the leg that decides a phase runs last in
+    its entry, and waking the waiter there runs "deciding entry, then
+    waiter" — an order the tie shuffle draws (docs/performance.md,
+    rule 11, the phase-wake argument)."""
+    step = _Task.__call__
+    kinds = set()
+
+    def watched(task, event=None):
+        step(task, event)
+        target = task._waiting_on
+        if (isinstance(getattr(task._done, "__self__", None), Phase)
+                and isinstance(target, Event) and not target._processed):
+            assert target.callbacks == [task]
+            target.callbacks = _SoleCallback(target.callbacks)
+            kinds.add(type(target).__name__)
+
+    monkeypatch.setattr(_Task, "__call__", watched)
+    return kinds
+
+
+def _register_ops(sim, clients, n_ops=8):
+    def worker(index, client):
+        for op in range(n_ops):
+            key = (index + op) % 4
+            if op % 2:
+                yield from client.put(key, bytes([65 + op]) * 16)
+            else:
+                yield from client.get(key)
+    done = sim.all_of([sim.spawn(worker(index, client))
+                       for index, client in enumerate(clients)])
+    sim.run_until_complete(sim.spawn((lambda: (yield done))()), limit=1e7)
+
+
+def _replicated(replica_type, client_type, backend, sim, **client_kwargs):
+    fabric = make_fabric(sim, RACK, ["r0", "r1", "r2", "c0", "c1", "c2"])
+    replicas = [replica_type(sim, fabric, f"r{index}", backend, n_blocks=4,
+                             block_size=16) for index in range(3)]
+    for replica in replicas:
+        for key in range(4):
+            replica.load(key, bytes([key]) * 16)
+    return [client_type(sim, fabric, f"c{index}", replicas,
+                        client_id=index + 1, **client_kwargs)
+            for index in range(3)]
+
+
+def _prism_rs(sim):
+    _register_ops(sim, _replicated(PrismRsReplica, PrismRsClient,
+                                   SoftwarePrismBackend, sim))
+
+
+def _abd_lock(sim):
+    _register_ops(sim, _replicated(AbdLockReplica, AbdLockClient,
+                                   HardwareRdmaBackend, sim, seed=5))
+
+
+def _sharded_tx(sim):
+    fabric = make_fabric(sim, RACK, ["s0", "s1", "s2", "c0", "c1"])
+    servers = [PrismTxServer(sim, fabric, f"s{index}", SoftwarePrismBackend,
+                             n_keys=4, value_size=16) for index in range(3)]
+    for key in range(9):
+        load_sharded(servers, key, bytes([key]) * 16)
+    clients = [ShardedPrismTxClient(sim, fabric, f"c{index}", servers,
+                                    client_id=index + 1)
+               for index in range(2)]
+
+    def worker(client, letter):
+        for _ in range(4):
+            yield from client.transact((0, 1, 2), (1, 2), letter * 16)
+    done = sim.all_of([sim.spawn(worker(client, letter))
+                       for client, letter in zip(clients, (b"X", b"Y"))])
+    sim.run_until_complete(sim.spawn((lambda: (yield done))()), limit=1e7)
+
+
+@pytest.mark.parametrize("plan", [None, "seed=7,drop=0.05,dup=0.05,jitter=2"],
+                         ids=["clean", "faulted"])
+@pytest.mark.parametrize("run", [_prism_rs, _abd_lock, _sharded_tx],
+                         ids=["prism-rs", "abd-lock", "sharded-tx"])
+def test_a_deciding_leg_is_the_one_callback_of_its_event(
+        ties, monkeypatch, run, plan):
+    """Every phase user, clean and under loss, duplication and jitter
+    (retransmissions, stragglers): each leg waits on a fresh client
+    call or timer, alone, so the waiter woken in the deciding leg's
+    entry runs right after that entry's own work."""
+    kinds = _watch_leg_waits(monkeypatch)
+    sim = Simulator()
+    if plan is not None:
+        sim.set_faults(parse_faults(plan))
+    run(sim)
+    assert kinds and kinds <= {"_Call", "TimerEvent"}
