@@ -55,6 +55,12 @@ class PilafLayout:
     def slot_addr(self, slot_index):
         return self.table_base + slot_index * SLOT_SIZE
 
+    def full(self, key):
+        """The ``ValueError`` for a new key whose linear probe finds no
+        empty slot."""
+        return ValueError(
+            f"key {key!r}: pilaf hash table full ({self.n_slots} slots)")
+
     def oversize(self, key, value):
         """The ``ValueError`` for a key or value longer than its field:
         written into an extent it would spill into the next one. Callers
@@ -125,9 +131,10 @@ class PilafServer:
         Each pair rewrites its key's extent (a fresh one for a new key):
         header, key, value, zeros to the CRC-covered span's end, and the
         CRC. A new key's pointer then goes, with the pointer's CRC, into
-        the first empty slot of its linear probe from ``slot_index``.
-        A key or value longer than its field raises ``ValueError`` before
-        its item takes an extent or writes a byte.
+        the first empty slot of its linear probe from ``slot_index``,
+        found before anything is written. A key or value longer than its
+        field, or a new key with no empty slot, raises ``ValueError``
+        before its item takes an extent, maps its key or writes a byte.
         """
         host = self.prism.space.host
         view, size = host.view, host.size
@@ -145,8 +152,18 @@ class PilafServer:
             if len(key) > max_key or len(value) > max_value:
                 raise layout.oversize(key, value)
             extent_index = key_to_extent.get(key)
-            is_new = extent_index is None
-            if is_new:
+            slot = None
+            if extent_index is None:
+                start = self.slot_index(key)
+                for offset in range(n_slots):
+                    slot = table + (start + offset) % n_slots * SLOT_SIZE
+                    if slot < POINTER_SIZE or slot + SLOT_SIZE > size:
+                        host.check(slot, SLOT_SIZE)
+                    if not int.from_bytes(view[slot:slot + POINTER_SIZE],
+                                          "little"):
+                        break
+                else:
+                    raise layout.full(key)
                 extent_index = self._next_extent
                 self._next_extent += 1
                 key_to_extent[key] = extent_index
@@ -162,25 +179,15 @@ class PilafServer:
             view[value_at:value_end] = value
             view[value_end:crc_at] = bytes(crc_at - value_end)
             _PTR.pack_into(view, crc_at, checksum(view[extent:crc_at]))
-            if not is_new:
-                continue
-            start = self.slot_index(key)
-            for offset in range(n_slots):
-                slot = table + (start + offset) % n_slots * SLOT_SIZE
-                if slot < POINTER_SIZE or slot + SLOT_SIZE > size:
-                    host.check(slot, SLOT_SIZE)
-                if not int.from_bytes(view[slot:slot + POINTER_SIZE],
-                                      "little"):
-                    _PTR.pack_into(view, slot, extent)
-                    _PTR.pack_into(view, slot + POINTER_SIZE,
-                                   checksum(view[slot:slot + POINTER_SIZE]))
-                    break
-            else:
-                raise RuntimeError("pilaf hash table full")
+            if slot is not None:
+                _PTR.pack_into(view, slot, extent)
+                _PTR.pack_into(view, slot + POINTER_SIZE,
+                               checksum(view[slot:slot + POINTER_SIZE]))
 
     def _handle_put(self, args):
-        """Store the pair, or refuse one that does not fit (nothing is
-        written): the reply is True or the refusal's text."""
+        """Store the pair, or refuse one that does not fit its fields or
+        the table (nothing is written): the reply is True or the
+        refusal's text."""
         key_bytes, value = args
         try:
             self.load_many(((key_bytes, value),))

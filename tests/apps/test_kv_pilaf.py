@@ -79,6 +79,54 @@ def test_an_oversize_put_is_refused_and_changes_no_key(
     assert client.puts == 1
 
 
+def _full_pilaf(sim, app_fabric):
+    """A four-slot table with four keys in it: no slot is left."""
+    server = PilafServer(sim, app_fabric, "server", HardwareRdmaBackend,
+                         n_keys=4, max_value_bytes=64)
+    for key in range(4):
+        server.load(key, bytes([65 + key]) * 8)
+    return server
+
+
+def test_a_full_table_refuses_a_new_key_and_keeps_no_trace(sim, app_fabric):
+    """A new key with no empty slot is refused before its item takes an
+    extent, maps its key or writes a byte: loading it again is refused
+    again, and a key already stored still takes a re-load."""
+    server = _full_pilaf(sim, app_fabric)
+    memory = bytes(server.prism.space.host.view)
+    for _attempt in range(2):
+        with pytest.raises(ValueError, match="hash table full"):
+            server.load(9, b"nine")
+        assert bytes(server.prism.space.host.view) == memory
+    server.load(2, b"two")
+    assert bytes(server.prism.space.host.view) != memory
+
+
+def test_a_put_on_a_full_table_is_refused_and_changes_no_key(
+        sim, app_fabric, drive):
+    """A run-time PUT of a new key into a full table gets a refusal
+    reply, as an oversize one does, and ``put`` raises ``ValueError``;
+    no byte of server memory changes, the key still reads as absent and
+    every stored key as stored."""
+    server = _full_pilaf(sim, app_fabric)
+    memory = bytes(server.prism.space.host.view)
+    client = PilafClient(sim, app_fabric, "c0", server)
+
+    def main():
+        for _attempt in range(2):
+            with pytest.raises(ValueError, match="hash table full"):
+                yield from client.put(9, b"nine")
+            assert bytes(server.prism.space.host.view) == memory
+        got = {}
+        for key in (0, 1, 2, 3, 9):
+            got[key] = yield from client.get(key)
+        return got
+
+    assert drive(sim, main()) == {
+        **{key: bytes([65 + key]) * 8 for key in range(4)}, 9: None}
+    assert client.puts == 0
+
+
 def test_get_is_two_round_trips(sim, app_fabric, pilaf):
     pilaf.load(1, b"v")
     client = PilafClient(sim, app_fabric, "c0", pilaf)
