@@ -13,6 +13,8 @@ stream per request channel. Same plan + same workload seed ⇒ the same
 drops, the same retransmissions, the same ``RunResult``.
 """
 
+from dataclasses import asdict
+
 from repro.sim.rng import SeededRng
 
 
@@ -220,23 +222,6 @@ class FaultInjector:
         report = dict(self.counters)
         report["delay_injected_us"] = round(self.delay_injected_us, 3)
         report["hosts_down"] = sorted(self._down)
-        report["plan"] = {
-            "seed": self.plan.seed,
-            "drop": self.plan.drop,
-            "duplicate": self.plan.duplicate,
-            "jitter_us": self.plan.jitter_us,
-            "crashes": [
-                {"host": c.host, "at_us": c.at_us,
-                 "recover_at_us": c.recover_at_us}
-                for c in self.plan.crashes],
-            "starve": self.plan.starve,
-            "starve_at_us": self.plan.starve_at_us,
-            "starve_hold_us": self.plan.starve_hold_us,
-            "retry": {
-                "timeout_us": self.plan.retry.timeout_us,
-                "max_retries": self.plan.retry.max_retries,
-                "backoff_base_us": self.plan.retry.backoff_base_us,
-                "backoff_max_us": self.plan.retry.backoff_max_us,
-            },
-        }
+        report["plan"] = plan = asdict(self.plan)
+        plan["crashes"] = list(plan["crashes"])
         return report

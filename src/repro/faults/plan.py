@@ -9,9 +9,9 @@ is drawn from named :class:`~repro.sim.rng.SeededRng` substreams of
 ``plan.seed``, so a faulty run replays bit-identically from its seed.
 
 The plan also carries the *recovery* side's knobs: the
-:class:`RetryPolicy` that clients fall back to when a fault plan is
-installed (ack timeout, capped exponential backoff, retransmission
-budget).
+:class:`RetryPolicy` (ack timeout, capped exponential backoff,
+retransmission budget) that every client channel built under it posts
+with. A plan is the only source of a repeated request.
 
 :func:`parse_faults` turns the bench CLI's compact spec —
 ``--faults seed=3,drop=0.01,dup=0.001,jitter=2,crash=replica0@500+300``
@@ -46,7 +46,9 @@ class CrashEvent:
 
 @dataclass(frozen=True)
 class RetryPolicy:
-    """Timeout/retransmission knobs for the recovery machinery.
+    """Timeout/retransmission knobs for the recovery machinery, which
+    the clients take from the installed plan's ``retry`` and from
+    nowhere else (``RequestChannel.retry``).
 
     ``timeout_us`` is the per-attempt ack timeout; a lost request or
     reply surfaces as :class:`~repro.sim.events.TimeoutExpired` after
@@ -96,7 +98,7 @@ class FaultPlan:
     starve_at_us: float = 0.0
     #: how long to withhold; 0 withholds for the rest of the run
     starve_hold_us: float = 0.0
-    #: recovery knobs clients adopt while this plan is installed
+    #: what each client channel built under this plan retries with
     retry: RetryPolicy = field(default_factory=RetryPolicy)
 
     def __post_init__(self):

@@ -31,8 +31,8 @@ item 1 ("10x events/sec") is judged against. Three pieces:
   operations, loop overhead, un-bucketed model code) is the
   unattributed share.
 
-* :class:`StackSampler` — a daemon-thread sampler over
-  ``sys._current_frames()`` that emits collapsed stacks
+* :class:`StackSampler` — a ``SIGPROF`` interval-timer sampler of the
+  main thread's own stack that emits collapsed stacks
   (``a;b;c count`` lines, flamegraph.pl / speedscope ready).
 
 * :class:`ProfileSession` / :func:`profile_session` — wraps a block of
@@ -55,8 +55,7 @@ standalone benchmark scripts that build simulators internally.
 """
 
 import os
-import sys
-import threading
+import signal
 from time import perf_counter
 
 from repro.obs.bus import Observer
@@ -256,48 +255,45 @@ def _frame_label(filename, funcname):
 
 
 class StackSampler:
-    """Periodic stack sampler for the calling thread.
+    """Periodic stack sampler for the main thread.
 
-    A daemon thread wakes every ``interval_s`` and snapshots the
-    target thread's Python stack via ``sys._current_frames()``;
-    :meth:`collapsed` folds the samples into flamegraph-ready
-    ``frame;frame;frame count`` lines. Sampling reads frames without
-    tracing hooks, so the profiled code runs at full speed.
+    A ``SIGPROF`` interval timer fires every ``interval_s`` of process
+    CPU time, and its handler walks the interrupted frame's stack: the
+    profiled thread's own, between two bytecodes, so no frame changes
+    under the walk. :meth:`collapsed` folds the samples into
+    flamegraph-ready ``frame;frame;frame count`` lines. Sampling sets no
+    tracing hook, so the profiled code runs at full speed. Python runs
+    a signal handler on the main thread only, so :meth:`start` anywhere
+    else raises ``signal.signal``'s ``ValueError``, which says so.
     """
 
     def __init__(self, interval_s=0.002):
         self.interval_s = interval_s
         self.samples = {}
-        self._stop = threading.Event()
-        self._thread = None
-        self._target_id = None
+        self._previous = None
 
     def start(self):
-        self._target_id = threading.get_ident()
-        self._stop.clear()
-        self._thread = threading.Thread(
-            target=self._loop, name="hostprof-sampler", daemon=True)
-        self._thread.start()
+        previous = signal.signal(signal.SIGPROF, self._sample)
+        self._previous = signal.SIG_DFL if previous is None else previous
+        signal.setitimer(signal.ITIMER_PROF, self.interval_s,
+                         self.interval_s)
         return self
 
-    def _loop(self):
-        while not self._stop.wait(self.interval_s):
-            frame = sys._current_frames().get(self._target_id)
-            if frame is None:
-                continue
-            stack = []
-            while frame is not None:
-                code = frame.f_code
-                stack.append(_frame_label(code.co_filename, code.co_name))
-                frame = frame.f_back
-            key = ";".join(reversed(stack))
-            self.samples[key] = self.samples.get(key, 0) + 1
+    def _sample(self, _signum, frame):
+        stack = []
+        while frame is not None:
+            code = frame.f_code
+            stack.append(_frame_label(code.co_filename, code.co_name))
+            frame = frame.f_back
+        key = ";".join(reversed(stack))
+        self.samples[key] = self.samples.get(key, 0) + 1
 
     def stop(self):
-        self._stop.set()
-        if self._thread is not None:
-            self._thread.join()
-            self._thread = None
+        """Disarm the timer and put the previous handler back."""
+        if self._previous is not None:
+            signal.setitimer(signal.ITIMER_PROF, 0)
+            signal.signal(signal.SIGPROF, self._previous)
+            self._previous = None
         return self
 
     def collapsed(self):
@@ -348,7 +344,7 @@ class ProfileSession:
 
     ``mode`` is ``"cprofile"`` (deterministic per-function profile,
     written as ``<prefix>.pstats`` plus a collapsed digest) or
-    ``"sample"`` (wall-clock stack sampling, written as
+    ``"sample"`` (CPU-time stack sampling, written as
     ``flame.<prefix>.txt``). ``paths`` lists every artifact written,
     in write order.
     """

@@ -255,7 +255,8 @@ class _Execution:
 
     A repeat's ``saved`` is its first delivery's ``results``: each op's
     result, and the trace it is priced from, come from there instead of
-    the engine. FIFO units keep an original ahead of its repeats.
+    the engine. FIFO units keep an original ahead of its repeats; a
+    repeat a shuffled tie order runs first claims its unit again.
 
     The engine's events name the operation of ``span``, which the owner
     sets whether or not the request is traced. An exception escaping the
@@ -347,6 +348,13 @@ class _Execution:
                 result, accesses = backend.engine.execute_op(
                     self.connection, op, self.prev_ok, self.span.op)
                 result.accesses = accesses
+            elif index == len(self.saved):
+                # A shuffled tie order ran this repeat ahead of its
+                # original: hand the unit back, claim again this instant.
+                backend.pool.release()
+                self.stage = _ADMISSION
+                sim.schedule(0.0, self)
+                return
             else:
                 result = self.saved[index]
                 accesses = result.accesses

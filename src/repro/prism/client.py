@@ -22,24 +22,13 @@ from repro.prism.engine import OpStatus
 class PrismClient:
     """A connection from one client host to one PRISM server."""
 
-    def __init__(self, sim, fabric, client_name, server, channel=None,
-                 post_overhead_us=0.25, completion_overhead_us=0.25,
-                 retry_policy=None):
+    def __init__(self, sim, fabric, client_name, server):
         self.sim = sim
         self.fabric = fabric
         self.client_name = client_name
         self.server = server
         self.connection = server.connect(client_name)
-        self.channel = channel or RequestChannel(
-            sim, fabric, client_name,
-            post_overhead_us=post_overhead_us,
-            completion_overhead_us=completion_overhead_us)
-        # With a fault plan installed, clients adopt its retry policy
-        # automatically — no plumbing through the system builders, and
-        # with no plan the request path is byte-for-byte the old one.
-        if retry_policy is None and sim.faults is not None:
-            retry_policy = sim.faults.plan.retry
-        self.retry_policy = retry_policy
+        self.channel = RequestChannel(sim, fabric, client_name)
         self.round_trips = 0
         # The live TelemetryView handle: application code (and future
         # policy layers) query sliding-window signals mid-run through
@@ -65,10 +54,10 @@ class PrismClient:
     def execute(self, *ops, span=NULL_SPAN):
         """Submit ops as one request (one round trip); ChainResult back.
 
-        With a :class:`~repro.faults.plan.RetryPolicy` attached (see
-        ``__init__``), a lost request or reply is retransmitted, whatever
-        the ops — the server runs a chain at most once — until the
-        retries run out (:class:`~repro.sim.events.TimeoutExpired`).
+        Under a fault plan (``channel.retry``) a lost request or reply is
+        retransmitted, whatever the ops — the server runs a chain at most
+        once — until the retries run out
+        (:class:`~repro.sim.events.TimeoutExpired`); with none, never.
 
         A NAK is never retried: it is a delivered negative answer and
         raises immediately via ``raise_on_nak`` in the callers.
@@ -80,7 +69,6 @@ class PrismClient:
             chain = ops[0]
         else:
             chain = Chain(ops)
-        policy = self.retry_policy
         bus = self.sim.bus
         submitted = self.sim._now
         if bus is not None:
@@ -91,12 +79,11 @@ class PrismClient:
         if span.enabled:
             trip = span.child("roundtrip", phase="cpu", ops=len(chain.ops))
         server = self.server
+        channel = self.channel
         try:
-            result = yield self.channel.post(
+            result = yield channel.post(
                 server.host_name, server.service, (self.connection.id, chain),
-                chain.request_bytes(),
-                None if policy is None else policy.timeout_us, trip,
-                retry=policy)
+                chain.request_bytes(), None, trip, channel.retry)
         finally:
             if span.enabled:
                 trip.finish()

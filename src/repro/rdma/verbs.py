@@ -100,13 +100,13 @@ class SendEndpoint:
     """Client side: one-way messages into a remote receive queue."""
 
     def __init__(self, sim, fabric, client_name, server_name,
-                 service="sendrecv", channel=None):
+                 service="sendrecv"):
         self.sim = sim
         self.fabric = fabric
         self.client_name = client_name
         self.server_name = server_name
         self.service = service
-        self.channel = channel or RequestChannel(sim, fabric, client_name)
+        self.channel = RequestChannel(sim, fabric, client_name)
         self.sends = 0
 
     def send(self, payload):

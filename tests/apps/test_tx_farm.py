@@ -4,12 +4,16 @@ import pytest
 
 from repro.apps.tx import FarmClient, FarmServer
 from repro.apps.tx.layout import FarmLayout
-from repro.faults import RetryPolicy
+from repro.faults import FaultPlan, RetryPolicy
 from repro.prism import HardwareRdmaBackend
 
 
 @pytest.fixture
 def server(sim, app_fabric):
+    return _server(sim, app_fabric)
+
+
+def _server(sim, app_fabric):
     srv = FarmServer(sim, app_fabric, "server", HardwareRdmaBackend,
                      n_keys=16, value_size=64)
     for key in range(16):
@@ -138,14 +142,16 @@ def test_commit_uses_two_rpcs(sim, app_fabric, server, drive):
     assert drive(sim, main()) == 2  # LOCK + UPDATE (validate is one-sided)
 
 
-def test_a_repeated_commit_rpc_runs_once(sim, app_fabric, server, drive):
-    """Every commit request is delivered twice and both replies to the
-    LOCK are lost: the LOCK is retransmitted (and duplicated again), yet
-    each handler runs once — the RPC layer replays the rest — so the
-    write is installed once and nothing stays locked."""
+def test_a_repeated_commit_rpc_runs_once(sim, app_fabric, drive):
+    """Under a quiet plan, every commit request is delivered twice and
+    both replies to the LOCK are lost: the LOCK is retransmitted (and
+    duplicated again), yet each handler runs once — the RPC layer
+    replays the rest — so the write is installed once and nothing stays
+    locked."""
+    sim.set_faults(FaultPlan(seed=1, retry=RetryPolicy(
+        timeout_us=50.0, max_retries=3, backoff_base_us=1.0)))
+    server = _server(sim, app_fabric)
     client = _client(sim, app_fabric, server)
-    client.rpc.retry_policy = RetryPolicy(timeout_us=50.0, max_retries=3,
-                                          backoff_base_us=1.0)
     services = app_fabric.host("server")._services
     deliver = services["rpc"]
 

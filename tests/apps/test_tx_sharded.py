@@ -6,7 +6,7 @@ import pytest
 
 from repro.apps.tx import PrismTxServer
 from repro.apps.tx.sharded import ShardedPrismTxClient, load_sharded
-from repro.faults.plan import RetryPolicy
+from repro.faults.plan import FaultPlan, RetryPolicy
 from repro.prism import SoftwarePrismBackend
 from repro.sim import QuorumError, Simulator, TimeoutExpired
 from repro.net.topology import RACK, make_fabric
@@ -21,6 +21,10 @@ N_KEYS = 12  # global keys, 4 per shard
 
 @pytest.fixture
 def sharded(sim):
+    return _sharded(sim)
+
+
+def _sharded(sim):
     hosts = [f"shard{i}" for i in range(N_SHARDS)] + [
         f"c{i}" for i in range(4)]
     fabric = make_fabric(sim, RACK, hosts)
@@ -139,17 +143,18 @@ def test_conflicting_cross_shard_aborts_and_retries(sim, sharded, drive):
 
 
 def test_an_unreachable_shard_fails_the_transaction_with_its_cause(
-        sim, sharded, drive):
-    """Shard 1 is down and every request times out after two
-    retransmissions. The read phase's fan-out fails with
+        sim, drive):
+    """Shard 1 is down and, under a quiet plan, every request times out
+    after two retransmissions. The read phase's fan-out fails with
     :class:`QuorumError`, the shard's ``TimeoutExpired`` its cause, at
-    66.87 µs — the instant its ``all_of`` over a process per shard
-    failed, with the bare exception. It is no abort: nothing retries."""
-    fabric, servers, initial = sharded
+    65.72 µs: three 20 µs ack timeouts after the request has left the
+    port (0.87 µs) and two backoffs drawn from the plan's seeded jitter
+    (1.33 and 3.52 µs, where their ceilings are 2 and 4). It is no
+    abort: nothing retries."""
+    sim.set_faults(FaultPlan(seed=1, retry=RetryPolicy(timeout_us=20.0,
+                                                       max_retries=2)))
+    fabric, servers, initial = _sharded(sim)
     client = ShardedPrismTxClient(sim, fabric, "c0", servers, client_id=1)
-    for shard in client.shards:
-        shard.client.retry_policy = RetryPolicy(timeout_us=20.0,
-                                                max_retries=2)
     servers[1].prism.fail()
 
     def main():
@@ -158,7 +163,7 @@ def test_an_unreachable_shard_fails_the_transaction_with_its_cause(
         return sim.now, failure.value.__cause__
 
     when, cause = drive(sim, main())
-    assert when == 66.87
+    assert when == 65.71744422098342
     assert isinstance(cause, TimeoutExpired)
     assert "shard1/prism" in str(cause)
     assert (client.commits, client.aborts) == (0, 0)

@@ -7,6 +7,8 @@ simulated results are byte-for-byte the same either way.
 """
 
 import os
+import signal
+import threading
 import time
 
 import pytest
@@ -195,6 +197,44 @@ class TestStackSampler:
         sampler = StackSampler(interval_s=0.001).start()
         sampler.stop()
         sampler.stop()
+
+    def test_a_sampled_busy_loop_is_named_from_its_own_thread(self):
+        """The samples come from a ``SIGPROF`` interval timer whose
+        handler walks the profiled thread's own stack: no thread is
+        started, and ``stop`` disarms the timer and puts the previous
+        handler back."""
+        previous = signal.getsignal(signal.SIGPROF)
+        threads = threading.active_count()
+        sampler = StackSampler(interval_s=0.001).start()
+        assert threading.active_count() == threads
+        _spin(0.1)
+        sampler.stop()
+        assert signal.getitimer(signal.ITIMER_PROF) == (0.0, 0.0)
+        assert signal.getsignal(signal.SIGPROF) is previous
+        assert any(stack.endswith("test_hostprof.py:_spin")
+                   for stack in sampler.collapsed())
+
+    def test_start_off_the_main_thread_raises_and_arms_nothing(self):
+        raised = []
+
+        def start():
+            try:
+                StackSampler().start()
+            except ValueError as error:
+                raised.append(str(error))
+
+        thread = threading.Thread(target=start)
+        thread.start()
+        thread.join()
+        assert len(raised) == 1 and "main thread" in raised[0]
+        assert signal.getitimer(signal.ITIMER_PROF) == (0.0, 0.0)
+
+
+def _spin(seconds):
+    """Burn ``seconds`` of CPU time in this frame."""
+    deadline = time.process_time() + seconds
+    while time.process_time() < deadline:
+        sum(range(100))
 
 
 class TestProfileSession:

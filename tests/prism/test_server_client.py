@@ -397,12 +397,13 @@ def test_a_failing_pricing_function_frees_unit_and_gate_and_stops_the_run(
 def test_requests_leave_no_reference_cycles():
     """Benchmark points run with ``gc`` off, so a call, ack deadline or
     execution caught in a cycle would leak once per request. Reference
-    counting alone must free them all — timed requests (a call and its
-    deadline refer to each other until one resolves) and chains (the
-    execution registers itself on each unit grant) included."""
+    counting alone must free them all — timed requests (under a plan: a
+    call and its deadline refer to each other until one resolves),
+    untimed ones (no plan) and chains (the execution registers itself
+    on each unit grant) included."""
     import gc
 
-    from repro.faults.plan import RetryPolicy
+    from repro.faults.plan import FaultPlan, RetryPolicy
     from repro.net.port import _AckDeadline, _Call
     from repro.prism.backend import _Execution
 
@@ -411,36 +412,38 @@ def test_requests_leave_no_reference_cycles():
     def live():
         return sum(1 for obj in gc.get_objects() if type(obj) in kinds)
 
-    sim = Simulator()
-    fabric = make_fabric(sim, RACK, ["client", "server"])
-    server = PrismServer(sim, fabric, "server", SoftwarePrismBackend)
-    addr, rkey = server.add_region(64)
-    timed = PrismClient(sim, fabric, "client", server,
-                        retry_policy=RetryPolicy(timeout_us=75.0))
-    untimed = PrismClient(sim, fabric, "client", server)
-    seen_in_flight = []
+    for plan in (FaultPlan(seed=1, retry=RetryPolicy(timeout_us=75.0)),
+                 None):
+        sim = Simulator()
+        if plan is not None:
+            sim.set_faults(plan)
+        fabric = make_fabric(sim, RACK, ["client", "server"])
+        server = PrismServer(sim, fabric, "server", SoftwarePrismBackend)
+        addr, rkey = server.add_region(64)
+        client = PrismClient(sim, fabric, "client", server)
+        assert (client.channel.retry is None) == (plan is None)
+        seen_in_flight = []
 
-    def reader():
-        for _ in range(25):
-            for client in (timed, untimed):
+        def reader():
+            for _ in range(50):
                 yield from client.execute(
                     WriteOp(addr=addr, data=b"x", rkey=rkey),
                     ReadOp(addr=addr, length=1, rkey=rkey))
                 seen_in_flight.append(live())
 
-    sim.spawn(reader())
-    gc.collect()
-    was_enabled = gc.isenabled()
-    gc.disable()
-    try:
-        sim.run()
-        assert server.backend.requests_processed == 50
-        # The census works: the call resuming the reader is still alive.
-        assert min(seen_in_flight) >= 1
-        assert live() == 0
-    finally:
-        if was_enabled:
-            gc.enable()
+        sim.spawn(reader())
+        gc.collect()
+        was_enabled = gc.isenabled()
+        gc.disable()
+        try:
+            sim.run()
+            assert server.backend.requests_processed == 50
+            # The census works: the call resuming the reader is alive.
+            assert min(seen_in_flight) >= 1
+            assert live() == 0
+        finally:
+            if was_enabled:
+                gc.enable()
 
 
 # -- frames per op, pinned like entries per op ---------------------------------
