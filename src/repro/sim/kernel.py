@@ -291,6 +291,9 @@ class Simulator:
         self.tracer = NULL_TRACER
         self.utilization = None
         self.faults = None
+        #: set by the first request channel built, which took its retry
+        #: policy from ``faults``: a later plan would not reach it
+        self.faults_adopted = False
         #: the probe bus every hook site emits on; None until the
         #: first :meth:`attach`, so unobserved runs pay one load
         self.bus = None
@@ -351,12 +354,18 @@ class Simulator:
         Accepts a :class:`~repro.faults.FaultPlan` or an already-built
         :class:`~repro.faults.FaultInjector`. Install *before* system
         construction so the fabric, servers, and free lists register
-        themselves. With no injector installed (the default) every
+        themselves; once a request channel has taken its retry policy
+        (none) this raises. With no injector installed (the default) every
         hook is a single ``is None`` check — same bit-identical-timing
         contract as the observability collectors.
         """
         from repro.faults.injector import FaultInjector
         self._check_not_started("set_faults")
+        if self.faults_adopted:
+            raise SimulationError(
+                "set_faults: a request channel was built before the plan "
+                "and would never take its retry policy — call "
+                "sim.set_faults(...) before system construction")
         injector = (plan if isinstance(plan, FaultInjector)
                     else FaultInjector(plan))
         self.faults = injector.bind(self)

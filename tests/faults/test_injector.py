@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.faults import FaultInjector, FaultPlan, parse_faults
+from repro.faults import CrashEvent, FaultInjector, FaultPlan, parse_faults
 from repro.sim import Simulator
 
 
@@ -91,6 +91,22 @@ class TestReporting:
         assert report["plan"]["drop"] == 0.5
         assert report["messages_dropped"] > 0
         assert report["hosts_down"] == []
+
+    def test_report_plan_section_is_pinned_key_for_key(self):
+        """The plan section is every ``FaultPlan`` field, in field order,
+        and it feeds the faulted runs' JSON and digests: a new field
+        moves them, so it is a choice made here, not a side effect."""
+        plan = FaultPlan(seed=3, drop=0.5,
+                         crashes=(CrashEvent("replica0", 5.0, 9.0),))
+        section = FaultInjector(plan).report()["plan"]
+        assert list(section) == [
+            "seed", "drop", "duplicate", "jitter_us", "crashes", "starve",
+            "starve_at_us", "starve_hold_us", "retry"]
+        assert section["crashes"] == [
+            {"host": "replica0", "at_us": 5.0, "recover_at_us": 9.0}]
+        assert section["retry"] == {
+            "timeout_us": 75.0, "max_retries": 8, "backoff_base_us": 2.0,
+            "backoff_max_us": 256.0}
 
     def test_retry_streams_numbered_in_allocation_order(self):
         sim = Simulator()
