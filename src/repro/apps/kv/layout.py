@@ -72,10 +72,6 @@ class KvLayout:
         """Bytes needed to check a slot's key: header + key."""
         return HEADER_SIZE + self.max_key_bytes
 
-    def full_read_len(self):
-        """Bytes covering header + key + the largest value."""
-        return self.buffer_bytes
-
     # -- buffer codec ---------------------------------------------------------
 
     @staticmethod
@@ -85,12 +81,6 @@ class KvLayout:
     #: ``(ver, key, value)`` of a buffer, one codec call (the value is
     #: truncated if the read was shorter than the entry)
     unpack_entry = staticmethod(unpack_kv_entry)
-
-    @staticmethod
-    def entry_key(data):
-        """Extract just the key from a probe-sized read."""
-        klen = unpack_uint(data, 8, 2)
-        return bytes(data[16:16 + klen])
 
     @staticmethod
     def entry_ver(data):

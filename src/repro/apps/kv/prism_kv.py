@@ -227,6 +227,8 @@ class PrismKvClient:
         self.sim = sim
         self.server = server
         self.layout = server.layout
+        #: a GET reads the whole entry: header + key + the largest value
+        self._get_read_len = server.layout.buffer_bytes
         self.client = PrismClient(sim, fabric, client_name, server.prism)
         self.client_id = self.client.connection.id
         if max_probes is None:
@@ -246,8 +248,7 @@ class PrismKvClient:
     def get(self, key, span=NULL_SPAN):
         """Process helper: returns the value bytes, or None if absent."""
         note_key(self.sim, "prism-kv", "get", key)
-        entry = yield from self._probe(key, self.layout.full_read_len(),
-                                       span=span)
+        entry = yield from self._probe(key, self._get_read_len, span=span)
         self.gets += 1
         if entry is None:
             return None
@@ -323,7 +324,9 @@ class PrismKvClient:
                     return (slot_addr, None) if stop_at_empty else None
                 raise outcome.error
             entry = outcome.value
-            if KvLayout.entry_key(entry) == key_bytes:
+            # The entry's key, in place: its u16 length at +8, its
+            # bytes from +16.
+            if entry[16:16 + (entry[8] | entry[9] << 8)] == key_bytes:
                 return slot_addr, entry
         return None
 

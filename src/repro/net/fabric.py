@@ -4,15 +4,17 @@ Each host owns full-duplex TX/RX ports (``BandwidthPipe``). A message
 occupies the sender's TX port for its serialization time, crosses the
 path (propagation + per-switch latency, after a fault plan's injected
 delay: one timer for both), occupies the receiver's RX port, then is
-handed to the destination service handler.
+handed to the destination service handler. Its TX slot is booked when
+it is posted, and its fault fate is drawn then, in post order.
 
 Service handlers are plain callables ``handler(message)`` registered
 per host; timed work behind one is a scheduled payload (a device
 execution, an RPC handling), which replies via :meth:`Fabric.post`.
 """
 
+from heapq import heappush
+
 from repro.obs.trace import NULL_SPAN, Span
-from repro.sim.events import Event
 from repro.sim.resources import BandwidthPipe
 from repro.net.message import Message
 
@@ -73,7 +75,8 @@ class Fabric:
         return self.hosts[name]
 
     def path_latency_us(self, src_name, dst_name):
-        """One-way latency (0 for loopback); ``_propagate`` inlines it."""
+        """One-way latency (0 for loopback); ``_Delivery._launch``
+        inlines it."""
         if src_name == dst_name:
             return 0.0
         return self.one_way_latency_us
@@ -83,10 +86,11 @@ class Fabric:
         """Hand a message to the source NIC; returns its delivery at once.
 
         Like a posted work request, the message is the NIC's from here
-        on: a :class:`_Delivery` carries it through the TX port, the
-        path, the RX port and into the service handler with no process
-        involved, and it cannot be withdrawn. ``delivery.tx_done`` is
-        the instant its last byte will have left the TX port.
+        on: its TX slot is booked now (``delivery.tx_done`` is the
+        instant its last byte will have left the TX port), a fault
+        plan draws its fate now, and a :class:`_Delivery` carries it
+        across the path, the RX port and into the service handler with
+        no process involved. It cannot be withdrawn.
 
         ``span`` parents the transfer's wire/queue spans (it rides on
         the message).
@@ -95,9 +99,27 @@ class Fabric:
         sim = self.sim
         message.send_time = sim._now
         message.span = span
-        delivery = _Delivery(self, message)
-        delivery.tx_done = self.hosts[src_name].tx.claim(
-            delivery, size_bytes, span)
+        tx_done = self.hosts[src_name].tx.book(size_bytes, span)
+        delivery = _Delivery(self, message, tx_done)
+        faults = sim.faults
+        if faults is None:
+            delivery._launch(tx_done)
+            return delivery
+        # Fault point: the port is occupied either way; the message may
+        # vanish, fork, or lag once it has left it.
+        hp = sim.hostprof
+        if hp is not None:
+            hp.enter("hooks.faults")
+        fate = faults.on_message(message)
+        if hp is not None:
+            hp.exit()
+        if not fate.drop:
+            # The lag rides the path's timer: no other entry can share
+            # a drawn instant (docs/performance.md, rule 11(d)).
+            lagged = tx_done + fate.delay_us  # t + 0.0 is t
+            delivery._launch(lagged)
+            if fate.duplicate:
+                _Delivery(self, message, tx_done)._launch(lagged)
         return delivery
 
     def send(self, src_name, dst_name, service, payload, size_bytes,
@@ -105,35 +127,36 @@ class Fabric:
         """Process helper: :meth:`post`, then wait until the message has
         left the TX port; returns it.
 
-        Only the wait belongs to the caller: interrupting it neither
-        recalls the message nor frees the port early.
+        The wait is a timer at ``delivery.tx_done`` itself. Only the
+        wait belongs to the caller: interrupting it neither recalls
+        the message nor frees the port early.
         """
-        sent = Event(self.sim)
-        self.post(src_name, dst_name, service, payload, size_bytes,
-                  span).sent = sent
-        return (yield sent)
+        delivery = self.post(src_name, dst_name, service, payload,
+                             size_bytes, span)
+        return (yield self.sim.sleep_until(delivery.tx_done,
+                                           delivery.message))
 
 
 #: what the heap entry a delivery is waiting on stands for
-_TX, _WIRE, _RX = range(3)
+_WIRE, _RX = range(2)
 
 
 class _Delivery:
     """One message in flight: a scheduled payload, not a process.
 
-    The delivery is its own heap payload (``Simulator.schedule_at``)
-    and its own holder on both ports, advancing by stage: TX
-    serialization, [fault fate,] propagation, arrival (crash-drop
-    check, RX port claim), RX serialization, handler. Every kernel
-    entry is an instant at which model time has been spent — the end
-    of TX serialization, of propagation, of RX serialization; no grant
-    hop, no bootstrap, no resume, no completion event. An injected
-    delay ``d`` is no stage of its own: the propagation timer is
-    pushed at the end of TX serialization for ``(t + d) + l``, the
-    two additions in the order two timers made them, and the
-    propagation span starts at ``t + d``. A duplicated message is two
-    deliveries sharing one :class:`Message`, the twin launched right
-    after the original with the same delay, so its timer follows.
+    The delivery is its own heap payload (``Simulator.schedule_at``),
+    advancing by stage: propagation, arrival (crash-drop check, RX
+    port booking), RX serialization, handler. Its two kernel entries
+    are instants at which model time has been spent — the end of
+    propagation and of RX serialization; no grant hop, no bootstrap,
+    no resume, no completion event. The TX port is booked at the post,
+    so the end of TX serialization needs no entry: the propagation
+    timer is pushed right away, for ``tx_done + l``, or with an
+    injected delay ``d`` for ``(tx_done + d) + l`` — the two additions
+    in the order two timers made them — and the propagation span
+    starts at ``tx_done + d``. A duplicated message is two deliveries
+    sharing one :class:`Message`, the twin launched right after the
+    original with the same delay, so its timer follows.
 
     The message carries its operation's span, so the fault events of
     its fate, the payload its handler starts and a reply's bus events
@@ -144,59 +167,24 @@ class _Delivery:
     a benchmark point runs, so a per-message cycle would be a leak.
     """
 
-    __slots__ = ("fabric", "message", "stage", "span", "tx_done", "sent")
+    __slots__ = ("fabric", "message", "stage", "tx_done")
 
     #: the kernel's tombstone check; a message in flight is never withdrawn
     cancelled = False
 
-    def __init__(self, fabric, message):
+    def __init__(self, fabric, message, tx_done):
         self.fabric = fabric
         self.message = message
-        self.stage = _TX
-        #: the open propagation span (None when not tracing)
-        self.span = None
-        #: what a ``Fabric.send`` caller is waiting on, if anyone is
-        self.sent = None
+        self.stage = _WIRE
+        #: when the last byte will have left the TX port
+        self.tx_done = tx_done
 
     def fire(self):
         """The timer of the current stage ran out."""
-        stage = self.stage
-        if stage == _WIRE:
+        if self.stage == _WIRE:
             self._arrive()
-        elif stage == _RX:
+        else:
             self._hand_over()
-        else:
-            self._leave()
-
-    def _leave(self):
-        """The last byte has left the TX port."""
-        fabric = self.fabric
-        sim = fabric.sim
-        message = self.message
-        fabric.hosts[message.src].tx.finish()
-        faults = sim.faults
-        if faults is None:
-            self._launch(sim._now)
-        else:
-            # Fault point: the message has left the TX port (the port
-            # was occupied either way); it may now vanish, fork, or
-            # lag. Fates are drawn in TX-finish order.
-            hp = sim.hostprof
-            if hp is not None:
-                hp.enter("hooks.faults")
-            fate = faults.on_message(message)
-            if hp is not None:
-                hp.exit()
-            if not fate.drop:
-                # The lag rides the path's timer: no other entry can
-                # share a drawn instant (docs/performance.md, rule 11(d)).
-                lagged = sim._now + fate.delay_us  # t + 0.0 is t
-                self._launch(lagged)
-                if fate.duplicate:
-                    _Delivery(fabric, message)._launch(lagged)
-        if self.sent is not None:
-            # Like a timer's waiter, the sender resumes in this entry.
-            self.sent.succeed_now(message)
 
     def _launch(self, start):
         """Cross the path from ``start``: one timer, at ``start + l`` —
@@ -204,26 +192,29 @@ class _Delivery:
         own timer and the path's would make, so the same bits."""
         fabric = self.fabric
         if fabric.monitor is not None:
-            fabric.monitor.adjust(+1)
+            # In flight from the instant the last byte leaves.
+            fabric.monitor.enter_at(self.tx_done)
         message = self.message
+        arrive = (start if message.src == message.dst
+                  else start + fabric.one_way_latency_us)
         span = message.span
         if span.enabled:
-            # Span protocol inlined (see BandwidthPipe.claim).
-            self.span = Span(span.tracer, "net.propagate", "wire", span,
-                             start,
-                             {"src": message.src, "dst": message.dst},
-                             span.op)
-            span.children.append(self.span)
-        self.stage = _WIRE
-        fabric.sim.schedule_at(start if message.src == message.dst
-                               else start + fabric.one_way_latency_us, self)
+            # Span protocol inlined (see BandwidthPipe.book).
+            wire = Span(span.tracer, "net.propagate", "wire", span, start,
+                        {"src": message.src, "dst": message.dst}, span.op)
+            wire.end = arrive
+            span.children.append(wire)
+        sim = fabric.sim
+        if arrive > sim._now:
+            # schedule_at's hot branch, in place.
+            heappush(sim._queue, (arrive, next(sim._sequence), self))
+        else:
+            sim.schedule_at(arrive, self)
 
     def _arrive(self):
         fabric = self.fabric
         sim = fabric.sim
         message = self.message
-        if self.span is not None:
-            self.span.end = sim.now
         faults = sim.faults
         if faults is not None and (faults.is_down(message.dst)
                                    or faults.is_down(message.src)):
@@ -234,17 +225,20 @@ class _Delivery:
                 fabric.monitor.adjust(-1)
             return
         self.stage = _RX
-        fabric.hosts[message.dst].rx.claim(self, message.size_bytes,
-                                           message.span)
+        done = fabric.hosts[message.dst].rx.book(message.size_bytes,
+                                                 message.span)
+        if done > sim._now:
+            heappush(sim._queue, (done, next(sim._sequence), self))
+        else:
+            sim.schedule_at(done, self)
 
     def _hand_over(self):
         fabric = self.fabric
         message = self.message
-        dst = fabric.hosts[message.dst]
-        dst.rx.finish()
         fabric.messages_delivered += 1
         if fabric.monitor is not None:
             fabric.monitor.adjust(-1)
+        dst = fabric.hosts[message.dst]
         try:
             handler = dst._services[message.service]
         except KeyError:

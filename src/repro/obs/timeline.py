@@ -41,7 +41,7 @@ Three monitor flavours:
   on a client channel, messages in flight on the fabric).
 """
 
-from collections import deque
+from heapq import heappop, heappush
 
 from repro.obs import quantiles
 from repro.obs.bus import Observer
@@ -192,13 +192,14 @@ class ResourceMonitor(_WindowedMonitor):
 
     Driven by :class:`repro.sim.resources.Resource` at every acquire,
     grant, and release, and by :class:`~repro.sim.resources.
-    BandwidthPipe` at every claim and finish. Also samples the queueing
-    delay of every grant (zero for uncontended acquires) into a
-    distribution.
+    BandwidthPipe` at every booking and, replayed in order, every
+    departure. Each hook takes the instant of its transition. Also
+    samples the queueing delay of every grant (zero for uncontended
+    acquires) into a distribution.
     """
 
     __slots__ = ("requests", "grants", "releases", "enqueues",
-                 "dequeues", "cancels", "queue_delays")
+                 "dequeues", "cancels", "queue_delays", "replay")
 
     def __init__(self, sim, name, kind, capacity=1,
                  window_us=DEFAULT_WINDOW_US):
@@ -210,21 +211,26 @@ class ResourceMonitor(_WindowedMonitor):
         self.dequeues = 0
         self.cancels = 0
         self.queue_delays = []
+        #: the server's ``replay(now)``, which feeds the transitions it
+        #: settles lazily (a wire port's departures) up to ``now`` before
+        #: the books close; None for a server that reports each as it
+        #: happens
+        self.replay = None
 
     @charged("hooks.obs")
-    def on_enqueue(self):
+    def on_enqueue(self, now):
         """An acquire() arrived and found no free slot: it queues."""
-        self._advance(self.sim._now)
+        self._advance(now)
         self.requests += 1
         self._depth += 1
         self.enqueues += 1
         self._note_depth()
 
     @charged("hooks.obs")
-    def on_uncontended_grant(self):
+    def on_uncontended_grant(self, now):
         """An acquire() arrived and was granted a free slot at once
         (the hot case): no queueing delay."""
-        self._advance(self.sim._now)
+        self._advance(now)
         self.requests += 1
         self.grants += 1
         self.events += 1
@@ -233,11 +239,11 @@ class ResourceMonitor(_WindowedMonitor):
         self.queue_delays.append(0.0)
 
     @charged("hooks.obs")
-    def on_handoff(self, waited_us):
+    def on_handoff(self, now, waited_us):
         """A freed slot was handed straight to the waiter at the queue's
         head after ``waited_us``: slots in use stay as they were
         (release -1 and grant +1 cancel)."""
-        self._advance(self.sim._now)
+        self._advance(now)
         self.releases += 1
         self.grants += 1
         self.events += 1
@@ -247,20 +253,27 @@ class ResourceMonitor(_WindowedMonitor):
         self.queue_delays.append(waited_us)
 
     @charged("hooks.obs")
-    def on_release(self):
+    def on_release(self, now):
         """A slot was freed with no waiter to hand it to."""
-        self._advance(self.sim._now)
+        self._advance(now)
         self.releases += 1
         self._in_use -= 1
 
     @charged("hooks.obs")
-    def on_cancel(self):
+    def on_cancel(self, now):
         """A queued acquire was abandoned (interrupt, timeout) before
         any slot was granted — a dequeue that is not a grant."""
-        self._advance(self.sim._now)
+        self._advance(now)
         self._depth -= 1
         self.dequeues += 1
         self.cancels += 1
+
+    def finish(self, elapsed=None):
+        if self.end is None and self.replay is not None:
+            # Everything that happened by now, now's instant included:
+            # the transitions a server reports as they happen.
+            self.replay(self.sim.now)
+        super().finish(elapsed)
 
     def summary(self, start, end):
         row = super().summary(start, end)
@@ -300,16 +313,28 @@ class ChargeMonitor(_WindowedMonitor):
 class DepthMonitor(_WindowedMonitor):
     """A pure occupancy counter: in-flight requests, queued messages."""
 
-    __slots__ = ("enters", "exits")
+    __slots__ = ("enters", "exits", "_due")
 
     def __init__(self, sim, name, kind, window_us=DEFAULT_WINDOW_US):
         super().__init__(sim, name, kind, capacity=None,
                          window_us=window_us)
         self.enters = 0
         self.exits = 0
+        #: instants of the entries :meth:`enter_at` holds, a heap
+        self._due = []
+
+    def enter_at(self, when):
+        """``adjust(+1)`` at ``when``, an instant known ahead (a message
+        leaving its TX port): it is counted, in order, once the
+        monitor's clock reaches it — at its next transition, this
+        instant's included, or when its books close."""
+        heappush(self._due, when)
 
     def adjust(self, delta):
-        self._advance(self.sim._now)
+        now = self.sim._now
+        if self._due and self._due[0] <= now:
+            self._enter_due(now)
+        self._advance(now)
         self._depth += delta
         if delta > 0:
             self.enters += delta
@@ -318,6 +343,21 @@ class DepthMonitor(_WindowedMonitor):
             self._note_depth()
         else:
             self.exits -= delta
+
+    def _enter_due(self, until):
+        due = self._due
+        while due and due[0] <= until:
+            self._advance(heappop(due))
+            self._depth += 1
+            self.enters += 1
+            self.events += 1
+            self._cell[EVENTS] += 1
+            self._note_depth()
+
+    def finish(self, elapsed=None):
+        if self.end is None and self._due:
+            self._enter_due(self.sim.now)
+        super().finish(elapsed)
 
     def summary(self, start, end):
         row = super().summary(start, end)
@@ -378,7 +418,6 @@ class UtilizationCollector(Observer):
             resource.sim, name or resource.name, kind or resource.kind,
             capacity=resource.capacity, window_us=self.window_us)
         resource.monitor = monitor
-        resource._wait_since = deque()
         self.monitors.append(monitor)
         return monitor
 

@@ -6,7 +6,7 @@ link serialization are all instances of these classes.
 """
 
 from collections import deque
-from heapq import heappush
+from math import inf, nextafter
 
 from repro.obs.trace import NULL_SPAN, Span
 from repro.sim.events import Event, SimulationError
@@ -113,6 +113,7 @@ class Resource:
         self.monitor = None
         self._wait_since = None
         if sim.utilization is not None:
+            self._wait_since = deque()
             sim.utilization.watch_resource(self)
 
     @property
@@ -150,12 +151,12 @@ class Resource:
                 self._in_use += 1
                 self._total_acquired += 1
                 if monitor is not None:
-                    monitor.on_uncontended_grant()
+                    monitor.on_uncontended_grant(now)
                 event.succeed(self)
             else:
                 self._waiters.append(event)
                 if monitor is not None:
-                    monitor.on_enqueue()
+                    monitor.on_enqueue(sim._now)
                     self._wait_since.append(sim._now)
             return event
         finally:
@@ -184,7 +185,7 @@ class Resource:
             if self._in_use >= self.capacity:
                 self._waiters.append(holder)
                 if monitor is not None:
-                    monitor.on_enqueue()
+                    monitor.on_enqueue(sim._now)
                     self._wait_since.append(sim._now)
                 return
             now = sim._now  # _account, in place
@@ -193,7 +194,7 @@ class Resource:
             self._in_use += 1
             self._total_acquired += 1
             if monitor is not None:
-                monitor.on_uncontended_grant()
+                monitor.on_uncontended_grant(now)
         finally:
             if hp is not None:
                 hp.exit()
@@ -228,11 +229,11 @@ class Resource:
                 if event.cancelled or (type(event) is AcquireEvent
                                        and event._triggered):
                     if monitor is not None:
-                        monitor.on_cancel()
+                        monitor.on_cancel(sim._now)
                     continue
                 self._total_acquired += 1
                 if monitor is not None:
-                    monitor.on_handoff(sim._now - waited_since)
+                    monitor.on_handoff(sim._now, sim._now - waited_since)
                 if type(event) is AcquireEvent:
                     event.succeed(self)
                 else:
@@ -243,7 +244,7 @@ class Resource:
             self._last_change = now
             self._in_use -= 1
             if monitor is not None:
-                monitor.on_release()
+                monitor.on_release(now)
         finally:
             if hp is not None:
                 hp.exit()
@@ -262,7 +263,7 @@ class Resource:
         del self._waiters[index]
         if self.monitor is not None:
             del self._wait_since[index]
-            self.monitor.on_cancel()
+            self.monitor.on_cancel(self.sim._now)
 
     def utilization(self, elapsed):
         """Mean busy fraction over ``elapsed`` simulated microseconds."""
@@ -394,22 +395,26 @@ class BandwidthPipe:
     propagation delay is added by the fabric, not here.
 
     A capacity-1 FIFO server whose service time is known when a message
-    arrives needs no grant event: the pipe keeps whether a message is in
-    service, the instant it falls free, and a deque of queued holders.
-    A *holder* is a kernel heap payload (``fire()`` plus a false
-    ``cancelled``, see ``Simulator.schedule_at``): :meth:`claim` enters
-    it in the FIFO, the pipe schedules it for the instant its last byte
-    leaves, and its ``fire()`` calls :meth:`finish` before anything
-    else. A claim cannot be withdrawn — a posted message is the NIC's,
-    not the sender's. Accounting and span lines live here only; the
-    utilization row keeps the ``<name>.port`` label the port has always
-    reported under.
+    arrives is a booked FIFO (Lindley's recursion): :meth:`book` starts
+    a message at ``now`` on an idle port, or at the instant the port
+    falls free on a busy one, and returns the instant its last byte
+    leaves. The caller pushes its own timer for that instant; the port
+    holds no holder and makes no kernel entry. What happens in between
+    — a message leaving, the next one starting — is settled lazily, in
+    order, before the next booking and when the utilization monitor's
+    books close; a counter read counts what has left by then. So the
+    byte counters, the busy time and the monitor's hand-offs and
+    releases are the ones a chain of hand-offs made, at the same
+    instants (docs/performance.md, rule 11(c)). A booking cannot be
+    withdrawn — a posted message is the NIC's, not the sender's.
+    Accounting and span lines live here only; the utilization row keeps
+    the ``<name>.port`` label the port has always reported under.
     """
 
     __slots__ = ("sim", "bytes_per_us", "per_message_us", "name", "monitor",
-                 "_wait_since", "_queue", "_busy", "_free_at", "_busy_since",
-                 "_busy_time", "_size", "_span", "bytes_total",
-                 "messages_total", "_queue_label", "_xmit_label")
+                 "_booked", "_free_at", "_busy_since", "_busy_time",
+                 "_bytes", "_messages", "_wire", "_queue_label",
+                 "_xmit_label")
 
     #: what a utilization row says of every wire port
     kind = "wire"
@@ -426,126 +431,138 @@ class BandwidthPipe:
         # was two f-strings on the hottest wire path.
         self._queue_label = f"{self.name}.queue"
         self._xmit_label = f"{self.name}.xmit"
-        #: queued ``(holder, size_bytes, duration, span, queue_span)``
-        self._queue = deque()
-        self._busy = False
-        #: when the last message claimed so far will have left
+        #: ``(done, size_bytes, booked_at)`` of every message not yet
+        #: settled, in FIFO order
+        self._booked = deque()
+        #: when the last message booked so far will have left
         self._free_at = 0.0
         self._busy_since = 0.0
         self._busy_time = 0.0
-        #: the message in service: its size and open wire span
-        self._size = 0
-        self._span = None
-        # Direction-neutral totals: a pipe serves as either a TX or an
-        # RX port, so "bytes that crossed it" is the honest name — an
-        # RX pipe's total is bytes *received*, not sent.
-        self.bytes_total = 0
-        self.messages_total = 0
+        # Direction-neutral totals of every message booked: a pipe
+        # serves as either a TX or an RX port, so "bytes that crossed
+        # it" is the honest name — an RX pipe's are bytes *received*.
+        self._bytes = 0
+        self._messages = 0
+        #: the wire span of the message booked last (None untraced)
+        self._wire = None
         self.monitor = None
-        self._wait_since = None
         if sim.utilization is not None:
             # Enrich the port's utilization row with wire throughput.
-            sim.utilization.watch_resource(
-                self, name=f"{self.name}.port").extra = lambda: {
-                    "bytes": self.bytes_total,
-                    "messages": self.messages_total}
+            monitor = sim.utilization.watch_resource(
+                self, name=f"{self.name}.port")
+            monitor.extra = lambda: {"bytes": self.bytes_total,
+                                     "messages": self.messages_total}
+            monitor.replay = self._close
 
     def serialization_time(self, size_bytes):
         """Time for ``size_bytes`` to cross the port."""
         return self.per_message_us + size_bytes / self.bytes_per_us
 
-    def claim(self, holder, size_bytes, span=NULL_SPAN):
-        """Enter ``holder``'s message in the FIFO; returns the instant
-        its last byte will have left, at which ``holder.fire()`` runs.
+    def book(self, size_bytes, span=NULL_SPAN):
+        """Enter a message in the FIFO; returns the instant its last
+        byte will have left: ``now + d`` on an idle port, ``free_at +
+        d`` on a busy one — the additions, in the order, that a chain
+        of hand-offs makes (docs/performance.md, rule 11(a)). A port
+        whose last message leaves at this very instant is still busy
+        with it: the message queues, waits zero and starts then.
 
-        ``span`` parents two tracing children: a queue span for the
-        wait on the (busy) port and a wire span for the serialization
-        itself. An idle port starts serializing in this call; a busy
-        one queues the holder, and the predecessor's :meth:`finish`
-        starts it — so the holder's timer is always pushed in the entry
-        at which its serialization starts (see docs/performance.md,
-        rule 11, for why not at claim).
+        ``span`` parents two tracing children, both closed here: a
+        queue span for the wait on the port and a wire span for the
+        serialization itself.
         """
-        sim = self.sim
-        now = sim._now
+        now = self.sim._now
         duration = self.per_message_us + size_bytes / self.bytes_per_us
-        queue_span = None
+        booked = self._booked
+        monitor = self.monitor
+        if booked and booked[0][0] < now:
+            if monitor is None:
+                # _settle's unwatched case, in place: let go what left.
+                booked.popleft()
+                while booked and booked[0][0] < now:
+                    booked.popleft()
+            else:
+                self._settle(now)
+        if booked:
+            start = self._free_at
+            if monitor is not None:
+                monitor.on_enqueue(now)
+        else:
+            # The last busy period ended at free_at; a new one starts.
+            self._busy_time += self._free_at - self._busy_since
+            self._busy_since = start = now
+            if monitor is not None:
+                monitor.on_uncontended_grant(now)
+        self._free_at = done = start + duration
+        booked.append((done, size_bytes, now))
+        self._bytes += size_bytes
+        self._messages += 1
         if span.enabled:
-            # Span protocol inlined: children are opened/closed by
-            # direct field writes instead of the child()/context-
-            # manager/finish() call chain on the hottest wire path.
+            # Span protocol inlined: both children are built with their
+            # instants by direct field writes, not the child()/context-
+            # manager/finish() call chain, on the hottest wire path.
+            children = span.children
             queue_span = Span(span.tracer, self._queue_label, "queue", span,
                               now, {}, span.op)
-            span.children.append(queue_span)
-        if not self._busy:
-            self._busy = True
-            self._busy_since = now
-            if self.monitor is not None:
-                self.monitor.on_uncontended_grant()
-            self._free_at = free_at = now + duration
-            self._size = size_bytes
-            if queue_span is not None:
-                self._open_wire_span(span, queue_span, size_bytes, now)
-            if free_at > now:
-                # schedule_at's hot branch, in place.
-                heappush(sim._queue, (free_at, next(sim._sequence), holder))
+            queue_span.end = start
+            wire = self._wire
+            if (start != now and wire is not None and wire.start == now
+                    and children and children[-1] is wire):
+                # A duplicate's twin arrives with the original, under
+                # the same parent: its wait and the original's wire
+                # span tie on (start, end), and trace readers break the
+                # tie by child order — keep waiters listed first.
+                children[-1:] = queue_span, wire
             else:
-                sim.schedule_at(free_at, holder)
-            return free_at
-        self._queue.append((holder, size_bytes, duration, span, queue_span))
-        wire = self._span
-        if (queue_span is not None and wire is not None
-                and wire.parent is span and wire.start == now
-                and span.children[-2] is wire):
-            # A duplicate's twin arrives with the original, under the
-            # same parent: its wait and the original's wire span tie on
-            # (start, end), and trace readers break the tie by child
-            # order — keep waiters listed first, as a grant hop did.
-            span.children[-2:] = queue_span, wire
-        if self.monitor is not None:
-            self.monitor.on_enqueue()
-            self._wait_since.append(now)
-        # The same additions, in the same order, that the chain of
-        # hand-offs will make: each starts at its predecessor's end.
-        self._free_at += duration
-        return self._free_at
-
-    def _open_wire_span(self, span, queue_span, size_bytes, now):
-        """Traced only: the wait is over, the serialization starts."""
-        queue_span.end = now
-        self._span = Span(span.tracer, self._xmit_label, "wire", span,
-                          now, {"bytes": size_bytes}, span.op)
-        span.children.append(self._span)
-
-    def finish(self):
-        """The last byte of the message in service has left: count it
-        and hand the port to the next queued holder, if any."""
-        sim = self.sim
-        now = sim._now
-        if self._span is not None:
-            self._span.end = now
-            self._span = None
-        self.bytes_total += self._size
-        self.messages_total += 1
-        if self._queue:
-            if self.monitor is not None:
-                self.monitor.on_handoff(now - self._wait_since.popleft())
-            (holder, self._size, duration,
-             span, queue_span) = self._queue.popleft()
-            if queue_span is not None:
-                self._open_wire_span(span, queue_span, self._size, now)
-            sim.schedule_at(now + duration, holder)
+                children.append(queue_span)
+            self._wire = wire = Span(span.tracer, self._xmit_label, "wire",
+                                     span, start, {"bytes": size_bytes},
+                                     span.op)
+            wire.end = done
+            children.append(wire)
         else:
-            self._busy = False
-            self._busy_time += now - self._busy_since
-            if self.monitor is not None:
-                self.monitor.on_release()
+            self._wire = None
+        return done
+
+    def _settle(self, before):
+        """Let go every booked message that has left before ``before``:
+        the utilization monitor sees each departure at its instant, as
+        a hand-off to the next message booked or as a release."""
+        booked = self._booked
+        monitor = self.monitor
+        if monitor is None:
+            while booked and booked[0][0] < before:
+                booked.popleft()
+            return
+        while booked and booked[0][0] < before:
+            done = booked.popleft()[0]
+            if booked:
+                monitor.on_handoff(done, done - booked[0][2])
+            else:
+                monitor.on_release(done)
+
+    def _close(self, now):
+        """The monitor's books close: every message that has left by
+        ``now``, ``now`` included, has left."""
+        self._settle(nextafter(now, inf))
+
+    @property
+    def bytes_total(self):
+        """Bytes whose last byte has left the port by now."""
+        now = self.sim._now
+        return self._bytes - sum(size for done, size, _at in self._booked
+                                 if done > now)
+
+    @property
+    def messages_total(self):
+        """Messages whose last byte has left the port by now."""
+        now = self.sim._now
+        return self._messages - sum(1 for done, _size, _at in self._booked
+                                    if done > now)
 
     def utilization(self, elapsed):
         """Mean busy fraction of the port over ``elapsed`` microseconds."""
         if elapsed <= 0:
             return 0.0
-        busy = self._busy_time
-        if self._busy:
-            busy += self.sim._now - self._busy_since
+        busy = self._busy_time + (min(self.sim._now, self._free_at)
+                                  - self._busy_since)
         return busy / elapsed

@@ -10,31 +10,56 @@ The paper evaluates on:
 All use 512-byte values and 8-byte keys, uniform or Zipf key choice.
 """
 
-from dataclasses import dataclass
-from typing import Tuple
-
 from repro.workload.keydist import make_distribution
 
 DEFAULT_VALUE_SIZE = 512
 
 
-@dataclass(frozen=True)
-class KvOp:
+class _Record:
+    """A per-operation record: slotted, with a constructor of its own
+    (docs/performance.md, rule 1), where a frozen dataclass built each
+    field through ``object.__setattr__``; equal, hashed and shown by
+    type and fields as that dataclass was. Never mutated: a workload
+    may hand out one instance many times."""
+
+    __slots__ = ()
+
+    def _values(self):
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other):
+        return type(other) is type(self) and self._values() == other._values()
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={value!r}" for name, value
+                           in zip(self.__slots__, self._values()))
+        return f"{type(self).__name__}({fields})"
+
+
+class KvOp(_Record):
     """One key-value operation: kind is 'get' or 'put'."""
 
-    kind: str
-    key: int
-    value: bytes = b""
+    __slots__ = ("kind", "key", "value")
+
+    def __init__(self, kind, key, value=b""):
+        self.kind = kind
+        self.key = key
+        self.value = value
 
 
-@dataclass(frozen=True)
-class TxnOp:
+class TxnOp(_Record):
     """One transaction: read ``read_keys``, then write ``write_keys``."""
 
-    kind: str
-    read_keys: Tuple[int, ...]
-    write_keys: Tuple[int, ...]
-    value: bytes = b""
+    __slots__ = ("kind", "read_keys", "write_keys", "value")
+
+    def __init__(self, kind, read_keys, write_keys, value=b""):
+        self.kind = kind
+        self.read_keys = read_keys
+        self.write_keys = write_keys
+        self.value = value
 
 
 class YcsbWorkload:
@@ -54,7 +79,7 @@ class YcsbWorkload:
         self._payload = bytes((client_id + i) % 256
                               for i in range(value_size))
         # Key draws are served from vectorized blocks (stream-identical
-        # to single draws, see ``sample_block``), and the frozen KvOp
+        # to single draws, see ``sample_block``), and the KvOp
         # value objects are interned per (kind, key) — a closed-loop
         # client re-issues the same few thousand ops for a whole run.
         self._key_block = []

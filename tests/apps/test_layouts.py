@@ -39,7 +39,6 @@ class TestKvLayout:
     def test_entry_roundtrip(self, ver, key, value):
         blob = KvLayout.pack_entry(ver, key, value)
         assert KvLayout.unpack_entry(blob) == (ver, key, value)
-        assert KvLayout.entry_key(blob) == key
         assert KvLayout.entry_ver(blob) == ver
 
     @given(ver=st.integers(min_value=0, max_value=2**64 - 1),

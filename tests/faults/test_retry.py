@@ -214,26 +214,28 @@ def _logged_retry(monkeypatch, policy, lose=1):
 
 def test_a_retransmission_takes_the_retrying_generators_entries(
         monkeypatch):
-    """One lost request. Post overhead to 0.25, TX/wire/RX to 3.25 (lost);
-    the ack deadline at (0.25 + 1) + 10, which books the backoff in its
-    own entry; the backoff's entry at exactly 11.25 + 1; the second
-    attempt 12.25 → 18.75, whose reply's hand-over withdraws the
-    deadline and starts the completion stage. The instants a process
-    retrying by ``yield sim.timeout(backoff)`` had, with neither its two
-    resumes (at the deadline and at the backoff) nor its ``timeout``
-    call, nor the reply's and the expiry's ready-deque slots. The
-    caller is resumed once (plus its bootstrap)."""
+    """One lost request. Post overhead to 0.25; TX to 1.25, booked at
+    the post, so no entry; wire and RX to 3.25 (lost); the ack deadline
+    at (0.25 + 1) + 10, which books the backoff in its own entry; the
+    backoff's entry at exactly 11.25 + 1; the second attempt 12.25 →
+    18.75, whose reply's hand-over withdraws the deadline and starts
+    the completion stage. The instants a process retrying by ``yield
+    sim.timeout(backoff)`` had, with neither its two resumes (at the
+    deadline and at the backoff) nor its ``timeout`` call, nor the
+    reply's and the expiry's ready-deque slots, nor the three messages'
+    TX-finish entries (at 1.25, 13.5 and 16.5). The caller is resumed
+    once (plus its bootstrap)."""
     policy = RetryPolicy(timeout_us=10.0, max_retries=2,
                          backoff_base_us=1.0)
     instants, resumes, events, timeouts, channel = _logged_retry(
         monkeypatch, policy)
     assert instants == [
         0.0,                          # the caller's bootstrap
-        0.25, 1.25, 2.25, 3.25,       # post overhead, TX, wire, RX (lost)
+        0.25, 2.25, 3.25,             # post overhead, wire, RX (lost)
         11.25,                        # the ack deadline
         12.25,                        # the backoff runs out: post again
-        12.5, 13.5, 14.5, 15.5,       # post overhead, TX, wire, RX
-        16.5, 17.5, 18.5,             # the reply
+        12.5, 14.5, 15.5,             # post overhead, wire, RX
+        17.5, 18.5,                   # the reply: wire, RX
         18.75, 18.75]                 # completion overhead; the caller's
                                       # completion entry
     assert (resumes, timeouts) == (2, 0)
@@ -252,7 +254,7 @@ def test_a_zero_backoff_takes_the_zero_delay_slot(monkeypatch):
                          backoff_base_us=0.0)
     instants, _resumes, _events, timeouts, _channel = _logged_retry(
         monkeypatch, policy)
-    assert instants[5:9] == [11.25, 11.25, 11.25, 11.5]
+    assert instants[4:8] == [11.25, 11.25, 11.25, 11.5]
     assert timeouts == 0
 
 

@@ -48,8 +48,9 @@ def test_loopback_latency_zero(sim):
     assert fabric.path_latency_us("a", "b") > 0
 
 
-def test_delivery_time_components(sim, drive):
+def test_delivery_time_components(ties, drive):
     """tx serialization + propagation + rx serialization."""
+    sim = Simulator()
     fabric = Fabric(sim, one_way_latency_us=2.0)
     fabric.add_host(Host(sim, "src", bytes_per_us=1000))
     fabric.add_host(Host(sim, "dst", bytes_per_us=1000))
@@ -77,7 +78,8 @@ def test_sender_released_before_delivery(sim, drive):
     sim.run()
 
 
-def test_tx_port_serializes_concurrent_sends(sim):
+def test_tx_port_serializes_concurrent_sends(ties):
+    sim = Simulator()
     fabric = Fabric(sim, one_way_latency_us=0.0)
     fabric.add_host(Host(sim, "src", bytes_per_us=100))
     fabric.add_host(Host(sim, "dst", bytes_per_us=1e9))
@@ -92,7 +94,8 @@ def test_tx_port_serializes_concurrent_sends(sim):
     assert arrivals == [pytest.approx(5.0), pytest.approx(10.0)]
 
 
-def test_rx_port_serializes_concurrent_receives(sim):
+def test_rx_port_serializes_concurrent_receives(ties):
+    sim = Simulator()
     fabric = Fabric(sim, one_way_latency_us=0.0)
     fabric.add_host(Host(sim, "a", bytes_per_us=1e9))
     fabric.add_host(Host(sim, "b", bytes_per_us=1e9))
@@ -106,7 +109,8 @@ def test_rx_port_serializes_concurrent_receives(sim):
     assert arrivals == [pytest.approx(5.0), pytest.approx(10.0)]
 
 
-def test_messages_delivered_counter(sim):
+def test_messages_delivered_counter(ties):
+    sim = Simulator()
     fabric = make_fabric(sim, DIRECT, ["a", "b"])
     fabric.hosts["b"].register_service("svc", lambda m: None)
     sim.spawn(fabric.send("a", "b", "svc", None, 64))
@@ -182,15 +186,20 @@ def test_interrupting_a_blocked_sender_neither_loses_the_message_nor_strands_the
 # -- a message is a scheduled payload, not a process --------------------------
 
 
-def _entries_for_messages(n):
-    """Kernel entries to send ``n`` back-to-back messages on an idle fabric."""
+def _entries_for_messages(n, wait=False):
+    """Kernel entries to deliver ``n`` messages on an idle fabric: all
+    posted at once, or each sent (``wait``) when the last left."""
     sim = Simulator()
     fabric = make_fabric(sim, RACK, ["a", "b"])
     fabric.hosts["b"].register_service("sink", lambda message: None)
 
     def sender():
         for _ in range(n):
-            yield from fabric.send("a", "b", "sink", None, 64)
+            if wait:
+                yield from fabric.send("a", "b", "sink", None, 64)
+            else:
+                fabric.post("a", "b", "sink", None, 64)
+        yield from ()
 
     sim.spawn(sender())
     sim.run()
@@ -198,23 +207,27 @@ def _entries_for_messages(n):
     return sim.events_executed
 
 
-def test_a_message_costs_three_kernel_entries():
-    """The end of TX serialization, of propagation, of RX serialization:
-    each entry is an instant at which model time has been spent — no
-    port grant takes a trip through the ready deque, and the sender
-    resumes inside the TX entry. Measured as the slope over N so the
-    sender's own bootstrap/completion cancel out; exact, so gated at
-    zero tolerance."""
-    assert _entries_for_messages(110) - _entries_for_messages(10) == 3 * 100
+def test_a_message_costs_two_kernel_entries(ties):
+    """The end of propagation and of RX serialization: each entry is an
+    instant at which model time has been spent. The TX port is booked
+    at the post, so the end of TX serialization takes no entry (it took
+    one, the third, while a chain of hand-offs started each queued
+    message); no port grant takes a trip through the ready deque.
+    ``Fabric.send`` adds the sender's own wake-up at ``tx_done``, 3.
+    Measured as the slope over N so the sender's own bootstrap and
+    completion cancel out; exact, so gated at zero tolerance."""
+    assert _entries_for_messages(110) - _entries_for_messages(10) == 2 * 100
+    assert (_entries_for_messages(110, wait=True)
+            - _entries_for_messages(10, wait=True)) == 3 * 100
 
 
-def test_a_request_channel_round_trip_costs_ten_entries():
-    """Post overhead, 3 for the request, the echo's bootstrap and
-    completion, 3 for the reply, completion overhead. The reply's
-    ready-deque slot went: an untimed call starts its completion stage
-    in the reply's hand-over. The client is resumed once
-    (``tests/net/test_port.py`` counts the resumes and the timed
-    variant); the server never waits."""
+def test_a_request_channel_round_trip_costs_eight_entries(ties):
+    """Post overhead, 2 for the request, the echo's bootstrap and
+    completion, 2 for the reply, completion overhead = 8 (10 while each
+    message's TX serialization ended in an entry of its own). An
+    untimed call starts its completion stage in the reply's hand-over.
+    The client is resumed once (``tests/net/test_port.py`` counts the
+    resumes and the timed variant); the server never waits."""
     def entries(n):
         sim = Simulator()
         fabric = make_fabric(sim, RACK, ["a", "b"])
@@ -234,7 +247,7 @@ def test_a_request_channel_round_trip_costs_ten_entries():
         sim.run_until_complete(sim.spawn(client()))
         return sim.events_executed
 
-    assert entries(110) - entries(10) == 10 * 100
+    assert entries(110) - entries(10) == 8 * 100
 
 
 def _chaos_run():
@@ -257,12 +270,14 @@ def _chaos_run():
     return fabric, injector, arrivals
 
 
-def test_delivery_under_faults_matches_the_process_per_message_fabric():
+def test_delivery_under_faults_matches_the_process_per_message_fabric(ties):
     """Golden values recorded from the generator-per-message fabric
     (the commit before deliveries became scheduled payloads): same
     fates, same crash drops, and arrival times equal to the last bit —
     the injected delay and the path latency stay two additions, one
-    timer, because (t + d) + l and t + (d + l) round differently."""
+    timer, because (t + d) + l and t + (d + l) round differently. The
+    fates are drawn at the post now, not as the last byte leaves; with
+    one sender waiting out each message the two orders are one."""
     fabric, injector, arrivals = _chaos_run()
     assert fabric.messages_delivered == 23
     assert {name: count for name, count in injector.counters.items()
@@ -287,7 +302,7 @@ def test_delivery_under_faults_matches_the_process_per_message_fabric():
 def _jittered(tracer=None, duplicate=0.0):
     """A RACK fabric a → b under a jitter-only plan, so every message
     draws a lag; returns the simulator, the fabric and the list each
-    drawn fate appends ``(payload, t_tx, delay)`` to."""
+    drawn fate appends ``(payload, delay)`` to."""
     sim = Simulator()
     if tracer is not None:
         sim.attach(tracer)
@@ -298,7 +313,7 @@ def _jittered(tracer=None, duplicate=0.0):
 
     def on_message(message):
         fate = draw(message)
-        fates.append((message.payload, sim.now, fate.delay_us))
+        fates.append((message.payload, fate.delay_us))
         return fate
 
     injector.on_message = on_message
@@ -306,28 +321,31 @@ def _jittered(tracer=None, duplicate=0.0):
 
 
 def test_a_drawn_lag_rides_the_paths_timer(monkeypatch):
-    """A lagged message costs the 3 entries of an unlagged one, and a
-    lagged duplicate's twin 2 more (4 and 7 while the lag was its own
+    """A lagged message costs the 2 entries of an unlagged one, and a
+    lagged duplicate's twin 2 more (3 and 5 while the end of TX
+    serialization took an entry, 4 and 7 while the lag was its own
     timer): the lag's end was an instant no other entry could share.
-    Its arrival keeps the two additions (t_tx + d) + l to the bit, the
-    traced propagation still starts at t_tx + d, and the twin, pushed
-    after the original, is still handed over after it."""
+    Its fate is drawn at the post. Its arrival keeps the two additions
+    (t_tx + d) + l to the bit, the traced propagation still starts at
+    t_tx + d, and the twin, pushed after the original, is still handed
+    over after it."""
     def entries(n, duplicate):
         sim, fabric, fates = _jittered(duplicate=duplicate)
         fabric.hosts["b"].register_service("sink", lambda message: None)
 
         def sender():
             for _ in range(n):
-                yield from fabric.send("a", "b", "sink", None, 64)
+                fabric.post("a", "b", "sink", None, 64)
+            yield from ()
 
         sim.spawn(sender())
         sim.run()
-        assert len(fates) == n and all(delay > 0.0 for *_, delay in fates)
+        assert len(fates) == n and all(delay > 0.0 for _, delay in fates)
         assert fabric.messages_delivered == (2 if duplicate else 1) * n
         return sim.events_executed
 
-    assert entries(110, 0.0) - entries(10, 0.0) == 3 * 100
-    assert entries(110, 1.0) - entries(10, 1.0) == 5 * 100
+    assert entries(110, 0.0) - entries(10, 0.0) == 2 * 100
+    assert entries(110, 1.0) - entries(10, 1.0) == 4 * 100
 
     from repro.net.fabric import _Delivery
 
@@ -349,24 +367,25 @@ def test_a_drawn_lag_rides_the_paths_timer(monkeypatch):
     arrivals = []
     fabric.hosts["b"].register_service(
         "sink", lambda message: arrivals.append((message.payload, sim.now)))
-    roots = []
+    roots, tx_dones = [], []
 
     def sender():
         for index in range(12):
             root = tracer.root("op", op=index + 1)
             roots.append(root)
-            yield from fabric.send("a", "b", "sink", index, 64, span=root)
+            delivery = fabric.post("a", "b", "sink", index, 64, span=root)
+            tx_dones.append(delivery.tx_done)
             yield sim.timeout(10.0)    # the RX port is idle at each arrival
 
     sim.spawn(sender())
     sim.run()
     latency = fabric.one_way_latency_us
     rx_us = fabric.hosts["b"].rx.serialization_time(64)
-    assert [payload for payload, _t, _d in fates] == list(range(12))
+    assert [payload for payload, _d in fates] == list(range(12))
     # The fates pin the order of the additions, not just their sum.
     assert any((t_tx + delay) + latency != t_tx + (delay + latency)
-               for _payload, t_tx, delay in fates)
-    for (payload, t_tx, delay), root in zip(fates, roots):
+               for (_payload, delay), t_tx in zip(fates, tx_dones))
+    for (payload, delay), t_tx, root in zip(fates, tx_dones, roots):
         arrive = (t_tx + delay) + latency
         assert [when for index, when in arrivals if index == payload] == [
             arrive + rx_us, (arrive + rx_us) + rx_us]
@@ -379,7 +398,7 @@ def test_a_drawn_lag_rides_the_paths_timer(monkeypatch):
         assert handed.index(original) < handed.index(twin)
 
 
-def test_deliveries_leave_no_reference_cycles():
+def test_deliveries_leave_no_reference_cycles(ties):
     """Benchmark points run with ``gc`` off, so a delivery that kept a
     bound method of itself would leak one cycle per message. With no
     cycle, reference counting alone frees every delivery: none is left

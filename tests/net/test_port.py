@@ -193,13 +193,14 @@ def _round_trip_costs(timeout_us=None, **overheads):
     return (more[0] - fewer[0]) / 100, (more[1] - fewer[1]) / 100
 
 
-def test_an_untimed_round_trip_costs_ten_entries_and_one_client_resume():
-    """Post overhead, 3 + 3 message stages, the echo process's bootstrap
-    and completion, completion overhead. The reply's ready-deque slot
-    went: the completion stage starts in the reply's hand-over. Two
-    resumes: the echo handler's one, and the caller's — once, with the
-    reply."""
-    assert _round_trip_costs() == (10, 2)
+def test_an_untimed_round_trip_costs_eight_entries_and_one_client_resume():
+    """Post overhead, 2 + 2 message stages, the echo process's bootstrap
+    and completion, completion overhead = 8 (10 while each message's TX
+    serialization ended in an entry of its own). The reply's
+    ready-deque slot went: the completion stage starts in the reply's
+    hand-over. Two resumes: the echo handler's one, and the caller's —
+    once, with the reply."""
+    assert _round_trip_costs() == (8, 2)
 
 
 def test_a_timed_round_trip_costs_what_an_untimed_one_does():
@@ -207,16 +208,16 @@ def test_a_timed_round_trip_costs_what_an_untimed_one_does():
     hand-over tombstones it and starts the completion stage, as an
     untimed call's does. No deadline ever fires, none is left behind
     (checked in the helper)."""
-    assert _round_trip_costs(timeout_us=75.0) == (10, 2)
+    assert _round_trip_costs(timeout_us=75.0) == (8, 2)
 
 
 def test_zero_overheads_skip_their_stage():
     """No zero-delay timer stands in for a skipped overhead: the call
-    finishes in the reply's hand-over, timed or not."""
+    finishes in the reply's hand-over, timed or not — 6 entries."""
     assert _round_trip_costs(post_overhead_us=0.0,
-                             completion_overhead_us=0.0) == (8, 2)
+                             completion_overhead_us=0.0) == (6, 2)
     assert _round_trip_costs(timeout_us=75.0, post_overhead_us=0.0,
-                             completion_overhead_us=0.0) == (8, 2)
+                             completion_overhead_us=0.0) == (6, 2)
 
 
 def test_an_error_reply_costs_no_completion_overhead(sim, drive):

@@ -135,13 +135,15 @@ def _costs_per_flush(how):
 
 def test_a_launched_retire_flush_leaves_no_completion_entry():
     """At zero tolerance, with the retirer's own timer (1 entry, 1
-    resume) in both: a launched flush is its boot slot + the RPC's 9
+    resume) in both: a launched flush is its boot slot + the RPC's 7
     entries (12 before the server's boot slot and the reply's slot
-    went, 11 while the core grant took a slot of its own), resumed in
-    the call's completion entry — two generator steps, each a resume;
-    spawned, it adds the process's completion entry and the spawn."""
-    assert _costs_per_flush("launch") == (11, 3, 0)
-    assert _costs_per_flush("spawn") == (12, 3, 1)
+    went, 11 while the core grant took a slot of its own, 9 while each
+    message's TX serialization ended in an entry), resumed in the
+    call's completion entry — two generator steps, each a resume;
+    1 + 1 + 7 = 9. Spawned, it adds the process's completion entry and
+    the spawn."""
+    assert _costs_per_flush("launch") == (9, 3, 0)
+    assert _costs_per_flush("spawn") == (10, 3, 1)
 
 
 def _rs_put_storm(sim):

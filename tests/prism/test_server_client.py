@@ -282,40 +282,46 @@ def _read_512(indirect):
     return body
 
 
-def test_an_indirect_read_costs_nine_entries_and_one_resume():
+def test_an_indirect_read_costs_seven_entries_and_one_resume():
     """The ``kv_read``-shaped op — closed loop, ``prism-hw``, one
     indirect READ — at zero tolerance: 2 client stages (post overhead,
-    completion overhead) + 2 x 3 message stages + the execution's one
-    op timer = 9 kernel entries. The execution starts in the entry that
-    delivers the request, and its free processing unit is granted
-    inside the claim (10 while the grant took a ready-deque slot); an
-    untimed call starts its completion stage in the reply's hand-over.
-    The device runs no process (0 spawns) and the client is resumed
-    once, with the result."""
+    completion overhead) + 2 x 2 message stages (the end of
+    propagation and of RX serialization) + the execution's one op
+    timer = 7 kernel entries. Each message's TX port is booked at its
+    post (9 while the end of TX serialization took an entry). The
+    execution starts in the entry that delivers the request, and its
+    free processing unit is granted inside the claim (10 while the
+    grant took a ready-deque slot); an untimed call starts its
+    completion stage in the reply's hand-over. The device runs no
+    process (0 spawns) and the client is resumed once, with the
+    result."""
     assert _costs_per_request(HardwarePrismBackend, _read_512(True)) \
-        == (9, 1, 0)
+        == (7, 1, 0)
 
 
 def test_the_software_stack_adds_its_admission_timer():
-    """One more than ``prism-hw``: the admission timer (11 while the
-    unit grant took a slot of its own)."""
+    """One more than ``prism-hw``: the admission timer, 7 + 1 = 8 (11
+    while the unit grant took a slot of its own, 10 while each
+    message's TX serialization ended in an entry)."""
     assert _costs_per_request(SoftwarePrismBackend, _read_512(True)) \
-        == (10, 1, 0)
+        == (8, 1, 0)
 
 
 def test_a_classic_read_costs_what_an_indirect_one_does():
-    """9: the same execution path (10 while the unit grant took a slot
-    of its own)."""
+    """7: the same execution path (10 while the unit grant took a slot
+    of its own, 9 while each message's TX serialization ended in an
+    entry)."""
     assert _costs_per_request(HardwareRdmaBackend, _read_512(False)) \
-        == (9, 1, 0)
+        == (7, 1, 0)
 
 
 def test_each_further_op_of_a_chain_costs_a_timer():
     """The PRISM-KV PUT install chain (WRITE, WRITE, ALLOCATE, CAS_GT):
     three more ops than a READ, one entry each, its timer — the unit it
     claims when the last op's timer releases one is granted inside the
-    claim — still one round trip, one resume, no process. 10 + 3 x 2
-    while each grant took a ready-deque slot."""
+    claim — still one round trip, one resume, no process: 7 + 3 = 10.
+    10 + 3 x 2 while each grant took a ready-deque slot, 9 + 3 while
+    each message's TX serialization ended in an entry."""
     def body(server, client):
         freelist, buffers_rkey = server.create_freelist(64, 128)
         slot, rkey = server.add_region(24)
@@ -338,18 +344,19 @@ def test_each_further_op_of_a_chain_costs_a_timer():
         return one_request
 
     assert _costs_per_request(HardwarePrismBackend, body) \
-        == (9 + 3, 1, 0)
+        == (7 + 3, 1, 0)
 
 
 def test_an_op_priced_at_zero_takes_no_timer_entry():
     """A non-positive duration skips the op's stage — it is not a
-    zero-delay timer — so the READ costs one entry less: 8 (9 while the
-    unit grant took a slot of its own)."""
+    zero-delay timer — so the READ costs one entry less: 7 - 1 = 6 (9
+    while the unit grant took a slot of its own, 8 while each message's
+    TX serialization ended in an entry)."""
     class FreeOps(HardwarePrismBackend):
         def op_time(self, accesses, op_index=0):
             return 0.0, None
 
-    assert _costs_per_request(FreeOps, _read_512(True)) == (8, 1, 0)
+    assert _costs_per_request(FreeOps, _read_512(True)) == (6, 1, 0)
 
 
 def test_a_chain_nakd_midway_skips_the_rest_and_frees_unit_and_gate(
@@ -569,13 +576,22 @@ def _rpc_call(sim):
 #: entries an operation. Since a free unit or core is granted inside
 #: the claim, a GET, READ or call is one entry fewer (10, 11, 10 and 10
 #: before) and no frame more or fewer: the grant's frame is the same
-#: call, made by the claim instead of the run loop. A request-path change
-#: that adds a frame must say which one, and why its work cannot live
-#: in its caller.
+#: call, made by the claim instead of the run loop. Since a wire port is
+#: booked at the post (Lindley's recursion), each message's TX-finish
+#: entry is gone, and with it its ``fire``, ``_leave`` and the port's
+#: ``finish``; the RX port's ``finish`` went too, and the path timer is
+#: pushed in place, not through ``schedule_at``: 5 frames and 1 entry a
+#: message, so 10 frames and 2 entries a GET, READ or call. A GET also
+#: reads its length and checks the entry's key in place, where it
+#: called ``full_read_len``, ``buffer_bytes``, ``entry_key`` and
+#: ``unpack_uint`` (4 frames). The pins read 2034, 2034, 15502, 1700 and
+#: 1080 before (measured 2014, 2014, 15378, 1680 and 1060), and 9, 10, 9
+#: and 9 entries an operation. A request-path change that adds a frame
+#: must say which one, and why its work cannot live in its caller.
 _FRAMES_PINNED = [
-    pytest.param(_kv_get(HardwarePrismBackend), 2034, 9,
+    pytest.param(_kv_get(HardwarePrismBackend), 1734, 7,
                  id="kv-get-prism-hw"),
-    pytest.param(_kv_get(SoftwarePrismBackend), 2034, 10,
+    pytest.param(_kv_get(SoftwarePrismBackend), 1734, 8,
                  id="kv-get-prism-sw"),
     # a quorum phase became a scheduled payload after rule 12: 19884
     # frames (by code file) while each replica leg was a process; 18144
@@ -590,11 +606,11 @@ _FRAMES_PINNED = [
     # went, and each retire flush's ``span.untraced()`` is one frame
     # (three flushes here): the report belongs to the operation that
     # launches it but stays out of its trace
-    pytest.param(_rs_put, 15502, None, id="rs-put-prism-sw"),
-    pytest.param(_classic_read, 1700, 9, id="read-rdma-hw"),
+    pytest.param(_rs_put, 14027, None, id="rs-put-prism-sw"),
+    pytest.param(_classic_read, 1480, 7, id="read-rdma-hw"),
     # an RPC's server side became a scheduled payload after rule 12:
     # 1760 frames while its handler was a process
-    pytest.param(_rpc_call, 1080, 9, id="rpc-call"),
+    pytest.param(_rpc_call, 860, 7, id="rpc-call"),
 ]
 
 
@@ -610,8 +626,7 @@ def test_python_frames_per_operation_do_not_grow(build, frames_pinned,
     function the entry dispatches to, so frames per operation stay a
     small multiple of entries per operation — at most 17 Python frames
     per entry, the bound asserted here (the ``kv_read``-shaped GET
-    spends about 10; with builtins, about 19 profiled calls per
-    entry)."""
+    spends about 12: its 7 entries are fewer, not thinner)."""
     frames, entries = _frames_and_entries(build)
     assert frames <= frames_pinned
     if entries_per_op is not None:

@@ -178,15 +178,17 @@ def _costs_per_call(config=None, n_extra=100):
     return tuple((a - b) / n_extra for a, b in zip(more, fewer))
 
 
-def test_a_call_costs_nine_entries_one_resume_and_no_process():
-    """At zero tolerance: 2 client stages + 2 x 3 message stages + the
-    handling's service timer = 9 entries; a free core is granted inside
-    the claim (13 when the handler was a process: its completion entry;
-    12 while the handling took a boot slot after the delivering entry
-    and the call a slot after the reply's hand-over; 10 while the core
-    grant took a slot of its own). The caller is resumed once; the
-    server spawns nothing and asks the kernel for no timeout event."""
-    assert _costs_per_call() == (9, 1, 0, 0)
+def test_a_call_costs_seven_entries_one_resume_and_no_process():
+    """At zero tolerance: 2 client stages + 2 x 2 message stages + the
+    handling's service timer = 7 entries; a free core is granted inside
+    the claim and each message's TX port is booked at its post (13 when
+    the handler was a process: its completion entry; 12 while the
+    handling took a boot slot after the delivering entry and the call a
+    slot after the reply's hand-over; 10 while the core grant took a
+    slot of its own; 9 while the end of each message's TX serialization
+    was an entry). The caller is resumed once; the server spawns
+    nothing and asks the kernel for no timeout event."""
+    assert _costs_per_call() == (7, 1, 0, 0)
 
 
 class _EntryLog(deque):
@@ -210,7 +212,12 @@ def test_a_zero_cost_call_keeps_every_entry_at_its_instant(monkeypatch):
     a fifth and sixth at t = 1.5496, and the reply's slot, a second
     entry at t = 2.4476; the handling's boot slot and the reply's slot
     went (15 entries, 13 a call, before), and so did the core grant's
-    slot, a fifth at t = 1.5496 (14 entries, 11 a call, before)."""
+    slot, a fifth at t = 1.5496 (14 entries, 11 a call, before), and
+    the two messages' TX-finish entries, at t = 0.8748 and 1.6736 (12
+    entries, 10 a call, before). Now the caller's boot, the post
+    overhead, the request's wire, its RX end with the two service hops,
+    the reply's wire and RX, the completion overhead and the caller's
+    completion: 1 + 1 + 1 + 3 + 2 + 1 + 1 = 10 entries, 8 a call."""
     sim = Simulator()
     instants = []
     sim._ready = _EntryLog(sim, instants)
@@ -230,10 +237,10 @@ def test_a_zero_cost_call_keeps_every_entry_at_its_instant(monkeypatch):
     monkeypatch.setattr(heapq, "heappop", logging_pop)
     sim.run()
     arrival = 1.5495999999999999
-    assert instants == [0.0, 0.85, 0.8748, 1.5248] + [arrival] * 3 + [
-        1.6736, 2.3236, 2.4476, 3.2976, 3.2976]
+    assert instants == [0.0, 0.85, 1.5248] + [arrival] * 3 + [
+        2.3236, 2.4476, 3.2976, 3.2976]
     assert sim.events_executed == len(instants)
-    assert _costs_per_call(config) == (10, 1, 0, 0)
+    assert _costs_per_call(config) == (8, 1, 0, 0)
 
 
 def _booted_and_served(sim, server, service_us):

@@ -1,8 +1,14 @@
 """Resource, Store, and BandwidthPipe semantics."""
 
-import pytest
+from collections import deque
+from functools import partial
 
+import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
+
+from repro.net.fabric import Fabric, Host
 from repro.obs import HostProfiler, UtilizationCollector
+from repro.obs.timeline import ResourceMonitor
 from repro.sim import (
     BandwidthPipe,
     Interrupt,
@@ -426,18 +432,63 @@ class TestClaim:
             assert delays == [0.0, 2.0, 3.0, 4.0, 7.0]
 
 
-class Holder:
-    """A port holder as the kernel and the pipe see one: a heap payload
-    whose ``fire()`` finishes its transmission first."""
+def _hand_off_chain(claims, bytes_per_us, per_message_us, monitor):
+    """The hand-off chain a booked port stands for, written out: a claim
+    at ``t`` enters the FIFO; the message in service leaves at its
+    start plus its serialization time and hands the port to the oldest
+    queued claim, which starts then (``now + duration``). A claim at
+    the very instant a message leaves queues behind it first. Feeds
+    ``monitor`` each transition at its instant; returns each message's
+    leaving instant, in claim order."""
+    finishes = [None] * len(claims)
+    queue = deque()         # (index, claimed_at, duration)
+    leaving = None          # when the message in service leaves
 
-    cancelled = False
+    def leave():
+        nonlocal leaving
+        now = leaving
+        if queue:
+            index, claimed_at, duration = queue.popleft()
+            monitor.on_handoff(now, now - claimed_at)
+            leaving = finishes[index] = now + duration
+        else:
+            monitor.on_release(now)
+            leaving = None
 
-    def __init__(self, pipe, tag, finishes):
-        self.pipe, self.tag, self.finishes = pipe, tag, finishes
+    for index, (t, size) in enumerate(claims):
+        while leaving is not None and leaving < t:
+            leave()
+        duration = per_message_us + size / bytes_per_us
+        if leaving is None:
+            monitor.on_uncontended_grant(t)
+            leaving = finishes[index] = t + duration
+        else:
+            monitor.on_enqueue(t)
+            queue.append((index, t, duration))
+    while leaving is not None:
+        leave()
+    return finishes
 
-    def fire(self):
-        self.pipe.finish()
-        self.finishes.append((self.tag, self.pipe.sim.now))
+
+def _monitor_row(monitor, end):
+    """What a utilization report holds of ``monitor``, and its raw
+    counters, the extras a wire port adds left out."""
+    row = monitor.summary(0.0, end)
+    for key in ("name", "bytes", "messages"):
+        row.pop(key, None)
+    return (row, monitor.busy_us, monitor.depth_time_us, monitor.max_depth,
+            monitor.requests, monitor.grants, monitor.releases,
+            monitor.enqueues, monitor.dequeues, monitor.queue_delays)
+
+
+#: claim instants on a quarter-µs grid and sizes that often serialize in
+#: whole quarter-µs, so a claim often falls on the instant the port
+#: falls free; arbitrary sizes besides
+_CLAIMS = st.lists(
+    st.tuples(st.integers(0, 120).map(lambda k: k * 0.25),
+              st.one_of(st.integers(0, 24).map(lambda k: k * 25),
+                        st.integers(0, 5000))),
+    min_size=1, max_size=40)
 
 
 class TestBandwidthPipe:
@@ -449,40 +500,84 @@ class TestBandwidthPipe:
         pipe = BandwidthPipe(sim, bytes_per_us=1000, per_message_us=0.5)
         assert pipe.serialization_time(2000) == pytest.approx(2.5)
 
-    def test_transmissions_serialize(self, sim):
+    def test_transmissions_serialize(self, ties):
+        sim = Simulator()
         pipe = BandwidthPipe(sim, bytes_per_us=100)
-        finishes = []
-        # Claimed back to back at t=0: the second queues behind the
-        # first, and each claim already knows its finish instant.
-        assert pipe.claim(Holder(pipe, "a", finishes), 500) == 5.0
-        assert pipe.claim(Holder(pipe, "b", finishes), 500) == 10.0
-        sim.run()
-        assert finishes == [("a", 5.0), ("b", 10.0)]
+        # Booked back to back at t=0: the second queues behind the
+        # first, and each booking already knows its finish instant.
+        assert pipe.book(500) == 5.0
+        assert pipe.book(500) == 10.0
+        assert sim._queue == [] and not sim._ready   # the port pushes nothing
+        sim.run(until=20.0)
         assert pipe.utilization(20.0) == 0.5
 
     def test_a_zero_duration_message_takes_a_ready_slot_not_a_heap_entry(
-            self, sim):
-        """``claim`` pushes its holder's timer in place; a serialization
-        that ends at the claiming instant (zero bytes, no per-message
-        cost) must still go through ``schedule_at``'s zero-delay slot —
-        the heap only ever holds strictly-future entries."""
-        pipe = BandwidthPipe(sim, bytes_per_us=100, per_message_us=0.0)
-        finishes = []
+            self, ties):
+        """A booking's caller pushes its own timer; a delivery whose
+        stage ends at the instant it is pushed (zero bytes, no
+        per-message cost, no path latency) must still go through
+        ``schedule_at``'s zero-delay slot — the heap only ever holds
+        strictly-future entries."""
+        sim = Simulator()
+        fabric = Fabric(sim, one_way_latency_us=0.0)
+        for name in ("a", "b"):
+            fabric.add_host(Host(sim, name, bytes_per_us=100))
+        handed = []
+        fabric.hosts["b"].register_service(
+            "sink", lambda message: handed.append((message.payload, sim.now)))
         sim.run(until=3.0)
-        assert pipe.claim(Holder(pipe, "empty", finishes), 0) == 3.0
+        assert fabric.post("a", "b", "sink", "empty", 0).tx_done == 3.0
         assert sim._queue == [] and len(sim._ready) == 1
-        assert pipe.claim(Holder(pipe, "next", finishes), 200) == 5.0
+        assert fabric.post("a", "b", "sink", "next", 200).tx_done == 5.0
         sim.run()
-        assert finishes == [("empty", 3.0), ("next", 5.0)]
-        assert (pipe.bytes_total, pipe.messages_total) == (200, 2)
+        assert handed == [("empty", 3.0), ("next", 7.0)]
+        tx = fabric.hosts["a"].tx
+        assert (tx.bytes_total, tx.messages_total) == (200, 2)
 
-    def test_counters(self, sim):
+    def test_counters(self, ties):
+        sim = Simulator()
         pipe = BandwidthPipe(sim, bytes_per_us=100)
-        pipe.claim(Holder(pipe, "a", []), 300)
-        pipe.claim(Holder(pipe, "b", []), 200)
+        pipe.book(300)
+        pipe.book(200)
         sim.run(until=4.0)
-        # Counted when the last byte leaves, not at claim.
+        # Counted when the last byte leaves, not at booking.
         assert (pipe.bytes_total, pipe.messages_total) == (300, 1)
         assert pipe.utilization(4.0) == 1.0     # mid-period read
-        sim.run()
+        sim.run(until=5.0)
         assert (pipe.bytes_total, pipe.messages_total) == (500, 2)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True,
+          database=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(claims=_CLAIMS, per_message_us=st.sampled_from([0.0, 0.25, 0.3]))
+def test_a_booking_is_the_hand_off_chain(ties, claims, per_message_us):
+    """Lindley's recursion against the chain of hand-offs it
+    replaces: every finish instant equal to the bit, ties at
+    ``free_at`` included, and the port's utilization row — busy
+    time, queue depth, grants, hand-offs and queue delays — equal
+    too, replayed from the bookings when the books close."""
+    sim = Simulator()
+    collector = sim.attach(UtilizationCollector())
+    pipe = BandwidthPipe(sim, bytes_per_us=100,
+                         per_message_us=per_message_us, name="p")
+    booked = []     # (claimed at, size, finish), in booking order
+
+    def book(size):
+        booked.append((sim.now, size, pipe.book(size)))
+
+    for t, size in sorted(claims, key=lambda claim: claim[0]):
+        sim.call_at(t, partial(book, size))
+    sim.run()
+    end = max(sim.now, *(done for _t, _size, done in booked))
+    sim.run(until=end)
+    collector.finish(end)
+    reference = ResourceMonitor(Simulator(), "p.port", "wire")
+    finishes = _hand_off_chain([(t, size) for t, size, _ in booked],
+                               100.0, per_message_us, reference)
+    reference.finish(end)
+    assert [done for _t, _size, done in booked] == finishes
+    assert _monitor_row(pipe.monitor, end) == _monitor_row(reference,
+                                                           end)
+    assert (pipe.bytes_total, pipe.messages_total) == (
+        sum(size for _t, size, _ in booked), len(booked))
