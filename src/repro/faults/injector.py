@@ -7,8 +7,8 @@ hook in the data path is a single ``is None`` check and a run's timing
 is bit-identical to an uninjected one.
 
 Determinism: every stochastic choice draws from a named substream of
-``SeededRng(plan.seed)``; message fate draws happen in TX-finish
-order (itself deterministic), retry backoff jitter draws from one
+``SeededRng(plan.seed)``; message fate draws happen in post order
+(itself deterministic), retry backoff jitter draws from one
 stream per request channel. Same plan + same workload seed ⇒ the same
 drops, the same retransmissions, the same ``RunResult``.
 """
@@ -101,9 +101,10 @@ class FaultInjector:
 
     def on_message(self, message):
         """Draw this message's fate; one verdict per posted message,
-        as its last byte leaves the TX port. The fate's bus event names
-        the operation the message serves (requests and replies alike),
-        the ``op`` of the span it carries."""
+        when it is posted (``Fabric.post`` has booked its TX port by
+        then). The fate's bus event names the operation the message
+        serves (requests and replies alike), the ``op`` of the span it
+        carries."""
         plan = self.plan
         drop = plan.drop > 0.0 and self._net.random() < plan.drop
         duplicate = (plan.duplicate > 0.0
