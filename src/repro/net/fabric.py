@@ -4,8 +4,10 @@ Each host owns full-duplex TX/RX ports (``BandwidthPipe``). A message
 occupies the sender's TX port for its serialization time, crosses the
 path (propagation + per-switch latency, after a fault plan's injected
 delay: one timer for both), occupies the receiver's RX port, then is
-handed to the destination service handler. Its TX slot is booked when
-it is posted, and its fault fate is drawn then, in post order.
+handed to the destination service handler — at once, or a service's
+fixed lead later (a software stack's pipeline latency). Its TX slot is
+booked when it is posted, and its fault fate is drawn then, in post
+order.
 
 Service handlers are plain callables ``handler(message)`` registered
 per host; timed work behind one is a scheduled payload (a device
@@ -29,15 +31,21 @@ class Host:
         self.rx = BandwidthPipe(sim, bytes_per_us, per_message_us, name=f"{name}.rx")
         self._services = {}
 
-    def register_service(self, service, handler):
-        """Route messages addressed to ``service`` to ``handler``."""
+    def register_service(self, service, handler, lead_us=0.0):
+        """Route messages addressed to ``service`` to ``handler``.
+
+        ``lead_us`` is the service's fixed lead, pure latency between a
+        message clearing the RX port and its handler (a software
+        stack's pipeline): the hand-over runs ``lead_us`` after RX-done,
+        in one entry (docs/performance.md, rule 11(f)).
+        """
         if service in self._services:
             raise ValueError(f"{self.name}: service {service!r} already registered")
-        self._services[service] = handler
+        self._services[service] = (handler, lead_us)
 
     def handler_for(self, service):
         try:
-            return self._services[service]
+            return self._services[service][0]
         except KeyError:
             raise KeyError(f"{self.name}: no service {service!r}") from None
 
@@ -146,10 +154,15 @@ class _Delivery:
 
     The delivery is its own heap payload (``Simulator.schedule_at``),
     advancing by stage: propagation, arrival (crash-drop check, RX
-    port booking), RX serialization, handler. Its two kernel entries
-    are instants at which model time has been spent — the end of
-    propagation and of RX serialization; no grant hop, no bootstrap,
-    no resume, no completion event. The TX port is booked at the post,
+    port booking, the service's handler and lead), RX serialization
+    plus the lead, handler. Its two kernel entries are instants at
+    which model time has been spent — the end of propagation and the
+    hand-over, ``lead`` after the end of RX serialization (``done +
+    0.0`` is ``done`` for a service with no lead); no grant hop, no
+    bootstrap, no resume, no completion event. The landing instant,
+    RX-done, rides on the message (``message.landed``, set at each
+    hand-over) for the spans a handler opens, and ``fabric.inflight``
+    counts the message out at it. The TX port is booked at the post,
     so the end of TX serialization needs no entry: the propagation
     timer is pushed right away, for ``tx_done + l``, or with an
     injected delay ``d`` for ``(tx_done + d) + l`` — the two additions
@@ -167,7 +180,8 @@ class _Delivery:
     a benchmark point runs, so a per-message cycle would be a leak.
     """
 
-    __slots__ = ("fabric", "message", "stage", "tx_done")
+    __slots__ = ("fabric", "message", "stage", "tx_done", "handler",
+                 "landed")
 
     #: the kernel's tombstone check; a message in flight is never withdrawn
     cancelled = False
@@ -193,7 +207,7 @@ class _Delivery:
         fabric = self.fabric
         if fabric.monitor is not None:
             # In flight from the instant the last byte leaves.
-            fabric.monitor.enter_at(self.tx_done)
+            fabric.monitor.at(self.tx_done, 1)
         message = self.message
         arrive = (start if message.src == message.dst
                   else start + fabric.one_way_latency_us)
@@ -225,22 +239,24 @@ class _Delivery:
                 fabric.monitor.adjust(-1)
             return
         self.stage = _RX
-        done = fabric.hosts[message.dst].rx.book(message.size_bytes,
-                                                 message.span)
+        dst = fabric.hosts[message.dst]
+        try:
+            self.handler, lead = dst._services[message.service]
+        except KeyError:
+            dst.handler_for(message.service)  # raises, naming both
+        done = self.landed = dst.rx.book(message.size_bytes, message.span)
+        if fabric.monitor is not None:
+            fabric.monitor.at(done, -1)
+        # The lead rides the RX port's timer: the same float the lead's
+        # own timer, started at RX-done, would reach (rule 11(f)).
+        done += lead
         if done > sim._now:
             heappush(sim._queue, (done, next(sim._sequence), self))
         else:
             sim.schedule_at(done, self)
 
     def _hand_over(self):
-        fabric = self.fabric
+        self.fabric.messages_delivered += 1
         message = self.message
-        fabric.messages_delivered += 1
-        if fabric.monitor is not None:
-            fabric.monitor.adjust(-1)
-        dst = fabric.hosts[message.dst]
-        try:
-            handler = dst._services[message.service]
-        except KeyError:
-            handler = dst.handler_for(message.service)  # raises, naming both
-        handler(message)
+        message.landed = self.landed
+        self.handler(message)

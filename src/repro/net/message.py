@@ -20,7 +20,7 @@ class Message:
     """An envelope travelling through the fabric."""
 
     __slots__ = ("id", "src", "dst", "service", "payload", "size_bytes",
-                 "send_time", "span")
+                 "send_time", "span", "landed")
 
     def __init__(self, src, dst, service, payload, size_bytes):
         self.id = next(_ids)
@@ -32,6 +32,9 @@ class Message:
         self.send_time = None
         #: tracing parent for the delivery-side (propagation + RX) spans
         self.span = NULL_SPAN
+        #: when the handed-over delivery cleared its RX port (RX-done);
+        #: set at each hand-over, a service's lead after it
+        self.landed = None
 
     def __repr__(self):
         return (f"<Message #{self.id} {self.src}->{self.dst}/{self.service} "

@@ -320,21 +320,26 @@ class DepthMonitor(_WindowedMonitor):
                          window_us=window_us)
         self.enters = 0
         self.exits = 0
-        #: instants of the entries :meth:`enter_at` holds, a heap
+        #: ``(instant, -delta)`` of the transitions :meth:`at` holds, a
+        #: heap: an instant's enters pop before its exits
         self._due = []
 
-    def enter_at(self, when):
-        """``adjust(+1)`` at ``when``, an instant known ahead (a message
-        leaving its TX port): it is counted, in order, once the
-        monitor's clock reaches it — at its next transition, this
-        instant's included, or when its books close."""
-        heappush(self._due, when)
+    def at(self, when, delta):
+        """``adjust(delta)`` at ``when``, an instant known ahead (a
+        message leaving its TX port, or clearing its RX port): it is
+        counted, in order, once the monitor's clock reaches it — at its
+        next transition, this instant's included, or when its books
+        close."""
+        heappush(self._due, (when, -delta))
 
     def adjust(self, delta):
         now = self.sim._now
-        if self._due and self._due[0] <= now:
-            self._enter_due(now)
-        self._advance(now)
+        if self._due and self._due[0][0] <= now:
+            self._settle(now)
+        self._apply(now, delta)
+
+    def _apply(self, when, delta):
+        self._advance(when)
         self._depth += delta
         if delta > 0:
             self.enters += delta
@@ -344,19 +349,15 @@ class DepthMonitor(_WindowedMonitor):
         else:
             self.exits -= delta
 
-    def _enter_due(self, until):
+    def _settle(self, until):
         due = self._due
-        while due and due[0] <= until:
-            self._advance(heappop(due))
-            self._depth += 1
-            self.enters += 1
-            self.events += 1
-            self._cell[EVENTS] += 1
-            self._note_depth()
+        while due and due[0][0] <= until:
+            when, negated = heappop(due)
+            self._apply(when, -negated)
 
     def finish(self, elapsed=None):
         if self.end is None and self._due:
-            self._enter_due(self.sim.now)
+            self._settle(self.sim.now)
         super().finish(elapsed)
 
     def summary(self, start, end):

@@ -54,7 +54,8 @@ class PrismServer:
         self.saved = SavedReplies()
         self.failed = False
         self.requests_dropped = 0
-        fabric.host(host_name).register_service(service, self._on_request)
+        fabric.host(host_name).register_service(
+            service, self._on_request, lead_us=self.backend.admission_us)
         if sim.faults is not None:
             sim.faults.register_server(host_name, self)
 
@@ -173,6 +174,7 @@ class PrismServer:
         if span.enabled:
             span = span.child("server.process", phase="queue",
                               host=self.host_name, backend=self.backend.label)
+            span.start = execution.message.landed  # the admission's start
         execution.span = span
         return True
 

@@ -53,7 +53,7 @@ class ReceiveEndpoint:
         self._connection = server.connect(f"__{service}__")
         self.rnr_naks = 0
         server.fabric.host(server.host_name).register_service(
-            service, self._on_send)
+            service, self._on_send, lead_us=server.backend.admission_us)
 
     def post_receive(self, buffer_addr):
         """Return a consumed buffer to the receive queue (app side)."""

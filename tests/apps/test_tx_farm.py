@@ -153,16 +153,16 @@ def test_a_repeated_commit_rpc_runs_once(sim, app_fabric, drive):
     server = _server(sim, app_fabric)
     client = _client(sim, app_fabric, server)
     services = app_fabric.host("server")._services
-    deliver = services["rpc"]
+    deliver, lead = services["rpc"]
 
     def twice(message):
         deliver(message)
         deliver(message)
 
-    services["rpc"] = twice
+    services["rpc"] = (twice, lead)
     replies = app_fabric.host("c0")._services
     reply_service = client.rpc.channel.reply_service
-    take_reply = replies[reply_service]
+    take_reply, lead = replies[reply_service]
     lost = [2]
 
     def lossy(message):
@@ -171,7 +171,7 @@ def test_a_repeated_commit_rpc_runs_once(sim, app_fabric, drive):
         else:
             take_reply(message)
 
-    replies[reply_service] = lossy
+    replies[reply_service] = (lossy, lead)
 
     def main():
         committed, _ = yield from client.run_transaction((9,), (9,),

@@ -106,7 +106,7 @@ def _channels(system):
     """Every request channel of one client built on ``system``."""
     system.executor(0, "client0")
     services = system.fabric.host("client0")._services
-    return [service.__self__ for name, service in services.items()
+    return [handler.__self__ for name, (handler, _) in services.items()
             if name.startswith("reply.")]
 
 

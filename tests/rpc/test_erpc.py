@@ -404,7 +404,7 @@ def _script(fabric, host, service, copies):
     ``copies(message)`` times: 0 loses it, 2 duplicates it. Returns the
     ``(instant, message)`` log of what arrived, before the script."""
     services = fabric.host(host)._services
-    handler = services[service]
+    handler, lead = services[service]
     arrived = []
 
     def deliver(message):
@@ -412,7 +412,7 @@ def _script(fabric, host, service, copies):
         for _ in range(copies(message)):
             handler(message)
 
-    services[service] = deliver
+    services[service] = (deliver, lead)
     return arrived
 
 
@@ -543,7 +543,7 @@ def test_a_late_duplicate_below_the_horizon_gets_no_reply(ties, sim, fabric):
         yield from client.call("server", "inc", None, 8)
         yield from client.call("server", "inc", None, 8)
         (_, late), _ = requests
-        fabric.host("server")._services["rpc"](late)  # the first, again
+        fabric.host("server").handler_for("rpc")(late)  # the first, again
         yield sim.timeout(100.0)
 
     sim.run_until_complete(sim.spawn(main()))
