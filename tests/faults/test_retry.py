@@ -376,3 +376,55 @@ def test_exhaustion_is_counted_once_everywhere():
     assert len(exhausted) == 1 and exhausted[0][1][1] == 3
     assert kinds[-2:] == ["req.timeout", "req.exhausted"]
     assert len(seen) == 3 and channel.outstanding == 0
+
+
+# -- the crash boundary of a software stack -------------------------------------
+
+
+def _sw_read(crash=None):
+    """One client READ on a ``prism-sw`` server under a retry plan, with
+    ``crash`` (``(at_us, recover_at_us)`` of the server) or none.
+    Returns the server, the client's channel, the read's value and
+    the landing instant (RX-done) of each request delivery."""
+    from repro.faults import CrashEvent
+    from repro.net.topology import RACK, make_fabric
+    from repro.prism import PrismClient, PrismServer, SoftwarePrismBackend
+
+    sim = Simulator()
+    crashes = () if crash is None else (CrashEvent("server", *crash),)
+    sim.set_faults(FaultPlan(seed=1, crashes=crashes, retry=RetryPolicy(
+        timeout_us=40.0, max_retries=2, backoff_base_us=1.0)))
+    fabric = make_fabric(sim, RACK, ["client", "server"])
+    server = PrismServer(sim, fabric, "server", SoftwarePrismBackend)
+    client = PrismClient(sim, fabric, "client", server)
+    addr, rkey = server.add_region(64)
+    server.space.write(addr, b"survives")
+    handler, lead = fabric.host("server")._services["prism"]
+    landed = []
+
+    def recording(message):
+        landed.append(message.landed)
+        handler(message)
+
+    fabric.host("server")._services["prism"] = (recording, lead)
+    value = sim.run_until_complete(sim.spawn(client.read(addr, 8,
+                                                         rkey=rkey)))
+    return server, client.channel, value, landed
+
+
+def test_a_request_in_the_stacks_pipeline_at_a_crash_is_dropped(ties):
+    """The crash check runs at the hand-over, after the stack's
+    pipeline: a request that landed less than ``admission_us`` before
+    the server crashed is dropped (its arrival found the host up), and
+    its retransmission, landing after recovery, executes."""
+    server, channel, value, (landed,) = _sw_read()
+    assert value == b"survives" and channel.retransmissions == 0
+    lead = server.backend.admission_us
+    crash_at = landed + lead / 2                # mid-pipeline
+    server, channel, value, (first, second) = _sw_read(
+        (crash_at, crash_at + 10.0))
+    assert first == landed
+    assert server.requests_dropped == 1
+    assert channel.retransmissions == 1
+    assert second > crash_at + 10.0              # after the recovery
+    assert value == b"survives"
