@@ -6,6 +6,7 @@ from repro.prism.address_space import ServerAddressSpace
 from repro.prism.engine import Connection, PrismEngine
 from repro.rdma.mr import AccessFlags, MemoryRegionTable
 from repro.rdma.qp import QueuePair
+from repro.sim.resources import BandwidthPipe
 
 
 class EngineHarness:
@@ -55,6 +56,21 @@ def leave_gate(gate):
     if gate._executing == 0 and gate._drained is not None:
         event, gate._drained = gate._drained, None
         event.succeed()
+
+
+def recording_rx(monkeypatch, fabric, host):
+    """Record the RX-done instant of every booking on ``host``'s RX
+    port; returns the list."""
+    rx, book, booked = fabric.host(host).rx, BandwidthPipe.book, []
+
+    def recording_book(pipe, size_bytes, span):
+        done = book(pipe, size_bytes, span)
+        if pipe is rx:
+            booked.append(done)
+        return done
+
+    monkeypatch.setattr(BandwidthPipe, "book", recording_book)
+    return booked
 
 
 @pytest.fixture
