@@ -18,7 +18,16 @@ with. A plan is the only source of a repeated request.
 — into a plan.
 """
 
+import math
 from dataclasses import dataclass, field
+
+
+def _check_time(name, value, positive=False):
+    """Refuse a time that is not finite, or is negative (not positive
+    with ``positive``): a NaN instant would put the clock at NaN."""
+    if not (math.isfinite(value) and (value > 0 if positive else value >= 0)):
+        raise ValueError(f"{name} must be finite and "
+                         f"{'> 0' if positive else '>= 0'}, got {value}")
 
 
 @dataclass(frozen=True)
@@ -36,9 +45,11 @@ class CrashEvent:
     recover_at_us: float = None
 
     def __post_init__(self):
-        if self.at_us < 0:
-            raise ValueError(f"crash time must be >= 0, got {self.at_us}")
-        if self.recover_at_us is not None and self.recover_at_us <= self.at_us:
+        _check_time("crash time", self.at_us)
+        if self.recover_at_us is None:
+            return
+        _check_time("recovery time", self.recover_at_us)
+        if self.recover_at_us <= self.at_us:
             raise ValueError(
                 f"{self.host}: recovery at {self.recover_at_us} must come "
                 f"after the crash at {self.at_us}")
@@ -64,6 +75,14 @@ class RetryPolicy:
     max_retries: int = 8
     backoff_base_us: float = 2.0
     backoff_max_us: float = 256.0
+
+    def __post_init__(self):
+        _check_time("timeout_us", self.timeout_us, positive=True)
+        if not self.max_retries >= 0:
+            raise ValueError(
+                f"max_retries must be >= 0, got {self.max_retries}")
+        _check_time("backoff_base_us", self.backoff_base_us)
+        _check_time("backoff_max_us", self.backoff_max_us)
 
     def backoff_us(self, attempt, rng=None):
         """Backoff before retransmission number ``attempt`` (0-based)."""
@@ -108,8 +127,8 @@ class FaultPlan:
                 raise ValueError(f"{name} must be a probability, got {p}")
         if not 0.0 <= self.starve <= 1.0:
             raise ValueError(f"starve must be in [0, 1], got {self.starve}")
-        if self.jitter_us < 0:
-            raise ValueError(f"jitter_us must be >= 0, got {self.jitter_us}")
+        for name in ("jitter_us", "starve_at_us", "starve_hold_us"):
+            _check_time(name, getattr(self, name))
         object.__setattr__(self, "crashes", tuple(self.crashes))
 
     @property

@@ -164,18 +164,10 @@ class HostProfiler(Observer):
         """The kernel left its run loop."""
         self.wall_s += perf_counter() - self._run_t0
 
-    def event_begin(self):
-        """One queue entry is about to execute."""
-        self.events += 1
-        if self.events % self.stride:
-            return
-        self.begin_timed()
-
     def begin_timed(self):
-        """Start timing one event. The kernel's profiled loop inlines
-        the counter increment and stride check and calls this only for
-        the sampled events (see ``Simulator._loop_profiled``);
-        ``event_begin`` is the equivalent single-call form."""
+        """Start timing one event. The kernel's instrumented loop
+        (``Simulator._loop_instrumented``) counts every event in
+        ``events`` itself and calls this only for the sampled ones."""
         self.timed_events += 1
         self._timing = True
         self.enter("dispatch")

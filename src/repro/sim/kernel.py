@@ -17,7 +17,10 @@ so every kernel entry does model work.
 Same-instant work runs heap entries first, then the deque FIFO: that
 is the *default* tie order, not a guarantee model code may rely on.
 :meth:`Simulator.shuffle_ties` installs a seeded draw over everything
-due at an instant instead (docs/performance.md, rule 11(e)).
+due at an instant instead (docs/performance.md, rule 11(e)). There are
+two run loops: ``Simulator._loop``, the fast default, and
+``Simulator._loop_instrumented``, which runs under the host profiler, a
+tie draw, or both.
 
 Every generator the kernel drives is stepped by one driver,
 :class:`_Task`, and every value it yields must be an
@@ -380,14 +383,10 @@ class Simulator:
         draw among many; each entry still runs whole, and a
         :meth:`run_until_complete` halt still runs first. A shuffled run
         may change timings, never a verdict (docs/performance.md, rule
-        11(e)). Install before the run, like :meth:`set_faults`.
-        Unprofiled only: the host profiler times the default loop.
+        11(e)). Install before the run, like :meth:`set_faults`; a
+        host profiler may meter the shuffled run.
         """
         self._check_not_started("shuffle_ties")
-        if self.hostprof is not None:
-            raise SimulationError(
-                "shuffle_ties: the tie-order shuffle runs unprofiled only "
-                "— a host profiler is attached")
         self._ties = SeededRng(seed).stream("sim.ties")
 
     @property
@@ -524,7 +523,7 @@ class Simulator:
 
     def call_at(self, when, callback):
         """Run a bare callable at absolute time ``when``."""
-        if when < self._now:
+        if not when >= self._now:  # NaN too
             raise SimulationError(f"cannot schedule in the past: {when} < {self._now}")
         if when == self._now:
             self._ready.append(callback)
@@ -557,9 +556,9 @@ class Simulator:
         """Execute entries until the queue drains (returns False) or the
         next one lies beyond ``until`` (returns True, clock untouched).
 
-        The one run loop; :meth:`_loop_profiled` is its twin under the
-        host profiler and :meth:`_loop_shuffled` its twin under a
-        tie-order draw. Its shape, the default tie order:
+        The fast run loop; :meth:`_loop_instrumented` runs instead
+        under the host profiler or a tie-order draw. Its shape, the
+        default tie order:
 
           1. pop heap entries due at the current instant (they were
              pushed from an *earlier* instant, so they precede anything
@@ -576,10 +575,8 @@ class Simulator:
             raise SimulationError(
                 f"cannot run until {until}: the clock is at {self._now} "
                 "and only runs forwards")
-        if self._ties is not None:
-            return self._loop_shuffled(until)
-        if self.hostprof is not None:
-            return self._loop_profiled(until)
+        if self._ties is not None or self.hostprof is not None:
+            return self._loop_instrumented(until)
         ready = self._ready
         queue = self._queue
         pop = heapq.heappop
@@ -613,112 +610,50 @@ class Simulator:
         finally:
             self.events_executed += executed
 
-    def _loop_profiled(self, until):
-        """:meth:`_loop` with the host-profiler's wall-clock meters on.
+    def _loop_instrumented(self, until):
+        """:meth:`_loop` under a tie draw (:meth:`shuffle_ties`), the host
+        profiler, or both; the simulated schedule is the same either way
+        — the profiler only reads ``perf_counter`` around the same entries.
 
-        A separate loop so the unprofiled hot path pays no per-entry
-        test for it; the simulated schedule is identical — the profiler
-        only reads ``perf_counter`` around the same callbacks.
+        At each instant the heap entries due then are popped into ``due``;
+        entries are then taken from ``due`` and the ready deque until both
+        are empty — nothing an entry does can make another heap entry due
+        now. With no draw the order is :meth:`_loop`'s: ``due`` in push
+        order, then the deque FIFO. With a draw each entry is drawn
+        uniformly from the two together, and a halt at the head of the
+        deque runs before any draw. Under the profiler every entry counts
+        in ``hp.events`` and every ``stride``-th runs timed. Entries still
+        in ``due`` when the loop leaves go back on the heap with their
+        sequence numbers.
         """
         hp = self.hostprof
-        ready = self._ready
-        queue = self._queue
-        pop = heapq.heappop
-        now = self._now
-        # Stride sampling inlined: untimed events pay one increment and
-        # one modulo, not two method calls and a try/finally.
-        stride = hp.stride
-        executed = 0
-        # The sampling counter lives in a local for the whole loop (an
-        # attribute RMW per event is measurable); flushed on exit so
-        # report() and nested runs see the true count.
-        ev = hp.events
-        hp.run_begin()
-        try:
-            while True:
-                while queue and queue[0][0] <= now:
-                    obj = pop(queue)[2]
-                    if obj.cancelled:
-                        self._cancelled_timers -= 1
-                        continue
-                    executed += 1
-                    ev += 1
-                    if ev % stride:
-                        obj.fire()
-                    else:
-                        hp.begin_timed()
-                        try:
-                            obj.fire()
-                        finally:
-                            hp.event_end()
-                while ready:
-                    executed += 1
-                    ev += 1
-                    if ev % stride:
-                        ready.popleft()()
-                    else:
-                        hp.begin_timed()
-                        try:
-                            ready.popleft()()
-                        finally:
-                            hp.event_end()
-                if not queue:
-                    return False
-                when = queue[0][0]
-                if until is not None and when > until:
-                    return True
-                obj = pop(queue)[2]
-                if obj.cancelled:
-                    self._cancelled_timers -= 1
-                    continue
-                now = when
-                self._now = when
-                executed += 1
-                ev += 1
-                if ev % stride:
-                    obj.fire()
-                else:
-                    hp.begin_timed()
-                    try:
-                        obj.fire()
-                    finally:
-                        hp.event_end()
-        finally:
-            self.events_executed += executed
-            hp.events = ev
-            hp.run_end()
-
-    def _loop_shuffled(self, until):
-        """:meth:`_loop` with the tie order drawn (:meth:`shuffle_ties`).
-
-        At each instant the heap entries due then are popped into
-        ``due``; from then on every entry is drawn uniformly from
-        ``due`` and the ready deque together, until both are empty —
-        nothing an entry does can make another heap entry due now. A
-        halt at the head of the deque runs before any draw. Entries
-        still in ``due`` when the loop leaves go back on the heap with
-        their sequence numbers.
-        """
-        if self.hostprof is not None:
-            raise SimulationError(
-                "shuffle_ties: the tie-order shuffle runs unprofiled only "
-                "— a host profiler is attached")
-        draw = self._ties.randrange
+        draw = None if self._ties is None else self._ties.randrange
         ready = self._ready
         queue = self._queue
         pop = heapq.heappop
         due = []
         executed = 0
+        if hp is not None:
+            # The sampling counter lives in a local for the whole loop
+            # (an attribute RMW per event is measurable); flushed on exit
+            # so report() and nested runs see the true count.
+            ev = hp.events
+            stride = hp.stride
+            hp.run_begin()
         try:
             while True:
                 now = self._now
                 while queue and queue[0][0] <= now:
                     due.append(pop(queue))
+                if draw is None:
+                    due.reverse()  # the default order takes from the end
                 while due or ready:
-                    if ready and ready[0] is _halt:
-                        executed += 1
-                        ready.popleft()()
-                    index = draw(len(due) + len(ready))
+                    if draw is None:
+                        index = len(due) - 1 if due else 0
+                    elif ready and ready[0] is _halt:
+                        index = len(due)
+                    else:
+                        index = draw(len(due) + len(ready))
                     if index < len(due):
                         # Swap-remove: the draw is uniform whatever the
                         # order of ``due``.
@@ -728,14 +663,27 @@ class Simulator:
                         if obj.cancelled:
                             self._cancelled_timers -= 1
                             continue
-                        executed += 1
-                        obj.fire()
+                        entry = obj.fire
                     else:
+                        # The deque's ``index``-th entry, taken through
+                        # its head: no rotation in the default order.
                         index -= len(due)
-                        entry = ready[index]
-                        del ready[index]
-                        executed += 1
+                        ready.rotate(-index)
+                        entry = ready.popleft()
+                        ready.rotate(index)
+                    executed += 1
+                    if hp is None:
                         entry()
+                        continue
+                    ev += 1
+                    if ev % stride:
+                        entry()
+                    else:
+                        hp.begin_timed()
+                        try:
+                            entry()
+                        finally:
+                            hp.event_end()
                 if not queue:
                     return False
                 when, _, obj = queue[0]
@@ -750,6 +698,9 @@ class Simulator:
             self.events_executed += executed
             for entry in due:
                 heapq.heappush(queue, entry)
+            if hp is not None:
+                hp.events = ev
+                hp.run_end()
 
     def run(self, until=None):
         """Run until the queue drains or simulated time passes ``until``.

@@ -90,6 +90,16 @@ class TestParseFaults:
     def test_seed_only_spec_is_quiet(self):
         assert parse_faults("seed=9").quiet
 
+    @pytest.mark.parametrize("spec", [
+        "crash=server@nan", "crash=server@inf", "crash=server@5+nan",
+        "crash=server@-1", "timeout=-5", "timeout=0", "timeout=nan",
+        "jitter=nan", "jitter=inf", "retries=-3", "starve_at=-10",
+        "starve_at=nan", "starve_hold=-4", "backoff=-2", "backoff=nan",
+        "backoff_max=inf"])
+    def test_a_time_that_is_negative_or_not_finite_is_refused(self, spec):
+        with pytest.raises(ValueError):
+            parse_faults(spec)
+
     def test_bad_pieces_rejected(self):
         with pytest.raises(ValueError):
             parse_faults("drop")

@@ -72,11 +72,14 @@ class TestOffByDefault:
 
 
 class TestBitIdentity:
-    def test_profiled_point_matches_unprofiled(self):
+    """Under the ``ties`` fixture both points run the same tie draw:
+    the profiler meters a shuffled run as it does the default one."""
+
+    def test_profiled_point_matches_unprofiled(self, ties):
         assert (_metrics(_kv_point(hostprof=HostProfiler()))
                 == _metrics(_kv_point()))
 
-    def test_stride_sampling_matches_too(self):
+    def test_stride_sampling_matches_too(self, ties):
         assert (_metrics(_kv_point(hostprof=HostProfiler(stride=7)))
                 == _metrics(_kv_point()))
 
@@ -148,7 +151,7 @@ class TestBucketStack:
     def test_nested_bucket_suspends_parent(self):
         profiler = HostProfiler()
         profiler.run_begin()
-        profiler.event_begin()            # opens "dispatch"
+        profiler.begin_timed()            # opens "dispatch"
         profiler.enter("resource")
         profiler.enter("hooks.obs")
         profiler.exit()
@@ -165,7 +168,7 @@ class TestBucketStack:
     def test_event_end_unwinds_stranded_buckets(self):
         profiler = HostProfiler()
         profiler.run_begin()
-        profiler.event_begin()
+        profiler.begin_timed()
         profiler.enter("resource")        # never exited: simulated
         profiler.event_end()              # exception in a callback
         profiler.run_end()

@@ -268,6 +268,14 @@ def test_call_at_past_rejected(sim):
     assert sim.run_until_complete(process)
 
 
+def test_call_at_refuses_nan(sim):
+    """``nan < now`` is false: a NaN instant would run its callable
+    with the clock at NaN."""
+    with pytest.raises(SimulationError):
+        sim.call_at(float("nan"), lambda: None)
+    assert sim.run() == 0.0 and sim.events_executed == 0
+
+
 def test_nested_yield_from_subgenerators(sim, drive):
     def inner():
         yield sim.timeout(2)

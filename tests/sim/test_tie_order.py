@@ -6,6 +6,8 @@ order — heap entries first, then the deque FIFO — is one draw among
 many (docs/performance.md, rule 11(e)).
 """
 
+from contextlib import contextmanager, nullcontext
+
 import pytest
 
 from repro.obs import HostProfiler
@@ -39,6 +41,17 @@ def _order(ties=None):
     log = _batch(sim)
     sim.run()
     return log, sim.events_executed
+
+
+@contextmanager
+def _profiled(sim):
+    """``sim`` with a host profiler attached, taken off (it is ambient
+    while attached) when the block ends."""
+    profiler = sim.attach(HostProfiler())
+    try:
+        yield profiler
+    finally:
+        profiler.finish(sim.now)
 
 
 def test_the_same_seed_gives_the_same_run():
@@ -156,24 +169,68 @@ def test_until_stops_before_the_next_instant_with_the_clock_untouched():
     assert log[-1] == "late"
 
 
-def test_the_installer_refuses_a_host_profiler_and_a_started_run():
-    sim = Simulator()
-    profiler = sim.attach(HostProfiler())
-    try:
-        with pytest.raises(SimulationError, match="unprofiled"):
-            sim.shuffle_ties(1)
-    finally:
-        profiler.finish(sim.now)
-    sim = Simulator()
-    sim.shuffle_ties(1)
-    profiler = sim.attach(HostProfiler())
-    try:
-        with pytest.raises(SimulationError, match="unprofiled"):
-            sim.run()
-    finally:
-        profiler.finish(sim.now)
+def test_the_installer_refuses_a_started_run():
     sim = Simulator()
     sim.call_at(1.0, lambda: None)
     sim.run()
     with pytest.raises(SimulationError, match="before the simulation runs"):
         sim.shuffle_ties(1)
+
+
+def _batch_and_finisher(sim):
+    """:func:`_batch` plus a process that finishes at t = 1.0 with a
+    timer of its own at t = 3.0 left pending. Returns the log and the
+    process."""
+    log = _batch(sim)
+    sim.call_at(2.0, lambda: log.append("late"))
+
+    def finisher():
+        yield sim.sleep_until(1.0)
+        log.append("done")
+        sim.timeout(2.0)
+
+    return log, sim.spawn(finisher())
+
+
+def test_a_profiled_shuffled_run_is_the_unprofiled_one():
+    """The profiler only reads the wall clock: under a draw it sees
+    the same entries in the same order, and counts every one."""
+    for seed in range(1, 9):
+        bare = Simulator()
+        bare.shuffle_ties(seed)
+        bare_log, _ = _batch_and_finisher(bare)
+        bare.run()
+        sim = Simulator()
+        sim.shuffle_ties(seed)
+        with _profiled(sim) as profiler:
+            log, _ = _batch_and_finisher(sim)
+            sim.run()
+        assert log == bare_log
+        assert sim.events_executed == bare.events_executed
+        assert profiler.events == sim.events_executed
+        assert profiler.resumes > 0
+
+
+@pytest.mark.parametrize("seed", [None, 1, 2, 3])
+def test_a_profiled_run_until_complete_halts_where_the_unprofiled_one_does(
+        seed):
+    """In the default order and under a draw, a profiled halt stops
+    after the same entries and leaves the same entries queued; the
+    halt itself counts neither as an executed entry nor as a profiled
+    event."""
+    def halted(profile):
+        sim = Simulator()
+        if seed is not None:
+            sim.shuffle_ties(seed)
+        with _profiled(sim) if profile else nullcontext() as profiler:
+            log, process = _batch_and_finisher(sim)
+            sim.run_until_complete(process)
+            stopped = (list(log), sim.events_executed,
+                       [entry[:2] for entry in sorted(sim._queue)],
+                       len(sim._ready), sim.now)
+            if profiler is not None:
+                assert profiler.events == sim.events_executed
+        sim.run()
+        return stopped, log, sim.events_executed
+
+    assert halted(profile=True) == halted(profile=False)
